@@ -18,12 +18,18 @@ __all__ = [
     "Cuboid3D",
     "Rect2D",
     "clip_convex",
+    "cuboid_array",
     "giou2d_bev",
     "giou3d",
+    "giou3d_matrix",
     "iou2d",
+    "iou2d_matrix",
     "iou3d",
     "iou3d_axis_aligned",
+    "iou3d_matrix",
+    "iou3d_pairs",
     "overlap_matrix",
+    "rect_array",
     "rotated_bev_intersection_area",
 ]
 
@@ -331,3 +337,285 @@ def giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     v_hull = hull_area * (max(a_hi, b_hi) - min(a_lo, b_lo))
     enclosure = min(v_union / v_hull, 1.0) if v_hull > 0.0 else 0.0
     return iou + enclosure - 1.0
+
+
+# Batched forms. Each replays its scalar function operation for operation, in
+# the same operand order, so every entry is bit-identical to the scalar value.
+# Python's min/max keep the first argument on ties, which decides the sign of
+# a zero result, so they are written as np.where rather than np.minimum or
+# np.maximum.
+
+# Cuboid pairs evaluated per block; bounds the scratch memory.
+_PAIRS_PER_BLOCK = 1024
+
+
+def rect_array(rects: Sequence[Rect2D]) -> np.ndarray:
+    """Rectangles as an (N, 4) float array in x1, y1, x2, y2 order."""
+    return np.array([(r.x1, r.y1, r.x2, r.y2) for r in rects], dtype=float).reshape(-1, 4)
+
+
+def cuboid_array(cuboids: Sequence[Cuboid3D]) -> np.ndarray:
+    """Cuboids as an (N, 7) float array in cx, cy, cz, w, h, l, yaw order."""
+    return np.array(
+        [(c.cx, c.cy, c.cz, c.w, c.h, c.l, c.yaw) for c in cuboids], dtype=float
+    ).reshape(-1, 7)
+
+
+def _box_array(values, width: int, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{name} must have shape (N, {width}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} values must be finite")
+    if width == 4 and (np.any(arr[:, 0] > arr[:, 2]) or np.any(arr[:, 1] > arr[:, 3])):
+        raise ValueError(f"{name} corners must satisfy x1 <= x2 and y1 <= y2")
+    if width == 7 and np.any(arr[:, 3:6] < 0.0):
+        raise ValueError(f"{name} dimensions w, h, l must be non-negative")
+    return arr
+
+
+def _min(x, y):
+    return np.where(y < x, y, x)
+
+
+def _max(x, y):
+    return np.where(y > x, y, x)
+
+
+def iou2d_matrix(a, b) -> np.ndarray:
+    """(N, M) matrix whose entry (i, j) is bit-identical to ``iou2d(a[i], b[j])``.
+
+    a and b are (N, 4) and (M, 4) arrays in x1, y1, x2, y2 order, as built by
+    ``rect_array``.
+    """
+    a = _box_array(a, 4, "a")
+    b = _box_array(b, 4, "b")
+    ax1, ay1, ax2, ay2 = (col[:, None] for col in a.T)
+    bx1, by1, bx2, by2 = b.T
+    ix = _min(ax2, bx2) - _max(ax1, bx1)
+    iy = _min(ay2, by2) - _max(ay1, by1)
+    inter = ix * iy
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    with np.errstate(all="ignore"):
+        ratio = _min(inter / union, 1.0)
+    return np.where((ix > 0.0) & (iy > 0.0) & (union > 0.0), ratio, 0.0)
+
+
+def _cuboid_features(c: np.ndarray) -> np.ndarray:
+    """Per-box columns the pair arithmetic reads, computed as the scalar path does.
+
+    Columns: the 7 fields; the 4 footprint corner x, then the 4 corner z, in
+    ``bev_footprint`` order; footprint area; volume; vertical extent (lo, hi);
+    and the yaw-free footprint box (x1, z1, x2, z2).
+    """
+    cx, cy, cz, w, h, l, yaw = c.T
+    # math.cos/sin, not np.cos/sin: the scalar path uses libm, and numpy's
+    # vectorised trigonometry may differ from it in the last bit.
+    cos_y = np.array([math.cos(v) for v in yaw.tolist()], dtype=float)
+    sin_y = np.array([math.sin(v) for v in yaw.tolist()], dtype=float)
+    hl, hw = l / 2.0, w / 2.0
+    corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    xs = [cx + cos_y * u - sin_y * v for u, v in corners]
+    zs = [cz + sin_y * u + cos_y * v for u, v in corners]
+    half = h / 2.0
+    extra = [w * l, w * h * l, cy - half, cy + half, cx - hl, cz - hw, cx + hl, cz + hw]
+    return np.column_stack([c, *xs, *zs, *extra])
+
+
+# Column offsets into _cuboid_features.
+_X, _Z, _AREA, _VOL, _LO, _HI, _X1, _Z1, _X2, _Z2 = 7, 11, 15, 16, 17, 18, 19, 20, 21, 22
+
+
+def _next_slot(values: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each slot's successor in its row's cyclic vertex order; last marks each row's final vertex."""
+    shifted = np.concatenate([values[:, 1:], values[:, :1]], axis=1)
+    return np.where(last, values[:, :1], shifted)
+
+
+def _clipped_area(sx: np.ndarray, sz: np.ndarray, kx: np.ndarray, kz: np.ndarray) -> np.ndarray:
+    """``clip_convex(subject, clip).area`` per pair, for (P, 4) corner coordinates.
+
+    Vertices live in padded (P, K) buffers with a per-pair count; K grows to
+    the largest count any pair reaches. Pairs whose polygon has emptied are
+    dropped, since the scalar path returns area 0.0 for them too.
+    """
+    area = np.zeros(len(sx))
+    live = np.arange(len(sx))
+    xs, zs = sx, sz
+    count = np.full(len(sx), 4)
+    for k in range(4):
+        if np.any(count < 3):
+            keep = count >= 3
+            live, xs, zs, count, kx, kz = live[keep], xs[keep], zs[keep], count[keep], kx[keep], kz[keep]
+        if live.size == 0:
+            return area
+        px, pz = kx[:, k : k + 1], kz[:, k : k + 1]
+        ex, ez = kx[:, (k + 1) % 4, None] - px, kz[:, (k + 1) % 4, None] - pz
+        # cross(edge, point - edge start); >= 0 means on or left of the edge.
+        sides = ex * (zs - pz) - ez * (xs - px)
+        slot = np.arange(xs.shape[1])
+        last = slot == (count - 1)[:, None]
+        t_val = _next_slot(sides, last)
+        end_x, end_z = _next_slot(xs, last), _next_slot(zs, last)
+        inside = sides >= 0.0
+        frac = sides / (sides - t_val)
+        # Each slot emits its start vertex when inside, then the crossing
+        # point when the edge crosses; interleave both and pack them left.
+        emit = np.stack([inside, inside != (t_val >= 0.0)], axis=2) & (slot < count[:, None])[:, :, None]
+        emit = emit.reshape(len(live), -1)
+        place = np.cumsum(emit, axis=1)
+        count = place[:, -1]
+        width = max(int(count.max()), 1)
+        target = (np.arange(len(live)) * width)[:, None] + place - 1
+        target = target[emit]
+        new_x = np.zeros((len(live), width))
+        new_z = np.zeros((len(live), width))
+        new_x.ravel()[target] = np.stack([xs, xs + frac * (end_x - xs)], axis=2).reshape(len(live), -1)[emit]
+        new_z.ravel()[target] = np.stack([zs, zs + frac * (end_z - zs)], axis=2).reshape(len(live), -1)[emit]
+        xs, zs = new_x, new_z
+
+    # _merge_close_vertices: drop a vertex close to the last kept one, then pop
+    # trailing vertices close to the first. Only rows with two consecutive
+    # close vertices can drop one, so only they replay the sequential scan.
+    width = xs.shape[1]
+    slot = np.arange(width)
+    near = (
+        (np.abs(xs[:, 1:] - xs[:, :-1]) <= _VERTEX_MERGE_TOL)
+        & (np.abs(zs[:, 1:] - zs[:, :-1]) <= _VERTEX_MERGE_TOL)
+        & (slot[1:] < count[:, None])
+    )
+    scan = np.flatnonzero(near.any(axis=1))
+    if scan.size:
+        sub_x, sub_z, sub_count = xs[scan], zs[scan], count[scan]
+        out_x, out_z = np.zeros_like(sub_x), np.zeros_like(sub_z)
+        rows = np.arange(scan.size)
+        kept = np.zeros(scan.size, dtype=np.intp)
+        last_x, last_z = np.zeros(scan.size), np.zeros(scan.size)
+        for i in range(width):
+            x, z = sub_x[:, i], sub_z[:, i]
+            close = (kept > 0) & (np.abs(x - last_x) <= _VERTEX_MERGE_TOL) & (np.abs(z - last_z) <= _VERTEX_MERGE_TOL)
+            take = (i < sub_count) & ~close
+            out_x[rows[take], kept[take]] = x[take]
+            out_z[rows[take], kept[take]] = z[take]
+            last_x, last_z = np.where(take, x, last_x), np.where(take, z, last_z)
+            kept += take
+        xs, zs, count = xs.copy(), zs.copy(), count.copy()
+        xs[scan], zs[scan], count[scan] = out_x, out_z, kept
+    rows = np.arange(len(live))
+    while True:
+        tail = np.maximum(count - 1, 0)
+        pop = (
+            (count > 1)
+            & (np.abs(xs[:, 0] - xs[rows, tail]) <= _VERTEX_MERGE_TOL)
+            & (np.abs(zs[:, 0] - zs[rows, tail]) <= _VERTEX_MERGE_TOL)
+        )
+        if not pop.any():
+            break
+        count = count - pop
+
+    # ConvexPolygon.area: shoelace sum in vertex order, then max(0.5 * acc, 0).
+    # acc starts at +0.0 and can never become -0.0, so adding +0.0 for the
+    # padding slots leaves it unchanged.
+    n = np.where(count < 3, 0, count)[:, None]
+    last = slot == n - 1
+    after_x, after_z = _next_slot(xs, last), _next_slot(zs, last)
+    terms = np.where(slot < n, xs * after_z - after_x * zs, 0.0)
+    acc = np.zeros(len(live))
+    for i in range(width):
+        acc = acc + terms[:, i]
+    area[live] = _max(0.5 * acc, 0.0)
+    return area
+
+
+def _pair_values(features: np.ndarray, first: np.ndarray, second: np.ndarray, generalized: bool) -> np.ndarray:
+    """iou3d (or giou3d) of the pairs (features[first[k]], features[second[k]])."""
+    # _canonical_pair: order the operands by a lexicographic compare of the 7
+    # fields, so both argument orders run identical arithmetic.
+    fields_a, fields_b = features[first, :7], features[second, :7]
+    differs = fields_a != fields_b
+    equal = ~differs.any(axis=1)
+    lead = differs.argmax(axis=1)
+    picks = np.arange(len(first))
+    swap = ~equal & (fields_a[picks, lead] > fields_b[picks, lead])
+    pa = features[np.where(swap, second, first)]
+    pb = features[np.where(swap, first, second)]
+    area = _clipped_area(pa[:, _X:_Z], pa[:, _Z:_AREA], pb[:, _X:_Z], pb[:, _Z:_AREA])
+    # rotated_bev_intersection_area's shortcut for equal boxes is left out:
+    # equal boxes with volume are overridden below, and without volume their
+    # iou3d is 0 and giou3d is -1 whatever the footprint overlap.
+    area = _min(_min(area, pa[:, _AREA]), pb[:, _AREA])
+    lo_a, hi_a, lo_b, hi_b = pa[:, _LO], pa[:, _HI], pb[:, _LO], pb[:, _HI]
+    v_inter = area * _max(_min(hi_a, hi_b) - _max(lo_a, lo_b), 0.0)
+    v_union = pa[:, _VOL] + pb[:, _VOL] - v_inter
+    iou = np.where(v_union > 0.0, _min(v_inter / v_union, 1.0), 0.0)
+    has_volume = pa[:, _VOL] > 0.0
+    if not generalized:
+        return np.where(equal, np.where(has_volume, 1.0, 0.0), iou)
+    hull_area = (_max(pa[:, _X2], pb[:, _X2]) - _min(pa[:, _X1], pb[:, _X1])) * (
+        _max(pa[:, _Z2], pb[:, _Z2]) - _min(pa[:, _Z1], pb[:, _Z1])
+    )
+    v_hull = hull_area * (_max(hi_a, hi_b) - _min(lo_a, lo_b))
+    enclosure = np.where(v_hull > 0.0, _min(v_union / v_hull, 1.0), 0.0)
+    return np.where(equal & has_volume, 1.0, iou + enclosure - 1.0)
+
+
+def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, generalized: bool) -> np.ndarray:
+    """iou3d (or giou3d) of the pairs (a[rows[k]], b[cols[k]]), a block of pairs at a time."""
+    out = np.empty(len(rows))
+    if out.size == 0:
+        return out
+    # One table holds the features of a, then those of b.
+    features = _cuboid_features(np.concatenate([a, b]))
+    # Python float arithmetic overflows to inf and divides inf by inf into nan
+    # without complaint; so does this replay.
+    with np.errstate(all="ignore"):
+        for start in range(0, len(rows), _PAIRS_PER_BLOCK):
+            block = slice(start, start + _PAIRS_PER_BLOCK)
+            out[block] = _pair_values(features, rows[block], len(a) + cols[block], generalized)
+    return out
+
+
+def _cuboid_matrix(a, b, generalized: bool) -> np.ndarray:
+    a = _box_array(a, 7, "a")
+    b = _box_array(b, 7, "b")
+    rows = np.repeat(np.arange(len(a)), len(b))
+    cols = np.tile(np.arange(len(b)), len(a))
+    return _cuboid_values(a, b, rows, cols, generalized).reshape(len(a), len(b))
+
+
+def iou3d_matrix(a, b) -> np.ndarray:
+    """(N, M) matrix whose entry (i, j) is bit-identical to ``iou3d(a[i], b[j])``.
+
+    a and b are (N, 7) and (M, 7) arrays in cx, cy, cz, w, h, l, yaw order, as
+    built by ``cuboid_array``. Pairs are evaluated a block at a time, so
+    scratch memory stays proportional to the result, whatever N * M is.
+    """
+    return _cuboid_matrix(a, b, generalized=False)
+
+
+def giou3d_matrix(a, b) -> np.ndarray:
+    """(N, M) matrix whose entry (i, j) is bit-identical to ``giou3d(a[i], b[j])``.
+
+    Same array layout as ``iou3d_matrix``.
+    """
+    return _cuboid_matrix(a, b, generalized=True)
+
+
+def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
+    """Entries ``iou3d_matrix(a, b)[rows, cols]``, without evaluating the others.
+
+    Entry k is bit-identical to ``iou3d(a[rows[k]], b[cols[k]])``. One call
+    can cover a sparse set of pairs, such as the box x ground-truth pairs of
+    many scenes stacked into a and b.
+    """
+    a = _box_array(a, 7, "a")
+    b = _box_array(b, 7, "b")
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    if rows.shape != cols.shape:
+        raise ValueError(f"rows and cols must have the same length, got {rows.size} and {cols.size}")
+    if np.any(rows < 0) or np.any(rows >= len(a)) or np.any(cols < 0) or np.any(cols >= len(b)):
+        raise ValueError("rows and cols must index into a and b")
+    return _cuboid_values(a, b, rows, cols, generalized=False)

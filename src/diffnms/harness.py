@@ -18,8 +18,16 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .boxes import DetectionBox, Scene
-from .geometry import iou2d, iou3d, iou3d_axis_aligned, overlap_matrix
-from .nms import NmsConfig, NmsVariant, RescoreResult, run_nms
+from .geometry import (
+    cuboid_array,
+    iou2d_matrix,
+    iou3d_axis_aligned,
+    iou3d_matrix,
+    iou3d_pairs,
+    overlap_matrix,
+    rect_array,
+)
+from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
 from .ranking import DifficultyRule, eval_ap_r40
 
 __all__ = [
@@ -104,6 +112,26 @@ def map_scenes(fn: Callable[[Scene], _T], scenes: Sequence[Scene]) -> list[_T]:
         return list(pool.map(fn, scenes))
 
 
+def _scene_inputs(scene: Scene, score_mode: str | None) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Scores and overlap matrix of a scene's non-DontCare boxes, plus their positions."""
+    index_map = [i for i, b in enumerate(scene.boxes) if not b.dontcare]
+    boxes = [scene.boxes[i] for i in index_map]
+    return effective_scores(boxes, score_mode), overlap_matrix([b.rect for b in boxes]), index_map
+
+
+def _run_scene_nms(
+    scene: Scene,
+    inputs: tuple[np.ndarray, np.ndarray, list[int]],
+    cfg: NmsConfig,
+    variant: NmsVariant,
+) -> RescoreResult:
+    scores, overlaps, index_map = inputs
+    try:
+        return run_nms(scores, overlaps, cfg, variant)
+    except ScoreRangeError as exc:
+        raise ValueError(f"scene {scene.scene_id!r} box {index_map[exc.index]}: {exc.reason}") from None
+
+
 def rescore_scene(
     scene: Scene,
     cfg: NmsConfig,
@@ -113,13 +141,12 @@ def rescore_scene(
     """Run one NMS variant over a scene's non-DontCare boxes.
 
     Returns the rescore result (indices relative to the filtered box list)
-    plus the map from filtered positions back to scene.boxes positions.
+    plus the map from filtered positions back to scene.boxes positions. A
+    score outside the variant's domain raises ValueError naming the scene
+    and the scene.boxes position of the first offending box.
     """
-    index_map = [i for i, b in enumerate(scene.boxes) if not b.dontcare]
-    boxes = [scene.boxes[i] for i in index_map]
-    scores = effective_scores(boxes, score_mode)
-    overlaps = overlap_matrix([b.rect for b in boxes])
-    return run_nms(scores, overlaps, cfg, variant), index_map
+    inputs = _scene_inputs(scene, score_mode)
+    return _run_scene_nms(scene, inputs, cfg, variant), inputs[2]
 
 
 def _with_score(box: DetectionBox, score: float) -> DetectionBox:
@@ -156,18 +183,18 @@ def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
     if mode not in ("iou2d", "iou3d"):
         raise ValueError(f"unknown oracle mode {mode!r}, expected 'iou2d' or 'iou3d'")
     gts = [g for g in scene.gts if not g.dontcare]
-    boxes = []
-    for box in scene.boxes:
-        best = 0.0
-        for gt in gts:
-            if mode == "iou2d":
-                value = iou2d(box.rect, gt.rect)
-            elif box.cuboid is None or gt.cuboid is None:
-                continue
-            else:
-                value = iou3d(box.cuboid, gt.cuboid)
-            best = max(best, value)
-        boxes.append(_with_score(box, best))
+    if mode == "iou2d":
+        values = iou2d_matrix(rect_array([b.rect for b in scene.boxes]), rect_array([g.rect for g in gts]))
+    else:
+        rows = [i for i, b in enumerate(scene.boxes) if b.cuboid is not None]
+        values = np.zeros((len(scene.boxes), sum(g.cuboid is not None for g in gts)))
+        values[rows] = iou3d_matrix(
+            cuboid_array([scene.boxes[i].cuboid for i in rows]),
+            cuboid_array([g.cuboid for g in gts if g.cuboid is not None]),
+        )
+    # The best overlap starts at 0.0 and only a larger value replaces it.
+    best = np.where(values > 0.0, values, 0.0).max(axis=1, initial=0.0)
+    boxes = [_with_score(box, value) for box, value in zip(scene.boxes, best.tolist())]
     return dataclasses.replace(scene, boxes=boxes)
 
 
@@ -218,30 +245,48 @@ def score_iou_correlation(
     are excluded since they have nothing to match.
     """
 
-    def one_scene(scene: Scene) -> list[CorrelationRow]:
-        gts = [g for g in scene.gts if not g.dontcare and g.cuboid is not None]
-        if not gts:
+    def kept_boxes(scene: Scene) -> list[tuple[int, float]]:
+        """(scene.boxes position, rescore) of each kept box that has a cuboid."""
+        if not any(not g.dontcare and g.cuboid is not None for g in scene.gts):
             return []
         result, index_map = rescore_scene(scene, cfg, variant, score_mode)
-        rows = []
-        for k in result.kept:
-            box = scene.boxes[index_map[int(k)]]
-            if box.cuboid is None:
-                continue
-            values = [iou3d(box.cuboid, gt.cuboid) for gt in gts]
-            best = int(np.argmax(values))
+        kept = [(index_map[int(k)], float(result.rescores[int(k)])) for k in result.kept]
+        return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
+
+    per_scene = map_scenes(kept_boxes, scenes)
+    gts = [[g for g in scene.gts if not g.dontcare and g.cuboid is not None] for scene in scenes]
+    # One iou3d_pairs call covers the kept box x ground-truth pairs of every scene.
+    box_rows: list[int] = []
+    gt_cols: list[int] = []
+    box_base = gt_base = 0
+    for kept, scene_gts in zip(per_scene, gts):
+        for j in range(len(kept)):
+            box_rows += [box_base + j] * len(scene_gts)
+            gt_cols += range(gt_base, gt_base + len(scene_gts))
+        box_base += len(kept)
+        gt_base += len(scene_gts)
+    values = iou3d_pairs(
+        cuboid_array([scene.boxes[i].cuboid for scene, kept in zip(scenes, per_scene) for i, _ in kept]),
+        cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts]),
+        box_rows,
+        gt_cols,
+    )
+    rows = []
+    at = 0
+    for scene, kept, scene_gts in zip(scenes, per_scene, gts):
+        for i, rescore in kept:
+            ious = values[at : at + len(scene_gts)]
+            at += len(scene_gts)
+            best = int(np.argmax(ious))
             rows.append(
                 CorrelationRow(
                     scene_id=scene.scene_id,
-                    box_index=index_map[int(k)],
-                    rescore=float(result.rescores[int(k)]),
-                    iou3d_rotated=float(values[best]),
-                    iou3d_axis_aligned=iou3d_axis_aligned(box.cuboid, gts[best].cuboid),
+                    box_index=i,
+                    rescore=rescore,
+                    iou3d_rotated=float(ious[best]),
+                    iou3d_axis_aligned=iou3d_axis_aligned(scene.boxes[i].cuboid, scene_gts[best].cuboid),
                 )
             )
-        return rows
-
-    rows = [row for chunk in map_scenes(one_scene, scenes) for row in chunk]
     coefficient = _pearson(
         np.array([r.rescore for r in rows]), np.array([r.iou3d_rotated for r in rows])
     )
@@ -305,15 +350,21 @@ def build_comparison(
     iou_threshold: float = 0.7,
     rule: DifficultyRule | None = None,
 ) -> ComparisonReport:
-    """Run every variant over every scene and summarize the differences."""
+    """Run every variant over every scene and summarize the differences.
+
+    Each scene's scores and overlap matrix are built once and shared by the
+    variants, so seconds_per_scene times each variant's rescoring alone.
+    """
     names = [NmsVariant(v).value for v in variants]
     kept_sets: dict[str, list[set[int]]] = {name: [] for name in names}
     kept_boxes: dict[str, list[tuple[list[DetectionBox], list]]] = {name: [] for name in names}
     seconds: dict[str, float] = {name: 0.0 for name in names}
     for scene in scenes:
+        inputs = _scene_inputs(scene, score_mode)
+        index_map = inputs[2]
         for variant, name in zip(variants, names):
             start = time.perf_counter()
-            result, index_map = rescore_scene(scene, cfg, variant, score_mode)
+            result = _run_scene_nms(scene, inputs, cfg, variant)
             seconds[name] += time.perf_counter() - start
             kept_sets[name].append({index_map[int(k)] for k in result.kept})
             kept_boxes[name].append((rescored_boxes(scene, result, index_map), scene.gts))

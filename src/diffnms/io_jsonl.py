@@ -44,11 +44,43 @@ def _cuboid_to_items(cuboid: Cuboid3D | None) -> dict:
     return {key: getattr(cuboid, key) for key in _CUBOID_KEYS}
 
 
-def _geometry_from_dict(data: dict, where: str) -> tuple[Rect2D, Cuboid3D | None]:
+# Fields converted to numbers, with the converter the readers apply to each.
+_NUMBER_FIELDS = (
+    *((k, float) for k in _RECT_KEYS + _CUBOID_KEYS),
+    ("score", float),
+    ("class_conf", float),
+    ("pred_conf", float),
+    ("truncation", float),
+    ("occlusion", int),
+    ("alpha", float),
+)
+_OPTIONAL_NUMBERS = ("class_conf", "pred_conf")
+
+
+def _record_error(data: dict, where: str, exc: Exception) -> ValueError:
+    """The error for a box or gt object that failed to build, naming the first bad field."""
+    for key, convert in _NUMBER_FIELDS:
+        value = data.get(key)
+        if key not in data or (value is None and key in _OPTIONAL_NUMBERS):
+            continue
+        try:
+            convert(value)
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if convert is int else "a number"
+            return ValueError(f"{where}: {key} must be {kind}, got {value!r}")
+    return ValueError(f"{where}: {exc}")
+
+
+def _require_object(data, where: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
+
+
+def _geometry_from_dict(data: dict) -> tuple[Rect2D, Cuboid3D | None]:
     try:
         rect = Rect2D(*(float(data.pop(k)) for k in _RECT_KEYS))
     except KeyError as exc:
-        raise ValueError(f"{where}: missing rectangle key {exc}") from None
+        raise ValueError(f"missing rectangle key {exc}") from None
     cuboid = None
     if all(k in data for k in _CUBOID_KEYS):
         cuboid = Cuboid3D(**{k: float(data.pop(k)) for k in _CUBOID_KEYS})
@@ -77,21 +109,26 @@ def box_to_dict(box: DetectionBox) -> dict:
 
 
 def box_from_dict(data: dict, where: str = "box") -> DetectionBox:
-    data = dict(data)
-    rect, cuboid = _geometry_from_dict(data, where)
-    return DetectionBox(
-        rect=rect,
-        cuboid=cuboid,
-        score=float(data.pop("score", 0.0)),
-        class_conf=_opt_float(data.pop("class_conf", None)),
-        pred_conf=_opt_float(data.pop("pred_conf", None)),
-        label=str(data.pop("label", "Car")),
-        truncation=float(data.pop("truncation", 0.0)),
-        occlusion=int(data.pop("occlusion", 0)),
-        alpha=float(data.pop("alpha", 0.0)),
-        dontcare=bool(data.pop("dontcare", False)),
-        extra=data,
-    )
+    """Build a detection from its JSON object; malformed fields raise ValueError naming where."""
+    _require_object(data, where)
+    fields = dict(data)
+    try:
+        rect, cuboid = _geometry_from_dict(fields)
+        return DetectionBox(
+            rect=rect,
+            cuboid=cuboid,
+            score=float(fields.pop("score", 0.0)),
+            class_conf=_opt_float(fields.pop("class_conf", None)),
+            pred_conf=_opt_float(fields.pop("pred_conf", None)),
+            label=str(fields.pop("label", "Car")),
+            truncation=float(fields.pop("truncation", 0.0)),
+            occlusion=int(fields.pop("occlusion", 0)),
+            alpha=float(fields.pop("alpha", 0.0)),
+            dontcare=bool(fields.pop("dontcare", False)),
+            extra=fields,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _record_error(data, where, exc) from None
 
 
 def gt_to_dict(gt: GroundTruth) -> dict:
@@ -111,18 +148,23 @@ def gt_to_dict(gt: GroundTruth) -> dict:
 
 
 def gt_from_dict(data: dict, where: str = "gt") -> GroundTruth:
-    data = dict(data)
-    rect, cuboid = _geometry_from_dict(data, where)
-    return GroundTruth(
-        rect=rect,
-        cuboid=cuboid,
-        label=str(data.pop("label", "Car")),
-        truncation=float(data.pop("truncation", 0.0)),
-        occlusion=int(data.pop("occlusion", 0)),
-        alpha=float(data.pop("alpha", 0.0)),
-        dontcare=bool(data.pop("dontcare", False)),
-        extra=data,
-    )
+    """Build a ground truth from its JSON object; malformed fields raise ValueError naming where."""
+    _require_object(data, where)
+    fields = dict(data)
+    try:
+        rect, cuboid = _geometry_from_dict(fields)
+        return GroundTruth(
+            rect=rect,
+            cuboid=cuboid,
+            label=str(fields.pop("label", "Car")),
+            truncation=float(fields.pop("truncation", 0.0)),
+            occlusion=int(fields.pop("occlusion", 0)),
+            alpha=float(fields.pop("alpha", 0.0)),
+            dontcare=bool(fields.pop("dontcare", False)),
+            extra=fields,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _record_error(data, where, exc) from None
 
 
 def _opt_float(value) -> float | None:
@@ -140,6 +182,12 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict, where: str = "scene") -> Scene:
+    """Build a scene from its JSON object.
+
+    Errors are ValueErrors that name where, then the scene id and the box or
+    gt position of the malformed record.
+    """
+    _require_object(data, where)
     data = dict(data)
     if "id" not in data:
         raise ValueError(f"{where}: missing scene id")
@@ -149,8 +197,8 @@ def scene_from_dict(data: dict, where: str = "scene") -> Scene:
     gts_raw = data.pop("gts", [])
     if not isinstance(boxes_raw, list) or not isinstance(gts_raw, list):
         raise ValueError(f"{where}: boxes and gts must be arrays")
-    boxes = [box_from_dict(b, f"{where} box {i}") for i, b in enumerate(boxes_raw)]
-    gts = [gt_from_dict(g, f"{where} gt {i}") for i, g in enumerate(gts_raw)]
+    boxes = [box_from_dict(b, f"{where}: scene {scene_id!r} box {i}") for i, b in enumerate(boxes_raw)]
+    gts = [gt_from_dict(g, f"{where}: scene {scene_id!r} gt {i}") for i, g in enumerate(gts_raw)]
     return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)
 
 
@@ -164,6 +212,8 @@ def iter_scenes_jsonl(path: str | os.PathLike) -> Iterator[Scene]:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {number}: invalid JSON: {exc}") from None
+            except RecursionError:
+                raise ValueError(f"line {number}: invalid JSON: nested too deeply") from None
             if not isinstance(data, dict):
                 raise ValueError(f"line {number}: expected a JSON object")
             yield scene_from_dict(data, where=f"line {number}")

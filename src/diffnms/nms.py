@@ -22,6 +22,7 @@ __all__ = [
     "NmsVariant",
     "Pruning",
     "RescoreResult",
+    "ScoreRangeError",
     "build_mask",
     "classical_soft_nms",
     "clip01",
@@ -162,16 +163,30 @@ def prune_derivative(overlap, cfg: NmsConfig):
     return float(res) if np.ndim(overlap) == 0 else res
 
 
+class ScoreRangeError(ValueError):
+    """A score outside a rescorer's domain; index is its position in the scores array."""
+
+    def __init__(self, reason: str, index: int) -> None:
+        super().__init__(f"{reason} (score index {index})")
+        self.reason = reason
+        self.index = index
+
+
+def _score_error(s: np.ndarray, bad: np.ndarray, reason: str) -> ScoreRangeError:
+    index = int(np.argmax(bad))
+    return ScoreRangeError(f"{reason}, got {float(s[index])!r}", index)
+
+
 def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"scores must be a 1-d array, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+        raise _score_error(s, ~np.isfinite(s), "scores must be finite")
     if np.any(s < 0.0):
-        raise ValueError("scores must be non-negative")
+        raise _score_error(s, s < 0.0, "scores must be non-negative")
     if upper is not None and np.any(s > upper):
-        raise ValueError(f"scores must lie in [0, {upper:g}] for this rescorer")
+        raise _score_error(s, s > upper, f"scores must lie in [0, {upper:g}] for this rescorer")
     return s
 
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .boxes import DetectionBox, GroundTruth
-from .geometry import iou2d, iou3d, giou3d
+from .geometry import cuboid_array, giou3d, giou3d_matrix, iou2d, iou2d_matrix, iou3d_pairs, rect_array
 
 __all__ = [
     "DEFAULT_DIFFICULTY_RULES",
@@ -67,11 +68,15 @@ def assign_targets(
     """
     n_boxes, n_gts = len(boxes), len(gts)
     quality = np.zeros((n_boxes, n_gts))
-    for col, gt in enumerate(gts):
-        if gt.dontcare:
-            continue
-        for row, box in enumerate(boxes):
-            quality[row, col] = q_match(box, gt)
+    # q_match over the boxes and ground truths that have cuboids, one matrix each.
+    rows = [i for i, box in enumerate(boxes) if box.cuboid is not None]
+    cols = [j for j, gt in enumerate(gts) if not gt.dontcare and gt.cuboid is not None]
+    if rows and cols:
+        row_boxes = [boxes[i] for i in rows]
+        col_gts = [gts[j] for j in cols]
+        iou = iou2d_matrix(rect_array([b.rect for b in row_boxes]), rect_array([g.rect for g in col_gts]))
+        giou = giou3d_matrix(cuboid_array([b.cuboid for b in row_boxes]), cuboid_array([g.cuboid for g in col_gts]))
+        quality[np.ix_(rows, cols)] = iou * (1.0 + giou) / 2.0
     targets = np.zeros(n_boxes, dtype=int)
     matched = np.full(n_boxes, -1, dtype=int)
     for col, gt in enumerate(gts):
@@ -208,6 +213,62 @@ def filter_gts(gts: Sequence[GroundTruth], rule: DifficultyRule | None) -> list[
 
 _RECALL_POINTS = 40
 
+# Detections per scene in the first matching block; later blocks double.
+_FIRST_BLOCK = 4
+
+
+def _greedy_hits(
+    scenes: Sequence[tuple[Sequence[DetectionBox], Sequence[GroundTruth]]], iou_threshold: float
+) -> list[list[bool]]:
+    """Per scene, whether each detection is a true positive under greedy matching.
+
+    scenes holds (detections in matching order, evaluable ground truths). Each
+    detection claims the unclaimed ground truth with the highest IoU3D (the
+    lower index on ties) and is a hit when that IoU reaches the threshold.
+    IoU3D is computed only against ground truths still unclaimed, for a
+    block of detections of every scene per ``iou3d_pairs`` call. Blocks double
+    in size, and a scene drops out once all its ground truths are claimed, so
+    scenes whose ground truths are claimed early cost few pairs.
+    """
+    hits = [[False] * len(dets) for dets, _ in scenes]
+    claimed = [[False] * len(gts) for _, gts in scenes]
+    gt_base = list(accumulate((len(gts) for _, gts in scenes), initial=0))
+    gt_cuboids = cuboid_array([gt.cuboid for _, gts in scenes for gt in gts])
+    # Detections without a cuboid match nothing, so only those with one are visited.
+    visit = [[k for k, det in enumerate(dets) if det.cuboid is not None] for dets, _ in scenes]
+    active = [s for s, (_, gts) in enumerate(scenes) if visit[s] and gts]
+    start, size = 0, _FIRST_BLOCK
+    while active:
+        plan = []
+        block_cuboids = []
+        rows: list[int] = []
+        cols: list[int] = []
+        for s in active:
+            open_gts = [g for g, taken in enumerate(claimed[s]) if not taken]
+            block = visit[s][start : start + size]
+            plan.append((s, block, open_gts))
+            for k in block:
+                rows += [len(block_cuboids)] * len(open_gts)
+                cols += [gt_base[s] + g for g in open_gts]
+                block_cuboids.append(scenes[s][0][k].cuboid)
+        values = iou3d_pairs(cuboid_array(block_cuboids), gt_cuboids, rows, cols).tolist()
+        at = 0
+        for s, block, open_gts in plan:
+            taken = claimed[s]
+            for k in block:
+                best_iou, best_gt = 0.0, -1
+                for g, value in zip(open_gts, values[at : at + len(open_gts)]):
+                    if not taken[g] and value > best_iou:
+                        best_iou, best_gt = value, g
+                at += len(open_gts)
+                if best_gt >= 0 and best_iou >= iou_threshold:
+                    taken[best_gt] = True
+                    hits[s][k] = True
+        start += size
+        size *= 2
+        active = [s for s in active if start < len(visit[s]) and not all(claimed[s])]
+    return hits
+
 
 def eval_ap_r40(
     scene_pairs: Iterable[tuple[Sequence[DetectionBox], Sequence[GroundTruth]]],
@@ -225,28 +286,17 @@ def eval_ap_r40(
     difficulty filter leaves no ground truths, distinguishing "not evaluable"
     from an AP of zero.
     """
-    records: list[tuple[float, bool, int, int]] = []
-    total_gts = 0
-    for scene_index, (dets, gts) in enumerate(scene_pairs):
-        valid = filter_gts(gts, rule)
-        total_gts += len(valid)
+    ranked: list[tuple[list[DetectionBox], list[GroundTruth]]] = []
+    for dets, gts in scene_pairs:
         usable = [d for d in dets if not d.dontcare]
         order = sorted(range(len(usable)), key=lambda k: (-usable[k].score, k))
-        claimed = [False] * len(valid)
-        for rank, k in enumerate(order):
-            det = usable[k]
-            best_iou, best_gt = 0.0, -1
-            if det.cuboid is not None:
-                for g, gt in enumerate(valid):
-                    if claimed[g]:
-                        continue
-                    value = iou3d(det.cuboid, gt.cuboid)
-                    if value > best_iou:
-                        best_iou, best_gt = value, g
-            hit = best_gt >= 0 and best_iou >= iou_threshold
-            if hit:
-                claimed[best_gt] = True
-            records.append((det.score, hit, scene_index, rank))
+        ranked.append(([usable[k] for k in order], filter_gts(gts, rule)))
+    total_gts = sum(len(valid) for _, valid in ranked)
+    records: list[tuple[float, bool, int, int]] = [
+        (det.score, hit, scene_index, rank)
+        for scene_index, ((dets, _), hits) in enumerate(zip(ranked, _greedy_hits(ranked, iou_threshold)))
+        for rank, (det, hit) in enumerate(zip(dets, hits))
+    ]
     if total_gts == 0:
         return None
     records.sort(key=lambda rec: (-rec[0], rec[2], rec[3]))

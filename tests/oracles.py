@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written with different algorithms and data
+Most of these are deliberately written with different algorithms and data
 structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
-evaluator. Slow is fine; these only run inside tests.
+evaluator. The per-pair loops at the end are the scalar forms that the
+package's batched IoU matrices replaced; the batched callers must agree with
+them bit for bit. Slow is fine; these only run inside tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,21 @@ import math
 
 import numpy as np
 
-from diffnms import Cuboid3D, DetectionBox, GroundTruth, iou3d
+from diffnms import (
+    Cuboid3D,
+    DetectionBox,
+    DifficultyRule,
+    GroundTruth,
+    NmsConfig,
+    NmsVariant,
+    Scene,
+    filter_gts,
+    iou2d,
+    iou3d,
+    iou3d_axis_aligned,
+    q_match,
+    rescore_scene,
+)
 
 
 def points_in_convex(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -99,3 +115,106 @@ def reference_ap_r40(
                 best = precision
         total += best
     return total * 100.0 / 40.0
+
+
+def reference_oracle_scores(scene: Scene, mode: str = "iou3d") -> list[float]:
+    """Each box's best overlap with the non-DontCare ground truths, one pair at a time."""
+    gts = [g for g in scene.gts if not g.dontcare]
+    scores = []
+    for box in scene.boxes:
+        best = 0.0
+        for gt in gts:
+            if mode == "iou2d":
+                value = iou2d(box.rect, gt.rect)
+            elif box.cuboid is None or gt.cuboid is None:
+                continue
+            else:
+                value = iou3d(box.cuboid, gt.cuboid)
+            best = max(best, value)
+        scores.append(best)
+    return scores
+
+
+def reference_quality(boxes: list[DetectionBox], gts: list[GroundTruth]) -> np.ndarray:
+    """The assign_targets match-quality matrix, one q_match call per pair."""
+    quality = np.zeros((len(boxes), len(gts)))
+    for col, gt in enumerate(gts):
+        if gt.dontcare:
+            continue
+        for row, box in enumerate(boxes):
+            quality[row, col] = q_match(box, gt)
+    return quality
+
+
+def reference_eval_ap_r40(
+    scene_pairs: list[tuple[list[DetectionBox], list[GroundTruth]]],
+    iou_threshold: float = 0.7,
+    rule: DifficultyRule | None = None,
+) -> float | None:
+    """eval_ap_r40 with its greedy matching done by one scalar iou3d call per pair."""
+    records: list[tuple[float, bool, int, int]] = []
+    total_gts = 0
+    for scene_index, (dets, gts) in enumerate(scene_pairs):
+        valid = filter_gts(gts, rule)
+        total_gts += len(valid)
+        usable = [d for d in dets if not d.dontcare]
+        order = sorted(range(len(usable)), key=lambda k: (-usable[k].score, k))
+        claimed = [False] * len(valid)
+        for rank, k in enumerate(order):
+            det = usable[k]
+            best_iou, best_gt = 0.0, -1
+            if det.cuboid is not None:
+                for g, gt in enumerate(valid):
+                    if claimed[g]:
+                        continue
+                    value = iou3d(det.cuboid, gt.cuboid)
+                    if value > best_iou:
+                        best_iou, best_gt = value, g
+            hit = best_gt >= 0 and best_iou >= iou_threshold
+            if hit:
+                claimed[best_gt] = True
+            records.append((det.score, hit, scene_index, rank))
+    if total_gts == 0:
+        return None
+    records.sort(key=lambda rec: (-rec[0], rec[2], rec[3]))
+    hits = np.array([rec[1] for rec in records], dtype=float)
+    if hits.size == 0:
+        return 0.0
+    cumulative = np.cumsum(hits)
+    ranks = np.arange(1, hits.size + 1)
+    precision = cumulative / ranks
+    recall = cumulative / total_gts
+    total = 0.0
+    for step in range(1, 41):
+        eligible = recall >= step / 40
+        if eligible.any():
+            total += float(precision[eligible].max())
+    return 100.0 * total / 40
+
+
+def reference_correlation_rows(
+    scenes: list[Scene], cfg: NmsConfig, variant: NmsVariant
+) -> list[tuple[str, int, float, float, float]]:
+    """score_iou_correlation's rows as tuples, one scalar iou3d call per kept box x gt pair."""
+    rows = []
+    for scene in scenes:
+        gts = [g for g in scene.gts if not g.dontcare and g.cuboid is not None]
+        if not gts:
+            continue
+        result, index_map = rescore_scene(scene, cfg, variant)
+        for k in result.kept:
+            box = scene.boxes[index_map[int(k)]]
+            if box.cuboid is None:
+                continue
+            values = [iou3d(box.cuboid, gt.cuboid) for gt in gts]
+            best = int(np.argmax(values))
+            rows.append(
+                (
+                    scene.scene_id,
+                    index_map[int(k)],
+                    float(result.rescores[int(k)]),
+                    float(values[best]),
+                    iou3d_axis_aligned(box.cuboid, gts[best].cuboid),
+                )
+            )
+    return rows

@@ -1,9 +1,13 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from diffnms.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_scenes.jsonl"
 
 
 def run_cli(*args):
@@ -181,3 +185,74 @@ class TestCompareOracleCorrelate:
         assert "pearson" in capsys.readouterr().out
         header = out.read_text(encoding="utf-8").splitlines()[0]
         assert header == "scene_id,box_index,rescore,iou3d_rotated,iou3d_axis_aligned"
+
+
+class TestGoldenOutputs:
+    """Outputs on the golden corpus stay byte-identical to the committed files."""
+
+    def test_oracle_iou3d(self, tmp_path):
+        out = tmp_path / "oracle.jsonl"
+        assert run_cli("oracle", "--input", str(GOLDEN), "--mode", "iou3d", "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / "golden_oracle_iou3d.jsonl").read_bytes()
+
+    def test_correlate_soft_linear(self, tmp_path):
+        out = tmp_path / "corr.csv"
+        assert run_cli(
+            "correlate", "--input", str(GOLDEN), "--nms", "soft", "--pruning", "linear", "--out", str(out)
+        ) == 0
+        assert out.read_bytes() == (DATA / "golden_correlate_soft_linear.csv").read_bytes()
+
+    def test_eval_all_difficulties(self, capsys):
+        assert run_cli("eval", "--input", str(GOLDEN), "--difficulty", "all") == 0
+        assert capsys.readouterr().out == (DATA / "golden_eval_all.txt").read_text(encoding="utf-8")
+
+
+def _box(score=0.5, **fields):
+    return {"x1": 0, "y1": 0, "x2": 10, "y2": 10, "score": score, **fields}
+
+
+class TestMalformedInput:
+    """Malformed records exit 1 with one error line that names where they are."""
+
+    @pytest.mark.parametrize(
+        "record, fragments",
+        [
+            ({"id": "a", "boxes": [1]}, ["scene 'a' box 0", "expected a JSON object"]),
+            ({"id": "a", "boxes": [_box(), _box(score=None)]}, ["scene 'a' box 1", "score must be a number, got None"]),
+            ({"id": "a", "gts": [{"x1": 0, "y1": 0, "x2": 1, "y2": "wide"}]}, ["scene 'a' gt 0", "y2 must be a number"]),
+            ({"id": "a", "boxes": [_box(occlusion=1e400)]}, ["scene 'a' box 0", "occlusion must be an integer"]),
+            ({"id": "a", "boxes": [_box(x1=20)]}, ["scene 'a' box 0", "x1 <= x2"]),
+            ({"id": "a", "boxes": [{"y1": 0}]}, ["scene 'a' box 0", "missing rectangle key"]),
+            (
+                {"id": "a", "boxes": [_box(cx=0, cy=0, cz=0, w=-1, h=1, l=1, yaw=0)]},
+                ["scene 'a' box 0", "non-negative"],
+            ),
+            ({"id": "a", "boxes": {}}, ["boxes and gts must be arrays"]),
+        ],
+    )
+    def test_bad_record_is_a_clean_error(self, tmp_path, capsys, record, fragments):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "fine", "boxes": [], "gts": []}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        assert run_cli("run", "--input", str(path), "--out", str(tmp_path / "o.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ")
+        assert err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_deeply_nested_json_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": "a", "extra": ' + "[" * 100_000 + "]" * 100_000 + "}\n", encoding="utf-8")
+        assert run_cli("run", "--input", str(path), "--out", str(tmp_path / "o.jsonl")) == 1
+        assert capsys.readouterr().err == "error: line 1: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("nms, pruning, bad", [("masked", "hard", 1.5), ("classical", "hard", -0.25)])
+    def test_out_of_range_score_names_scene_and_box(self, tmp_path, capsys, nms, pruning, bad):
+        boxes = [_box(dontcare=True), _box(score=0.9), _box(score=bad), _box(score=2.5)]
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({"id": "frame-7", "boxes": boxes}) + "\n", encoding="utf-8")
+        code = run_cli("run", "--input", str(path), "--nms", nms, "--pruning", pruning, "--out", str(tmp_path / "o.jsonl"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene 'frame-7' box 2: ")
+        assert repr(bad) in err

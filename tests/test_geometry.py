@@ -9,12 +9,18 @@ from diffnms import (
     Cuboid3D,
     Rect2D,
     clip_convex,
+    cuboid_array,
     giou2d_bev,
     giou3d,
+    giou3d_matrix,
     iou2d,
+    iou2d_matrix,
     iou3d,
     iou3d_axis_aligned,
+    iou3d_matrix,
+    iou3d_pairs,
     overlap_matrix,
+    rect_array,
     rotated_bev_intersection_area,
 )
 from oracles import mc_intersection_area
@@ -258,3 +264,169 @@ class TestGiou2dBev:
     def test_bounded(self, a, b):
         v = giou2d_bev(a, b)
         assert -1.0 <= v <= 1.0
+
+
+# Batched matrices against the scalar functions, compared by bit pattern so
+# that a differently signed zero counts as a mismatch.
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def scalar_matrix(fn, a, b) -> np.ndarray:
+    return np.array([[fn(x, y) for y in b] for x in a], dtype=float).reshape(len(a), len(b))
+
+
+def assert_bit_identical(fast, reference):
+    assert fast.shape == reference.shape
+    mismatched = np.argwhere(bits(fast) != bits(reference))
+    assert mismatched.size == 0, f"first mismatch at {mismatched[0]}: {fast[tuple(mismatched[0])]!r} vs {reference[tuple(mismatched[0])]!r}"
+
+
+def assert_cuboid_matrices_exact(a, b):
+    arr_a, arr_b = cuboid_array(a), cuboid_array(b)
+    assert_bit_identical(iou3d_matrix(arr_a, arr_b), scalar_matrix(iou3d, a, b))
+    assert_bit_identical(giou3d_matrix(arr_a, arr_b), scalar_matrix(giou3d, a, b))
+
+
+def assert_rect_matrix_exact(a, b):
+    assert_bit_identical(iou2d_matrix(rect_array(a), rect_array(b)), scalar_matrix(iou2d, a, b))
+
+
+near_coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
+near_sizes = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_infinity=False),
+)
+near_yaws = st.one_of(st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]), yaws)
+# Cuboids within a few meters of the origin, so that most pairs overlap.
+near_cuboids = st.builds(
+    Cuboid3D, cx=near_coords, cy=near_coords, cz=near_coords, w=near_sizes, h=near_sizes, l=near_sizes, yaw=near_yaws
+)
+near_rects = st.builds(
+    lambda x, y, w, h: Rect2D(x1=x, y1=y, x2=x + w, y2=y + h),
+    x=near_coords, y=near_coords, w=near_sizes, h=near_sizes,
+)
+
+BASE = cuboid(cx=1.0, cy=0.5, cz=2.0, w=1.5, h=1.2, l=4.0, yaw=0.0)
+FAR = 1e6
+
+
+def _moved(c: Cuboid3D, **changes) -> Cuboid3D:
+    fields = {k: getattr(c, k) for k in ("cx", "cy", "cz", "w", "h", "l", "yaw")}
+    fields.update(changes)
+    return Cuboid3D(**fields)
+
+
+EDGE_CUBOIDS = [
+    BASE,
+    _moved(BASE),  # an equal copy
+    _moved(BASE, cx=BASE.cx + BASE.l),  # touching along l
+    _moved(BASE, cz=BASE.cz + BASE.w),  # touching along w
+    _moved(BASE, cy=BASE.cy + BASE.h),  # stacked on top
+    _moved(BASE, w=0.0),
+    _moved(BASE, h=0.0),
+    _moved(BASE, l=0.0),
+    _moved(BASE, w=-0.0),
+    _moved(BASE, cy=-0.0, h=-0.0),
+    _moved(BASE, yaw=math.pi / 2),
+    _moved(BASE, yaw=-math.pi / 2),
+    _moved(BASE, yaw=math.pi),
+    _moved(BASE, yaw=-0.0),
+    _moved(BASE, cx=BASE.cx + 1e-12),
+    _moved(BASE, yaw=1e-12),
+    _moved(BASE, w=BASE.w + 1e-12),
+    _moved(BASE, cx=BASE.cx + BASE.l + 1e-12),
+    _moved(BASE, cx=BASE.cx + FAR, cz=BASE.cz - FAR),
+    _moved(BASE, cx=BASE.cx + FAR + 0.5, cz=BASE.cz - FAR, yaw=0.3),
+    _moved(BASE, cx=BASE.cx + FAR + 1e-12, cz=BASE.cz - FAR),
+    cuboid(cx=0.0, cy=0.0, cz=0.0, w=0.0, h=0.0, l=0.0),
+]
+
+EDGE_RECTS = [
+    rect(0.0, 0.0, 2.0, 2.0),
+    rect(0.0, 0.0, 2.0, 2.0),
+    rect(2.0, 0.0, 4.0, 2.0),  # touching
+    rect(1.0, 1.0, 1.5, 1.5),  # nested
+    rect(0.0, 0.0, 0.0, 2.0),  # zero width
+    rect(-0.0, 0.0, 2.0, 2.0),
+    rect(1e-12, 0.0, 2.0, 2.0 + 1e-12),
+    rect(FAR, FAR, FAR + 2.0, FAR + 2.0),
+    rect(FAR + 1.0, FAR, FAR + 3.0, FAR + 2.0),
+    rect(5.0, 5.0, 6.0, 6.0),
+]
+
+
+class TestBatchedMatrices:
+    def test_edge_cases_match_scalar_bitwise(self):
+        # The full cross product covers identical and swapped arguments.
+        assert_cuboid_matrices_exact(EDGE_CUBOIDS, EDGE_CUBOIDS)
+
+    def test_edge_rects_match_scalar_bitwise(self):
+        assert_rect_matrix_exact(EDGE_RECTS, EDGE_RECTS)
+
+    @given(a=st.lists(near_cuboids, max_size=5), b=st.lists(st.one_of(near_cuboids, cuboids), max_size=5))
+    def test_fuzzed_cuboids_match_scalar_bitwise(self, a, b):
+        assert_cuboid_matrices_exact(a, b)
+        assert_cuboid_matrices_exact(b, a)
+
+    @given(a=st.lists(near_cuboids, min_size=1, max_size=4), data=st.data())
+    def test_nudged_copies_match_scalar_bitwise(self, a, data):
+        nudge = data.draw(st.sampled_from([1e-12, -1e-12, 1e-9, 0.5]))
+        field = data.draw(st.sampled_from(["cx", "cz", "yaw", "w", "l"]))
+        values = [getattr(c, field) + nudge for c in a]
+        if field in ("w", "l"):
+            values = [abs(v) for v in values]
+        b = [_moved(c, **{field: v}) for c, v in zip(a, values)]
+        assert_cuboid_matrices_exact(a, a + b)
+
+    @given(a=st.lists(near_rects, max_size=5), b=st.lists(st.one_of(near_rects, rects), max_size=5))
+    def test_fuzzed_rects_match_scalar_bitwise(self, a, b):
+        assert_rect_matrix_exact(a, b)
+
+    def test_seeded_clusters_match_scalar_bitwise(self):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            arr = np.column_stack(
+                [
+                    rng.uniform(-3.0, 3.0, (24, 3)),
+                    rng.uniform(0.0, 3.0, (24, 3)),
+                    rng.uniform(-math.pi, math.pi, (24, 1)),
+                ]
+            )
+            # Snap some fields to a coarse grid, to provoke ties and collinear edges.
+            snap = rng.random(arr.shape) < 0.3
+            arr[snap] = np.round(arr[snap] * 2.0) / 2.0
+            boxes = [Cuboid3D(*row) for row in arr.tolist()]
+            assert_cuboid_matrices_exact(boxes[:12], boxes[12:])
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_sides(self, n, m):
+        a, b = EDGE_CUBOIDS[:n], EDGE_CUBOIDS[:m]
+        assert iou3d_matrix(cuboid_array(a), cuboid_array(b)).shape == (n, m)
+        assert giou3d_matrix(cuboid_array(a), cuboid_array(b)).shape == (n, m)
+        assert iou2d_matrix(rect_array(EDGE_RECTS[:n]), rect_array(EDGE_RECTS[:m])).shape == (n, m)
+
+    def test_pairs_are_the_selected_matrix_entries(self):
+        a, b = cuboid_array(EDGE_CUBOIDS), cuboid_array(EDGE_CUBOIDS[::-1])
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, len(a), 200)
+        cols = rng.integers(0, len(b), 200)
+        assert_bit_identical(iou3d_pairs(a, b, rows, cols), iou3d_matrix(a, b)[rows, cols])
+        assert iou3d_pairs(a, b, [], []).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: iou3d_matrix(np.zeros((2, 6)), np.zeros((1, 7))),
+            lambda: giou3d_matrix(np.zeros((1, 7)), np.array([[0, 0, 0, -1.0, 1, 1, 0]])),
+            lambda: iou3d_matrix(np.array([[0, 0, 0, 1, 1, 1, math.nan]]), np.zeros((1, 7))),
+            lambda: iou2d_matrix(np.array([[2.0, 0.0, 1.0, 1.0]]), np.zeros((1, 4))),
+            lambda: iou3d_pairs(np.zeros((2, 7)), np.zeros((2, 7)), [0, 2], [0, 0]),
+            lambda: iou3d_pairs(np.zeros((2, 7)), np.zeros((2, 7)), [0, 1], [0]),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, call):
+        with pytest.raises(ValueError):
+            call()

@@ -20,6 +20,7 @@ from diffnms import (
     write_kitti_file,
     write_scenes_jsonl,
 )
+from diffnms.io_jsonl import scene_from_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_KITTI = os.path.join(DATA, "golden_labels.txt")
@@ -175,6 +176,18 @@ class TestJsonl:
         path.write_text('{"id": "a", "boxes": [], "gts": []}\n{broken\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 2:"):
             read_scenes_jsonl(path)
+
+    def test_error_names_scene_and_record(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "s1", "boxes": [], "gts": [{"x1": 0, "y1": 0, "x2": 1, "y2": null}]}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: scene 's1' gt 0: y2 must be a number, got None"):
+            read_scenes_jsonl(path)
+
+    def test_non_object_records_rejected(self):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            scene_from_dict(["id", "a"])
+        with pytest.raises(ValueError, match="box 0: expected a JSON object"):
+            scene_from_dict({"id": "a", "boxes": [None]})
 
     def test_missing_id_rejected(self, tmp_path):
         path = tmp_path / "noid.jsonl"

@@ -8,6 +8,7 @@ from diffnms import (
     NmsConfig,
     NmsVariant,
     Pruning,
+    ScoreRangeError,
     build_mask,
     classical_soft_nms,
     clip01,
@@ -331,6 +332,14 @@ class TestRunNms:
             run_nms(s, o, LINEAR, NmsVariant.CLASSICAL)
         with pytest.raises(ValueError, match="soft"):
             run_nms(s, o, HARD, NmsVariant.SOFT)
+
+    @pytest.mark.parametrize("variant", list(NmsVariant))
+    def test_out_of_range_score_reports_first_index(self, variant):
+        s = np.array([0.5, -0.1, 0.2, -0.3])
+        cfg = HARD if variant in (NmsVariant.CLASSICAL, NmsVariant.MASKED) else LINEAR
+        with pytest.raises(ScoreRangeError, match="non-negative, got -0.1") as exc:
+            run_nms(s, np.eye(4), cfg, variant)
+        assert exc.value.index == 1
 
     def test_masked_accepts_hard_pruning(self):
         s = np.array([0.9, 0.6])
