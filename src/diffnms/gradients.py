@@ -18,7 +18,7 @@ import numpy as np
 from .nms import (
     NmsConfig,
     Pruning,
-    _masked_sorted_rescore,
+    group_boxes,
     masked_rescore,
     prune,
     prune_derivative,
@@ -34,9 +34,9 @@ __all__ = [
 ]
 
 
-def _gate(c: float) -> float:
-    """Subgradient of clip at c: 1 inside the closed interval [0, 1], else 0."""
-    return 1.0 if 0.0 <= c <= 1.0 else 0.0
+def _gate(c: np.ndarray) -> np.ndarray:
+    """Subgradient of clip at c: true (1) inside the closed interval [0, 1], else false (0)."""
+    return (c >= 0.0) & (c <= 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +62,36 @@ def _validated_inputs(scores, overlaps, cfg: NmsConfig):
     return s, o
 
 
+def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
+    """The recorded sort and grouping, reduced to the local derivatives' inputs.
+
+    In original indices: the group tops and their clip gates, then the
+    non-top members whose gate is open, their tops, and p(o_it), p'(o_it)
+    and s_t for each of them.
+    """
+    s_sorted, o_sorted, order = sort_by_score(s, o)
+    part = group_boxes(o_sorted, cfg)
+    members, tops = part.member_tops()
+    o_mt = o_sorted[members, tops]
+    weights = prune(o_mt, cfg)
+    gated = _gate(s_sorted[members] - weights * s_sorted[tops])
+    members, tops, o_mt = members[gated], tops[gated], o_mt[gated]
+    group_tops = np.flatnonzero(part.top == np.arange(s.size))
+    return (
+        order[group_tops],
+        _gate(s_sorted[group_tops]),
+        order[members],
+        order[tops],
+        weights[gated],
+        prune_derivative(o_mt, cfg),
+        s_sorted[tops],
+    )
+
+
+def _pair_dict(members: np.ndarray, tops: np.ndarray, values: np.ndarray) -> dict[tuple[int, int], float]:
+    return dict(zip(zip(members.tolist(), tops.tolist()), values.tolist()))
+
+
 def masked_backward(scores, overlaps, cfg: NmsConfig, upstream) -> NmsGradients:
     """Chain upstream d(loss)/d(rescore) through the masked rescorer.
 
@@ -73,26 +103,16 @@ def masked_backward(scores, overlaps, cfg: NmsConfig, upstream) -> NmsGradients:
     up = np.asarray(upstream, dtype=float)
     if up.shape != s.shape:
         raise ValueError(f"upstream gradient must have shape {s.shape}, got {up.shape}")
-    s_sorted, o_sorted, order = sort_by_score(s, o)
-    _, _, part = _masked_sorted_rescore(s_sorted, o_sorted, cfg)
-    up_sorted = up[order]
-    ds_sorted = np.zeros(s.size)
-    do: dict[tuple[int, int], float] = {}
-    for group in part.groups:
-        top = group[0]
-        s_top = s_sorted[top]
-        ds_sorted[top] += up_sorted[top] * _gate(s_top)
-        for i in group[1:]:
-            o_it = float(o_sorted[i, top])
-            weight = prune(o_it, cfg)
-            if _gate(s_sorted[i] - weight * s_top) == 0.0:
-                continue
-            ds_sorted[i] += up_sorted[i]
-            ds_sorted[top] -= up_sorted[i] * weight
-            do[(int(order[i]), int(order[top]))] = -up_sorted[i] * prune_derivative(o_it, cfg) * s_top
-    ds = np.empty(s.size)
-    ds[order] = ds_sorted
-    return NmsGradients(ds, do)
+    tops, top_gates, members, member_tops, weights, slopes, s_tops = _local_terms(s, o, cfg)
+    # One scatter, its terms in the order of a walk over the groups (each top's
+    # own term before its members'), so every sum adds up in that order. With
+    # no boxes, bincount returns integers.
+    score_grad = np.bincount(
+        np.concatenate([tops, members, member_tops]),
+        np.concatenate([up[tops] * top_gates, up[members], -(up[members] * weights)]),
+        minlength=s.size,
+    ).astype(float, copy=False)
+    return NmsGradients(score_grad, _pair_dict(members, member_tops, -up[members] * slopes * s_tops))
 
 
 def masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
@@ -104,26 +124,12 @@ def masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.ndarray, dict
     as {(member, top): d(rescore_member)/d(overlap)}.
     """
     s, o = _validated_inputs(scores, overlaps, cfg)
-    s_sorted, o_sorted, order = sort_by_score(s, o)
-    _, _, part = _masked_sorted_rescore(s_sorted, o_sorted, cfg)
+    tops, top_gates, members, member_tops, weights, slopes, s_tops = _local_terms(s, o, cfg)
     jac = np.zeros((s.size, s.size))
-    o_grads: dict[tuple[int, int], float] = {}
-    for group in part.groups:
-        top = group[0]
-        top_orig = int(order[top])
-        s_top = s_sorted[top]
-        jac[top_orig, top_orig] = _gate(s_top)
-        for i in group[1:]:
-            o_it = float(o_sorted[i, top])
-            weight = prune(o_it, cfg)
-            gate = _gate(s_sorted[i] - weight * s_top)
-            if gate == 0.0:
-                continue
-            i_orig = int(order[i])
-            jac[i_orig, i_orig] = gate
-            jac[i_orig, top_orig] = -gate * weight
-            o_grads[(i_orig, top_orig)] = -gate * prune_derivative(o_it, cfg) * s_top
-    return jac, o_grads
+    jac[tops, tops] = top_gates
+    jac[members, members] = 1.0
+    jac[members, member_tops] = -weights
+    return jac, _pair_dict(members, member_tops, -slopes * s_tops)
 
 
 @dataclass(frozen=True)

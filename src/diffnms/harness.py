@@ -1,19 +1,15 @@
 """Scene-level pipelines: rescoring, oracle scores, correlation, comparison.
 
-These helpers connect the box records to the array-level NMS engine. Scenes
-are processed independently, so the CLI may fan them out over a thread pool;
-the NMS_THREADS environment variable caps the worker count (1 forces serial
-processing) and results always come back in input order.
+These helpers connect the box records to the array-level NMS engine. Each
+scene is processed independently, in input order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -36,17 +32,13 @@ __all__ = [
     "build_comparison",
     "combine_scores",
     "effective_scores",
-    "map_scenes",
     "oracle_scores",
     "rescore_scene",
     "rescored_boxes",
     "score_iou_correlation",
-    "thread_count",
 ]
 
 SCORE_MODES = ("product", "class", "pred")
-
-_T = TypeVar("_T")
 
 
 def combine_scores(class_conf: float | None, pred_conf: float | None, mode: str = "product") -> float:
@@ -86,30 +78,6 @@ def effective_scores(boxes: Sequence[DetectionBox], score_mode: str | None) -> n
         else:
             values.append(combine_scores(b.class_conf, b.pred_conf, score_mode))
     return np.array(values, dtype=float)
-
-
-def thread_count() -> int:
-    """Worker count for scene fan-out, capped by the NMS_THREADS env var."""
-    cap = os.environ.get("NMS_THREADS", "").strip()
-    default = min(4, os.cpu_count() or 1)
-    if not cap:
-        return default
-    try:
-        value = int(cap)
-    except ValueError:
-        raise ValueError(f"NMS_THREADS must be an integer, got {cap!r}") from None
-    if value < 1:
-        raise ValueError(f"NMS_THREADS must be at least 1, got {value}")
-    return min(value, default) if value <= default else value
-
-
-def map_scenes(fn: Callable[[Scene], _T], scenes: Sequence[Scene]) -> list[_T]:
-    """Apply fn to every scene, in parallel when allowed, preserving order."""
-    workers = thread_count()
-    if workers <= 1 or len(scenes) <= 1:
-        return [fn(scene) for scene in scenes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, scenes))
 
 
 def _scene_inputs(scene: Scene, score_mode: str | None) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -253,7 +221,7 @@ def score_iou_correlation(
         kept = [(index_map[int(k)], float(result.rescores[int(k)])) for k in result.kept]
         return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
 
-    per_scene = map_scenes(kept_boxes, scenes)
+    per_scene = [kept_boxes(scene) for scene in scenes]
     gts = [[g for g in scene.gts if not g.dontcare and g.cuboid is not None] for scene in scenes]
     # One iou3d_pairs call covers the kept box x ground-truth pairs of every scene.
     box_rows: list[int] = []

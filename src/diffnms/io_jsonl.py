@@ -44,30 +44,57 @@ def _cuboid_to_items(cuboid: Cuboid3D | None) -> dict:
     return {key: getattr(cuboid, key) for key in _CUBOID_KEYS}
 
 
-# Fields converted to numbers, with the converter the readers apply to each.
-_NUMBER_FIELDS = (
-    *((k, float) for k in _RECT_KEYS + _CUBOID_KEYS),
-    ("score", float),
-    ("class_conf", float),
-    ("pred_conf", float),
-    ("truncation", float),
-    ("occlusion", int),
-    ("alpha", float),
+def _number(value) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON integer; a float counts only when it is integral."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {value!r}")
+    return value
+
+
+# Typed fields, with the converter the readers apply to each.
+_TYPED_FIELDS = (
+    *((k, _number) for k in _RECT_KEYS + _CUBOID_KEYS),
+    ("score", _number),
+    ("class_conf", _number),
+    ("pred_conf", _number),
+    ("truncation", _number),
+    ("occlusion", _integer),
+    ("alpha", _number),
+    ("dontcare", _flag),
 )
+_KINDS = {_number: "a number", _integer: "an integer", _flag: "a boolean"}
 _OPTIONAL_NUMBERS = ("class_conf", "pred_conf")
 
 
 def _record_error(data: dict, where: str, exc: Exception) -> ValueError:
     """The error for a box or gt object that failed to build, naming the first bad field."""
-    for key, convert in _NUMBER_FIELDS:
+    for key, convert in _TYPED_FIELDS:
         value = data.get(key)
         if key not in data or (value is None and key in _OPTIONAL_NUMBERS):
             continue
         try:
             convert(value)
         except (TypeError, ValueError, OverflowError):
-            kind = "an integer" if convert is int else "a number"
-            return ValueError(f"{where}: {key} must be {kind}, got {value!r}")
+            return ValueError(f"{where}: {key} must be {_KINDS[convert]}, got {value!r}")
     return ValueError(f"{where}: {exc}")
 
 
@@ -78,12 +105,12 @@ def _require_object(data, where: str) -> None:
 
 def _geometry_from_dict(data: dict) -> tuple[Rect2D, Cuboid3D | None]:
     try:
-        rect = Rect2D(*(float(data.pop(k)) for k in _RECT_KEYS))
+        rect = Rect2D(*(_number(data.pop(k)) for k in _RECT_KEYS))
     except KeyError as exc:
         raise ValueError(f"missing rectangle key {exc}") from None
     cuboid = None
     if all(k in data for k in _CUBOID_KEYS):
-        cuboid = Cuboid3D(**{k: float(data.pop(k)) for k in _CUBOID_KEYS})
+        cuboid = Cuboid3D(**{k: _number(data.pop(k)) for k in _CUBOID_KEYS})
     return rect, cuboid
 
 
@@ -117,14 +144,14 @@ def box_from_dict(data: dict, where: str = "box") -> DetectionBox:
         return DetectionBox(
             rect=rect,
             cuboid=cuboid,
-            score=float(fields.pop("score", 0.0)),
+            score=_number(fields.pop("score", 0.0)),
             class_conf=_opt_float(fields.pop("class_conf", None)),
             pred_conf=_opt_float(fields.pop("pred_conf", None)),
             label=str(fields.pop("label", "Car")),
-            truncation=float(fields.pop("truncation", 0.0)),
-            occlusion=int(fields.pop("occlusion", 0)),
-            alpha=float(fields.pop("alpha", 0.0)),
-            dontcare=bool(fields.pop("dontcare", False)),
+            truncation=_number(fields.pop("truncation", 0.0)),
+            occlusion=_integer(fields.pop("occlusion", 0)),
+            alpha=_number(fields.pop("alpha", 0.0)),
+            dontcare=_flag(fields.pop("dontcare", False)),
             extra=fields,
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -157,10 +184,10 @@ def gt_from_dict(data: dict, where: str = "gt") -> GroundTruth:
             rect=rect,
             cuboid=cuboid,
             label=str(fields.pop("label", "Car")),
-            truncation=float(fields.pop("truncation", 0.0)),
-            occlusion=int(fields.pop("occlusion", 0)),
-            alpha=float(fields.pop("alpha", 0.0)),
-            dontcare=bool(fields.pop("dontcare", False)),
+            truncation=_number(fields.pop("truncation", 0.0)),
+            occlusion=_integer(fields.pop("occlusion", 0)),
+            alpha=_number(fields.pop("alpha", 0.0)),
+            dontcare=_flag(fields.pop("dontcare", False)),
             extra=fields,
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -168,7 +195,7 @@ def gt_from_dict(data: dict, where: str = "gt") -> GroundTruth:
 
 
 def _opt_float(value) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _number(value)
 
 
 def scene_to_dict(scene: Scene) -> dict:

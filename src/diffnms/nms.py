@@ -23,18 +23,12 @@ __all__ = [
     "Pruning",
     "RescoreResult",
     "ScoreRangeError",
-    "build_mask",
     "classical_soft_nms",
-    "clip01",
     "group_boxes",
     "masked_rescore",
     "prune",
     "prune_derivative",
     "prune_matrix",
-    "rescore_full_inverse",
-    "rescore_grouped_inverse",
-    "rescore_product_oracle",
-    "rescore_recursive_oracle",
     "run_nms",
     "solve_unit_lower",
     "sort_by_score",
@@ -105,14 +99,6 @@ class RescoreResult:
     rescores: np.ndarray
     kept: np.ndarray
     pre_clip: np.ndarray
-
-
-def clip01(x):
-    """Clamp a scalar or array to [0, 1]."""
-    if np.ndim(x) == 0:
-        xf = float(x)
-        return 0.0 if xf < 0.0 else 1.0 if xf > 1.0 else xf
-    return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -222,75 +208,72 @@ def prune_matrix(sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
     return np.tril(np.asarray(prune(o, cfg), dtype=float), k=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupPartition:
-    """Disjoint groups over score-sorted indices; each group leads with its top box.
+    """Group membership over score-sorted indices.
 
-    capped_out lists sorted indices dropped by the group-size cap; they take
-    no further part in rescoring and end up with rescore 0.
+    top[k] is the sorted index of box k's group top (a top points at itself),
+    or -1 when the group-size cap dropped box k. Capped-out boxes take no
+    further part in rescoring and end up with rescore 0. Two partitions are
+    equal, and hash alike, when their top arrays are equal.
     """
 
-    groups: tuple[tuple[int, ...], ...]
-    capped_out: tuple[int, ...]
+    top: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupPartition) and np.array_equal(self.top, other.top)
+
+    def __hash__(self) -> int:
+        return hash(np.asarray(self.top, dtype=np.int64).tobytes())
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Each group's sorted indices in ascending order (top first), groups ordered by top."""
+        return tuple(tuple(members.tolist()) for members in _split_groups(self.top))
+
+    @property
+    def capped_out(self) -> tuple[int, ...]:
+        """Sorted indices dropped by the group-size cap, ascending."""
+        return tuple(np.flatnonzero(self.top < 0).tolist())
+
+    def member_tops(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted indices of every box a group top suppresses, ascending, and each one's top."""
+        members = np.flatnonzero((self.top >= 0) & (self.top != np.arange(self.top.size)))
+        return members, self.top[members]
+
+
+def _split_groups(top: np.ndarray) -> list[np.ndarray]:
+    """Members of each group, ascending, groups ordered by top; one stable sort of top."""
+    by_group = np.argsort(top, kind="stable")
+    by_group = by_group[top[by_group] >= 0]
+    if by_group.size == 0:
+        return []
+    return np.split(by_group, np.flatnonzero(np.diff(top[by_group])) + 1)
 
 
 def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
     """Partition score-sorted boxes into overlap groups.
 
     Each round the top remaining box absorbs every remaining box whose overlap
-    with it exceeds nt, truncated to max_group_size (extra members are
-    recorded as capped out); the rest carry over to the next round. Grouping
-    always uses the hard nt comparison regardless of the pruning kind.
+    with it exceeds nt; absorbed boxes past the first max_group_size (in
+    sorted order) are capped out. The rest carry over to the next round.
+    Grouping always uses the hard nt comparison regardless of the pruning kind.
     """
     o = np.asarray(sorted_overlaps, dtype=float)
-    n = o.shape[0]
-    remaining = np.arange(n)
-    groups: list[tuple[int, ...]] = []
-    capped: list[int] = []
-    cap = cfg.max_group_size
+    top = np.full(o.shape[0], -1)
+    remaining = np.arange(o.shape[0])
     while remaining.size:
-        top = remaining[0]
-        high = o[remaining, top] > cfg.nt
+        high = o[remaining, remaining[0]] > cfg.nt
         # A degenerate box has zero self-overlap; it still anchors its group.
         high[0] = True
-        members = remaining[high]
-        if cap is not None and members.size > cap:
-            groups.append(tuple(int(i) for i in members[:cap]))
-            capped.extend(int(i) for i in members[cap:])
-        else:
-            groups.append(tuple(int(i) for i in members))
+        top[remaining[high][: cfg.max_group_size]] = remaining[0]
         remaining = remaining[~high]
-    return GroupPartition(tuple(groups), tuple(capped))
-
-
-def build_mask(size: int) -> np.ndarray:
-    """Binary mask that keeps only the group-top column of a prune matrix."""
-    if size < 1:
-        raise ValueError(f"mask size must be at least 1, got {size}")
-    mask = np.zeros((size, size))
-    mask[:, 0] = 1.0
-    return mask
-
-
-def _masked_sorted_rescore(
-    s_sorted: np.ndarray, o_sorted: np.ndarray, cfg: NmsConfig
-) -> tuple[np.ndarray, np.ndarray, GroupPartition]:
-    """Pre-clip and clipped rescores in sorted order plus the grouping used."""
-    part = group_boxes(o_sorted, cfg)
-    c = np.zeros(s_sorted.size)
-    for group in part.groups:
-        idx = np.array(group, dtype=int)
-        top = group[0]
-        weights = np.asarray(prune(o_sorted[idx, top], cfg), dtype=float)
-        values = s_sorted[idx] - weights * s_sorted[top]
-        values[0] = s_sorted[top]
-        c[idx] = values
-    # Capped-out boxes keep c = 0, i.e. they are suppressed outright.
-    return c, np.clip(c, 0.0, 1.0), part
+    top.flags.writeable = False
+    return GroupPartition(top)
 
 
 def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
-    """Closed-form grouped NMS rescoring.
+    """Closed-form grouped NMS rescoring: run_nms with the masked variant.
 
     After the stable score sort and grouping, each group's top box keeps its
     score and every other member i is rescored as
@@ -298,18 +281,7 @@ def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
     to the prune matrix and inverting the resulting unit triangular system.
     Boxes dropped by the group-size cap get rescore 0.
     """
-    s = _validate_scores(scores, upper=1.0)
-    o = _validate_overlaps(overlaps, s.size)
-    if s.size == 0:
-        empty = np.zeros(0)
-        return RescoreResult(empty, np.zeros(0, dtype=int), empty.copy())
-    s_sorted, o_sorted, order = sort_by_score(s, o)
-    c_sorted, r_sorted, _ = _masked_sorted_rescore(s_sorted, o_sorted, cfg)
-    rescores = np.empty_like(r_sorted)
-    rescores[order] = r_sorted
-    pre_clip = np.empty_like(c_sorted)
-    pre_clip[order] = c_sorted
-    return RescoreResult(rescores, np.flatnonzero(rescores >= cfg.valid_threshold), pre_clip)
+    return run_nms(scores, overlaps, cfg, NmsVariant.MASKED)
 
 
 def classical_soft_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
@@ -343,72 +315,17 @@ def solve_unit_lower(strict_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _full_inverse_pre_clip(s_sorted: np.ndarray, o_sorted: np.ndarray, cfg: NmsConfig) -> np.ndarray:
-    return solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
-
-
-def _grouped_inverse_pre_clip(s_sorted: np.ndarray, o_sorted: np.ndarray, cfg: NmsConfig) -> np.ndarray:
-    part = group_boxes(o_sorted, cfg)
-    c = np.zeros(s_sorted.size)
-    for group in part.groups:
-        idx = np.array(group, dtype=int)
-        block = prune_matrix(o_sorted[np.ix_(idx, idx)], cfg)
-        c[idx] = solve_unit_lower(block, s_sorted[idx])
-    return c
-
-
-def rescore_full_inverse(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
-    """Clipped solution of the full rescore system on score-sorted inputs.
-
-    The raw solution can overshoot a box's own score when an earlier box was
-    suppressed below zero, so the result is clamped to [0, s_i]: suppression
-    may only ever lower a score.
-    """
-    s = _validate_scores(sorted_scores, upper=1.0)
-    o = _validate_overlaps(sorted_overlaps, s.size)
-    return np.minimum(np.clip(_full_inverse_pre_clip(s, o, cfg), 0.0, 1.0), s)
-
-
-def rescore_grouped_inverse(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
-    """Per-group rescore solves, clamped to [0, s_i]; capped-out boxes get 0."""
-    s = _validate_scores(sorted_scores, upper=1.0)
-    o = _validate_overlaps(sorted_overlaps, s.size)
-    return np.minimum(np.clip(_grouped_inverse_pre_clip(s, o, cfg), 0.0, 1.0), s)
-
-
-def rescore_recursive_oracle(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
-    """Exact fixpoint of the rescore recursion, flooring at zero every step.
-
-    r_i = max(s_i - sum_j<i P_ij r_j, 0), evaluated in sorted order. This is
-    the reference the closed-form variants approximate when clipping binds.
-    """
-    s = _validate_scores(sorted_scores, upper=1.0)
-    P = prune_matrix(_validate_overlaps(sorted_overlaps, s.size), cfg)
-    r = np.zeros(s.size)
-    for i in range(s.size):
-        r[i] = max(s[i] - np.dot(P[i, :i], r[:i]), 0.0)
-    return r
-
-
-def rescore_product_oracle(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
-    """Sequential product-form rescoring r_i = s_i * prod_j<i (1 - P_ij r_j).
-
-    Agrees with the recursive oracle to first order when suppression weights
-    are small.
-    """
-    s = _validate_scores(sorted_scores, upper=1.0)
-    P = prune_matrix(_validate_overlaps(sorted_overlaps, s.size), cfg)
-    r = np.zeros(s.size)
-    for i in range(s.size):
-        r[i] = s[i] * float(np.prod(1.0 - P[i, :i] * r[:i]))
-    return r
-
-
 def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
     """Run one NMS variant end to end: sort, rescore, restore order, threshold.
 
     The classical variant requires hard pruning and the soft variant requires
-    a soft pruning kind; mixing them is a configuration error.
+    a soft pruning kind; mixing them is a configuration error. The closed-form
+    variants differ only in their pre-clip values over the score-sorted boxes:
+    masked gathers each member's group top, full-inverse solves the whole
+    unit lower-triangular system, and grouped-inverse solves one system per
+    group. Capped-out boxes get pre-clip 0. Rescores are the pre-clip values
+    clipped to [0, 1]; the two solves are also clamped to the box's own
+    score, while masked values never exceed it to begin with.
     """
     variant = NmsVariant(variant)
     if variant is NmsVariant.CLASSICAL:
@@ -419,20 +336,29 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
         if cfg.pruning is Pruning.HARD:
             raise ValueError("soft NMS requires a soft pruning kind (linear, exp, or sigmoid)")
         return classical_soft_nms(scores, overlaps, cfg)
-    if variant is NmsVariant.MASKED:
-        return masked_rescore(scores, overlaps, cfg)
     s = _validate_scores(scores, upper=1.0)
     o = _validate_overlaps(overlaps, s.size)
-    if s.size == 0:
-        empty = np.zeros(0)
-        return RescoreResult(empty, np.zeros(0, dtype=int), empty.copy())
     s_sorted, o_sorted, order = sort_by_score(s, o)
     if variant is NmsVariant.FULL_INVERSE:
-        c_sorted = _full_inverse_pre_clip(s_sorted, o_sorted, cfg)
+        c_sorted = solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
+    elif variant is NmsVariant.MASKED:
+        # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
+        # and each member's rescore is one gather over its top.
+        part = group_boxes(o_sorted, cfg)
+        members, tops = part.member_tops()
+        c_sorted = np.where(part.top >= 0, s_sorted, 0.0)
+        c_sorted[members] = s_sorted[members] - prune(o_sorted[members, tops], cfg) * s_sorted[tops]
     else:
-        c_sorted = _grouped_inverse_pre_clip(s_sorted, o_sorted, cfg)
-    # Suppression may only lower a score: clamp the clipped solve by s itself.
-    r_sorted = np.minimum(np.clip(c_sorted, 0.0, 1.0), s_sorted)
+        c_sorted = np.zeros(s.size)
+        for idx in _split_groups(group_boxes(o_sorted, cfg).top):
+            c_sorted[idx] = solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
+    r_sorted = np.clip(c_sorted, 0.0, 1.0)
+    if variant is not NmsVariant.MASKED:
+        # A solve overshoots a box's own score when an earlier box went below
+        # zero, and suppression may only lower a score. Masked values never
+        # exceed s, and clamping them anyway would turn a suppressed box's 0.0
+        # into -0.0 when its score is -0.0.
+        r_sorted = np.minimum(r_sorted, s_sorted)
     rescores = np.empty_like(r_sorted)
     rescores[order] = r_sorted
     pre_clip = np.empty_like(c_sorted)

@@ -3,9 +3,11 @@
 Most of these are deliberately written with different algorithms and data
 structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
-evaluator. The per-pair loops at the end are the scalar forms that the
-package's batched IoU matrices replaced; the batched callers must agree with
-them bit for bit. Slow is fine; these only run inside tests.
+evaluator. The per-pair loops are the scalar forms that the package's batched
+IoU matrices replaced, and the per-member loops at the end are the grouped NMS
+forward pass, backward pass and Jacobians that the package's closed-form index
+arithmetic replaced; the package must agree with both bit for bit. Slow is
+fine; these only run inside tests.
 """
 
 from __future__ import annotations
@@ -20,14 +22,21 @@ from diffnms import (
     DifficultyRule,
     GroundTruth,
     NmsConfig,
+    NmsGradients,
     NmsVariant,
+    RescoreResult,
     Scene,
     filter_gts,
     iou2d,
     iou3d,
     iou3d_axis_aligned,
+    prune,
+    prune_derivative,
+    prune_matrix,
     q_match,
     rescore_scene,
+    solve_unit_lower,
+    sort_by_score,
 )
 
 
@@ -218,3 +227,149 @@ def reference_correlation_rows(
                 )
             )
     return rows
+
+
+def build_mask(size: int) -> np.ndarray:
+    """Binary mask that keeps only the group-top column of a prune matrix."""
+    if size < 1:
+        raise ValueError(f"mask size must be at least 1, got {size}")
+    mask = np.zeros((size, size))
+    mask[:, 0] = 1.0
+    return mask
+
+
+def rescore_recursive_oracle(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
+    """Exact fixpoint of the rescore recursion, flooring at zero every step.
+
+    r_i = max(s_i - sum_j<i P_ij r_j, 0), evaluated in sorted order. This is
+    the reference the closed-form variants approximate when clipping binds.
+    """
+    s = np.asarray(sorted_scores, dtype=float)
+    P = prune_matrix(sorted_overlaps, cfg)
+    r = np.zeros(s.size)
+    for i in range(s.size):
+        r[i] = max(s[i] - np.dot(P[i, :i], r[:i]), 0.0)
+    return r
+
+
+def rescore_product_oracle(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
+    """Sequential product-form rescoring r_i = s_i * prod_j<i (1 - P_ij r_j).
+
+    Agrees with the recursive oracle to first order when suppression weights
+    are small.
+    """
+    s = np.asarray(sorted_scores, dtype=float)
+    P = prune_matrix(sorted_overlaps, cfg)
+    r = np.zeros(s.size)
+    for i in range(s.size):
+        r[i] = s[i] * float(np.prod(1.0 - P[i, :i] * r[:i]))
+    return r
+
+
+def reference_group_boxes(
+    sorted_overlaps, cfg: NmsConfig
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(groups, capped_out) as tuples, built one greedy round at a time."""
+    o = np.asarray(sorted_overlaps, dtype=float)
+    remaining = np.arange(o.shape[0])
+    groups: list[tuple[int, ...]] = []
+    capped: list[int] = []
+    cap = cfg.max_group_size
+    while remaining.size:
+        top = remaining[0]
+        high = o[remaining, top] > cfg.nt
+        high[0] = True
+        members = remaining[high]
+        if cap is not None and members.size > cap:
+            groups.append(tuple(int(i) for i in members[:cap]))
+            capped.extend(int(i) for i in members[cap:])
+        else:
+            groups.append(tuple(int(i) for i in members))
+        remaining = remaining[~high]
+    return tuple(groups), tuple(capped)
+
+
+def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
+    """run_nms for the masked, full-inverse and grouped-inverse variants, group by group.
+
+    The masked variant rescores each group member in its own loop step and is
+    only clipped; the solves are clipped and then clamped by the box's score.
+    """
+    s_sorted, o_sorted, order = sort_by_score(scores, overlaps)
+    if variant is NmsVariant.FULL_INVERSE:
+        c = solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
+    else:
+        c = np.zeros(s_sorted.size)
+        for group in reference_group_boxes(o_sorted, cfg)[0]:
+            idx = np.array(group, dtype=int)
+            if variant is NmsVariant.MASKED:
+                top = group[0]
+                weights = np.asarray(prune(o_sorted[idx, top], cfg), dtype=float)
+                values = s_sorted[idx] - weights * s_sorted[top]
+                values[0] = s_sorted[top]
+                c[idx] = values
+            else:
+                c[idx] = solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
+    r = np.clip(c, 0.0, 1.0)
+    if variant is not NmsVariant.MASKED:
+        r = np.minimum(r, s_sorted)
+    rescores = np.empty_like(r)
+    rescores[order] = r
+    pre_clip = np.empty_like(c)
+    pre_clip[order] = c
+    return RescoreResult(rescores, np.flatnonzero(rescores >= cfg.valid_threshold), pre_clip)
+
+
+def _gate(c: float) -> float:
+    return 1.0 if 0.0 <= c <= 1.0 else 0.0
+
+
+def reference_masked_backward(scores, overlaps, cfg: NmsConfig, upstream) -> NmsGradients:
+    """masked_backward with one loop step per group member."""
+    s = np.asarray(scores, dtype=float)
+    up = np.asarray(upstream, dtype=float)
+    s_sorted, o_sorted, order = sort_by_score(s, overlaps)
+    groups, _ = reference_group_boxes(o_sorted, cfg)
+    up_sorted = up[order]
+    ds_sorted = np.zeros(s.size)
+    do: dict[tuple[int, int], float] = {}
+    for group in groups:
+        top = group[0]
+        s_top = s_sorted[top]
+        ds_sorted[top] += up_sorted[top] * _gate(s_top)
+        for i in group[1:]:
+            o_it = float(o_sorted[i, top])
+            weight = prune(o_it, cfg)
+            if _gate(s_sorted[i] - weight * s_top) == 0.0:
+                continue
+            ds_sorted[i] += up_sorted[i]
+            ds_sorted[top] -= up_sorted[i] * weight
+            do[(int(order[i]), int(order[top]))] = -up_sorted[i] * prune_derivative(o_it, cfg) * s_top
+    ds = np.empty(s.size)
+    ds[order] = ds_sorted
+    return NmsGradients(ds, do)
+
+
+def reference_masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
+    """masked_jacobians with one loop step per group member."""
+    s = np.asarray(scores, dtype=float)
+    s_sorted, o_sorted, order = sort_by_score(s, overlaps)
+    groups, _ = reference_group_boxes(o_sorted, cfg)
+    jac = np.zeros((s.size, s.size))
+    o_grads: dict[tuple[int, int], float] = {}
+    for group in groups:
+        top = group[0]
+        top_orig = int(order[top])
+        s_top = s_sorted[top]
+        jac[top_orig, top_orig] = _gate(s_top)
+        for i in group[1:]:
+            o_it = float(o_sorted[i, top])
+            weight = prune(o_it, cfg)
+            gate = _gate(s_sorted[i] - weight * s_top)
+            if gate == 0.0:
+                continue
+            i_orig = int(order[i])
+            jac[i_orig, i_orig] = gate
+            jac[i_orig, top_orig] = -gate * weight
+            o_grads[(i_orig, top_orig)] = -gate * prune_derivative(o_it, cfg) * s_top
+    return jac, o_grads

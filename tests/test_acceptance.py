@@ -23,7 +23,6 @@ from diffnms import (
     Rect2D,
     ap_loss_gradient,
     average_precision,
-    build_mask,
     classical_soft_nms,
     eval_ap_r40,
     format_kitti_label,
@@ -36,7 +35,6 @@ from diffnms import (
     prune_matrix,
     random_instance,
     read_scenes_jsonl,
-    rescore_recursive_oracle,
     rescore_scene,
     rescored_boxes,
     rotated_bev_intersection_area,
@@ -48,7 +46,7 @@ from diffnms import (
     SyntheticConfig,
 )
 from diffnms.cli import main as cli_main
-from oracles import mc_intersection_area, reference_ap_r40
+from oracles import build_mask, mc_intersection_area, reference_ap_r40, rescore_recursive_oracle
 
 DATA = Path(__file__).parent / "data"
 

@@ -61,6 +61,41 @@ class TestRun:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_only_large_scenes_go_to_threads(self, monkeypatch):
+        import threading
+        from types import SimpleNamespace
+
+        from diffnms import cli
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+        def on_main_thread(scenes):
+            calls = cli._map_large_scenes(lambda s: (s.k, threading.current_thread() is threading.main_thread()), scenes)
+            assert [k for k, _ in calls] == list(range(len(scenes)))
+            return {main for _, main in calls}
+
+        assert on_main_thread([SimpleNamespace(k=k, boxes=[None] * (150 + 50 * k)) for k in range(3)]) == {False}
+        assert on_main_thread([SimpleNamespace(k=k, boxes=[None] * (150 + 48 * k)) for k in range(3)]) == {True}
+        assert on_main_thread([SimpleNamespace(k=0, boxes=[None] * 500)]) == {True}
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert on_main_thread([SimpleNamespace(k=k, boxes=[None] * 500) for k in range(3)]) == {True}
+
+    def test_large_scenes_on_threads_match_serial(self, tmp_path, monkeypatch):
+        from diffnms import cli
+
+        scenes = tmp_path / "large.jsonl"
+        assert run_cli(
+            "synth", "--seed", "5", "--scenes", "3", "--objects", "10", "--proposals", "20", "--out", str(scenes)
+        ) == 0
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+        args = ["run", "--input", str(scenes), "--nms", "masked", "--pruning", "linear", "--keep-all"]
+        monkeypatch.setattr(cli, "_PARALLEL_SCENE_BOXES", 201)
+        assert main(args + ["--out", str(serial)]) == 0
+        monkeypatch.setattr(cli, "_PARALLEL_SCENE_BOXES", 200)
+        assert main(args + ["--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
     def test_keep_all_writes_everything(self, scene_file, tmp_path):
         out = tmp_path / "all.jsonl"
         assert run_cli(
@@ -121,6 +156,13 @@ class TestUsageConflicts:
             run_cli("compare", "--input", str(scene_file), "--nms", "masked")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("boxes", ["3", "0", "-5"])
+    def test_gradcheck_boxes_below_four(self, capsys, boxes):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gradcheck", "--pruning", "linear", "--boxes", boxes)
+        assert exc.value.code == 2
+        assert f"--boxes must be at least 4, got {boxes}" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_and_prints_summary(self, capsys):
@@ -156,6 +198,24 @@ class TestEval:
             "--difficulty-config", str(cfg),
         ) == 0
         assert "easy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config, fragment",
+        [
+            ({"easy": {"min_height": 0, "max_occlusion": 2}}, "rule 'easy': missing key 'max_truncation'"),
+            ([{"min_height": 0}], "expected a JSON object of rules, got list"),
+            ({"simple": {"min_height": 0, "max_occlusion": 2, "max_truncation": 1.0}}, "rule 'simple'"),
+            ("{not json", "invalid JSON"),
+        ],
+    )
+    def test_bad_difficulty_config_is_a_clean_error(self, scene_file, tmp_path, capsys, config, fragment):
+        path = tmp_path / "rules.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        assert run_cli("eval", "--input", str(scene_file), "--difficulty-config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: difficulty config: ")
+        assert err.count("\n") == 1
+        assert fragment in err
 
 
 class TestCompareOracleCorrelate:
@@ -206,6 +266,25 @@ class TestGoldenOutputs:
         assert run_cli("eval", "--input", str(GOLDEN), "--difficulty", "all") == 0
         assert capsys.readouterr().out == (DATA / "golden_eval_all.txt").read_text(encoding="utf-8")
 
+    # The sigmoid run uses tau 0.5: at the default tau every suppressed member
+    # clips to 0, and the file would equal the hard one.
+    @pytest.mark.parametrize(
+        "nms, pruning, extra",
+        [
+            ("masked", "hard", ()),
+            ("masked", "sigmoid", ("--tau", "0.5")),
+            ("full-inverse", "linear", ()),
+            ("grouped-inverse", "linear", ()),
+        ],
+    )
+    def test_run_keep_all(self, tmp_path, nms, pruning, extra):
+        out = tmp_path / "run.jsonl"
+        assert run_cli(
+            "run", "--input", str(GOLDEN), "--nms", nms, "--pruning", pruning, *extra, "--keep-all", "--out", str(out)
+        ) == 0
+        golden = DATA / f"golden_run_{nms.replace('-', '_')}_{pruning}.jsonl"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 def _box(score=0.5, **fields):
     return {"x1": 0, "y1": 0, "x2": 10, "y2": 10, "score": score, **fields}
@@ -228,6 +307,13 @@ class TestMalformedInput:
                 ["scene 'a' box 0", "non-negative"],
             ),
             ({"id": "a", "boxes": {}}, ["boxes and gts must be arrays"]),
+            ({"id": "a", "boxes": [_box(score="0.5")]}, ["scene 'a' box 0", "score must be a number, got '0.5'"]),
+            ({"id": "a", "boxes": [_box(x2=True)]}, ["scene 'a' box 0", "x2 must be a number, got True"]),
+            ({"id": "a", "gts": [_box(alpha=True)]}, ["scene 'a' gt 0", "alpha must be a number, got True"]),
+            ({"id": "a", "boxes": [_box(occlusion=1.7)]}, ["scene 'a' box 0", "occlusion must be an integer, got 1.7"]),
+            ({"id": "a", "gts": [_box(occlusion=False)]}, ["scene 'a' gt 0", "occlusion must be an integer, got False"]),
+            ({"id": "a", "boxes": [_box(dontcare="no")]}, ["scene 'a' box 0", "dontcare must be a boolean, got 'no'"]),
+            ({"id": "a", "gts": [_box(dontcare=0)]}, ["scene 'a' gt 0", "dontcare must be a boolean, got 0"]),
         ],
     )
     def test_bad_record_is_a_clean_error(self, tmp_path, capsys, record, fragments):

@@ -9,23 +9,18 @@ from diffnms import (
     NmsVariant,
     Pruning,
     ScoreRangeError,
-    build_mask,
     classical_soft_nms,
-    clip01,
     group_boxes,
     masked_rescore,
     prune,
     prune_derivative,
     prune_matrix,
     random_instance,
-    rescore_full_inverse,
-    rescore_grouped_inverse,
-    rescore_product_oracle,
-    rescore_recursive_oracle,
     run_nms,
     solve_unit_lower,
     sort_by_score,
 )
+from oracles import build_mask, rescore_product_oracle, rescore_recursive_oracle
 
 LINEAR = NmsConfig(pruning=Pruning.LINEAR)
 HARD = NmsConfig(pruning=Pruning.HARD)
@@ -168,6 +163,13 @@ class TestGrouping:
         part = group_boxes(o, HARD)
         assert part.groups == ((0,), (1,))
 
+    def test_partitions_compare_by_value(self):
+        o = np.array([[1.0, 0.6, 0.1], [0.6, 1.0, 0.6], [0.1, 0.6, 1.0]])
+        a, b = group_boxes(o, HARD), group_boxes(o.copy(), HARD)
+        assert a == b and hash(a) == hash(b)
+        assert a != group_boxes(np.eye(3), HARD)
+        assert len({a, b}) == 1
+
     def test_mask_shape(self):
         m = build_mask(3)
         assert np.array_equal(m, np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0]], dtype=float))
@@ -262,8 +264,8 @@ class TestInverseRescoring:
     def test_pair_matches_masked(self):
         s = np.array([0.9, 0.6])
         o = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert rescore_full_inverse(s, o, LINEAR)[1] == pytest.approx(0.15)
-        assert rescore_grouped_inverse(s, o, LINEAR)[1] == pytest.approx(0.15)
+        assert run_nms(s, o, LINEAR, NmsVariant.FULL_INVERSE).rescores[1] == pytest.approx(0.15)
+        assert run_nms(s, o, LINEAR, NmsVariant.GROUPED_INVERSE).rescores[1] == pytest.approx(0.15)
 
     def test_solve_matches_dense_linear_algebra(self):
         rng = np.random.default_rng(42)
@@ -311,7 +313,7 @@ class TestInverseRescoring:
         o = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
         pre = solve_unit_lower(strict_lower_from(o, LINEAR), s)
         assert pre[2] > s[2]
-        r = rescore_full_inverse(s, o, LINEAR)
+        r = run_nms(s, o, LINEAR, NmsVariant.FULL_INVERSE).rescores
         assert r[2] == s[2]
         assert np.all(r <= s)
 
@@ -380,13 +382,3 @@ class TestRunNms:
         s = np.array([0.5])
         res = run_nms(s, np.eye(1), LINEAR, "full-inverse")
         assert res.rescores[0] == 0.5
-
-
-class TestClip01:
-    def test_scalar(self):
-        assert clip01(-0.5) == 0.0
-        assert clip01(0.25) == 0.25
-        assert clip01(7.0) == 1.0
-
-    def test_array(self):
-        assert np.array_equal(clip01(np.array([-1.0, 0.5, 2.0])), [0.0, 0.5, 1.0])

@@ -14,7 +14,6 @@ from diffnms import (
     generate_synthetic,
     iou2d,
     iou3d,
-    map_scenes,
     oracle_scores,
     random_instance,
     rect_from_cuboid,
@@ -23,7 +22,6 @@ from diffnms import (
     score_iou_correlation,
 )
 from diffnms.boxes import DetectionBox
-from diffnms.harness import thread_count
 
 
 class TestSyntheticScenes:
@@ -175,34 +173,6 @@ class TestHarnessPipelines:
         assert out.coefficient is not None
         assert out.coefficient > 0.5
         assert all(0.0 <= r.iou3d_rotated <= 1.0 for r in out.rows)
-
-    def test_map_scenes_preserves_order(self):
-        scenes = generate_synthetic(SyntheticConfig(seed=13, num_scenes=6, num_objects=2, proposals_per_object=2))
-        ids = map_scenes(lambda s: s.scene_id, scenes)
-        assert ids == [s.scene_id for s in scenes]
-
-    def test_thread_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("NMS_THREADS", "1")
-        assert thread_count() == 1
-        monkeypatch.setenv("NMS_THREADS", "0")
-        with pytest.raises(ValueError):
-            thread_count()
-        monkeypatch.setenv("NMS_THREADS", "soon")
-        with pytest.raises(ValueError):
-            thread_count()
-        monkeypatch.delenv("NMS_THREADS")
-        assert thread_count() >= 1
-
-    def test_single_threaded_matches_parallel(self, monkeypatch):
-        scenes = generate_synthetic(
-            SyntheticConfig(seed=14, num_scenes=5, num_objects=3, proposals_per_object=4)
-        )
-        cfg = NmsConfig(pruning=Pruning.LINEAR)
-        monkeypatch.setenv("NMS_THREADS", "1")
-        serial = score_iou_correlation(scenes, cfg, NmsVariant.MASKED)
-        monkeypatch.setenv("NMS_THREADS", "4")
-        parallel = score_iou_correlation(scenes, cfg, NmsVariant.MASKED)
-        assert serial == parallel
 
     def test_build_comparison_report(self):
         scenes = generate_synthetic(
