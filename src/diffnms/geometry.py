@@ -19,7 +19,6 @@ __all__ = [
     "Rect2D",
     "clip_convex",
     "cuboid_array",
-    "giou2d_bev",
     "giou3d",
     "giou3d_matrix",
     "iou2d",
@@ -213,52 +212,13 @@ def iou2d(a: Rect2D, b: Rect2D) -> float:
 
 
 def overlap_matrix(rects: Sequence[Rect2D]) -> np.ndarray:
-    """Symmetric matrix of pairwise rectangle IoU values.
+    """Symmetric matrix of pairwise rectangle IoU values, ``iou2d_matrix(a, a)``.
 
-    The diagonal is 1 for every non-degenerate rectangle and 0 for degenerate
-    ones, matching ``iou2d`` elementwise.
+    Entry (i, j) is bit-identical to ``iou2d(rects[i], rects[j])``, so the
+    diagonal is 1 for every non-degenerate rectangle and 0 for degenerate ones.
     """
-    n = len(rects)
-    if n == 0:
-        return np.zeros((0, 0))
-    arr = np.array([(r.x1, r.y1, r.x2, r.y2) for r in rects], dtype=float)
-    x1, y1, x2, y2 = arr.T
-    ix = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
-    iy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area = (x2 - x1) * (y2 - y1)
-    union = area[:, None] + area[None, :] - inter
-    safe = np.where(union > 0.0, union, 1.0)
-    out = np.where(union > 0.0, inter / safe, 0.0)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _aabb_iou_and_hull(
-    ra: tuple[float, float, float, float], rb: tuple[float, float, float, float]
-) -> tuple[float, float, float]:
-    """(iou, union, hull area) for two axis-aligned footprints."""
-    ix = min(ra[2], rb[2]) - max(ra[0], rb[0])
-    iz = min(ra[3], rb[3]) - max(ra[1], rb[1])
-    inter = max(ix, 0.0) * max(iz, 0.0)
-    area_a = (ra[2] - ra[0]) * (ra[3] - ra[1])
-    area_b = (rb[2] - rb[0]) * (rb[3] - rb[1])
-    union = area_a + area_b - inter
-    hull = (max(ra[2], rb[2]) - min(ra[0], rb[0])) * (max(ra[3], rb[3]) - min(ra[1], rb[1]))
-    iou = min(inter / union, 1.0) if union > 0.0 else 0.0
-    return iou, union, hull
-
-
-def giou2d_bev(a: Cuboid3D, b: Cuboid3D) -> float:
-    """Generalized IoU of the two footprints with the rotations discarded.
-
-    Both cuboids are treated as axis-aligned in the ground plane. The result
-    is plain IoU minus the hull-gap fraction (hull area not covered by the
-    union, over hull area), so it falls in (-1, 1] and degrades smoothly as
-    the boxes separate.
-    """
-    iou, union, hull = _aabb_iou_and_hull(a.bev_aabb(), b.bev_aabb())
-    gap = max(hull - union, 0.0) / hull if hull > 0.0 else 0.0
-    return iou - gap
+    a = rect_array(rects)
+    return iou2d_matrix(a, a)
 
 
 def _canonical_pair(a: Cuboid3D, b: Cuboid3D) -> tuple[Cuboid3D, Cuboid3D]:
@@ -394,13 +354,24 @@ def iou2d_matrix(a, b) -> np.ndarray:
     b = _box_array(b, 4, "b")
     ax1, ay1, ax2, ay2 = (col[:, None] for col in a.T)
     bx1, by1, bx2, by2 = b.T
-    ix = _min(ax2, bx2) - _max(ax1, bx1)
-    iy = _min(ay2, by2) - _max(ay1, by1)
+    # np.minimum/np.maximum may pick the other zero on a signed-zero tie, but
+    # ix and iy are then zero and the entry is 0.0 either way. In-place steps
+    # keep the overlap matrix of a large scene to few (N, M) temporaries.
+    ix = np.minimum(ax2, bx2)
+    ix -= np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2)
+    iy -= np.maximum(ay1, by1)
     inter = ix * iy
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1)
+    union -= inter
+    empty = ix <= 0.0
+    empty |= iy <= 0.0
+    empty |= union <= 0.0
     with np.errstate(all="ignore"):
-        ratio = _min(inter / union, 1.0)
-    return np.where((ix > 0.0) & (iy > 0.0) & (union > 0.0), ratio, 0.0)
+        ratio = np.divide(inter, union, out=inter)
+    np.minimum(ratio, 1.0, out=ratio)
+    ratio[empty] = 0.0
+    return ratio
 
 
 def _cuboid_features(c: np.ndarray) -> np.ndarray:

@@ -149,6 +149,11 @@ class GradCheckReport:
     passed: bool
 
 
+# How close to a kink (sort tie, clip boundary, grouping threshold) a
+# coordinate may sit and still be checked.
+_KINK_MARGIN = 1e-3
+
+
 def _rel_error(fd: float, analytic: float) -> float:
     return abs(fd - analytic) / max(1.0, abs(fd), abs(analytic))
 
@@ -159,16 +164,15 @@ def finite_difference_check(
     cfg: NmsConfig,
     eps: float = 1e-6,
     tolerance: float = 1e-4,
-    kink_margin: float = 1e-3,
 ) -> GradCheckReport:
     """Verify the analytic Jacobians against central differences.
 
     Every score coordinate and every suppressed-pair overlap entry is
     perturbed by +-eps. Coordinates where the forward map is not smooth are
     skipped and counted instead of checked: score columns whose perturbation
-    could reorder the sort (a score gap under kink_margin), output rows whose
-    pre-clip value sits within kink_margin of the clip boundary, and overlap
-    entries within kink_margin of the grouping threshold.
+    could reorder the sort (a score gap under 1e-3), output rows whose
+    pre-clip value sits within 1e-3 of the clip boundary, and overlap entries
+    within 1e-3 of the grouping threshold.
     """
     s, o = _validated_inputs(scores, overlaps, cfg)
     n = s.size
@@ -176,7 +180,7 @@ def finite_difference_check(
     base = masked_rescore(s, o, cfg)
 
     row_smooth = np.array(
-        [abs(c) >= kink_margin and abs(c - 1.0) >= kink_margin for c in base.pre_clip]
+        [abs(c) >= _KINK_MARGIN and abs(c - 1.0) >= _KINK_MARGIN for c in base.pre_clip]
     )
     col_smooth = np.ones(n, dtype=bool)
     for j in range(n):
@@ -185,7 +189,7 @@ def finite_difference_check(
             col_smooth[j] = False
             continue
         gaps = np.abs(np.delete(s, j) - s[j])
-        if gaps.size and gaps.min() < kink_margin:
+        if gaps.size and gaps.min() < _KINK_MARGIN:
             col_smooth[j] = False
 
     def forward(sv: np.ndarray, ov: np.ndarray) -> np.ndarray:
@@ -216,7 +220,7 @@ def finite_difference_check(
                 worst = ("score", i, j)
 
     for (i, t), analytic in sorted(o_grads.items()):
-        if abs(o[i, t] - cfg.nt) < kink_margin or not row_smooth[i]:
+        if abs(o[i, t] - cfg.nt) < _KINK_MARGIN or not row_smooth[i]:
             skipped += 1
             continue
         if o[i, t] - eps < 0.0 or o[i, t] + eps > 1.0:

@@ -4,29 +4,28 @@ One scene per line:
 
     {"id": ..., "camera"?: ..., "boxes": [...], "gts": [...], ...}
 
-Box objects carry the rectangle corners (x1, y1, x2, y2), the cuboid center
-and dimensions (cx, cy, cz, w, h, l, yaw; omitted when there is no cuboid),
-the score, and optional class_conf / pred_conf. Keys the reader does not know
-are preserved on the record and written back after the known ones, in their
-original order, so files survive a read-write cycle unchanged. Floats are
-written with the shortest representation that parses back to the same value
-(Python's default), and NaN or infinite values are rejected.
+Box and gt objects carry the rectangle corners (x1, y1, x2, y2), the cuboid
+center and dimensions (cx, cy, cz, w, h, l, yaw; omitted when there is no
+cuboid), then the fields of one table per record kind: _BOX_FIELDS for
+boxes, _GT_FIELDS for ground truths. One reader and one writer serve both
+kinds. Keys the reader does not know are preserved on the record and written
+back after the known ones, in their original order, so files survive a
+read-write cycle unchanged. Floats are written with the shortest
+representation that parses back to the same value (Python's default), and
+NaN or infinite values are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .boxes import DetectionBox, GroundTruth, Scene
 from .geometry import Cuboid3D, Rect2D
 
 __all__ = [
-    "box_from_dict",
-    "box_to_dict",
-    "gt_from_dict",
-    "gt_to_dict",
     "iter_scenes_jsonl",
     "read_scenes_jsonl",
     "scene_from_dict",
@@ -36,12 +35,8 @@ __all__ = [
 
 _RECT_KEYS = ("x1", "y1", "x2", "y2")
 _CUBOID_KEYS = ("cx", "cy", "cz", "w", "h", "l", "yaw")
-
-
-def _cuboid_to_items(cuboid: Cuboid3D | None) -> dict:
-    if cuboid is None:
-        return {}
-    return {key: getattr(cuboid, key) for key in _CUBOID_KEYS}
+_rect_coords = attrgetter(*_RECT_KEYS)
+_cuboid_coords = attrgetter(*_CUBOID_KEYS)
 
 
 def _number(value) -> float:
@@ -49,7 +44,7 @@ def _number(value) -> float:
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise TypeError
     return float(value)
 
 
@@ -60,42 +55,44 @@ def _integer(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError
     return value
 
 
 def _flag(value) -> bool:
     if not isinstance(value, bool):
-        raise TypeError(f"expected a boolean, got {value!r}")
+        raise TypeError
     return value
 
 
-# Typed fields, with the converter the readers apply to each.
-_TYPED_FIELDS = (
-    *((k, _number) for k in _RECT_KEYS + _CUBOID_KEYS),
-    ("score", _number),
-    ("class_conf", _number),
-    ("pred_conf", _number),
-    ("truncation", _number),
-    ("occlusion", _integer),
-    ("alpha", _number),
-    ("dontcare", _flag),
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+_KINDS = {_number: "a number", _integer: "an integer", _flag: "a boolean", _string: "a string"}
+
+# One row per record field: key (also the attribute name), converter, default,
+# and whether the writer emits it even at its default. A field whose default
+# is None also reads a JSON null as absent.
+_GT_FIELDS = (
+    ("label", _string, "Car", True),
+    ("truncation", _number, 0.0, False),
+    ("occlusion", _integer, 0, False),
+    ("alpha", _number, 0.0, False),
+    ("dontcare", _flag, False, False),
 )
-_KINDS = {_number: "a number", _integer: "an integer", _flag: "a boolean"}
-_OPTIONAL_NUMBERS = ("class_conf", "pred_conf")
+_BOX_FIELDS = (
+    ("score", _number, 0.0, True),
+    ("class_conf", _number, None, False),
+    ("pred_conf", _number, None, False),
+    *_GT_FIELDS,
+)
 
 
-def _record_error(data: dict, where: str, exc: Exception) -> ValueError:
-    """The error for a box or gt object that failed to build, naming the first bad field."""
-    for key, convert in _TYPED_FIELDS:
-        value = data.get(key)
-        if key not in data or (value is None and key in _OPTIONAL_NUMBERS):
-            continue
-        try:
-            convert(value)
-        except (TypeError, ValueError, OverflowError):
-            return ValueError(f"{where}: {key} must be {_KINDS[convert]}, got {value!r}")
-    return ValueError(f"{where}: {exc}")
+def _field_error(where: str, key: str, convert, value) -> ValueError:
+    return ValueError(f"{where}: {key} must be {_KINDS[convert]}, got {value!r}")
 
 
 def _require_object(data, where: str) -> None:
@@ -103,107 +100,57 @@ def _require_object(data, where: str) -> None:
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
 
 
-def _geometry_from_dict(data: dict) -> tuple[Rect2D, Cuboid3D | None]:
-    try:
-        rect = Rect2D(*(_number(data.pop(k)) for k in _RECT_KEYS))
-    except KeyError as exc:
-        raise ValueError(f"missing rectangle key {exc}") from None
-    cuboid = None
-    if all(k in data for k in _CUBOID_KEYS):
-        cuboid = Cuboid3D(**{k: _number(data.pop(k)) for k in _CUBOID_KEYS})
-    return rect, cuboid
+def _record_from_dict(kind: type, data, where: str) -> DetectionBox | GroundTruth:
+    """A DetectionBox or GroundTruth from its JSON object, each field converted once.
 
-
-def box_to_dict(box: DetectionBox) -> dict:
-    out: dict = {k: getattr(box.rect, k) for k in _RECT_KEYS}
-    out.update(_cuboid_to_items(box.cuboid))
-    out["score"] = box.score
-    if box.class_conf is not None:
-        out["class_conf"] = box.class_conf
-    if box.pred_conf is not None:
-        out["pred_conf"] = box.pred_conf
-    out["label"] = box.label
-    if box.truncation != 0.0:
-        out["truncation"] = box.truncation
-    if box.occlusion != 0:
-        out["occlusion"] = box.occlusion
-    if box.alpha != 0.0:
-        out["alpha"] = box.alpha
-    if box.dontcare:
-        out["dontcare"] = True
-    out.update(box.extra)
-    return out
-
-
-def box_from_dict(data: dict, where: str = "box") -> DetectionBox:
-    """Build a detection from its JSON object; malformed fields raise ValueError naming where."""
+    Keys outside the field table stay on the record as extra. The first
+    malformed field raises a ValueError naming where and the field.
+    """
     _require_object(data, where)
-    fields = dict(data)
+    rest = dict(data)
+    for key in _RECT_KEYS:
+        if key not in rest:
+            raise ValueError(f"{where}: missing rectangle key {key!r}")
+    has_cuboid = all(key in rest for key in _CUBOID_KEYS)
+    fields = {}
+    convert = _number
     try:
-        rect, cuboid = _geometry_from_dict(fields)
-        return DetectionBox(
-            rect=rect,
-            cuboid=cuboid,
-            score=_number(fields.pop("score", 0.0)),
-            class_conf=_opt_float(fields.pop("class_conf", None)),
-            pred_conf=_opt_float(fields.pop("pred_conf", None)),
-            label=str(fields.pop("label", "Car")),
-            truncation=_number(fields.pop("truncation", 0.0)),
-            occlusion=_integer(fields.pop("occlusion", 0)),
-            alpha=_number(fields.pop("alpha", 0.0)),
-            dontcare=_flag(fields.pop("dontcare", False)),
-            extra=fields,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _record_error(data, where, exc) from None
+        coords = []
+        for key in _RECT_KEYS + _CUBOID_KEYS if has_cuboid else _RECT_KEYS:
+            value = rest.pop(key)
+            coords.append(_number(value))
+        for key, convert, default, _ in _BOX_FIELDS if kind is DetectionBox else _GT_FIELDS:
+            value = rest.pop(key, default)
+            fields[key] = value if value is default else convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _field_error(where, key, convert, value) from None
+    try:
+        rect = Rect2D(*coords[:4])
+        cuboid = Cuboid3D(*coords[4:]) if has_cuboid else None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return kind(rect=rect, cuboid=cuboid, extra=rest, **fields)
 
 
-def gt_to_dict(gt: GroundTruth) -> dict:
-    out: dict = {k: getattr(gt.rect, k) for k in _RECT_KEYS}
-    out.update(_cuboid_to_items(gt.cuboid))
-    out["label"] = gt.label
-    if gt.truncation != 0.0:
-        out["truncation"] = gt.truncation
-    if gt.occlusion != 0:
-        out["occlusion"] = gt.occlusion
-    if gt.alpha != 0.0:
-        out["alpha"] = gt.alpha
-    if gt.dontcare:
-        out["dontcare"] = True
-    out.update(gt.extra)
+def _record_to_dict(record: DetectionBox | GroundTruth) -> dict:
+    """The JSON object of a record: geometry keys, table fields, then extra keys."""
+    out = dict(zip(_RECT_KEYS, _rect_coords(record.rect)))
+    if record.cuboid is not None:
+        out.update(zip(_CUBOID_KEYS, _cuboid_coords(record.cuboid)))
+    for key, _, default, always in _BOX_FIELDS if isinstance(record, DetectionBox) else _GT_FIELDS:
+        value = getattr(record, key)
+        if always or value != default:
+            out[key] = value
+    out.update(record.extra)
     return out
-
-
-def gt_from_dict(data: dict, where: str = "gt") -> GroundTruth:
-    """Build a ground truth from its JSON object; malformed fields raise ValueError naming where."""
-    _require_object(data, where)
-    fields = dict(data)
-    try:
-        rect, cuboid = _geometry_from_dict(fields)
-        return GroundTruth(
-            rect=rect,
-            cuboid=cuboid,
-            label=str(fields.pop("label", "Car")),
-            truncation=_number(fields.pop("truncation", 0.0)),
-            occlusion=_integer(fields.pop("occlusion", 0)),
-            alpha=_number(fields.pop("alpha", 0.0)),
-            dontcare=_flag(fields.pop("dontcare", False)),
-            extra=fields,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _record_error(data, where, exc) from None
-
-
-def _opt_float(value) -> float | None:
-    return None if value is None else _number(value)
 
 
 def scene_to_dict(scene: Scene) -> dict:
     out: dict = {"id": scene.scene_id}
     if scene.camera is not None:
         out["camera"] = scene.camera
-    out["boxes"] = [box_to_dict(b) for b in scene.boxes]
-    out["gts"] = [gt_to_dict(g) for g in scene.gts]
+    out["boxes"] = [_record_to_dict(b) for b in scene.boxes]
+    out["gts"] = [_record_to_dict(g) for g in scene.gts]
     out.update(scene.extra)
     return out
 
@@ -218,14 +165,17 @@ def scene_from_dict(data: dict, where: str = "scene") -> Scene:
     data = dict(data)
     if "id" not in data:
         raise ValueError(f"{where}: missing scene id")
-    scene_id = str(data.pop("id"))
+    scene_id = data.pop("id")
+    if not isinstance(scene_id, str):
+        raise _field_error(where, "id", _string, scene_id)
     camera = data.pop("camera", None)
     boxes_raw = data.pop("boxes", [])
     gts_raw = data.pop("gts", [])
     if not isinstance(boxes_raw, list) or not isinstance(gts_raw, list):
         raise ValueError(f"{where}: boxes and gts must be arrays")
-    boxes = [box_from_dict(b, f"{where}: scene {scene_id!r} box {i}") for i, b in enumerate(boxes_raw)]
-    gts = [gt_from_dict(g, f"{where}: scene {scene_id!r} gt {i}") for i, g in enumerate(gts_raw)]
+    where = f"{where}: scene {scene_id!r}"
+    boxes = [_record_from_dict(DetectionBox, b, f"{where} box {i}") for i, b in enumerate(boxes_raw)]
+    gts = [_record_from_dict(GroundTruth, g, f"{where} gt {i}") for i, g in enumerate(gts_raw)]
     return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)
 
 
@@ -237,7 +187,7 @@ def iter_scenes_jsonl(path: str | os.PathLike) -> Iterator[Scene]:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ValueError(f"line {number}: invalid JSON: {exc}") from None
             except RecursionError:
                 raise ValueError(f"line {number}: invalid JSON: nested too deeply") from None

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .boxes import DetectionBox, GroundTruth, Scene
 from .geometry import Cuboid3D, Rect2D
+from .io_jsonl import _integer
 
 __all__ = [
     "format_kitti_label",
@@ -48,6 +49,10 @@ def parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth 
     except ValueError as exc:
         raise ValueError(f"{where}non-numeric field: {exc}") from None
     truncation, occlusion_raw, alpha = values[0], values[1], values[2]
+    try:
+        occlusion = _integer(occlusion_raw)
+    except TypeError:
+        raise ValueError(f"{where}occlusion must be an integer, got {occlusion_raw!r}") from None
     dontcare = label == "DontCare"
     try:
         rect = Rect2D(*values[3:7])
@@ -63,7 +68,7 @@ def parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth 
         cuboid=cuboid,
         label=label,
         truncation=truncation,
-        occlusion=int(occlusion_raw),
+        occlusion=occlusion,
         alpha=alpha,
         dontcare=dontcare,
         raw_fields=values,

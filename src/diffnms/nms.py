@@ -164,7 +164,8 @@ def _score_error(s: np.ndarray, bad: np.ndarray, reason: str) -> ScoreRangeError
 
 
 def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
-    s = np.asarray(scores, dtype=float)
+    # Adding 0.0 maps -0.0 to 0.0 and leaves every other float bit-identical.
+    s = np.asarray(scores, dtype=float) + 0.0
     if s.ndim != 1:
         raise ValueError(f"scores must be a 1-d array, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
@@ -323,9 +324,10 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     variants differ only in their pre-clip values over the score-sorted boxes:
     masked gathers each member's group top, full-inverse solves the whole
     unit lower-triangular system, and grouped-inverse solves one system per
-    group. Capped-out boxes get pre-clip 0. Rescores are the pre-clip values
-    clipped to [0, 1]; the two solves are also clamped to the box's own
-    score, while masked values never exceed it to begin with.
+    group. Capped-out boxes get pre-clip 0. Every variant's rescores are its
+    pre-clip values clipped to [0, 1] and then clamped to the box's own
+    score: a solve overshoots that score when an earlier box went below zero,
+    and suppression may only lower a score. A score of -0.0 is read as 0.0.
     """
     variant = NmsVariant(variant)
     if variant is NmsVariant.CLASSICAL:
@@ -352,13 +354,7 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
         c_sorted = np.zeros(s.size)
         for idx in _split_groups(group_boxes(o_sorted, cfg).top):
             c_sorted[idx] = solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
-    r_sorted = np.clip(c_sorted, 0.0, 1.0)
-    if variant is not NmsVariant.MASKED:
-        # A solve overshoots a box's own score when an earlier box went below
-        # zero, and suppression may only lower a score. Masked values never
-        # exceed s, and clamping them anyway would turn a suppressed box's 0.0
-        # into -0.0 when its score is -0.0.
-        r_sorted = np.minimum(r_sorted, s_sorted)
+    r_sorted = np.minimum(np.clip(c_sorted, 0.0, 1.0), s_sorted)
     rescores = np.empty_like(r_sorted)
     rescores[order] = r_sorted
     pre_clip = np.empty_like(c_sorted)

@@ -18,21 +18,28 @@ from .geometry import Cuboid3D, Rect2D, iou2d, iou3d, overlap_matrix
 
 __all__ = ["SyntheticConfig", "generate_synthetic", "random_instance", "rect_from_cuboid"]
 
+# The top-view "camera": image x = (x + _X_OFFSET) * _IMAGE_SCALE, image y = z * _IMAGE_SCALE.
+_IMAGE_SCALE = 10.0
+_X_OFFSET = 40.0
+# Ground-truth placement: bird's-eye centers at least this far apart, tried this often.
+_MIN_SEPARATION = 8.0
+_PLACEMENT_ATTEMPTS = 500
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the generator.
 
-    Ground truths are placed so that no two image rectangles overlap above
-    max_placement_iou and bird's-eye centers stay min_separation apart.
+    Ground truths are placed so that no two image rectangles overlap and
+    bird's-eye centers stay 8 m apart.
     Each object gets proposals_per_object proposals: jittered copies whose
     centers move by Normal(0, center_jitter) meters and whose dimensions
     scale by exp(Normal(0, size_jitter)). A proposal's score is its true
     rotated 3D IoU with its own ground truth plus Normal(0, score_noise),
     clamped to [0, 1]; with zero jitter and zero noise every proposal
-    duplicates its ground truth with score 1. When exact_first is set the
-    first proposal of each object is always the unjittered copy. Image
-    rectangles are the rotated-footprint bounds mapped through image_scale.
+    duplicates its ground truth with score 1. The first proposal of each
+    object is always the unjittered copy. Image rectangles are the
+    rotated-footprint bounds mapped through the top-view camera.
     """
 
     seed: int = 0
@@ -42,11 +49,6 @@ class SyntheticConfig:
     center_jitter: float = 0.3
     size_jitter: float = 0.05
     score_noise: float = 0.0
-    exact_first: bool = True
-    image_scale: float = 10.0
-    max_placement_iou: float = 0.0
-    min_separation: float = 8.0
-    placement_attempts: int = 500
 
     def __post_init__(self) -> None:
         if self.num_scenes < 0 or self.num_objects < 1 or self.proposals_per_object < 1:
@@ -54,13 +56,9 @@ class SyntheticConfig:
         for name in ("center_jitter", "size_jitter", "score_noise"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.image_scale <= 0.0 or self.min_separation < 0.0 or self.placement_attempts < 1:
-            raise ValueError("image_scale must be positive, min_separation >= 0, placement_attempts >= 1")
-        if not 0.0 <= self.max_placement_iou < 1.0:
-            raise ValueError(f"max_placement_iou must lie in [0, 1), got {self.max_placement_iou}")
 
 
-def rect_from_cuboid(cuboid: Cuboid3D, image_scale: float = 10.0, x_offset: float = 40.0) -> Rect2D:
+def rect_from_cuboid(cuboid: Cuboid3D) -> Rect2D:
     """Image rectangle of a cuboid: rotated footprint bounds, shifted and scaled.
 
     The synthetic "camera" is a top view, so the rectangle tracks the true
@@ -69,10 +67,10 @@ def rect_from_cuboid(cuboid: Cuboid3D, image_scale: float = 10.0, x_offset: floa
     xs = [p[0] for p in cuboid.bev_footprint().vertices]
     zs = [p[1] for p in cuboid.bev_footprint().vertices]
     return Rect2D(
-        (min(xs) + x_offset) * image_scale,
-        min(zs) * image_scale,
-        (max(xs) + x_offset) * image_scale,
-        max(zs) * image_scale,
+        (min(xs) + _X_OFFSET) * _IMAGE_SCALE,
+        min(zs) * _IMAGE_SCALE,
+        (max(xs) + _X_OFFSET) * _IMAGE_SCALE,
+        max(zs) * _IMAGE_SCALE,
     )
 
 
@@ -92,20 +90,20 @@ def _place_ground_truths(rng: np.random.Generator, cfg: SyntheticConfig) -> list
     cuboids: list[Cuboid3D] = []
     rects: list[Rect2D] = []
     for index in range(cfg.num_objects):
-        for _ in range(cfg.placement_attempts):
+        for _ in range(_PLACEMENT_ATTEMPTS):
             cand = _sample_gt_cuboid(rng)
-            rect = rect_from_cuboid(cand, cfg.image_scale)
+            rect = rect_from_cuboid(cand)
             far_enough = all(
-                math.hypot(cand.cx - c.cx, cand.cz - c.cz) >= cfg.min_separation for c in cuboids
+                math.hypot(cand.cx - c.cx, cand.cz - c.cz) >= _MIN_SEPARATION for c in cuboids
             )
-            if far_enough and all(iou2d(rect, r) <= cfg.max_placement_iou for r in rects):
+            if far_enough and all(iou2d(rect, r) == 0.0 for r in rects):
                 cuboids.append(cand)
                 rects.append(rect)
                 break
         else:
             raise ValueError(
-                f"could not place object {index} after {cfg.placement_attempts} attempts; "
-                "lower num_objects or min_separation"
+                f"could not place object {index} after {_PLACEMENT_ATTEMPTS} attempts; "
+                "lower num_objects"
             )
     return cuboids
 
@@ -128,14 +126,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Scene]:
     for index in range(cfg.num_scenes):
         rng = np.random.default_rng([cfg.seed, index])
         gt_cuboids = _place_ground_truths(rng, cfg)
-        gts = [
-            GroundTruth(rect=rect_from_cuboid(c, cfg.image_scale), cuboid=c)
-            for c in gt_cuboids
-        ]
+        gts = [GroundTruth(rect=rect_from_cuboid(c), cuboid=c) for c in gt_cuboids]
         boxes: list[DetectionBox] = []
         for gt_cuboid in gt_cuboids:
             for j in range(cfg.proposals_per_object):
-                if j == 0 and cfg.exact_first:
+                if j == 0:
                     proposal = gt_cuboid
                 else:
                     proposal = _jitter(rng, gt_cuboid, cfg)
@@ -143,7 +138,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Scene]:
                 score = float(np.clip(true_iou + rng.normal(0.0, cfg.score_noise), 0.0, 1.0))
                 boxes.append(
                     DetectionBox(
-                        rect=rect_from_cuboid(proposal, cfg.image_scale),
+                        rect=rect_from_cuboid(proposal),
                         cuboid=proposal,
                         score=score,
                     )

@@ -292,10 +292,11 @@ def reference_group_boxes(
 def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
     """run_nms for the masked, full-inverse and grouped-inverse variants, group by group.
 
-    The masked variant rescores each group member in its own loop step and is
-    only clipped; the solves are clipped and then clamped by the box's score.
+    The masked variant rescores each group member in its own loop step. Every
+    variant is clipped and then clamped by the box's score, and a score of
+    -0.0 is read as 0.0, as in run_nms.
     """
-    s_sorted, o_sorted, order = sort_by_score(scores, overlaps)
+    s_sorted, o_sorted, order = sort_by_score(np.asarray(scores, dtype=float) + 0.0, overlaps)
     if variant is NmsVariant.FULL_INVERSE:
         c = solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
     else:
@@ -310,9 +311,7 @@ def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant)
                 c[idx] = values
             else:
                 c[idx] = solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
-    r = np.clip(c, 0.0, 1.0)
-    if variant is not NmsVariant.MASKED:
-        r = np.minimum(r, s_sorted)
+    r = np.minimum(np.clip(c, 0.0, 1.0), s_sorted)
     rescores = np.empty_like(r)
     rescores[order] = r
     pre_clip = np.empty_like(c)

@@ -105,6 +105,20 @@ class TestRun:
         scenes = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert all(len(s["boxes"]) == 12 for s in scenes)
 
+    @pytest.mark.parametrize("nms", ["masked", "full-inverse", "grouped-inverse"])
+    def test_negative_zero_score_is_written_as_zero(self, tmp_path, nms):
+        # Box 1 is suppressed by box 0 and box 2 tops its own group; both score -0.0.
+        boxes = [_box(score=0.9), _box(score=-0.0), _box(score=-0.0, x1=50, x2=60)]
+        path = tmp_path / "zero.jsonl"
+        path.write_text(json.dumps({"id": "z", "boxes": boxes}) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run_cli(
+            "run", "--input", str(path), "--nms", nms, "--pruning", "linear", "--keep-all", "--out", str(out)
+        ) == 0
+        text = out.read_text(encoding="utf-8")
+        assert [b["score"] for b in json.loads(text)["boxes"]] == [0.9, 0.0, 0.0]
+        assert text.count('"score":0.0,') == 2 and "-0.0" not in text
+
     def test_kitti_directory_round_trip(self, scene_file, tmp_path):
         kitti_in = tmp_path / "kitti_in"
         kitti_out = tmp_path / "kitti_out"
@@ -342,3 +356,28 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: scene 'frame-7' box 2: ")
         assert repr(bad) in err
+
+
+KITTI_ROW = "Car 0.00 {occlusion} -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59 0.87"
+
+
+class TestMalformedKitti:
+    """Malformed KITTI rows exit 1 with one error line that names the line."""
+
+    @pytest.mark.parametrize(
+        "occlusion, shown", [("inf", "inf"), ("1e400", "inf"), ("nan", "nan"), ("1.5", "1.5")]
+    )
+    def test_non_integral_occlusion_is_a_clean_error(self, tmp_path, capsys, occlusion, shown):
+        path = tmp_path / "000001.txt"
+        rows = [KITTI_ROW.format(occlusion="0"), KITTI_ROW.format(occlusion=occlusion)]
+        path.write_text("\n".join(rows) + "\n", encoding="ascii")
+        code = run_cli("run", "--input", str(path), "--format", "kitti", "--out", str(tmp_path / "out.txt"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: line 2: occlusion must be an integer, got {shown}\n"
+
+    def test_integral_float_occlusion_still_parses(self, tmp_path):
+        path = tmp_path / "000001.txt"
+        path.write_text(KITTI_ROW.format(occlusion="-1.0") + "\n", encoding="ascii")
+        out = tmp_path / "out.txt"
+        assert run_cli("run", "--input", str(path), "--format", "kitti", "--keep-all", "--out", str(out)) == 0
+        assert out.read_text(encoding="ascii").split()[2] == "-1.0"

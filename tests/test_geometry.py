@@ -10,7 +10,6 @@ from diffnms import (
     Rect2D,
     clip_convex,
     cuboid_array,
-    giou2d_bev,
     giou3d,
     giou3d_matrix,
     iou2d,
@@ -248,21 +247,6 @@ class TestGiou3d:
     def test_symmetric_and_in_range(self, a, b):
         v = giou3d(a, b)
         assert v == giou3d(b, a)
-        assert -1.0 <= v <= 1.0
-
-
-class TestGiou2dBev:
-    def test_identity(self):
-        c = cuboid(w=2.0, l=3.0)
-        assert giou2d_bev(c, c) == 1.0
-
-    def test_touching_footprints(self):
-        # side-by-side 1x1 footprints: iou 0, union fills the 2x1 hull
-        assert giou2d_bev(cuboid(cx=0.0), cuboid(cx=1.0)) == 0.0
-
-    @given(a=cuboids, b=cuboids)
-    def test_bounded(self, a, b):
-        v = giou2d_bev(a, b)
         assert -1.0 <= v <= 1.0
 
 

@@ -183,6 +183,19 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 1: scene 's1' gt 0: y2 must be a number, got None"):
             read_scenes_jsonl(path)
 
+    def test_numeric_scene_id_is_an_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a"}\n{"id": 7, "boxes": [], "gts": []}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 2: id must be a string, got 7$"):
+            read_scenes_jsonl(path)
+
+    def test_numeric_label_is_an_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        box = {"x1": 0, "y1": 0, "x2": 1, "y2": 1, "score": 0.5}
+        path.write_text(json.dumps({"id": "s1", "boxes": [box, dict(box, label=5)]}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 1: scene 's1' box 1: label must be a string, got 5$"):
+            read_scenes_jsonl(path)
+
     def test_non_object_records_rejected(self):
         with pytest.raises(ValueError, match="expected a JSON object"):
             scene_from_dict(["id", "a"])
