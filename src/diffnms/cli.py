@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,37 +33,6 @@ from .ranking import DEFAULT_DIFFICULTY_RULES, Difficulty, DifficultyRule, eval_
 from .synthetic import SyntheticConfig, generate_synthetic, random_instance
 
 __all__ = ["main"]
-
-_T = TypeVar("_T")
-
-# `run` maps scenes over a thread pool when they average at least this many
-# boxes: its O(n^2) overlap, sort and grouping work is then spent in numpy
-# calls that release the GIL. Smaller scenes spend their time in Python, where
-# threads only contend for the GIL; on a 2-vCPU VM two threads made `run`
-# slower on 50- and 100-box scenes and faster from 200 boxes up. Oracle and
-# correlate stay serial: threads made them no faster on 1,500-box scenes and
-# slower on 40-box ones.
-_PARALLEL_SCENE_BOXES = 200
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_large_scenes(fn: Callable[[Scene], _T], scenes: Sequence[Scene]) -> list[_T]:
-    """fn over every scene in input order, on one thread per usable CPU when scenes are large."""
-    workers = min(_usable_cpus(), len(scenes))
-    boxes = sum(len(scene.boxes) for scene in scenes)
-    if workers <= 1 or boxes < _PARALLEL_SCENE_BOXES * len(scenes):
-        return [fn(scene) for scene in scenes]
-    # Imported here so that serial runs do not pay for it at start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, scenes))
 
 
 def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
@@ -114,6 +82,11 @@ def _check_variant_pruning(variants, pruning: Pruning, parser: argparse.Argument
             parser.error("--nms classical requires --pruning hard")
         if variant is NmsVariant.SOFT and pruning is Pruning.HARD:
             parser.error("--nms soft requires a soft pruning kind (linear, exp, or sigmoid)")
+
+
+def _check_iou(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    if not 0.0 < args.iou <= 1.0:
+        parser.error(f"--iou must lie in (0, 1], got {args.iou:g}")
 
 
 def _load_scenes(args: argparse.Namespace) -> list[Scene]:
@@ -177,7 +150,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             extra=scene.extra,
         )
 
-    out_scenes = _map_large_scenes(process, scenes)
+    out_scenes = [process(scene) for scene in scenes]
     _write_scenes(args, out_scenes)
     boxes_in = sum(len(s.boxes) for s in scenes)
     boxes_out = sum(len(s.boxes) for s in out_scenes)
@@ -194,6 +167,7 @@ def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("--nms must list at least two variants to compare")
     cfg = _nms_config(args, parser)
     _check_variant_pruning(variants, cfg.pruning, parser)
+    _check_iou(args, parser)
     scenes = _load_scenes(args)
     report = build_comparison(scenes, cfg, variants, args.score_mode, iou_threshold=args.iou)
     print(report.table())
@@ -262,6 +236,7 @@ def _difficulty_rules(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _check_iou(args, parser)
     scenes = _load_scenes(args)
     pairs = [(s.boxes, s.gts) for s in scenes]
     print(f"AP|R40 (IoU3D >= {args.iou:g}) over {len(scenes)} scenes")

@@ -17,6 +17,7 @@ __all__ = [
     "ConvexPolygon",
     "Cuboid3D",
     "Rect2D",
+    "RectOverlaps",
     "clip_convex",
     "cuboid_array",
     "giou3d",
@@ -344,16 +345,21 @@ def _max(x, y):
     return np.where(y > x, y, x)
 
 
-def iou2d_matrix(a, b) -> np.ndarray:
-    """(N, M) matrix whose entry (i, j) is bit-identical to ``iou2d(a[i], b[j])``.
+def _rect_columns(a: np.ndarray) -> np.ndarray:
+    """(5, N) array of the x1, y1, x2, y2 columns of an (N, 4) rect array and each area."""
+    x1, y1, x2, y2 = a.T
+    return np.stack([x1, y1, x2, y2, (x2 - x1) * (y2 - y1)])
 
-    a and b are (N, 4) and (M, 4) arrays in x1, y1, x2, y2 order, as built by
-    ``rect_array``.
+
+def _rect_iou(a, b) -> np.ndarray:
+    """IoU of rectangles a and b, each the rows x1, y1, x2, y2, area of ``_rect_columns``.
+
+    The rows of a broadcast against the rows of b, and each entry of the
+    result is bit-identical to ``iou2d`` of its pair. At least one operand
+    must hold an array.
     """
-    a = _box_array(a, 4, "a")
-    b = _box_array(b, 4, "b")
-    ax1, ay1, ax2, ay2 = (col[:, None] for col in a.T)
-    bx1, by1, bx2, by2 = b.T
+    ax1, ay1, ax2, ay2, a_area = a
+    bx1, by1, bx2, by2, b_area = b
     # np.minimum/np.maximum may pick the other zero on a signed-zero tie, but
     # ix and iy are then zero and the entry is 0.0 either way. In-place steps
     # keep the overlap matrix of a large scene to few (N, M) temporaries.
@@ -362,7 +368,7 @@ def iou2d_matrix(a, b) -> np.ndarray:
     iy = np.minimum(ay2, by2)
     iy -= np.maximum(ay1, by1)
     inter = ix * iy
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1)
+    union = a_area + b_area
     union -= inter
     empty = ix <= 0.0
     empty |= iy <= 0.0
@@ -372,6 +378,49 @@ def iou2d_matrix(a, b) -> np.ndarray:
     np.minimum(ratio, 1.0, out=ratio)
     ratio[empty] = 0.0
     return ratio
+
+
+def iou2d_matrix(a, b) -> np.ndarray:
+    """(N, M) matrix whose entry (i, j) is bit-identical to ``iou2d(a[i], b[j])``.
+
+    a and b are (N, 4) and (M, 4) arrays in x1, y1, x2, y2 order, as built by
+    ``rect_array``.
+    """
+    a = _rect_columns(_box_array(a, 4, "a"))
+    b = _rect_columns(_box_array(b, 4, "b"))
+    return _rect_iou(a[:, :, None], b)
+
+
+class RectOverlaps:
+    """The rectangle IoU between any two of N boxes, evaluated on demand.
+
+    ``pairs(i, j)`` is bit-identical to ``overlap_matrix(rects)[i, j]`` for
+    index arrays i and j that broadcast together, but costs only the entries
+    it returns. The (N, 4) array, in x1, y1, x2, y2 order as built by
+    ``rect_array``, is validated once, here; ``run_nms`` accepts this object
+    in place of the overlap matrix.
+    """
+
+    def __init__(self, rects) -> None:
+        self._columns = _rect_columns(_box_array(rects, 4, "rects"))
+
+    def __len__(self) -> int:
+        return self._columns.shape[1]
+
+    def pairs(self, i, j) -> np.ndarray:
+        """Overlaps of boxes i with boxes j, by original index."""
+        return _rect_iou(self._columns[:, i], self._columns[:, j])
+
+    def take(self, order) -> "RectOverlaps":
+        """The same boxes renumbered so that new index k is old index order[k]."""
+        taken = object.__new__(RectOverlaps)
+        taken._columns = self._columns[:, order]
+        return taken
+
+    @property
+    def finite(self) -> bool:
+        """False when a box's area overflows to infinity: its own overlap is then NaN."""
+        return not np.isposinf(self._columns[4]).any()
 
 
 def _cuboid_features(c: np.ndarray) -> np.ndarray:

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nms import (
+    GroupPartition,
     NmsConfig,
     Pruning,
-    group_boxes,
+    _group_tops,
+    _MatrixOverlaps,
     masked_rescore,
     prune,
     prune_derivative,
-    sort_by_score,
 )
 
 __all__ = [
@@ -67,16 +68,19 @@ def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
 
     In original indices: the group tops and their clip gates, then the
     non-top members whose gate is open, their tops, and p(o_it), p'(o_it)
-    and s_t for each of them.
+    and s_t for each of them. Like run_nms, it reads one overlap column per
+    group top and the member-top pairs, never the whole permuted matrix.
     """
-    s_sorted, o_sorted, order = sort_by_score(s, o)
-    part = group_boxes(o_sorted, cfg)
-    members, tops = part.member_tops()
-    o_mt = o_sorted[members, tops]
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    o_sorted = _MatrixOverlaps(o, order)
+    top = _group_tops(o_sorted, s.size, cfg)
+    members, tops = GroupPartition(top).member_tops()
+    o_mt = o_sorted.pairs(members, tops)
     weights = prune(o_mt, cfg)
     gated = _gate(s_sorted[members] - weights * s_sorted[tops])
     members, tops, o_mt = members[gated], tops[gated], o_mt[gated]
-    group_tops = np.flatnonzero(part.top == np.arange(s.size))
+    group_tops = np.flatnonzero(top == np.arange(s.size))
     return (
         order[group_tops],
         _gate(s_sorted[group_tops]),

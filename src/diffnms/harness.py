@@ -15,12 +15,12 @@ import numpy as np
 
 from .boxes import DetectionBox, Scene
 from .geometry import (
+    RectOverlaps,
     cuboid_array,
     iou2d_matrix,
     iou3d_axis_aligned,
     iou3d_matrix,
     iou3d_pairs,
-    overlap_matrix,
     rect_array,
 )
 from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
@@ -80,16 +80,20 @@ def effective_scores(boxes: Sequence[DetectionBox], score_mode: str | None) -> n
     return np.array(values, dtype=float)
 
 
-def _scene_inputs(scene: Scene, score_mode: str | None) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Scores and overlap matrix of a scene's non-DontCare boxes, plus their positions."""
+def _scene_inputs(scene: Scene, score_mode: str | None) -> tuple[np.ndarray, RectOverlaps, list[int]]:
+    """Scores and rectangle overlaps of a scene's non-DontCare boxes, plus their positions.
+
+    The overlaps are evaluated on demand, so each variant computes only the
+    entries it reads.
+    """
     index_map = [i for i, b in enumerate(scene.boxes) if not b.dontcare]
     boxes = [scene.boxes[i] for i in index_map]
-    return effective_scores(boxes, score_mode), overlap_matrix([b.rect for b in boxes]), index_map
+    return effective_scores(boxes, score_mode), RectOverlaps(rect_array([b.rect for b in boxes])), index_map
 
 
 def _run_scene_nms(
     scene: Scene,
-    inputs: tuple[np.ndarray, np.ndarray, list[int]],
+    inputs: tuple[np.ndarray, RectOverlaps, list[int]],
     cfg: NmsConfig,
     variant: NmsVariant,
 ) -> RescoreResult:
@@ -320,8 +324,9 @@ def build_comparison(
 ) -> ComparisonReport:
     """Run every variant over every scene and summarize the differences.
 
-    Each scene's scores and overlap matrix are built once and shared by the
-    variants, so seconds_per_scene times each variant's rescoring alone.
+    Each scene's scores and rectangles are gathered once and shared by the
+    variants; seconds_per_scene times each variant's rescoring, including the
+    overlaps that variant evaluates.
     """
     names = [NmsVariant(v).value for v in variants]
     kept_sets: dict[str, list[set[int]]] = {name: [] for name in names}

@@ -179,10 +179,21 @@ def scene_from_dict(data: dict, where: str = "scene") -> Scene:
     return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)
 
 
+def _require_decodable(line: str, encoding: str, where: str) -> None:
+    """Raise a ValueError naming where if a line read with surrogateescape held undecodable bytes."""
+    try:
+        line.encode(encoding, "surrogateescape").decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def iter_scenes_jsonl(path: str | os.PathLike) -> Iterator[Scene]:
     """Yield scenes from a JSON-lines file; malformed lines raise with their number."""
-    with open(path, "r", encoding="utf-8") as handle:
+    # Undecodable bytes are read as surrogates so that the error can name their line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
+            if not line.isascii():
+                _require_decodable(line, "utf-8", f"line {number}")
             if not line.strip():
                 continue
             try:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .boxes import DetectionBox, GroundTruth, Scene
 from .geometry import Cuboid3D, Rect2D
-from .io_jsonl import _integer
+from .io_jsonl import _integer, _require_decodable
 
 __all__ = [
     "format_kitti_label",
@@ -127,8 +127,11 @@ def read_kitti_file(path: str | os.PathLike, scene_id: str | None = None) -> Sce
     if scene_id is None:
         scene_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     scene = Scene(scene_id=scene_id)
-    with open(path, "r", encoding="ascii") as handle:
+    # Undecodable bytes are read as surrogates so that the error can name their file and line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
+            if not line.isascii():
+                _require_decodable(line, "ascii", f"{os.fspath(path)}: line {number}")
             if not line.strip():
                 continue
             record = parse_kitti_label(line, line_number=number)

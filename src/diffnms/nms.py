@@ -1,7 +1,9 @@
 """NMS rescoring: the greedy classical/soft loop and closed-form matrix variants.
 
-Every rescorer maps raw scores plus a pairwise overlap matrix to per-box
-rescores; a box survives when its rescore clears the validity threshold.
+Every rescorer maps raw scores plus pairwise overlaps to per-box rescores; a
+box survives when its rescore clears the validity threshold. The overlaps come
+from an (N, N) matrix or a :class:`~diffnms.geometry.RectOverlaps`, which
+evaluates only the entries a variant reads.
 The matrix variants express suppression as a strictly-lower-triangular system
 over score-sorted boxes. The masked variant additionally partitions boxes into
 overlap groups and lets only each group's top box suppress its members, which
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .geometry import RectOverlaps
 
 __all__ = [
     "GroupPartition",
@@ -177,13 +181,52 @@ def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
     return s
 
 
+_OVERLAP_RANGE = "overlap values must be finite and lie in [0, 1]"
+
+
 def _validate_overlaps(overlaps, n: int) -> np.ndarray:
     o = np.asarray(overlaps, dtype=float)
     if o.shape != (n, n):
         raise ValueError(f"overlap matrix must have shape ({n}, {n}), got {o.shape}")
-    if not np.all(np.isfinite(o)) or np.any(o < 0.0) or np.any(o > 1.0):
-        raise ValueError("overlap values must be finite and lie in [0, 1]")
+    # A NaN makes both comparisons false, and an infinity fails one of them.
+    if o.size and not (o.min() >= 0.0 and o.max() <= 1.0):
+        raise ValueError(_OVERLAP_RANGE)
     return o
+
+
+class _MatrixOverlaps:
+    """An overlap matrix read like a RectOverlaps: pairs(i, j) gathers o[order[i], order[j]]."""
+
+    def __init__(self, matrix: np.ndarray, order: np.ndarray | None = None) -> None:
+        self._matrix = matrix
+        self._order = order
+
+    def pairs(self, i, j) -> np.ndarray:
+        if self._order is None:
+            return self._matrix[i, j]
+        return self._matrix[self._order[i], self._order[j]]
+
+    def take(self, order: np.ndarray) -> "_MatrixOverlaps":
+        return _MatrixOverlaps(self._matrix, order if self._order is None else self._order[order])
+
+
+# Up to this many boxes, evaluating every rectangle pair at once costs less
+# than a few overlap rows or columns, since each pays numpy's per-call overhead.
+_WHOLE_MATRIX_BOXES = 64
+
+
+def _overlap_source(overlaps, n: int) -> RectOverlaps | _MatrixOverlaps:
+    """The validated overlaps of n boxes, read through pairs(i, j) in original indices."""
+    if not isinstance(overlaps, RectOverlaps):
+        return _MatrixOverlaps(_validate_overlaps(overlaps, n))
+    if len(overlaps) != n:
+        raise ValueError(f"overlaps must cover {n} boxes, got {len(overlaps)}")
+    if not overlaps.finite:
+        raise ValueError(_OVERLAP_RANGE)
+    if n <= _WHOLE_MATRIX_BOXES:
+        boxes = np.arange(n)
+        return _MatrixOverlaps(overlaps.pairs(boxes[:, None], boxes))
+    return overlaps
 
 
 def sort_by_score(scores, overlaps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,6 +295,20 @@ def _split_groups(top: np.ndarray) -> list[np.ndarray]:
     return np.split(by_group, np.flatnonzero(np.diff(top[by_group])) + 1)
 
 
+def _group_tops(sorted_source, n: int, cfg: NmsConfig) -> np.ndarray:
+    """The GroupPartition.top array of n score-sorted boxes; one overlap column per group."""
+    top = np.full(n, -1)
+    remaining = np.arange(n)
+    while remaining.size:
+        high = sorted_source.pairs(remaining, remaining[0]) > cfg.nt
+        # A degenerate box has zero self-overlap; it still anchors its group.
+        high[0] = True
+        top[remaining[high][: cfg.max_group_size]] = remaining[0]
+        remaining = remaining[~high]
+    top.flags.writeable = False
+    return top
+
+
 def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
     """Partition score-sorted boxes into overlap groups.
 
@@ -261,16 +318,7 @@ def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
     Grouping always uses the hard nt comparison regardless of the pruning kind.
     """
     o = np.asarray(sorted_overlaps, dtype=float)
-    top = np.full(o.shape[0], -1)
-    remaining = np.arange(o.shape[0])
-    while remaining.size:
-        high = o[remaining, remaining[0]] > cfg.nt
-        # A degenerate box has zero self-overlap; it still anchors its group.
-        high[0] = True
-        top[remaining[high][: cfg.max_group_size]] = remaining[0]
-        remaining = remaining[~high]
-    top.flags.writeable = False
-    return GroupPartition(top)
+    return GroupPartition(_group_tops(_MatrixOverlaps(o), o.shape[0], cfg))
 
 
 def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
@@ -292,17 +340,21 @@ def classical_soft_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
     remaining box i has its rescore multiplied by (1 - p(o_top,i)). Hard
     pruning zeroes overlapping boxes outright (classical NMS); soft pruning
     kinds decay them smoothly. Scores only need to be non-negative here.
+    Each round reads one row of overlaps, and the loop stops once every
+    remaining rescore is 0, since further rounds would only multiply zeros.
     """
     s = _validate_scores(scores)
-    o = _validate_overlaps(overlaps, s.size)
+    source = _overlap_source(overlaps, s.size)
     r = s.copy()
     active = np.ones(s.size, dtype=bool)
     while active.any():
         top = int(np.argmax(np.where(active, r, -np.inf)))
+        if r[top] == 0.0:
+            break
         active[top] = False
         rest = np.flatnonzero(active)
         if rest.size:
-            r[rest] *= 1.0 - np.asarray(prune(o[top, rest], cfg), dtype=float)
+            r[rest] *= 1.0 - np.asarray(prune(source.pairs(top, rest), cfg), dtype=float)
     return RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), r.copy())
 
 
@@ -328,6 +380,12 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     pre-clip values clipped to [0, 1] and then clamped to the box's own
     score: a solve overshoots that score when an earlier box went below zero,
     and suppression may only lower a score. A score of -0.0 is read as 0.0.
+
+    overlaps is an (N, N) matrix or a RectOverlaps over the same N boxes, and
+    each variant reads only the overlaps it uses: masked and grouped-inverse
+    one column per group top, then the member-top pairs or each group's
+    block; full-inverse the whole matrix in score order; classical and soft
+    one row per round.
     """
     variant = NmsVariant(variant)
     if variant is NmsVariant.CLASSICAL:
@@ -339,21 +397,26 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
             raise ValueError("soft NMS requires a soft pruning kind (linear, exp, or sigmoid)")
         return classical_soft_nms(scores, overlaps, cfg)
     s = _validate_scores(scores, upper=1.0)
-    o = _validate_overlaps(overlaps, s.size)
-    s_sorted, o_sorted, order = sort_by_score(s, o)
+    source = _overlap_source(overlaps, s.size)
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    # Overlaps by sorted index; no variant permutes a whole matrix to get them.
+    o_sorted = source.take(order)
     if variant is NmsVariant.FULL_INVERSE:
-        c_sorted = solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
+        ranks = np.arange(s.size)
+        c_sorted = solve_unit_lower(prune_matrix(o_sorted.pairs(ranks[:, None], ranks), cfg), s_sorted)
     elif variant is NmsVariant.MASKED:
         # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
         # and each member's rescore is one gather over its top.
-        part = group_boxes(o_sorted, cfg)
-        members, tops = part.member_tops()
-        c_sorted = np.where(part.top >= 0, s_sorted, 0.0)
-        c_sorted[members] = s_sorted[members] - prune(o_sorted[members, tops], cfg) * s_sorted[tops]
+        top = _group_tops(o_sorted, s.size, cfg)
+        members, tops = GroupPartition(top).member_tops()
+        c_sorted = np.where(top >= 0, s_sorted, 0.0)
+        c_sorted[members] = s_sorted[members] - prune(o_sorted.pairs(members, tops), cfg) * s_sorted[tops]
     else:
         c_sorted = np.zeros(s.size)
-        for idx in _split_groups(group_boxes(o_sorted, cfg).top):
-            c_sorted[idx] = solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
+        for idx in _split_groups(_group_tops(o_sorted, s.size, cfg)):
+            block = o_sorted.pairs(idx[:, None], idx)
+            c_sorted[idx] = solve_unit_lower(prune_matrix(block, cfg), s_sorted[idx])
     r_sorted = np.minimum(np.clip(c_sorted, 0.0, 1.0), s_sorted)
     rescores = np.empty_like(r_sorted)
     rescores[order] = r_sorted

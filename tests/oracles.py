@@ -4,10 +4,11 @@ Most of these are deliberately written with different algorithms and data
 structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
 evaluator. The per-pair loops are the scalar forms that the package's batched
-IoU matrices replaced, and the per-member loops at the end are the grouped NMS
+IoU matrices replaced, the greedy loop runs every round over the whole
+overlap matrix, and the per-member loops at the end are the grouped NMS
 forward pass, backward pass and Jacobians that the package's closed-form index
-arithmetic replaced; the package must agree with both bit for bit. Slow is
-fine; these only run inside tests.
+arithmetic replaced; the package must agree with all of them bit for bit. Slow
+is fine; these only run inside tests.
 """
 
 from __future__ import annotations
@@ -227,6 +228,24 @@ def reference_correlation_rows(
                 )
             )
     return rows
+
+
+def reference_greedy_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
+    """classical_soft_nms on a validated matrix, running every round to the last box.
+
+    The package stops once every remaining rescore is 0; this loop does not.
+    """
+    s = np.asarray(scores, dtype=float) + 0.0
+    o = np.asarray(overlaps, dtype=float)
+    r = s.copy()
+    active = np.ones(s.size, dtype=bool)
+    while active.any():
+        top = int(np.argmax(np.where(active, r, -np.inf)))
+        active[top] = False
+        rest = np.flatnonzero(active)
+        if rest.size:
+            r[rest] *= 1.0 - np.asarray(prune(o[top, rest], cfg), dtype=float)
+    return RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), r.copy())
 
 
 def build_mask(size: int) -> np.ndarray:

@@ -61,41 +61,6 @@ class TestRun:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_only_large_scenes_go_to_threads(self, monkeypatch):
-        import threading
-        from types import SimpleNamespace
-
-        from diffnms import cli
-
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-
-        def on_main_thread(scenes):
-            calls = cli._map_large_scenes(lambda s: (s.k, threading.current_thread() is threading.main_thread()), scenes)
-            assert [k for k, _ in calls] == list(range(len(scenes)))
-            return {main for _, main in calls}
-
-        assert on_main_thread([SimpleNamespace(k=k, boxes=[None] * (150 + 50 * k)) for k in range(3)]) == {False}
-        assert on_main_thread([SimpleNamespace(k=k, boxes=[None] * (150 + 48 * k)) for k in range(3)]) == {True}
-        assert on_main_thread([SimpleNamespace(k=0, boxes=[None] * 500)]) == {True}
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        assert on_main_thread([SimpleNamespace(k=k, boxes=[None] * 500) for k in range(3)]) == {True}
-
-    def test_large_scenes_on_threads_match_serial(self, tmp_path, monkeypatch):
-        from diffnms import cli
-
-        scenes = tmp_path / "large.jsonl"
-        assert run_cli(
-            "synth", "--seed", "5", "--scenes", "3", "--objects", "10", "--proposals", "20", "--out", str(scenes)
-        ) == 0
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
-        args = ["run", "--input", str(scenes), "--nms", "masked", "--pruning", "linear", "--keep-all"]
-        monkeypatch.setattr(cli, "_PARALLEL_SCENE_BOXES", 201)
-        assert main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setattr(cli, "_PARALLEL_SCENE_BOXES", 200)
-        assert main(args + ["--out", str(pooled)]) == 0
-        assert pooled.read_bytes() == serial.read_bytes()
-
     def test_keep_all_writes_everything(self, scene_file, tmp_path):
         out = tmp_path / "all.jsonl"
         assert run_cli(
@@ -169,6 +134,18 @@ class TestUsageConflicts:
         with pytest.raises(SystemExit) as exc:
             run_cli("compare", "--input", str(scene_file), "--nms", "masked")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("iou", ["2", "-1", "0", "nan"])
+    def test_iou_outside_unit_interval(self, scene_file, capsys, command, iou):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--input", str(scene_file), "--iou", iou)
+        assert exc.value.code == 2
+        assert f"--iou must lie in (0, 1], got {float(iou):g}" in capsys.readouterr().err
+
+    def test_iou_of_one_is_accepted(self, scene_file):
+        assert run_cli("eval", "--input", str(scene_file), "--iou", "1") == 0
+        assert run_cli("compare", "--input", str(scene_file), "--iou", "1") == 0
 
     @pytest.mark.parametrize("boxes", ["3", "0", "-5"])
     def test_gradcheck_boxes_below_four(self, capsys, boxes):
@@ -289,6 +266,8 @@ class TestGoldenOutputs:
             ("masked", "sigmoid", ("--tau", "0.5")),
             ("full-inverse", "linear", ()),
             ("grouped-inverse", "linear", ()),
+            ("classical", "hard", ()),
+            ("soft", "linear", ()),
         ],
     )
     def test_run_keep_all(self, tmp_path, nms, pruning, extra):
@@ -346,6 +325,14 @@ class TestMalformedInput:
         assert run_cli("run", "--input", str(path), "--out", str(tmp_path / "o.jsonl")) == 1
         assert capsys.readouterr().err == "error: line 1: invalid JSON: nested too deeply\n"
 
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(b'{"id": "fine"}\n{"id": "a", "note": "\xff"}\n')
+        assert run_cli("run", "--input", str(path), "--out", str(tmp_path / "o.jsonl")) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: 'utf-8' codec can't decode byte 0xff in position 21: invalid start byte\n"
+        )
+
     @pytest.mark.parametrize("nms, pruning, bad", [("masked", "hard", 1.5), ("classical", "hard", -0.25)])
     def test_out_of_range_score_names_scene_and_box(self, tmp_path, capsys, nms, pruning, bad):
         boxes = [_box(dontcare=True), _box(score=0.9), _box(score=bad), _box(score=2.5)]
@@ -374,6 +361,18 @@ class TestMalformedKitti:
         code = run_cli("run", "--input", str(path), "--format", "kitti", "--out", str(tmp_path / "out.txt"))
         assert code == 1
         assert capsys.readouterr().err == f"error: line 2: occlusion must be an integer, got {shown}\n"
+
+    def test_undecodable_label_names_its_file_and_line(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        path = frames / "000001.txt"
+        row = KITTI_ROW.format(occlusion="0")
+        path.write_bytes((row + "\n" + row.replace("Car", "C\u00e4r") + "\n").encode("utf-8"))
+        code = run_cli("run", "--input", str(frames), "--format", "kitti", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2: 'ascii' codec can't decode byte 0xc3 in position 1: ordinal not in range(128)\n"
+        )
 
     def test_integral_float_occlusion_still_parses(self, tmp_path):
         path = tmp_path / "000001.txt"
