@@ -218,7 +218,17 @@ def _difficulty_rules(args: argparse.Namespace, parser: argparse.ArgumentParser)
                 raise ValueError(f"difficulty config: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"difficulty config: expected a JSON object of rules, got {type(raw).__name__}")
+        names = [d.value for d in Difficulty]
         for name, fields in raw.items():
+            if name not in names:
+                raise ValueError(
+                    f"difficulty config: rule {name!r}: unknown difficulty, expected one of {', '.join(names)}"
+                )
+            if not isinstance(fields, dict):
+                raise ValueError(
+                    f"difficulty config: rule {name!r}: expected an object with min_height, max_occlusion "
+                    f"and max_truncation, got {type(fields).__name__}"
+                )
             try:
                 rules[Difficulty(name)] = DifficultyRule(
                     min_height=float(fields["min_height"]),
@@ -237,10 +247,11 @@ def _difficulty_rules(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_iou(args, parser)
+    rules = _difficulty_rules(args, parser)
     scenes = _load_scenes(args)
     pairs = [(s.boxes, s.gts) for s in scenes]
     print(f"AP|R40 (IoU3D >= {args.iou:g}) over {len(scenes)} scenes")
-    for name, rule in _difficulty_rules(args, parser).items():
+    for name, rule in rules.items():
         ap = eval_ap_r40(pairs, args.iou, rule)
         print(f"  {name:<10} {'n/a (no ground truths)' if ap is None else format(ap, '.4f')}")
     return 0

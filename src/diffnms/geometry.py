@@ -14,11 +14,9 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "ConvexPolygon",
     "Cuboid3D",
     "Rect2D",
     "RectOverlaps",
-    "clip_convex",
     "cuboid_array",
     "giou3d",
     "giou3d_matrix",
@@ -58,6 +56,12 @@ class Rect2D:
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise ValueError(
                 "Rect2D corners must satisfy x1 <= x2 and y1 <= y2, got "
+                f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+            )
+        area = (self.x2 - self.x1) * (self.y2 - self.y1)
+        if not math.isfinite(area):
+            raise ValueError(
+                f"Rect2D area must be finite, got {area!r} for corners "
                 f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
 
@@ -114,89 +118,17 @@ class Cuboid3D:
         half = self.h / 2.0
         return (self.cy - half, self.cy + half)
 
-    def bev_footprint(self) -> "ConvexPolygon":
-        """Yaw-rotated footprint in the x-z plane, counter-clockwise."""
+    def bev_footprint(self) -> tuple[tuple[float, float], ...]:
+        """The four (x, z) corners of the yaw-rotated footprint, counter-clockwise."""
         cos_y, sin_y = math.cos(self.yaw), math.sin(self.yaw)
         hl, hw = self.l / 2.0, self.w / 2.0
         corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-        return ConvexPolygon(
-            tuple(
-                (self.cx + cos_y * u - sin_y * v, self.cz + sin_y * u + cos_y * v)
-                for u, v in corners
-            )
-        )
+        return tuple((self.cx + cos_y * u - sin_y * v, self.cz + sin_y * u + cos_y * v) for u, v in corners)
 
     def bev_aabb(self) -> tuple[float, float, float, float]:
         """Axis-aligned footprint extents (x1, z1, x2, z2) with the yaw discarded."""
         hl, hw = self.l / 2.0, self.w / 2.0
         return (self.cx - hl, self.cz - hw, self.cx + hl, self.cz + hw)
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Convex polygon as an ordered counter-clockwise vertex tuple; may be empty."""
-
-    vertices: tuple[tuple[float, float], ...] = ()
-
-    @property
-    def area(self) -> float:
-        pts = self.vertices
-        if len(pts) < 3:
-            return 0.0
-        acc = 0.0
-        for i, (x1, y1) in enumerate(pts):
-            x2, y2 = pts[(i + 1) % len(pts)]
-            acc += x1 * y2 - x2 * y1
-        # Rounding can push a sliver polygon marginally negative.
-        return max(0.5 * acc, 0.0)
-
-
-def _merge_close_vertices(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    out: list[tuple[float, float]] = []
-    for pt in points:
-        if out and abs(pt[0] - out[-1][0]) <= _VERTEX_MERGE_TOL and abs(pt[1] - out[-1][1]) <= _VERTEX_MERGE_TOL:
-            continue
-        out.append(pt)
-    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= _VERTEX_MERGE_TOL and abs(out[0][1] - out[-1][1]) <= _VERTEX_MERGE_TOL:
-        out.pop()
-    return tuple(out)
-
-
-def clip_convex(subject: ConvexPolygon, clip: ConvexPolygon) -> ConvexPolygon:
-    """Intersection of two convex polygons by sequential half-plane clipping.
-
-    Both polygons must wind counter-clockwise. Points on a clip edge count as
-    inside, so clipping a polygon against itself is a no-op. An empty result
-    is returned as a polygon with no vertices.
-    """
-    output = list(subject.vertices)
-    clip_pts = clip.vertices
-    if len(output) < 3 or len(clip_pts) < 3:
-        return ConvexPolygon(())
-    for k, (px, py) in enumerate(clip_pts):
-        if len(output) < 3:
-            return ConvexPolygon(())
-        qx, qy = clip_pts[(k + 1) % len(clip_pts)]
-        ex, ey = qx - px, qy - py
-        incoming = output
-        # cross(edge, point - edge start); >= 0 means on or left of the edge.
-        sides = [ex * (y - py) - ey * (x - px) for x, y in incoming]
-        output = []
-        for i, start in enumerate(incoming):
-            j = (i + 1) % len(incoming)
-            end = incoming[j]
-            s_val, t_val = sides[i], sides[j]
-            if s_val >= 0.0:
-                output.append(start)
-            if (s_val >= 0.0) != (t_val >= 0.0):
-                frac = s_val / (s_val - t_val)
-                output.append(
-                    (start[0] + frac * (end[0] - start[0]), start[1] + frac * (end[1] - start[1]))
-                )
-    merged = _merge_close_vertices(output)
-    if len(merged) < 3:
-        return ConvexPolygon(())
-    return ConvexPolygon(merged)
 
 
 def iou2d(a: Rect2D, b: Rect2D) -> float:
@@ -222,86 +154,26 @@ def overlap_matrix(rects: Sequence[Rect2D]) -> np.ndarray:
     return iou2d_matrix(a, a)
 
 
-def _canonical_pair(a: Cuboid3D, b: Cuboid3D) -> tuple[Cuboid3D, Cuboid3D]:
-    # Fixes the operand order so both argument orders run identical arithmetic.
-    ka = (a.cx, a.cy, a.cz, a.w, a.h, a.l, a.yaw)
-    kb = (b.cx, b.cy, b.cz, b.w, b.h, b.l, b.yaw)
-    return (a, b) if ka <= kb else (b, a)
-
-
-def rotated_bev_intersection_area(a: Cuboid3D, b: Cuboid3D) -> float:
-    """Intersection area of the two yaw-rotated footprints.
-
-    Computed by clipping one footprint polygon against the other; the result
-    is clamped to the smaller footprint area so rounding can never report an
-    intersection larger than either box.
-    """
-    if a == b:
-        return a.footprint_area
-    a, b = _canonical_pair(a, b)
-    poly = clip_convex(a.bev_footprint(), b.bev_footprint())
-    return min(poly.area, a.footprint_area, b.footprint_area)
-
-
-def _vertical_overlap(a: Cuboid3D, b: Cuboid3D) -> float:
-    a_lo, a_hi = a.vertical_extent
-    b_lo, b_hi = b.vertical_extent
-    return max(min(a_hi, b_hi) - max(a_lo, b_lo), 0.0)
-
-
-def _volume_iou(a: Cuboid3D, b: Cuboid3D, inter_area: float) -> tuple[float, float, float]:
-    """(iou, intersection volume, union volume) given a footprint overlap area."""
-    v_inter = inter_area * _vertical_overlap(a, b)
-    v_union = a.volume + b.volume - v_inter
-    iou = min(v_inter / v_union, 1.0) if v_union > 0.0 else 0.0
-    return iou, v_inter, v_union
-
-
-def iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
-    """Rotated 3D IoU: clipped footprint overlap times vertical overlap, over union."""
-    if a == b:
-        return 1.0 if a.volume > 0.0 else 0.0
-    a, b = _canonical_pair(a, b)
-    iou, _, _ = _volume_iou(a, b, rotated_bev_intersection_area(a, b))
-    return iou
-
-
 def iou3d_axis_aligned(a: Cuboid3D, b: Cuboid3D) -> float:
     """3D IoU with both yaws discarded, for axis-aligned comparison columns."""
     if a == b:
         return 1.0 if a.volume > 0.0 else 0.0
-    a, b = _canonical_pair(a, b)
+    # Fix the operand order so that both argument orders run identical arithmetic.
+    if (a.cx, a.cy, a.cz, a.w, a.h, a.l, a.yaw) > (b.cx, b.cy, b.cz, b.w, b.h, b.l, b.yaw):
+        a, b = b, a
     ra, rb = a.bev_aabb(), b.bev_aabb()
     ix = max(min(ra[2], rb[2]) - max(ra[0], rb[0]), 0.0)
     iz = max(min(ra[3], rb[3]) - max(ra[1], rb[1]), 0.0)
-    iou, _, _ = _volume_iou(a, b, ix * iz)
-    return iou
-
-
-def giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
-    """Generalized 3D IoU with a rotated intersection and an axis-aligned hull.
-
-    The intersection volume uses the exact clipped footprint overlap. The
-    enclosing hull is deliberately coarser: axis-aligned footprint hull (yaws
-    discarded) times the vertical hull extent. The result is
-    iou + union/hull - 1, which equals plain IoU for identical boxes and
-    approaches -1 for distant ones.
-    """
-    if a == b and a.volume > 0.0:
-        return 1.0
-    a, b = _canonical_pair(a, b)
-    iou, _, v_union = _volume_iou(a, b, rotated_bev_intersection_area(a, b))
-    ra, rb = a.bev_aabb(), b.bev_aabb()
-    hull_area = (max(ra[2], rb[2]) - min(ra[0], rb[0])) * (max(ra[3], rb[3]) - min(ra[1], rb[1]))
     a_lo, a_hi = a.vertical_extent
     b_lo, b_hi = b.vertical_extent
-    v_hull = hull_area * (max(a_hi, b_hi) - min(a_lo, b_lo))
-    enclosure = min(v_union / v_hull, 1.0) if v_hull > 0.0 else 0.0
-    return iou + enclosure - 1.0
+    v_inter = ix * iz * max(min(a_hi, b_hi) - max(a_lo, b_lo), 0.0)
+    v_union = a.volume + b.volume - v_inter
+    return min(v_inter / v_union, 1.0) if v_union > 0.0 else 0.0
 
 
-# Batched forms. Each replays its scalar function operation for operation, in
-# the same operand order, so every entry is bit-identical to the scalar value.
+# Batched forms. The rectangle IoU replays iou2d; the rotated cuboid measures
+# exist only here, and replay operation for operation, in the same operand
+# order, the scalar polygon clipper that the tests keep as their reference.
 # Python's min/max keep the first argument on ties, which decides the sign of
 # a zero result, so they are written as np.where rather than np.minimum or
 # np.maximum.
@@ -348,7 +220,10 @@ def _max(x, y):
 def _rect_columns(a: np.ndarray) -> np.ndarray:
     """(5, N) array of the x1, y1, x2, y2 columns of an (N, 4) rect array and each area."""
     x1, y1, x2, y2 = a.T
-    return np.stack([x1, y1, x2, y2, (x2 - x1) * (y2 - y1)])
+    # Corners near +-1e308 overflow the area to inf without a warning;
+    # run_nms then rejects such boxes through RectOverlaps.finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([x1, y1, x2, y2, (x2 - x1) * (y2 - y1)])
 
 
 def _rect_iou(a, b) -> np.ndarray:
@@ -424,14 +299,14 @@ class RectOverlaps:
 
 
 def _cuboid_features(c: np.ndarray) -> np.ndarray:
-    """Per-box columns the pair arithmetic reads, computed as the scalar path does.
+    """Per-box columns the pair arithmetic reads, computed as ``Cuboid3D`` does.
 
     Columns: the 7 fields; the 4 footprint corner x, then the 4 corner z, in
     ``bev_footprint`` order; footprint area; volume; vertical extent (lo, hi);
     and the yaw-free footprint box (x1, z1, x2, z2).
     """
     cx, cy, cz, w, h, l, yaw = c.T
-    # math.cos/sin, not np.cos/sin: the scalar path uses libm, and numpy's
+    # math.cos/sin, not np.cos/sin: bev_footprint uses libm, and numpy's
     # vectorised trigonometry may differ from it in the last bit.
     cos_y = np.array([math.cos(v) for v in yaw.tolist()], dtype=float)
     sin_y = np.array([math.sin(v) for v in yaw.tolist()], dtype=float)
@@ -455,11 +330,14 @@ def _next_slot(values: np.ndarray, last: np.ndarray) -> np.ndarray:
 
 
 def _clipped_area(sx: np.ndarray, sz: np.ndarray, kx: np.ndarray, kz: np.ndarray) -> np.ndarray:
-    """``clip_convex(subject, clip).area`` per pair, for (P, 4) corner coordinates.
+    """Area of the subject footprint clipped to the clip footprint, per pair, for (P, 4) corners.
 
-    Vertices live in padded (P, K) buffers with a per-pair count; K grows to
-    the largest count any pair reaches. Pairs whose polygon has emptied are
-    dropped, since the scalar path returns area 0.0 for them too.
+    Sutherland-Hodgman clipping of counter-clockwise polygons: each clip edge
+    keeps the vertices on or left of it and emits the crossing points, then
+    vertices closer than _VERTEX_MERGE_TOL merge and the shoelace sum gives
+    the area. Vertices live in padded (P, K) buffers with a per-pair count; K
+    grows to the largest count any pair reaches. Pairs whose polygon has
+    fewer than 3 vertices are dropped with area 0.0.
     """
     area = np.zeros(len(sx))
     live = np.arange(len(sx))
@@ -496,7 +374,7 @@ def _clipped_area(sx: np.ndarray, sz: np.ndarray, kx: np.ndarray, kz: np.ndarray
         new_z.ravel()[target] = np.stack([zs, zs + frac * (end_z - zs)], axis=2).reshape(len(live), -1)[emit]
         xs, zs = new_x, new_z
 
-    # _merge_close_vertices: drop a vertex close to the last kept one, then pop
+    # Vertex merge: drop a vertex close to the last kept one, then pop
     # trailing vertices close to the first. Only rows with two consecutive
     # close vertices can drop one, so only they replay the sequential scan.
     width = xs.shape[1]
@@ -535,7 +413,7 @@ def _clipped_area(sx: np.ndarray, sz: np.ndarray, kx: np.ndarray, kz: np.ndarray
             break
         count = count - pop
 
-    # ConvexPolygon.area: shoelace sum in vertex order, then max(0.5 * acc, 0).
+    # Shoelace sum in vertex order, then max(0.5 * acc, 0).
     # acc starts at +0.0 and can never become -0.0, so adding +0.0 for the
     # padding slots leaves it unchanged.
     n = np.where(count < 3, 0, count)[:, None]
@@ -549,10 +427,13 @@ def _clipped_area(sx: np.ndarray, sz: np.ndarray, kx: np.ndarray, kz: np.ndarray
     return area
 
 
-def _pair_values(features: np.ndarray, first: np.ndarray, second: np.ndarray, generalized: bool) -> np.ndarray:
-    """iou3d (or giou3d) of the pairs (features[first[k]], features[second[k]])."""
-    # _canonical_pair: order the operands by a lexicographic compare of the 7
-    # fields, so both argument orders run identical arithmetic.
+def _ordered_pairs(features: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """(pa, pb, equal) for the pairs (features[first[k]], features[second[k]]).
+
+    Each pair's operands are ordered by a lexicographic compare of the 7
+    fields, so that both argument orders run identical arithmetic; equal
+    marks pairs whose 7 fields are equal, which keep their given order.
+    """
     fields_a, fields_b = features[first, :7], features[second, :7]
     differs = fields_a != fields_b
     equal = ~differs.any(axis=1)
@@ -561,72 +442,128 @@ def _pair_values(features: np.ndarray, first: np.ndarray, second: np.ndarray, ge
     swap = ~equal & (fields_a[picks, lead] > fields_b[picks, lead])
     pa = features[np.where(swap, second, first)]
     pb = features[np.where(swap, first, second)]
+    return pa, pb, equal
+
+
+def _bev_overlap(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
+    """Footprint intersection area, clamped to the smaller footprint area.
+
+    Equal boxes overlap by their footprint area exactly.
+    """
     area = _clipped_area(pa[:, _X:_Z], pa[:, _Z:_AREA], pb[:, _X:_Z], pb[:, _Z:_AREA])
-    # rotated_bev_intersection_area's shortcut for equal boxes is left out:
-    # equal boxes with volume are overridden below, and without volume their
-    # iou3d is 0 and giou3d is -1 whatever the footprint overlap.
-    area = _min(_min(area, pa[:, _AREA]), pb[:, _AREA])
+    return np.where(equal, pa[:, _AREA], _min(_min(area, pa[:, _AREA]), pb[:, _AREA]))
+
+
+def _volume_overlap(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(iou, union volume) from the footprint overlap and the vertical overlap."""
     lo_a, hi_a, lo_b, hi_b = pa[:, _LO], pa[:, _HI], pb[:, _LO], pb[:, _HI]
-    v_inter = area * _max(_min(hi_a, hi_b) - _max(lo_a, lo_b), 0.0)
+    v_inter = _bev_overlap(pa, pb, equal) * _max(_min(hi_a, hi_b) - _max(lo_a, lo_b), 0.0)
     v_union = pa[:, _VOL] + pb[:, _VOL] - v_inter
-    iou = np.where(v_union > 0.0, _min(v_inter / v_union, 1.0), 0.0)
-    has_volume = pa[:, _VOL] > 0.0
-    if not generalized:
-        return np.where(equal, np.where(has_volume, 1.0, 0.0), iou)
+    return np.where(v_union > 0.0, _min(v_inter / v_union, 1.0), 0.0), v_union
+
+
+def _iou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
+    """Rotated 3D IoU; exactly 1 for equal boxes with volume, 0 for equal boxes without."""
+    iou, _ = _volume_overlap(pa, pb, equal)
+    return np.where(equal, np.where(pa[:, _VOL] > 0.0, 1.0, 0.0), iou)
+
+
+def _giou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
+    """Generalized 3D IoU, iou + union / hull - 1, with an axis-aligned hull."""
+    iou, v_union = _volume_overlap(pa, pb, equal)
     hull_area = (_max(pa[:, _X2], pb[:, _X2]) - _min(pa[:, _X1], pb[:, _X1])) * (
         _max(pa[:, _Z2], pb[:, _Z2]) - _min(pa[:, _Z1], pb[:, _Z1])
     )
-    v_hull = hull_area * (_max(hi_a, hi_b) - _min(lo_a, lo_b))
+    v_hull = hull_area * (_max(pa[:, _HI], pb[:, _HI]) - _min(pa[:, _LO], pb[:, _LO]))
     enclosure = np.where(v_hull > 0.0, _min(v_union / v_hull, 1.0), 0.0)
-    return np.where(equal & has_volume, 1.0, iou + enclosure - 1.0)
+    return np.where(equal & (pa[:, _VOL] > 0.0), 1.0, iou + enclosure - 1.0)
 
 
-def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, generalized: bool) -> np.ndarray:
-    """iou3d (or giou3d) of the pairs (a[rows[k]], b[cols[k]]), a block of pairs at a time."""
+def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, measure) -> np.ndarray:
+    """measure (_bev_overlap, _iou or _giou) of the pairs (a[rows[k]], b[cols[k]]), a block of pairs at a time."""
     out = np.empty(len(rows))
     if out.size == 0:
         return out
-    # One table holds the features of a, then those of b.
-    features = _cuboid_features(np.concatenate([a, b]))
     # Python float arithmetic overflows to inf and divides inf by inf into nan
-    # without complaint; so does this replay.
+    # without complaint; so does this kernel, from the features on.
     with np.errstate(all="ignore"):
+        # One table holds the features of a, then those of b.
+        features = _cuboid_features(np.concatenate([a, b]))
         for start in range(0, len(rows), _PAIRS_PER_BLOCK):
             block = slice(start, start + _PAIRS_PER_BLOCK)
-            out[block] = _pair_values(features, rows[block], len(a) + cols[block], generalized)
+            out[block] = measure(*_ordered_pairs(features, rows[block], len(a) + cols[block]))
     return out
 
 
-def _cuboid_matrix(a, b, generalized: bool) -> np.ndarray:
+def _cuboid_matrix(a, b, measure) -> np.ndarray:
     a = _box_array(a, 7, "a")
     b = _box_array(b, 7, "b")
     rows = np.repeat(np.arange(len(a)), len(b))
     cols = np.tile(np.arange(len(b)), len(a))
-    return _cuboid_values(a, b, rows, cols, generalized).reshape(len(a), len(b))
+    return _cuboid_values(a, b, rows, cols, measure).reshape(len(a), len(b))
+
+
+def _one_pair(a: Cuboid3D, b: Cuboid3D, measure) -> float:
+    pair = cuboid_array([a, b])
+    index = np.zeros(1, dtype=np.intp)
+    return float(_cuboid_values(pair[:1], pair[1:], index, index, measure)[0])
+
+
+def rotated_bev_intersection_area(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Intersection area of the two yaw-rotated footprints.
+
+    One footprint polygon is clipped against the other. The result is clamped
+    to the smaller footprint area, so rounding can never report an
+    intersection larger than either box, and equal boxes return their
+    footprint area exactly. One call evaluates one pair of the batched kernel.
+    """
+    return _one_pair(a, b, _bev_overlap)
+
+
+def iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Rotated 3D IoU: clipped footprint overlap times vertical overlap, over union.
+
+    ``iou3d_matrix`` or ``iou3d_pairs`` of one pair; for many pairs, call
+    those once instead.
+    """
+    return _one_pair(a, b, _iou)
+
+
+def giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Generalized 3D IoU with a rotated intersection and an axis-aligned hull.
+
+    The intersection volume uses the exact clipped footprint overlap. The
+    enclosing hull is deliberately coarser: axis-aligned footprint hull (yaws
+    discarded) times the vertical hull extent. The result is
+    iou + union/hull - 1, which equals plain IoU for identical boxes and
+    approaches -1 for distant ones. ``giou3d_matrix`` of one pair; for many
+    pairs, call that once instead.
+    """
+    return _one_pair(a, b, _giou)
 
 
 def iou3d_matrix(a, b) -> np.ndarray:
-    """(N, M) matrix whose entry (i, j) is bit-identical to ``iou3d(a[i], b[j])``.
+    """(N, M) matrix whose entry (i, j) is ``iou3d(a[i], b[j])``.
 
     a and b are (N, 7) and (M, 7) arrays in cx, cy, cz, w, h, l, yaw order, as
     built by ``cuboid_array``. Pairs are evaluated a block at a time, so
     scratch memory stays proportional to the result, whatever N * M is.
     """
-    return _cuboid_matrix(a, b, generalized=False)
+    return _cuboid_matrix(a, b, _iou)
 
 
 def giou3d_matrix(a, b) -> np.ndarray:
-    """(N, M) matrix whose entry (i, j) is bit-identical to ``giou3d(a[i], b[j])``.
+    """(N, M) matrix whose entry (i, j) is ``giou3d(a[i], b[j])``.
 
     Same array layout as ``iou3d_matrix``.
     """
-    return _cuboid_matrix(a, b, generalized=True)
+    return _cuboid_matrix(a, b, _giou)
 
 
 def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
     """Entries ``iou3d_matrix(a, b)[rows, cols]``, without evaluating the others.
 
-    Entry k is bit-identical to ``iou3d(a[rows[k]], b[cols[k]])``. One call
+    Entry k is ``iou3d(a[rows[k]], b[cols[k]])``. One call
     can cover a sparse set of pairs, such as the box x ground-truth pairs of
     many scenes stacked into a and b.
     """
@@ -638,4 +575,4 @@ def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
         raise ValueError(f"rows and cols must have the same length, got {rows.size} and {cols.size}")
     if np.any(rows < 0) or np.any(rows >= len(a)) or np.any(cols < 0) or np.any(cols >= len(b)):
         raise ValueError("rows and cols must index into a and b")
-    return _cuboid_values(a, b, rows, cols, generalized=False)
+    return _cuboid_values(a, b, rows, cols, _iou)

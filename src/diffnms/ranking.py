@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boxes import DetectionBox, GroundTruth
-from .geometry import cuboid_array, giou3d, giou3d_matrix, iou2d, iou2d_matrix, iou3d_pairs, rect_array
+from .geometry import cuboid_array, giou3d_matrix, iou2d_matrix, iou3d_pairs, rect_array
 
 __all__ = [
     "DEFAULT_DIFFICULTY_RULES",
@@ -38,7 +38,14 @@ def q_match(box: DetectionBox, gt: GroundTruth) -> float:
     """
     if box.cuboid is None or gt.cuboid is None:
         return 0.0
-    return iou2d(box.rect, gt.rect) * (1.0 + giou3d(box.cuboid, gt.cuboid)) / 2.0
+    return float(_quality_matrix([box], [gt])[0, 0])
+
+
+def _quality_matrix(boxes: Sequence[DetectionBox], gts: Sequence[GroundTruth]) -> np.ndarray:
+    """q_match of every box x ground-truth pair, for records that all have cuboids."""
+    iou = iou2d_matrix(rect_array([b.rect for b in boxes]), rect_array([g.rect for g in gts]))
+    giou = giou3d_matrix(cuboid_array([b.cuboid for b in boxes]), cuboid_array([g.cuboid for g in gts]))
+    return iou * (1.0 + giou) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +79,7 @@ def assign_targets(
     rows = [i for i, box in enumerate(boxes) if box.cuboid is not None]
     cols = [j for j, gt in enumerate(gts) if not gt.dontcare and gt.cuboid is not None]
     if rows and cols:
-        row_boxes = [boxes[i] for i in rows]
-        col_gts = [gts[j] for j in cols]
-        iou = iou2d_matrix(rect_array([b.rect for b in row_boxes]), rect_array([g.rect for g in col_gts]))
-        giou = giou3d_matrix(cuboid_array([b.cuboid for b in row_boxes]), cuboid_array([g.cuboid for g in col_gts]))
-        quality[np.ix_(rows, cols)] = iou * (1.0 + giou) / 2.0
+        quality[np.ix_(rows, cols)] = _quality_matrix([boxes[i] for i in rows], [gts[j] for j in cols])
     targets = np.zeros(n_boxes, dtype=int)
     matched = np.full(n_boxes, -1, dtype=int)
     for col, gt in enumerate(gts):

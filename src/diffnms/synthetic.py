@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import DetectionBox, GroundTruth, Scene
-from .geometry import Cuboid3D, Rect2D, iou2d, iou3d, overlap_matrix
+from .geometry import Cuboid3D, Rect2D, cuboid_array, iou2d, iou3d_pairs, overlap_matrix
 
 __all__ = ["SyntheticConfig", "generate_synthetic", "random_instance", "rect_from_cuboid"]
 
@@ -64,8 +64,9 @@ def rect_from_cuboid(cuboid: Cuboid3D) -> Rect2D:
     The synthetic "camera" is a top view, so the rectangle tracks the true
     footprint and stays consistent with the 3D geometry under jitter.
     """
-    xs = [p[0] for p in cuboid.bev_footprint().vertices]
-    zs = [p[1] for p in cuboid.bev_footprint().vertices]
+    corners = cuboid.bev_footprint()
+    xs = [x for x, _ in corners]
+    zs = [z for _, z in corners]
     return Rect2D(
         (min(xs) + _X_OFFSET) * _IMAGE_SCALE,
         min(zs) * _IMAGE_SCALE,
@@ -127,22 +128,21 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Scene]:
         rng = np.random.default_rng([cfg.seed, index])
         gt_cuboids = _place_ground_truths(rng, cfg)
         gts = [GroundTruth(rect=rect_from_cuboid(c), cuboid=c) for c in gt_cuboids]
-        boxes: list[DetectionBox] = []
+        # Draw every proposal's jitter and score noise in proposal order, then
+        # score all proposals against their own ground truths in one call.
+        proposals: list[Cuboid3D] = []
+        noise: list[float] = []
         for gt_cuboid in gt_cuboids:
             for j in range(cfg.proposals_per_object):
-                if j == 0:
-                    proposal = gt_cuboid
-                else:
-                    proposal = _jitter(rng, gt_cuboid, cfg)
-                true_iou = iou3d(proposal, gt_cuboid)
-                score = float(np.clip(true_iou + rng.normal(0.0, cfg.score_noise), 0.0, 1.0))
-                boxes.append(
-                    DetectionBox(
-                        rect=rect_from_cuboid(proposal),
-                        cuboid=proposal,
-                        score=score,
-                    )
-                )
+                proposals.append(gt_cuboid if j == 0 else _jitter(rng, gt_cuboid, cfg))
+                noise.append(rng.normal(0.0, cfg.score_noise))
+        owner = np.repeat(np.arange(len(gt_cuboids)), cfg.proposals_per_object)
+        true_iou = iou3d_pairs(cuboid_array(proposals), cuboid_array(gt_cuboids), np.arange(len(proposals)), owner)
+        scores = np.clip(true_iou + np.array(noise), 0.0, 1.0)
+        boxes = [
+            DetectionBox(rect=rect_from_cuboid(proposal), cuboid=proposal, score=score)
+            for proposal, score in zip(proposals, scores.tolist())
+        ]
         scenes.append(Scene(scene_id=f"synth-{cfg.seed}-{index:04d}", boxes=boxes, gts=gts))
     return scenes
 

@@ -3,8 +3,9 @@
 Most of these are deliberately written with different algorithms and data
 structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
-evaluator. The per-pair loops are the scalar forms that the package's batched
-IoU matrices replaced, the greedy loop runs every round over the whole
+evaluator. The scalar polygon clipper and the rotated IoU3D/GIoU3D built on
+it are the per-pair forms that the package's batched kernel replays, the
+per-pair loops call them, the greedy loop runs every round over the whole
 overlap matrix, and the per-member loops at the end are the grouped NMS
 forward pass, backward pass and Jacobians that the package's closed-form index
 arithmetic replaced; the package must agree with all of them bit for bit. Slow
@@ -14,6 +15,7 @@ is fine; these only run inside tests.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +31,150 @@ from diffnms import (
     Scene,
     filter_gts,
     iou2d,
-    iou3d,
     iou3d_axis_aligned,
     prune,
     prune_derivative,
     prune_matrix,
-    q_match,
     rescore_scene,
     solve_unit_lower,
     sort_by_score,
 )
+
+
+# Clipped-polygon vertices closer than this are merged into one.
+_VERTEX_MERGE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ConvexPolygon:
+    """Convex polygon as an ordered counter-clockwise vertex tuple; may be empty."""
+
+    vertices: tuple[tuple[float, float], ...] = ()
+
+    @property
+    def area(self) -> float:
+        pts = self.vertices
+        if len(pts) < 3:
+            return 0.0
+        acc = 0.0
+        for i, (x1, y1) in enumerate(pts):
+            x2, y2 = pts[(i + 1) % len(pts)]
+            acc += x1 * y2 - x2 * y1
+        # Rounding can push a sliver polygon marginally negative.
+        return max(0.5 * acc, 0.0)
+
+
+def _merge_close_vertices(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    out: list[tuple[float, float]] = []
+    for pt in points:
+        if out and abs(pt[0] - out[-1][0]) <= _VERTEX_MERGE_TOL and abs(pt[1] - out[-1][1]) <= _VERTEX_MERGE_TOL:
+            continue
+        out.append(pt)
+    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= _VERTEX_MERGE_TOL and abs(out[0][1] - out[-1][1]) <= _VERTEX_MERGE_TOL:
+        out.pop()
+    return tuple(out)
+
+
+def clip_convex(subject: ConvexPolygon, clip: ConvexPolygon) -> ConvexPolygon:
+    """Intersection of two convex polygons by sequential half-plane clipping.
+
+    Both polygons must wind counter-clockwise. Points on a clip edge count as
+    inside, so clipping a polygon against itself is a no-op. An empty result
+    is returned as a polygon with no vertices.
+    """
+    output = list(subject.vertices)
+    clip_pts = clip.vertices
+    if len(output) < 3 or len(clip_pts) < 3:
+        return ConvexPolygon(())
+    for k, (px, py) in enumerate(clip_pts):
+        if len(output) < 3:
+            return ConvexPolygon(())
+        qx, qy = clip_pts[(k + 1) % len(clip_pts)]
+        ex, ey = qx - px, qy - py
+        incoming = output
+        # cross(edge, point - edge start); >= 0 means on or left of the edge.
+        sides = [ex * (y - py) - ey * (x - px) for x, y in incoming]
+        output = []
+        for i, start in enumerate(incoming):
+            j = (i + 1) % len(incoming)
+            end = incoming[j]
+            s_val, t_val = sides[i], sides[j]
+            if s_val >= 0.0:
+                output.append(start)
+            if (s_val >= 0.0) != (t_val >= 0.0):
+                frac = s_val / (s_val - t_val)
+                output.append(
+                    (start[0] + frac * (end[0] - start[0]), start[1] + frac * (end[1] - start[1]))
+                )
+    merged = _merge_close_vertices(output)
+    if len(merged) < 3:
+        return ConvexPolygon(())
+    return ConvexPolygon(merged)
+
+
+def _canonical_pair(a: Cuboid3D, b: Cuboid3D) -> tuple[Cuboid3D, Cuboid3D]:
+    # Fixes the operand order so both argument orders run identical arithmetic.
+    ka = (a.cx, a.cy, a.cz, a.w, a.h, a.l, a.yaw)
+    kb = (b.cx, b.cy, b.cz, b.w, b.h, b.l, b.yaw)
+    return (a, b) if ka <= kb else (b, a)
+
+
+def reference_bev_intersection_area(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Footprint intersection area by clipping one footprint polygon against the other.
+
+    Clamped to the smaller footprint area; equal boxes return their footprint
+    area exactly.
+    """
+    if a == b:
+        return a.footprint_area
+    a, b = _canonical_pair(a, b)
+    poly = clip_convex(ConvexPolygon(a.bev_footprint()), ConvexPolygon(b.bev_footprint()))
+    return min(poly.area, a.footprint_area, b.footprint_area)
+
+
+def _vertical_overlap(a: Cuboid3D, b: Cuboid3D) -> float:
+    a_lo, a_hi = a.vertical_extent
+    b_lo, b_hi = b.vertical_extent
+    return max(min(a_hi, b_hi) - max(a_lo, b_lo), 0.0)
+
+
+def _volume_iou(a: Cuboid3D, b: Cuboid3D, inter_area: float) -> tuple[float, float, float]:
+    """(iou, intersection volume, union volume) given a footprint overlap area."""
+    v_inter = inter_area * _vertical_overlap(a, b)
+    v_union = a.volume + b.volume - v_inter
+    iou = min(v_inter / v_union, 1.0) if v_union > 0.0 else 0.0
+    return iou, v_inter, v_union
+
+
+def reference_iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Rotated 3D IoU of one pair: clipped footprint overlap times vertical overlap, over union."""
+    if a == b:
+        return 1.0 if a.volume > 0.0 else 0.0
+    a, b = _canonical_pair(a, b)
+    iou, _, _ = _volume_iou(a, b, reference_bev_intersection_area(a, b))
+    return iou
+
+
+def reference_giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Generalized 3D IoU of one pair, with an axis-aligned hull: iou + union/hull - 1."""
+    if a == b and a.volume > 0.0:
+        return 1.0
+    a, b = _canonical_pair(a, b)
+    iou, _, v_union = _volume_iou(a, b, reference_bev_intersection_area(a, b))
+    ra, rb = a.bev_aabb(), b.bev_aabb()
+    hull_area = (max(ra[2], rb[2]) - min(ra[0], rb[0])) * (max(ra[3], rb[3]) - min(ra[1], rb[1]))
+    a_lo, a_hi = a.vertical_extent
+    b_lo, b_hi = b.vertical_extent
+    v_hull = hull_area * (max(a_hi, b_hi) - min(a_lo, b_lo))
+    enclosure = min(v_union / v_hull, 1.0) if v_hull > 0.0 else 0.0
+    return iou + enclosure - 1.0
+
+
+def reference_q_match(box: DetectionBox, gt: GroundTruth) -> float:
+    """q_match of one pair: iou2d * (1 + giou3d) / 2, or 0 without both cuboids."""
+    if box.cuboid is None or gt.cuboid is None:
+        return 0.0
+    return iou2d(box.rect, gt.rect) * (1.0 + reference_giou3d(box.cuboid, gt.cuboid)) / 2.0
 
 
 def points_in_convex(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -61,8 +197,8 @@ def mc_intersection_area(
     Samples uniformly over the bounding box of a's footprint; the intersection
     is a subset of it, so the hit fraction rescales exactly.
     """
-    poly_a = np.asarray(a.bev_footprint().vertices, dtype=float)
-    poly_b = np.asarray(b.bev_footprint().vertices, dtype=float)
+    poly_a = np.asarray(a.bev_footprint(), dtype=float)
+    poly_b = np.asarray(b.bev_footprint(), dtype=float)
     lo = poly_a.min(axis=0)
     hi = poly_a.max(axis=0)
     box_area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
@@ -97,7 +233,7 @@ def reference_ap_r40(
                 for j, gt in enumerate(usable):
                     if taken[j]:
                         continue
-                    value = iou3d(det.cuboid, gt.cuboid)
+                    value = reference_iou3d(det.cuboid, gt.cuboid)
                     if value > best_iou:
                         best_j, best_iou = j, value
             hit = best_j >= 0 and best_iou >= iou_threshold
@@ -139,20 +275,20 @@ def reference_oracle_scores(scene: Scene, mode: str = "iou3d") -> list[float]:
             elif box.cuboid is None or gt.cuboid is None:
                 continue
             else:
-                value = iou3d(box.cuboid, gt.cuboid)
+                value = reference_iou3d(box.cuboid, gt.cuboid)
             best = max(best, value)
         scores.append(best)
     return scores
 
 
 def reference_quality(boxes: list[DetectionBox], gts: list[GroundTruth]) -> np.ndarray:
-    """The assign_targets match-quality matrix, one q_match call per pair."""
+    """The assign_targets match-quality matrix, one reference_q_match call per pair."""
     quality = np.zeros((len(boxes), len(gts)))
     for col, gt in enumerate(gts):
         if gt.dontcare:
             continue
         for row, box in enumerate(boxes):
-            quality[row, col] = q_match(box, gt)
+            quality[row, col] = reference_q_match(box, gt)
     return quality
 
 
@@ -161,7 +297,7 @@ def reference_eval_ap_r40(
     iou_threshold: float = 0.7,
     rule: DifficultyRule | None = None,
 ) -> float | None:
-    """eval_ap_r40 with its greedy matching done by one scalar iou3d call per pair."""
+    """eval_ap_r40 with its greedy matching done by one reference_iou3d call per pair."""
     records: list[tuple[float, bool, int, int]] = []
     total_gts = 0
     for scene_index, (dets, gts) in enumerate(scene_pairs):
@@ -177,7 +313,7 @@ def reference_eval_ap_r40(
                 for g, gt in enumerate(valid):
                     if claimed[g]:
                         continue
-                    value = iou3d(det.cuboid, gt.cuboid)
+                    value = reference_iou3d(det.cuboid, gt.cuboid)
                     if value > best_iou:
                         best_iou, best_gt = value, g
             hit = best_gt >= 0 and best_iou >= iou_threshold
@@ -205,7 +341,7 @@ def reference_eval_ap_r40(
 def reference_correlation_rows(
     scenes: list[Scene], cfg: NmsConfig, variant: NmsVariant
 ) -> list[tuple[str, int, float, float, float]]:
-    """score_iou_correlation's rows as tuples, one scalar iou3d call per kept box x gt pair."""
+    """score_iou_correlation's rows as tuples, one reference_iou3d call per kept box x gt pair."""
     rows = []
     for scene in scenes:
         gts = [g for g in scene.gts if not g.dontcare and g.cuboid is not None]
@@ -216,7 +352,7 @@ def reference_correlation_rows(
             box = scene.boxes[index_map[int(k)]]
             if box.cuboid is None:
                 continue
-            values = [iou3d(box.cuboid, gt.cuboid) for gt in gts]
+            values = [reference_iou3d(box.cuboid, gt.cuboid) for gt in gts]
             best = int(np.argmax(values))
             rows.append(
                 (

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -197,13 +198,19 @@ class TestEval:
             ([{"min_height": 0}], "expected a JSON object of rules, got list"),
             ({"simple": {"min_height": 0, "max_occlusion": 2, "max_truncation": 1.0}}, "rule 'simple'"),
             ("{not json", "invalid JSON"),
+            ({"easy": "fast"}, "rule 'easy': expected an object with min_height, max_occlusion and max_truncation, got str"),
+            (
+                {"id": "a", "boxes": [], "gts": []},
+                "rule 'id': unknown difficulty, expected one of easy, moderate, hard",
+            ),
         ],
     )
     def test_bad_difficulty_config_is_a_clean_error(self, scene_file, tmp_path, capsys, config, fragment):
         path = tmp_path / "rules.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
         assert run_cli("eval", "--input", str(scene_file), "--difficulty-config", str(path)) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: difficulty config: ")
         assert err.count("\n") == 1
         assert fragment in err
@@ -240,6 +247,14 @@ class TestCompareOracleCorrelate:
 
 class TestGoldenOutputs:
     """Outputs on the golden corpus stay byte-identical to the committed files."""
+
+    def test_synth(self, tmp_path):
+        out = tmp_path / "synth.jsonl"
+        assert run_cli(
+            "synth", "--seed", "42", "--scenes", "2", "--objects", "4", "--proposals", "5",
+            "--center-jitter", "0.6", "--size-jitter", "0.2", "--score-noise", "0.1", "--out", str(out),
+        ) == 0
+        assert out.read_bytes() == (DATA / "golden_synth.jsonl").read_bytes()
 
     def test_oracle_iou3d(self, tmp_path):
         out = tmp_path / "oracle.jsonl"
@@ -307,6 +322,7 @@ class TestMalformedInput:
             ({"id": "a", "gts": [_box(occlusion=False)]}, ["scene 'a' gt 0", "occlusion must be an integer, got False"]),
             ({"id": "a", "boxes": [_box(dontcare="no")]}, ["scene 'a' box 0", "dontcare must be a boolean, got 'no'"]),
             ({"id": "a", "gts": [_box(dontcare=0)]}, ["scene 'a' gt 0", "dontcare must be a boolean, got 0"]),
+            ({"id": "a", "boxes": [_box(x1=-1e308, x2=1e308)]}, ["scene 'a' box 0", "area must be finite, got inf"]),
         ],
     )
     def test_bad_record_is_a_clean_error(self, tmp_path, capsys, record, fragments):
@@ -343,6 +359,79 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: scene 'frame-7' box 2: ")
         assert repr(bad) in err
+
+
+def _scene_line(score):
+    cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
+    gt = {"x1": 0, "y1": 0, "x2": 10, "y2": 10, **cuboid}
+    return json.dumps({"id": "s1", "boxes": [_box(score=score, **cuboid)], "gts": [gt]}) + "\n"
+
+
+# Per command: whether it takes --out, a usage error (a threshold out of range;
+# oracle has no threshold, so an unknown --mode), and whether it rescores, so
+# that a score outside a variant's domain is an error rather than a value.
+CONTRACT_COMMANDS = {
+    "run": (True, ("--nt", "1.5"), True),
+    "compare": (True, ("--iou", "2"), True),
+    "eval": (False, ("--iou", "2"), False),
+    "oracle": (True, ("--mode", "iou4d"), False),
+    "correlate": (True, ("--valid", "2"), True),
+}
+CONTRACT_CASES = ["undecodable", "empty", "directory", "missing", "unwritable-out", "score", "threshold"]
+
+
+class TestCliContract:
+    """Every input ends in the documented exit code: 0 for an empty file, 2 for
+    a usage error, 1 for a runtime error, which prints one line starting with
+    error:. No input prints a traceback or a warning."""
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [
+            (command, case)
+            for command, (writes, _, _) in CONTRACT_COMMANDS.items()
+            for case in CONTRACT_CASES
+            if writes or case != "unwritable-out"
+        ],
+    )
+    def test_exit_code_and_stderr(self, tmp_path, capsys, command, case):
+        writes, usage_error, rescores = CONTRACT_COMMANDS[command]
+        source = tmp_path / "in.jsonl"
+        source.write_text(_scene_line(0.5), encoding="utf-8")
+        out, extra, expected = tmp_path / "out", (), 1
+        if case == "undecodable":
+            source.write_bytes(b'{"id": "s1", "note": "\xff"}\n')
+        elif case == "empty":
+            source.write_text("", encoding="utf-8")
+            expected = 0
+        elif case == "directory":
+            source = tmp_path
+        elif case == "missing":
+            source = tmp_path / "missing.jsonl"
+        elif case == "unwritable-out":
+            out = tmp_path
+        elif case == "score":
+            source.write_text(_scene_line(1.5), encoding="utf-8")
+            expected = 1 if rescores else 0
+        else:
+            extra, expected = usage_error, 2
+        args = [command, "--input", str(source), *extra, *(("--out", str(out)) if writes else ())]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run_cli(*args)
+            except SystemExit as exc:
+                code = exc.code
+        err = capsys.readouterr().err
+        assert code == expected, err
+        assert [str(w.message) for w in caught] == []
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 0:
+            assert err == ""
+        elif code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err.startswith("usage: diffnms") and ": error: " in err.splitlines()[-1]
 
 
 KITTI_ROW = "Car 0.00 {occlusion} -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59 0.87"

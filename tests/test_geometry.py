@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffnms import (
-    ConvexPolygon,
     Cuboid3D,
     Rect2D,
-    clip_convex,
     cuboid_array,
     giou3d,
     giou3d_matrix,
@@ -22,7 +20,14 @@ from diffnms import (
     rect_array,
     rotated_bev_intersection_area,
 )
-from oracles import mc_intersection_area
+from oracles import (
+    ConvexPolygon,
+    clip_convex,
+    mc_intersection_area,
+    reference_bev_intersection_area,
+    reference_giou3d,
+    reference_iou3d,
+)
 
 
 def rect(x1, y1, x2, y2):
@@ -59,6 +64,11 @@ class TestRect2D:
         with pytest.raises(ValueError):
             rect(0.0, 0.0, math.inf, 1.0)
 
+    @pytest.mark.parametrize("corners", [(-1e308, 0.0, 1e308, 10.0), (-1e308, 0.0, 1e308, 0.0), (0.0, 0.0, 1e200, 1e200)])
+    def test_rejects_overflowing_area(self, corners):
+        with pytest.raises(ValueError, match="Rect2D area must be finite"):
+            rect(*corners)
+
 
 class TestCuboid3D:
     def test_derived_quantities(self):
@@ -72,18 +82,21 @@ class TestCuboid3D:
             cuboid(w=-1.0)
 
     def test_footprint_is_counter_clockwise(self):
-        poly = cuboid(w=2.0, l=4.0, yaw=0.7).bev_footprint()
+        poly = ConvexPolygon(cuboid(w=2.0, l=4.0, yaw=0.7).bev_footprint())
         assert poly.area == pytest.approx(8.0, abs=1e-12)
 
     def test_footprint_respects_yaw(self):
         flat = cuboid(w=1.0, l=3.0, yaw=0.0).bev_footprint()
-        xs = [v[0] for v in flat.vertices]
-        zs = [v[1] for v in flat.vertices]
+        assert len(flat) == 4
+        xs = [v[0] for v in flat]
+        zs = [v[1] for v in flat]
         assert max(xs) - min(xs) == pytest.approx(3.0)
         assert max(zs) - min(zs) == pytest.approx(1.0)
 
 
 class TestClipConvex:
+    """The scalar clipper that the tests keep as the reference for the kernel."""
+
     def test_self_clip_is_identity_area(self):
         square = ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
         assert clip_convex(square, square).area == pytest.approx(4.0, abs=1e-12)
@@ -250,7 +263,7 @@ class TestGiou3d:
         assert -1.0 <= v <= 1.0
 
 
-# Batched matrices against the scalar functions, compared by bit pattern so
+# The batched kernel against the scalar oracle, compared by bit pattern so
 # that a differently signed zero counts as a mismatch.
 
 
@@ -270,8 +283,8 @@ def assert_bit_identical(fast, reference):
 
 def assert_cuboid_matrices_exact(a, b):
     arr_a, arr_b = cuboid_array(a), cuboid_array(b)
-    assert_bit_identical(iou3d_matrix(arr_a, arr_b), scalar_matrix(iou3d, a, b))
-    assert_bit_identical(giou3d_matrix(arr_a, arr_b), scalar_matrix(giou3d, a, b))
+    assert_bit_identical(iou3d_matrix(arr_a, arr_b), scalar_matrix(reference_iou3d, a, b))
+    assert_bit_identical(giou3d_matrix(arr_a, arr_b), scalar_matrix(reference_giou3d, a, b))
 
 
 def assert_rect_matrix_exact(a, b):
@@ -326,6 +339,9 @@ EDGE_CUBOIDS = [
     _moved(BASE, cx=BASE.cx + FAR + 0.5, cz=BASE.cz - FAR, yaw=0.3),
     _moved(BASE, cx=BASE.cx + FAR + 1e-12, cz=BASE.cz - FAR),
     cuboid(cx=0.0, cy=0.0, cz=0.0, w=0.0, h=0.0, l=0.0),
+    # The volume underflows to 0 while the footprint area and height do not,
+    # so the equal pair's giou3d is -2, through the equal-box footprint area.
+    cuboid(cx=0.0, cy=0.0, cz=0.0, w=1e-160, h=1e-200, l=1e160),
 ]
 
 EDGE_RECTS = [
@@ -414,3 +430,49 @@ class TestBatchedMatrices:
     def test_rejects_malformed_arrays(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+def _random_pairs(seed: int, count: int) -> list[tuple[Cuboid3D, Cuboid3D]]:
+    rng = np.random.default_rng(seed)
+
+    def draw() -> Cuboid3D:
+        return Cuboid3D(*rng.uniform(-2.0, 2.0, 3), *rng.uniform(0.0, 3.0, 3), rng.uniform(-math.pi, math.pi))
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+class TestOneKernel:
+    """iou3d, giou3d and rotated_bev_intersection_area are one-pair calls of the batched kernel."""
+
+    # Random pairs, and every pair of the edge cases: equal, degenerate and touching boxes.
+    PAIRS = _random_pairs(5, 40) + [(a, b) for a in EDGE_CUBOIDS for b in EDGE_CUBOIDS]
+
+    @pytest.mark.parametrize(
+        "fast, oracle",
+        [
+            (iou3d, reference_iou3d),
+            (giou3d, reference_giou3d),
+            (rotated_bev_intersection_area, reference_bev_intersection_area),
+        ],
+    )
+    def test_wrappers_match_the_oracle_bitwise_in_both_orders(self, fast, oracle):
+        for a, b in self.PAIRS:
+            for x, y in ((a, b), (b, a)):
+                value = fast(x, y)
+                assert type(value) is float
+                assert bits(value) == bits(oracle(x, y)), (x, y, value, oracle(x, y))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_boxes_raise_no_warning(self):
+        huge = cuboid(w=1e200, h=1e200, l=1e200)
+        far = cuboid(cx=1e308, cz=-1e308, w=1e308, l=1e308, yaw=0.3)
+        boxes = [huge, far, cuboid()]
+        arr = cuboid_array(boxes)
+        iou3d_matrix(arr, arr)
+        giou3d_matrix(arr, arr)
+        iou3d_pairs(arr, arr, [0, 1, 2], [2, 1, 0])
+        for a in boxes:
+            for b in boxes:
+                iou3d(a, b)
+                giou3d(a, b)
+                rotated_bev_intersection_area(a, b)

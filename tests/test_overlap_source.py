@@ -6,6 +6,7 @@ the greedy variants must match the loop that ran every round to the last box.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from diffnms import (
     Pruning,
     Rect2D,
     RectOverlaps,
+    iou2d_matrix,
     masked_backward,
     masked_jacobians,
     overlap_matrix,
@@ -183,15 +185,20 @@ class TestRectOverlaps:
         with pytest.raises(ValueError, match="overlaps must cover 2 boxes, got 1"):
             run_nms(np.array([0.5, 0.4]), RectOverlaps(np.zeros((1, 4))), NmsConfig(), NmsVariant.MASKED)
 
-    # Overflowing corners warn in the rectangle arithmetic, as they always have.
+    # Rect2D rejects such corners; a raw array reaches RectOverlaps, which
+    # takes them without a warning and is rejected by run_nms. The matrix
+    # arithmetic still warns.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("variant", list(NmsVariant))
     def test_overflowing_area_is_rejected_like_its_nan_matrix(self, variant):
-        boxes = [Rect2D(-1e308, -1e308, 1e308, 1e308), Rect2D(0, 0, 1, 1)]
-        matrix = overlap_matrix(boxes)
+        rects = np.array([[-1e308, -1e308, 1e308, 1e308], [0.0, 0.0, 1.0, 1.0]])
+        matrix = iou2d_matrix(rects, rects)
         assert np.isnan(matrix[0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            source = RectOverlaps(rects)
         cfg = NmsConfig() if variant in (NmsVariant.CLASSICAL, NmsVariant.MASKED) else NmsConfig(pruning=Pruning.LINEAR)
-        for overlaps in (matrix, RectOverlaps(rect_array(boxes))):
+        for overlaps in (matrix, source):
             with pytest.raises(ValueError, match=r"overlap values must be finite and lie in \[0, 1\]"):
                 run_nms(np.array([0.5, 0.4]), overlaps, cfg, variant)
 
