@@ -183,6 +183,12 @@ def cmd_gradcheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("gradcheck requires a soft pruning kind (linear, exp, or sigmoid)")
     if args.boxes < 4:
         parser.error(f"--boxes must be at least 4, got {args.boxes}")
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
+    if not (np.isfinite(args.eps) and args.eps > 0.0):
+        parser.error(f"--eps must be finite and positive, got {args.eps:g}")
+    if not args.tolerance >= 0.0:
+        parser.error(f"--tolerance must be at least 0, got {args.tolerance:g}")
     rng = np.random.default_rng(args.seed)
     worst = None
     max_err = 0.0
@@ -355,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

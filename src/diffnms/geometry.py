@@ -238,19 +238,21 @@ def _rect_iou(a, b) -> np.ndarray:
     # np.minimum/np.maximum may pick the other zero on a signed-zero tie, but
     # ix and iy are then zero and the entry is 0.0 either way. In-place steps
     # keep the overlap matrix of a large scene to few (N, M) temporaries.
-    ix = np.minimum(ax2, bx2)
-    ix -= np.maximum(ax1, bx1)
-    iy = np.minimum(ay2, by2)
-    iy -= np.maximum(ay1, by1)
-    inter = ix * iy
-    union = a_area + b_area
-    union -= inter
-    empty = ix <= 0.0
-    empty |= iy <= 0.0
-    empty |= union <= 0.0
+    # Corners near +-1e308 overflow the extents and make the union NaN without
+    # a warning; run_nms rejects such an overlap like any other NaN.
     with np.errstate(all="ignore"):
+        ix = np.minimum(ax2, bx2)
+        ix -= np.maximum(ax1, bx1)
+        iy = np.minimum(ay2, by2)
+        iy -= np.maximum(ay1, by1)
+        inter = ix * iy
+        union = a_area + b_area
+        union -= inter
+        empty = ix <= 0.0
+        empty |= iy <= 0.0
+        empty |= union <= 0.0
         ratio = np.divide(inter, union, out=inter)
-    np.minimum(ratio, 1.0, out=ratio)
+        np.minimum(ratio, 1.0, out=ratio)
     ratio[empty] = 0.0
     return ratio
 

@@ -157,9 +157,85 @@ class GradCheckReport:
 # coordinate may sit and still be checked.
 _KINK_MARGIN = 1e-3
 
+# Perturbed instances are rescored in blocks of at most this many overlap
+# entries, which bounds the scratch memory of a check on a large instance.
+_BLOCK_ENTRIES = 1 << 20
 
-def _rel_error(fd: float, analytic: float) -> float:
-    return abs(fd - analytic) / max(1.0, abs(fd), abs(analytic))
+
+def _masked_rescores(S: np.ndarray, O: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+    """Row b is ``masked_rescore(S[b], O[b], cfg).rescores``, bit for bit.
+
+    S is (B, n) and O is (B, n, n). Every row is sorted and grouped from
+    scratch. Grouping runs one round per group of the row with the most
+    groups: each round, the first free box of every row in score order
+    anchors a group and takes the free boxes whose overlap with it exceeds
+    nt, up to the size cap.
+    """
+    # As in run_nms, a score of -0.0 is read as 0.0.
+    S = S + 0.0
+    B, n = S.shape
+    order = np.argsort(-S, axis=1, kind="stable")
+    s_sorted = np.take_along_axis(S, order, axis=1)
+    # flat[sorted_rows[b, k] + j] is O[b, order[b, k], j]; and in a flattened
+    # (B, n) array, row b starts at row_start[b].
+    row_start = np.arange(B) * n
+    sorted_rows = (row_start[:, None] + order) * n
+    flat = np.ascontiguousarray(O).reshape(-1)
+    cap = n if cfg.max_group_size is None else cfg.max_group_size
+    top = np.full((B, n), -1)
+    free = np.ones((B, n), dtype=bool)
+    while free.any():
+        lead = row_start + free.argmax(axis=1)
+        high = free & (flat[sorted_rows + order.flat[lead][:, None]] > cfg.nt)
+        # A degenerate box has zero self-overlap; it still anchors its group.
+        high.flat[lead] = free.flat[lead]
+        free &= ~high
+        if cap < n:
+            high &= np.cumsum(high, axis=1) <= cap
+        np.copyto(top, (lead - row_start)[:, None], where=high)
+    anchor = np.maximum(top, 0)
+    s_top = np.take_along_axis(s_sorted, anchor, axis=1)
+    o_mt = flat[sorted_rows + np.take_along_axis(order, anchor, axis=1)]
+    c = np.where(top >= 0, s_sorted, 0.0)
+    member = (top >= 0) & (top != np.arange(n))
+    c[member] = s_sorted[member] - prune(o_mt[member], cfg) * s_top[member]
+    rescores = np.empty_like(c)
+    np.put_along_axis(rescores, order, np.minimum(np.clip(c, 0.0, 1.0), s_sorted), axis=1)
+    return rescores
+
+
+def _central_differences(s, o, cfg: NmsConfig, eps: float, cols, members, tops) -> np.ndarray:
+    """One row of rescore central differences per perturbed coordinate.
+
+    Rows come first for score columns cols, then for the overlap pairs
+    (members, tops), each perturbed on both sides of the diagonal. Each
+    coordinate's two instances, at +eps and -eps, are rescored by
+    ``_masked_rescores`` with every other instance of their block.
+    """
+    n = s.size
+    count = cols.size + members.size
+    per_block = max(1, _BLOCK_ENTRIES // max(1, 2 * n * n))
+    diffs = np.empty((count, n))
+    for start in range(0, count, per_block):
+        stop = min(start + per_block, count)
+        # The +eps instances first, then the -eps ones; s + (-eps) equals s - eps.
+        coord = np.tile(np.arange(start, stop), 2)
+        step = np.repeat([eps, -eps], stop - start)
+        S = np.repeat(s[None], coord.size, axis=0)
+        O = np.repeat(o[None], coord.size, axis=0)
+        score = np.flatnonzero(coord < cols.size)
+        S[score, cols[coord[score]]] += step[score]
+        pair = np.flatnonzero(coord >= cols.size)
+        i, t = members[coord[pair] - cols.size], tops[coord[pair] - cols.size]
+        O[pair, i, t] += step[pair]
+        O[pair, t, i] += step[pair]
+        R = _masked_rescores(S, O, cfg)
+        diffs[start:stop] = (R[: stop - start] - R[stop - start :]) / (2.0 * eps)
+    return diffs
+
+
+def _rel_errors(fd: np.ndarray, analytic: np.ndarray) -> np.ndarray:
+    return np.abs(fd - analytic) / np.maximum(np.maximum(1.0, np.abs(fd)), np.abs(analytic))
 
 
 def finite_difference_check(
@@ -176,78 +252,64 @@ def finite_difference_check(
     skipped and counted instead of checked: score columns whose perturbation
     could reorder the sort (a score gap under 1e-3), output rows whose
     pre-clip value sits within 1e-3 of the clip boundary, and overlap entries
-    within 1e-3 of the grouping threshold.
+    within 1e-3 of the grouping threshold. Every perturbed instance is sorted,
+    grouped and rescored from scratch, in one batched forward pass. eps must
+    be finite and positive, and tolerance at least 0.
     """
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be at least 0, got {tolerance!r}")
     s, o = _validated_inputs(scores, overlaps, cfg)
     n = s.size
     jac, o_grads = masked_jacobians(s, o, cfg)
-    base = masked_rescore(s, o, cfg)
+    pre_clip = masked_rescore(s, o, cfg).pre_clip
 
-    row_smooth = np.array(
-        [abs(c) >= _KINK_MARGIN and abs(c - 1.0) >= _KINK_MARGIN for c in base.pre_clip]
+    row_smooth = (np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)
+    rows = np.flatnonzero(row_smooth)
+    gaps = np.abs(s[:, None] - s[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    # The perturbed score must stay inside [0, 1] or validation rejects it.
+    cols = np.flatnonzero(
+        (s - eps >= 0.0) & (s + eps <= 1.0) & (gaps.min(axis=1, initial=np.inf) >= _KINK_MARGIN)
     )
-    col_smooth = np.ones(n, dtype=bool)
-    for j in range(n):
-        # The perturbed score must stay inside [0, 1] or validation rejects it.
-        if s[j] - eps < 0.0 or s[j] + eps > 1.0:
-            col_smooth[j] = False
-            continue
-        gaps = np.abs(np.delete(s, j) - s[j])
-        if gaps.size and gaps.min() < _KINK_MARGIN:
-            col_smooth[j] = False
 
-    def forward(sv: np.ndarray, ov: np.ndarray) -> np.ndarray:
-        return masked_rescore(sv, ov, cfg).rescores
+    keys = sorted(o_grads)
+    members = np.array([i for i, _ in keys], dtype=int)
+    tops = np.array([t for _, t in keys], dtype=int)
+    o_mt = o[members, tops]
+    kept = (
+        (np.abs(o_mt - cfg.nt) >= _KINK_MARGIN)
+        & row_smooth[members]
+        & (o_mt - eps >= 0.0)
+        & (o_mt + eps <= 1.0)
+    )
+    analytic = np.array([o_grads[key] for key in keys])[kept]
+    members, tops = members[kept], tops[kept]
 
+    diffs = _central_differences(s, o, cfg, eps, cols, members, tops)
+    # Score errors column by column, then overlap errors in key order; the
+    # first maximum is the worst, as in a loop that only replaces on >.
+    score_err = _rel_errors(diffs[: cols.size][:, rows], jac[np.ix_(rows, cols)].T).ravel()
+    overlap_err = _rel_errors(diffs[cols.size :][np.arange(members.size), members], analytic)
+    errors = np.concatenate([score_err, overlap_err])
     max_err = 0.0
     worst: tuple[str, int, int] | None = None
-    checked = 0
-    skipped = 0
+    if errors.size and errors.max() > 0.0:
+        k = int(np.argmax(errors))
+        max_err = float(errors[k])
+        if k < score_err.size:
+            worst = ("score", int(rows[k % rows.size]), int(cols[k // rows.size]))
+        else:
+            k -= score_err.size
+            worst = ("overlap", int(members[k]), int(tops[k]))
 
-    for j in range(n):
-        if not col_smooth[j]:
-            skipped += n
-            continue
-        s_hi = s.copy()
-        s_hi[j] += eps
-        s_lo = s.copy()
-        s_lo[j] -= eps
-        fd_col = (forward(s_hi, o) - forward(s_lo, o)) / (2.0 * eps)
-        for i in range(n):
-            if not row_smooth[i]:
-                skipped += 1
-                continue
-            err = _rel_error(float(fd_col[i]), float(jac[i, j]))
-            checked += 1
-            if err > max_err:
-                max_err = err
-                worst = ("score", i, j)
-
-    for (i, t), analytic in sorted(o_grads.items()):
-        if abs(o[i, t] - cfg.nt) < _KINK_MARGIN or not row_smooth[i]:
-            skipped += 1
-            continue
-        if o[i, t] - eps < 0.0 or o[i, t] + eps > 1.0:
-            skipped += 1
-            continue
-        o_hi = o.copy()
-        o_hi[i, t] += eps
-        o_hi[t, i] += eps
-        o_lo = o.copy()
-        o_lo[i, t] -= eps
-        o_lo[t, i] -= eps
-        fd = (forward(s, o_hi)[i] - forward(s, o_lo)[i]) / (2.0 * eps)
-        err = _rel_error(float(fd), float(analytic))
-        checked += 1
-        if err > max_err:
-            max_err = err
-            worst = ("overlap", i, t)
-
+    checked = errors.size
     return GradCheckReport(
         max_rel_error=max_err,
         worst=worst,
         checked=checked,
-        skipped=skipped,
+        skipped=n * n + len(keys) - checked,
         tolerance=tolerance,
         passed=max_err <= tolerance,
     )

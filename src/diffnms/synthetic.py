@@ -54,8 +54,9 @@ class SyntheticConfig:
         if self.num_scenes < 0 or self.num_objects < 1 or self.proposals_per_object < 1:
             raise ValueError("num_scenes must be >= 0 and object/proposal counts >= 1")
         for name in ("center_jitter", "size_jitter", "score_noise"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def rect_from_cuboid(cuboid: Cuboid3D) -> Rect2D:

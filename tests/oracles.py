@@ -6,10 +6,12 @@ polygon clipping, plain-Python greedy matching instead of the vectorized
 evaluator. The scalar polygon clipper and the rotated IoU3D/GIoU3D built on
 it are the per-pair forms that the package's batched kernel replays, the
 per-pair loops call them, the greedy loop runs every round over the whole
-overlap matrix, and the per-member loops at the end are the grouped NMS
-forward pass, backward pass and Jacobians that the package's closed-form index
-arithmetic replaced; the package must agree with all of them bit for bit. Slow
-is fine; these only run inside tests.
+overlap matrix, the per-member loops are the grouped NMS forward pass,
+backward pass and Jacobians that the package's closed-form index arithmetic
+replaced, and the finite-difference loop at the end rescores one perturbed
+instance per masked_rescore call where the package batches them; the package
+must agree with all of them bit for bit. Slow is fine; these only run inside
+tests.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from diffnms import (
     Cuboid3D,
     DetectionBox,
     DifficultyRule,
+    GradCheckReport,
     GroundTruth,
     NmsConfig,
     NmsGradients,
@@ -32,6 +35,8 @@ from diffnms import (
     filter_gts,
     iou2d,
     iou3d_axis_aligned,
+    masked_jacobians,
+    masked_rescore,
     prune,
     prune_derivative,
     prune_matrix,
@@ -39,6 +44,7 @@ from diffnms import (
     solve_unit_lower,
     sort_by_score,
 )
+from diffnms.gradients import _KINK_MARGIN
 
 
 # Clipped-polygon vertices closer than this are merged into one.
@@ -527,3 +533,91 @@ def reference_masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.nda
             jac[i_orig, top_orig] = -gate * weight
             o_grads[(i_orig, top_orig)] = -gate * prune_derivative(o_it, cfg) * s_top
     return jac, o_grads
+
+
+def _rel_error(fd: float, analytic: float) -> float:
+    return abs(fd - analytic) / max(1.0, abs(fd), abs(analytic))
+
+
+def reference_finite_difference_check(
+    scores,
+    overlaps,
+    cfg: NmsConfig,
+    eps: float = 1e-6,
+    tolerance: float = 1e-4,
+) -> GradCheckReport:
+    """finite_difference_check with two masked_rescore calls per perturbed coordinate."""
+    s = np.asarray(scores, dtype=float)
+    o = np.asarray(overlaps, dtype=float)
+    n = s.size
+    jac, o_grads = masked_jacobians(s, o, cfg)
+    base = masked_rescore(s, o, cfg)
+
+    row_smooth = np.array(
+        [abs(c) >= _KINK_MARGIN and abs(c - 1.0) >= _KINK_MARGIN for c in base.pre_clip]
+    )
+    col_smooth = np.ones(n, dtype=bool)
+    for j in range(n):
+        # The perturbed score must stay inside [0, 1] or validation rejects it.
+        if s[j] - eps < 0.0 or s[j] + eps > 1.0:
+            col_smooth[j] = False
+            continue
+        gaps = np.abs(np.delete(s, j) - s[j])
+        if gaps.size and gaps.min() < _KINK_MARGIN:
+            col_smooth[j] = False
+
+    def forward(sv: np.ndarray, ov: np.ndarray) -> np.ndarray:
+        return masked_rescore(sv, ov, cfg).rescores
+
+    max_err = 0.0
+    worst: tuple[str, int, int] | None = None
+    checked = 0
+    skipped = 0
+
+    for j in range(n):
+        if not col_smooth[j]:
+            skipped += n
+            continue
+        s_hi = s.copy()
+        s_hi[j] += eps
+        s_lo = s.copy()
+        s_lo[j] -= eps
+        fd_col = (forward(s_hi, o) - forward(s_lo, o)) / (2.0 * eps)
+        for i in range(n):
+            if not row_smooth[i]:
+                skipped += 1
+                continue
+            err = _rel_error(float(fd_col[i]), float(jac[i, j]))
+            checked += 1
+            if err > max_err:
+                max_err = err
+                worst = ("score", i, j)
+
+    for (i, t), analytic in sorted(o_grads.items()):
+        if abs(o[i, t] - cfg.nt) < _KINK_MARGIN or not row_smooth[i]:
+            skipped += 1
+            continue
+        if o[i, t] - eps < 0.0 or o[i, t] + eps > 1.0:
+            skipped += 1
+            continue
+        o_hi = o.copy()
+        o_hi[i, t] += eps
+        o_hi[t, i] += eps
+        o_lo = o.copy()
+        o_lo[i, t] -= eps
+        o_lo[t, i] -= eps
+        fd = (forward(s, o_hi)[i] - forward(s, o_lo)[i]) / (2.0 * eps)
+        err = _rel_error(float(fd), float(analytic))
+        checked += 1
+        if err > max_err:
+            max_err = err
+            worst = ("overlap", i, t)
+
+    return GradCheckReport(
+        max_rel_error=max_err,
+        worst=worst,
+        checked=checked,
+        skipped=skipped,
+        tolerance=tolerance,
+        passed=max_err <= tolerance,
+    )

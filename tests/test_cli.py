@@ -272,6 +272,16 @@ class TestGoldenOutputs:
         assert run_cli("eval", "--input", str(GOLDEN), "--difficulty", "all") == 0
         assert capsys.readouterr().out == (DATA / "golden_eval_all.txt").read_text(encoding="utf-8")
 
+    # The sigmoid call is the benchmark's; the linear one reaches larger instances.
+    @pytest.mark.parametrize(
+        "pruning, extra",
+        [("sigmoid", ("--seed", "7", "--trials", "120")), ("linear", ("--boxes", "20"))],
+    )
+    def test_gradcheck(self, capsys, pruning, extra):
+        assert run_cli("gradcheck", "--pruning", pruning, *extra) == 0
+        golden = DATA / f"golden_gradcheck_{pruning}.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     # The sigmoid run uses tau 0.5: at the default tau every suppressed member
     # clips to 0, and the file would equal the hard one.
     @pytest.mark.parametrize(
@@ -416,22 +426,60 @@ class TestCliContract:
         else:
             extra, expected = usage_error, 2
         args = [command, "--input", str(source), *extra, *(("--out", str(out)) if writes else ())]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                code = run_cli(*args)
-            except SystemExit as exc:
-                code = exc.code
-        err = capsys.readouterr().err
-        assert code == expected, err
-        assert [str(w.message) for w in caught] == []
-        assert "Traceback" not in err and "Warning" not in err
-        if code == 0:
-            assert err == ""
-        elif code == 1:
-            assert err.startswith("error: ") and err.count("\n") == 1
-        else:
-            assert err.startswith("usage: diffnms") and ": error: " in err.splitlines()[-1]
+        assert _contract_exit(capsys, args)[0] == expected
+
+    @pytest.mark.parametrize(
+        "args, expected, message",
+        [
+            (("gradcheck", "--eps", "0"), 2, "--eps must be finite and positive, got 0"),
+            (("gradcheck", "--eps", "nan"), 2, "--eps must be finite and positive, got nan"),
+            (("gradcheck", "--eps", "-0.5"), 2, "--eps must be finite and positive, got -0.5"),
+            (("gradcheck", "--tolerance", "nan"), 2, "--tolerance must be at least 0, got nan"),
+            (("gradcheck", "--tolerance", "-1"), 2, "--tolerance must be at least 0, got -1"),
+            (("gradcheck", "--trials", "0"), 2, "--trials must be at least 1, got 0"),
+            (("gradcheck", "--trials", "-3"), 2, "--trials must be at least 1, got -3"),
+            (("synth", "--out", "{dir}"), 1, "Is a directory"),
+            (("synth", "--scenes", "-1", "--out", "{file}"), 1, "num_scenes must be >= 0"),
+            (("synth", "--center-jitter", "nan", "--out", "{file}"), 1, "center_jitter must be finite"),
+        ],
+    )
+    def test_generator_flags(self, tmp_path, capsys, args, expected, message):
+        if args[0] == "gradcheck":
+            args = ("gradcheck", "--pruning", "sigmoid", *args[1:])
+        args = [a.format(dir=tmp_path, file=tmp_path / "out.jsonl") for a in args]
+        code, err = _contract_exit(capsys, args)
+        assert code == expected
+        assert message in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_memory_error_is_a_clean_error(self, capsys, monkeypatch):
+        def exhausted(rng, n):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr("diffnms.cli.random_instance", exhausted)
+        code, err = _contract_exit(capsys, ["gradcheck", "--pruning", "linear", "--boxes", "100000"])
+        assert code == 1
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
+
+
+def _contract_exit(capsys, args):
+    """Run the CLI and check the contract's stderr; return the exit code and stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = run_cli(*args)
+        except SystemExit as exc:
+            code = exc.code
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err.startswith("usage: diffnms") and ": error: " in err.splitlines()[-1]
+    return code, err
 
 
 KITTI_ROW = "Car 0.00 {occlusion} -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59 0.87"

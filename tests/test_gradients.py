@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diffnms import (
     NmsConfig,
@@ -11,6 +13,8 @@ from diffnms import (
     masked_rescore,
     random_instance,
 )
+from diffnms.gradients import _masked_rescores
+from oracles import reference_finite_difference_check
 
 LINEAR = NmsConfig(pruning=Pruning.LINEAR)
 
@@ -153,3 +157,82 @@ class TestFiniteDifferenceCheck:
         cfg = NmsConfig(pruning=Pruning.SIGMOIDAL, tau=0.1)
         report = finite_difference_check(s, o, cfg)
         assert report.passed, (seed, report.max_rel_error, report.worst)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, np.nan, np.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        s, o = pair_instance()
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            finite_difference_check(s, o, LINEAR, eps=eps)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, np.nan])
+    def test_tolerance_must_not_be_negative(self, tolerance):
+        s, o = pair_instance()
+        with pytest.raises(ValueError, match="tolerance must be at least 0"):
+            finite_difference_check(s, o, LINEAR, tolerance=tolerance)
+
+
+SOFT = [p for p in Pruning if p is not Pruning.HARD]
+
+
+@st.composite
+def kinked_instances(draw):
+    """A random instance with some scores near a tie or near 0 or 1, a soft config and an eps."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scores, overlaps = random_instance(rng, n)
+    for k in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
+        offset = draw(st.floats(min_value=0.0, max_value=2e-2))
+        kind = draw(st.sampled_from(["tie", "zero", "one"]))
+        if kind == "tie":
+            scores[k] = min(1.0, scores[(k + 1) % n] + offset / 20.0)
+        else:
+            scores[k] = offset if kind == "zero" else 1.0 - offset
+    cfg = NmsConfig(pruning=draw(st.sampled_from(SOFT)), max_group_size=draw(st.sampled_from([1, 3, None])))
+    return scores, overlaps, cfg, draw(st.sampled_from([1e-6, 1e-2]))
+
+
+class TestBatchedFiniteDifferences:
+    """The batched check against the per-coordinate loop it replaced, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(case=kinked_instances())
+    def test_report_matches_reference(self, case):
+        scores, overlaps, cfg, eps = case
+        got = finite_difference_check(scores, overlaps, cfg, eps=eps)
+        want = reference_finite_difference_check(scores, overlaps, cfg, eps=eps)
+        assert got == want
+        assert got.max_rel_error.hex() == want.max_rel_error.hex()
+
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        rows=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        pruning=st.sampled_from(SOFT),
+        cap=st.sampled_from([1, 2, 3, None]),
+    )
+    def test_batch_rows_match_masked_rescore(self, n, rows, seed, pruning, cap):
+        rng = np.random.default_rng(seed)
+        instances = [random_instance(rng, n) for _ in range(rows)]
+        # Rounded scores tie, and a -0.0 must read as 0.0.
+        S = np.round(np.stack([s for s, _ in instances]), 2)
+        S[0, -1] = -0.0
+        O = np.stack([o for _, o in instances])
+        # A zero-area box overlaps nothing, itself included; it still anchors its group.
+        O[:, 0, :] = O[:, :, 0] = 0.0
+        cfg = NmsConfig(pruning=pruning, max_group_size=cap)
+        got = _masked_rescores(S, O, cfg)
+        for b in range(rows):
+            assert got[b].tobytes() == masked_rescore(S[b], O[b], cfg).rescores.tobytes(), b
+
+    def test_large_instance_is_checked_in_bounded_memory(self):
+        scores, overlaps = random_instance(np.random.default_rng(3), 300)
+        cfg = NmsConfig(pruning=Pruning.SIGMOIDAL)
+        tracemalloc.start()
+        try:
+            report = finite_difference_check(scores, overlaps, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert report == reference_finite_difference_check(scores, overlaps, cfg)

@@ -185,18 +185,19 @@ class TestRectOverlaps:
         with pytest.raises(ValueError, match="overlaps must cover 2 boxes, got 1"):
             run_nms(np.array([0.5, 0.4]), RectOverlaps(np.zeros((1, 4))), NmsConfig(), NmsVariant.MASKED)
 
-    # Rect2D rejects such corners; a raw array reaches RectOverlaps, which
-    # takes them without a warning and is rejected by run_nms. The matrix
-    # arithmetic still warns.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # Rect2D rejects such corners; a raw array reaches iou2d_matrix and
+    # RectOverlaps, which take them without a warning and are rejected by
+    # run_nms.
     @pytest.mark.parametrize("variant", list(NmsVariant))
     def test_overflowing_area_is_rejected_like_its_nan_matrix(self, variant):
         rects = np.array([[-1e308, -1e308, 1e308, 1e308], [0.0, 0.0, 1.0, 1.0]])
-        matrix = iou2d_matrix(rects, rects)
-        assert np.isnan(matrix[0, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            matrix = iou2d_matrix(rects, rects)
             source = RectOverlaps(rects)
+            boxes = np.arange(2)
+            assert np.array_equal(source.pairs(boxes[:, None], boxes), matrix, equal_nan=True)
+        assert np.isnan(matrix[0, 0])
         cfg = NmsConfig() if variant in (NmsVariant.CLASSICAL, NmsVariant.MASKED) else NmsConfig(pruning=Pruning.LINEAR)
         for overlaps in (matrix, source):
             with pytest.raises(ValueError, match=r"overlap values must be finite and lie in \[0, 1\]"):
