@@ -25,6 +25,7 @@ from .harness import (
     oracle_scores,
     rescore_scene,
     rescored_boxes,
+    score_iou_correlation,
 )
 from .io_jsonl import read_scenes_jsonl, write_scenes_jsonl
 from .io_kitti import read_kitti_dir, read_kitti_file, write_kitti_dir, write_kitti_file
@@ -94,12 +95,7 @@ def _load_scenes(args: argparse.Namespace) -> list[Scene]:
         return read_scenes_jsonl(args.input)
     if os.path.isdir(args.input):
         return read_kitti_dir(args.input, labels_dir=args.labels)
-    scene = read_kitti_file(args.input)
-    if args.labels is not None:
-        label_path = os.path.join(args.labels, os.path.basename(args.input))
-        if os.path.exists(label_path):
-            scene.gts.extend(read_kitti_file(label_path).gts)
-    return [scene]
+    return [read_kitti_file(args.input, labels_dir=args.labels)]
 
 
 def _write_scenes(args: argparse.Namespace, scenes: list[Scene]) -> None:
@@ -183,6 +179,9 @@ def cmd_gradcheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("gradcheck requires a soft pruning kind (linear, exp, or sigmoid)")
     if args.boxes < 4:
         parser.error(f"--boxes must be at least 4, got {args.boxes}")
+    # Each trial holds several n x n arrays, so the cost grows quadratically.
+    if args.boxes > 1000:
+        parser.error(f"--boxes must be at most 1000, got {args.boxes}")
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     if not (np.isfinite(args.eps) and args.eps > 0.0):
@@ -272,8 +271,6 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_correlate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .harness import score_iou_correlation
-
     variant = NmsVariant(args.nms)
     cfg = _nms_config(args, parser)
     _check_variant_pruning([variant], cfg.pruning, parser)
@@ -325,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_nms_flags(grad)
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--trials", type=int, default=20)
-    grad.add_argument("--boxes", type=int, default=12, help="maximum boxes per trial (at least 4)")
+    grad.add_argument("--boxes", type=int, default=12, help="maximum boxes per trial (4 to 1000)")
     grad.add_argument("--eps", type=float, default=1e-6)
     grad.add_argument("--tolerance", type=float, default=1e-4)
     grad.set_defaults(func=cmd_gradcheck)

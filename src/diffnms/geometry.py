@@ -288,12 +288,6 @@ class RectOverlaps:
         """Overlaps of boxes i with boxes j, by original index."""
         return _rect_iou(self._columns[:, i], self._columns[:, j])
 
-    def take(self, order) -> "RectOverlaps":
-        """The same boxes renumbered so that new index k is old index order[k]."""
-        taken = object.__new__(RectOverlaps)
-        taken._columns = self._columns[:, order]
-        return taken
-
     @property
     def finite(self) -> bool:
         """False when a box's area overflows to infinity: its own overlap is then NaN."""
@@ -477,7 +471,9 @@ def _giou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
         _max(pa[:, _Z2], pb[:, _Z2]) - _min(pa[:, _Z1], pb[:, _Z1])
     )
     v_hull = hull_area * (_max(pa[:, _HI], pb[:, _HI]) - _min(pa[:, _LO], pb[:, _LO]))
-    enclosure = np.where(v_hull > 0.0, _min(v_union / v_hull, 1.0), 0.0)
+    # A union of underflowed volumes can come out as -v_inter; clamping it at 0
+    # keeps the result in [-1, 1].
+    enclosure = np.where(v_hull > 0.0, _min(_max(v_union, 0.0) / v_hull, 1.0), 0.0)
     return np.where(equal & (pa[:, _VOL] > 0.0), 1.0, iou + enclosure - 1.0)
 
 

@@ -7,6 +7,8 @@ gate that is 1 when the pre-clip value lies inside [0, 1] (boundary included)
 and 0 outside. Sorting, grouping, and the group-size cap are discrete
 structure: gradients flow through the recorded permutation and grouping, never
 through rank or membership changes, and capped-out boxes get zero gradient.
+The backward pass differentiates the masked forward that run_nms runs, and
+rejects the scores that forward rejects.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from .nms import (
     GroupPartition,
     NmsConfig,
     Pruning,
-    _group_tops,
+    _masked_sorted,
     _MatrixOverlaps,
+    _validate_scores,
     masked_rescore,
     prune,
     prune_derivative,
@@ -56,9 +59,10 @@ class NmsGradients:
 def _validated_inputs(scores, overlaps, cfg: NmsConfig):
     if cfg.pruning is Pruning.HARD:
         raise ValueError("non-differentiable pruning: gradients require a soft pruning kind")
-    s = np.asarray(scores, dtype=float)
+    s = _validate_scores(scores, upper=1.0)
+    # The overlaps by shape only: a range check would read all n^2 entries.
     o = np.asarray(overlaps, dtype=float)
-    if s.ndim != 1 or o.shape != (s.size, s.size):
+    if o.shape != (s.size, s.size):
         raise ValueError(f"shape mismatch: scores {s.shape} versus overlaps {o.shape}")
     return s, o
 
@@ -68,27 +72,23 @@ def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
 
     In original indices: the group tops and their clip gates, then the
     non-top members whose gate is open, their tops, and p(o_it), p'(o_it)
-    and s_t for each of them. Like run_nms, it reads one overlap column per
-    group top and the member-top pairs, never the whole permuted matrix.
+    and s_t for each of them. The sort, grouping and pre-clip values are
+    those of the masked forward that run_nms runs.
     """
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    o_sorted = _MatrixOverlaps(o, order)
-    top = _group_tops(o_sorted, s.size, cfg)
+    order, top, c_sorted = _masked_sorted(s, _MatrixOverlaps(o), cfg)
     members, tops = GroupPartition(top).member_tops()
-    o_mt = o_sorted.pairs(members, tops)
-    weights = prune(o_mt, cfg)
-    gated = _gate(s_sorted[members] - weights * s_sorted[tops])
-    members, tops, o_mt = members[gated], tops[gated], o_mt[gated]
+    gated = _gate(c_sorted[members])
+    members, tops = order[members[gated]], order[tops[gated]]
+    o_mt = o[members, tops]
     group_tops = np.flatnonzero(top == np.arange(s.size))
     return (
         order[group_tops],
-        _gate(s_sorted[group_tops]),
-        order[members],
-        order[tops],
-        weights[gated],
+        _gate(c_sorted[group_tops]),
+        members,
+        tops,
+        prune(o_mt, cfg),
         prune_derivative(o_mt, cfg),
-        s_sorted[tops],
+        s[tops],
     )
 
 

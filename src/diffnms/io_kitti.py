@@ -121,9 +121,12 @@ def format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
     return " ".join([obj.label] + [_format_float(v) for v in values])
 
 
-def read_kitti_file(path: str | os.PathLike, scene_id: str | None = None) -> Scene:
+def read_kitti_file(
+    path: str | os.PathLike, scene_id: str | None = None, labels_dir: str | os.PathLike | None = None
+) -> Scene:
     """Read one label file into a scene; 15-field lines become ground truths
-    and 16-field lines detections. Blank lines are skipped."""
+    and 16-field lines detections. Blank lines are skipped. When labels_dir
+    holds a file of the same name, its ground truths are merged in."""
     if scene_id is None:
         scene_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     scene = Scene(scene_id=scene_id)
@@ -139,6 +142,10 @@ def read_kitti_file(path: str | os.PathLike, scene_id: str | None = None) -> Sce
                 scene.boxes.append(record)
             else:
                 scene.gts.append(record)
+    if labels_dir is not None:
+        label_path = os.path.join(labels_dir, os.path.basename(os.fspath(path)))
+        if os.path.exists(label_path):
+            scene.gts.extend(read_kitti_file(label_path).gts)
     return scene
 
 
@@ -161,13 +168,7 @@ def read_kitti_dir(path: str | os.PathLike, labels_dir: str | os.PathLike | None
     for name in sorted(os.listdir(path)):
         if not name.endswith(".txt"):
             continue
-        scene = read_kitti_file(os.path.join(path, name))
-        if labels_dir is not None:
-            label_path = os.path.join(labels_dir, name)
-            if os.path.exists(label_path):
-                extra = read_kitti_file(label_path)
-                scene.gts.extend(extra.gts)
-        scenes.append(scene)
+        scenes.append(read_kitti_file(os.path.join(path, name), labels_dir=labels_dir))
     return scenes
 
 

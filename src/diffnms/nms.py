@@ -8,7 +8,8 @@ The matrix variants express suppression as a strictly-lower-triangular system
 over score-sorted boxes. The masked variant additionally partitions boxes into
 overlap groups and lets only each group's top box suppress its members, which
 makes the system solvable in closed form and (with a soft pruning function)
-differentiable; see :mod:`diffnms.gradients` for the backward pass.
+differentiable; the backward pass in :mod:`diffnms.gradients` differentiates
+the same masked forward that run_nms runs.
 """
 
 from __future__ import annotations
@@ -195,19 +196,13 @@ def _validate_overlaps(overlaps, n: int) -> np.ndarray:
 
 
 class _MatrixOverlaps:
-    """An overlap matrix read like a RectOverlaps: pairs(i, j) gathers o[order[i], order[j]]."""
+    """An overlap matrix read like a RectOverlaps: pairs(i, j) gathers o[i, j]."""
 
-    def __init__(self, matrix: np.ndarray, order: np.ndarray | None = None) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         self._matrix = matrix
-        self._order = order
 
     def pairs(self, i, j) -> np.ndarray:
-        if self._order is None:
-            return self._matrix[i, j]
-        return self._matrix[self._order[i], self._order[j]]
-
-    def take(self, order: np.ndarray) -> "_MatrixOverlaps":
-        return _MatrixOverlaps(self._matrix, order if self._order is None else self._order[order])
+        return self._matrix[i, j]
 
 
 # Up to this many boxes, evaluating every rectangle pair at once costs less
@@ -295,12 +290,12 @@ def _split_groups(top: np.ndarray) -> list[np.ndarray]:
     return np.split(by_group, np.flatnonzero(np.diff(top[by_group])) + 1)
 
 
-def _group_tops(sorted_source, n: int, cfg: NmsConfig) -> np.ndarray:
-    """The GroupPartition.top array of n score-sorted boxes; one overlap column per group."""
-    top = np.full(n, -1)
-    remaining = np.arange(n)
+def _group_tops(source, order: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+    """The GroupPartition.top array of the boxes in score order; one overlap column per group."""
+    top = np.full(order.size, -1)
+    remaining = np.arange(order.size)
     while remaining.size:
-        high = sorted_source.pairs(remaining, remaining[0]) > cfg.nt
+        high = source.pairs(order[remaining], order[remaining[0]]) > cfg.nt
         # A degenerate box has zero self-overlap; it still anchors its group.
         high[0] = True
         top[remaining[high][: cfg.max_group_size]] = remaining[0]
@@ -318,7 +313,25 @@ def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
     Grouping always uses the hard nt comparison regardless of the pruning kind.
     """
     o = np.asarray(sorted_overlaps, dtype=float)
-    return GroupPartition(_group_tops(_MatrixOverlaps(o), o.shape[0], cfg))
+    return GroupPartition(_group_tops(_MatrixOverlaps(o), np.arange(o.shape[0]), cfg))
+
+
+def _masked_sorted(s: np.ndarray, source, cfg: NmsConfig):
+    """The masked forward of validated scores: (order, top, c_sorted).
+
+    order is the stable descending score sort; top, the GroupPartition.top
+    array, and the pre-clip values c_sorted follow it. Overlaps are read by
+    original index, as source.pairs(order[i], order[j]).
+    """
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    top = _group_tops(source, order, cfg)
+    # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
+    # and each member's rescore is one gather over its top.
+    members, tops = GroupPartition(top).member_tops()
+    c_sorted = np.where(top >= 0, s_sorted, 0.0)
+    c_sorted[members] = s_sorted[members] - prune(source.pairs(order[members], order[tops]), cfg) * s_sorted[tops]
+    return order, top, c_sorted
 
 
 def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
@@ -382,10 +395,10 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     and suppression may only lower a score. A score of -0.0 is read as 0.0.
 
     overlaps is an (N, N) matrix or a RectOverlaps over the same N boxes, and
-    each variant reads only the overlaps it uses: masked and grouped-inverse
-    one column per group top, then the member-top pairs or each group's
-    block; full-inverse the whole matrix in score order; classical and soft
-    one row per round.
+    each variant reads only the overlaps it uses, by original index through
+    the score order: masked and grouped-inverse one column per group top,
+    then the member-top pairs or each group's block; full-inverse the whole
+    matrix in score order, as one block; classical and soft one row per round.
     """
     variant = NmsVariant(variant)
     if variant is NmsVariant.CLASSICAL:
@@ -398,28 +411,18 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
         return classical_soft_nms(scores, overlaps, cfg)
     s = _validate_scores(scores, upper=1.0)
     source = _overlap_source(overlaps, s.size)
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    # Overlaps by sorted index; no variant permutes a whole matrix to get them.
-    o_sorted = source.take(order)
-    if variant is NmsVariant.FULL_INVERSE:
-        ranks = np.arange(s.size)
-        c_sorted = solve_unit_lower(prune_matrix(o_sorted.pairs(ranks[:, None], ranks), cfg), s_sorted)
-    elif variant is NmsVariant.MASKED:
-        # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
-        # and each member's rescore is one gather over its top.
-        top = _group_tops(o_sorted, s.size, cfg)
-        members, tops = GroupPartition(top).member_tops()
-        c_sorted = np.where(top >= 0, s_sorted, 0.0)
-        c_sorted[members] = s_sorted[members] - prune(o_sorted.pairs(members, tops), cfg) * s_sorted[tops]
+    pre_clip = np.zeros(s.size)
+    if variant is NmsVariant.MASKED:
+        order, _, c_sorted = _masked_sorted(s, source, cfg)
+        pre_clip[order] = c_sorted
     else:
-        c_sorted = np.zeros(s.size)
-        for idx in _split_groups(_group_tops(o_sorted, s.size, cfg)):
-            block = o_sorted.pairs(idx[:, None], idx)
-            c_sorted[idx] = solve_unit_lower(prune_matrix(block, cfg), s_sorted[idx])
-    r_sorted = np.minimum(np.clip(c_sorted, 0.0, 1.0), s_sorted)
-    rescores = np.empty_like(r_sorted)
-    rescores[order] = r_sorted
-    pre_clip = np.empty_like(c_sorted)
-    pre_clip[order] = c_sorted
+        order = np.argsort(-s, kind="stable")
+        if variant is NmsVariant.FULL_INVERSE:
+            blocks = [order]
+        else:
+            blocks = [order[idx] for idx in _split_groups(_group_tops(source, order, cfg))]
+        # Each block, its boxes in score order, is one unit lower-triangular solve.
+        for boxes in blocks:
+            pre_clip[boxes] = solve_unit_lower(prune_matrix(source.pairs(boxes[:, None], boxes), cfg), s[boxes])
+    rescores = np.minimum(np.clip(pre_clip, 0.0, 1.0), s)
     return RescoreResult(rescores, np.flatnonzero(rescores >= cfg.valid_threshold), pre_clip)

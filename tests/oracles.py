@@ -172,7 +172,7 @@ def reference_giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     a_lo, a_hi = a.vertical_extent
     b_lo, b_hi = b.vertical_extent
     v_hull = hull_area * (max(a_hi, b_hi) - min(a_lo, b_lo))
-    enclosure = min(v_union / v_hull, 1.0) if v_hull > 0.0 else 0.0
+    enclosure = min(max(v_union, 0.0) / v_hull, 1.0) if v_hull > 0.0 else 0.0
     return iou + enclosure - 1.0
 
 

@@ -179,6 +179,23 @@ class TestEval:
         assert run_cli("eval", "--input", str(scene_file), "--difficulty", "none", "--iou", "0.5") == 0
         assert "all boxes" in capsys.readouterr().out
 
+    def test_kitti_file_merges_labels_like_its_directory(self, scene_file, tmp_path, capsys):
+        from diffnms import Scene, read_scenes_jsonl, write_kitti_file
+
+        scene = read_scenes_jsonl(scene_file)[0]
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        labels.mkdir()
+        write_kitti_file(frames / "000001.txt", Scene(scene_id="000001", boxes=scene.boxes))
+        write_kitti_file(labels / "000001.txt", Scene(scene_id="000001", gts=scene.gts))
+        tables = []
+        for source in (frames, frames / "000001.txt"):
+            args = ["eval", "--input", str(source), "--format", "kitti", "--labels", str(labels)]
+            assert run_cli(*args, "--difficulty", "none") == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        assert "n/a" not in tables[0]
+
     def test_difficulty_config_override(self, scene_file, tmp_path, capsys):
         cfg = tmp_path / "rules.json"
         cfg.write_text(
@@ -441,6 +458,7 @@ class TestCliContract:
             (("synth", "--out", "{dir}"), 1, "Is a directory"),
             (("synth", "--scenes", "-1", "--out", "{file}"), 1, "num_scenes must be >= 0"),
             (("synth", "--center-jitter", "nan", "--out", "{file}"), 1, "center_jitter must be finite"),
+            (("gradcheck", "--boxes", "1001"), 2, "--boxes must be at most 1000, got 1001"),
         ],
     )
     def test_generator_flags(self, tmp_path, capsys, args, expected, message):
@@ -457,7 +475,7 @@ class TestCliContract:
             raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
 
         monkeypatch.setattr("diffnms.cli.random_instance", exhausted)
-        code, err = _contract_exit(capsys, ["gradcheck", "--pruning", "linear", "--boxes", "100000"])
+        code, err = _contract_exit(capsys, ["gradcheck", "--pruning", "linear", "--boxes", "1000"])
         assert code == 1
         assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
 

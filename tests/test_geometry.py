@@ -340,7 +340,8 @@ EDGE_CUBOIDS = [
     _moved(BASE, cx=BASE.cx + FAR + 1e-12, cz=BASE.cz - FAR),
     cuboid(cx=0.0, cy=0.0, cz=0.0, w=0.0, h=0.0, l=0.0),
     # The volume underflows to 0 while the footprint area and height do not,
-    # so the equal pair's giou3d is -2, through the equal-box footprint area.
+    # so the equal pair's union comes out as -v_inter; clamped at 0, it gives
+    # a giou3d of -1.
     cuboid(cx=0.0, cy=0.0, cz=0.0, w=1e-160, h=1e-200, l=1e160),
 ]
 
@@ -362,6 +363,10 @@ class TestBatchedMatrices:
     def test_edge_cases_match_scalar_bitwise(self):
         # The full cross product covers identical and swapped arguments.
         assert_cuboid_matrices_exact(EDGE_CUBOIDS, EDGE_CUBOIDS)
+
+    def test_edge_giou3d_stays_in_its_range(self):
+        values = giou3d_matrix(cuboid_array(EDGE_CUBOIDS), cuboid_array(EDGE_CUBOIDS))
+        assert np.all((values >= -1.0) & (values <= 1.0))
 
     def test_edge_rects_match_scalar_bitwise(self):
         assert_rect_matrix_exact(EDGE_RECTS, EDGE_RECTS)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from diffnms import (
     NmsConfig,
     Pruning,
+    ScoreRangeError,
     finite_difference_check,
     masked_backward,
     masked_jacobians,
@@ -169,6 +170,26 @@ class TestFiniteDifferenceCheck:
         s, o = pair_instance()
         with pytest.raises(ValueError, match="tolerance must be at least 0"):
             finite_difference_check(s, o, LINEAR, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
+@pytest.mark.parametrize(
+    "backward",
+    [
+        lambda s, o: masked_backward(s, o, LINEAR, np.ones(s.size)),
+        lambda s, o: masked_jacobians(s, o, LINEAR),
+        lambda s, o: finite_difference_check(s, o, LINEAR),
+    ],
+    ids=["masked_backward", "masked_jacobians", "finite_difference_check"],
+)
+def test_backward_rejects_the_scores_the_forward_rejects(bad, backward):
+    s, o = pair_instance()
+    s[0] = bad
+    with pytest.raises(ScoreRangeError) as forward:
+        masked_rescore(s, o, LINEAR)
+    with pytest.raises(ScoreRangeError) as raised:
+        backward(s, o)
+    assert str(raised.value) == str(forward.value)
 
 
 SOFT = [p for p in Pruning if p is not Pruning.HARD]

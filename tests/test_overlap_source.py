@@ -172,8 +172,6 @@ class TestRectOverlaps:
         assert _same(source.pairs(i, 2), matrix[i, 2])
         assert _same(source.pairs(i[:, None], i), matrix[np.ix_(i, i)])
         assert len(source) == 4
-        order = np.array([2, 0, 3, 1])
-        assert _same(source.take(order).pairs(np.arange(4)[:, None], np.arange(4)), matrix[np.ix_(order, order)])
 
     def test_rejects_malformed_rects(self):
         with pytest.raises(ValueError, match="x1 <= x2"):
