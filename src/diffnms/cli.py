@@ -161,6 +161,9 @@ def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(str(exc))
     if len(variants) < 2:
         parser.error("--nms must list at least two variants to compare")
+    for k, variant in enumerate(variants):
+        if variant in variants[:k]:
+            parser.error(f"--nms lists {variant.value} more than once")
     cfg = _nms_config(args, parser)
     _check_variant_pruning(variants, cfg.pruning, parser)
     _check_iou(args, parser)

@@ -23,8 +23,8 @@ from .nms import (
     Pruning,
     _masked_sorted,
     _MatrixOverlaps,
+    _validate_overlaps,
     _validate_scores,
-    masked_rescore,
     prune,
     prune_derivative,
 )
@@ -72,8 +72,9 @@ def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
 
     In original indices: the group tops and their clip gates, then the
     non-top members whose gate is open, their tops, and p(o_it), p'(o_it)
-    and s_t for each of them. The sort, grouping and pre-clip values are
-    those of the masked forward that run_nms runs.
+    and s_t for each of them, and last every box's pre-clip value. The sort,
+    grouping and pre-clip values are those of the masked forward that
+    run_nms runs.
     """
     order, top, c_sorted = _masked_sorted(s, _MatrixOverlaps(o), cfg)
     members, tops = GroupPartition(top).member_tops()
@@ -81,6 +82,8 @@ def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
     members, tops = order[members[gated]], order[tops[gated]]
     o_mt = o[members, tops]
     group_tops = np.flatnonzero(top == np.arange(s.size))
+    pre_clip = np.empty(s.size)
+    pre_clip[order] = c_sorted
     return (
         order[group_tops],
         _gate(c_sorted[group_tops]),
@@ -89,6 +92,7 @@ def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
         prune(o_mt, cfg),
         prune_derivative(o_mt, cfg),
         s[tops],
+        pre_clip,
     )
 
 
@@ -107,7 +111,7 @@ def masked_backward(scores, overlaps, cfg: NmsConfig, upstream) -> NmsGradients:
     up = np.asarray(upstream, dtype=float)
     if up.shape != s.shape:
         raise ValueError(f"upstream gradient must have shape {s.shape}, got {up.shape}")
-    tops, top_gates, members, member_tops, weights, slopes, s_tops = _local_terms(s, o, cfg)
+    tops, top_gates, members, member_tops, weights, slopes, s_tops, _ = _local_terms(s, o, cfg)
     # One scatter, its terms in the order of a walk over the groups (each top's
     # own term before its members'), so every sum adds up in that order. With
     # no boxes, bincount returns integers.
@@ -127,13 +131,17 @@ def masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.ndarray, dict
     entry (i, t) affects only rescore i, so the overlap Jacobian is returned
     as {(member, top): d(rescore_member)/d(overlap)}.
     """
-    s, o = _validated_inputs(scores, overlaps, cfg)
-    tops, top_gates, members, member_tops, weights, slopes, s_tops = _local_terms(s, o, cfg)
+    return _jacobians(*_validated_inputs(scores, overlaps, cfg), cfg)[:2]
+
+
+def _jacobians(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
+    """masked_jacobians of validated inputs, and the masked forward's pre-clip values."""
+    tops, top_gates, members, member_tops, weights, slopes, s_tops, pre_clip = _local_terms(s, o, cfg)
     jac = np.zeros((s.size, s.size))
     jac[tops, tops] = top_gates
     jac[members, members] = 1.0
     jac[members, member_tops] = -weights
-    return jac, _pair_dict(members, member_tops, -slopes * s_tops)
+    return jac, _pair_dict(members, member_tops, -slopes * s_tops), pre_clip
 
 
 @dataclass(frozen=True)
@@ -261,9 +269,11 @@ def finite_difference_check(
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be at least 0, got {tolerance!r}")
     s, o = _validated_inputs(scores, overlaps, cfg)
+    # The check perturbs overlaps inside [0, 1], so unlike the backward pass it
+    # reads every entry once to reject a matrix outside that domain.
+    _validate_overlaps(o, s.size)
     n = s.size
-    jac, o_grads = masked_jacobians(s, o, cfg)
-    pre_clip = masked_rescore(s, o, cfg).pre_clip
+    jac, o_grads, pre_clip = _jacobians(s, o, cfg)
 
     row_smooth = (np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)
     rows = np.flatnonzero(row_smooth)

@@ -371,14 +371,46 @@ def classical_soft_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
     return RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), r.copy())
 
 
-def solve_unit_lower(strict_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + L) x = b for strictly-lower-triangular L by forward substitution."""
-    L = np.asarray(strict_lower, dtype=float)
-    b = np.asarray(rhs, dtype=float)
+# Forward substitution reads L in blocks of rows holding at most this many
+# entries, so a solve never holds an n x n array.
+_SOLVE_BLOCK_ENTRIES = 1 << 17
+
+
+def _forward_substitution(lower_rows, b: np.ndarray) -> np.ndarray:
+    """Solve (I + L) x = b for strictly-lower-triangular L, one block of rows at a time.
+
+    lower_rows(start, stop) returns rows start to stop - 1 of L, of which
+    only the first stop - 1 columns are read. Each x[i] is b[i] minus one dot
+    product of L[i, :i] with the whole prefix x[:i], so the result does not
+    depend on where the row blocks end.
+    """
     x = np.zeros(b.size)
-    for i in range(b.size):
-        x[i] = b[i] - np.dot(L[i, :i], x[:i])
+    step = max(1, _SOLVE_BLOCK_ENTRIES // max(1, b.size))
+    for start in range(0, b.size, step):
+        stop = min(start + step, b.size)
+        rows = lower_rows(start, stop)
+        for i in range(start, stop):
+            x[i] = b[i] - np.dot(rows[i - start, :i], x[:i])
     return x
+
+
+def solve_unit_lower(strict_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + L) x = b for strictly-lower-triangular L by forward substitution.
+
+    Row i reads only L[i, :i]; the entries on and above the diagonal are never read.
+    """
+    L = np.asarray(strict_lower, dtype=float)
+    return _forward_substitution(lambda start, stop: L[start:stop], np.asarray(rhs, dtype=float))
+
+
+def _solve_pruned(source, boxes: np.ndarray, s: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+    """Pre-clip values of boxes, in score order: (I + P)^-1 s over their prune matrix P.
+
+    Only the strictly-lower triangle of P is read, a bounded block of rows at a time.
+    """
+    return _forward_substitution(
+        lambda start, stop: prune(source.pairs(boxes[start:stop, None], boxes[: stop - 1]), cfg), s[boxes]
+    )
 
 
 def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
@@ -397,8 +429,11 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     overlaps is an (N, N) matrix or a RectOverlaps over the same N boxes, and
     each variant reads only the overlaps it uses, by original index through
     the score order: masked and grouped-inverse one column per group top,
-    then the member-top pairs or each group's block; full-inverse the whole
-    matrix in score order, as one block; classical and soft one row per round.
+    then the member-top pairs or each group's strictly-lower triangle;
+    full-inverse the strictly-lower triangle of every box in score order;
+    classical and soft one row per round. The inverse variants read their
+    triangle a bounded block of rows at a time, so on a RectOverlaps no
+    variant holds an (N, N) array.
     """
     variant = NmsVariant(variant)
     if variant is NmsVariant.CLASSICAL:
@@ -418,11 +453,11 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     else:
         order = np.argsort(-s, kind="stable")
         if variant is NmsVariant.FULL_INVERSE:
-            blocks = [order]
+            systems = [order]
         else:
-            blocks = [order[idx] for idx in _split_groups(_group_tops(source, order, cfg))]
-        # Each block, its boxes in score order, is one unit lower-triangular solve.
-        for boxes in blocks:
-            pre_clip[boxes] = solve_unit_lower(prune_matrix(source.pairs(boxes[:, None], boxes), cfg), s[boxes])
+            systems = [order[idx] for idx in _split_groups(_group_tops(source, order, cfg))]
+        # Each system, its boxes in score order, is one unit lower-triangular solve.
+        for boxes in systems:
+            pre_clip[boxes] = _solve_pruned(source, boxes, s, cfg)
     rescores = np.minimum(np.clip(pre_clip, 0.0, 1.0), s)
     return RescoreResult(rescores, np.flatnonzero(rescores >= cfg.valid_threshold), pre_clip)

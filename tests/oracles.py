@@ -8,7 +8,8 @@ it are the per-pair forms that the package's batched kernel replays, the
 per-pair loops call them, the greedy loop runs every round over the whole
 overlap matrix, the per-member loops are the grouped NMS forward pass,
 backward pass and Jacobians that the package's closed-form index arithmetic
-replaced, and the finite-difference loop at the end rescores one perturbed
+replaced, the dense forward substitution is the one the package's row-blocked
+solve replaced, and the finite-difference loop at the end rescores one perturbed
 instance per masked_rescore call where the package batches them; the package
 must agree with all of them bit for bit. Slow is fine; these only run inside
 tests.
@@ -41,7 +42,6 @@ from diffnms import (
     prune_derivative,
     prune_matrix,
     rescore_scene,
-    solve_unit_lower,
     sort_by_score,
 )
 from diffnms.gradients import _KINK_MARGIN
@@ -450,6 +450,16 @@ def reference_group_boxes(
     return tuple(groups), tuple(capped)
 
 
+def reference_solve_unit_lower(strict_lower, rhs) -> np.ndarray:
+    """solve_unit_lower with L held whole and read one row per step."""
+    L = np.asarray(strict_lower, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    x = np.zeros(b.size)
+    for i in range(b.size):
+        x[i] = b[i] - np.dot(L[i, :i], x[:i])
+    return x
+
+
 def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
     """run_nms for the masked, full-inverse and grouped-inverse variants, group by group.
 
@@ -459,7 +469,7 @@ def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant)
     """
     s_sorted, o_sorted, order = sort_by_score(np.asarray(scores, dtype=float) + 0.0, overlaps)
     if variant is NmsVariant.FULL_INVERSE:
-        c = solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
+        c = reference_solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
     else:
         c = np.zeros(s_sorted.size)
         for group in reference_group_boxes(o_sorted, cfg)[0]:
@@ -471,7 +481,7 @@ def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant)
                 values[0] = s_sorted[top]
                 c[idx] = values
             else:
-                c[idx] = solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
+                c[idx] = reference_solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
     r = np.minimum(np.clip(c, 0.0, 1.0), s_sorted)
     rescores = np.empty_like(r)
     rescores[order] = r

@@ -136,6 +136,13 @@ class TestUsageConflicts:
             run_cli("compare", "--input", str(scene_file), "--nms", "masked")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("nms", ["masked,masked", "classical,masked,classical"])
+    def test_compare_rejects_a_repeated_variant(self, scene_file, capsys, nms):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--input", str(scene_file), "--nms", nms)
+        assert exc.value.code == 2
+        assert f"--nms lists {nms.split(',')[0]} more than once" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("iou", ["2", "-1", "0", "nan"])
     def test_iou_outside_unit_interval(self, scene_file, capsys, command, iou):

@@ -171,6 +171,13 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(ValueError, match="tolerance must be at least 0"):
             finite_difference_check(s, o, LINEAR, tolerance=tolerance)
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_out_of_range_overlaps_are_rejected(self, bad):
+        s, o = pair_instance()
+        o[1, 0] = bad
+        with pytest.raises(ValueError, match=r"^overlap values must be finite and lie in \[0, 1\]$"):
+            finite_difference_check(s, o, LINEAR)
+
 
 @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """The closed-form NMS core against the per-member loops it replaced, bit for bit.
 
 The package computes grouping, the masked forward pass, the masked backward
-pass and the Jacobians with index arithmetic over a group-top array; the
-references in tests/oracles.py walk the groups one member at a time. Every
-output byte must agree.
+pass and the Jacobians with index arithmetic over a group-top array, and
+solves the inverse variants one block of prune rows at a time; the
+references in tests/oracles.py walk the groups one member at a time and solve
+with the whole prune matrix in hand. Every output byte must agree.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diffnms import (
     NmsConfig,
@@ -18,17 +20,23 @@ from diffnms import (
     masked_jacobians,
     random_instance,
     run_nms,
+    solve_unit_lower,
     sort_by_score,
 )
+from diffnms import nms
 from oracles import (
     reference_closed_form,
     reference_group_boxes,
     reference_masked_backward,
     reference_masked_jacobians,
+    reference_solve_unit_lower,
 )
 
 CLOSED_FORM = (NmsVariant.MASKED, NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE)
 SOFT = [p for p in Pruning if p is not Pruning.HARD]
+# The solve's row-block bound: the default, one row per block, and a bound
+# that splits instances of up to 60 boxes into blocks of a few rows.
+SOLVE_BLOCKS = st.sampled_from([nms._SOLVE_BLOCK_ENTRIES, 1, 100])
 
 
 @st.composite
@@ -55,15 +63,35 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @settings(max_examples=200)
-@given(case=instances())
-def test_forward_matches_reference(case):
+@given(case=instances(), solve_block=SOLVE_BLOCKS)
+def test_forward_matches_reference(case, solve_block):
     scores, overlaps, cfg, _ = case
     for variant in CLOSED_FORM:
-        got = run_nms(scores, overlaps, cfg, variant)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nms, "_SOLVE_BLOCK_ENTRIES", solve_block)
+            got = run_nms(scores, overlaps, cfg, variant)
         want = reference_closed_form(scores, overlaps, cfg, variant)
         assert _same(got.rescores, want.rescores), variant
         assert _same(got.pre_clip, want.pre_clip), variant
         assert _same(got.kept, want.kept), variant
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    solve_block=SOLVE_BLOCKS,
+)
+@example(n=0, seed=0, solve_block=1)
+@example(n=1, seed=0, solve_block=1)
+def test_solve_matches_reference(n, seed, solve_block):
+    rng = np.random.default_rng(seed)
+    strict_lower = np.tril(rng.normal(size=(n, n)), k=-1)
+    rhs = rng.uniform(0.0, 1.0, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nms, "_SOLVE_BLOCK_ENTRIES", solve_block)
+        got = solve_unit_lower(strict_lower, rhs)
+    assert _same(got, reference_solve_unit_lower(strict_lower, rhs))
 
 
 @settings(max_examples=200)

@@ -27,7 +27,12 @@ from diffnms import (
     run_nms,
 )
 from diffnms import nms
-from oracles import reference_greedy_nms, reference_masked_backward, reference_masked_jacobians
+from oracles import (
+    reference_closed_form,
+    reference_greedy_nms,
+    reference_masked_backward,
+    reference_masked_jacobians,
+)
 
 # Few distinct coordinates, so duplicates, touching edges and zero-area
 # rectangles are common; -0.0 and 0.0 both occur as corners.
@@ -76,16 +81,22 @@ def _assert_same_result(a, b) -> None:
 
 
 @settings(max_examples=300)
-@given(case=scenes(), whole_matrix=st.booleans())
-def test_rect_source_matches_overlap_matrix(case, whole_matrix):
+@given(
+    case=scenes(),
+    whole_matrix=st.booleans(),
+    solve_block=st.sampled_from([nms._SOLVE_BLOCK_ENTRIES, 1, 100]),
+)
+def test_rect_source_matches_overlap_matrix(case, whole_matrix, solve_block):
     boxes, scores, cfg = case
     matrix = overlap_matrix(boxes)
     source = RectOverlaps(rect_array(boxes))
     # Small scenes evaluate every pair at once; a limit of 0 makes them read
-    # one overlap column or row at a time, as large scenes do.
+    # one overlap column or row at a time, as large scenes do. A small solve
+    # block splits even these scenes into many row blocks.
     limit = nms._WHOLE_MATRIX_BOXES if whole_matrix else 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nms, "_WHOLE_MATRIX_BOXES", limit)
+        patch.setattr(nms, "_SOLVE_BLOCK_ENTRIES", solve_block)
         for variant in _variants(cfg):
             _assert_same_result(run_nms(scores, source, cfg, variant), run_nms(scores, matrix, cfg, variant))
 
@@ -144,23 +155,57 @@ def test_greedy_loop_stops_once_every_rescore_is_zero():
     assert reads == [0]
 
 
-@pytest.mark.parametrize("variant", [NmsVariant.MASKED, NmsVariant.GROUPED_INVERSE])
-def test_grouped_variants_do_no_quadratic_work_on_rects(variant):
-    # 5,000 boxes in 250 clusters: the overlap matrix alone would take 200 MB.
-    rng = np.random.default_rng(0)
-    centers = np.repeat(rng.uniform(0.0, 5000.0, (250, 2)), 20, axis=0)
+def _clustered_rects(rng, clusters: int, per_cluster: int) -> np.ndarray:
+    """per_cluster jittered rectangles around each of clusters random centers."""
+    centers = np.repeat(rng.uniform(0.0, 5000.0, (clusters, 2)), per_cluster, axis=0)
     corners = centers + rng.normal(0.0, 1.0, centers.shape)
-    rects = np.hstack([corners, corners + rng.uniform(5.0, 10.0, centers.shape)])
-    scores = rng.uniform(0.0, 1.0, len(rects))
-    source = RectOverlaps(rects)
+    return np.hstack([corners, corners + rng.uniform(5.0, 10.0, centers.shape)])
+
+
+def _peak_bytes(scores, source, cfg, variant) -> int:
     tracemalloc.start()
     try:
-        result = run_nms(scores, source, NmsConfig(pruning=Pruning.LINEAR), variant)
+        result = run_nms(scores, source, cfg, variant)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.rescores.shape == (5000,)
-    assert peak < 20 * 2**20
+    assert result.rescores.shape == scores.shape
+    return peak
+
+
+@pytest.mark.parametrize("variant", [NmsVariant.MASKED, NmsVariant.GROUPED_INVERSE, NmsVariant.FULL_INVERSE])
+def test_closed_form_variants_do_no_quadratic_work_on_rects(variant):
+    # 5,000 boxes in 250 clusters: the overlap matrix alone would take 200 MB.
+    rng = np.random.default_rng(0)
+    rects = _clustered_rects(rng, 250, 20)
+    scores = rng.uniform(0.0, 1.0, len(rects))
+    assert _peak_bytes(scores, RectOverlaps(rects), NmsConfig(pruning=Pruning.LINEAR), variant) < 20 * 2**20
+
+
+def test_uncapped_group_is_solved_in_bounded_memory():
+    # One group of 2,000 boxes: its overlap block alone would take 32 MB.
+    rng = np.random.default_rng(1)
+    corners = rng.normal(0.0, 0.3, (2000, 2))
+    rects = np.hstack([corners, corners + rng.uniform(9.5, 10.0, corners.shape)])
+    scores = rng.uniform(0.0, 1.0, len(rects))
+    source = RectOverlaps(rects)
+    cfg = NmsConfig(pruning=Pruning.LINEAR, max_group_size=None)
+    assert np.all(source.pairs(np.arange(len(rects)), int(np.argmax(scores))) > cfg.nt)
+    assert _peak_bytes(scores, source, cfg, NmsVariant.GROUPED_INVERSE) < 20 * 2**20
+
+
+@pytest.mark.parametrize("pruning", list(Pruning))
+def test_inverse_variants_on_a_large_scene_match_the_dense_solve(pruning):
+    # 1,500 boxes span many row blocks of the solve; the reference holds the
+    # whole prune matrix and solves it one row per step.
+    rng = np.random.default_rng(2)
+    rects = _clustered_rects(rng, 75, 20)
+    scores = rng.uniform(0.0, 1.0, len(rects))
+    matrix = iou2d_matrix(rects, rects)
+    cfg = NmsConfig(pruning=pruning, max_group_size=None)
+    for variant in (NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE):
+        got = run_nms(scores, RectOverlaps(rects), cfg, variant)
+        _assert_same_result(got, reference_closed_form(scores, matrix, cfg, variant))
 
 
 class TestRectOverlaps:
