@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nms import (
-    GroupPartition,
     NmsConfig,
     Pruning,
     _masked_sorted,
@@ -61,10 +60,7 @@ def _validated_inputs(scores, overlaps, cfg: NmsConfig):
         raise ValueError("non-differentiable pruning: gradients require a soft pruning kind")
     s = _validate_scores(scores, upper=1.0)
     # The overlaps by shape only: a range check would read all n^2 entries.
-    o = np.asarray(overlaps, dtype=float)
-    if o.shape != (s.size, s.size):
-        raise ValueError(f"shape mismatch: scores {s.shape} versus overlaps {o.shape}")
-    return s, o
+    return s, _validate_overlaps(overlaps, s.size, in_range=False)
 
 
 def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
@@ -76,24 +72,15 @@ def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
     grouping and pre-clip values are those of the masked forward that
     run_nms runs.
     """
-    order, top, c_sorted = _masked_sorted(s, _MatrixOverlaps(o), cfg)
-    members, tops = GroupPartition(top).member_tops()
-    gated = _gate(c_sorted[members])
-    members, tops = order[members[gated]], order[tops[gated]]
+    order, top, pre_clip, _ = (row[0] for row in _masked_sorted(s[None], _MatrixOverlaps(o), cfg))
+    members = np.flatnonzero((top >= 0) & (top != np.arange(s.size)))
+    members, tops = order[members], order[top[members]]
+    gated = _gate(pre_clip[members])
+    members, tops = members[gated], tops[gated]
     o_mt = o[members, tops]
-    group_tops = np.flatnonzero(top == np.arange(s.size))
-    pre_clip = np.empty(s.size)
-    pre_clip[order] = c_sorted
-    return (
-        order[group_tops],
-        _gate(c_sorted[group_tops]),
-        members,
-        tops,
-        prune(o_mt, cfg),
-        prune_derivative(o_mt, cfg),
-        s[tops],
-        pre_clip,
-    )
+    group_tops = order[np.flatnonzero(top == np.arange(s.size))]
+    weights, slopes = prune(o_mt, cfg), prune_derivative(o_mt, cfg)
+    return group_tops, _gate(pre_clip[group_tops]), members, tops, weights, slopes, s[tops], pre_clip
 
 
 def _pair_dict(members: np.ndarray, tops: np.ndarray, values: np.ndarray) -> dict[tuple[int, int], float]:
@@ -165,64 +152,23 @@ class GradCheckReport:
 # coordinate may sit and still be checked.
 _KINK_MARGIN = 1e-3
 
-# Perturbed instances are rescored in blocks of at most this many overlap
-# entries, which bounds the scratch memory of a check on a large instance.
-_BLOCK_ENTRIES = 1 << 20
-
-
-def _masked_rescores(S: np.ndarray, O: np.ndarray, cfg: NmsConfig) -> np.ndarray:
-    """Row b is ``masked_rescore(S[b], O[b], cfg).rescores``, bit for bit.
-
-    S is (B, n) and O is (B, n, n). Every row is sorted and grouped from
-    scratch. Grouping runs one round per group of the row with the most
-    groups: each round, the first free box of every row in score order
-    anchors a group and takes the free boxes whose overlap with it exceeds
-    nt, up to the size cap.
-    """
-    # As in run_nms, a score of -0.0 is read as 0.0.
-    S = S + 0.0
-    B, n = S.shape
-    order = np.argsort(-S, axis=1, kind="stable")
-    s_sorted = np.take_along_axis(S, order, axis=1)
-    # flat[sorted_rows[b, k] + j] is O[b, order[b, k], j]; and in a flattened
-    # (B, n) array, row b starts at row_start[b].
-    row_start = np.arange(B) * n
-    sorted_rows = (row_start[:, None] + order) * n
-    flat = np.ascontiguousarray(O).reshape(-1)
-    cap = n if cfg.max_group_size is None else cfg.max_group_size
-    top = np.full((B, n), -1)
-    free = np.ones((B, n), dtype=bool)
-    while free.any():
-        lead = row_start + free.argmax(axis=1)
-        high = free & (flat[sorted_rows + order.flat[lead][:, None]] > cfg.nt)
-        # A degenerate box has zero self-overlap; it still anchors its group.
-        high.flat[lead] = free.flat[lead]
-        free &= ~high
-        if cap < n:
-            high &= np.cumsum(high, axis=1) <= cap
-        np.copyto(top, (lead - row_start)[:, None], where=high)
-    anchor = np.maximum(top, 0)
-    s_top = np.take_along_axis(s_sorted, anchor, axis=1)
-    o_mt = flat[sorted_rows + np.take_along_axis(order, anchor, axis=1)]
-    c = np.where(top >= 0, s_sorted, 0.0)
-    member = (top >= 0) & (top != np.arange(n))
-    c[member] = s_sorted[member] - prune(o_mt[member], cfg) * s_top[member]
-    rescores = np.empty_like(c)
-    np.put_along_axis(rescores, order, np.minimum(np.clip(c, 0.0, 1.0), s_sorted), axis=1)
-    return rescores
+# Perturbed instances are rescored in blocks of at most this many scores,
+# which bounds the scratch memory of a check on a large instance.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _central_differences(s, o, cfg: NmsConfig, eps: float, cols, members, tops) -> np.ndarray:
     """One row of rescore central differences per perturbed coordinate.
 
     Rows come first for score columns cols, then for the overlap pairs
-    (members, tops), each perturbed on both sides of the diagonal. Each
-    coordinate's two instances, at +eps and -eps, are rescored by
-    ``_masked_rescores`` with every other instance of their block.
+    (members, tops), each perturbed on both sides of the diagonal as a patch
+    over the one shared matrix. A block of coordinates, each at +eps and
+    -eps, is rescored by one masked forward.
     """
     n = s.size
     count = cols.size + members.size
-    per_block = max(1, _BLOCK_ENTRIES // max(1, 2 * n * n))
+    source = _MatrixOverlaps(o)
+    per_block = max(1, _BLOCK_ENTRIES // max(1, 2 * n))
     diffs = np.empty((count, n))
     for start in range(0, count, per_block):
         stop = min(start + per_block, count)
@@ -230,14 +176,12 @@ def _central_differences(s, o, cfg: NmsConfig, eps: float, cols, members, tops) 
         coord = np.tile(np.arange(start, stop), 2)
         step = np.repeat([eps, -eps], stop - start)
         S = np.repeat(s[None], coord.size, axis=0)
-        O = np.repeat(o[None], coord.size, axis=0)
         score = np.flatnonzero(coord < cols.size)
         S[score, cols[coord[score]]] += step[score]
+        i, t = np.full(coord.size, -1), np.full(coord.size, -1)
         pair = np.flatnonzero(coord >= cols.size)
-        i, t = members[coord[pair] - cols.size], tops[coord[pair] - cols.size]
-        O[pair, i, t] += step[pair]
-        O[pair, t, i] += step[pair]
-        R = _masked_rescores(S, O, cfg)
+        i[pair], t[pair] = members[coord[pair] - cols.size], tops[coord[pair] - cols.size]
+        R = _masked_sorted(S, source, cfg, (i, t, step))[3]
         diffs[start:stop] = (R[: stop - start] - R[stop - start :]) / (2.0 * eps)
     return diffs
 
@@ -261,8 +205,10 @@ def finite_difference_check(
     could reorder the sort (a score gap under 1e-3), output rows whose
     pre-clip value sits within 1e-3 of the clip boundary, and overlap entries
     within 1e-3 of the grouping threshold. Every perturbed instance is sorted,
-    grouped and rescored from scratch, in one batched forward pass. eps must
-    be finite and positive, and tolerance at least 0.
+    grouped and rescored from scratch by the masked forward that run_nms
+    runs, in blocks of at most 2^18 scores; a perturbed overlap pair is a
+    patch over the one shared matrix. eps must be finite and positive, and
+    tolerance at least 0.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
@@ -277,23 +223,18 @@ def finite_difference_check(
 
     row_smooth = (np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)
     rows = np.flatnonzero(row_smooth)
-    gaps = np.abs(s[:, None] - s[None, :])
-    np.fill_diagonal(gaps, np.inf)
+    # A score's nearest other score is one of its neighbors in score order.
+    ascending = np.argsort(s, kind="stable")
+    gaps = np.diff(s[ascending], prepend=-np.inf, append=np.inf)
+    nearest = np.empty(n)
+    nearest[ascending] = np.minimum(gaps[:-1], gaps[1:])
     # The perturbed score must stay inside [0, 1] or validation rejects it.
-    cols = np.flatnonzero(
-        (s - eps >= 0.0) & (s + eps <= 1.0) & (gaps.min(axis=1, initial=np.inf) >= _KINK_MARGIN)
-    )
+    cols = np.flatnonzero((s - eps >= 0.0) & (s + eps <= 1.0) & (nearest >= _KINK_MARGIN))
 
     keys = sorted(o_grads)
-    members = np.array([i for i, _ in keys], dtype=int)
-    tops = np.array([t for _, t in keys], dtype=int)
+    members, tops = np.array(keys, dtype=int).reshape(-1, 2).T
     o_mt = o[members, tops]
-    kept = (
-        (np.abs(o_mt - cfg.nt) >= _KINK_MARGIN)
-        & row_smooth[members]
-        & (o_mt - eps >= 0.0)
-        & (o_mt + eps <= 1.0)
-    )
+    kept = (np.abs(o_mt - cfg.nt) >= _KINK_MARGIN) & row_smooth[members] & (o_mt - eps >= 0.0) & (o_mt + eps <= 1.0)
     analytic = np.array([o_grads[key] for key in keys])[kept]
     members, tops = members[kept], tops[kept]
 
@@ -315,11 +256,5 @@ def finite_difference_check(
             worst = ("overlap", int(members[k]), int(tops[k]))
 
     checked = errors.size
-    return GradCheckReport(
-        max_rel_error=max_err,
-        worst=worst,
-        checked=checked,
-        skipped=n * n + len(keys) - checked,
-        tolerance=tolerance,
-        passed=max_err <= tolerance,
-    )
+    skipped = n * n + len(keys) - checked
+    return GradCheckReport(max_err, worst, checked, skipped, tolerance, passed=max_err <= tolerance)

@@ -8,14 +8,17 @@ The matrix variants express suppression as a strictly-lower-triangular system
 over score-sorted boxes. The masked variant additionally partitions boxes into
 overlap groups and lets only each group's top box suppress its members, which
 makes the system solvable in closed form and (with a soft pruning function)
-differentiable; the backward pass in :mod:`diffnms.gradients` differentiates
-the same masked forward that run_nms runs.
+differentiable. Its forward is written once, over rows of scores: run_nms and
+the backward pass in :mod:`diffnms.gradients` run it on one row, and the
+finite-difference check on a block of perturbed rows over one shared matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -58,9 +61,10 @@ class NmsConfig:
 
     nt is the overlap threshold used for grouping and hard pruning,
     valid_threshold is the rescore level a box must reach to survive, and
-    max_group_size caps how many boxes one group may hold (None means
-    unbounded). tau is the temperature of the exponential and sigmoidal
-    pruning kinds; when left unset it defaults to 0.5 and 0.1 respectively.
+    max_group_size, an integer, caps how many boxes one group may hold (None
+    means unbounded). tau is the finite, positive temperature of the
+    exponential and sigmoidal pruning kinds; when left unset it defaults to
+    0.5 and 0.1 respectively.
     """
 
     nt: float = 0.4
@@ -74,13 +78,14 @@ class NmsConfig:
             raise ValueError(f"nt must lie strictly between 0 and 1, got {self.nt}")
         if not 0.0 <= self.valid_threshold <= 1.0:
             raise ValueError(f"valid_threshold must lie in [0, 1], got {self.valid_threshold}")
-        if self.max_group_size is not None and self.max_group_size < 1:
-            raise ValueError(f"max_group_size must be at least 1 or None, got {self.max_group_size}")
+        cap = self.max_group_size
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
+            raise ValueError(f"max_group_size must be an integer of at least 1 or None, got {cap!r}")
         if self.pruning in _DEFAULT_TAU:
             if self.tau is None:
                 object.__setattr__(self, "tau", _DEFAULT_TAU[self.pruning])
-            if not self.tau > 0.0:
-                raise ValueError(f"tau must be positive for {self.pruning.value} pruning, got {self.tau}")
+            if not 0.0 < self.tau < math.inf:
+                raise ValueError(f"tau must be finite and positive for {self.pruning.value} pruning, got {self.tau}")
 
 
 class NmsVariant(str, Enum):
@@ -185,12 +190,16 @@ def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
 _OVERLAP_RANGE = "overlap values must be finite and lie in [0, 1]"
 
 
-def _validate_overlaps(overlaps, n: int) -> np.ndarray:
-    o = np.asarray(overlaps, dtype=float)
+def _validate_overlaps(overlaps, n: int, in_range: bool = True) -> np.ndarray:
+    """overlaps as an (n, n) float array; in_range also checks every entry."""
+    try:
+        o = np.asarray(overlaps, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected the ({n}, {n}) overlap matrix, got {type(overlaps).__name__}") from None
     if o.shape != (n, n):
         raise ValueError(f"overlap matrix must have shape ({n}, {n}), got {o.shape}")
     # A NaN makes both comparisons false, and an infinity fails one of them.
-    if o.size and not (o.min() >= 0.0 and o.max() <= 1.0):
+    if in_range and o.size and not (o.min() >= 0.0 and o.max() <= 1.0):
         raise ValueError(_OVERLAP_RANGE)
     return o
 
@@ -275,11 +284,6 @@ class GroupPartition:
         """Sorted indices dropped by the group-size cap, ascending."""
         return tuple(np.flatnonzero(self.top < 0).tolist())
 
-    def member_tops(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted indices of every box a group top suppresses, ascending, and each one's top."""
-        members = np.flatnonzero((self.top >= 0) & (self.top != np.arange(self.top.size)))
-        return members, self.top[members]
-
 
 def _split_groups(top: np.ndarray) -> list[np.ndarray]:
     """Members of each group, ascending, groups ordered by top; one stable sort of top."""
@@ -316,22 +320,82 @@ def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
     return GroupPartition(_group_tops(_MatrixOverlaps(o), np.arange(o.shape[0]), cfg))
 
 
-def _masked_sorted(s: np.ndarray, source, cfg: NmsConfig):
-    """The masked forward of validated scores: (order, top, c_sorted).
+def _group_rows(source, order: np.ndarray, cfg: NmsConfig, patch) -> np.ndarray:
+    """_group_tops of every row of order at once: each round, one group per row.
 
-    order is the stable descending score sort; top, the GroupPartition.top
-    array, and the pre-clip values c_sorted follow it. Overlaps are read by
-    original index, as source.pairs(order[i], order[j]).
+    patch is None or (ki, kt, delta): the sorted indices of each row's patched
+    pair (-1 for none) and what is added to both of its overlaps.
     """
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    top = _group_tops(source, order, cfg)
+    B, n = order.shape
+    rows = np.arange(B)
+    cap = n if cfg.max_group_size is None else cfg.max_group_size
+    top = np.full((B, n), -1)
+    free = np.ones((B, n), dtype=bool)
+    while free.any():
+        lead = free.argmax(axis=1)
+        high = source.pairs(order, order[rows, lead][:, None])
+        if patch is not None:
+            # A round led by one box of the patched pair reads the other's overlap.
+            ki, kt, delta = patch
+            for k, other in ((ki, kt), (kt, ki)):
+                hit = np.flatnonzero(lead == other)
+                high[hit, k[hit]] += delta[hit]
+        high = free & (high > cfg.nt)
+        # A degenerate box has zero self-overlap; it still anchors its group.
+        high[rows, lead] = free[rows, lead]
+        free &= ~high
+        if cap < n:
+            high &= np.cumsum(high, axis=1) <= cap
+        np.copyto(top, lead[:, None], where=high)
+    return top
+
+
+def _clip_clamp(pre_clip: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Pre-clip values clipped to [0, 1], then clamped to each box's own score."""
+    return np.minimum(np.clip(pre_clip, 0.0, 1.0), s)
+
+
+def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None):
+    """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores).
+
+    Each output has a row per row of S: the stable descending score sort, the
+    GroupPartition.top array, and the pre-clip values and rescores in
+    original order. Overlaps are read as source.pairs(order[b, i], order[b, j]).
+    A single unpatched row is grouped by _group_tops, several by _group_rows.
+    patch = (i, t, delta), length-B arrays, adds delta[b] to row b's reads of
+    o[i[b], t[b]] and o[t[b], i[b]]; a row with i[b] = -1 is unpatched.
+    """
+    B, n = S.shape
+    order = np.argsort(-S, axis=1, kind="stable")
+    # Flat indices into (B, n) arrays, where row b starts at row_start[b]; at
+    # lists every row's boxes in score order.
+    row_start = np.arange(B)[:, None] * n
+    at = (order + row_start).ravel()
+    s_sorted = S.ravel()[at]
+    if patch is not None:
+        i, t, delta = patch
+        ki, kt = (np.where(i >= 0, np.argmax(order == box[:, None], axis=1), -1) for box in (i, t))
+        patch = (ki, kt, delta)
+    if patch is None and B == 1:
+        top = _group_tops(source, order[0], cfg)[None]
+    else:
+        top = _group_rows(source, order, cfg, patch)
     # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
     # and each member's rescore is one gather over its top.
-    members, tops = GroupPartition(top).member_tops()
-    c_sorted = np.where(top >= 0, s_sorted, 0.0)
-    c_sorted[members] = s_sorted[members] - prune(source.pairs(order[members], order[tops]), cfg) * s_sorted[tops]
-    return order, top, c_sorted
+    members = np.flatnonzero((top >= 0) & (top != np.arange(n)))
+    tops = (top + row_start).ravel()[members]
+    o_mt = source.pairs(order.ravel()[members], order.ravel()[tops])
+    if patch is not None:
+        # A box of the patched pair reads the patched overlap when the other is its top.
+        for k, other in ((ki, kt), (kt, ki)):
+            hit = np.flatnonzero((other >= 0) & (top[np.arange(B), k] == other))
+            o_mt[np.searchsorted(members, row_start[hit, 0] + k[hit])] += delta[hit]
+    c_sorted = np.where(top.ravel() >= 0, s_sorted, 0.0)
+    c_sorted[members] = s_sorted[members] - prune(o_mt, cfg) * s_sorted[tops]
+    pre_clip = np.empty(B * n)
+    pre_clip[at] = c_sorted
+    pre_clip = pre_clip.reshape(B, n)
+    return order, top, pre_clip, _clip_clamp(pre_clip, S)
 
 
 def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
@@ -446,11 +510,10 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
         return classical_soft_nms(scores, overlaps, cfg)
     s = _validate_scores(scores, upper=1.0)
     source = _overlap_source(overlaps, s.size)
-    pre_clip = np.zeros(s.size)
     if variant is NmsVariant.MASKED:
-        order, _, c_sorted = _masked_sorted(s, source, cfg)
-        pre_clip[order] = c_sorted
+        pre_clip, rescores = (row[0] for row in _masked_sorted(s[None], source, cfg)[2:])
     else:
+        pre_clip = np.zeros(s.size)
         order = np.argsort(-s, kind="stable")
         if variant is NmsVariant.FULL_INVERSE:
             systems = [order]
@@ -459,5 +522,5 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
         # Each system, its boxes in score order, is one unit lower-triangular solve.
         for boxes in systems:
             pre_clip[boxes] = _solve_pruned(source, boxes, s, cfg)
-    rescores = np.minimum(np.clip(pre_clip, 0.0, 1.0), s)
+        rescores = _clip_clamp(pre_clip, s)
     return RescoreResult(rescores, np.flatnonzero(rescores >= cfg.valid_threshold), pre_clip)

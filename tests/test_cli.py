@@ -296,14 +296,20 @@ class TestGoldenOutputs:
         assert run_cli("eval", "--input", str(GOLDEN), "--difficulty", "all") == 0
         assert capsys.readouterr().out == (DATA / "golden_eval_all.txt").read_text(encoding="utf-8")
 
-    # The sigmoid call is the benchmark's; the linear one reaches larger instances.
+    # The first sigmoid call is the benchmark's; the linear one reaches larger
+    # instances, and the last is one 813-box trial over several check blocks.
     @pytest.mark.parametrize(
-        "pruning, extra",
-        [("sigmoid", ("--seed", "7", "--trials", "120")), ("linear", ("--boxes", "20"))],
+        "pruning, extra, golden",
+        [
+            ("sigmoid", ("--seed", "7", "--trials", "120"), "sigmoid"),
+            ("linear", ("--boxes", "20"), "linear"),
+            ("sigmoid", ("--boxes", "1000", "--trials", "1", "--seed", "3"), "sigmoid_1000"),
+        ],
+        ids=["sigmoid-extra0", "linear-extra1", "sigmoid-1000"],
     )
-    def test_gradcheck(self, capsys, pruning, extra):
+    def test_gradcheck(self, capsys, pruning, extra, golden):
         assert run_cli("gradcheck", "--pruning", pruning, *extra) == 0
-        golden = DATA / f"golden_gradcheck_{pruning}.txt"
+        golden = DATA / f"golden_gradcheck_{golden}.txt"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     # The sigmoid run uses tau 0.5: at the default tau every suppressed member
@@ -466,6 +472,7 @@ class TestCliContract:
             (("synth", "--scenes", "-1", "--out", "{file}"), 1, "num_scenes must be >= 0"),
             (("synth", "--center-jitter", "nan", "--out", "{file}"), 1, "center_jitter must be finite"),
             (("gradcheck", "--boxes", "1001"), 2, "--boxes must be at most 1000, got 1001"),
+            (("gradcheck", "--tau", "inf"), 2, "tau must be finite and positive for sigmoid pruning, got inf"),
         ],
     )
     def test_generator_flags(self, tmp_path, capsys, args, expected, message):

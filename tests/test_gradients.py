@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from diffnms import (
     NmsConfig,
     Pruning,
+    RectOverlaps,
     ScoreRangeError,
     finite_difference_check,
     masked_backward,
@@ -14,7 +15,7 @@ from diffnms import (
     masked_rescore,
     random_instance,
 )
-from diffnms.gradients import _masked_rescores
+from diffnms import gradients, nms
 from oracles import reference_finite_difference_check
 
 LINEAR = NmsConfig(pruning=Pruning.LINEAR)
@@ -179,8 +180,7 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(s, o, LINEAR)
 
 
-@pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
-@pytest.mark.parametrize(
+BACKWARDS = pytest.mark.parametrize(
     "backward",
     [
         lambda s, o: masked_backward(s, o, LINEAR, np.ones(s.size)),
@@ -189,6 +189,37 @@ class TestFiniteDifferenceCheck:
     ],
     ids=["masked_backward", "masked_jacobians", "finite_difference_check"],
 )
+
+
+@pytest.mark.parametrize(
+    "overlaps, message",
+    [
+        (RectOverlaps(np.array([[0.0, 0.0, 2.0, 2.0], [1.0, 1.0, 3.0, 3.0]])), "RectOverlaps"),
+        ("high", "str"),
+        ([["a", "b"], ["c", "d"]], "list"),
+    ],
+    ids=["rects", "string", "strings"],
+)
+@BACKWARDS
+def test_backward_takes_the_overlap_matrix(overlaps, message, backward):
+    s, _ = pair_instance()
+    with pytest.raises(ValueError, match=rf"^expected the \(2, 2\) overlap matrix, got {message}$"):
+        backward(s, overlaps)
+
+
+@pytest.mark.parametrize("overlaps", [np.eye(3), np.ones(2), np.zeros((2, 2, 1))], ids=["3x3", "1-d", "3-d"])
+@BACKWARDS
+def test_backward_shape_error_is_the_forwards(overlaps, backward):
+    s, _ = pair_instance()
+    with pytest.raises(ValueError) as forward:
+        masked_rescore(s, overlaps, LINEAR)
+    with pytest.raises(ValueError, match=r"^overlap matrix must have shape \(2, 2\), got ") as raised:
+        backward(s, overlaps)
+    assert str(raised.value) == str(forward.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
+@BACKWARDS
 def test_backward_rejects_the_scores_the_forward_rejects(bad, backward):
     s, o = pair_instance()
     s[0] = bad
@@ -223,35 +254,60 @@ class TestBatchedFiniteDifferences:
     """The batched check against the per-coordinate loop it replaced, bit for bit."""
 
     @settings(max_examples=150)
-    @given(case=kinked_instances())
-    def test_report_matches_reference(self, case):
+    @given(case=kinked_instances(), block=st.sampled_from(["default", "1", "2n+1", "6n+1"]))
+    def test_report_matches_reference(self, case, block):
         scores, overlaps, cfg, eps = case
-        got = finite_difference_check(scores, overlaps, cfg, eps=eps)
+        # One coordinate per block, or three so that the last block is often
+        # partial, besides the default bound.
+        n = scores.size
+        entries = {"default": gradients._BLOCK_ENTRIES, "1": 1, "2n+1": 2 * n + 1, "6n+1": 6 * n + 1}[block]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gradients, "_BLOCK_ENTRIES", entries)
+            got = finite_difference_check(scores, overlaps, cfg, eps=eps)
         want = reference_finite_difference_check(scores, overlaps, cfg, eps=eps)
         assert got == want
         assert got.max_rel_error.hex() == want.max_rel_error.hex()
 
-    @settings(max_examples=100)
+    @settings(max_examples=150)
     @given(
         n=st.integers(min_value=1, max_value=40),
         rows=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         pruning=st.sampled_from(SOFT),
         cap=st.sampled_from([1, 2, 3, None]),
+        symmetric=st.booleans(),
+        eps=st.sampled_from([1e-6, 1e-2]),
     )
-    def test_batch_rows_match_masked_rescore(self, n, rows, seed, pruning, cap):
+    def test_batch_rows_match_masked_rescore(self, n, rows, seed, pruning, cap, symmetric, eps):
         rng = np.random.default_rng(seed)
-        instances = [random_instance(rng, n) for _ in range(rows)]
-        # Rounded scores tie, and a -0.0 must read as 0.0.
-        S = np.round(np.stack([s for s, _ in instances]), 2)
-        S[0, -1] = -0.0
-        O = np.stack([o for _, o in instances])
-        # A zero-area box overlaps nothing, itself included; it still anchors its group.
-        O[:, 0, :] = O[:, :, 0] = 0.0
         cfg = NmsConfig(pruning=pruning, max_group_size=cap)
-        got = _masked_rescores(S, O, cfg)
+        _, o = random_instance(rng, n)
+        if not symmetric:
+            o = np.where(rng.random((n, n)) < 0.5, o, o.T * rng.uniform(0.5, 1.0, (n, n)))
+        # A zero-area box overlaps nothing, itself included; it still anchors its group.
+        o[0, :] = o[:, 0] = 0.0
+        # Rounded scores tie, and a -0.0 must read as 0.0.
+        S = np.round(rng.uniform(0.01, 0.99, (rows, n)), 2)
+        S[0, -1] = -0.0
+        # Every row but the first patches one pair of boxes, whose overlaps sit
+        # half a step on the other side of nt, so that the patch regroups the row.
+        i, t = np.full(rows, -1), np.full(rows, -1)
+        delta = rng.choice([eps, -eps], rows)
+        for b in range(1, rows):
+            if n > 2:
+                i[b], t[b] = rng.choice(np.arange(1, n), 2, replace=False)
+                o[i[b], t[b]] = o[t[b], i[b]] = cfg.nt - delta[b] / 2.0
+        # The forward takes validated rows, as run_nms validates its scores.
+        valid = np.stack([nms._validate_scores(row) for row in S])
+        patch = None if np.all(i < 0) else (i, t, delta)
+        got = nms._masked_sorted(valid, nms._MatrixOverlaps(o), cfg, patch)[3]
         for b in range(rows):
-            assert got[b].tobytes() == masked_rescore(S[b], O[b], cfg).rescores.tobytes(), b
+            patched = o.copy()
+            if i[b] >= 0:
+                patched[i[b], t[b]] += delta[b]
+                patched[t[b], i[b]] += delta[b]
+            want = masked_rescore(S[b], patched, cfg).rescores
+            assert got[b].tobytes() == want.tobytes(), b
 
     def test_large_instance_is_checked_in_bounded_memory(self):
         scores, overlaps = random_instance(np.random.default_rng(3), 300)

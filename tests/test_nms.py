@@ -50,8 +50,18 @@ class TestConfig:
             NmsConfig(valid_threshold=-0.1)
         with pytest.raises(ValueError):
             NmsConfig(max_group_size=0)
+        for cap in (2.5, 2.0, True, np.float64(3.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="max_group_size must be an integer"):
+                NmsConfig(max_group_size=cap)
         with pytest.raises(ValueError):
             NmsConfig(pruning=Pruning.EXPONENTIAL, tau=0.0)
+        for tau in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="tau must be finite and positive for sigmoid pruning"):
+                NmsConfig(pruning=Pruning.SIGMOIDAL, tau=tau)
+
+    def test_accepts_integer_caps(self):
+        for cap in (1, 7, np.int64(3), np.int32(2)):
+            assert NmsConfig(max_group_size=cap).max_group_size == cap
 
 
 class TestPrune:
