@@ -63,14 +63,11 @@ from .nms import (
     Pruning,
     RescoreResult,
     ScoreRangeError,
-    classical_soft_nms,
     group_boxes,
     masked_rescore,
     prune,
     prune_derivative,
-    prune_matrix,
     run_nms,
-    solve_unit_lower,
     sort_by_score,
 )
 from .ranking import (
@@ -121,7 +118,6 @@ __all__ = [
     "assign_targets",
     "average_precision",
     "build_comparison",
-    "classical_soft_nms",
     "combine_scores",
     "cuboid_array",
     "effective_scores",
@@ -149,7 +145,6 @@ __all__ = [
     "parse_kitti_label",
     "prune",
     "prune_derivative",
-    "prune_matrix",
     "q_match",
     "random_instance",
     "read_kitti_dir",
@@ -162,7 +157,6 @@ __all__ = [
     "rotated_bev_intersection_area",
     "run_nms",
     "score_iou_correlation",
-    "solve_unit_lower",
     "sort_by_score",
     "write_kitti_dir",
     "write_kitti_file",

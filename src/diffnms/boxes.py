@@ -15,8 +15,8 @@ class GroundTruth:
 
     DontCare regions carry a rectangle but no usable cuboid; they are flagged
     and excluded from target assignment and evaluation matching. raw_fields
-    preserves the numeric tail of the KITTI line this record came from (if
-    any) so serialization is lossless.
+    preserves the 14 numbers after the type of the KITTI line this record
+    came from (if any) so serialization is lossless.
     """
 
     rect: Rect2D
@@ -42,6 +42,7 @@ class DetectionBox:
     class_conf and pred_conf are the optional classification and localization
     confidences some detectors emit alongside the raw score; see
     :func:`diffnms.harness.combine_scores` for how they fold into one value.
+    raw_fields is as on GroundTruth: the KITTI score column is not among them.
     """
 
     rect: Rect2D

@@ -357,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "labels", None) is not None and args.format != "kitti":
+        parser.error("--labels needs --format kitti")
     try:
         return args.func(args, parser)
     except (ValueError, OSError) as exc:

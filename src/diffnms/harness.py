@@ -28,6 +28,8 @@ from .ranking import DifficultyRule, eval_ap_r40
 
 __all__ = [
     "ComparisonReport",
+    "CorrelationResult",
+    "CorrelationRow",
     "SCORE_MODES",
     "build_comparison",
     "combine_scores",
@@ -121,16 +123,6 @@ def rescore_scene(
     return _run_scene_nms(scene, inputs, cfg, variant), inputs[2]
 
 
-def _with_score(box: DetectionBox, score: float) -> DetectionBox:
-    # Keep the raw KITTI tail intact except for the score column.
-    raw = box.raw_fields
-    if raw is not None and len(raw) == 15:
-        raw = raw[:14] + (float(score),)
-    else:
-        raw = None
-    return dataclasses.replace(box, score=float(score), raw_fields=raw)
-
-
 def rescored_boxes(
     scene: Scene,
     result: RescoreResult,
@@ -140,7 +132,7 @@ def rescored_boxes(
     """Materialize rescored detections; by default only the surviving ones."""
     positions = result.kept if kept_only else range(len(index_map))
     return [
-        _with_score(scene.boxes[index_map[int(k)]], float(result.rescores[int(k)]))
+        dataclasses.replace(scene.boxes[index_map[int(k)]], score=float(result.rescores[int(k)]))
         for k in positions
     ]
 
@@ -166,7 +158,7 @@ def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
         )
     # The best overlap starts at 0.0 and only a larger value replaces it.
     best = np.where(values > 0.0, values, 0.0).max(axis=1, initial=0.0)
-    boxes = [_with_score(box, value) for box, value in zip(scene.boxes, best.tolist())]
+    boxes = [dataclasses.replace(box, score=value) for box, value in zip(scene.boxes, best.tolist())]
     return dataclasses.replace(scene, boxes=boxes)
 
 

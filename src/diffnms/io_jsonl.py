@@ -5,14 +5,14 @@ One scene per line:
     {"id": ..., "camera"?: ..., "boxes": [...], "gts": [...], ...}
 
 Box and gt objects carry the rectangle corners (x1, y1, x2, y2), the cuboid
-center and dimensions (cx, cy, cz, w, h, l, yaw; omitted when there is no
-cuboid), then the fields of one table per record kind: _BOX_FIELDS for
-boxes, _GT_FIELDS for ground truths. One reader and one writer serve both
-kinds. Keys the reader does not know are preserved on the record and written
-back after the known ones, in their original order, so files survive a
-read-write cycle unchanged. Floats are written with the shortest
-representation that parses back to the same value (Python's default), and
-NaN or infinite values are rejected.
+center and dimensions (cx, cy, cz, w, h, l, yaw: all seven, or none when
+there is no cuboid), then the fields of one table per record kind:
+_BOX_FIELDS for boxes, _GT_FIELDS for ground truths. One reader and one
+writer serve both kinds. Keys the reader does not know are preserved on the
+record and written back after the known ones, in their original order, so
+files survive a read-write cycle unchanged. Floats are written with the
+shortest representation that parses back to the same value (Python's
+default), and NaN or infinite values are rejected.
 """
 
 from __future__ import annotations
@@ -111,7 +111,10 @@ def _record_from_dict(kind: type, data, where: str) -> DetectionBox | GroundTrut
     for key in _RECT_KEYS:
         if key not in rest:
             raise ValueError(f"{where}: missing rectangle key {key!r}")
-    has_cuboid = all(key in rest for key in _CUBOID_KEYS)
+    missing = [key for key in _CUBOID_KEYS if key not in rest]
+    if 0 < len(missing) < len(_CUBOID_KEYS):
+        raise ValueError(f"{where}: missing cuboid key {missing[0]!r}")
+    has_cuboid = not missing
     fields = {}
     convert = _number
     try:

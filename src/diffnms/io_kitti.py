@@ -6,9 +6,11 @@ Line layout (whitespace separated):
 
 15 fields parse as a ground truth, 16 as a scored detection. (X, Y, Z) is the
 bottom-face center in camera coordinates while cuboids store the geometric
-center, so parsing shifts Y up by h/2; the raw numeric fields are kept on the
-record and reused on write, making parse -> serialize lossless. DontCare rows
-(and their sentinel geometry) are parsed with the flag set and no cuboid.
+center, so parsing shifts Y up by h/2. The 14 numbers before the score are
+kept on the record as raw_fields and reused on write, making parse ->
+serialize lossless; a detection's score lives only in its score field.
+DontCare rows (and their sentinel geometry) are parsed with the flag set and
+no cuboid.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth 
         occlusion=occlusion,
         alpha=alpha,
         dontcare=dontcare,
-        raw_fields=values,
+        raw_fields=values[: _GT_FIELDS - 1],
     )
     if len(tokens) == _DET_FIELDS:
         return DetectionBox(score=values[14], **common)
@@ -88,13 +90,11 @@ def format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
 
     Records that came from a file reuse their raw fields verbatim; records
     built programmatically are written from their geometry, with the location
-    recomputed as the bottom-face center.
+    recomputed as the bottom-face center. Detections end with their score.
     """
-    is_detection = isinstance(obj, DetectionBox)
-    expected = _DET_FIELDS - 1 if is_detection else _GT_FIELDS - 1
     if obj.raw_fields is not None:
-        if len(obj.raw_fields) != expected:
-            raise ValueError(f"raw_fields must hold {expected} numbers, got {len(obj.raw_fields)}")
+        if len(obj.raw_fields) != _GT_FIELDS - 1:
+            raise ValueError(f"raw_fields must hold {_GT_FIELDS - 1} numbers, got {len(obj.raw_fields)}")
         values = obj.raw_fields
     else:
         if obj.cuboid is None:
@@ -116,8 +116,8 @@ def format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
             c.cz,
             c.yaw,
         )
-        if is_detection:
-            values = values + (obj.score,)
+    if isinstance(obj, DetectionBox):
+        values = values + (obj.score,)
     return " ".join([obj.label] + [_format_float(v) for v in values])
 
 

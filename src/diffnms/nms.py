@@ -31,14 +31,11 @@ __all__ = [
     "Pruning",
     "RescoreResult",
     "ScoreRangeError",
-    "classical_soft_nms",
     "group_boxes",
     "masked_rescore",
     "prune",
     "prune_derivative",
-    "prune_matrix",
     "run_nms",
-    "solve_unit_lower",
     "sort_by_score",
 ]
 
@@ -246,33 +243,16 @@ def sort_by_score(scores, overlaps) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return s[order], o[np.ix_(order, order)], order
 
 
-def prune_matrix(sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
-    """Strictly-lower-triangular suppression weights over sorted overlaps.
-
-    Entries on and above the diagonal are zero, so only higher-scored boxes
-    ever suppress lower-scored ones.
-    """
-    o = np.asarray(sorted_overlaps, dtype=float)
-    return np.tril(np.asarray(prune(o, cfg), dtype=float), k=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupPartition:
     """Group membership over score-sorted indices.
 
     top[k] is the sorted index of box k's group top (a top points at itself),
     or -1 when the group-size cap dropped box k. Capped-out boxes take no
-    further part in rescoring and end up with rescore 0. Two partitions are
-    equal, and hash alike, when their top arrays are equal.
+    further part in rescoring and end up with rescore 0.
     """
 
     top: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupPartition) and np.array_equal(self.top, other.top)
-
-    def __hash__(self) -> int:
-        return hash(np.asarray(self.top, dtype=np.int64).tobytes())
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
@@ -410,18 +390,16 @@ def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
     return run_nms(scores, overlaps, cfg, NmsVariant.MASKED)
 
 
-def classical_soft_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
-    """Greedy NMS: pick the top box, decay the rest, repeat.
+def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig) -> RescoreResult:
+    """Greedy NMS over validated scores: pick the top box, decay the rest, repeat.
 
     Every round the highest-rescored remaining box is finalized and each other
     remaining box i has its rescore multiplied by (1 - p(o_top,i)). Hard
     pruning zeroes overlapping boxes outright (classical NMS); soft pruning
-    kinds decay them smoothly. Scores only need to be non-negative here.
-    Each round reads one row of overlaps, and the loop stops once every
-    remaining rescore is 0, since further rounds would only multiply zeros.
+    kinds decay them smoothly. Each round reads one row of overlaps, and the
+    loop stops once every remaining rescore is 0, since further rounds would
+    only multiply zeros.
     """
-    s = _validate_scores(scores)
-    source = _overlap_source(overlaps, s.size)
     r = s.copy()
     active = np.ones(s.size, dtype=bool)
     while active.any():
@@ -435,46 +413,28 @@ def classical_soft_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
     return RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), r.copy())
 
 
-# Forward substitution reads L in blocks of rows holding at most this many
-# entries, so a solve never holds an n x n array.
+# The solve reads prune rows in blocks holding at most this many entries, so
+# it never holds an n x n array.
 _SOLVE_BLOCK_ENTRIES = 1 << 17
-
-
-def _forward_substitution(lower_rows, b: np.ndarray) -> np.ndarray:
-    """Solve (I + L) x = b for strictly-lower-triangular L, one block of rows at a time.
-
-    lower_rows(start, stop) returns rows start to stop - 1 of L, of which
-    only the first stop - 1 columns are read. Each x[i] is b[i] minus one dot
-    product of L[i, :i] with the whole prefix x[:i], so the result does not
-    depend on where the row blocks end.
-    """
-    x = np.zeros(b.size)
-    step = max(1, _SOLVE_BLOCK_ENTRIES // max(1, b.size))
-    for start in range(0, b.size, step):
-        stop = min(start + step, b.size)
-        rows = lower_rows(start, stop)
-        for i in range(start, stop):
-            x[i] = b[i] - np.dot(rows[i - start, :i], x[:i])
-    return x
-
-
-def solve_unit_lower(strict_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + L) x = b for strictly-lower-triangular L by forward substitution.
-
-    Row i reads only L[i, :i]; the entries on and above the diagonal are never read.
-    """
-    L = np.asarray(strict_lower, dtype=float)
-    return _forward_substitution(lambda start, stop: L[start:stop], np.asarray(rhs, dtype=float))
 
 
 def _solve_pruned(source, boxes: np.ndarray, s: np.ndarray, cfg: NmsConfig) -> np.ndarray:
     """Pre-clip values of boxes, in score order: (I + P)^-1 s over their prune matrix P.
 
-    Only the strictly-lower triangle of P is read, a bounded block of rows at a time.
+    Forward substitution reads only the strictly-lower triangle of P, a
+    bounded block of rows at a time. Each x[k] is s[boxes[k]] minus one dot
+    product of P[k, :k] with the whole solved prefix x[:k], so the result does
+    not depend on where the row blocks end.
     """
-    return _forward_substitution(
-        lambda start, stop: prune(source.pairs(boxes[start:stop, None], boxes[: stop - 1]), cfg), s[boxes]
-    )
+    b = s[boxes]
+    x = np.zeros(b.size)
+    step = max(1, _SOLVE_BLOCK_ENTRIES // max(1, b.size))
+    for start in range(0, b.size, step):
+        stop = min(start + step, b.size)
+        rows = prune(source.pairs(boxes[start:stop, None], boxes[: stop - 1]), cfg)
+        for k in range(start, stop):
+            x[k] = b[k] - np.dot(rows[k - start, :k], x[:k])
+    return x
 
 
 def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
@@ -488,7 +448,9 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     group. Capped-out boxes get pre-clip 0. Every variant's rescores are its
     pre-clip values clipped to [0, 1] and then clamped to the box's own
     score: a solve overshoots that score when an earlier box went below zero,
-    and suppression may only lower a score. A score of -0.0 is read as 0.0.
+    and suppression may only lower a score. Scores must be finite and
+    non-negative, and at most 1 for the closed-form variants; a score of -0.0
+    is read as 0.0.
 
     overlaps is an (N, N) matrix or a RectOverlaps over the same N boxes, and
     each variant reads only the overlaps it uses, by original index through
@@ -500,16 +462,15 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     variant holds an (N, N) array.
     """
     variant = NmsVariant(variant)
-    if variant is NmsVariant.CLASSICAL:
-        if cfg.pruning is not Pruning.HARD:
-            raise ValueError("classical NMS requires hard pruning")
-        return classical_soft_nms(scores, overlaps, cfg)
-    if variant is NmsVariant.SOFT:
-        if cfg.pruning is Pruning.HARD:
-            raise ValueError("soft NMS requires a soft pruning kind (linear, exp, or sigmoid)")
-        return classical_soft_nms(scores, overlaps, cfg)
-    s = _validate_scores(scores, upper=1.0)
+    if variant is NmsVariant.CLASSICAL and cfg.pruning is not Pruning.HARD:
+        raise ValueError("classical NMS requires hard pruning")
+    if variant is NmsVariant.SOFT and cfg.pruning is Pruning.HARD:
+        raise ValueError("soft NMS requires a soft pruning kind (linear, exp, or sigmoid)")
+    greedy = variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT)
+    s = _validate_scores(scores, upper=None if greedy else 1.0)
     source = _overlap_source(overlaps, s.size)
+    if greedy:
+        return _greedy_nms(s, source, cfg)
     if variant is NmsVariant.MASKED:
         pre_clip, rescores = (row[0] for row in _masked_sorted(s[None], source, cfg)[2:])
     else:

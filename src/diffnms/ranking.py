@@ -13,6 +13,7 @@ from .boxes import DetectionBox, GroundTruth
 from .geometry import cuboid_array, giou3d_matrix, iou2d_matrix, iou3d_pairs, rect_array
 
 __all__ = [
+    "DEFAULT_BETA",
     "DEFAULT_DIFFICULTY_RULES",
     "Difficulty",
     "DifficultyRule",

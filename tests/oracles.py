@@ -40,7 +40,6 @@ from diffnms import (
     masked_rescore,
     prune,
     prune_derivative,
-    prune_matrix,
     rescore_scene,
     sort_by_score,
 )
@@ -373,7 +372,7 @@ def reference_correlation_rows(
 
 
 def reference_greedy_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
-    """classical_soft_nms on a validated matrix, running every round to the last box.
+    """run_nms's classical and soft loop on a validated matrix, running every round to the last box.
 
     The package stops once every remaining rescore is 0; this loop does not.
     """
@@ -388,6 +387,11 @@ def reference_greedy_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
         if rest.size:
             r[rest] *= 1.0 - np.asarray(prune(o[top, rest], cfg), dtype=float)
     return RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), r.copy())
+
+
+def _prune_matrix(sorted_overlaps, cfg: NmsConfig) -> np.ndarray:
+    """Strictly-lower-triangular suppression weights over sorted overlaps."""
+    return np.tril(prune(np.asarray(sorted_overlaps, dtype=float), cfg), k=-1)
 
 
 def build_mask(size: int) -> np.ndarray:
@@ -406,7 +410,7 @@ def rescore_recursive_oracle(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> 
     the reference the closed-form variants approximate when clipping binds.
     """
     s = np.asarray(sorted_scores, dtype=float)
-    P = prune_matrix(sorted_overlaps, cfg)
+    P = _prune_matrix(sorted_overlaps, cfg)
     r = np.zeros(s.size)
     for i in range(s.size):
         r[i] = max(s[i] - np.dot(P[i, :i], r[:i]), 0.0)
@@ -420,7 +424,7 @@ def rescore_product_oracle(sorted_scores, sorted_overlaps, cfg: NmsConfig) -> np
     are small.
     """
     s = np.asarray(sorted_scores, dtype=float)
-    P = prune_matrix(sorted_overlaps, cfg)
+    P = _prune_matrix(sorted_overlaps, cfg)
     r = np.zeros(s.size)
     for i in range(s.size):
         r[i] = s[i] * float(np.prod(1.0 - P[i, :i] * r[:i]))
@@ -451,7 +455,7 @@ def reference_group_boxes(
 
 
 def reference_solve_unit_lower(strict_lower, rhs) -> np.ndarray:
-    """solve_unit_lower with L held whole and read one row per step."""
+    """Forward substitution for (I + L) x = b, with L held whole and read one row per step."""
     L = np.asarray(strict_lower, dtype=float)
     b = np.asarray(rhs, dtype=float)
     x = np.zeros(b.size)
@@ -469,7 +473,7 @@ def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant)
     """
     s_sorted, o_sorted, order = sort_by_score(np.asarray(scores, dtype=float) + 0.0, overlaps)
     if variant is NmsVariant.FULL_INVERSE:
-        c = reference_solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
+        c = reference_solve_unit_lower(_prune_matrix(o_sorted, cfg), s_sorted)
     else:
         c = np.zeros(s_sorted.size)
         for group in reference_group_boxes(o_sorted, cfg)[0]:
@@ -481,7 +485,7 @@ def reference_closed_form(scores, overlaps, cfg: NmsConfig, variant: NmsVariant)
                 values[0] = s_sorted[top]
                 c[idx] = values
             else:
-                c[idx] = reference_solve_unit_lower(prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
+                c[idx] = reference_solve_unit_lower(_prune_matrix(o_sorted[np.ix_(idx, idx)], cfg), s_sorted[idx])
     r = np.minimum(np.clip(c, 0.0, 1.0), s_sorted)
     rescores = np.empty_like(r)
     rescores[order] = r

@@ -23,7 +23,6 @@ from diffnms import (
     Rect2D,
     ap_loss_gradient,
     average_precision,
-    classical_soft_nms,
     eval_ap_r40,
     format_kitti_label,
     generate_synthetic,
@@ -32,14 +31,12 @@ from diffnms import (
     masked_rescore,
     oracle_scores,
     parse_kitti_label,
-    prune_matrix,
     random_instance,
     read_scenes_jsonl,
     rescore_scene,
     rescored_boxes,
     rotated_bev_intersection_area,
     run_nms,
-    solve_unit_lower,
     sort_by_score,
     write_scenes_jsonl,
     finite_difference_check,
@@ -62,7 +59,7 @@ def test_masked_hard_kept_sets_match_classical():
     for _ in range(1000):
         n = int(rng.integers(1, 201))
         scores, overlaps = random_instance(rng, n)
-        classical = classical_soft_nms(scores, overlaps, cfg)
+        classical = run_nms(scores, overlaps, cfg, NmsVariant.CLASSICAL)
         masked = masked_rescore(scores, overlaps, cfg)
         if not np.array_equal(classical.kept, masked.kept):
             mismatches += 1
@@ -158,8 +155,8 @@ def test_forward_substitution_matches_recursive_oracle_bitwise():
     for _ in range(800):
         n = int(rng.integers(2, 15))
         scores, overlaps = random_instance(rng, n)
-        s, o, _ = sort_by_score(scores, overlaps)
-        pre = solve_unit_lower(prune_matrix(o, cfg), s)
+        s, o, order = sort_by_score(scores, overlaps)
+        pre = run_nms(scores, overlaps, cfg, NmsVariant.FULL_INVERSE).pre_clip[order]
         if np.all(pre >= 0.0) and np.all(pre <= 1.0):
             assert np.array_equal(pre, rescore_recursive_oracle(s, o, cfg))
             in_range += 1
@@ -318,7 +315,7 @@ def test_oracle_scores_recover_perfect_ap():
     shuffled = []
     for scene in scenes:
         boxes = [
-            dataclasses.replace(b, score=float(rng.uniform(0.0, 1.0)), raw_fields=None)
+            dataclasses.replace(b, score=float(rng.uniform(0.0, 1.0)))
             for b in scene.boxes
         ]
         shuffled.append(dataclasses.replace(scene, boxes=boxes))

@@ -351,6 +351,10 @@ class TestMalformedInput:
             ({"id": "a", "boxes": [_box(x1=20)]}, ["scene 'a' box 0", "x1 <= x2"]),
             ({"id": "a", "boxes": [{"y1": 0}]}, ["scene 'a' box 0", "missing rectangle key"]),
             (
+                {"id": "a", "boxes": [_box(cx=0, cy=0, cz=0, w=1, h=1, l=1, yw=0)]},
+                ["scene 'a' box 0", "missing cuboid key 'yaw'"],
+            ),
+            (
                 {"id": "a", "boxes": [_box(cx=0, cy=0, cz=0, w=-1, h=1, l=1, yaw=0)]},
                 ["scene 'a' box 0", "non-negative"],
             ),
@@ -473,6 +477,7 @@ class TestCliContract:
             (("synth", "--center-jitter", "nan", "--out", "{file}"), 1, "center_jitter must be finite"),
             (("gradcheck", "--boxes", "1001"), 2, "--boxes must be at most 1000, got 1001"),
             (("gradcheck", "--tau", "inf"), 2, "tau must be finite and positive for sigmoid pruning, got inf"),
+            (("eval", "--input", "{file}", "--labels", "{dir}"), 2, "--labels needs --format kitti"),
         ],
     )
     def test_generator_flags(self, tmp_path, capsys, args, expected, message):

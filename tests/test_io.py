@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -99,6 +100,12 @@ class TestFormatKittiLabel:
             score=0.625,
         )
         assert format_kitti_label(det).split()[-1] == "0.625"
+
+    def test_parsed_detection_writes_its_current_score(self):
+        det = parse_kitti_label(SAMPLE_DET, 1)
+        assert len(det.raw_fields) == 14
+        line = format_kitti_label(dataclasses.replace(det, score=0.25))
+        assert line == format_kitti_label(det).rsplit(" ", 1)[0] + " 0.25"
 
     def test_rejects_record_without_geometry(self):
         gt = GroundTruth(rect=Rect2D(x1=0, y1=0, x2=1, y2=1))

@@ -9,15 +9,12 @@ from diffnms import (
     NmsVariant,
     Pruning,
     ScoreRangeError,
-    classical_soft_nms,
     group_boxes,
     masked_rescore,
     prune,
     prune_derivative,
-    prune_matrix,
     random_instance,
     run_nms,
-    solve_unit_lower,
     sort_by_score,
 )
 from oracles import build_mask, rescore_product_oracle, rescore_recursive_oracle
@@ -26,8 +23,16 @@ LINEAR = NmsConfig(pruning=Pruning.LINEAR)
 HARD = NmsConfig(pruning=Pruning.HARD)
 
 
-def strict_lower_from(overlaps, cfg):
-    return prune_matrix(overlaps, cfg)
+def greedy_nms(scores, overlaps, cfg):
+    """run_nms with the greedy variant that cfg's pruning kind allows."""
+    variant = NmsVariant.CLASSICAL if cfg.pruning is Pruning.HARD else NmsVariant.SOFT
+    return run_nms(scores, overlaps, cfg, variant)
+
+
+def full_solve(scores, overlaps, cfg):
+    """The full-inverse pre-clip values, (I + P)^-1 s, in score order."""
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    return run_nms(scores, overlaps, cfg, NmsVariant.FULL_INVERSE).pre_clip[order]
 
 
 class TestConfig:
@@ -141,11 +146,6 @@ class TestSortAndPruneMatrix:
         _, _, order = sort_by_score(s, np.eye(3))
         assert np.array_equal(order, [1, 0, 2])
 
-    def test_prune_matrix_strictly_lower(self):
-        o = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.5], [0.2, 0.5, 1.0]])
-        p = prune_matrix(o, LINEAR)
-        assert np.array_equal(p, np.array([[0, 0, 0], [0.6, 0, 0], [0.2, 0.5, 0]]))
-
 
 class TestGrouping:
     def test_chain_splits_after_top_absorbs(self):
@@ -173,13 +173,6 @@ class TestGrouping:
         part = group_boxes(o, HARD)
         assert part.groups == ((0,), (1,))
 
-    def test_partitions_compare_by_value(self):
-        o = np.array([[1.0, 0.6, 0.1], [0.6, 1.0, 0.6], [0.1, 0.6, 1.0]])
-        a, b = group_boxes(o, HARD), group_boxes(o.copy(), HARD)
-        assert a == b and hash(a) == hash(b)
-        assert a != group_boxes(np.eye(3), HARD)
-        assert len({a, b}) == 1
-
     def test_mask_shape(self):
         m = build_mask(3)
         assert np.array_equal(m, np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0]], dtype=float))
@@ -191,28 +184,28 @@ class TestClassicalSoftNms:
     def test_hard_pair_suppresses(self):
         s = np.array([0.9, 0.6])
         o = np.array([[1.0, 0.5], [0.5, 1.0]])
-        res = classical_soft_nms(s, o, HARD)
+        res = greedy_nms(s, o, HARD)
         assert np.array_equal(res.rescores, [0.9, 0.0])
         assert np.array_equal(res.kept, [0])
 
     def test_soft_linear_pair_decays(self):
         s = np.array([0.9, 0.6])
         o = np.array([[1.0, 0.5], [0.5, 1.0]])
-        res = classical_soft_nms(s, o, LINEAR)
+        res = greedy_nms(s, o, LINEAR)
         assert res.rescores[1] == pytest.approx(0.3)
         assert np.array_equal(res.kept, [0, 1])
 
     def test_tie_goes_to_lower_index(self):
         s = np.array([0.7, 0.7])
         o = np.array([[1.0, 0.9], [0.9, 1.0]])
-        res = classical_soft_nms(s, o, HARD)
+        res = greedy_nms(s, o, HARD)
         assert np.array_equal(res.rescores, [0.7, 0.0])
 
     def test_suppressed_box_no_longer_suppresses(self):
         # box 1 dies to box 0, so box 2 (overlapping only box 1) survives
         s = np.array([0.9, 0.8, 0.7])
         o = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
-        res = classical_soft_nms(s, o, HARD)
+        res = greedy_nms(s, o, HARD)
         assert np.array_equal(res.kept, [0, 2])
         assert np.array_equal(res.rescores, [0.9, 0.0, 0.7])
 
@@ -283,7 +276,10 @@ class TestInverseRescoring:
             n = int(rng.integers(1, 30))
             L = np.tril(rng.uniform(0.0, 1.0, (n, n)), k=-1)
             b = rng.uniform(0.0, 1.0, n)
-            x = solve_unit_lower(L, b)
+            # Descending scores keep the boxes in place, and linear pruning
+            # passes the overlaps through, so P is L itself.
+            b = -np.sort(-b)
+            x = full_solve(b, L + L.T + np.eye(n), LINEAR)
             ref = np.linalg.solve(np.eye(n) + L, b)
             assert np.max(np.abs(x - ref)) <= 1e-12
 
@@ -295,7 +291,7 @@ class TestInverseRescoring:
             s, o = random_instance(rng, n)
             cfg = NmsConfig(pruning=Pruning.EXPONENTIAL, tau=1.5)
             s_sorted, o_sorted, _ = sort_by_score(s, o)
-            pre = solve_unit_lower(prune_matrix(o_sorted, cfg), s_sorted)
+            pre = full_solve(s, o, cfg)
             if np.all(pre >= 0.0) and np.all(pre <= 1.0):
                 oracle = rescore_recursive_oracle(s_sorted, o_sorted, cfg)
                 assert np.array_equal(pre, oracle)
@@ -321,7 +317,7 @@ class TestInverseRescoring:
         # solve would lift box 2 above its own score via the double negative
         s = np.array([0.9, 0.8, 0.79])
         o = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
-        pre = solve_unit_lower(strict_lower_from(o, LINEAR), s)
+        pre = full_solve(s, o, LINEAR)
         assert pre[2] > s[2]
         r = run_nms(s, o, LINEAR, NmsVariant.FULL_INVERSE).rescores
         assert r[2] == s[2]

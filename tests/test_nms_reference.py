@@ -9,7 +9,7 @@ with the whole prune matrix in hand. Every output byte must agree.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diffnms import (
     NmsConfig,
@@ -20,7 +20,6 @@ from diffnms import (
     masked_jacobians,
     random_instance,
     run_nms,
-    solve_unit_lower,
     sort_by_score,
 )
 from diffnms import nms
@@ -29,7 +28,6 @@ from oracles import (
     reference_group_boxes,
     reference_masked_backward,
     reference_masked_jacobians,
-    reference_solve_unit_lower,
 )
 
 CLOSED_FORM = (NmsVariant.MASKED, NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE)
@@ -74,24 +72,6 @@ def test_forward_matches_reference(case, solve_block):
         assert _same(got.rescores, want.rescores), variant
         assert _same(got.pre_clip, want.pre_clip), variant
         assert _same(got.kept, want.kept), variant
-
-
-@settings(max_examples=200)
-@given(
-    n=st.integers(min_value=0, max_value=60),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    solve_block=SOLVE_BLOCKS,
-)
-@example(n=0, seed=0, solve_block=1)
-@example(n=1, seed=0, solve_block=1)
-def test_solve_matches_reference(n, seed, solve_block):
-    rng = np.random.default_rng(seed)
-    strict_lower = np.tril(rng.normal(size=(n, n)), k=-1)
-    rhs = rng.uniform(0.0, 1.0, n)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nms, "_SOLVE_BLOCK_ENTRIES", solve_block)
-        got = solve_unit_lower(strict_lower, rhs)
-    assert _same(got, reference_solve_unit_lower(strict_lower, rhs))
 
 
 @settings(max_examples=200)

@@ -150,7 +150,7 @@ def test_greedy_loop_stops_once_every_rescore_is_zero():
     overlaps = np.full((4, 4), 0.9)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nms, "_overlap_source", lambda o, n: Counting(o))
-        result = nms.classical_soft_nms(np.array([0.9, 0.8, 0.7, 0.6]), overlaps, NmsConfig())
+        result = run_nms(np.array([0.9, 0.8, 0.7, 0.6]), overlaps, NmsConfig(), NmsVariant.CLASSICAL)
     assert np.array_equal(result.rescores, [0.9, 0.0, 0.0, 0.0])
     assert reads == [0]
 
