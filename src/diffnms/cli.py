@@ -29,7 +29,7 @@ from .harness import (
 )
 from .io_jsonl import read_scenes_jsonl, write_scenes_jsonl
 from .io_kitti import read_kitti_dir, read_kitti_file, write_kitti_dir, write_kitti_file
-from .nms import NmsConfig, NmsVariant, Pruning
+from .nms import NmsConfig, NmsVariant, Pruning, _check_variant
 from .ranking import DEFAULT_DIFFICULTY_RULES, Difficulty, DifficultyRule, eval_ap_r40
 from .synthetic import SyntheticConfig, generate_synthetic, random_instance
 
@@ -42,7 +42,15 @@ def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--labels", default=None, help="directory of KITTI ground-truth files to merge in")
 
 
+def _add_config_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--pruning", choices=[p.value for p in Pruning], default=Pruning.HARD.value)
+    cmd.add_argument("--nt", type=float, default=0.4, help="overlap threshold for grouping and hard pruning")
+    cmd.add_argument("--tau", type=float, default=None, help="temperature for exp/sigmoid pruning")
+    cmd.add_argument("--alpha", type=int, default=100, help="group size cap; 0 disables the cap")
+
+
 def _add_nms_flags(cmd: argparse.ArgumentParser, multi_variant: bool = False) -> None:
+    """The flags of the commands that rescore scenes: the variants, the NmsConfig and the score mode."""
     if multi_variant:
         cmd.add_argument(
             "--nms",
@@ -56,33 +64,30 @@ def _add_nms_flags(cmd: argparse.ArgumentParser, multi_variant: bool = False) ->
             default=NmsVariant.MASKED.value,
             help="NMS variant",
         )
-    cmd.add_argument("--pruning", choices=[p.value for p in Pruning], default=Pruning.HARD.value)
-    cmd.add_argument("--nt", type=float, default=0.4, help="overlap threshold for grouping and hard pruning")
-    cmd.add_argument("--tau", type=float, default=None, help="temperature for exp/sigmoid pruning")
+    _add_config_flags(cmd)
     cmd.add_argument("--valid", type=float, default=0.3, help="rescore a box needs to survive")
-    cmd.add_argument("--alpha", type=int, default=100, help="group size cap; 0 disables the cap")
     cmd.add_argument("--score-mode", choices=SCORE_MODES, default=None, help="confidence combination")
 
 
-def _nms_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> NmsConfig:
+def _nms_config(args: argparse.Namespace, parser: argparse.ArgumentParser, variants) -> NmsConfig:
+    """The NmsConfig the flags describe, checked against each variant to run.
+
+    A bad value is a usage error. gradcheck has no --valid, since the masked
+    Jacobians it checks do not read the threshold.
+    """
     try:
-        return NmsConfig(
+        cfg = NmsConfig(
             nt=args.nt,
-            valid_threshold=args.valid,
+            valid_threshold=getattr(args, "valid", NmsConfig.valid_threshold),
             max_group_size=None if args.alpha == 0 else args.alpha,
             pruning=Pruning(args.pruning),
             tau=args.tau,
         )
+        for variant in variants:
+            _check_variant(variant, cfg.pruning)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _check_variant_pruning(variants, pruning: Pruning, parser: argparse.ArgumentParser) -> None:
-    for variant in variants:
-        if variant is NmsVariant.CLASSICAL and pruning is not Pruning.HARD:
-            parser.error("--nms classical requires --pruning hard")
-        if variant is NmsVariant.SOFT and pruning is Pruning.HARD:
-            parser.error("--nms soft requires a soft pruning kind (linear, exp, or sigmoid)")
+    return cfg
 
 
 def _check_iou(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -131,8 +136,7 @@ def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variant = NmsVariant(args.nms)
-    cfg = _nms_config(args, parser)
-    _check_variant_pruning([variant], cfg.pruning, parser)
+    cfg = _nms_config(args, parser, [variant])
     scenes = _load_scenes(args)
 
     def process(scene: Scene) -> Scene:
@@ -164,8 +168,7 @@ def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     for k, variant in enumerate(variants):
         if variant in variants[:k]:
             parser.error(f"--nms lists {variant.value} more than once")
-    cfg = _nms_config(args, parser)
-    _check_variant_pruning(variants, cfg.pruning, parser)
+    cfg = _nms_config(args, parser, variants)
     _check_iou(args, parser)
     scenes = _load_scenes(args)
     report = build_comparison(scenes, cfg, variants, args.score_mode, iou_threshold=args.iou)
@@ -177,7 +180,7 @@ def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_gradcheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _nms_config(args, parser)
+    cfg = _nms_config(args, parser, [NmsVariant.MASKED])
     if cfg.pruning is Pruning.HARD:
         parser.error("gradcheck requires a soft pruning kind (linear, exp, or sigmoid)")
     if args.boxes < 4:
@@ -275,8 +278,7 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_correlate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variant = NmsVariant(args.nms)
-    cfg = _nms_config(args, parser)
-    _check_variant_pruning([variant], cfg.pruning, parser)
+    cfg = _nms_config(args, parser, [variant])
     scenes = _load_scenes(args)
     result = score_iou_correlation(scenes, cfg, variant, args.score_mode)
     text = "n/a (needs two rows with variance)" if result.coefficient is None else f"{result.coefficient:.6f}"
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     grad = sub.add_parser("gradcheck", help="verify analytic gradients with finite differences")
-    _add_nms_flags(grad)
+    _add_config_flags(grad)
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--trials", type=int, default=20)
     grad.add_argument("--boxes", type=int, default=12, help="maximum boxes per trial (4 to 1000)")

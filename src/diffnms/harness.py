@@ -24,13 +24,12 @@ from .geometry import (
     rect_array,
 )
 from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
-from .ranking import DifficultyRule, eval_ap_r40
+from .ranking import eval_ap_r40
 
 __all__ = [
     "ComparisonReport",
     "CorrelationResult",
     "CorrelationRow",
-    "SCORE_MODES",
     "build_comparison",
     "combine_scores",
     "effective_scores",
@@ -312,15 +311,18 @@ def build_comparison(
     variants: Sequence[NmsVariant],
     score_mode: str | None = None,
     iou_threshold: float = 0.7,
-    rule: DifficultyRule | None = None,
 ) -> ComparisonReport:
     """Run every variant over every scene and summarize the differences.
 
     Each scene's scores and rectangles are gathered once and shared by the
     variants; seconds_per_scene times each variant's rescoring, including the
-    overlaps that variant evaluates.
+    overlaps that variant evaluates. Each variant may be listed once, since
+    the report keys its rows by variant.
     """
     names = [NmsVariant(v).value for v in variants]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"variant {name} is listed more than once")
     kept_sets: dict[str, list[set[int]]] = {name: [] for name in names}
     kept_boxes: dict[str, list[tuple[list[DetectionBox], list]]] = {name: [] for name in names}
     seconds: dict[str, float] = {name: 0.0 for name in names}
@@ -335,7 +337,7 @@ def build_comparison(
             kept_boxes[name].append((rescored_boxes(scene, result, index_map), scene.gts))
     n = max(len(scenes), 1)
     kept_mean = {name: float(np.mean([len(s) for s in kept_sets[name]])) if scenes else 0.0 for name in names}
-    ap = {name: eval_ap_r40(kept_boxes[name], iou_threshold, rule) for name in names}
+    ap = {name: eval_ap_r40(kept_boxes[name], iou_threshold) for name in names}
     jaccard: dict[tuple[str, str], float] = {}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:

@@ -25,13 +25,7 @@ from typing import Iterable, Iterator
 from .boxes import DetectionBox, GroundTruth, Scene
 from .geometry import Cuboid3D, Rect2D
 
-__all__ = [
-    "iter_scenes_jsonl",
-    "read_scenes_jsonl",
-    "scene_from_dict",
-    "scene_to_dict",
-    "write_scenes_jsonl",
-]
+__all__ = ["iter_scenes_jsonl", "read_scenes_jsonl", "write_scenes_jsonl"]
 
 _RECT_KEYS = ("x1", "y1", "x2", "y2")
 _CUBOID_KEYS = ("cx", "cy", "cz", "w", "h", "l", "yaw")

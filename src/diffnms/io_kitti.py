@@ -121,15 +121,12 @@ def format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
     return " ".join([obj.label] + [_format_float(v) for v in values])
 
 
-def read_kitti_file(
-    path: str | os.PathLike, scene_id: str | None = None, labels_dir: str | os.PathLike | None = None
-) -> Scene:
-    """Read one label file into a scene; 15-field lines become ground truths
-    and 16-field lines detections. Blank lines are skipped. When labels_dir
-    holds a file of the same name, its ground truths are merged in."""
-    if scene_id is None:
-        scene_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    scene = Scene(scene_id=scene_id)
+def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | None = None) -> Scene:
+    """Read one label file into a scene named after the file; 15-field lines
+    become ground truths and 16-field lines detections. Blank lines are
+    skipped. When labels_dir holds a file of the same name, its ground truths
+    are merged in."""
+    scene = Scene(scene_id=os.path.splitext(os.path.basename(os.fspath(path)))[0])
     # Undecodable bytes are read as surrogates so that the error can name their file and line.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):

@@ -324,7 +324,8 @@ def _group_rows(source, order: np.ndarray, cfg: NmsConfig, patch) -> np.ndarray:
         # A degenerate box has zero self-overlap; it still anchors its group.
         high[rows, lead] = free[rows, lead]
         free &= ~high
-        if cap < n:
+        # The cumsum is only needed in a round where some row's group outgrows the cap.
+        if cap < n and high.sum(axis=1).max() > cap:
             high &= np.cumsum(high, axis=1) <= cap
         np.copyto(top, lead[:, None], where=high)
     return top
@@ -437,6 +438,14 @@ def _solve_pruned(source, boxes: np.ndarray, s: np.ndarray, cfg: NmsConfig) -> n
     return x
 
 
+def _check_variant(variant: NmsVariant, pruning: Pruning) -> None:
+    """Raise ValueError when the greedy variant cannot use the pruning kind."""
+    if variant is NmsVariant.CLASSICAL and pruning is not Pruning.HARD:
+        raise ValueError("classical NMS requires hard pruning")
+    if variant is NmsVariant.SOFT and pruning is Pruning.HARD:
+        raise ValueError("soft NMS requires a soft pruning kind (linear, exp, or sigmoid)")
+
+
 def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
     """Run one NMS variant end to end: sort, rescore, restore order, threshold.
 
@@ -462,10 +471,7 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     variant holds an (N, N) array.
     """
     variant = NmsVariant(variant)
-    if variant is NmsVariant.CLASSICAL and cfg.pruning is not Pruning.HARD:
-        raise ValueError("classical NMS requires hard pruning")
-    if variant is NmsVariant.SOFT and cfg.pruning is Pruning.HARD:
-        raise ValueError("soft NMS requires a soft pruning kind (linear, exp, or sigmoid)")
+    _check_variant(variant, cfg.pruning)
     greedy = variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT)
     s = _validate_scores(scores, upper=None if greedy else 1.0)
     source = _overlap_source(overlaps, s.size)

@@ -104,17 +104,19 @@ class TestRun:
 
 
 class TestUsageConflicts:
-    def test_soft_with_hard_pruning(self, scene_file, tmp_path):
+    def test_soft_with_hard_pruning(self, scene_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--input", str(scene_file), "--nms", "soft",
                     "--pruning", "hard", "--out", str(tmp_path / "x.jsonl"))
         assert exc.value.code == 2
+        assert "error: soft NMS requires a soft pruning kind" in capsys.readouterr().err
 
-    def test_classical_with_soft_pruning(self, scene_file, tmp_path):
+    def test_classical_with_soft_pruning(self, scene_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--input", str(scene_file), "--nms", "classical",
                     "--pruning", "linear", "--out", str(tmp_path / "x.jsonl"))
         assert exc.value.code == 2
+        assert "error: classical NMS requires hard pruning" in capsys.readouterr().err
 
     def test_gradcheck_requires_soft_pruning(self):
         with pytest.raises(SystemExit) as exc:
@@ -478,6 +480,10 @@ class TestCliContract:
             (("gradcheck", "--boxes", "1001"), 2, "--boxes must be at most 1000, got 1001"),
             (("gradcheck", "--tau", "inf"), 2, "tau must be finite and positive for sigmoid pruning, got inf"),
             (("eval", "--input", "{file}", "--labels", "{dir}"), 2, "--labels needs --format kitti"),
+            # The masked Jacobians that gradcheck checks read no variant, survival threshold or score mode.
+            (("gradcheck", "--nms", "masked"), 2, "unrecognized arguments: --nms masked"),
+            (("gradcheck", "--valid", "0.3"), 2, "unrecognized arguments: --valid 0.3"),
+            (("gradcheck", "--score-mode", "product"), 2, "unrecognized arguments: --score-mode product"),
         ],
     )
     def test_generator_flags(self, tmp_path, capsys, args, expected, message):

@@ -189,3 +189,10 @@ class TestHarnessPipelines:
         rows = report.rows()
         assert rows[0] == ["kind", "name", "value", "detail"]
         assert "classical" in report.table()
+
+    @pytest.mark.parametrize("variants", [["masked", "masked"], [NmsVariant.CLASSICAL, NmsVariant.MASKED, "classical"]])
+    def test_build_comparison_rejects_a_repeated_variant(self, variants):
+        scenes = generate_synthetic(SyntheticConfig(seed=15, num_scenes=3, num_objects=3, proposals_per_object=5))
+        repeated = NmsVariant(variants[0]).value
+        with pytest.raises(ValueError, match=f"variant {repeated} is listed more than once"):
+            build_comparison(scenes, NmsConfig(pruning=Pruning.HARD), variants)
