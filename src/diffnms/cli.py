@@ -243,7 +243,7 @@ def _difficulty_rules(args: argparse.Namespace, parser: argparse.ArgumentParser)
             try:
                 rules[Difficulty(name)] = DifficultyRule(
                     min_height=float(fields["min_height"]),
-                    max_occlusion=int(fields["max_occlusion"]),
+                    max_occlusion=fields["max_occlusion"],
                     max_truncation=float(fields["max_truncation"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:

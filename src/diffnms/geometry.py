@@ -125,11 +125,6 @@ class Cuboid3D:
         corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
         return tuple((self.cx + cos_y * u - sin_y * v, self.cz + sin_y * u + cos_y * v) for u, v in corners)
 
-    def bev_aabb(self) -> tuple[float, float, float, float]:
-        """Axis-aligned footprint extents (x1, z1, x2, z2) with the yaw discarded."""
-        hl, hw = self.l / 2.0, self.w / 2.0
-        return (self.cx - hl, self.cz - hw, self.cx + hl, self.cz + hw)
-
 
 def iou2d(a: Rect2D, b: Rect2D) -> float:
     """Intersection over union of two rectangles; 0.0 when disjoint or degenerate."""
@@ -152,23 +147,6 @@ def overlap_matrix(rects: Sequence[Rect2D]) -> np.ndarray:
     """
     a = rect_array(rects)
     return iou2d_matrix(a, a)
-
-
-def iou3d_axis_aligned(a: Cuboid3D, b: Cuboid3D) -> float:
-    """3D IoU with both yaws discarded, for axis-aligned comparison columns."""
-    if a == b:
-        return 1.0 if a.volume > 0.0 else 0.0
-    # Fix the operand order so that both argument orders run identical arithmetic.
-    if (a.cx, a.cy, a.cz, a.w, a.h, a.l, a.yaw) > (b.cx, b.cy, b.cz, b.w, b.h, b.l, b.yaw):
-        a, b = b, a
-    ra, rb = a.bev_aabb(), b.bev_aabb()
-    ix = max(min(ra[2], rb[2]) - max(ra[0], rb[0]), 0.0)
-    iz = max(min(ra[3], rb[3]) - max(ra[1], rb[1]), 0.0)
-    a_lo, a_hi = a.vertical_extent
-    b_lo, b_hi = b.vertical_extent
-    v_inter = ix * iz * max(min(a_hi, b_hi) - max(a_lo, b_lo), 0.0)
-    v_union = a.volume + b.volume - v_inter
-    return min(v_inter / v_union, 1.0) if v_union > 0.0 else 0.0
 
 
 # Batched forms. The rectangle IoU replays iou2d; the rotated cuboid measures
@@ -450,23 +428,31 @@ def _bev_overlap(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarra
     return np.where(equal, pa[:, _AREA], _min(_min(area, pa[:, _AREA]), pb[:, _AREA]))
 
 
-def _volume_overlap(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(iou, union volume) from the footprint overlap and the vertical overlap."""
+def _volume_overlap(pa: np.ndarray, pb: np.ndarray, area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(iou, union volume) from a footprint overlap area and the vertical overlap."""
     lo_a, hi_a, lo_b, hi_b = pa[:, _LO], pa[:, _HI], pb[:, _LO], pb[:, _HI]
-    v_inter = _bev_overlap(pa, pb, equal) * _max(_min(hi_a, hi_b) - _max(lo_a, lo_b), 0.0)
+    v_inter = area * _max(_min(hi_a, hi_b) - _max(lo_a, lo_b), 0.0)
     v_union = pa[:, _VOL] + pb[:, _VOL] - v_inter
     return np.where(v_union > 0.0, _min(v_inter / v_union, 1.0), 0.0), v_union
 
 
 def _iou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
     """Rotated 3D IoU; exactly 1 for equal boxes with volume, 0 for equal boxes without."""
-    iou, _ = _volume_overlap(pa, pb, equal)
+    iou, _ = _volume_overlap(pa, pb, _bev_overlap(pa, pb, equal))
+    return np.where(equal, np.where(pa[:, _VOL] > 0.0, 1.0, 0.0), iou)
+
+
+def _aa_iou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
+    """3D IoU of the yaw-free footprint boxes; equal boxes give what ``_iou`` gives."""
+    ix = _max(_min(pa[:, _X2], pb[:, _X2]) - _max(pa[:, _X1], pb[:, _X1]), 0.0)
+    iz = _max(_min(pa[:, _Z2], pb[:, _Z2]) - _max(pa[:, _Z1], pb[:, _Z1]), 0.0)
+    iou, _ = _volume_overlap(pa, pb, ix * iz)
     return np.where(equal, np.where(pa[:, _VOL] > 0.0, 1.0, 0.0), iou)
 
 
 def _giou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
     """Generalized 3D IoU, iou + union / hull - 1, with an axis-aligned hull."""
-    iou, v_union = _volume_overlap(pa, pb, equal)
+    iou, v_union = _volume_overlap(pa, pb, _bev_overlap(pa, pb, equal))
     hull_area = (_max(pa[:, _X2], pb[:, _X2]) - _min(pa[:, _X1], pb[:, _X1])) * (
         _max(pa[:, _Z2], pb[:, _Z2]) - _min(pa[:, _Z1], pb[:, _Z1])
     )
@@ -478,7 +464,7 @@ def _giou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
 
 
 def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, measure) -> np.ndarray:
-    """measure (_bev_overlap, _iou or _giou) of the pairs (a[rows[k]], b[cols[k]]), a block of pairs at a time."""
+    """measure (_bev_overlap, _iou, _aa_iou or _giou) of the pairs (a[rows[k]], b[cols[k]]), a block of pairs at a time."""
     out = np.empty(len(rows))
     if out.size == 0:
         return out
@@ -540,6 +526,14 @@ def giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     return _one_pair(a, b, _giou)
 
 
+def iou3d_axis_aligned(a: Cuboid3D, b: Cuboid3D) -> float:
+    """3D IoU with both yaws discarded, for axis-aligned comparison columns.
+
+    One pair of the batched kernel, like ``iou3d``.
+    """
+    return _one_pair(a, b, _aa_iou)
+
+
 def iou3d_matrix(a, b) -> np.ndarray:
     """(N, M) matrix whose entry (i, j) is ``iou3d(a[i], b[j])``.
 
@@ -565,6 +559,11 @@ def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
     can cover a sparse set of pairs, such as the box x ground-truth pairs of
     many scenes stacked into a and b.
     """
+    return _cuboid_pairs(a, b, rows, cols, _iou)
+
+
+def _cuboid_pairs(a, b, rows, cols, measure) -> np.ndarray:
+    """measure of the pairs (a[rows[k]], b[cols[k]]), after checking the arrays and indices."""
     a = _box_array(a, 7, "a")
     b = _box_array(b, 7, "b")
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
@@ -573,4 +572,4 @@ def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
         raise ValueError(f"rows and cols must have the same length, got {rows.size} and {cols.size}")
     if np.any(rows < 0) or np.any(rows >= len(a)) or np.any(cols < 0) or np.any(cols >= len(b)):
         raise ValueError("rows and cols must index into a and b")
-    return _cuboid_values(a, b, rows, cols, _iou)
+    return _cuboid_values(a, b, rows, cols, measure)

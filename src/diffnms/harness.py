@@ -16,15 +16,16 @@ import numpy as np
 from .boxes import DetectionBox, Scene
 from .geometry import (
     RectOverlaps,
+    _aa_iou,
+    _cuboid_pairs,
     cuboid_array,
     iou2d_matrix,
-    iou3d_axis_aligned,
     iou3d_matrix,
     iou3d_pairs,
     rect_array,
 )
 from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
-from .ranking import eval_ap_r40
+from .ranking import eval_ap_r40, filter_gts
 
 __all__ = [
     "ComparisonReport",
@@ -145,15 +146,15 @@ def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
     """
     if mode not in ("iou2d", "iou3d"):
         raise ValueError(f"unknown oracle mode {mode!r}, expected 'iou2d' or 'iou3d'")
-    gts = [g for g in scene.gts if not g.dontcare]
     if mode == "iou2d":
+        gts = [g for g in scene.gts if not g.dontcare]
         values = iou2d_matrix(rect_array([b.rect for b in scene.boxes]), rect_array([g.rect for g in gts]))
     else:
+        gts = filter_gts(scene.gts, None)
         rows = [i for i, b in enumerate(scene.boxes) if b.cuboid is not None]
-        values = np.zeros((len(scene.boxes), sum(g.cuboid is not None for g in gts)))
+        values = np.zeros((len(scene.boxes), len(gts)))
         values[rows] = iou3d_matrix(
-            cuboid_array([scene.boxes[i].cuboid for i in rows]),
-            cuboid_array([g.cuboid for g in gts if g.cuboid is not None]),
+            cuboid_array([scene.boxes[i].cuboid for i in rows]), cuboid_array([g.cuboid for g in gts])
         )
     # The best overlap starts at 0.0 and only a larger value replaces it.
     best = np.where(values > 0.0, values, 0.0).max(axis=1, initial=0.0)
@@ -207,17 +208,17 @@ def score_iou_correlation(
     IoU; boxes in scenes without usable ground truths (or without a cuboid)
     are excluded since they have nothing to match.
     """
+    gts = [filter_gts(scene.gts, None) for scene in scenes]
 
-    def kept_boxes(scene: Scene) -> list[tuple[int, float]]:
+    def kept_boxes(scene: Scene, scene_gts: list) -> list[tuple[int, float]]:
         """(scene.boxes position, rescore) of each kept box that has a cuboid."""
-        if not any(not g.dontcare and g.cuboid is not None for g in scene.gts):
+        if not scene_gts:
             return []
         result, index_map = rescore_scene(scene, cfg, variant, score_mode)
         kept = [(index_map[int(k)], float(result.rescores[int(k)])) for k in result.kept]
         return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
 
-    per_scene = [kept_boxes(scene) for scene in scenes]
-    gts = [[g for g in scene.gts if not g.dontcare and g.cuboid is not None] for scene in scenes]
+    per_scene = [kept_boxes(scene, scene_gts) for scene, scene_gts in zip(scenes, gts)]
     # One iou3d_pairs call covers the kept box x ground-truth pairs of every scene.
     box_rows: list[int] = []
     gt_cols: list[int] = []
@@ -228,28 +229,23 @@ def score_iou_correlation(
             gt_cols += range(gt_base, gt_base + len(scene_gts))
         box_base += len(kept)
         gt_base += len(scene_gts)
-    values = iou3d_pairs(
-        cuboid_array([scene.boxes[i].cuboid for scene, kept in zip(scenes, per_scene) for i, _ in kept]),
-        cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts]),
-        box_rows,
-        gt_cols,
-    )
-    rows = []
+    box_cuboids = cuboid_array([scene.boxes[i].cuboid for scene, kept in zip(scenes, per_scene) for i, _ in kept])
+    gt_cuboids = cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts])
+    values = iou3d_pairs(box_cuboids, gt_cuboids, box_rows, gt_cols)
+    # Each kept box's pairs are contiguous; its match is the first maximum among them.
+    picks = []
     at = 0
-    for scene, kept, scene_gts in zip(scenes, per_scene, gts):
-        for i, rescore in kept:
-            ious = values[at : at + len(scene_gts)]
+    for kept, scene_gts in zip(per_scene, gts):
+        for _ in kept:
+            picks.append(at + int(np.argmax(values[at : at + len(scene_gts)])))
             at += len(scene_gts)
-            best = int(np.argmax(ious))
-            rows.append(
-                CorrelationRow(
-                    scene_id=scene.scene_id,
-                    box_index=i,
-                    rescore=rescore,
-                    iou3d_rotated=float(ious[best]),
-                    iou3d_axis_aligned=iou3d_axis_aligned(scene.boxes[i].cuboid, scene_gts[best].cuboid),
-                )
-            )
+    aligned = _cuboid_pairs(box_cuboids, gt_cuboids, np.take(box_rows, picks), np.take(gt_cols, picks), _aa_iou)
+    matched = zip(values[picks].tolist(), aligned.tolist())
+    rows = [
+        CorrelationRow(scene.scene_id, i, rescore, *next(matched))
+        for scene, kept in zip(scenes, per_scene)
+        for i, rescore in kept
+    ]
     coefficient = _pearson(
         np.array([r.rescore for r in rows]), np.array([r.iou3d_rotated for r in rows])
     )

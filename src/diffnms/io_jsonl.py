@@ -12,12 +12,15 @@ writer serve both kinds. Keys the reader does not know are preserved on the
 record and written back after the known ones, in their original order, so
 files survive a read-write cycle unchanged. Floats are written with the
 shortest representation that parses back to the same value (Python's
-default), and NaN or infinite values are rejected.
+default). NaN or infinite values are rejected: on read, the constants NaN,
+Infinity and -Infinity anywhere on a line, and a number field that overflows
+to infinity; on write, any of them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -34,12 +37,18 @@ _cuboid_coords = attrgetter(*_CUBOID_KEYS)
 
 
 def _number(value) -> float:
-    """A JSON number as a float; strings and booleans are not numbers."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError
-    return float(value)
+    """A finite JSON number as a float; strings and booleans are not numbers.
+
+    A literal too large for a float, such as 1e400, parses as infinity and is
+    rejected here.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
 
 
 def _integer(value) -> int:
@@ -184,6 +193,11 @@ def _require_decodable(line: str, encoding: str, where: str) -> None:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _reject_constant(name: str):
+    """json's hook for the constants NaN, Infinity and -Infinity, which are not JSON."""
+    raise ValueError(f"{name} is not a finite number")
+
+
 def iter_scenes_jsonl(path: str | os.PathLike) -> Iterator[Scene]:
     """Yield scenes from a JSON-lines file; malformed lines raise with their number."""
     # Undecodable bytes are read as surrogates so that the error can name their line.
@@ -194,7 +208,7 @@ def iter_scenes_jsonl(path: str | os.PathLike) -> Iterator[Scene]:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                data = json.loads(line, parse_constant=_reject_constant)
             except ValueError as exc:
                 raise ValueError(f"line {number}: invalid JSON: {exc}") from None
             except RecursionError:

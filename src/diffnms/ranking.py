@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,7 +58,8 @@ class TargetAssignment:
     targets[i] is 1 when box i is the best box of at least one ground truth
     and that match quality reaches beta. matched_gt[i] is the index of the
     first ground truth that selected box i, or -1. quality is the full
-    (n_boxes, n_gts) match-quality matrix; DontCare columns are zero.
+    (n_boxes, n_gts) match-quality matrix; the columns of ground truths that
+    ``filter_gts`` drops (DontCare, or without a cuboid) are zero.
     """
 
     targets: np.ndarray
@@ -69,23 +72,21 @@ def assign_targets(
 ) -> TargetAssignment:
     """Mark, per ground truth, the single best-matching box as positive.
 
-    Each non-DontCare ground truth selects its highest-quality box (ties go to
-    the lower box index); the box becomes a positive only when the quality
-    reaches beta. A box maximal for several ground truths is still one
-    positive and records the first ground truth that chose it.
+    Each ground truth that ``filter_gts`` keeps selects its highest-quality
+    box (ties go to the lower box index); the box becomes a positive only
+    when the quality reaches beta. A box maximal for several ground truths is
+    still one positive and records the first ground truth that chose it.
     """
     n_boxes, n_gts = len(boxes), len(gts)
     quality = np.zeros((n_boxes, n_gts))
-    # q_match over the boxes and ground truths that have cuboids, one matrix each.
+    # q_match over the boxes with cuboids and the usable ground truths, one matrix.
     rows = [i for i, box in enumerate(boxes) if box.cuboid is not None]
-    cols = [j for j, gt in enumerate(gts) if not gt.dontcare and gt.cuboid is not None]
+    cols = [j for j, gt in enumerate(gts) if filter_gts([gt], None)]
     if rows and cols:
         quality[np.ix_(rows, cols)] = _quality_matrix([boxes[i] for i in rows], [gts[j] for j in cols])
     targets = np.zeros(n_boxes, dtype=int)
     matched = np.full(n_boxes, -1, dtype=int)
-    for col, gt in enumerate(gts):
-        if gt.dontcare or n_boxes == 0:
-            continue
+    for col in cols if n_boxes else ():
         best = int(np.argmax(quality[:, col]))
         if quality[best, col] >= beta:
             targets[best] = 1
@@ -184,11 +185,23 @@ class Difficulty(str, Enum):
 @dataclass(frozen=True)
 class DifficultyRule:
     """Ground-truth selection bounds: minimum pixel height, maximum occlusion
-    level, and maximum truncation fraction."""
+    level, and maximum truncation fraction.
+
+    The two bounds must be finite, since a NaN bound would silently pass every
+    ground truth; the occlusion level must be an integer, and a bool is not one.
+    """
 
     min_height: float
     max_occlusion: int
     max_truncation: float
+
+    def __post_init__(self) -> None:
+        for name in ("min_height", "max_truncation"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(self.max_occlusion, bool) or not isinstance(self.max_occlusion, Integral):
+            raise ValueError(f"max_occlusion must be an integer, got {self.max_occlusion!r}")
 
 
 DEFAULT_DIFFICULTY_RULES: dict[Difficulty, DifficultyRule] = {

@@ -3,12 +3,12 @@
 Most of these are deliberately written with different algorithms and data
 structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
-evaluator. The scalar polygon clipper and the rotated IoU3D/GIoU3D built on
-it are the per-pair forms that the package's batched kernel replays, the
-per-pair loops call them, the greedy loop runs every round over the whole
-overlap matrix, the per-member loops are the grouped NMS forward pass,
-backward pass and Jacobians that the package's closed-form index arithmetic
-replaced, the dense forward substitution is the one the package's row-blocked
+evaluator. The scalar polygon clipper, the rotated IoU3D/GIoU3D built on it
+and the axis-aligned IoU3D are the per-pair forms that the package's batched
+kernel replays, the per-pair loops call them, the greedy loop runs every
+round over the whole overlap matrix, the per-member loops are the grouped NMS
+forward pass, backward pass and Jacobians that the package's closed-form index
+arithmetic replaced, the dense forward substitution is the one the package's row-blocked
 solve replaced, and the finite-difference loop at the end rescores one perturbed
 instance per masked_rescore call where the package batches them; the package
 must agree with all of them bit for bit. Slow is fine; these only run inside
@@ -35,7 +35,6 @@ from diffnms import (
     Scene,
     filter_gts,
     iou2d,
-    iou3d_axis_aligned,
     masked_jacobians,
     masked_rescore,
     prune,
@@ -160,13 +159,31 @@ def reference_iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     return iou
 
 
+def _bev_aabb(c: Cuboid3D) -> tuple[float, float, float, float]:
+    """Axis-aligned footprint extents (x1, z1, x2, z2) with the yaw discarded."""
+    hl, hw = c.l / 2.0, c.w / 2.0
+    return (c.cx - hl, c.cz - hw, c.cx + hl, c.cz + hw)
+
+
+def reference_iou3d_axis_aligned(a: Cuboid3D, b: Cuboid3D) -> float:
+    """3D IoU of one pair with both yaws discarded."""
+    if a == b:
+        return 1.0 if a.volume > 0.0 else 0.0
+    a, b = _canonical_pair(a, b)
+    ra, rb = _bev_aabb(a), _bev_aabb(b)
+    ix = max(min(ra[2], rb[2]) - max(ra[0], rb[0]), 0.0)
+    iz = max(min(ra[3], rb[3]) - max(ra[1], rb[1]), 0.0)
+    iou, _, _ = _volume_iou(a, b, ix * iz)
+    return iou
+
+
 def reference_giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     """Generalized 3D IoU of one pair, with an axis-aligned hull: iou + union/hull - 1."""
     if a == b and a.volume > 0.0:
         return 1.0
     a, b = _canonical_pair(a, b)
     iou, _, v_union = _volume_iou(a, b, reference_bev_intersection_area(a, b))
-    ra, rb = a.bev_aabb(), b.bev_aabb()
+    ra, rb = _bev_aabb(a), _bev_aabb(b)
     hull_area = (max(ra[2], rb[2]) - min(ra[0], rb[0])) * (max(ra[3], rb[3]) - min(ra[1], rb[1]))
     a_lo, a_hi = a.vertical_extent
     b_lo, b_hi = b.vertical_extent
@@ -346,7 +363,8 @@ def reference_eval_ap_r40(
 def reference_correlation_rows(
     scenes: list[Scene], cfg: NmsConfig, variant: NmsVariant
 ) -> list[tuple[str, int, float, float, float]]:
-    """score_iou_correlation's rows as tuples, one reference_iou3d call per kept box x gt pair."""
+    """score_iou_correlation's rows as tuples, one reference_iou3d call per kept box x gt pair
+    and one reference_iou3d_axis_aligned call per kept box."""
     rows = []
     for scene in scenes:
         gts = [g for g in scene.gts if not g.dontcare and g.cuboid is not None]
@@ -365,7 +383,7 @@ def reference_correlation_rows(
                     index_map[int(k)],
                     float(result.rescores[int(k)]),
                     float(values[best]),
-                    iou3d_axis_aligned(box.cuboid, gts[best].cuboid),
+                    reference_iou3d_axis_aligned(box.cuboid, gts[best].cuboid),
                 )
             )
     return rows

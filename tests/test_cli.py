@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -229,6 +230,26 @@ class TestEval:
                 {"id": "a", "boxes": [], "gts": []},
                 "rule 'id': unknown difficulty, expected one of easy, moderate, hard",
             ),
+            (
+                {"easy": {"min_height": math.nan, "max_occlusion": 0, "max_truncation": 0.15}},
+                "rule 'easy': min_height must be finite, got nan",
+            ),
+            (
+                {"hard": {"min_height": 25, "max_occlusion": 2, "max_truncation": -math.inf}},
+                "rule 'hard': max_truncation must be finite, got -inf",
+            ),
+            (
+                {"easy": {"min_height": 40, "max_occlusion": 0.9, "max_truncation": 0.15}},
+                "rule 'easy': max_occlusion must be an integer, got 0.9",
+            ),
+            (
+                {"moderate": {"min_height": 25, "max_occlusion": True, "max_truncation": 0.3}},
+                "rule 'moderate': max_occlusion must be an integer, got True",
+            ),
+            (
+                {"easy": {"min_height": 40, "max_occlusion": "0", "max_truncation": 0.15}},
+                "rule 'easy': max_occlusion must be an integer, got '0'",
+            ),
         ],
     )
     def test_bad_difficulty_config_is_a_clean_error(self, scene_file, tmp_path, capsys, config, fragment):
@@ -349,7 +370,8 @@ class TestMalformedInput:
             ({"id": "a", "boxes": [1]}, ["scene 'a' box 0", "expected a JSON object"]),
             ({"id": "a", "boxes": [_box(), _box(score=None)]}, ["scene 'a' box 1", "score must be a number, got None"]),
             ({"id": "a", "gts": [{"x1": 0, "y1": 0, "x2": 1, "y2": "wide"}]}, ["scene 'a' gt 0", "y2 must be a number"]),
-            ({"id": "a", "boxes": [_box(occlusion=1e400)]}, ["scene 'a' box 0", "occlusion must be an integer"]),
+            # json.dumps writes the infinite occlusion as Infinity, which is not JSON.
+            ({"id": "a", "boxes": [_box(occlusion=1e400)]}, ["invalid JSON: Infinity is not a finite number"]),
             ({"id": "a", "boxes": [_box(x1=20)]}, ["scene 'a' box 0", "x1 <= x2"]),
             ({"id": "a", "boxes": [{"y1": 0}]}, ["scene 'a' box 0", "missing rectangle key"]),
             (
@@ -386,6 +408,25 @@ class TestMalformedInput:
         path.write_text('{"id": "a", "extra": ' + "[" * 100_000 + "]" * 100_000 + "}\n", encoding="utf-8")
         assert run_cli("run", "--input", str(path), "--out", str(tmp_path / "o.jsonl")) == 1
         assert capsys.readouterr().err == "error: line 1: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "field, literal, message",
+        [
+            ("truncation", "NaN", "invalid JSON: NaN is not a finite number"),
+            ("score", "-Infinity", "invalid JSON: -Infinity is not a finite number"),
+            ("score", "1e400", "scene 'a' box 0: score must be a number, got inf"),
+            ("occlusion", "-1e400", "scene 'a' box 0: occlusion must be an integer, got -inf"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_non_finite_number_is_a_read_error(self, tmp_path, capsys, command, field, literal, message):
+        path = tmp_path / "bad.jsonl"
+        record = f'{{"x1": 0, "y1": 0, "x2": 10, "y2": 10, "{field}": {literal}}}'
+        path.write_text('{"id": "fine"}\n{"id": "a", "boxes": [%s]}\n' % record, encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert run_cli(command, "--input", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert not out.exists()
 
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "bytes.jsonl"
@@ -541,6 +582,22 @@ class TestMalformedKitti:
         code = run_cli("run", "--input", str(path), "--format", "kitti", "--out", str(tmp_path / "out.txt"))
         assert code == 1
         assert capsys.readouterr().err == f"error: line 2: occlusion must be an integer, got {shown}\n"
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_score_is_a_clean_error(self, tmp_path, capsys, score):
+        path = tmp_path / "000001.txt"
+        gt = KITTI_ROW.format(occlusion="0").rsplit(" ", 1)[0]
+        rows = [gt, f"{gt} 0.9", f"{gt} {score}", f"{gt} 0.5"]
+        path.write_text("\n".join(rows) + "\n", encoding="ascii")
+        assert run_cli("eval", "--input", str(path), "--format", "kitti") == 1
+        shown = repr(float(score))
+        assert capsys.readouterr().err == f"error: line 3: score must be finite, got {shown}\n"
+
+    def test_occlusion_is_checked_before_the_score(self, tmp_path, capsys):
+        path = tmp_path / "000001.txt"
+        path.write_text(KITTI_ROW.format(occlusion="1.5").replace(" 0.87", " nan") + "\n", encoding="ascii")
+        assert run_cli("eval", "--input", str(path), "--format", "kitti") == 1
+        assert capsys.readouterr().err == "error: line 1: occlusion must be an integer, got 1.5\n"
 
     def test_undecodable_label_names_its_file_and_line(self, tmp_path, capsys):
         frames = tmp_path / "frames"

@@ -27,6 +27,7 @@ from oracles import (
     reference_bev_intersection_area,
     reference_giou3d,
     reference_iou3d,
+    reference_iou3d_axis_aligned,
 )
 
 
@@ -447,7 +448,7 @@ def _random_pairs(seed: int, count: int) -> list[tuple[Cuboid3D, Cuboid3D]]:
 
 
 class TestOneKernel:
-    """iou3d, giou3d and rotated_bev_intersection_area are one-pair calls of the batched kernel."""
+    """iou3d, giou3d, iou3d_axis_aligned and rotated_bev_intersection_area are one-pair calls of the batched kernel."""
 
     # Random pairs, and every pair of the edge cases: equal, degenerate and touching boxes.
     PAIRS = _random_pairs(5, 40) + [(a, b) for a in EDGE_CUBOIDS for b in EDGE_CUBOIDS]
@@ -458,6 +459,7 @@ class TestOneKernel:
             (iou3d, reference_iou3d),
             (giou3d, reference_giou3d),
             (rotated_bev_intersection_area, reference_bev_intersection_area),
+            (iou3d_axis_aligned, reference_iou3d_axis_aligned),
         ],
     )
     def test_wrappers_match_the_oracle_bitwise_in_both_orders(self, fast, oracle):
@@ -466,6 +468,14 @@ class TestOneKernel:
                 value = fast(x, y)
                 assert type(value) is float
                 assert bits(value) == bits(oracle(x, y)), (x, y, value, oracle(x, y))
+
+    @given(
+        a=st.one_of(near_cuboids, cuboids, st.sampled_from(EDGE_CUBOIDS)),
+        b=st.one_of(near_cuboids, cuboids, st.sampled_from(EDGE_CUBOIDS)),
+    )
+    def test_axis_aligned_matches_the_oracle_bitwise(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            assert bits(iou3d_axis_aligned(x, y)) == bits(reference_iou3d_axis_aligned(x, y))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_boxes_raise_no_warning(self):
@@ -480,4 +490,5 @@ class TestOneKernel:
             for b in boxes:
                 iou3d(a, b)
                 giou3d(a, b)
+                iou3d_axis_aligned(a, b)
                 rotated_bev_intersection_area(a, b)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -127,7 +128,7 @@ class TestKittiFiles:
         assert len(scene.gts) + len(scene.boxes) == 100
         out = tmp_path / "copy.txt"
         write_kitti_file(out, scene)
-        assert out.read_text(encoding="utf-8") == open(GOLDEN_KITTI, encoding="utf-8").read()
+        assert out.read_text(encoding="utf-8") == Path(GOLDEN_KITTI).read_text(encoding="utf-8")
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gap.txt"
@@ -163,7 +164,7 @@ class TestJsonl:
         assert len(scenes) == 100
         out = tmp_path / "copy.jsonl"
         write_scenes_jsonl(out, scenes)
-        assert out.read_bytes() == open(GOLDEN_JSONL, "rb").read()
+        assert out.read_bytes() == Path(GOLDEN_JSONL).read_bytes()
 
     def test_unknown_keys_preserved(self):
         scenes = read_scenes_jsonl(GOLDEN_JSONL)

@@ -103,6 +103,14 @@ class TestAssignTargets:
         assert np.array_equal(out.targets, [0])
         assert np.array_equal(out.quality, [[0.0]])
 
+    def test_gt_without_cuboid_assigns_nothing_even_at_zero_beta(self):
+        gt = make_gt()
+        boxes = [make_det(gt, 0.9), make_det(gt, 0.8)]
+        out = assign_targets(boxes, [GroundTruth(rect=gt.rect, cuboid=None)], beta=0.0)
+        assert np.array_equal(out.targets, [0, 0])
+        assert np.array_equal(out.matched_gt, [-1, -1])
+        assert np.array_equal(out.quality, [[0.0], [0.0]])
+
     def test_positive_count_bounded_by_gts(self):
         gts = [make_gt(cx=float(i) * 12.0) for i in range(3)]
         dets = [make_det(g, 0.5 + 0.1 * k) for k, g in enumerate(gts) for _ in range(4)]
