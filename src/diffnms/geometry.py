@@ -7,6 +7,7 @@ stay informative for non-intersecting boxes where plain IoU is zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -270,6 +271,52 @@ class RectOverlaps:
     def finite(self) -> bool:
         """False when a box's area overflows to infinity: its own overlap is then NaN."""
         return not np.isposinf(self._columns[4]).any()
+
+    def _take(self, boxes: np.ndarray) -> RectOverlaps:
+        """The overlaps of boxes[k] with boxes[m], read as pairs(k, m)."""
+        taken = object.__new__(RectOverlaps)
+        taken._columns = self._columns[:, boxes]
+        return taken
+
+    def _clusters(self) -> list[np.ndarray]:
+        """Clusters of boxes whose overlap with every box of another cluster is exactly 0.0.
+
+        Sweep-and-prune: each part is sorted by x1 and cut wherever x1 reaches
+        the running maximum of x2, then each piece the same way on y, then x
+        again, until a pass cuts nothing. Boxes on either side of a cut have
+        intersection width (or height) at most 0, which ``_rect_iou`` maps to
+        exactly 0.0, so touching edges do not join clusters. Coordinates are
+        compared as dense ranks, so one stable sort of (part, rank) keys runs
+        every part's sweep at once and no pair is evaluated. Returns each
+        cluster's original indices in ascending order.
+        """
+        n = len(self)
+        # Per axis, the dense ranks, all below 2 n, of the lo and hi coordinates
+        # among both; -0.0 and 0.0 share a rank, as they compare equal.
+        ranks = []
+        for lo in (0, 1):
+            coords = self._columns[[lo, lo + 2]].ravel()
+            order = np.argsort(coords, kind="stable")
+            rank = np.empty(2 * n, dtype=np.int64)
+            rank[order] = np.cumsum(np.concatenate([[False], coords[order][1:] != coords[order][:-1]]))
+            ranks.append(rank.reshape(2, n))
+        part = np.zeros(n, dtype=np.int64)
+        count = min(n, 1)
+        for sweep in itertools.count():
+            lo, hi = ranks[sweep % 2]
+            # part * 2 n + rank orders by part first, so one running maximum of
+            # the hi keys never carries a value across a part boundary.
+            base = part * (2 * n)
+            lo_key, hi_key = base + lo, base + hi
+            order = np.argsort(lo_key, kind="stable")
+            reach = np.maximum.accumulate(hi_key[order])
+            part[order] = np.concatenate([[0], np.cumsum(lo_key[order][1:] >= reach[:-1])])
+            parts = part.max(initial=0) + 1
+            if sweep and parts == count:
+                break
+            count = parts
+        by_part = np.argsort(part, kind="stable")
+        return np.split(by_part, np.flatnonzero(np.diff(part[by_part])) + 1)
 
 
 def _cuboid_features(c: np.ndarray) -> np.ndarray:

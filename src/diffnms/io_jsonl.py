@@ -13,8 +13,9 @@ record and written back after the known ones, in their original order, so
 files survive a read-write cycle unchanged. Floats are written with the
 shortest representation that parses back to the same value (Python's
 default). NaN or infinite values are rejected: on read, the constants NaN,
-Infinity and -Infinity anywhere on a line, and a number field that overflows
-to infinity; on write, any of them.
+Infinity and -Infinity anywhere on a line, and a number that overflows to
+infinity, in a known field or anywhere under a kept key; on write, any of
+them.
 """
 
 from __future__ import annotations
@@ -98,6 +99,26 @@ def _field_error(where: str, key: str, convert, value) -> ValueError:
     return ValueError(f"{where}: {key} must be {_KINDS[convert]}, got {value!r}")
 
 
+def _require_finite_extra(extra: dict, where: str) -> None:
+    """Reject a non-finite float anywhere under keys the reader keeps but does not know.
+
+    json parses a literal too large for a float, such as 1e400, as infinity,
+    which the writer could not write back. The walk uses a stack, not
+    recursion, so any depth json accepted is walked.
+    """
+    for key, value in extra.items():
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if type(item) is float:
+                if not math.isfinite(item):
+                    raise ValueError(f"{where}: {key} must be finite, got {item!r}")
+            elif isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, list):
+                stack.extend(item)
+
+
 def _require_object(data, where: str) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
@@ -130,6 +151,7 @@ def _record_from_dict(kind: type, data, where: str) -> DetectionBox | GroundTrut
             fields[key] = value if value is default else convert(value)
     except (TypeError, ValueError, OverflowError):
         raise _field_error(where, key, convert, value) from None
+    _require_finite_extra(rest, where)
     try:
         rect = Rect2D(*coords[:4])
         cuboid = Cuboid3D(*coords[4:]) if has_cuboid else None
@@ -174,12 +196,13 @@ def scene_from_dict(data: dict, where: str = "scene") -> Scene:
     scene_id = data.pop("id")
     if not isinstance(scene_id, str):
         raise _field_error(where, "id", _string, scene_id)
-    camera = data.pop("camera", None)
     boxes_raw = data.pop("boxes", [])
     gts_raw = data.pop("gts", [])
     if not isinstance(boxes_raw, list) or not isinstance(gts_raw, list):
         raise ValueError(f"{where}: boxes and gts must be arrays")
     where = f"{where}: scene {scene_id!r}"
+    _require_finite_extra(data, where)
+    camera = data.pop("camera", None)
     boxes = [_record_from_dict(DetectionBox, b, f"{where} box {i}") for i, b in enumerate(boxes_raw)]
     gts = [_record_from_dict(GroundTruth, g, f"{where} gt {i}") for i, g in enumerate(gts_raw)]
     return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)

@@ -10,8 +10,9 @@ center, so parsing shifts Y up by h/2. The 14 numbers before the score are
 kept on the record as raw_fields and reused on write, making parse ->
 serialize lossless; a detection's score lives only in its score field.
 DontCare rows (and their sentinel geometry) are parsed with the flag set and
-no cuboid. A detection's score must be finite, since ranking cannot order a
-NaN; a non-finite truncation or alpha is kept and written back as read.
+no cuboid. The truncation, the alpha and a detection's score must be finite:
+ranking cannot order a NaN score, and a NaN truncation would pass every
+difficulty rule's bound.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth 
     """Parse one label line into a ground truth (15 fields) or detection (16).
 
     Raises ValueError naming the line number on wrong field counts, numeric
-    garbage, a non-integral occlusion, a non-finite score, or invalid geometry.
+    garbage, a non-integral occlusion, a non-finite truncation, alpha or
+    score, or invalid geometry.
     """
     where = f"line {line_number}: " if line_number is not None else ""
     tokens = line.split()
@@ -57,8 +59,12 @@ def parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth 
         occlusion = _integer(occlusion_raw)
     except TypeError:
         raise ValueError(f"{where}occlusion must be an integer, got {occlusion_raw!r}") from None
-    if len(tokens) == _DET_FIELDS and not math.isfinite(values[14]):
-        raise ValueError(f"{where}score must be finite, got {values[14]!r}")
+    checked = {"truncation": truncation, "alpha": alpha}
+    if len(tokens) == _DET_FIELDS:
+        checked["score"] = values[14]
+    for name, value in checked.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{where}{name} must be finite, got {value!r}")
     dontcare = label == "DontCare"
     try:
         rect = Rect2D(*values[3:7])

@@ -124,17 +124,20 @@ def prune(overlap, cfg: NmsConfig):
     through; exponential is 1 - exp(-o^2 / tau); sigmoidal is the logistic
     function of (o - nt) / tau.
     """
-    arr = np.asarray(overlap, dtype=float)
+    res = _prune(np.asarray(overlap, dtype=float), cfg)
+    return float(res) if np.ndim(overlap) == 0 else res
+
+
+def _prune(arr: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+    """prune of a float array, without the conversions."""
     kind = cfg.pruning
     if kind is Pruning.HARD:
-        res = (arr > cfg.nt).astype(float)
-    elif kind is Pruning.LINEAR:
-        res = arr + 0.0
-    elif kind is Pruning.EXPONENTIAL:
-        res = 1.0 - np.exp(-np.square(arr) / cfg.tau)
-    else:
-        res = _sigmoid((arr - cfg.nt) / cfg.tau)
-    return float(res) if np.ndim(overlap) == 0 else res
+        return (arr > cfg.nt).astype(float)
+    if kind is Pruning.LINEAR:
+        return arr + 0.0
+    if kind is Pruning.EXPONENTIAL:
+        return 1.0 - np.exp(-np.square(arr) / cfg.tau)
+    return _sigmoid((arr - cfg.nt) / cfg.tau)
 
 
 def prune_derivative(overlap, cfg: NmsConfig):
@@ -209,6 +212,10 @@ class _MatrixOverlaps:
 
     def pairs(self, i, j) -> np.ndarray:
         return self._matrix[i, j]
+
+    def _clusters(self) -> list[np.ndarray]:
+        """Every box as one cluster: a matrix is not searched for zero-overlap clusters."""
+        return [np.arange(self._matrix.shape[0])]
 
 
 # Up to this many boxes, evaluating every rectangle pair at once costs less
@@ -391,27 +398,84 @@ def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
     return run_nms(scores, overlaps, cfg, NmsVariant.MASKED)
 
 
+def _lanes(clusters: list[np.ndarray]) -> np.ndarray:
+    """Clusters packed into lanes, as a (lanes, width) array of box indices padded with -1.
+
+    Clusters go next-fit, largest first, into lanes of width boxes, the size
+    of the largest cluster, each cluster's boxes in its own ascending order,
+    so ties within a cluster still go to the lower index. Any two consecutive
+    lanes hold more than width boxes together, so n boxes take fewer than
+    2 n + width slots.
+    """
+    if len(clusters) == 1:
+        return clusters[0][None]
+    ranked = sorted(clusters, key=len, reverse=True)
+    width = ranked[0].size
+    # starts[k] is the flat slot where ranked[k] begins; end is the next free slot.
+    starts, end = [], 0
+    for members in ranked:
+        if end % width + members.size > width:
+            end += width - end % width
+        starts.append(end)
+        end += members.size
+    slots = np.full(-(-end // width) * width, -1)
+    for members, start in zip(ranked, starts):
+        slots[start : start + members.size] = members
+    return slots.reshape(-1, width)
+
+
 def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig) -> RescoreResult:
     """Greedy NMS over validated scores: pick the top box, decay the rest, repeat.
 
     Every round the highest-rescored remaining box is finalized and each other
     remaining box i has its rescore multiplied by (1 - p(o_top,i)). Hard
     pruning zeroes overlapping boxes outright (classical NMS); soft pruning
-    kinds decay them smoothly. Each round reads one row of overlaps, and the
-    loop stops once every remaining rescore is 0, since further rounds would
-    only multiply zeros.
+    kinds decay them smoothly. Ties go to the lower index, and the loop stops
+    once every remaining rescore is 0, since further rounds would only
+    multiply zeros.
+
+    Zero-overlap clusters: when p(0) = 0 (hard, linear and exponential
+    pruning), a round multiplies every box that does not overlap its top by
+    exactly 1.0, so boxes in clusters with no overlap between them
+    (``RectOverlaps._clusters``) cannot affect each other, and the loop over
+    any union of clusters picks each cluster's boxes in the order, and with
+    the rescores, of the loop over all boxes. The clusters are packed into
+    lanes (``_lanes``) that run this loop in lockstep: each round picks one
+    top per lane and reads one overlap per remaining box, against its own
+    lane's top, so rounds scale with the largest cluster, not with the scene.
+    Sigmoid pruning (p(0) > 0) and a matrix source run as one lane, one
+    overlap row per round.
     """
-    r = s.copy()
-    active = np.ones(s.size, dtype=bool)
-    while active.any():
-        top = int(np.argmax(np.where(active, r, -np.inf)))
-        if r[top] == 0.0:
+    n = s.size
+    clusters = source._clusters() if prune(0.0, cfg) == 0.0 else [np.arange(n)]
+    # slots[k] is the box in slot k of the padded lane layout, or -1.
+    slots = _lanes(clusters)
+    lanes, width = slots.shape
+    starts = np.arange(lanes) * width
+    slots = slots.ravel()
+    filled = slots >= 0
+    if lanes > 1:
+        # Read overlaps by slot; a single lane's slots are the boxes themselves.
+        source = source._take(slots)
+    r = np.where(filled, s[slots], 0.0)
+    # live is r on the boxes still to be picked and -inf elsewhere. A box
+    # whose rescore is 0 stays 0 and is never a top before its lane stops, so
+    # it leaves the loop at once; a lane stops when no live box is left.
+    live = np.where(r > 0.0, r, -np.inf)
+    for _ in range(width):
+        tops = live.reshape(-1, width).argmax(axis=1) + starts
+        live[tops] = -np.inf
+        rest = (live > 0.0).nonzero()[0]
+        if not rest.size:
             break
-        active[top] = False
-        rest = np.flatnonzero(active)
-        if rest.size:
-            r[rest] *= 1.0 - np.asarray(prune(source.pairs(top, rest), cfg), dtype=float)
-    return RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), r.copy())
+        # A single lane reads one overlap row, as a scalar top, without a gather.
+        top = tops[0] if tops.size == 1 else tops[rest // width]
+        decayed = r[rest] * (1.0 - _prune(source.pairs(top, rest), cfg))
+        r[rest] = decayed
+        live[rest] = decayed
+    out = np.zeros(n)
+    out[slots[filled]] = r[filled]
+    return RescoreResult(out, np.flatnonzero(out >= cfg.valid_threshold), out.copy())
 
 
 # The solve reads prune rows in blocks holding at most this many entries, so
@@ -466,9 +530,16 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     the score order: masked and grouped-inverse one column per group top,
     then the member-top pairs or each group's strictly-lower triangle;
     full-inverse the strictly-lower triangle of every box in score order;
-    classical and soft one row per round. The inverse variants read their
-    triangle a bounded block of rows at a time, so on a RectOverlaps no
-    variant holds an (N, N) array.
+    classical and soft, each round, every remaining box's overlap with its
+    round's top. The inverse variants read their triangle a bounded block of
+    rows at a time, so on a RectOverlaps no variant holds an (N, N) array.
+
+    Under hard, linear and exponential pruning, p(0) = 0, and classical and
+    soft run the zero-overlap clusters of a RectOverlaps of more than
+    _WHOLE_MATRIX_BOXES boxes in lockstep, one top per cluster and round
+    (see _greedy_nms); touching edges count as zero overlap. The bytes are
+    those of the one global loop. Sigmoid pruning and a matrix run as one
+    cluster, one overlap row per round.
     """
     variant = NmsVariant(variant)
     _check_variant(variant, cfg.pruning)

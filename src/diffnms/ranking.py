@@ -73,25 +73,28 @@ def assign_targets(
     """Mark, per ground truth, the single best-matching box as positive.
 
     Each ground truth that ``filter_gts`` keeps selects its highest-quality
-    box (ties go to the lower box index); the box becomes a positive only
-    when the quality reaches beta. A box maximal for several ground truths is
-    still one positive and records the first ground truth that chose it.
+    box among those with a cuboid (ties go to the lower box index); the box
+    becomes a positive only when the quality reaches beta. A box maximal for
+    several ground truths is still one positive and records the first ground
+    truth that chose it.
     """
     n_boxes, n_gts = len(boxes), len(gts)
     quality = np.zeros((n_boxes, n_gts))
     # q_match over the boxes with cuboids and the usable ground truths, one matrix.
     rows = [i for i, box in enumerate(boxes) if box.cuboid is not None]
     cols = [j for j, gt in enumerate(gts) if filter_gts([gt], None)]
-    if rows and cols:
-        quality[np.ix_(rows, cols)] = _quality_matrix([boxes[i] for i in rows], [gts[j] for j in cols])
     targets = np.zeros(n_boxes, dtype=int)
     matched = np.full(n_boxes, -1, dtype=int)
-    for col in cols if n_boxes else ():
-        best = int(np.argmax(quality[:, col]))
-        if quality[best, col] >= beta:
-            targets[best] = 1
-            if matched[best] < 0:
-                matched[best] = col
+    if rows and cols:
+        usable = _quality_matrix([boxes[i] for i in rows], [gts[j] for j in cols])
+        quality[np.ix_(rows, cols)] = usable
+        # argmax takes the first maximum, so ties go to the lower box index.
+        for c, k in enumerate(usable.argmax(axis=0).tolist()):
+            if usable[k, c] >= beta:
+                best, col = rows[k], cols[c]
+                targets[best] = 1
+                if matched[best] < 0:
+                    matched[best] = col
     return TargetAssignment(targets, matched, quality)
 
 

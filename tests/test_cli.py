@@ -315,6 +315,23 @@ class TestGoldenOutputs:
         ) == 0
         assert out.read_bytes() == (DATA / "golden_correlate_soft_linear.csv").read_bytes()
 
+    def test_run_soft_exp_on_a_clustered_scene(self, tmp_path):
+        # 120 boxes in four zero-overlap clusters: past the whole-matrix size,
+        # the greedy loop runs the clusters in lockstep; the bytes are the
+        # one global loop's.
+        from diffnms import RectOverlaps, read_scenes_jsonl, rect_array
+
+        scene, out = tmp_path / "synth.jsonl", tmp_path / "run.jsonl"
+        assert run_cli(
+            "synth", "--seed", "42", "--scenes", "1", "--objects", "4", "--proposals", "30", "--out", str(scene)
+        ) == 0
+        boxes = read_scenes_jsonl(scene)[0].boxes
+        assert len(RectOverlaps(rect_array([b.rect for b in boxes]))._clusters()) == 4
+        assert run_cli(
+            "run", "--input", str(scene), "--nms", "soft", "--pruning", "exp", "--keep-all", "--out", str(out)
+        ) == 0
+        assert out.read_bytes() == (DATA / "golden_run_soft_exp_120.jsonl").read_bytes()
+
     def test_eval_all_difficulties(self, capsys):
         assert run_cli("eval", "--input", str(GOLDEN), "--difficulty", "all") == 0
         assert capsys.readouterr().out == (DATA / "golden_eval_all.txt").read_text(encoding="utf-8")
@@ -428,6 +445,27 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: line 2: {message}\n"
         assert not out.exists()
 
+    # json reads 1e400 as infinity, which the writer could not write back.
+    @pytest.mark.parametrize(
+        "scene, message",
+        [
+            ('{"id": "a", "note": 1e400}', "scene 'a': note must be finite, got inf"),
+            ('{"id": "a", "camera": {"k": [1, -1e400]}}', "scene 'a': camera must be finite, got -inf"),
+            (
+                '{"id": "a", "boxes": [{"x1": 0, "y1": 0, "x2": 1, "y2": 1, "tag": {"v": 1e999}}]}',
+                "scene 'a' box 0: tag must be finite, got inf",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_overflowing_unknown_key_is_a_read_error(self, tmp_path, capsys, command, scene, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "fine", "note": [1e300, {"k": -2.5}]}\n' + scene + "\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert run_cli(command, "--input", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert not out.exists()
+
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "bytes.jsonl"
         path.write_bytes(b'{"id": "fine"}\n{"id": "a", "note": "\xff"}\n')
@@ -464,7 +502,7 @@ CONTRACT_COMMANDS = {
     "oracle": (True, ("--mode", "iou4d"), False),
     "correlate": (True, ("--valid", "2"), True),
 }
-CONTRACT_CASES = ["undecodable", "empty", "directory", "missing", "unwritable-out", "score", "threshold"]
+CONTRACT_CASES = ["undecodable", "overflow", "empty", "directory", "missing", "unwritable-out", "score", "threshold"]
 
 
 class TestCliContract:
@@ -488,6 +526,8 @@ class TestCliContract:
         out, extra, expected = tmp_path / "out", (), 1
         if case == "undecodable":
             source.write_bytes(b'{"id": "s1", "note": "\xff"}\n')
+        elif case == "overflow":
+            source.write_text('{"id": "s1", "note": 1e400}\n', encoding="utf-8")
         elif case == "empty":
             source.write_text("", encoding="utf-8")
             expected = 0
@@ -592,6 +632,19 @@ class TestMalformedKitti:
         assert run_cli("eval", "--input", str(path), "--format", "kitti") == 1
         shown = repr(float(score))
         assert capsys.readouterr().err == f"error: line 3: score must be finite, got {shown}\n"
+
+    # A NaN truncation would pass every difficulty rule and count as easy.
+    @pytest.mark.parametrize(
+        "field, index, value", [("truncation", 1, "nan"), ("alpha", 3, "nan"), ("alpha", 3, "-1e400")]
+    )
+    def test_non_finite_truncation_or_alpha_is_a_clean_error(self, tmp_path, capsys, field, index, value):
+        path = tmp_path / "000001.txt"
+        tokens = KITTI_ROW.format(occlusion="0").rsplit(" ", 1)[0].split()
+        tokens[index] = value
+        path.write_text(KITTI_ROW.format(occlusion="0") + "\n" + " ".join(tokens) + "\n", encoding="ascii")
+        assert run_cli("eval", "--input", str(path), "--format", "kitti") == 1
+        shown = repr(float(value))
+        assert capsys.readouterr().err == f"error: line 2: {field} must be finite, got {shown}\n"
 
     def test_occlusion_is_checked_before_the_score(self, tmp_path, capsys):
         path = tmp_path / "000001.txt"

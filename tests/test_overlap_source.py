@@ -66,6 +66,24 @@ def scenes(draw, prunings=tuple(Pruning)):
     return boxes, scores, cfg
 
 
+# Blob offsets: COORDS span [0, 4], so blobs 4 apart touch edge to edge,
+# blobs 2 apart overlap, and blobs 8 or more apart are disjoint.
+OFFSETS = (0.0, 2.0, 4.0, 8.0, 12.0)
+
+
+@st.composite
+def blob_scenes(draw):
+    """scenes() whose rectangles are shifted into up to four blobs, with a fresh score per box."""
+    boxes, _, cfg = draw(scenes())
+    blobs = [(draw(st.sampled_from(OFFSETS)), draw(st.sampled_from(OFFSETS))) for _ in range(draw(st.integers(1, 4)))]
+    moved = []
+    for box in boxes + draw(rects()):
+        dx, dy = draw(st.sampled_from(blobs))
+        moved.append(Rect2D(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    return moved, np.array([draw(values) for _ in moved], dtype=float), cfg
+
+
 def _variants(cfg: NmsConfig) -> list[NmsVariant]:
     greedy = NmsVariant.CLASSICAL if cfg.pruning is Pruning.HARD else NmsVariant.SOFT
     return [greedy, NmsVariant.MASKED, NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE]
@@ -136,6 +154,56 @@ def test_masked_gradients_on_rect_overlaps_match_reference(case):
     ref_jac, ref_o_grads = reference_masked_jacobians(scores, matrix, cfg)
     assert _same(jac, ref_jac)
     assert o_grads == ref_o_grads
+
+
+@settings(max_examples=300)
+@given(case=blob_scenes())
+def test_greedy_cluster_lanes_match_the_loop_without_early_stop(case):
+    # A limit of 0 sends these small scenes through the zero-overlap clusters.
+    boxes, scores, cfg = case
+    expected = reference_greedy_nms(scores, overlap_matrix(boxes), cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nms, "_WHOLE_MATRIX_BOXES", 0)
+        got = run_nms(scores, RectOverlaps(rect_array(boxes)), cfg, _variants(cfg)[0])
+    _assert_same_result(got, expected)
+
+
+@settings(max_examples=300)
+@given(case=blob_scenes())
+def test_clusters_cover_every_box_once_with_zero_overlap_between_them(case):
+    boxes = case[0]
+    source = RectOverlaps(rect_array(boxes))
+    clusters = source._clusters()
+    assert np.array_equal(np.sort(np.concatenate(clusters)), np.arange(len(boxes)))
+    assert all(np.all(np.diff(c) > 0) for c in clusters)
+    assert all(c.size for c in clusters) or not boxes
+    label = np.zeros(len(boxes), dtype=int)
+    for k, members in enumerate(clusters):
+        label[members] = k
+    everything = np.arange(len(boxes))
+    across = source.pairs(everything[:, None], everything)[label[:, None] != label]
+    assert np.all(across == 0.0) and not np.any(np.signbit(across))
+
+
+def test_clusters_split_on_touching_edges_and_alternate_axes():
+    # Boxes 0-2 touch edge to edge; 3 and 4 overlap. The bar 7 spans 5 and 6
+    # on x, so only the y pass cuts it off and the next x pass splits 5 from 6.
+    rects = np.array([
+        [0, 0, 1, 1], [1, 0, 2, 1], [0, 1, 1, 2], [5, 5, 6, 6], [5.5, 5.5, 6.5, 6.5],
+        [20, 0, 21, 1], [22, 0, 23, 1], [20, 2, 23, 3],
+    ], dtype=float)
+    clusters = RectOverlaps(rects)._clusters()
+    assert sorted(c.tolist() for c in clusters) == [[0], [1], [2], [3, 4], [5], [6], [7]]
+    assert [c.tolist() for c in RectOverlaps(np.zeros((0, 4)))._clusters()] == [[]]
+
+
+def test_cluster_lanes_pack_uneven_clusters_into_few_slots():
+    # One cluster of 6 and twelve singletons: lanes of width 6, not 13 x 6 slots.
+    clusters = [np.arange(6)] + [np.array([k]) for k in range(6, 18)]
+    slots = nms._lanes(clusters)
+    assert slots.shape == (3, 6)
+    assert sorted(slots[slots >= 0].tolist()) == list(range(18))
+    assert slots[0].tolist() == list(range(6))
 
 
 def test_greedy_loop_stops_once_every_rescore_is_zero():

@@ -111,6 +111,17 @@ class TestAssignTargets:
         assert np.array_equal(out.matched_gt, [-1, -1])
         assert np.array_equal(out.quality, [[0.0], [0.0]])
 
+    def test_box_without_cuboid_is_never_picked_even_at_zero_beta(self):
+        gt = make_gt()
+        out = assign_targets([DetectionBox(rect=gt.rect, cuboid=None)], [gt], beta=0.0)
+        assert np.array_equal(out.targets, [0])
+        assert np.array_equal(out.matched_gt, [-1])
+        # The cuboid-less box comes first; the ground truth still picks the one with a cuboid.
+        far = make_det(gt, 0.5, dx=3.5)
+        out = assign_targets([DetectionBox(rect=gt.rect, cuboid=None), far], [gt], beta=0.0)
+        assert np.array_equal(out.targets, [0, 1])
+        assert np.array_equal(out.matched_gt, [-1, 0])
+
     def test_positive_count_bounded_by_gts(self):
         gts = [make_gt(cx=float(i) * 12.0) for i in range(3)]
         dets = [make_det(g, 0.5 + 0.1 * k) for k, g in enumerate(gts) for _ in range(4)]
