@@ -21,8 +21,7 @@ from .nms import (
     NmsConfig,
     Pruning,
     _masked_sorted,
-    _MatrixOverlaps,
-    _validate_overlaps,
+    _overlap_source,
     _validate_scores,
     prune,
     prune_derivative,
@@ -48,22 +47,22 @@ class NmsGradients:
 
     score_grad is dense d(loss)/d(score). overlap_grad holds one entry per
     suppressed pair, keyed (member index, group-top index) in original order;
-    the overlap matrix is symmetric, so the mirrored entry is implied.
+    overlaps are symmetric, so the mirrored entry is implied.
     """
 
     score_grad: np.ndarray
     overlap_grad: dict[tuple[int, int], float]
 
 
-def _validated_inputs(scores, overlaps, cfg: NmsConfig):
+def _validated_inputs(scores, overlaps, cfg: NmsConfig, in_range: bool = False):
     if cfg.pruning is Pruning.HARD:
         raise ValueError("non-differentiable pruning: gradients require a soft pruning kind")
     s = _validate_scores(scores, upper=1.0)
-    # The overlaps by shape only: a range check would read all n^2 entries.
-    return s, _validate_overlaps(overlaps, s.size, in_range=False)
+    # A matrix by shape only unless in_range: a range check reads all n^2 entries.
+    return s, _overlap_source(overlaps, s.size, in_range)
 
 
-def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
+def _local_terms(s: np.ndarray, source, cfg: NmsConfig):
     """The recorded sort and grouping, reduced to the local derivatives' inputs.
 
     In original indices: the group tops and their clip gates, then the
@@ -72,12 +71,12 @@ def _local_terms(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
     grouping and pre-clip values are those of the masked forward that
     run_nms runs.
     """
-    order, top, pre_clip, _ = (row[0] for row in _masked_sorted(s[None], _MatrixOverlaps(o), cfg))
+    order, top, pre_clip, _ = (row[0] for row in _masked_sorted(s[None], source, cfg))
     members = np.flatnonzero((top >= 0) & (top != np.arange(s.size)))
     members, tops = order[members], order[top[members]]
     gated = _gate(pre_clip[members])
     members, tops = members[gated], tops[gated]
-    o_mt = o[members, tops]
+    o_mt = source.pairs(members, tops)
     group_tops = order[np.flatnonzero(top == np.arange(s.size))]
     weights, slopes = prune(o_mt, cfg), prune_derivative(o_mt, cfg)
     return group_tops, _gate(pre_clip[group_tops]), members, tops, weights, slopes, s[tops], pre_clip
@@ -94,11 +93,11 @@ def masked_backward(scores, overlaps, cfg: NmsConfig, upstream) -> NmsGradients:
     dr_i/ds_i = 1, dr_i/ds_t = -p(o_it), and dr_i/do_it = -p'(o_it) s_t;
     the gate zeroes all three when the pre-clip value sits outside [0, 1].
     """
-    s, o = _validated_inputs(scores, overlaps, cfg)
+    s, source = _validated_inputs(scores, overlaps, cfg)
     up = np.asarray(upstream, dtype=float)
     if up.shape != s.shape:
         raise ValueError(f"upstream gradient must have shape {s.shape}, got {up.shape}")
-    tops, top_gates, members, member_tops, weights, slopes, s_tops, _ = _local_terms(s, o, cfg)
+    tops, top_gates, members, member_tops, weights, slopes, s_tops, _ = _local_terms(s, source, cfg)
     # One scatter, its terms in the order of a walk over the groups (each top's
     # own term before its members'), so every sum adds up in that order. With
     # no boxes, bincount returns integers.
@@ -121,9 +120,9 @@ def masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.ndarray, dict
     return _jacobians(*_validated_inputs(scores, overlaps, cfg), cfg)[:2]
 
 
-def _jacobians(s: np.ndarray, o: np.ndarray, cfg: NmsConfig):
+def _jacobians(s: np.ndarray, source, cfg: NmsConfig):
     """masked_jacobians of validated inputs, and the masked forward's pre-clip values."""
-    tops, top_gates, members, member_tops, weights, slopes, s_tops, pre_clip = _local_terms(s, o, cfg)
+    tops, top_gates, members, member_tops, weights, slopes, s_tops, pre_clip = _local_terms(s, source, cfg)
     jac = np.zeros((s.size, s.size))
     jac[tops, tops] = top_gates
     jac[members, members] = 1.0
@@ -157,17 +156,16 @@ _KINK_MARGIN = 1e-3
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _central_differences(s, o, cfg: NmsConfig, eps: float, cols, members, tops) -> np.ndarray:
+def _central_differences(s, source, cfg: NmsConfig, eps: float, cols, members, tops) -> np.ndarray:
     """One row of rescore central differences per perturbed coordinate.
 
     Rows come first for score columns cols, then for the overlap pairs
     (members, tops), each perturbed on both sides of the diagonal as a patch
-    over the one shared matrix. A block of coordinates, each at +eps and
+    over the one shared source. A block of coordinates, each at +eps and
     -eps, is rescored by one masked forward.
     """
     n = s.size
     count = cols.size + members.size
-    source = _MatrixOverlaps(o)
     per_block = max(1, _BLOCK_ENTRIES // max(1, 2 * n))
     diffs = np.empty((count, n))
     for start in range(0, count, per_block):
@@ -207,19 +205,18 @@ def finite_difference_check(
     within 1e-3 of the grouping threshold. Every perturbed instance is sorted,
     grouped and rescored from scratch by the masked forward that run_nms
     runs, in blocks of at most 2^18 scores; a perturbed overlap pair is a
-    patch over the one shared matrix. eps must be finite and positive, and
-    tolerance at least 0.
+    patch over the matrix or rectangles given, never a copy of them. eps must
+    be finite and positive, and tolerance at least 0.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be at least 0, got {tolerance!r}")
-    s, o = _validated_inputs(scores, overlaps, cfg)
     # The check perturbs overlaps inside [0, 1], so unlike the backward pass it
-    # reads every entry once to reject a matrix outside that domain.
-    _validate_overlaps(o, s.size)
+    # reads every entry of a matrix once to reject one outside that domain.
+    s, source = _validated_inputs(scores, overlaps, cfg, in_range=True)
     n = s.size
-    jac, o_grads, pre_clip = _jacobians(s, o, cfg)
+    jac, o_grads, pre_clip = _jacobians(s, source, cfg)
 
     row_smooth = (np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)
     rows = np.flatnonzero(row_smooth)
@@ -233,12 +230,12 @@ def finite_difference_check(
 
     keys = sorted(o_grads)
     members, tops = np.array(keys, dtype=int).reshape(-1, 2).T
-    o_mt = o[members, tops]
+    o_mt = source.pairs(members, tops)
     kept = (np.abs(o_mt - cfg.nt) >= _KINK_MARGIN) & row_smooth[members] & (o_mt - eps >= 0.0) & (o_mt + eps <= 1.0)
     analytic = np.array([o_grads[key] for key in keys])[kept]
     members, tops = members[kept], tops[kept]
 
-    diffs = _central_differences(s, o, cfg, eps, cols, members, tops)
+    diffs = _central_differences(s, source, cfg, eps, cols, members, tops)
     # Score errors column by column, then overlap errors in key order; the
     # first maximum is the worst, as in a loop that only replaces on >.
     score_err = _rel_errors(diffs[: cols.size][:, rows], jac[np.ix_(rows, cols)].T).ravel()

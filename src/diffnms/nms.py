@@ -10,7 +10,8 @@ overlap groups and lets only each group's top box suppress its members, which
 makes the system solvable in closed form and (with a soft pruning function)
 differentiable. Its forward is written once, over rows of scores: run_nms and
 the backward pass in :mod:`diffnms.gradients` run it on one row, and the
-finite-difference check on a block of perturbed rows over one shared matrix.
+finite-difference check on a block of perturbed rows over one shared source
+of overlaps.
 """
 
 from __future__ import annotations
@@ -190,20 +191,6 @@ def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
 _OVERLAP_RANGE = "overlap values must be finite and lie in [0, 1]"
 
 
-def _validate_overlaps(overlaps, n: int, in_range: bool = True) -> np.ndarray:
-    """overlaps as an (n, n) float array; in_range also checks every entry."""
-    try:
-        o = np.asarray(overlaps, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected the ({n}, {n}) overlap matrix, got {type(overlaps).__name__}") from None
-    if o.shape != (n, n):
-        raise ValueError(f"overlap matrix must have shape ({n}, {n}), got {o.shape}")
-    # A NaN makes both comparisons false, and an infinity fails one of them.
-    if in_range and o.size and not (o.min() >= 0.0 and o.max() <= 1.0):
-        raise ValueError(_OVERLAP_RANGE)
-    return o
-
-
 class _MatrixOverlaps:
     """An overlap matrix read like a RectOverlaps: pairs(i, j) gathers o[i, j]."""
 
@@ -223,10 +210,22 @@ class _MatrixOverlaps:
 _WHOLE_MATRIX_BOXES = 64
 
 
-def _overlap_source(overlaps, n: int) -> RectOverlaps | _MatrixOverlaps:
-    """The validated overlaps of n boxes, read through pairs(i, j) in original indices."""
+def _overlap_source(overlaps, n: int, in_range: bool = True) -> RectOverlaps | _MatrixOverlaps:
+    """The validated overlaps of n boxes, read through pairs(i, j) in original indices.
+
+    A matrix's shape is checked, and with in_range every entry too.
+    """
     if not isinstance(overlaps, RectOverlaps):
-        return _MatrixOverlaps(_validate_overlaps(overlaps, n))
+        try:
+            matrix = np.asarray(overlaps, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"expected the ({n}, {n}) overlap matrix, got {type(overlaps).__name__}") from None
+        if matrix.shape != (n, n):
+            raise ValueError(f"overlap matrix must have shape ({n}, {n}), got {matrix.shape}")
+        # A NaN makes both comparisons false, and an infinity fails one of them.
+        if in_range and matrix.size and not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+            raise ValueError(_OVERLAP_RANGE)
+        return _MatrixOverlaps(matrix)
     if len(overlaps) != n:
         raise ValueError(f"overlaps must cover {n} boxes, got {len(overlaps)}")
     if not overlaps.finite:
@@ -303,8 +302,8 @@ def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
     sorted order) are capped out. The rest carry over to the next round.
     Grouping always uses the hard nt comparison regardless of the pruning kind.
     """
-    o = np.asarray(sorted_overlaps, dtype=float)
-    return GroupPartition(_group_tops(_MatrixOverlaps(o), np.arange(o.shape[0]), cfg))
+    n = len(sorted_overlaps)
+    return GroupPartition(_group_tops(_overlap_source(sorted_overlaps, n, in_range=False), np.arange(n), cfg))
 
 
 def _group_rows(source, order: np.ndarray, cfg: NmsConfig, patch) -> np.ndarray:

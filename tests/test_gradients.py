@@ -193,18 +193,36 @@ BACKWARDS = pytest.mark.parametrize(
 
 @pytest.mark.parametrize(
     "overlaps, message",
-    [
-        (RectOverlaps(np.array([[0.0, 0.0, 2.0, 2.0], [1.0, 1.0, 3.0, 3.0]])), "RectOverlaps"),
-        ("high", "str"),
-        ([["a", "b"], ["c", "d"]], "list"),
-    ],
-    ids=["rects", "string", "strings"],
+    [("high", "str"), ([["a", "b"], ["c", "d"]], "list")],
+    ids=["string", "strings"],
 )
 @BACKWARDS
 def test_backward_takes_the_overlap_matrix(overlaps, message, backward):
     s, _ = pair_instance()
     with pytest.raises(ValueError, match=rf"^expected the \(2, 2\) overlap matrix, got {message}$"):
         backward(s, overlaps)
+
+
+@pytest.mark.parametrize(
+    "rects, message",
+    [
+        (np.zeros((1, 4)), r"overlaps must cover 2 boxes, got 1"),
+        # The area of the first rectangle overflows, so its own overlap is NaN.
+        (
+            np.array([[-1e308, -1e308, 1e308, 1e308], [0.0, 0.0, 1.0, 1.0]]),
+            r"overlap values must be finite and lie in \[0, 1\]",
+        ),
+    ],
+    ids=["count", "overflow"],
+)
+@BACKWARDS
+def test_backward_rect_errors_are_the_forwards(rects, message, backward):
+    s, _ = pair_instance()
+    with pytest.raises(ValueError) as forward:
+        masked_rescore(s, RectOverlaps(rects), LINEAR)
+    with pytest.raises(ValueError, match=rf"^{message}$") as raised:
+        backward(s, RectOverlaps(rects))
+    assert str(raised.value) == str(forward.value)
 
 
 @pytest.mark.parametrize("overlaps", [np.eye(3), np.ones(2), np.zeros((2, 2, 1))], ids=["3x3", "1-d", "3-d"])
@@ -228,6 +246,19 @@ def test_backward_rejects_the_scores_the_forward_rejects(bad, backward):
     with pytest.raises(ScoreRangeError) as raised:
         backward(s, o)
     assert str(raised.value) == str(forward.value)
+
+
+def test_backward_checks_a_matrix_by_shape_only():
+    # Box 1 joins box 0's group, so no forward reads o[0, 1]; the check's
+    # range test alone sees it.
+    s, o = pair_instance()
+    bad = o.copy()
+    bad[0, 1] = 1.5
+    up = np.array([0.5, -1.0])
+    assert masked_backward(s, bad, LINEAR, up).overlap_grad == masked_backward(s, o, LINEAR, up).overlap_grad
+    assert np.array_equal(masked_jacobians(s, bad, LINEAR)[0], masked_jacobians(s, o, LINEAR)[0])
+    with pytest.raises(ValueError, match=r"^overlap values must be finite and lie in \[0, 1\]$"):
+        finite_difference_check(s, bad, LINEAR)
 
 
 SOFT = [p for p in Pruning if p is not Pruning.HARD]

@@ -1,8 +1,9 @@
 """Rectangles as an overlap source, against the overlap matrix of the same rectangles.
 
-run_nms accepts either an (N, N) overlap matrix or a RectOverlaps, which
-evaluates only the pairs a variant reads. Both must give the same bytes, and
-the greedy variants must match the loop that ran every round to the last box.
+run_nms and the backward pass accept either an (N, N) overlap matrix or a
+RectOverlaps, which evaluates only the pairs they read. Both must give the
+same bytes, and the greedy variants must match the loop that ran every round
+to the last box.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ from diffnms import (
     Pruning,
     Rect2D,
     RectOverlaps,
+    finite_difference_check,
     iou2d_matrix,
     masked_backward,
     masked_jacobians,
@@ -139,21 +141,56 @@ def test_greedy_variants_match_the_loop_on_random_matrices(seed, pruning):
     _assert_same_result(run_nms(scores, overlaps, cfg, _variants(cfg)[0]), reference_greedy_nms(scores, overlaps, cfg))
 
 
+SOFT = tuple(p for p in Pruning if p is not Pruning.HARD)
+
+
 @settings(max_examples=200)
-@given(case=scenes(prunings=tuple(p for p in Pruning if p is not Pruning.HARD)))
-def test_masked_gradients_on_rect_overlaps_match_reference(case):
+@given(case=scenes(prunings=SOFT), whole_matrix=st.booleans())
+def test_masked_gradients_on_rect_overlaps_match_reference(case, whole_matrix):
+    # A limit of 0 makes these small scenes read rectangles on demand.
     boxes, scores, cfg = case
     scores = scores + 0.0
     matrix = overlap_matrix(boxes)
     upstream = np.linspace(-1.0, 1.0, scores.size)
-    got = masked_backward(scores, matrix, cfg, upstream)
     want = reference_masked_backward(scores, matrix, cfg, upstream)
-    assert _same(got.score_grad, want.score_grad)
-    assert got.overlap_grad == want.overlap_grad
-    jac, o_grads = masked_jacobians(scores, matrix, cfg)
     ref_jac, ref_o_grads = reference_masked_jacobians(scores, matrix, cfg)
-    assert _same(jac, ref_jac)
-    assert o_grads == ref_o_grads
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nms, "_WHOLE_MATRIX_BOXES", nms._WHOLE_MATRIX_BOXES if whole_matrix else 0)
+        for overlaps in (matrix, RectOverlaps(rect_array(boxes))):
+            got = masked_backward(scores, overlaps, cfg, upstream)
+            assert _same(got.score_grad, want.score_grad)
+            assert got.overlap_grad == want.overlap_grad
+            jac, o_grads = masked_jacobians(scores, overlaps, cfg)
+            assert _same(jac, ref_jac)
+            assert o_grads == ref_o_grads
+
+
+def _assert_same_gradcheck(scores, rects, cfg) -> None:
+    want = finite_difference_check(scores, iou2d_matrix(rects, rects), cfg)
+    got = finite_difference_check(scores, RectOverlaps(rects), cfg)
+    assert got == want
+    assert got.max_rel_error.hex() == want.max_rel_error.hex()
+
+
+@settings(max_examples=100)
+@given(case=scenes(prunings=SOFT), whole_matrix=st.booleans())
+def test_gradcheck_on_rect_overlaps_matches_its_matrix(case, whole_matrix):
+    # A limit of 0 makes the perturbed rows read rectangles on demand.
+    boxes, scores, cfg = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nms, "_WHOLE_MATRIX_BOXES", nms._WHOLE_MATRIX_BOXES if whole_matrix else 0)
+        _assert_same_gradcheck(scores, rect_array(boxes), cfg)
+
+
+@pytest.mark.parametrize("pruning", SOFT)
+@pytest.mark.parametrize("cap", [None, 3])
+def test_gradcheck_on_a_large_rect_scene_matches_its_matrix(pruning, cap):
+    # More than _WHOLE_MATRIX_BOXES boxes, so the check reads rectangles as given.
+    rng = np.random.default_rng(4)
+    rects = _clustered_rects(rng, 10, 8)
+    assert len(rects) > nms._WHOLE_MATRIX_BOXES
+    scores = rng.uniform(0.0, 1.0, len(rects))
+    _assert_same_gradcheck(scores, rects, NmsConfig(pruning=pruning, max_group_size=cap))
 
 
 @settings(max_examples=300)
@@ -248,6 +285,21 @@ def test_closed_form_variants_do_no_quadratic_work_on_rects(variant):
     rects = _clustered_rects(rng, 250, 20)
     scores = rng.uniform(0.0, 1.0, len(rects))
     assert _peak_bytes(scores, RectOverlaps(rects), NmsConfig(pruning=Pruning.LINEAR), variant) < 20 * 2**20
+
+
+def test_backward_does_no_quadratic_work_on_rects():
+    # A training step on moving boxes hands the backward pass their rectangles.
+    rng = np.random.default_rng(0)
+    rects = _clustered_rects(rng, 250, 20)
+    scores = rng.uniform(0.0, 1.0, len(rects))
+    tracemalloc.start()
+    try:
+        grads = masked_backward(scores, RectOverlaps(rects), NmsConfig(pruning=Pruning.LINEAR), np.ones(len(rects)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads.score_grad.shape == scores.shape and grads.overlap_grad
+    assert peak < 20 * 2**20
 
 
 def test_uncapped_group_is_solved_in_bounded_memory():
