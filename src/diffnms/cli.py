@@ -10,6 +10,7 @@ seed and input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -219,14 +220,25 @@ def cmd_gradcheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0 if failed == 0 else 1
 
 
+def _json_number(fields: dict, key: str) -> float:
+    """fields[key] as a float if it is a JSON number; DifficultyRule checks that it is finite."""
+    value = fields[key]
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
 def _difficulty_rules(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict[str, DifficultyRule | None]:
     rules: dict[Difficulty, DifficultyRule] = dict(DEFAULT_DIFFICULTY_RULES)
     if args.difficulty_config:
         with open(args.difficulty_config, "r", encoding="utf-8") as handle:
             try:
                 raw = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ValueError(f"difficulty config: invalid JSON: {exc}") from None
+            except RecursionError:
+                raise ValueError("difficulty config: invalid JSON: nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError(f"difficulty config: expected a JSON object of rules, got {type(raw).__name__}")
         names = [d.value for d in Difficulty]
@@ -242,9 +254,9 @@ def _difficulty_rules(args: argparse.Namespace, parser: argparse.ArgumentParser)
                 )
             try:
                 rules[Difficulty(name)] = DifficultyRule(
-                    min_height=float(fields["min_height"]),
+                    min_height=_json_number(fields, "min_height"),
                     max_occlusion=fields["max_occlusion"],
-                    max_truncation=float(fields["max_truncation"]),
+                    max_truncation=_json_number(fields, "max_truncation"),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -609,6 +609,15 @@ def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
     return _cuboid_pairs(a, b, rows, cols, _iou)
 
 
+def _iou3d_rows(a, b, cols: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Row k holds ``iou3d(a[k], b[j])`` for each j in cols[k]; one ``iou3d_pairs`` call covers every row."""
+    lengths = [len(c) for c in cols]
+    flat = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp, count=sum(lengths))
+    values = iou3d_pairs(a, b, np.repeat(np.arange(len(cols)), lengths), flat)
+    bounds = list(itertools.accumulate(lengths, initial=0))
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _cuboid_pairs(a, b, rows, cols, measure) -> np.ndarray:
     """measure of the pairs (a[rows[k]], b[cols[k]]), after checking the arrays and indices."""
     a = _box_array(a, 7, "a")

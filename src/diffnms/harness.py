@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +19,10 @@ from .geometry import (
     RectOverlaps,
     _aa_iou,
     _cuboid_pairs,
+    _iou3d_rows,
     cuboid_array,
     iou2d_matrix,
     iou3d_matrix,
-    iou3d_pairs,
     rect_array,
 )
 from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
@@ -219,28 +220,17 @@ def score_iou_correlation(
         return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
 
     per_scene = [kept_boxes(scene, scene_gts) for scene, scene_gts in zip(scenes, gts)]
-    # One iou3d_pairs call covers the kept box x ground-truth pairs of every scene.
-    box_rows: list[int] = []
-    gt_cols: list[int] = []
-    box_base = gt_base = 0
-    for kept, scene_gts in zip(per_scene, gts):
-        for j in range(len(kept)):
-            box_rows += [box_base + j] * len(scene_gts)
-            gt_cols += range(gt_base, gt_base + len(scene_gts))
-        box_base += len(kept)
-        gt_base += len(scene_gts)
+    # Each kept box's columns are its scene's ground truths in the stacked array.
+    bounds = list(accumulate(map(len, gts), initial=0))
+    columns = [range(lo, hi) for kept, lo, hi in zip(per_scene, bounds, bounds[1:]) for _ in kept]
     box_cuboids = cuboid_array([scene.boxes[i].cuboid for scene, kept in zip(scenes, per_scene) for i, _ in kept])
     gt_cuboids = cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts])
-    values = iou3d_pairs(box_cuboids, gt_cuboids, box_rows, gt_cols)
-    # Each kept box's pairs are contiguous; its match is the first maximum among them.
-    picks = []
-    at = 0
-    for kept, scene_gts in zip(per_scene, gts):
-        for _ in kept:
-            picks.append(at + int(np.argmax(values[at : at + len(scene_gts)])))
-            at += len(scene_gts)
-    aligned = _cuboid_pairs(box_cuboids, gt_cuboids, np.take(box_rows, picks), np.take(gt_cols, picks), _aa_iou)
-    matched = zip(values[picks].tolist(), aligned.tolist())
+    values = _iou3d_rows(box_cuboids, gt_cuboids, columns)
+    # A kept box's match is the first maximum of its row.
+    firsts = [int(row.argmax()) for row in values]
+    picks = [cols[j] for cols, j in zip(columns, firsts)]
+    aligned = _cuboid_pairs(box_cuboids, gt_cuboids, range(len(picks)), picks, _aa_iou)
+    matched = zip([float(row[j]) for row, j in zip(values, firsts)], aligned.tolist())
     rows = [
         CorrelationRow(scene.scene_id, i, rescore, *next(matched))
         for scene, kept in zip(scenes, per_scene)

@@ -62,7 +62,7 @@ class NmsConfig:
     max_group_size, an integer, caps how many boxes one group may hold (None
     means unbounded). tau is the finite, positive temperature of the
     exponential and sigmoidal pruning kinds; when left unset it defaults to
-    0.5 and 0.1 respectively.
+    0.5 and 0.1 respectively. pruning takes a Pruning or its value, such as "exp".
     """
 
     nt: float = 0.4
@@ -79,6 +79,7 @@ class NmsConfig:
         cap = self.max_group_size
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
             raise ValueError(f"max_group_size must be an integer of at least 1 or None, got {cap!r}")
+        object.__setattr__(self, "pruning", Pruning(self.pruning))
         if self.pruning in _DEFAULT_TAU:
             if self.tau is None:
                 object.__setattr__(self, "tau", _DEFAULT_TAU[self.pruning])

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boxes import DetectionBox, GroundTruth
-from .geometry import cuboid_array, giou3d_matrix, iou2d_matrix, iou3d_pairs, rect_array
+from .geometry import _iou3d_rows, cuboid_array, giou3d_matrix, iou2d_matrix, rect_array
 
 __all__ = [
     "DEFAULT_BETA",
@@ -243,16 +243,17 @@ def _greedy_hits(
     """Per scene, whether each detection is a true positive under greedy matching.
 
     scenes holds (detections in matching order, evaluable ground truths). Each
-    detection claims the unclaimed ground truth with the highest IoU3D (the
-    lower index on ties) and is a hit when that IoU reaches the threshold.
-    IoU3D is computed only against ground truths still unclaimed, for a
-    block of detections of every scene per ``iou3d_pairs`` call. Blocks double
+    detection claims the unclaimed ground truth with the highest positive
+    IoU3D (the lower index on ties) and is a hit when that IoU reaches the
+    threshold. IoU3D is computed only against ground truths still unclaimed,
+    for a block of detections of every scene per kernel call. Blocks double
     in size, and a scene drops out once all its ground truths are claimed, so
     scenes whose ground truths are claimed early cost few pairs.
     """
     hits = [[False] * len(dets) for dets, _ in scenes]
-    claimed = [[False] * len(gts) for _, gts in scenes]
-    gt_base = list(accumulate((len(gts) for _, gts in scenes), initial=0))
+    # Scene s owns the ground truths bounds[s]:bounds[s + 1] of the stacked array.
+    bounds = list(accumulate((len(gts) for _, gts in scenes), initial=0))
+    claimed = [False] * bounds[-1]
     gt_cuboids = cuboid_array([gt.cuboid for _, gts in scenes for gt in gts])
     # Detections without a cuboid match nothing, so only those with one are visited.
     visit = [[k for k, det in enumerate(dets) if det.cuboid is not None] for dets, _ in scenes]
@@ -260,33 +261,20 @@ def _greedy_hits(
     start, size = 0, _FIRST_BLOCK
     while active:
         plan = []
-        block_cuboids = []
-        rows: list[int] = []
-        cols: list[int] = []
         for s in active:
-            open_gts = [g for g, taken in enumerate(claimed[s]) if not taken]
-            block = visit[s][start : start + size]
-            plan.append((s, block, open_gts))
-            for k in block:
-                rows += [len(block_cuboids)] * len(open_gts)
-                cols += [gt_base[s] + g for g in open_gts]
-                block_cuboids.append(scenes[s][0][k].cuboid)
-        values = iou3d_pairs(cuboid_array(block_cuboids), gt_cuboids, rows, cols).tolist()
-        at = 0
-        for s, block, open_gts in plan:
-            taken = claimed[s]
-            for k in block:
-                best_iou, best_gt = 0.0, -1
-                for g, value in zip(open_gts, values[at : at + len(open_gts)]):
-                    if not taken[g] and value > best_iou:
-                        best_iou, best_gt = value, g
-                at += len(open_gts)
-                if best_gt >= 0 and best_iou >= iou_threshold:
-                    taken[best_gt] = True
-                    hits[s][k] = True
+            open_gts = [g for g in range(bounds[s], bounds[s + 1]) if not claimed[g]]
+            plan += [(s, k, open_gts) for k in visit[s][start : start + size]]
+        dets = cuboid_array([scenes[s][0][k].cuboid for s, k, _ in plan])
+        for (s, k, open_gts), row in zip(plan, _iou3d_rows(dets, gt_cuboids, [g for _, _, g in plan])):
+            # max and index take the first maximum, so ties go to the lower index.
+            ious = [v if v > 0.0 and not claimed[g] else 0.0 for g, v in zip(open_gts, row.tolist())]
+            best = max(ious)
+            if best > 0.0 and best >= iou_threshold:
+                claimed[open_gts[ious.index(best)]] = True
+                hits[s][k] = True
         start += size
         size *= 2
-        active = [s for s in active if start < len(visit[s]) and not all(claimed[s])]
+        active = [s for s in active if start < len(visit[s]) and not all(claimed[bounds[s] : bounds[s + 1]])]
     return hits
 
 
@@ -301,36 +289,33 @@ def eval_ap_r40(
     order (ties to the lower index): a detection claims the unmatched ground
     truth with the highest rotated 3D IoU and is a true positive when that IoU
     reaches the threshold; each ground truth may be claimed once; everything
-    else is a false positive. Precision is interpolated as the running best
-    at recall >= r for r in {1/40, ..., 40/40}. Returns None when the
-    difficulty filter leaves no ground truths, distinguishing "not evaluable"
-    from an AP of zero.
+    else is a false positive. Detections of all scenes are then ranked by
+    descending score; equal scores rank by scene order, then by rank within
+    the scene. Precision is interpolated as the running best at recall >= r
+    for r in {1/40, ..., 40/40}. Returns None when the difficulty filter
+    leaves no ground truths, distinguishing "not evaluable" from an AP of zero.
     """
-    ranked: list[tuple[list[DetectionBox], list[GroundTruth]]] = []
-    for dets, gts in scene_pairs:
-        usable = [d for d in dets if not d.dontcare]
-        order = sorted(range(len(usable)), key=lambda k: (-usable[k].score, k))
-        ranked.append(([usable[k] for k in order], filter_gts(gts, rule)))
-    total_gts = sum(len(valid) for _, valid in ranked)
-    records: list[tuple[float, bool, int, int]] = [
-        (det.score, hit, scene_index, rank)
-        for scene_index, ((dets, _), hits) in enumerate(zip(ranked, _greedy_hits(ranked, iou_threshold)))
-        for rank, (det, hit) in enumerate(zip(dets, hits))
+    # sorted is stable, so equal scores keep the lower index first.
+    ranked = [
+        (sorted((d for d in dets if not d.dontcare), key=lambda d: -d.score), filter_gts(gts, rule))
+        for dets, gts in scene_pairs
     ]
+    total_gts = sum(len(valid) for _, valid in ranked)
     if total_gts == 0:
         return None
-    records.sort(key=lambda rec: (-rec[0], rec[2], rec[3]))
-    hits = np.array([rec[1] for rec in records], dtype=float)
+    scores = np.array([det.score for dets, _ in ranked for det in dets], dtype=float)
+    hits = np.array([hit for scene_hits in _greedy_hits(ranked, iou_threshold) for hit in scene_hits], dtype=float)
     if hits.size == 0:
         return 0.0
-    cumulative = np.cumsum(hits)
-    ranks = np.arange(1, hits.size + 1)
-    precision = cumulative / ranks
+    # scores run in (scene, rank) order, which a stable sort keeps among equal scores.
+    cumulative = np.cumsum(hits[np.argsort(-scores, kind="stable")])
+    precision = cumulative / np.arange(1, hits.size + 1)
     recall = cumulative / total_gts
+    # best[i] is the best precision at rank i or later, so at recall >= r from the first rank reaching r.
+    best = np.maximum.accumulate(precision[::-1])[::-1].tolist()
     total = 0.0
-    for step in range(1, _RECALL_POINTS + 1):
-        target = step / _RECALL_POINTS
-        eligible = recall >= target
-        if eligible.any():
-            total += float(precision[eligible].max())
+    # One addition at a time in recall-point order (sum() compensates on Python 3.12+), so AP keeps its bits.
+    for at in np.searchsorted(recall, np.arange(1, _RECALL_POINTS + 1) / _RECALL_POINTS).tolist():
+        if at < len(best):
+            total += best[at]
     return 100.0 * total / _RECALL_POINTS

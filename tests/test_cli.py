@@ -250,6 +250,27 @@ class TestEval:
                 {"easy": {"min_height": 40, "max_occlusion": "0", "max_truncation": 0.15}},
                 "rule 'easy': max_occlusion must be an integer, got '0'",
             ),
+            (
+                {"easy": {"min_height": True, "max_occlusion": 0, "max_truncation": 0.15}},
+                "rule 'easy': min_height must be a number, got True",
+            ),
+            (
+                {"moderate": {"min_height": 25, "max_occlusion": 1, "max_truncation": "0.15"}},
+                "rule 'moderate': max_truncation must be a number, got '0.15'",
+            ),
+            (
+                {"hard": {"min_height": 10**400, "max_occlusion": 2, "max_truncation": 0.5}},
+                "rule 'hard': min_height must be a number, got 100000",
+            ),
+            (
+                {"hard": {"min_height": 25, "max_occlusion": 2, "max_truncation": -(10**400)}},
+                "rule 'hard': max_truncation must be a number, got -100000",
+            ),
+            pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply", id="deep-nesting"),
+            # Python's limit on integer digits makes this invalid JSON; without it, not a number.
+            pytest.param(
+                '{"easy": {"min_height": ' + "1" * 5000 + "}}", "difficulty config: ", id="integer-of-5000-digits"
+            ),
         ],
     )
     def test_bad_difficulty_config_is_a_clean_error(self, scene_file, tmp_path, capsys, config, fragment):

@@ -20,6 +20,7 @@ from diffnms import (
     rect_array,
     rotated_bev_intersection_area,
 )
+from diffnms.geometry import _iou3d_rows
 from oracles import (
     ConvexPolygon,
     clip_convex,
@@ -421,6 +422,21 @@ class TestBatchedMatrices:
         cols = rng.integers(0, len(b), 200)
         assert_bit_identical(iou3d_pairs(a, b, rows, cols), iou3d_matrix(a, b)[rows, cols])
         assert iou3d_pairs(a, b, [], []).shape == (0,)
+
+    def test_rows_are_the_selected_matrix_entries(self):
+        a, b = cuboid_array(EDGE_CUBOIDS), cuboid_array(EDGE_CUBOIDS[::-1])
+        rng = np.random.default_rng(5)
+        # Random, empty, repeated and unsorted column lists, and a range.
+        cols = [rng.integers(0, len(b), rng.integers(0, 6)).tolist() for _ in range(len(a) - 4)]
+        cols += [[], [3, 3, 3], [len(b) - 1, 0, 2, 0], range(len(b))]
+        rows = _iou3d_rows(a, b, cols)
+        assert len(rows) == len(a)
+        matrix = iou3d_matrix(a, b)
+        for k, row in enumerate(rows):
+            assert_bit_identical(row, matrix[k, list(cols[k])])
+        assert _iou3d_rows(a[:0], b, []) == []
+        (empty,) = _iou3d_rows(a[:1], b, [[]])
+        assert empty.shape == (0,)
 
     @pytest.mark.parametrize(
         "call",

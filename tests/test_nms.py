@@ -64,6 +64,20 @@ class TestConfig:
             with pytest.raises(ValueError, match="tau must be finite and positive for sigmoid pruning"):
                 NmsConfig(pruning=Pruning.SIGMOIDAL, tau=tau)
 
+    def test_plain_string_pruning_becomes_its_kind(self):
+        exp = NmsConfig(pruning="exp")
+        assert exp.pruning is Pruning.EXPONENTIAL
+        assert exp.tau == 0.5
+        assert prune(0.3, exp) == prune(0.3, NmsConfig(pruning=Pruning.EXPONENTIAL))
+        assert prune(0.3, exp) == pytest.approx(0.1647, abs=1e-4)
+        linear = NmsConfig(pruning="linear")
+        assert linear.pruning is Pruning.LINEAR
+        assert prune(0.3, linear) == 0.3
+
+    def test_unknown_pruning_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid Pruning"):
+            NmsConfig(pruning="bogus")
+
     def test_accepts_integer_caps(self):
         for cap in (1, 7, np.int64(3), np.int32(2)):
             assert NmsConfig(max_group_size=cap).max_group_size == cap

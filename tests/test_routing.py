@@ -2,8 +2,9 @@
 
 oracle_scores, assign_targets, eval_ap_r40 and score_iou_correlation must give
 exactly what the scalar loops in tests/oracles.py give, on the golden corpus,
-on a variant of it with DontCare records and missing cuboids, and on one
-cluttered scene of 1500 boxes.
+on a variant of it with DontCare records and missing cuboids, on a variant
+with tied, zero and negative-zero scores, and on one cluttered scene of 1500
+boxes.
 """
 
 import dataclasses
@@ -59,6 +60,22 @@ def _mixed(scenes):
     return out
 
 
+def _tied(scenes):
+    """Scores rounded to one decimal, so equal scores occur within and across scenes;
+    box 5 of every scene scores 0.0 and box 11 scores -0.0."""
+    signed_zero = {5: 0.0, 11: -0.0}
+    return [
+        dataclasses.replace(
+            scene,
+            boxes=[
+                dataclasses.replace(b, score=signed_zero.get(i, round(b.score, 1)))
+                for i, b in enumerate(scene.boxes)
+            ],
+        )
+        for scene in scenes
+    ]
+
+
 def _dense():
     """A cluttered scene plus a ground truth no box reaches, which is never claimed."""
     (scene,) = generate_synthetic(
@@ -70,10 +87,15 @@ def _dense():
     return [dataclasses.replace(scene, gts=scene.gts + [lonely])]
 
 
-@pytest.fixture(scope="module", params=["golden", "mixed", "dense"])
+@pytest.fixture(scope="module", params=["golden", "mixed", "tied", "dense"])
 def scenes(request):
     golden = read_scenes_jsonl(GOLDEN)
-    return {"golden": lambda: golden, "mixed": lambda: _mixed(golden), "dense": _dense}[request.param]()
+    return {
+        "golden": lambda: golden,
+        "mixed": lambda: _mixed(golden),
+        "tied": lambda: _tied(golden),
+        "dense": _dense,
+    }[request.param]()
 
 
 @pytest.mark.parametrize("mode", ["iou3d", "iou2d"])
