@@ -22,8 +22,8 @@ from .boxes import Scene
 from .gradients import finite_difference_check
 from .harness import (
     SCORE_MODES,
+    _oracle_scenes,
     build_comparison,
-    oracle_scores,
     rescore_scene,
     rescored_boxes,
     score_iou_correlation,
@@ -282,7 +282,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scenes = _load_scenes(args)
-    out_scenes = [oracle_scores(scene, args.mode) for scene in scenes]
+    out_scenes = _oracle_scenes(scenes, args.mode)
     _write_scenes(args, out_scenes)
     print(f"wrote {len(out_scenes)} scenes with {args.mode} oracle scores to {args.out}")
     return 0

@@ -205,33 +205,40 @@ def _rect_columns(a: np.ndarray) -> np.ndarray:
         return np.stack([x1, y1, x2, y2, (x2 - x1) * (y2 - y1)])
 
 
+# Up to this corner magnitude no step of _rect_iou overflows, and it divides
+# only by positive unions, so it raises no floating-point warning; larger
+# corners need numpy's silent mode.
+_QUIET_RECT_BOUND = 2.0**500
+
+
 def _rect_iou(a, b) -> np.ndarray:
     """IoU of rectangles a and b, each the rows x1, y1, x2, y2, area of ``_rect_columns``.
 
     The rows of a broadcast against the rows of b, and each entry of the
     result is bit-identical to ``iou2d`` of its pair. At least one operand
-    must hold an array.
+    must hold an array. Callers run it under ``np.errstate(all="ignore")``
+    unless every corner lies within _QUIET_RECT_BOUND: corners near +-1e308
+    overflow the extents and make the union NaN, which run_nms rejects like
+    any other NaN.
     """
     ax1, ay1, ax2, ay2, a_area = a
     bx1, by1, bx2, by2, b_area = b
     # np.minimum/np.maximum may pick the other zero on a signed-zero tie, but
     # ix and iy are then zero and the entry is 0.0 either way. In-place steps
     # keep the overlap matrix of a large scene to few (N, M) temporaries.
-    # Corners near +-1e308 overflow the extents and make the union NaN without
-    # a warning; run_nms rejects such an overlap like any other NaN.
-    with np.errstate(all="ignore"):
-        ix = np.minimum(ax2, bx2)
-        ix -= np.maximum(ax1, bx1)
-        iy = np.minimum(ay2, by2)
-        iy -= np.maximum(ay1, by1)
-        inter = ix * iy
-        union = a_area + b_area
-        union -= inter
-        empty = ix <= 0.0
-        empty |= iy <= 0.0
-        empty |= union <= 0.0
-        ratio = np.divide(inter, union, out=inter)
-        np.minimum(ratio, 1.0, out=ratio)
+    ix = np.minimum(ax2, bx2)
+    ix -= np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2)
+    iy -= np.maximum(ay1, by1)
+    inter = ix * iy
+    union = a_area + b_area
+    union -= inter
+    empty = ix <= 0.0
+    empty |= iy <= 0.0
+    empty |= union <= 0.0
+    # Empty entries are zeroed below, so they need no division.
+    ratio = np.divide(inter, union, out=inter, where=~empty)
+    np.minimum(ratio, 1.0, out=ratio)
     ratio[empty] = 0.0
     return ratio
 
@@ -244,7 +251,8 @@ def iou2d_matrix(a, b) -> np.ndarray:
     """
     a = _rect_columns(_box_array(a, 4, "a"))
     b = _rect_columns(_box_array(b, 4, "b"))
-    return _rect_iou(a[:, :, None], b)
+    with np.errstate(all="ignore"):
+        return _rect_iou(a[:, :, None], b)
 
 
 class RectOverlaps:
@@ -259,13 +267,21 @@ class RectOverlaps:
 
     def __init__(self, rects) -> None:
         self._columns = _rect_columns(_box_array(rects, 4, "rects"))
+        # Entering np.errstate costs a few microseconds, a fixed cost of every
+        # round of the greedy loop; only corners this large need it.
+        self._quiet = bool(np.all(np.abs(self._columns[:4]) <= _QUIET_RECT_BOUND))
 
     def __len__(self) -> int:
         return self._columns.shape[1]
 
     def pairs(self, i, j) -> np.ndarray:
         """Overlaps of boxes i with boxes j, by original index."""
-        return _rect_iou(self._columns[:, i], self._columns[:, j])
+        # np.take gathers along axis 1 faster than fancy indexing does.
+        a, b = np.take(self._columns, i, axis=1), np.take(self._columns, j, axis=1)
+        if self._quiet:
+            return _rect_iou(a, b)
+        with np.errstate(all="ignore"):
+            return _rect_iou(a, b)
 
     @property
     def finite(self) -> bool:
@@ -276,6 +292,7 @@ class RectOverlaps:
         """The overlaps of boxes[k] with boxes[m], read as pairs(k, m)."""
         taken = object.__new__(RectOverlaps)
         taken._columns = self._columns[:, boxes]
+        taken._quiet = self._quiet
         return taken
 
     def _clusters(self) -> list[np.ndarray]:
@@ -466,12 +483,11 @@ def _ordered_pairs(features: np.ndarray, first: np.ndarray, second: np.ndarray):
     return pa, pb, equal
 
 
-def _bev_overlap(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
-    """Footprint intersection area, clamped to the smaller footprint area.
+def _bev_overlap(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """The clipped footprint area, clamped to the smaller footprint area.
 
     Equal boxes overlap by their footprint area exactly.
     """
-    area = _clipped_area(pa[:, _X:_Z], pa[:, _Z:_AREA], pb[:, _X:_Z], pb[:, _Z:_AREA])
     return np.where(equal, pa[:, _AREA], _min(_min(area, pa[:, _AREA]), pb[:, _AREA]))
 
 
@@ -483,23 +499,26 @@ def _volume_overlap(pa: np.ndarray, pb: np.ndarray, area: np.ndarray) -> tuple[n
     return np.where(v_union > 0.0, _min(v_inter / v_union, 1.0), 0.0), v_union
 
 
-def _iou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
+def _iou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray, area: np.ndarray) -> np.ndarray:
     """Rotated 3D IoU; exactly 1 for equal boxes with volume, 0 for equal boxes without."""
-    iou, _ = _volume_overlap(pa, pb, _bev_overlap(pa, pb, equal))
+    iou, _ = _volume_overlap(pa, pb, _bev_overlap(pa, pb, equal, area))
     return np.where(equal, np.where(pa[:, _VOL] > 0.0, 1.0, 0.0), iou)
 
 
-def _aa_iou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
-    """3D IoU of the yaw-free footprint boxes; equal boxes give what ``_iou`` gives."""
+def _aa_iou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """3D IoU of the yaw-free footprint boxes; equal boxes give what ``_iou`` gives.
+
+    The clipped area is not read, so the kernel clips nothing for this measure.
+    """
     ix = _max(_min(pa[:, _X2], pb[:, _X2]) - _max(pa[:, _X1], pb[:, _X1]), 0.0)
     iz = _max(_min(pa[:, _Z2], pb[:, _Z2]) - _max(pa[:, _Z1], pb[:, _Z1]), 0.0)
     iou, _ = _volume_overlap(pa, pb, ix * iz)
     return np.where(equal, np.where(pa[:, _VOL] > 0.0, 1.0, 0.0), iou)
 
 
-def _giou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
+def _giou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray, area: np.ndarray) -> np.ndarray:
     """Generalized 3D IoU, iou + union / hull - 1, with an axis-aligned hull."""
-    iou, v_union = _volume_overlap(pa, pb, _bev_overlap(pa, pb, equal))
+    iou, v_union = _volume_overlap(pa, pb, _bev_overlap(pa, pb, equal, area))
     hull_area = (_max(pa[:, _X2], pb[:, _X2]) - _min(pa[:, _X1], pb[:, _X1])) * (
         _max(pa[:, _Z2], pb[:, _Z2]) - _min(pa[:, _Z1], pb[:, _Z1])
     )
@@ -510,8 +529,50 @@ def _giou(pa: np.ndarray, pb: np.ndarray, equal: np.ndarray) -> np.ndarray:
     return np.where(equal & (pa[:, _VOL] > 0.0), 1.0, iou + enclosure - 1.0)
 
 
+# The broad phase calls a pair apart only when the bounding boxes of its two
+# footprints leave a gap on x or z wider than this fraction of the pair's
+# largest corner coordinate, both footprints are wider and longer than that
+# gap bound, and that coordinate lies in _APART_SCALE.
+_APART_MARGIN = 2.0**-20
+# Within this range of corner magnitudes the clipper's products neither
+# overflow nor underflow.
+_APART_SCALE = (2.0**-400, 2.0**400)
+
+
+def _may_meet(features: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """False for the pairs (features[first[k]], features[second[k]]) that ``_clipped_area`` clips to exactly 0.0.
+
+    Rounding moves each clipped vertex by a few units in the last place of
+    the largest coordinate, so a gap of 2**-20 of it cannot close. The bound
+    on w and l keeps every clip edge's direction accurate: the corners of a
+    footprint thinner than rounding coincide, the clipper then clips against
+    the whole line through it, and a box far along that line keeps a sliver
+    of positive area. NaN and inf compare false, so such pairs may meet.
+    """
+    xs, zs = features[:, _X:_Z], features[:, _Z:_AREA]
+    lo_x, hi_x, lo_z, hi_z = xs.min(axis=1), xs.max(axis=1), zs.min(axis=1), zs.max(axis=1)
+    box_scale = np.abs(features[:, _X:_AREA]).max(axis=1)
+    scale = np.maximum(box_scale[first], box_scale[second])
+    margin = _APART_MARGIN * scale
+    gap = np.maximum(
+        np.maximum(lo_x[first] - hi_x[second], lo_x[second] - hi_x[first]),
+        np.maximum(lo_z[first] - hi_z[second], lo_z[second] - hi_z[first]),
+    )
+    side = np.minimum(features[:, 3], features[:, 5])
+    apart = (gap > margin) & (np.minimum(side[first], side[second]) > margin)
+    apart &= (scale > _APART_SCALE[0]) & (scale < _APART_SCALE[1])
+    return ~apart
+
+
 def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, measure) -> np.ndarray:
-    """measure (_bev_overlap, _iou, _aa_iou or _giou) of the pairs (a[rows[k]], b[cols[k]]), a block of pairs at a time."""
+    """measure (_bev_overlap, _iou, _aa_iou or _giou) of the pairs (a[rows[k]], b[cols[k]]).
+
+    Broad phase first: ``_may_meet`` tests every pair at once, and only the
+    pairs that may meet go through ``_clipped_area``, a block of them at a
+    time; every other pair's clipped area is the 0.0 the clipper would
+    return. The measure then runs on every pair, a block at a time, from that
+    area. ``_aa_iou`` reads no clipped area, so it clips nothing.
+    """
     out = np.empty(len(rows))
     if out.size == 0:
         return out
@@ -520,9 +581,17 @@ def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndar
     with np.errstate(all="ignore"):
         # One table holds the features of a, then those of b.
         features = _cuboid_features(np.concatenate([a, b]))
+        cols = len(a) + cols
+        area = np.zeros(len(rows))
+        if measure is not _aa_iou:
+            near = np.flatnonzero(_may_meet(features, rows, cols))
+            for start in range(0, near.size, _PAIRS_PER_BLOCK):
+                block = near[start : start + _PAIRS_PER_BLOCK]
+                pa, pb, _ = _ordered_pairs(features, rows[block], cols[block])
+                area[block] = _clipped_area(pa[:, _X:_Z], pa[:, _Z:_AREA], pb[:, _X:_Z], pb[:, _Z:_AREA])
         for start in range(0, len(rows), _PAIRS_PER_BLOCK):
             block = slice(start, start + _PAIRS_PER_BLOCK)
-            out[block] = measure(*_ordered_pairs(features, rows[block], len(a) + cols[block]))
+            out[block] = measure(*_ordered_pairs(features, rows[block], cols[block]), area[block])
     return out
 
 
@@ -585,8 +654,12 @@ def iou3d_matrix(a, b) -> np.ndarray:
     """(N, M) matrix whose entry (i, j) is ``iou3d(a[i], b[j])``.
 
     a and b are (N, 7) and (M, 7) arrays in cx, cy, cz, w, h, l, yaw order, as
-    built by ``cuboid_array``. Pairs are evaluated a block at a time, so
-    scratch memory stays proportional to the result, whatever N * M is.
+    built by ``cuboid_array``. A broad phase first compares the bounding boxes
+    of the rotated footprints of all pairs at once; only the pairs whose
+    footprints may meet are clipped, and the others take the clipped area
+    0.0, which is what clipping them gives. Pairs are then evaluated a block
+    at a time, so scratch memory stays proportional to the result, whatever
+    N * M is.
     """
     return _cuboid_matrix(a, b, _iou)
 
@@ -604,7 +677,9 @@ def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
 
     Entry k is ``iou3d(a[rows[k]], b[cols[k]])``. One call
     can cover a sparse set of pairs, such as the box x ground-truth pairs of
-    many scenes stacked into a and b.
+    many scenes stacked into a and b. The broad phase of ``iou3d_matrix``
+    runs over all the given pairs at once, so one call over many scenes
+    clips only their near pairs, packed into full blocks.
     """
     return _cuboid_pairs(a, b, rows, cols, _iou)
 

@@ -22,7 +22,7 @@ from .geometry import (
     _iou3d_rows,
     cuboid_array,
     iou2d_matrix,
-    iou3d_matrix,
+    iou3d_pairs,
     rect_array,
 )
 from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
@@ -143,24 +143,57 @@ def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
 
     mode iou2d uses rectangle IoU, mode iou3d the rotated cuboid IoU. Scenes
     without usable ground truths get all-zero scores; DontCare ground truths
-    never count.
+    never count. It runs the corpus path of ``diffnms oracle`` on a one-scene
+    corpus.
+    """
+    return _oracle_scenes([scene], mode)[0]
+
+
+def _oracle_scenes(scenes: Sequence[Scene], mode: str = "iou3d") -> list[Scene]:
+    """``oracle_scores`` of every scene, with one rotated-IoU kernel call for all of them in mode iou3d.
+
+    A scene's pairs are each of its boxes with a cuboid against each of its
+    usable ground truths, stacked scene after scene into one ``iou3d_pairs``
+    call; each scene's values are then read back as its own matrix.
     """
     if mode not in ("iou2d", "iou3d"):
         raise ValueError(f"unknown oracle mode {mode!r}, expected 'iou2d' or 'iou3d'")
     if mode == "iou2d":
-        gts = [g for g in scene.gts if not g.dontcare]
-        values = iou2d_matrix(rect_array([b.rect for b in scene.boxes]), rect_array([g.rect for g in gts]))
+        values = [
+            iou2d_matrix(
+                rect_array([b.rect for b in scene.boxes]), rect_array([g.rect for g in scene.gts if not g.dontcare])
+            )
+            for scene in scenes
+        ]
     else:
-        gts = filter_gts(scene.gts, None)
-        rows = [i for i, b in enumerate(scene.boxes) if b.cuboid is not None]
-        values = np.zeros((len(scene.boxes), len(gts)))
-        values[rows] = iou3d_matrix(
-            cuboid_array([scene.boxes[i].cuboid for i in rows]), cuboid_array([g.cuboid for g in gts])
+        gts = [filter_gts(scene.gts, None) for scene in scenes]
+        rows = [[i for i, b in enumerate(scene.boxes) if b.cuboid is not None] for scene in scenes]
+        box_bounds = list(accumulate(map(len, rows), initial=0))
+        gt_bounds = list(accumulate(map(len, gts), initial=0))
+        # Scene s pairs the stacked boxes box_bounds[s]:box_bounds[s + 1] with
+        # the stacked truths gt_bounds[s]:gt_bounds[s + 1], row by row.
+        blocks = [
+            np.mgrid[b0:b1, g0:g1].reshape(2, -1)
+            for b0, b1, g0, g1 in zip(box_bounds, box_bounds[1:], gt_bounds, gt_bounds[1:])
+        ]
+        flat = iou3d_pairs(
+            cuboid_array([scene.boxes[i].cuboid for scene, r in zip(scenes, rows) for i in r]),
+            cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts]),
+            *np.concatenate([np.empty((2, 0), dtype=np.intp), *blocks], axis=1),
         )
-    # The best overlap starts at 0.0 and only a larger value replaces it.
-    best = np.where(values > 0.0, values, 0.0).max(axis=1, initial=0.0)
-    boxes = [dataclasses.replace(box, score=value) for box, value in zip(scene.boxes, best.tolist())]
-    return dataclasses.replace(scene, boxes=boxes)
+        pair_bounds = accumulate((block.shape[1] for block in blocks), initial=0)
+        values = []
+        for scene, r, scene_gts, lo in zip(scenes, rows, gts, pair_bounds):
+            scene_values = np.zeros((len(scene.boxes), len(scene_gts)))
+            scene_values[r] = flat[lo : lo + len(r) * len(scene_gts)].reshape(len(r), len(scene_gts))
+            values.append(scene_values)
+    out = []
+    for scene, scene_values in zip(scenes, values):
+        # The best overlap starts at 0.0 and only a larger value replaces it.
+        best = np.where(scene_values > 0.0, scene_values, 0.0).max(axis=1, initial=0.0)
+        boxes = [dataclasses.replace(box, score=value) for box, value in zip(scene.boxes, best.tolist())]
+        out.append(dataclasses.replace(scene, boxes=boxes))
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
 evaluator. The scalar polygon clipper, the rotated IoU3D/GIoU3D built on it
 and the axis-aligned IoU3D are the per-pair forms that the package's batched
-kernel replays, the per-pair loops call them, the greedy loop runs every
-round over the whole overlap matrix, the per-member loops are the grouped NMS
+kernel replays, the kernel with its clipper run on every pair is the slow
+path that its broad phase replaced, the per-pair loops call them, the
+greedy loop runs every round over the whole overlap matrix, the per-member loops are the grouped NMS
 forward pass, backward pass and Jacobians that the package's closed-form index
 arithmetic replaced, the dense forward substitution is the one the package's row-blocked
 solve replaced, and the finite-difference loop at the end rescores one perturbed
@@ -42,6 +43,7 @@ from diffnms import (
     rescore_scene,
     sort_by_score,
 )
+from diffnms.geometry import _AREA, _X, _Z, _clipped_area, _cuboid_features, _ordered_pairs
 from diffnms.gradients import _KINK_MARGIN
 
 
@@ -190,6 +192,45 @@ def reference_giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     v_hull = hull_area * (max(a_hi, b_hi) - min(a_lo, b_lo))
     enclosure = min(max(v_union, 0.0) / v_hull, 1.0) if v_hull > 0.0 else 0.0
     return iou + enclosure - 1.0
+
+
+def slow_cuboid_values(a: np.ndarray, b: np.ndarray, rows, cols, measure) -> np.ndarray:
+    """The rotated kernel without its broad phase: ``_clipped_area`` runs on every ordered pair.
+
+    a and b are cuboid arrays, and measure is one of the kernel's measures;
+    this is the path ``geometry._cuboid_values`` took before it skipped the
+    pairs whose footprints cannot meet.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        features = _cuboid_features(np.concatenate([a, b]))
+        pa, pb, equal = _ordered_pairs(features, rows, len(a) + cols)
+        area = _clipped_area(pa[:, _X:_Z], pa[:, _Z:_AREA], pb[:, _X:_Z], pb[:, _Z:_AREA])
+        return measure(pa, pb, equal, area)
+
+
+def reference_may_meet(a: Cuboid3D, b: Cuboid3D) -> bool:
+    """The broad phase's rule for one pair, from the ``bev_footprint`` corners.
+
+    The pair is apart only when all corners are finite; the gap between the
+    footprints' bounding boxes on x or z exceeds 2**-20 of the largest corner
+    magnitude; every w and l exceeds that margin too; and that magnitude lies
+    strictly between 2**-400 and 2**400.
+    """
+    ca, cb = a.bev_footprint(), b.bev_footprint()
+    values = [v for corner in ca + cb for v in corner]
+    if not all(math.isfinite(v) for v in values):
+        return True
+    scale = max(abs(v) for v in values)
+    margin = 2.0**-20 * scale
+    gaps = []
+    for axis in (0, 1):
+        lo_a, hi_a = min(c[axis] for c in ca), max(c[axis] for c in ca)
+        lo_b, hi_b = min(c[axis] for c in cb), max(c[axis] for c in cb)
+        gaps += [lo_a - hi_b, lo_b - hi_a]
+    apart = max(gaps) > margin and min(a.w, a.l, b.w, b.l) > margin and 2.0**-400 < scale < 2.0**400
+    return not apart
 
 
 def reference_q_match(box: DetectionBox, gt: GroundTruth) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diffnms import (
     Cuboid3D,
@@ -20,7 +20,7 @@ from diffnms import (
     rect_array,
     rotated_bev_intersection_area,
 )
-from diffnms.geometry import _iou3d_rows
+from diffnms.geometry import _bev_overlap, _giou, _iou, _iou3d_rows
 from oracles import (
     ConvexPolygon,
     clip_convex,
@@ -29,6 +29,7 @@ from oracles import (
     reference_giou3d,
     reference_iou3d,
     reference_iou3d_axis_aligned,
+    slow_cuboid_values,
 )
 
 
@@ -508,3 +509,114 @@ class TestOneKernel:
                 giou3d(a, b)
                 iou3d_axis_aligned(a, b)
                 rotated_bev_intersection_area(a, b)
+
+
+# The broad phase against the slow path it replaced: pairs whose footprint
+# bounding boxes are placed a hair apart, touching or a hair overlapping, at
+# magnitudes up to 1e160, with signed zeros, zero and tiny sizes, and boxes
+# whose features overflow to inf.
+
+signed_units = st.one_of(st.just(-0.0), st.floats(min_value=-1.0, max_value=1.0))
+pair_sizes = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e-5, 1.0]), st.floats(min_value=0.0, max_value=4.0))
+pair_yaws = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, 1e-12]), yaws)
+# Absolute gaps, and multiples of the coordinate scale on both sides of the
+# broad phase's margin of 2**-20.
+gaps = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, 1e-6, 1e-3, 2.0**-21, 2.0**-19, 2.0**-17])
+
+# The clipper gives these two footprints, 1e6 apart, an area of 2.09e-160,
+# so the broad phase must call them near, although the gap alone is wide.
+FAR_AT_1E160 = (
+    Cuboid3D(1000001.5, 0.5, -999998.0, 1.5, 1.2, 4.0, 0.3),
+    Cuboid3D(0.0, 0.0, 0.0, 1e-160, 1e-200, 1e160, 0.0),
+)
+# A footprint thinner than rounding is clipped against the whole line through
+# it, so a box 1e8 away along that line keeps a positive area; only the
+# broad phase's bound on w and l keeps such a pair clipped.
+NEEDLE = (
+    Cuboid3D(0.0, 0.0, 0.0, 1e-300, 1.0, 2.0, 2.5),
+    Cuboid3D(-80114362.0, 0.0, 59847214.0, 1.0, 1.0, 2.0, 0.0),
+)
+EXTREME_CUBOIDS = [
+    *FAR_AT_1E160,
+    *NEEDLE,
+    _moved(NEEDLE[0], w=-0.0),
+    cuboid(w=1e200, h=1e200, l=1e200),
+    cuboid(cx=1e308, cz=-1e308, w=1e308, l=1e308, yaw=0.3),
+    cuboid(cx=-1e308, cz=1e308, w=1e308, l=1e308),
+    cuboid(cx=1e5, w=1e150, h=1e150, l=1e150),
+]
+
+
+def _footprint_box(c: Cuboid3D) -> tuple[float, float, float, float]:
+    xs, zs = zip(*c.bev_footprint())
+    return min(xs), min(zs), max(xs), max(zs)
+
+
+@st.composite
+def gapped_pairs(draw) -> tuple[Cuboid3D, Cuboid3D]:
+    """A cuboid and a second one whose footprint box starts a drawn gap past the first's, on x or z."""
+    scale = draw(st.sampled_from([0.0, 1.0, 100.0, 1e8, 1e20, 1e160]))
+    size = draw(st.sampled_from([1.0, max(scale, 1.0) / 4.0]))
+    # Half the pairs have footprints no thinner than 0.25 size, the rest any
+    # of pair_sizes.
+    lengths = pair_sizes if draw(st.booleans()) else st.floats(min_value=0.25, max_value=4.0)
+
+    def fields() -> dict:
+        return {
+            "cy": draw(signed_units),
+            "w": abs(draw(lengths)) * size,
+            "h": draw(pair_sizes),
+            "l": abs(draw(lengths)) * size,
+            "yaw": draw(pair_yaws),
+        }
+
+    a = Cuboid3D(cx=draw(signed_units) * scale, cz=draw(signed_units) * scale, **fields())
+    b = Cuboid3D(cx=0.0, cz=0.0, **fields())
+    a_box, b_box = _footprint_box(a), _footprint_box(b)
+    gap = draw(gaps) * draw(st.sampled_from([1.0, max(scale, 1.0)]))
+    axis = draw(st.sampled_from([0, 1]))
+    # Past the first box on the drawn axis, and somewhere along its extent on the other.
+    lead = a_box[axis + 2] + gap - b_box[axis]
+    other = 1 - axis
+    side = a.cz if axis == 0 else a.cx
+    side += draw(signed_units) * (a_box[other + 2] - a_box[other] + b_box[other + 2] - b_box[other])
+    cx, cz = (lead, side) if axis == 0 else (side, lead)
+    return a, _moved(b, cx=cx, cz=cz)
+
+
+class TestBroadPhase:
+    """The kernel skips the clip of pairs whose footprints cannot meet, and changes no bit."""
+
+    @staticmethod
+    def assert_kernel_is_the_slow_path(a: list, b: list):
+        arr_a, arr_b = cuboid_array(a), cuboid_array(b)
+        rows = np.repeat(np.arange(len(a)), len(b))
+        cols = np.tile(np.arange(len(b)), len(a))
+        for fast, measure in ((iou3d_matrix, _iou), (giou3d_matrix, _giou)):
+            reference = slow_cuboid_values(arr_a, arr_b, rows, cols, measure).reshape(len(a), len(b))
+            assert_bit_identical(fast(arr_a, arr_b), reference)
+
+    @settings(max_examples=200)
+    @given(
+        pairs=st.lists(gapped_pairs(), min_size=1, max_size=6),
+        extra=st.lists(st.sampled_from(EXTREME_CUBOIDS), max_size=3),
+    )
+    def test_gapped_pairs_match_the_slow_path_bitwise(self, pairs, extra):
+        firsts = [a for a, _ in pairs] + extra
+        seconds = [b for _, b in pairs] + extra[::-1]
+        self.assert_kernel_is_the_slow_path(firsts, seconds)
+        self.assert_kernel_is_the_slow_path(seconds, firsts)
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                expected = slow_cuboid_values(cuboid_array([x]), cuboid_array([y]), [0], [0], _bev_overlap)[0]
+                assert bits(rotated_bev_intersection_area(x, y)) == bits(expected), (x, y)
+
+    def test_extreme_cuboids_match_the_slow_path_bitwise(self):
+        boxes = EXTREME_CUBOIDS + EDGE_CUBOIDS
+        self.assert_kernel_is_the_slow_path(boxes, boxes)
+
+    @pytest.mark.parametrize("pair, area", [(FAR_AT_1E160, 2.0935032030025057e-160), (NEEDLE, 2e-300)])
+    def test_far_pairs_keep_the_clippers_positive_area(self, pair, area):
+        a, b = pair
+        assert rotated_bev_intersection_area(a, b) == area
+        assert rotated_bev_intersection_area(b, a) == area

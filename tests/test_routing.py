@@ -8,6 +8,7 @@ boxes.
 """
 
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +25,20 @@ from diffnms import (
     SyntheticConfig,
     assign_targets,
     eval_ap_r40,
+    filter_gts,
     generate_synthetic,
     oracle_scores,
     read_scenes_jsonl,
     score_iou_correlation,
+    write_scenes_jsonl,
 )
+from diffnms import geometry
+from diffnms.cli import main
+from diffnms.harness import _oracle_scenes
 from oracles import (
     reference_correlation_rows,
     reference_eval_ap_r40,
+    reference_may_meet,
     reference_oracle_scores,
     reference_quality,
 )
@@ -125,3 +132,86 @@ def test_score_iou_correlation_matches_per_pair_loop(scenes):
     expected = reference_correlation_rows(scenes, cfg, NmsVariant.SOFT)
     assert [(a, b) for a, b, *_ in got] == [(a, b) for a, b, *_ in expected]
     assert np.array_equal(bits([r[2:] for r in got]), bits([r[2:] for r in expected]))
+
+
+def _oracle_edge_scenes(scene):
+    """Copies of a scene with no usable ground truth, only DontCare ground truths,
+    boxes without cuboids, some boxes without cuboids, and no boxes."""
+    replace = dataclasses.replace
+    return [
+        replace(scene, scene_id="no-gts", gts=[]),
+        replace(scene, scene_id="cuboid-less-gts", gts=[replace(g, cuboid=None) for g in scene.gts]),
+        replace(scene, scene_id="dontcare-gts", gts=[replace(g, dontcare=True) for g in scene.gts]),
+        replace(scene, scene_id="cuboid-less-boxes", boxes=[replace(b, cuboid=None) for b in scene.boxes]),
+        replace(
+            scene,
+            scene_id="some-cuboid-less-boxes",
+            boxes=[replace(b, cuboid=None if i % 3 else b.cuboid) for i, b in enumerate(scene.boxes)],
+        ),
+        replace(scene, scene_id="no-boxes", boxes=[]),
+    ]
+
+
+def _with_scores(scene, scores):
+    return dataclasses.replace(scene, boxes=[dataclasses.replace(b, score=v) for b, v in zip(scene.boxes, scores)])
+
+
+@pytest.mark.parametrize("mode", ["iou3d", "iou2d"])
+def test_oracle_corpus_is_oracle_scores_per_scene(mode):
+    golden = read_scenes_jsonl(GOLDEN)
+    corpus = golden[:6] + _oracle_edge_scenes(golden[6]) + golden[7:12]
+    got = _oracle_scenes(corpus, mode)
+    assert len(got) == len(corpus)
+    for scene, out in zip(corpus, got):
+        per_scene = oracle_scores(scene, mode)
+        scores = [b.score for b in out.boxes]
+        assert np.array_equal(bits(scores), bits([b.score for b in per_scene.boxes])), scene.scene_id
+        assert np.array_equal(bits(scores), bits(reference_oracle_scores(scene, mode))), scene.scene_id
+        # Only the scores change.
+        assert out == _with_scores(scene, scores)
+    assert _oracle_scenes([], mode) == []
+
+
+@pytest.mark.parametrize("mode", ["iou3d", "iou2d"])
+def test_cli_oracle_writes_the_per_pair_scores(mode, tmp_path):
+    out, expected = tmp_path / "oracle.jsonl", tmp_path / "expected.jsonl"
+    assert main(["oracle", "--input", str(GOLDEN), "--mode", mode, "--out", str(out)]) == 0
+    scenes = read_scenes_jsonl(GOLDEN)
+    write_scenes_jsonl(expected, [_with_scores(scene, reference_oracle_scores(scene, mode)) for scene in scenes])
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_oracle_makes_one_kernel_call_and_clips_only_the_near_pairs(monkeypatch, tmp_path):
+    calls, clipped = [], Counter()
+    values, clip = geometry._cuboid_values, geometry._clipped_area
+
+    def counting(a, b, rows, cols, measure):
+        calls.append(len(rows))
+        return values(a, b, rows, cols, measure)
+
+    def recording(sx, sz, kx, kz):
+        for subject, clip_box in zip(np.hstack([sx, sz]).tolist(), np.hstack([kx, kz]).tolist()):
+            clipped[tuple(sorted([tuple(subject), tuple(clip_box)]))] += 1
+        return clip(sx, sz, kx, kz)
+
+    monkeypatch.setattr(geometry, "_cuboid_values", counting)
+    monkeypatch.setattr(geometry, "_clipped_area", recording)
+    assert main(["oracle", "--input", str(GOLDEN), "--out", str(tmp_path / "oracle.jsonl")]) == 0
+
+    def corners(c):
+        xs, zs = zip(*c.bev_footprint())
+        return xs + zs
+
+    scenes = read_scenes_jsonl(GOLDEN)
+    pairs = [
+        (b.cuboid, g.cuboid)
+        for scene in scenes
+        for b in scene.boxes
+        if b.cuboid is not None
+        for g in filter_gts(scene.gts, None)
+    ]
+    near = Counter(tuple(sorted([corners(a), corners(b)])) for a, b in pairs if reference_may_meet(a, b))
+    assert len(scenes) > 1
+    assert calls == [len(pairs)]
+    assert 0 < sum(near.values()) < len(pairs)
+    assert clipped == near
