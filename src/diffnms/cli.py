@@ -4,7 +4,7 @@ Subcommands: synth (generate scenes), run (rescore detections), compare
 (variant agreement report), gradcheck (finite-difference verification), eval
 (AP|R40 table), oracle (replace scores with ground-truth overlap), and
 correlate (score versus IoU3D scatter). Outputs are deterministic for a fixed
-seed and input.
+seed and input, except compare's timings (seconds_per_scene and ms/scene).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -142,14 +143,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     def process(scene: Scene) -> Scene:
         result, index_map = rescore_scene(scene, cfg, variant, args.score_mode)
-        boxes = rescored_boxes(scene, result, index_map, kept_only=not args.keep_all)
-        return Scene(
-            scene_id=scene.scene_id,
-            boxes=boxes,
-            gts=scene.gts,
-            camera=scene.camera,
-            extra=scene.extra,
-        )
+        return dataclasses.replace(scene, boxes=rescored_boxes(scene, result, index_map, kept_only=not args.keep_all))
 
     out_scenes = [process(scene) for scene in scenes]
     _write_scenes(args, out_scenes)

@@ -66,20 +66,19 @@ def _local_terms(s: np.ndarray, source, cfg: NmsConfig):
     """The recorded sort and grouping, reduced to the local derivatives' inputs.
 
     In original indices: the group tops and their clip gates, then the
-    non-top members whose gate is open, their tops, and p(o_it), p'(o_it)
-    and s_t for each of them, and last every box's pre-clip value. The sort,
-    grouping and pre-clip values are those of the masked forward that
-    run_nms runs.
+    non-top members whose gate is open, their tops, and o_it, p(o_it),
+    p'(o_it) and s_t for each of them, and last every box's pre-clip value.
+    The sort, grouping, overlaps and pre-clip values are those of the masked
+    forward that run_nms runs, which reads each o_it once.
     """
-    order, top, pre_clip, _ = (row[0] for row in _masked_sorted(s[None], source, cfg))
+    (order,), (top,), (pre_clip,), _, o_mt = _masked_sorted(s[None], source, cfg)
     members = np.flatnonzero((top >= 0) & (top != np.arange(s.size)))
     members, tops = order[members], order[top[members]]
     gated = _gate(pre_clip[members])
-    members, tops = members[gated], tops[gated]
-    o_mt = source.pairs(members, tops)
+    members, tops, o_mt = members[gated], tops[gated], o_mt[gated]
     group_tops = order[np.flatnonzero(top == np.arange(s.size))]
     weights, slopes = prune(o_mt, cfg), prune_derivative(o_mt, cfg)
-    return group_tops, _gate(pre_clip[group_tops]), members, tops, weights, slopes, s[tops], pre_clip
+    return group_tops, _gate(pre_clip[group_tops]), members, tops, o_mt, weights, slopes, s[tops], pre_clip
 
 
 def _pair_dict(members: np.ndarray, tops: np.ndarray, values: np.ndarray) -> dict[tuple[int, int], float]:
@@ -97,7 +96,7 @@ def masked_backward(scores, overlaps, cfg: NmsConfig, upstream) -> NmsGradients:
     up = np.asarray(upstream, dtype=float)
     if up.shape != s.shape:
         raise ValueError(f"upstream gradient must have shape {s.shape}, got {up.shape}")
-    tops, top_gates, members, member_tops, weights, slopes, s_tops, _ = _local_terms(s, source, cfg)
+    tops, top_gates, members, member_tops, _, weights, slopes, s_tops, _ = _local_terms(s, source, cfg)
     # One scatter, its terms in the order of a walk over the groups (each top's
     # own term before its members'), so every sum adds up in that order. With
     # no boxes, bincount returns integers.
@@ -117,17 +116,19 @@ def masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.ndarray, dict
     entry (i, t) affects only rescore i, so the overlap Jacobian is returned
     as {(member, top): d(rescore_member)/d(overlap)}.
     """
-    return _jacobians(*_validated_inputs(scores, overlaps, cfg), cfg)[:2]
+    jac, members, tops, _, o_grads, _ = _jacobians(*_validated_inputs(scores, overlaps, cfg), cfg)
+    return jac, _pair_dict(members, tops, o_grads)
 
 
 def _jacobians(s: np.ndarray, source, cfg: NmsConfig):
-    """masked_jacobians of validated inputs, and the masked forward's pre-clip values."""
-    tops, top_gates, members, member_tops, weights, slopes, s_tops, pre_clip = _local_terms(s, source, cfg)
+    """masked_jacobians of validated inputs: the score Jacobian, the gated members, their tops,
+    o_it and d(rescore_member)/d(o_it) in score order, and the masked forward's pre-clip values."""
+    tops, top_gates, members, member_tops, o_mt, weights, slopes, s_tops, pre_clip = _local_terms(s, source, cfg)
     jac = np.zeros((s.size, s.size))
     jac[tops, tops] = top_gates
     jac[members, members] = 1.0
     jac[members, member_tops] = -weights
-    return jac, _pair_dict(members, member_tops, -slopes * s_tops), pre_clip
+    return jac, members, member_tops, o_mt, -slopes * s_tops, pre_clip
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def finite_difference_check(
     # reads every entry of a matrix once to reject one outside that domain.
     s, source = _validated_inputs(scores, overlaps, cfg, in_range=True)
     n = s.size
-    jac, o_grads, pre_clip = _jacobians(s, source, cfg)
+    jac, members, tops, o_mt, analytic, pre_clip = _jacobians(s, source, cfg)
 
     row_smooth = (np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)
     rows = np.flatnonzero(row_smooth)
@@ -228,15 +229,14 @@ def finite_difference_check(
     # The perturbed score must stay inside [0, 1] or validation rejects it.
     cols = np.flatnonzero((s - eps >= 0.0) & (s + eps <= 1.0) & (nearest >= _KINK_MARGIN))
 
-    keys = sorted(o_grads)
-    members, tops = np.array(keys, dtype=int).reshape(-1, 2).T
-    o_mt = source.pairs(members, tops)
+    # Overlap entries in member order; each member has one top.
+    by_member = np.argsort(members)
+    members, tops, o_mt, analytic = members[by_member], tops[by_member], o_mt[by_member], analytic[by_member]
     kept = (np.abs(o_mt - cfg.nt) >= _KINK_MARGIN) & row_smooth[members] & (o_mt - eps >= 0.0) & (o_mt + eps <= 1.0)
-    analytic = np.array([o_grads[key] for key in keys])[kept]
-    members, tops = members[kept], tops[kept]
+    members, tops, analytic = members[kept], tops[kept], analytic[kept]
 
     diffs = _central_differences(s, source, cfg, eps, cols, members, tops)
-    # Score errors column by column, then overlap errors in key order; the
+    # Score errors column by column, then overlap errors in member order; the
     # first maximum is the worst, as in a loop that only replaces on >.
     score_err = _rel_errors(diffs[: cols.size][:, rows], jac[np.ix_(rows, cols)].T).ravel()
     overlap_err = _rel_errors(diffs[cols.size :][np.arange(members.size), members], analytic)
@@ -253,5 +253,5 @@ def finite_difference_check(
             worst = ("overlap", int(members[k]), int(tops[k]))
 
     checked = errors.size
-    skipped = n * n + len(keys) - checked
+    skipped = n * n + by_member.size - checked
     return GradCheckReport(max_err, worst, checked, skipped, tolerance, passed=max_err <= tolerance)

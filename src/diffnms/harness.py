@@ -22,7 +22,6 @@ from .geometry import (
     _iou3d_rows,
     cuboid_array,
     iou2d_matrix,
-    iou3d_pairs,
     rect_array,
 )
 from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
@@ -71,40 +70,46 @@ def combine_scores(class_conf: float | None, pred_conf: float | None, mode: str 
 
 
 def effective_scores(boxes: Sequence[DetectionBox], score_mode: str | None) -> np.ndarray:
-    """Per-box scores fed to NMS; boxes without confidences keep their raw score."""
-    if score_mode is None:
-        return np.array([b.score for b in boxes], dtype=float)
+    """Per-box scores fed to NMS; boxes without confidences keep their raw score.
+
+    A box whose confidences the mode cannot combine raises ScoreRangeError.
+    """
     values = []
-    for b in boxes:
-        if b.class_conf is None and b.pred_conf is None:
+    for k, b in enumerate(boxes):
+        if score_mode is None or (b.class_conf is None and b.pred_conf is None):
             values.append(b.score)
         else:
-            values.append(combine_scores(b.class_conf, b.pred_conf, score_mode))
+            try:
+                values.append(combine_scores(b.class_conf, b.pred_conf, score_mode))
+            except ValueError as exc:
+                raise ScoreRangeError(str(exc), k) from None
     return np.array(values, dtype=float)
 
 
-def _scene_inputs(scene: Scene, score_mode: str | None) -> tuple[np.ndarray, RectOverlaps, list[int]]:
-    """Scores and rectangle overlaps of a scene's non-DontCare boxes, plus their positions.
+def _scene_results(
+    scene: Scene, cfg: NmsConfig, variants: Sequence[NmsVariant], score_mode: str | None
+) -> tuple[list[RescoreResult], list[float], list[int]]:
+    """Each variant's rescoring of a scene's non-DontCare boxes, its seconds, and the boxes' positions.
 
-    The overlaps are evaluated on demand, so each variant computes only the
-    entries it reads.
+    The scores and rectangle overlaps are gathered once and shared by the
+    variants. The overlaps are evaluated on demand, so each variant computes
+    only the entries it reads, and its seconds include them. A box lacking
+    the confidence score_mode needs, or with a score a variant cannot take,
+    raises ValueError naming the scene and its scene.boxes position.
     """
     index_map = [i for i, b in enumerate(scene.boxes) if not b.dontcare]
     boxes = [scene.boxes[i] for i in index_map]
-    return effective_scores(boxes, score_mode), RectOverlaps(rect_array([b.rect for b in boxes])), index_map
-
-
-def _run_scene_nms(
-    scene: Scene,
-    inputs: tuple[np.ndarray, RectOverlaps, list[int]],
-    cfg: NmsConfig,
-    variant: NmsVariant,
-) -> RescoreResult:
-    scores, overlaps, index_map = inputs
+    overlaps = RectOverlaps(rect_array([b.rect for b in boxes]))
+    results, seconds = [], []
     try:
-        return run_nms(scores, overlaps, cfg, variant)
+        scores = effective_scores(boxes, score_mode)
+        for variant in variants:
+            start = time.perf_counter()
+            results.append(run_nms(scores, overlaps, cfg, variant))
+            seconds.append(time.perf_counter() - start)
     except ScoreRangeError as exc:
         raise ValueError(f"scene {scene.scene_id!r} box {index_map[exc.index]}: {exc.reason}") from None
+    return results, seconds, index_map
 
 
 def rescore_scene(
@@ -117,11 +122,12 @@ def rescore_scene(
 
     Returns the rescore result (indices relative to the filtered box list)
     plus the map from filtered positions back to scene.boxes positions. A
-    score outside the variant's domain raises ValueError naming the scene
-    and the scene.boxes position of the first offending box.
+    score the variant cannot take, or cannot form from a box's confidences,
+    raises ValueError naming the scene and the scene.boxes position of the
+    first offending box.
     """
-    inputs = _scene_inputs(scene, score_mode)
-    return _run_scene_nms(scene, inputs, cfg, variant), inputs[2]
+    (result,), _, index_map = _scene_results(scene, cfg, [variant], score_mode)
+    return result, index_map
 
 
 def rescored_boxes(
@@ -138,6 +144,16 @@ def rescored_boxes(
     ]
 
 
+def _gt_rows(scenes: Sequence[Scene], positions: Sequence[Sequence[int]], gts: Sequence[list]):
+    """The cuboids of scene.boxes[i], i in positions[s], and of gts[s], stacked scene after scene; each
+    box's columns in the stacked ground truths; and its row of rotated IoU3D, from one kernel call."""
+    bounds = list(accumulate(map(len, gts), initial=0))
+    columns = [range(lo, hi) for boxes, lo, hi in zip(positions, bounds, bounds[1:]) for _ in boxes]
+    box_cuboids = cuboid_array([scene.boxes[i].cuboid for scene, boxes in zip(scenes, positions) for i in boxes])
+    gt_cuboids = cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts])
+    return box_cuboids, gt_cuboids, columns, _iou3d_rows(box_cuboids, gt_cuboids, columns)
+
+
 def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
     """Replace every detection score with its best overlap against the ground truth.
 
@@ -152,9 +168,9 @@ def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
 def _oracle_scenes(scenes: Sequence[Scene], mode: str = "iou3d") -> list[Scene]:
     """``oracle_scores`` of every scene, with one rotated-IoU kernel call for all of them in mode iou3d.
 
-    A scene's pairs are each of its boxes with a cuboid against each of its
-    usable ground truths, stacked scene after scene into one ``iou3d_pairs``
-    call; each scene's values are then read back as its own matrix.
+    In mode iou3d each box with a cuboid is a ``_gt_rows`` row against its
+    scene's usable ground truths; each scene's rows are then read back as one
+    block of its own matrix.
     """
     if mode not in ("iou2d", "iou3d"):
         raise ValueError(f"unknown oracle mode {mode!r}, expected 'iou2d' or 'iou3d'")
@@ -167,25 +183,13 @@ def _oracle_scenes(scenes: Sequence[Scene], mode: str = "iou3d") -> list[Scene]:
         ]
     else:
         gts = [filter_gts(scene.gts, None) for scene in scenes]
-        rows = [[i for i, b in enumerate(scene.boxes) if b.cuboid is not None] for scene in scenes]
-        box_bounds = list(accumulate(map(len, rows), initial=0))
-        gt_bounds = list(accumulate(map(len, gts), initial=0))
-        # Scene s pairs the stacked boxes box_bounds[s]:box_bounds[s + 1] with
-        # the stacked truths gt_bounds[s]:gt_bounds[s + 1], row by row.
-        blocks = [
-            np.mgrid[b0:b1, g0:g1].reshape(2, -1)
-            for b0, b1, g0, g1 in zip(box_bounds, box_bounds[1:], gt_bounds, gt_bounds[1:])
-        ]
-        flat = iou3d_pairs(
-            cuboid_array([scene.boxes[i].cuboid for scene, r in zip(scenes, rows) for i in r]),
-            cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts]),
-            *np.concatenate([np.empty((2, 0), dtype=np.intp), *blocks], axis=1),
-        )
-        pair_bounds = accumulate((block.shape[1] for block in blocks), initial=0)
+        positions = [[i for i, b in enumerate(scene.boxes) if b.cuboid is not None] for scene in scenes]
+        rows = _gt_rows(scenes, positions, gts)[3]
+        bounds = accumulate(map(len, positions), initial=0)
         values = []
-        for scene, r, scene_gts, lo in zip(scenes, rows, gts, pair_bounds):
+        for scene, r, scene_gts, lo in zip(scenes, positions, gts, bounds):
             scene_values = np.zeros((len(scene.boxes), len(scene_gts)))
-            scene_values[r] = flat[lo : lo + len(r) * len(scene_gts)].reshape(len(r), len(scene_gts))
+            scene_values[r] = np.reshape(rows[lo : lo + len(r)], (len(r), len(scene_gts)))
             values.append(scene_values)
     out = []
     for scene, scene_values in zip(scenes, values):
@@ -253,12 +257,7 @@ def score_iou_correlation(
         return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
 
     per_scene = [kept_boxes(scene, scene_gts) for scene, scene_gts in zip(scenes, gts)]
-    # Each kept box's columns are its scene's ground truths in the stacked array.
-    bounds = list(accumulate(map(len, gts), initial=0))
-    columns = [range(lo, hi) for kept, lo, hi in zip(per_scene, bounds, bounds[1:]) for _ in kept]
-    box_cuboids = cuboid_array([scene.boxes[i].cuboid for scene, kept in zip(scenes, per_scene) for i, _ in kept])
-    gt_cuboids = cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts])
-    values = _iou3d_rows(box_cuboids, gt_cuboids, columns)
+    box_cuboids, gt_cuboids, columns, values = _gt_rows(scenes, [[i for i, _ in kept] for kept in per_scene], gts)
     # A kept box's match is the first maximum of its row.
     firsts = [int(row.argmax()) for row in values]
     picks = [cols[j] for cols, j in zip(columns, firsts)]
@@ -346,12 +345,9 @@ def build_comparison(
     kept_boxes: dict[str, list[tuple[list[DetectionBox], list]]] = {name: [] for name in names}
     seconds: dict[str, float] = {name: 0.0 for name in names}
     for scene in scenes:
-        inputs = _scene_inputs(scene, score_mode)
-        index_map = inputs[2]
-        for variant, name in zip(variants, names):
-            start = time.perf_counter()
-            result = _run_scene_nms(scene, inputs, cfg, variant)
-            seconds[name] += time.perf_counter() - start
+        results, times, index_map = _scene_results(scene, cfg, variants, score_mode)
+        for name, result, elapsed in zip(names, results, times):
+            seconds[name] += elapsed
             kept_sets[name].append({index_map[int(k)] for k in result.kept})
             kept_boxes[name].append((rescored_boxes(scene, result, index_map), scene.gts))
     n = max(len(scenes), 1)

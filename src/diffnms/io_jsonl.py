@@ -208,12 +208,18 @@ def scene_from_dict(data: dict, where: str = "scene") -> Scene:
     return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)
 
 
-def _require_decodable(line: str, encoding: str, where: str) -> None:
-    """Raise a ValueError naming where if a line read with surrogateescape held undecodable bytes."""
-    try:
-        line.encode(encoding, "surrogateescape").decode(encoding)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+def _text_lines(path: str | os.PathLike, encoding: str, where: str = "") -> Iterator[tuple[int, str]]:
+    """(number, line) of each non-blank line; undecodable bytes raise a ValueError naming where and the line."""
+    # Undecodable bytes are read as surrogates so that the error can name their line.
+    with open(path, "r", encoding=encoding, errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode(encoding, "surrogateescape").decode(encoding)
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{where}line {number}: {exc}") from None
+            if line.strip():
+                yield number, line
 
 
 def _reject_constant(name: str):
@@ -223,22 +229,16 @@ def _reject_constant(name: str):
 
 def iter_scenes_jsonl(path: str | os.PathLike) -> Iterator[Scene]:
     """Yield scenes from a JSON-lines file; malformed lines raise with their number."""
-    # Undecodable bytes are read as surrogates so that the error can name their line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _require_decodable(line, "utf-8", f"line {number}")
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as exc:
-                raise ValueError(f"line {number}: invalid JSON: {exc}") from None
-            except RecursionError:
-                raise ValueError(f"line {number}: invalid JSON: nested too deeply") from None
-            if not isinstance(data, dict):
-                raise ValueError(f"line {number}: expected a JSON object")
-            yield scene_from_dict(data, where=f"line {number}")
+    for number, line in _text_lines(path, "utf-8"):
+        try:
+            data = json.loads(line, parse_constant=_reject_constant)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"line {number}: invalid JSON: nested too deeply") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"line {number}: expected a JSON object")
+        yield scene_from_dict(data, where=f"line {number}")
 
 
 def read_scenes_jsonl(path: str | os.PathLike) -> list[Scene]:

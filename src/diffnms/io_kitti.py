@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .boxes import DetectionBox, GroundTruth, Scene
 from .geometry import Cuboid3D, Rect2D
-from .io_jsonl import _integer, _require_decodable
+from .io_jsonl import _integer, _text_lines
 
 __all__ = [
     "format_kitti_label",
@@ -131,28 +131,33 @@ def format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
     return " ".join([obj.label] + [_format_float(v) for v in values])
 
 
+def _check_labels_dir(labels_dir: str | os.PathLike | None) -> None:
+    if labels_dir is not None and not os.path.isdir(labels_dir):
+        raise ValueError(f"{os.fspath(labels_dir)}: labels path is not a directory")
+
+
 def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | None = None) -> Scene:
     """Read one label file into a scene named after the file; 15-field lines
     become ground truths and 16-field lines detections. Blank lines are
     skipped. When labels_dir holds a file of the same name, its ground truths
-    are merged in."""
+    are merged in; a scored line there, or a labels_dir that is not a
+    directory, raises ValueError naming its path."""
+    _check_labels_dir(labels_dir)
     scene = Scene(scene_id=os.path.splitext(os.path.basename(os.fspath(path)))[0])
-    # Undecodable bytes are read as surrogates so that the error can name their file and line.
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _require_decodable(line, "ascii", f"{os.fspath(path)}: line {number}")
-            if not line.strip():
-                continue
-            record = parse_kitti_label(line, line_number=number)
-            if isinstance(record, DetectionBox):
-                scene.boxes.append(record)
-            else:
-                scene.gts.append(record)
+    for number, line in _text_lines(path, "ascii", f"{os.fspath(path)}: "):
+        record = parse_kitti_label(line, line_number=number)
+        if isinstance(record, DetectionBox):
+            scene.boxes.append(record)
+        else:
+            scene.gts.append(record)
     if labels_dir is not None:
         label_path = os.path.join(labels_dir, os.path.basename(os.fspath(path)))
         if os.path.exists(label_path):
-            scene.gts.extend(read_kitti_file(label_path).gts)
+            for number, line in _text_lines(label_path, "ascii", f"{label_path}: "):
+                record = parse_kitti_label(line, line_number=number)
+                if isinstance(record, DetectionBox):
+                    raise ValueError(f"{label_path}: line {number}: a labels file holds no scored detections")
+                scene.gts.append(record)
     return scene
 
 
@@ -168,9 +173,10 @@ def write_kitti_file(path: str | os.PathLike, scene: Scene) -> None:
 def read_kitti_dir(path: str | os.PathLike, labels_dir: str | os.PathLike | None = None) -> list[Scene]:
     """Read every .txt label file under a directory, one scene per file.
 
-    Files are visited in sorted name order. When labels_dir is given, ground
-    truths from its same-named files are merged into each scene.
+    Files are visited in sorted name order. Ground truths from the same-named
+    files of labels_dir, which must be a directory, are merged into each scene.
     """
+    _check_labels_dir(labels_dir)
     scenes = []
     for name in sorted(os.listdir(path)):
         if not name.endswith(".txt"):

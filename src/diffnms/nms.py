@@ -162,7 +162,7 @@ def prune_derivative(overlap, cfg: NmsConfig):
 
 
 class ScoreRangeError(ValueError):
-    """A score outside a rescorer's domain; index is its position in the scores array."""
+    """A score a rescorer cannot take, or cannot form from its box's confidences; index is its position."""
 
     def __init__(self, reason: str, index: int) -> None:
         super().__init__(f"{reason} (score index {index})")
@@ -344,11 +344,12 @@ def _clip_clamp(pre_clip: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None):
-    """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores).
+    """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores, o_mt).
 
-    Each output has a row per row of S: the stable descending score sort, the
-    GroupPartition.top array, and the pre-clip values and rescores in
-    original order. Overlaps are read as source.pairs(order[b, i], order[b, j]).
+    The first four have a row per row of S: the stable descending score sort,
+    the GroupPartition.top array, and the pre-clip values and rescores in
+    original order; o_mt holds each member's patched overlap with its top,
+    row by row in score order. Overlaps are read as source.pairs(order[b, i], order[b, j]).
     A single unpatched row is grouped by _group_tops, several by _group_rows.
     patch = (i, t, delta), length-B arrays, adds delta[b] to row b's reads of
     o[i[b], t[b]] and o[t[b], i[b]]; a row with i[b] = -1 is unpatched.
@@ -383,7 +384,7 @@ def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None):
     pre_clip = np.empty(B * n)
     pre_clip[at] = c_sorted
     pre_clip = pre_clip.reshape(B, n)
-    return order, top, pre_clip, _clip_clamp(pre_clip, S)
+    return order, top, pre_clip, _clip_clamp(pre_clip, S), o_mt
 
 
 def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
@@ -549,7 +550,7 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     if greedy:
         return _greedy_nms(s, source, cfg)
     if variant is NmsVariant.MASKED:
-        pre_clip, rescores = (row[0] for row in _masked_sorted(s[None], source, cfg)[2:])
+        pre_clip, rescores = (row[0] for row in _masked_sorted(s[None], source, cfg)[2:4])
     else:
         pre_clip = np.zeros(s.size)
         order = np.argsort(-s, kind="stable")

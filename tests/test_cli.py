@@ -507,6 +507,28 @@ class TestMalformedInput:
         assert repr(bad) in err
 
 
+    @pytest.mark.parametrize("command", ["run", "compare", "correlate"])
+    @pytest.mark.parametrize("mode, missing", [("class", "class_conf"), ("pred", "pred_conf")])
+    def test_missing_confidence_names_scene_and_box(self, tmp_path, capsys, command, mode, missing):
+        # Box 0 is DontCare and box 1 has no confidences, so both keep their raw score.
+        boxes = [
+            _box(dontcare=True),
+            _box(),
+            _box(class_conf=0.5, pred_conf=0.5),
+            _box(**{"class_conf": 0.5, "pred_conf": 0.5, missing: None}),
+        ]
+        # correlate rescores only the scenes that have a ground truth.
+        cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
+        gt = {"x1": 0, "y1": 0, "x2": 10, "y2": 10, **cuboid}
+        path = tmp_path / "conf.jsonl"
+        path.write_text(json.dumps({"id": "frame-3", "boxes": boxes, "gts": [gt]}) + "\n", encoding="utf-8")
+        args = ["--input", str(path), "--score-mode", mode]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o.jsonl")]
+        assert run_cli(command, *args) == 1
+        assert capsys.readouterr().err == f"error: scene 'frame-3' box 3: score mode {mode!r} requires {missing}\n"
+
+
 def _scene_line(score):
     cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
     gt = {"x1": 0, "y1": 0, "x2": 10, "y2": 10, **cuboid}
@@ -684,6 +706,30 @@ class TestMalformedKitti:
         assert capsys.readouterr().err == (
             f"error: {path}: line 2: 'ascii' codec can't decode byte 0xc3 in position 1: ordinal not in range(128)\n"
         )
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    @pytest.mark.parametrize("frames", [True, False])
+    def test_labels_that_are_not_a_directory_are_a_clean_error(self, tmp_path, capsys, kind, frames):
+        directory = tmp_path / "frames"
+        directory.mkdir()
+        path = directory / "000001.txt"
+        row = KITTI_ROW.format(occlusion="0")
+        path.write_text(row + "\n", encoding="ascii")
+        labels = tmp_path / "labelz"
+        if kind == "file":
+            labels.write_text(row.rsplit(" ", 1)[0] + "\n", encoding="ascii")
+        source = directory if frames else path
+        assert run_cli("eval", "--input", str(source), "--format", "kitti", "--labels", str(labels)) == 1
+        assert capsys.readouterr().err == f"error: {labels}: labels path is not a directory\n"
+
+    def test_scored_line_in_a_labels_file_is_a_clean_error(self, tmp_path, capsys):
+        # Passing the detections themselves as labels would leave every frame without ground truths.
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        path = frames / "000001.txt"
+        path.write_text(KITTI_ROW.format(occlusion="0") + "\n", encoding="ascii")
+        assert run_cli("eval", "--input", str(frames), "--format", "kitti", "--labels", str(frames)) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 1: a labels file holds no scored detections\n"
 
     def test_integral_float_occlusion_still_parses(self, tmp_path):
         path = tmp_path / "000001.txt"

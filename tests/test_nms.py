@@ -8,8 +8,10 @@ from diffnms import (
     NmsConfig,
     NmsVariant,
     Pruning,
+    RectOverlaps,
     ScoreRangeError,
     group_boxes,
+    masked_backward,
     masked_rescore,
     prune,
     prune_derivative,
@@ -402,3 +404,29 @@ class TestRunNms:
         s = np.array([0.5])
         res = run_nms(s, np.eye(1), LINEAR, "full-inverse")
         assert res.rescores[0] == 0.5
+
+
+def test_backward_reads_only_the_overlaps_of_the_masked_forward(monkeypatch):
+    # 20 clusters of 10 jittered rectangles: past the 64 boxes read as one matrix,
+    # so every overlap comes through RectOverlaps.pairs.
+    rng = np.random.default_rng(0)
+    centers = np.repeat(rng.uniform(0.0, 500.0, (20, 2)), 10, axis=0)
+    corners = centers + rng.normal(0.0, 1.0, centers.shape)
+    rects = np.hstack([corners, corners + rng.uniform(5.0, 10.0, centers.shape)])
+    scores = rng.uniform(0.0, 1.0, len(rects))
+    cfg = NmsConfig(pruning=Pruning.SIGMOIDAL)
+    reads = []
+    pairs = RectOverlaps.pairs
+
+    def counting(self, i, j):
+        values = pairs(self, i, j)
+        reads.append(np.size(values))
+        return values
+
+    monkeypatch.setattr(RectOverlaps, "pairs", counting)
+    run_nms(scores, RectOverlaps(rects), cfg, NmsVariant.MASKED)
+    forward = sum(reads)
+    reads.clear()
+    masked_backward(scores, RectOverlaps(rects), cfg, np.ones(len(rects)))
+    assert forward > len(rects)
+    assert sum(reads) == forward

@@ -1,7 +1,9 @@
 """The package's public surface: each library module's __all__, re-exported by diffnms."""
 
+import ast
 import importlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,30 @@ def test_removed_helpers_are_gone(name):
     assert name not in diffnms.__all__
     with pytest.raises(ImportError):
         exec(f"from diffnms import {name}", {})
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) of every ``from diffnms... import name`` in bench/*.py."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "diffnms":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    return found
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="no bench/ directory")
+def test_every_name_the_benchmark_imports_resolves():
+    # A name cut from the surface would otherwise fail only when the benchmark runs.
+    imports = _bench_imports()
+    assert imports
+    missing = []
+    for file, module, name in imports:
+        try:
+            exec(f"from {module} import {name}", {})
+        except ImportError:
+            missing.append(f"{file}: from {module} import {name}")
+    assert missing == []
