@@ -185,6 +185,8 @@ def cmd_gradcheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"--boxes must be at most 1000, got {args.boxes}")
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        parser.error(f"--seed must be at least 0, got {args.seed}")
     if not (np.isfinite(args.eps) and args.eps > 0.0):
         parser.error(f"--eps must be finite and positive, got {args.eps:g}")
     if not args.tolerance >= 0.0:

@@ -128,31 +128,23 @@ class Cuboid3D:
 
 
 def iou2d(a: Rect2D, b: Rect2D) -> float:
-    """Intersection over union of two rectangles; 0.0 when disjoint or degenerate."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return min(inter / union, 1.0)
+    """Intersection over union of two rectangles, 0.0 when disjoint or degenerate: ``iou2d_matrix`` of one pair."""
+    return float(RectOverlaps(rect_array([a, b])).pairs([0], [1])[0])
 
 
 def overlap_matrix(rects: Sequence[Rect2D]) -> np.ndarray:
     """Symmetric matrix of pairwise rectangle IoU values, ``iou2d_matrix(a, a)``.
 
-    Entry (i, j) is bit-identical to ``iou2d(rects[i], rects[j])``, so the
-    diagonal is 1 for every non-degenerate rectangle and 0 for degenerate ones.
+    Entry (i, j) equals ``iou2d(rects[i], rects[j])``, so the diagonal is 1
+    for every non-degenerate rectangle and 0 for degenerate ones.
     """
     a = rect_array(rects)
     return iou2d_matrix(a, a)
 
 
-# Batched forms. The rectangle IoU replays iou2d; the rotated cuboid measures
-# exist only here, and replay operation for operation, in the same operand
-# order, the scalar polygon clipper that the tests keep as their reference.
+# Batched forms. The rectangle IoU and the rotated cuboid measures exist only
+# here, and replay operation for operation, in the same operand order, the
+# scalar forms that the tests keep as their reference.
 # Python's min/max keep the first argument on ties, which decides the sign of
 # a zero result, so they are written as np.where rather than np.minimum or
 # np.maximum.
@@ -196,15 +188,6 @@ def _max(x, y):
     return np.where(y > x, y, x)
 
 
-def _rect_columns(a: np.ndarray) -> np.ndarray:
-    """(5, N) array of the x1, y1, x2, y2 columns of an (N, 4) rect array and each area."""
-    x1, y1, x2, y2 = a.T
-    # Corners near +-1e308 overflow the area to inf without a warning;
-    # run_nms then rejects such boxes through RectOverlaps.finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack([x1, y1, x2, y2, (x2 - x1) * (y2 - y1)])
-
-
 # Up to this corner magnitude no step of _rect_iou overflows, and it divides
 # only by positive unions, so it raises no floating-point warning; larger
 # corners need numpy's silent mode.
@@ -212,14 +195,13 @@ _QUIET_RECT_BOUND = 2.0**500
 
 
 def _rect_iou(a, b) -> np.ndarray:
-    """IoU of rectangles a and b, each the rows x1, y1, x2, y2, area of ``_rect_columns``.
+    """IoU of rectangles a and b, each the rows x1, y1, x2, y2, area of ``RectOverlaps._columns``.
 
-    The rows of a broadcast against the rows of b, and each entry of the
-    result is bit-identical to ``iou2d`` of its pair. At least one operand
-    must hold an array. Callers run it under ``np.errstate(all="ignore")``
-    unless every corner lies within _QUIET_RECT_BOUND: corners near +-1e308
-    overflow the extents and make the union NaN, which run_nms rejects like
-    any other NaN.
+    The rows of a broadcast against the rows of b; at least one operand must
+    hold an array. ``RectOverlaps.pairs`` is its only caller, and runs it
+    under ``np.errstate(all="ignore")`` unless every corner lies within
+    _QUIET_RECT_BOUND: corners near +-1e308 overflow the extents and make the
+    union NaN, which run_nms rejects like any other NaN.
     """
     ax1, ay1, ax2, ay2, a_area = a
     bx1, by1, bx2, by2, b_area = b
@@ -244,15 +226,14 @@ def _rect_iou(a, b) -> np.ndarray:
 
 
 def iou2d_matrix(a, b) -> np.ndarray:
-    """(N, M) matrix whose entry (i, j) is bit-identical to ``iou2d(a[i], b[j])``.
+    """(N, M) matrix whose entry (i, j) is ``iou2d(a[i], b[j])``.
 
     a and b are (N, 4) and (M, 4) arrays in x1, y1, x2, y2 order, as built by
     ``rect_array``.
     """
-    a = _rect_columns(_box_array(a, 4, "a"))
-    b = _rect_columns(_box_array(b, 4, "b"))
-    with np.errstate(all="ignore"):
-        return _rect_iou(a[:, :, None], b)
+    a = _box_array(a, 4, "a")
+    b = _box_array(b, 4, "b")
+    return RectOverlaps(np.concatenate([a, b])).pairs(np.arange(len(a))[:, None], len(a) + np.arange(len(b)))
 
 
 class RectOverlaps:
@@ -266,7 +247,11 @@ class RectOverlaps:
     """
 
     def __init__(self, rects) -> None:
-        self._columns = _rect_columns(_box_array(rects, 4, "rects"))
+        x1, y1, x2, y2 = _box_array(rects, 4, "rects").T
+        # Corners near +-1e308 overflow the area to inf without a warning;
+        # run_nms then rejects such boxes through ``finite``.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._columns = np.stack([x1, y1, x2, y2, (x2 - x1) * (y2 - y1)])
         # Entering np.errstate costs a few microseconds, a fixed cost of every
         # round of the greedy loop; only corners this large need it.
         self._quiet = bool(np.all(np.abs(self._columns[:4]) <= _QUIET_RECT_BOUND))
@@ -596,17 +581,13 @@ def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndar
 
 
 def _cuboid_matrix(a, b, measure) -> np.ndarray:
-    a = _box_array(a, 7, "a")
-    b = _box_array(b, 7, "b")
-    rows = np.repeat(np.arange(len(a)), len(b))
-    cols = np.tile(np.arange(len(b)), len(a))
-    return _cuboid_values(a, b, rows, cols, measure).reshape(len(a), len(b))
+    n, m = len(_box_array(a, 7, "a")), len(_box_array(b, 7, "b"))
+    return _cuboid_pairs(a, b, np.repeat(np.arange(n), m), np.tile(np.arange(m), n), measure).reshape(n, m)
 
 
 def _one_pair(a: Cuboid3D, b: Cuboid3D, measure) -> float:
     pair = cuboid_array([a, b])
-    index = np.zeros(1, dtype=np.intp)
-    return float(_cuboid_values(pair[:1], pair[1:], index, index, measure)[0])
+    return float(_cuboid_pairs(pair[:1], pair[1:], [0], [0], measure)[0])
 
 
 def rotated_bev_intersection_area(a: Cuboid3D, b: Cuboid3D) -> float:

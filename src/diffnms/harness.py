@@ -136,11 +136,15 @@ def rescored_boxes(
     index_map: Sequence[int],
     kept_only: bool = True,
 ) -> list[DetectionBox]:
-    """Materialize rescored detections; by default only the surviving ones."""
-    positions = result.kept if kept_only else range(len(index_map))
+    """Materialize rescored detections; by default only the surviving ones.
+
+    With kept_only=False every box comes back, in scene.boxes order; DontCare
+    boxes take no part in NMS and keep their scores.
+    """
+    rescores = dict(zip(index_map, result.rescores.tolist()))
+    positions = [index_map[int(k)] for k in result.kept] if kept_only else range(len(scene.boxes))
     return [
-        dataclasses.replace(scene.boxes[index_map[int(k)]], score=float(result.rescores[int(k)]))
-        for k in positions
+        dataclasses.replace(scene.boxes[i], score=rescores[i]) if i in rescores else scene.boxes[i] for i in positions
     ]
 
 

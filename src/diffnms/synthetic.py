@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import DetectionBox, GroundTruth, Scene
-from .geometry import Cuboid3D, Rect2D, cuboid_array, iou2d, iou3d_pairs, overlap_matrix
+from .geometry import Cuboid3D, Rect2D, cuboid_array, iou3d_pairs, overlap_matrix
 
 __all__ = ["SyntheticConfig", "generate_synthetic", "random_instance", "rect_from_cuboid"]
 
@@ -51,6 +51,8 @@ class SyntheticConfig:
     score_noise: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.num_scenes < 0 or self.num_objects < 1 or self.proposals_per_object < 1:
             raise ValueError("num_scenes must be >= 0 and object/proposal counts >= 1")
         for name in ("center_jitter", "size_jitter", "score_noise"):
@@ -88,6 +90,11 @@ def _sample_gt_cuboid(rng: np.random.Generator) -> Cuboid3D:
     )
 
 
+def _apart(a: Rect2D, b: Rect2D) -> bool:
+    """True when the rectangles share no area; touching edges do not overlap."""
+    return min(a.x2, b.x2) <= max(a.x1, b.x1) or min(a.y2, b.y2) <= max(a.y1, b.y1)
+
+
 def _place_ground_truths(rng: np.random.Generator, cfg: SyntheticConfig) -> list[Cuboid3D]:
     cuboids: list[Cuboid3D] = []
     rects: list[Rect2D] = []
@@ -98,7 +105,7 @@ def _place_ground_truths(rng: np.random.Generator, cfg: SyntheticConfig) -> list
             far_enough = all(
                 math.hypot(cand.cx - c.cx, cand.cz - c.cz) >= _MIN_SEPARATION for c in cuboids
             )
-            if far_enough and all(iou2d(rect, r) == 0.0 for r in rects):
+            if far_enough and all(_apart(rect, r) for r in rects):
                 cuboids.append(cand)
                 rects.append(rect)
                 break

@@ -3,9 +3,9 @@
 Most of these are deliberately written with different algorithms and data
 structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
-evaluator. The scalar polygon clipper, the rotated IoU3D/GIoU3D built on it
-and the axis-aligned IoU3D are the per-pair forms that the package's batched
-kernel replays, the kernel with its clipper run on every pair is the slow
+evaluator. The scalar rectangle IoU, the scalar polygon clipper, the
+rotated IoU3D/GIoU3D built on it and the axis-aligned IoU3D are the per-pair
+forms that the package's batched kernels replay, the rotated kernel with its clipper run on every pair is the slow
 path that its broad phase replaced, the per-pair loops call them, the
 greedy loop runs every round over the whole overlap matrix, the per-member loops are the grouped NMS
 forward pass, backward pass and Jacobians that the package's closed-form index
@@ -33,9 +33,9 @@ from diffnms import (
     NmsGradients,
     NmsVariant,
     RescoreResult,
+    Rect2D,
     Scene,
     filter_gts,
-    iou2d,
     masked_jacobians,
     masked_rescore,
     prune,
@@ -49,6 +49,19 @@ from diffnms.gradients import _KINK_MARGIN
 
 # Clipped-polygon vertices closer than this are merged into one.
 _VERTEX_MERGE_TOL = 1e-9
+
+
+def reference_iou2d(a: Rect2D, b: Rect2D) -> float:
+    """Intersection over union of two rectangles; 0.0 when disjoint or degenerate."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return min(inter / union, 1.0)
 
 
 @dataclass(frozen=True)
@@ -237,7 +250,7 @@ def reference_q_match(box: DetectionBox, gt: GroundTruth) -> float:
     """q_match of one pair: iou2d * (1 + giou3d) / 2, or 0 without both cuboids."""
     if box.cuboid is None or gt.cuboid is None:
         return 0.0
-    return iou2d(box.rect, gt.rect) * (1.0 + reference_giou3d(box.cuboid, gt.cuboid)) / 2.0
+    return reference_iou2d(box.rect, gt.rect) * (1.0 + reference_giou3d(box.cuboid, gt.cuboid)) / 2.0
 
 
 def points_in_convex(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -334,7 +347,7 @@ def reference_oracle_scores(scene: Scene, mode: str = "iou3d") -> list[float]:
         best = 0.0
         for gt in gts:
             if mode == "iou2d":
-                value = iou2d(box.rect, gt.rect)
+                value = reference_iou2d(box.rect, gt.rect)
             elif box.cuboid is None or gt.cuboid is None:
                 continue
             else:

@@ -72,6 +72,34 @@ class TestRun:
         scenes = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert all(len(s["boxes"]) == 12 for s in scenes)
 
+    def test_keep_all_writes_dontcare_boxes_unchanged(self, tmp_path, capsys):
+        # The DontCare box comes first and takes no part in NMS; box 2 is suppressed by box 1.
+        boxes = [
+            _box(score=0.7, label="DontCare", dontcare=True, note="kept"),
+            _box(score=0.5, label="Car"),
+            _box(score=0.4, label="Car", x2=9),
+        ]
+        path, out = tmp_path / "dc.jsonl", tmp_path / "out.jsonl"
+        path.write_text(json.dumps({"id": "d", "boxes": boxes}) + "\n", encoding="utf-8")
+        assert run_cli(
+            "run", "--input", str(path), "--nms", "masked", "--pruning", "linear", "--keep-all", "--out", str(out)
+        ) == 0
+        assert capsys.readouterr().out == f"rescored 3 boxes over 1 scenes; wrote 3 to {out}\n"
+        written = json.loads(out.read_text(encoding="utf-8"))["boxes"]
+        assert written[0] == boxes[0] and written[1] == boxes[1]
+        assert 0.0 <= written[2]["score"] < 0.4
+
+    def test_keep_all_writes_kitti_dontcare_lines_unchanged(self, tmp_path, capsys):
+        dontcare = "DontCare -1 -1 -10.0 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10 0.3"
+        car = KITTI_ROW.format(occlusion="0")
+        path, out = tmp_path / "000001.txt", tmp_path / "out.txt"
+        path.write_text(f"{dontcare}\n{car}\n", encoding="ascii")
+        assert run_cli("run", "--input", str(path), "--format", "kitti", "--keep-all", "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"rescored 2 boxes over 1 scenes; wrote 2 to {out}\n"
+        first, second = out.read_text(encoding="ascii").splitlines()
+        assert first == "DontCare -1.0 -1.0 -10.0 503.89 169.71 590.61 190.13 -1.0 -1.0 -1.0 -1000.0 -1000.0 -1000.0 -10.0 0.3"
+        assert second.split()[0] == "Car"
+
     @pytest.mark.parametrize("nms", ["masked", "full-inverse", "grouped-inverse"])
     def test_negative_zero_score_is_written_as_zero(self, tmp_path, nms):
         # Box 1 is suppressed by box 0 and box 2 tops its own group; both score -0.0.
@@ -608,6 +636,8 @@ class TestCliContract:
             (("gradcheck", "--nms", "masked"), 2, "unrecognized arguments: --nms masked"),
             (("gradcheck", "--valid", "0.3"), 2, "unrecognized arguments: --valid 0.3"),
             (("gradcheck", "--score-mode", "product"), 2, "unrecognized arguments: --score-mode product"),
+            (("gradcheck", "--seed", "-5"), 2, "--seed must be at least 0, got -5"),
+            (("synth", "--seed", "-1", "--out", "{file}"), 1, "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_generator_flags(self, tmp_path, capsys, args, expected, message):

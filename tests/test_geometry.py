@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from diffnms import (
     Cuboid3D,
     Rect2D,
+    RectOverlaps,
     cuboid_array,
     giou3d,
     giou3d_matrix,
@@ -27,6 +29,7 @@ from oracles import (
     mc_intersection_area,
     reference_bev_intersection_area,
     reference_giou3d,
+    reference_iou2d,
     reference_iou3d,
     reference_iou3d_axis_aligned,
     slow_cuboid_values,
@@ -146,7 +149,7 @@ class TestOverlapMatrix:
         m = overlap_matrix(rs)
         for i, a in enumerate(rs):
             for j, b in enumerate(rs):
-                assert m[i, j] == pytest.approx(iou2d(a, b), abs=1e-15)
+                assert m[i, j] == pytest.approx(reference_iou2d(a, b), abs=1e-15)
 
     def test_symmetric_with_unit_diagonal(self):
         rs = [rect(0, 0, 3, 1), rect(1, 0, 2, 5), rect(-4, -4, 0, 0.5)]
@@ -291,7 +294,7 @@ def assert_cuboid_matrices_exact(a, b):
 
 
 def assert_rect_matrix_exact(a, b):
-    assert_bit_identical(iou2d_matrix(rect_array(a), rect_array(b)), scalar_matrix(iou2d, a, b))
+    assert_bit_identical(iou2d_matrix(rect_array(a), rect_array(b)), scalar_matrix(reference_iou2d, a, b))
 
 
 near_coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
@@ -509,6 +512,57 @@ class TestOneKernel:
                 giou3d(a, b)
                 iou3d_axis_aligned(a, b)
                 rotated_bev_intersection_area(a, b)
+
+
+@st.composite
+def related_rects(draw) -> list[Rect2D]:
+    """A rectangle and others that touch it, nest in it, have zero width, or carry -0.0 corners."""
+    a = draw(st.one_of(near_rects, st.sampled_from(EDGE_RECTS)))
+    w, h = draw(near_sizes), draw(near_sizes)
+    t, u = draw(st.floats(min_value=0.0, max_value=1.0)), draw(st.floats(min_value=0.0, max_value=1.0))
+    x = min(a.x1 + t * a.width, a.x2)
+    x_lo, x_hi = sorted([x, min(a.x1 + u * a.width, a.x2)])
+    y_lo, y_hi = sorted([min(a.y1 + t * a.height, a.y2), min(a.y1 + u * a.height, a.y2)])
+    related = [
+        Rect2D(a.x2, a.y1, a.x2 + w, a.y1 + h),  # touching on x
+        Rect2D(a.x1, a.y2, a.x1 + w, a.y2 + h),  # touching on y
+        Rect2D(a.x2, a.y2, a.x2 + w, a.y2 + h),  # touching at a corner
+        Rect2D(x_lo, y_lo, x_hi, y_hi),  # nested
+        Rect2D(x, a.y1, x, a.y2),  # zero width
+        Rect2D(0.0, 0.0, 0.0, h),
+        Rect2D(-0.0, -0.0, w, h),
+        Rect2D(-0.0, 0.0, -0.0 if w == 0.0 else w, h),
+    ]
+    return [a, *draw(st.lists(st.sampled_from(related), min_size=1, max_size=4))]
+
+
+class TestOneRectKernel:
+    """iou2d, iou2d_matrix, overlap_matrix and RectOverlaps.pairs all run the one rectangle kernel."""
+
+    @given(rs=related_rects())
+    def test_every_form_matches_the_oracle_bitwise(self, rs):
+        reference = scalar_matrix(reference_iou2d, rs, rs)
+        for i, x in enumerate(rs):
+            for j, y in enumerate(rs):
+                value = iou2d(x, y)
+                assert type(value) is float
+                assert bits(value) == bits(reference[i, j]), (x, y, value)
+        arr = rect_array(rs)
+        assert_bit_identical(iou2d_matrix(arr, arr), reference)
+        assert_bit_identical(iou2d_matrix(arr[:1], arr[1:]), reference[:1, 1:])
+        assert_bit_identical(overlap_matrix(rs), reference)
+        boxes = np.arange(len(rs))
+        source = RectOverlaps(arr)
+        assert_bit_identical(source.pairs(boxes[:, None], boxes), reference)
+        assert_bit_identical(source.pairs(boxes, boxes[::-1]), reference[boxes, boxes[::-1]])
+
+    def test_overflowing_corners_raise_no_warning(self):
+        a = np.array([[-1e308, -1e308, 1e308, 1e308], [0, 0, 1, 1], [1e200, 0, 2e200, 1e-200], [-0.0, 0, 1, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = iou2d_matrix(a, a)
+        expected = [[np.nan, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 1]]
+        assert np.array_equal(matrix, expected, equal_nan=True)
 
 
 # The broad phase against the slow path it replaced: pairs whose footprint

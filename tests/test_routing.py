@@ -4,10 +4,13 @@ oracle_scores, assign_targets, eval_ap_r40 and score_iou_correlation must give
 exactly what the scalar loops in tests/oracles.py give, on the golden corpus,
 on a variant of it with DontCare records and missing cuboids, on a variant
 with tied, zero and negative-zero scores, and on one cluttered scene of 1500
-boxes.
+boxes. Each overlap kernel has one entry: every path into the rectangle IoU
+goes through RectOverlaps.pairs, and every path into the cuboid kernel
+through _cuboid_pairs.
 """
 
 import dataclasses
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -22,12 +25,23 @@ from diffnms import (
     NmsVariant,
     Pruning,
     Rect2D,
+    RectOverlaps,
     SyntheticConfig,
     assign_targets,
     eval_ap_r40,
     filter_gts,
     generate_synthetic,
+    giou3d,
+    iou2d,
+    iou2d_matrix,
+    iou3d,
+    iou3d_axis_aligned,
     oracle_scores,
+    overlap_matrix,
+    q_match,
+    rect_array,
+    rotated_bev_intersection_area,
+    run_nms,
     read_scenes_jsonl,
     score_iou_correlation,
     write_scenes_jsonl,
@@ -215,3 +229,64 @@ def test_oracle_makes_one_kernel_call_and_clips_only_the_near_pairs(monkeypatch,
     assert calls == [len(pairs)]
     assert 0 < sum(near.values()) < len(pairs)
     assert clipped == near
+
+
+def _run_nms_all_variants(boxes: int):
+    rng = np.random.default_rng(boxes)
+    corners = rng.uniform(0.0, 200.0, (boxes, 2))
+    rects = np.hstack([corners, corners + rng.uniform(5.0, 30.0, (boxes, 2))])
+    scores = rng.uniform(0.0, 1.0, boxes)
+    for variant in NmsVariant:
+        for pruning in Pruning:
+            if variant is NmsVariant.CLASSICAL and pruning is not Pruning.HARD:
+                continue
+            if variant is NmsVariant.SOFT and pruning is Pruning.HARD:
+                continue
+            run_nms(scores, RectOverlaps(rects), NmsConfig(pruning=pruning), variant)
+
+
+RECT, CUBOID = {"_rect_iou"}, {"_cuboid_values"}
+# Each entry point, the kernels it must reach, and a call of it on a scene
+# and an output path; run_nms on more than 64 boxes takes the lockstep path.
+ENTRY_POINTS = {
+    "iou2d": (RECT, lambda scene, out: iou2d(scene.boxes[0].rect, scene.gts[0].rect)),
+    "iou2d_matrix": (RECT, lambda scene, out: iou2d_matrix(rect_array([b.rect for b in scene.boxes]), np.ones((2, 4)))),
+    "overlap_matrix": (RECT, lambda scene, out: overlap_matrix([b.rect for b in scene.boxes])),
+    "run_nms-64-boxes": (RECT, lambda scene, out: _run_nms_all_variants(64)),
+    "run_nms-65-boxes": (RECT, lambda scene, out: _run_nms_all_variants(65)),
+    "q_match": (RECT | CUBOID, lambda scene, out: q_match(scene.boxes[0], scene.gts[0])),
+    "assign_targets": (RECT | CUBOID, lambda scene, out: assign_targets(scene.boxes, scene.gts)),
+    "oracle-iou2d": (RECT, lambda scene, out: main(["oracle", "--input", str(GOLDEN), "--mode", "iou2d", "--out", out])),
+    "oracle-iou3d": (CUBOID, lambda scene, out: main(["oracle", "--input", str(GOLDEN), "--mode", "iou3d", "--out", out])),
+    "iou3d": (CUBOID, lambda scene, out: iou3d(scene.boxes[0].cuboid, scene.gts[0].cuboid)),
+    "giou3d": (CUBOID, lambda scene, out: giou3d(scene.boxes[0].cuboid, scene.gts[0].cuboid)),
+    "iou3d_axis_aligned": (CUBOID, lambda scene, out: iou3d_axis_aligned(scene.boxes[0].cuboid, scene.gts[0].cuboid)),
+    "rotated_bev_intersection_area": (
+        CUBOID,
+        lambda scene, out: rotated_bev_intersection_area(scene.boxes[0].cuboid, scene.gts[0].cuboid),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_each_overlap_kernel_is_entered_only_through_its_one_entry(monkeypatch, tmp_path, name):
+    """Every _rect_iou call comes from RectOverlaps.pairs, every _cuboid_values call from _cuboid_pairs."""
+    entries = {"_rect_iou": RectOverlaps.pairs.__code__, "_cuboid_values": geometry._cuboid_pairs.__code__}
+    calls, strays = Counter(), []
+
+    def guarded(kernel):
+        def call(*args):
+            caller = sys._getframe(1).f_code
+            calls[kernel.__name__] += 1
+            if caller is not entries[kernel.__name__]:
+                strays.append((kernel.__name__, caller.co_name))
+            return kernel(*args)
+
+        return call
+
+    for kernel in entries:
+        monkeypatch.setattr(geometry, kernel, guarded(getattr(geometry, kernel)))
+    kernels, run = ENTRY_POINTS[name]
+    run(read_scenes_jsonl(GOLDEN)[0], str(tmp_path / "out.jsonl"))
+    assert strays == []
+    assert set(calls) == kernels

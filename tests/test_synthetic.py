@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -22,6 +23,9 @@ from diffnms import (
     score_iou_correlation,
 )
 from diffnms.boxes import DetectionBox
+from diffnms.geometry import Rect2D
+from diffnms.synthetic import _apart, _sample_gt_cuboid
+from oracles import reference_iou2d
 
 
 class TestSyntheticScenes:
@@ -55,6 +59,28 @@ class TestSyntheticScenes:
         for i, a in enumerate(scene.gts):
             for b in scene.gts[i + 1:]:
                 assert iou2d(a.rect, b.rect) == 0.0
+
+    def test_placement_rule_is_zero_iou2d(self):
+        # Candidates drawn as placement draws them, and copies moved to touch
+        # them exactly on x, on y and at a corner.
+        rng = np.random.default_rng(11)
+        rects = [rect_from_cuboid(_sample_gt_cuboid(rng)) for _ in range(120)]
+        touching = []
+        for r in rects[:40]:
+            touching += [
+                (r, Rect2D(r.x2, r.y1, r.x2 + r.width, r.y2)),
+                (r, Rect2D(r.x1, r.y2 - 2 * r.height, r.x2, r.y1)),
+                (r, Rect2D(r.x2, r.y2, r.x2 + 1.0, r.y2 + 1.0)),
+            ]
+        pairs = [(a, b) for a in rects for b in rects] + touching + [(b, a) for a, b in touching]
+        apart = [_apart(a, b) for a, b in pairs]
+        assert apart == [reference_iou2d(a, b) == 0.0 for a, b in pairs]
+        assert 0 < sum(apart) < len(pairs)
+        assert all(_apart(a, b) for a, b in touching)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SyntheticConfig(seed=-1)
 
     def test_scores_live_in_unit_interval(self):
         cfg = SyntheticConfig(seed=2, num_objects=5, proposals_per_object=10, score_noise=0.5)
@@ -154,6 +180,19 @@ class TestHarnessPipelines:
         assert len(kept) == len(result.kept)
         for box, k in zip(kept, result.kept):
             assert box.score == result.rescores[int(k)]
+
+    def test_rescored_boxes_keep_all_keeps_every_box_in_order(self):
+        scene = generate_synthetic(SyntheticConfig(seed=8, num_objects=3, proposals_per_object=3))[0]
+        scene.boxes[4].dontcare = True
+        cfg = NmsConfig(pruning=Pruning.LINEAR)
+        result, index_map = rescore_scene(scene, cfg, NmsVariant.MASKED)
+        boxes = rescored_boxes(scene, result, index_map, kept_only=False)
+        assert boxes[4] is scene.boxes[4]
+        rescores = dict(zip(index_map, result.rescores.tolist()))
+        assert [b.score for b in boxes] == [rescores.get(i, b.score) for i, b in enumerate(scene.boxes)]
+        assert [dataclasses.replace(b, score=0.0) for b in boxes] == [
+            dataclasses.replace(b, score=0.0) for b in scene.boxes
+        ]
 
     def test_oracle_scores_hit_one_for_exact_proposals(self):
         scene = generate_synthetic(SyntheticConfig(seed=10, num_objects=3, proposals_per_object=2))[0]
