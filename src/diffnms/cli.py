@@ -77,6 +77,8 @@ def _nms_config(args: argparse.Namespace, parser: argparse.ArgumentParser, varia
     A bad value is a usage error. gradcheck has no --valid, since the masked
     Jacobians it checks do not read the threshold.
     """
+    if args.alpha < 0:
+        parser.error(f"--alpha must be at least 0, got {args.alpha}")
     try:
         cfg = NmsConfig(
             nt=args.nt,

@@ -67,16 +67,8 @@ class Rect2D:
             )
 
     @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
     def height(self) -> float:
         return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
 
 @dataclass(frozen=True)
@@ -106,19 +98,6 @@ class Cuboid3D:
         if self.w < 0 or self.h < 0 or self.l < 0:
             raise ValueError(f"Cuboid3D dimensions must be non-negative, got w={self.w}, h={self.h}, l={self.l}")
 
-    @property
-    def volume(self) -> float:
-        return self.w * self.h * self.l
-
-    @property
-    def footprint_area(self) -> float:
-        return self.w * self.l
-
-    @property
-    def vertical_extent(self) -> tuple[float, float]:
-        half = self.h / 2.0
-        return (self.cy - half, self.cy + half)
-
     def bev_footprint(self) -> tuple[tuple[float, float], ...]:
         """The four (x, z) corners of the yaw-rotated footprint, counter-clockwise."""
         cos_y, sin_y = math.cos(self.yaw), math.sin(self.yaw)
@@ -133,13 +112,13 @@ def iou2d(a: Rect2D, b: Rect2D) -> float:
 
 
 def overlap_matrix(rects: Sequence[Rect2D]) -> np.ndarray:
-    """Symmetric matrix of pairwise rectangle IoU values, ``iou2d_matrix(a, a)``.
+    """Symmetric matrix of pairwise rectangle IoU values, ``iou2d_matrix(a, a)`` from one ``RectOverlaps``.
 
     Entry (i, j) equals ``iou2d(rects[i], rects[j])``, so the diagonal is 1
     for every non-degenerate rectangle and 0 for degenerate ones.
     """
-    a = rect_array(rects)
-    return iou2d_matrix(a, a)
+    boxes = np.arange(len(rects))
+    return RectOverlaps(rect_array(rects)).pairs(boxes[:, None], boxes)
 
 
 # Batched forms. The rectangle IoU and the rotated cuboid measures exist only
@@ -322,11 +301,12 @@ class RectOverlaps:
 
 
 def _cuboid_features(c: np.ndarray) -> np.ndarray:
-    """Per-box columns the pair arithmetic reads, computed as ``Cuboid3D`` does.
+    """Per-box columns the pair arithmetic reads.
 
-    Columns: the 7 fields; the 4 footprint corner x, then the 4 corner z, in
-    ``bev_footprint`` order; footprint area; volume; vertical extent (lo, hi);
-    and the yaw-free footprint box (x1, z1, x2, z2).
+    Columns: the 7 fields; the 4 footprint corner x, then the 4 corner z, as
+    ``Cuboid3D.bev_footprint`` computes them; footprint area, volume and
+    vertical extent (lo, hi), as the scalar references in ``tests/oracles.py``
+    compute them; and the yaw-free footprint box (x1, z1, x2, z2).
     """
     cx, cy, cz, w, h, l, yaw = c.T
     # math.cos/sin, not np.cos/sin: bev_footprint uses libm, and numpy's
@@ -665,13 +645,13 @@ def iou3d_pairs(a, b, rows, cols) -> np.ndarray:
     return _cuboid_pairs(a, b, rows, cols, _iou)
 
 
-def _iou3d_rows(a, b, cols: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """Row k holds ``iou3d(a[k], b[j])`` for each j in cols[k]; one ``iou3d_pairs`` call covers every row."""
+def _iou3d_rows(a, b, cols: Sequence[Sequence[int]]) -> tuple[np.ndarray, list[int]]:
+    """One flat ``iou3d_pairs`` call and its row bounds: ``values[bounds[k]:bounds[k + 1]]`` is row k,
+    ``iou3d(a[k], b[j])`` for each j in cols[k]."""
     lengths = [len(c) for c in cols]
     flat = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp, count=sum(lengths))
     values = iou3d_pairs(a, b, np.repeat(np.arange(len(cols)), lengths), flat)
-    bounds = list(itertools.accumulate(lengths, initial=0))
-    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return values, list(itertools.accumulate(lengths, initial=0))
 
 
 def _cuboid_pairs(a, b, rows, cols, measure) -> np.ndarray:

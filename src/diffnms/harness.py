@@ -46,9 +46,10 @@ SCORE_MODES = ("product", "class", "pred")
 def combine_scores(class_conf: float | None, pred_conf: float | None, mode: str = "product") -> float:
     """Fold the optional classification and localization confidences into one score.
 
-    product: the product when both are present, otherwise whichever exists.
-    class: the classification confidence alone. pred: the localization
-    confidence alone. Asking for a missing confidence is an error.
+    product: the product when both are present, which must then be
+    non-negative, otherwise whichever exists. class: the classification
+    confidence alone. pred: the localization confidence alone. Asking for a
+    missing confidence is an error.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"unknown score mode {mode!r}, expected one of {SCORE_MODES}")
@@ -61,6 +62,10 @@ def combine_scores(class_conf: float | None, pred_conf: float | None, mode: str 
             raise ValueError("score mode 'pred' requires pred_conf")
         return float(pred_conf)
     if class_conf is not None and pred_conf is not None:
+        # A product of two negatives, or a negative times 0.0, would pass as a valid score.
+        for name, value in (("class_conf", class_conf), ("pred_conf", pred_conf)):
+            if value < 0.0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         return float(class_conf) * float(pred_conf)
     if class_conf is not None:
         return float(class_conf)
@@ -150,12 +155,13 @@ def rescored_boxes(
 
 def _gt_rows(scenes: Sequence[Scene], positions: Sequence[Sequence[int]], gts: Sequence[list]):
     """The cuboids of scene.boxes[i], i in positions[s], and of gts[s], stacked scene after scene; each
-    box's columns in the stacked ground truths; and its row of rotated IoU3D, from one kernel call."""
+    box's columns in the stacked ground truths; and the ``_iou3d_rows`` values and row bounds of
+    rotated IoU3D, from one kernel call."""
     bounds = list(accumulate(map(len, gts), initial=0))
     columns = [range(lo, hi) for boxes, lo, hi in zip(positions, bounds, bounds[1:]) for _ in boxes]
     box_cuboids = cuboid_array([scene.boxes[i].cuboid for scene, boxes in zip(scenes, positions) for i in boxes])
     gt_cuboids = cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts])
-    return box_cuboids, gt_cuboids, columns, _iou3d_rows(box_cuboids, gt_cuboids, columns)
+    return box_cuboids, gt_cuboids, columns, *_iou3d_rows(box_cuboids, gt_cuboids, columns)
 
 
 def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
@@ -188,12 +194,12 @@ def _oracle_scenes(scenes: Sequence[Scene], mode: str = "iou3d") -> list[Scene]:
     else:
         gts = [filter_gts(scene.gts, None) for scene in scenes]
         positions = [[i for i, b in enumerate(scene.boxes) if b.cuboid is not None] for scene in scenes]
-        rows = _gt_rows(scenes, positions, gts)[3]
-        bounds = accumulate(map(len, positions), initial=0)
+        flat, row_bounds = _gt_rows(scenes, positions, gts)[3:]
+        firsts = accumulate(map(len, positions), initial=0)
         values = []
-        for scene, r, scene_gts, lo in zip(scenes, positions, gts, bounds):
+        for scene, r, scene_gts, first in zip(scenes, positions, gts, firsts):
             scene_values = np.zeros((len(scene.boxes), len(scene_gts)))
-            scene_values[r] = np.reshape(rows[lo : lo + len(r)], (len(r), len(scene_gts)))
+            scene_values[r] = flat[row_bounds[first] : row_bounds[first + len(r)]].reshape(len(r), len(scene_gts))
             values.append(scene_values)
     out = []
     for scene, scene_values in zip(scenes, values):
@@ -261,12 +267,13 @@ def score_iou_correlation(
         return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
 
     per_scene = [kept_boxes(scene, scene_gts) for scene, scene_gts in zip(scenes, gts)]
-    box_cuboids, gt_cuboids, columns, values = _gt_rows(scenes, [[i for i, _ in kept] for kept in per_scene], gts)
+    kept_positions = [[i for i, _ in kept] for kept in per_scene]
+    box_cuboids, gt_cuboids, columns, values, bounds = _gt_rows(scenes, kept_positions, gts)
     # A kept box's match is the first maximum of its row.
-    firsts = [int(row.argmax()) for row in values]
+    firsts = [int(values[lo:hi].argmax()) for lo, hi in zip(bounds, bounds[1:])]
     picks = [cols[j] for cols, j in zip(columns, firsts)]
     aligned = _cuboid_pairs(box_cuboids, gt_cuboids, range(len(picks)), picks, _aa_iou)
-    matched = zip([float(row[j]) for row, j in zip(values, firsts)], aligned.tolist())
+    matched = zip([float(values[lo + j]) for lo, j in zip(bounds, firsts)], aligned.tolist())
     rows = [
         CorrelationRow(scene.scene_id, i, rescore, *next(matched))
         for scene, kept in zip(scenes, per_scene)

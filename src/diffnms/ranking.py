@@ -265,9 +265,11 @@ def _greedy_hits(
             open_gts = [g for g in range(bounds[s], bounds[s + 1]) if not claimed[g]]
             plan += [(s, k, open_gts) for k in visit[s][start : start + size]]
         dets = cuboid_array([scenes[s][0][k].cuboid for s, k, _ in plan])
-        for (s, k, open_gts), row in zip(plan, _iou3d_rows(dets, gt_cuboids, [g for _, _, g in plan])):
+        values, row_bounds = _iou3d_rows(dets, gt_cuboids, [g for _, _, g in plan])
+        values = values.tolist()
+        for (s, k, open_gts), lo, hi in zip(plan, row_bounds, row_bounds[1:]):
             # max and index take the first maximum, so ties go to the lower index.
-            ious = [v if v > 0.0 and not claimed[g] else 0.0 for g, v in zip(open_gts, row.tolist())]
+            ious = [v if v > 0.0 and not claimed[g] else 0.0 for g, v in zip(open_gts, values[lo:hi])]
             best = max(ious)
             if best > 0.0 and best >= iou_threshold:
                 claimed[open_gts[ious.index(best)]] = True

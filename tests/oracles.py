@@ -3,7 +3,8 @@
 Most of these are deliberately written with different algorithms and data
 structures than the library code: Monte-Carlo area estimation instead of
 polygon clipping, plain-Python greedy matching instead of the vectorized
-evaluator. The scalar rectangle IoU, the scalar polygon clipper, the
+evaluator. The record quantities (rectangle area, footprint area, volume and
+vertical extent), the scalar rectangle IoU, the scalar polygon clipper, the
 rotated IoU3D/GIoU3D built on it and the axis-aligned IoU3D are the per-pair
 forms that the package's batched kernels replay, the rotated kernel with its clipper run on every pair is the slow
 path that its broad phase replaced, the per-pair loops call them, the
@@ -51,6 +52,26 @@ from diffnms.gradients import _KINK_MARGIN
 _VERTEX_MERGE_TOL = 1e-9
 
 
+# The scalar record quantities, in the operand order that ``RectOverlaps``
+# and ``geometry._cuboid_features`` replay.
+
+
+def rect_area(r: Rect2D) -> float:
+    return (r.x2 - r.x1) * (r.y2 - r.y1)
+
+
+def footprint_area(c: Cuboid3D) -> float:
+    return c.w * c.l
+
+
+def volume(c: Cuboid3D) -> float:
+    return c.w * c.h * c.l
+
+
+def vertical_extent(c: Cuboid3D) -> tuple[float, float]:
+    return (c.cy - c.h / 2.0, c.cy + c.h / 2.0)
+
+
 def reference_iou2d(a: Rect2D, b: Rect2D) -> float:
     """Intersection over union of two rectangles; 0.0 when disjoint or degenerate."""
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
@@ -58,7 +79,7 @@ def reference_iou2d(a: Rect2D, b: Rect2D) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    union = a.area + b.area - inter
+    union = rect_area(a) + rect_area(b) - inter
     if union <= 0.0:
         return 0.0
     return min(inter / union, 1.0)
@@ -145,22 +166,22 @@ def reference_bev_intersection_area(a: Cuboid3D, b: Cuboid3D) -> float:
     area exactly.
     """
     if a == b:
-        return a.footprint_area
+        return footprint_area(a)
     a, b = _canonical_pair(a, b)
     poly = clip_convex(ConvexPolygon(a.bev_footprint()), ConvexPolygon(b.bev_footprint()))
-    return min(poly.area, a.footprint_area, b.footprint_area)
+    return min(poly.area, footprint_area(a), footprint_area(b))
 
 
 def _vertical_overlap(a: Cuboid3D, b: Cuboid3D) -> float:
-    a_lo, a_hi = a.vertical_extent
-    b_lo, b_hi = b.vertical_extent
+    a_lo, a_hi = vertical_extent(a)
+    b_lo, b_hi = vertical_extent(b)
     return max(min(a_hi, b_hi) - max(a_lo, b_lo), 0.0)
 
 
 def _volume_iou(a: Cuboid3D, b: Cuboid3D, inter_area: float) -> tuple[float, float, float]:
     """(iou, intersection volume, union volume) given a footprint overlap area."""
     v_inter = inter_area * _vertical_overlap(a, b)
-    v_union = a.volume + b.volume - v_inter
+    v_union = volume(a) + volume(b) - v_inter
     iou = min(v_inter / v_union, 1.0) if v_union > 0.0 else 0.0
     return iou, v_inter, v_union
 
@@ -168,7 +189,7 @@ def _volume_iou(a: Cuboid3D, b: Cuboid3D, inter_area: float) -> tuple[float, flo
 def reference_iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     """Rotated 3D IoU of one pair: clipped footprint overlap times vertical overlap, over union."""
     if a == b:
-        return 1.0 if a.volume > 0.0 else 0.0
+        return 1.0 if volume(a) > 0.0 else 0.0
     a, b = _canonical_pair(a, b)
     iou, _, _ = _volume_iou(a, b, reference_bev_intersection_area(a, b))
     return iou
@@ -183,7 +204,7 @@ def _bev_aabb(c: Cuboid3D) -> tuple[float, float, float, float]:
 def reference_iou3d_axis_aligned(a: Cuboid3D, b: Cuboid3D) -> float:
     """3D IoU of one pair with both yaws discarded."""
     if a == b:
-        return 1.0 if a.volume > 0.0 else 0.0
+        return 1.0 if volume(a) > 0.0 else 0.0
     a, b = _canonical_pair(a, b)
     ra, rb = _bev_aabb(a), _bev_aabb(b)
     ix = max(min(ra[2], rb[2]) - max(ra[0], rb[0]), 0.0)
@@ -194,14 +215,14 @@ def reference_iou3d_axis_aligned(a: Cuboid3D, b: Cuboid3D) -> float:
 
 def reference_giou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     """Generalized 3D IoU of one pair, with an axis-aligned hull: iou + union/hull - 1."""
-    if a == b and a.volume > 0.0:
+    if a == b and volume(a) > 0.0:
         return 1.0
     a, b = _canonical_pair(a, b)
     iou, _, v_union = _volume_iou(a, b, reference_bev_intersection_area(a, b))
     ra, rb = _bev_aabb(a), _bev_aabb(b)
     hull_area = (max(ra[2], rb[2]) - min(ra[0], rb[0])) * (max(ra[3], rb[3]) - min(ra[1], rb[1]))
-    a_lo, a_hi = a.vertical_extent
-    b_lo, b_hi = b.vertical_extent
+    a_lo, a_hi = vertical_extent(a)
+    b_lo, b_hi = vertical_extent(b)
     v_hull = hull_area * (max(a_hi, b_hi) - min(a_lo, b_lo))
     enclosure = min(max(v_union, 0.0) / v_hull, 1.0) if v_hull > 0.0 else 0.0
     return iou + enclosure - 1.0

@@ -556,6 +556,36 @@ class TestMalformedInput:
         assert run_cli(command, *args) == 1
         assert capsys.readouterr().err == f"error: scene 'frame-3' box 3: score mode {mode!r} requires {missing}\n"
 
+    @pytest.mark.parametrize("command", ["run", "compare", "correlate"])
+    @pytest.mark.parametrize(
+        "mode, confs, message",
+        [
+            ("product", (-0.5, -0.9), "class_conf must be non-negative, got -0.5"),
+            ("product", (0.9, -0.5), "pred_conf must be non-negative, got -0.5"),
+            ("product", (-0.5, 0.0), "class_conf must be non-negative, got -0.5"),
+            ("product", (0.0, -0.5), "pred_conf must be non-negative, got -0.5"),
+            ("product", (-0.0, 0.5), None),
+            ("product", (0.5, -0.0), None),
+            # The single-confidence modes leave the check to NMS.
+            ("class", (-0.5, -0.9), "scores must be non-negative, got -0.5"),
+        ],
+    )
+    def test_negative_confidence_names_scene_and_box(self, tmp_path, capsys, command, mode, confs, message):
+        cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
+        gt = {"x1": 0, "y1": 0, "x2": 10, "y2": 10, **cuboid}
+        box = _box(class_conf=confs[0], pred_conf=confs[1])
+        path = tmp_path / "conf.jsonl"
+        path.write_text(json.dumps({"id": "a", "boxes": [box], "gts": [gt]}) + "\n", encoding="utf-8")
+        args = ["--input", str(path), "--score-mode", mode]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o.jsonl")]
+        code = run_cli(command, *args)
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, f"error: scene 'a' box 0: {message}\n")
+
 
 def _scene_line(score):
     cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
@@ -638,6 +668,10 @@ class TestCliContract:
             (("gradcheck", "--score-mode", "product"), 2, "unrecognized arguments: --score-mode product"),
             (("gradcheck", "--seed", "-5"), 2, "--seed must be at least 0, got -5"),
             (("synth", "--seed", "-1", "--out", "{file}"), 1, "seed must be a non-negative integer, got -1"),
+            (("gradcheck", "--alpha", "-3"), 2, "--alpha must be at least 0, got -3"),
+            (("run", "--input", "{file}", "--out", "{file}", "--alpha", "-3"), 2, "--alpha must be at least 0, got -3"),
+            (("compare", "--input", "{file}", "--alpha", "-3"), 2, "--alpha must be at least 0, got -3"),
+            (("correlate", "--input", "{file}", "--alpha", "-3"), 2, "--alpha must be at least 0, got -3"),
         ],
     )
     def test_generator_flags(self, tmp_path, capsys, args, expected, message):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diffnms import (
     Cuboid3D,
@@ -22,17 +22,33 @@ from diffnms import (
     rect_array,
     rotated_bev_intersection_area,
 )
-from diffnms.geometry import _bev_overlap, _giou, _iou, _iou3d_rows
+from diffnms.geometry import (
+    _AREA,
+    _HI,
+    _LO,
+    _VOL,
+    _X,
+    _Z,
+    _bev_overlap,
+    _cuboid_features,
+    _giou,
+    _iou,
+    _iou3d_rows,
+)
 from oracles import (
     ConvexPolygon,
     clip_convex,
+    footprint_area,
     mc_intersection_area,
+    rect_area,
     reference_bev_intersection_area,
     reference_giou3d,
     reference_iou2d,
     reference_iou3d,
     reference_iou3d_axis_aligned,
     slow_cuboid_values,
+    vertical_extent,
+    volume,
 )
 
 
@@ -60,7 +76,7 @@ rects = st.builds(
 class TestRect2D:
     def test_dimensions(self):
         r = rect(1.0, 2.0, 4.0, 8.0)
-        assert (r.width, r.height, r.area) == (3.0, 6.0, 18.0)
+        assert r.height == 6.0
 
     def test_rejects_inverted_corners(self):
         with pytest.raises(ValueError):
@@ -77,12 +93,6 @@ class TestRect2D:
 
 
 class TestCuboid3D:
-    def test_derived_quantities(self):
-        c = cuboid(cy=1.0, w=2.0, h=3.0, l=4.0)
-        assert c.volume == 24.0
-        assert c.footprint_area == 8.0
-        assert c.vertical_extent == (-0.5, 2.5)
-
     def test_rejects_negative_dimension(self):
         with pytest.raises(ValueError):
             cuboid(w=-1.0)
@@ -170,13 +180,13 @@ class TestRotatedIntersection:
 
     def test_identical_boxes_return_exact_footprint(self):
         c = cuboid(cx=3.3, cz=-1.7, w=1.55, l=4.12, yaw=0.613)
-        assert rotated_bev_intersection_area(c, c) == c.footprint_area
+        assert rotated_bev_intersection_area(c, c) == footprint_area(c)
 
     def test_never_exceeds_either_footprint(self):
         a = cuboid(w=1.0, l=10.0)
         b = cuboid(w=10.0, l=1.0, yaw=0.3)
         v = rotated_bev_intersection_area(a, b)
-        assert v <= min(a.footprint_area, b.footprint_area)
+        assert v <= min(footprint_area(a), footprint_area(b))
 
     def test_monte_carlo_oracle_agreement(self):
         rng = np.random.default_rng(2024)
@@ -433,14 +443,16 @@ class TestBatchedMatrices:
         # Random, empty, repeated and unsorted column lists, and a range.
         cols = [rng.integers(0, len(b), rng.integers(0, 6)).tolist() for _ in range(len(a) - 4)]
         cols += [[], [3, 3, 3], [len(b) - 1, 0, 2, 0], range(len(b))]
-        rows = _iou3d_rows(a, b, cols)
-        assert len(rows) == len(a)
+        values, bounds = _iou3d_rows(a, b, cols)
+        assert len(bounds) == len(a) + 1
+        assert bounds[-1] == len(values)
         matrix = iou3d_matrix(a, b)
-        for k, row in enumerate(rows):
-            assert_bit_identical(row, matrix[k, list(cols[k])])
-        assert _iou3d_rows(a[:0], b, []) == []
-        (empty,) = _iou3d_rows(a[:1], b, [[]])
-        assert empty.shape == (0,)
+        for k in range(len(a)):
+            assert_bit_identical(values[bounds[k] : bounds[k + 1]], matrix[k, list(cols[k])])
+        values, bounds = _iou3d_rows(a[:0], b, [])
+        assert values.shape == (0,) and bounds == [0]
+        values, bounds = _iou3d_rows(a[:1], b, [[]])
+        assert values.shape == (0,) and bounds == [0, 0]
 
     @pytest.mark.parametrize(
         "call",
@@ -520,8 +532,8 @@ def related_rects(draw) -> list[Rect2D]:
     a = draw(st.one_of(near_rects, st.sampled_from(EDGE_RECTS)))
     w, h = draw(near_sizes), draw(near_sizes)
     t, u = draw(st.floats(min_value=0.0, max_value=1.0)), draw(st.floats(min_value=0.0, max_value=1.0))
-    x = min(a.x1 + t * a.width, a.x2)
-    x_lo, x_hi = sorted([x, min(a.x1 + u * a.width, a.x2)])
+    x = min(a.x1 + t * (a.x2 - a.x1), a.x2)
+    x_lo, x_hi = sorted([x, min(a.x1 + u * (a.x2 - a.x1), a.x2)])
     y_lo, y_hi = sorted([min(a.y1 + t * a.height, a.y2), min(a.y1 + u * a.height, a.y2)])
     related = [
         Rect2D(a.x2, a.y1, a.x2 + w, a.y1 + h),  # touching on x
@@ -563,6 +575,62 @@ class TestOneRectKernel:
             matrix = iou2d_matrix(a, a)
         expected = [[np.nan, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 1]]
         assert np.array_equal(matrix, expected, equal_nan=True)
+
+    @given(rs=st.one_of(related_rects(), st.lists(st.one_of(near_rects, rects), max_size=8)))
+    @example(rs=EDGE_RECTS)
+    def test_overlap_matrix_is_iou2d_matrix(self, rs):
+        arr = rect_array(rs)
+        assert_bit_identical(overlap_matrix(rs), iou2d_matrix(arr, arr))
+
+
+# Zero, -0.0, subnormal, ordinary and near-1e300 sizes, whose products span
+# underflow to 0 and overflow to inf.
+column_sizes = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e300, 8.9e307]),
+    st.floats(min_value=0.0, max_value=1e-307),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=1e299, max_value=1e301),
+)
+column_coords = st.one_of(coords, st.floats(min_value=-1e300, max_value=1e300))
+any_yaws = st.one_of(yaws, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def column_rects(draw) -> Rect2D:
+    x, y, w, h = draw(coords), draw(coords), draw(column_sizes), draw(column_sizes)
+    # Rect2D rejects an area that overflows.
+    assume(math.isfinite(w * h))
+    return Rect2D(x, y, x + w, y + h)
+
+
+class TestKernelColumns:
+    """The kernels' per-box quantities are the scalar formulas of tests/oracles.py, bit for bit."""
+
+    @given(
+        boxes=st.lists(
+            st.builds(
+                Cuboid3D,
+                cx=column_coords, cy=column_coords, cz=column_coords,
+                w=column_sizes, h=column_sizes, l=column_sizes, yaw=any_yaws,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_cuboid_features_are_the_scalar_quantities(self, boxes):
+        with np.errstate(all="ignore"):
+            features = _cuboid_features(cuboid_array(boxes))
+        for c, row in zip(boxes, features):
+            corners = c.bev_footprint()
+            assert bits(row[_X:_Z]).tolist() == bits([x for x, _ in corners]).tolist()
+            assert bits(row[_Z:_AREA]).tolist() == bits([z for _, z in corners]).tolist()
+            expected = [footprint_area(c), volume(c), *vertical_extent(c)]
+            assert bits(row[[_AREA, _VOL, _LO, _HI]]).tolist() == bits(expected).tolist(), c
+
+    @given(rs=st.lists(column_rects(), min_size=1, max_size=6))
+    def test_rect_area_row_is_the_scalar_area(self, rs):
+        areas = RectOverlaps(rect_array(rs))._columns[4]
+        assert bits(areas).tolist() == bits([rect_area(r) for r in rs]).tolist()
 
 
 # The broad phase against the slow path it replaced: pairs whose footprint

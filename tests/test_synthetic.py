@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,7 +70,7 @@ class TestSyntheticScenes:
         touching = []
         for r in rects[:40]:
             touching += [
-                (r, Rect2D(r.x2, r.y1, r.x2 + r.width, r.y2)),
+                (r, Rect2D(r.x2, r.y1, r.x2 + (r.x2 - r.x1), r.y2)),
                 (r, Rect2D(r.x1, r.y2 - 2 * r.height, r.x2, r.y1)),
                 (r, Rect2D(r.x2, r.y2, r.x2 + 1.0, r.y2 + 1.0)),
             ]
@@ -134,6 +136,26 @@ class TestScoreCombination:
         assert combine_scores(None, 0.5, "product") == 0.5
         with pytest.raises(ValueError):
             combine_scores(None, None, "product")
+
+    @pytest.mark.parametrize(
+        "class_conf, pred_conf, message",
+        [
+            (-0.5, -0.9, "class_conf must be non-negative, got -0.5"),
+            (0.8, -0.9, "pred_conf must be non-negative, got -0.9"),
+            (-0.5, 0.0, "class_conf must be non-negative, got -0.5"),
+            (0.0, -0.25, "pred_conf must be non-negative, got -0.25"),
+        ],
+    )
+    def test_product_mode_rejects_a_negative_factor(self, class_conf, pred_conf, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            combine_scores(class_conf, pred_conf, "product")
+
+    def test_product_mode_accepts_negative_zero_and_a_lone_negative(self):
+        assert math.copysign(1.0, combine_scores(-0.0, 0.5, "product")) == -1.0
+        assert math.copysign(1.0, combine_scores(0.5, -0.0, "product")) == -1.0
+        # A lone confidence is the score itself, which NMS validates.
+        assert combine_scores(-0.5, None, "product") == -0.5
+        assert combine_scores(None, -0.5, "product") == -0.5
 
     def test_single_confidence_modes(self):
         assert combine_scores(0.8, 0.5, "class") == 0.8
