@@ -24,8 +24,8 @@ from .gradients import finite_difference_check
 from .harness import (
     SCORE_MODES,
     _oracle_scenes,
+    _rescore_scenes,
     build_comparison,
-    rescore_scene,
     rescored_boxes,
     score_iou_correlation,
 )
@@ -143,11 +143,10 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _nms_config(args, parser, [variant])
     scenes = _load_scenes(args)
 
-    def process(scene: Scene) -> Scene:
-        result, index_map = rescore_scene(scene, cfg, variant, args.score_mode)
-        return dataclasses.replace(scene, boxes=rescored_boxes(scene, result, index_map, kept_only=not args.keep_all))
-
-    out_scenes = [process(scene) for scene in scenes]
+    out_scenes = [
+        dataclasses.replace(scene, boxes=rescored_boxes(scene, result, index_map, kept_only=not args.keep_all))
+        for scene, (result, index_map) in zip(scenes, _rescore_scenes(scenes, cfg, variant, args.score_mode))
+    ]
     _write_scenes(args, out_scenes)
     boxes_in = sum(len(s.boxes) for s in scenes)
     boxes_out = sum(len(s.boxes) for s in out_scenes)

@@ -259,17 +259,19 @@ class RectOverlaps:
         taken._quiet = self._quiet
         return taken
 
-    def _clusters(self) -> list[np.ndarray]:
+    def _clusters(self, bounds=None) -> list[np.ndarray]:
         """Clusters of boxes whose overlap with every box of another cluster is exactly 0.0.
 
-        Sweep-and-prune: each part is sorted by x1 and cut wherever x1 reaches
-        the running maximum of x2, then each piece the same way on y, then x
-        again, until a pass cuts nothing. Boxes on either side of a cut have
-        intersection width (or height) at most 0, which ``_rect_iou`` maps to
-        exactly 0.0, so touching edges do not join clusters. Coordinates are
-        compared as dense ranks, so one stable sort of (part, rank) keys runs
-        every part's sweep at once and no pair is evaluated. Returns each
-        cluster's original indices in ascending order.
+        Sweep-and-prune: the parts start as the scenes, boxes
+        bounds[k]:bounds[k + 1] forming part k (one part by default). Each
+        part is sorted by x1 and cut wherever x1 reaches the running maximum
+        of x2, then each piece the same way on y, then x again, until a pass
+        cuts nothing. Boxes on either side of a cut have intersection width
+        (or height) at most 0, which ``_rect_iou`` maps to exactly 0.0, so
+        touching edges do not join clusters, and no cluster crosses a scene.
+        Coordinates are compared as dense ranks, so one stable sort of
+        (part, rank) keys runs every part's sweep at once and no pair is
+        evaluated. Returns each cluster's original indices in ascending order.
         """
         n = len(self)
         # Per axis, the dense ranks, all below 2 n, of the lo and hi coordinates
@@ -281,7 +283,10 @@ class RectOverlaps:
             rank = np.empty(2 * n, dtype=np.int64)
             rank[order] = np.cumsum(np.concatenate([[False], coords[order][1:] != coords[order][:-1]]))
             ranks.append(rank.reshape(2, n))
-        part = np.zeros(n, dtype=np.int64)
+        if bounds is None:
+            part = np.zeros(n, dtype=np.int64)
+        else:
+            part = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         count = min(n, 1)
         for sweep in itertools.count():
             lo, hi = ranks[sweep % 2]

@@ -1,7 +1,9 @@
 """Scene-level pipelines: rescoring, oracle scores, correlation, comparison.
 
-These helpers connect the box records to the array-level NMS engine. Each
-scene is processed independently, in input order.
+These helpers connect the box records to the array-level NMS engine. Scenes
+never interact: a corpus is rescored in one NMS pass per variant, with the
+scenes as lanes of its loops, and every result and error is the one that
+rescoring each scene on its own, in input order, would give.
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ from .geometry import (
     iou2d_matrix,
     rect_array,
 )
-from .nms import NmsConfig, NmsVariant, RescoreResult, ScoreRangeError, run_nms
+from .nms import (
+    NmsConfig,
+    NmsVariant,
+    RescoreResult,
+    ScoreRangeError,
+    _check_variant,
+    _nms_scenes,
+    _overlap_source,
+    _score_upper,
+    _validate_scenes,
+)
 from .ranking import eval_ap_r40, filter_gts
 
 __all__ = [
@@ -91,30 +103,68 @@ def effective_scores(boxes: Sequence[DetectionBox], score_mode: str | None) -> n
     return np.array(values, dtype=float)
 
 
-def _scene_results(
-    scene: Scene, cfg: NmsConfig, variants: Sequence[NmsVariant], score_mode: str | None
-) -> tuple[list[RescoreResult], list[float], list[int]]:
-    """Each variant's rescoring of a scene's non-DontCare boxes, its seconds, and the boxes' positions.
+def _corpus_scores(
+    scenes: Sequence[Scene], index_maps: list[list[int]], bounds: np.ndarray, uppers: list, score_mode: str | None
+) -> np.ndarray:
+    """The validated scores of every scene's boxes at index_maps, stacked; scene k holds bounds[k]:bounds[k + 1].
 
-    The scores and rectangle overlaps are gathered once and shared by the
-    variants. The overlaps are evaluated on demand, so each variant computes
-    only the entries it reads, and its seconds include them. A box lacking
-    the confidence score_mode needs, or with a score a variant cannot take,
-    raises ValueError naming the scene and its scene.boxes position.
+    A bad score raises ScoreRangeError with the box's position in the stack.
+    It is the error that checking the scenes in order, each first for its
+    confidences and then against each upper bound in turn, meets first.
     """
-    index_map = [i for i, b in enumerate(scene.boxes) if not b.dontcare]
-    boxes = [scene.boxes[i] for i in index_map]
-    overlaps = RectOverlaps(rect_array([b.rect for b in boxes]))
-    results, seconds = [], []
+    parts = []
+    for scene, index_map in zip(scenes, index_maps):
+        try:
+            parts.append(effective_scores([scene.boxes[i] for i in index_map], score_mode))
+        except ScoreRangeError as exc:
+            # The scenes before this one come first.
+            _validate_scenes(np.concatenate([np.zeros(0), *parts]), bounds[: len(parts) + 1], uppers)
+            raise ScoreRangeError(exc.reason, int(bounds[len(parts)]) + exc.index) from None
+    return _validate_scenes(np.concatenate([np.zeros(0), *parts]), bounds, uppers)
+
+
+def _corpus_results(
+    scenes: Sequence[Scene], cfg: NmsConfig, variants: Sequence[NmsVariant], score_mode: str | None
+) -> tuple[list[list[RescoreResult]], list[float], list[list[int]]]:
+    """Each variant's rescoring of every scene's non-DontCare boxes, its seconds, and the boxes' positions.
+
+    The scores and rectangles of all scenes are stacked once and shared by
+    the variants, and each variant rescores the whole corpus in one pass
+    (``nms._nms_scenes``), scenes as lanes; its results are one per scene.
+    The overlaps are evaluated on demand, so each variant computes only the
+    entries it reads, and its seconds include them. A box lacking the
+    confidence score_mode needs, or with a score a variant cannot take,
+    raises ValueError naming the scene and its scene.boxes position: the
+    first that rescoring the scenes one by one would meet. A variant that
+    cannot use cfg's pruning kind is an error before any scene is read.
+    """
+    variants = [NmsVariant(v) for v in variants]
+    for variant in variants:
+        _check_variant(variant, cfg.pruning)
+    index_maps = [[i for i, b in enumerate(scene.boxes) if not b.dontcare] for scene in scenes]
+    bounds = np.array(list(accumulate(map(len, index_maps), initial=0)))
     try:
-        scores = effective_scores(boxes, score_mode)
-        for variant in variants:
-            start = time.perf_counter()
-            results.append(run_nms(scores, overlaps, cfg, variant))
-            seconds.append(time.perf_counter() - start)
+        s = _corpus_scores(scenes, index_maps, bounds, [_score_upper(v) for v in variants], score_mode)
     except ScoreRangeError as exc:
-        raise ValueError(f"scene {scene.scene_id!r} box {index_map[exc.index]}: {exc.reason}") from None
-    return results, seconds, index_map
+        k = int(np.searchsorted(bounds, exc.index, side="right")) - 1
+        box = index_maps[k][exc.index - bounds[k]]
+        raise ValueError(f"scene {scenes[k].scene_id!r} box {box}: {exc.reason}") from None
+    rects = rect_array([scene.boxes[i].rect for scene, index_map in zip(scenes, index_maps) for i in index_map])
+    source = _overlap_source(RectOverlaps(rects), s.size)
+    results, seconds = [], []
+    for variant in variants:
+        start = time.perf_counter()
+        results.append(_nms_scenes(s, source, bounds, cfg, variant))
+        seconds.append(time.perf_counter() - start)
+    return results, seconds, index_maps
+
+
+def _rescore_scenes(
+    scenes: Sequence[Scene], cfg: NmsConfig, variant: NmsVariant, score_mode: str | None = None
+) -> list[tuple[RescoreResult, list[int]]]:
+    """``rescore_scene`` of every scene, from one NMS pass over the corpus."""
+    (results,), _, index_maps = _corpus_results(scenes, cfg, [variant], score_mode)
+    return list(zip(results, index_maps))
 
 
 def rescore_scene(
@@ -129,10 +179,10 @@ def rescore_scene(
     plus the map from filtered positions back to scene.boxes positions. A
     score the variant cannot take, or cannot form from a box's confidences,
     raises ValueError naming the scene and the scene.boxes position of the
-    first offending box.
+    first offending box. It runs the corpus path of ``diffnms run`` on a
+    one-scene corpus.
     """
-    (result,), _, index_map = _scene_results(scene, cfg, [variant], score_mode)
-    return result, index_map
+    return _rescore_scenes([scene], cfg, variant, score_mode)[0]
 
 
 def rescored_boxes(
@@ -254,19 +304,21 @@ def score_iou_correlation(
 
     Kept boxes are matched to the ground truth with the highest rotated 3D
     IoU; boxes in scenes without usable ground truths (or without a cuboid)
-    are excluded since they have nothing to match.
+    are excluded since they have nothing to match. Every scene is rescored,
+    in one pass over the corpus, so every scene's scores are validated as
+    ``diffnms run`` validates them.
     """
     gts = [filter_gts(scene.gts, None) for scene in scenes]
 
-    def kept_boxes(scene: Scene, scene_gts: list) -> list[tuple[int, float]]:
-        """(scene.boxes position, rescore) of each kept box that has a cuboid."""
+    def kept_boxes(scene: Scene, scene_gts: list, result: RescoreResult, index_map: list[int]):
+        """(scene.boxes position, rescore) of each kept box that has a cuboid, if the scene has ground truths."""
         if not scene_gts:
             return []
-        result, index_map = rescore_scene(scene, cfg, variant, score_mode)
         kept = [(index_map[int(k)], float(result.rescores[int(k)])) for k in result.kept]
         return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
 
-    per_scene = [kept_boxes(scene, scene_gts) for scene, scene_gts in zip(scenes, gts)]
+    rescored = _rescore_scenes(scenes, cfg, variant, score_mode)
+    per_scene = [kept_boxes(scene, scene_gts, *r) for scene, scene_gts, r in zip(scenes, gts, rescored)]
     kept_positions = [[i for i, _ in kept] for kept in per_scene]
     box_cuboids, gt_cuboids, columns, values, bounds = _gt_rows(scenes, kept_positions, gts)
     # A kept box's match is the first maximum of its row.
@@ -343,10 +395,11 @@ def build_comparison(
 ) -> ComparisonReport:
     """Run every variant over every scene and summarize the differences.
 
-    Each scene's scores and rectangles are gathered once and shared by the
-    variants; seconds_per_scene times each variant's rescoring, including the
-    overlaps that variant evaluates. Each variant may be listed once, since
-    the report keys its rows by variant.
+    The scores and rectangles of all scenes are gathered once and shared by
+    the variants, and each variant rescores the corpus in one pass;
+    seconds_per_scene is that pass's time, including the overlaps the
+    variant evaluates, divided by the number of scenes. Each variant may be
+    listed once, since the report keys its rows by variant.
     """
     names = [NmsVariant(v).value for v in variants]
     for k, name in enumerate(names):
@@ -354,11 +407,10 @@ def build_comparison(
             raise ValueError(f"variant {name} is listed more than once")
     kept_sets: dict[str, list[set[int]]] = {name: [] for name in names}
     kept_boxes: dict[str, list[tuple[list[DetectionBox], list]]] = {name: [] for name in names}
-    seconds: dict[str, float] = {name: 0.0 for name in names}
-    for scene in scenes:
-        results, times, index_map = _scene_results(scene, cfg, variants, score_mode)
-        for name, result, elapsed in zip(names, results, times):
-            seconds[name] += elapsed
+    results, times, index_maps = _corpus_results(scenes, cfg, variants, score_mode)
+    seconds = dict(zip(names, times))
+    for name, variant_results in zip(names, results):
+        for scene, result, index_map in zip(scenes, variant_results, index_maps):
             kept_sets[name].append({index_map[int(k)] for k in result.kept})
             kept_boxes[name].append((rescored_boxes(scene, result, index_map), scene.gts))
     n = max(len(scenes), 1)

@@ -9,9 +9,11 @@ over score-sorted boxes. The masked variant additionally partitions boxes into
 overlap groups and lets only each group's top box suppress its members, which
 makes the system solvable in closed form and (with a soft pruning function)
 differentiable. Its forward is written once, over rows of scores: run_nms and
-the backward pass in :mod:`diffnms.gradients` run it on one row, and the
-finite-difference check on a block of perturbed rows over one shared source
-of overlaps.
+the backward pass in :mod:`diffnms.gradients` run it on one row, a corpus of
+scenes on one row per scene, and the finite-difference check on a block of
+perturbed rows over one shared source of overlaps. Every variant rescores a
+corpus in one pass, its scenes as lanes (_nms_scenes); run_nms is that pass
+on a one-scene corpus.
 """
 
 from __future__ import annotations
@@ -201,9 +203,13 @@ class _MatrixOverlaps:
     def pairs(self, i, j) -> np.ndarray:
         return self._matrix[i, j]
 
-    def _clusters(self) -> list[np.ndarray]:
-        """Every box as one cluster: a matrix is not searched for zero-overlap clusters."""
-        return [np.arange(self._matrix.shape[0])]
+    def _take(self, boxes: np.ndarray) -> _MatrixOverlaps:
+        """The overlaps of boxes[k] with boxes[m], read as pairs(k, m)."""
+        return _MatrixOverlaps(self._matrix[np.ix_(boxes, boxes)])
+
+    def _clusters(self, bounds: np.ndarray) -> list[np.ndarray]:
+        """Each nonempty scene as one cluster: a matrix is not searched for zero-overlap clusters."""
+        return _scenes(bounds)
 
 
 # Up to this many boxes, evaluating every rectangle pair at once costs less
@@ -310,14 +316,16 @@ def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
 def _group_rows(source, order: np.ndarray, cfg: NmsConfig, patch) -> np.ndarray:
     """_group_tops of every row of order at once: each round, one group per row.
 
-    patch is None or (ki, kt, delta): the sorted indices of each row's patched
-    pair (-1 for none) and what is added to both of its overlaps.
+    A slot of order holding -1, the padding that ends a row shorter than
+    the widest, joins no group and keeps top -1. patch is None or
+    (ki, kt, delta): the sorted indices of each row's patched pair (-1 for
+    none) and what is added to both of its overlaps.
     """
     B, n = order.shape
     rows = np.arange(B)
     cap = n if cfg.max_group_size is None else cfg.max_group_size
     top = np.full((B, n), -1)
-    free = np.ones((B, n), dtype=bool)
+    free = order >= 0
     while free.any():
         lead = free.argmax(axis=1)
         high = source.pairs(order, order[rows, lead][:, None])
@@ -343,14 +351,48 @@ def _clip_clamp(pre_clip: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.minimum(np.clip(pre_clip, 0.0, 1.0), s)
 
 
-def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None):
+def _row_tops(source, order: np.ndarray, cfg: NmsConfig, patch=None) -> np.ndarray:
+    """The GroupPartition.top array of each row of order: _group_tops for one unpatched row, else _group_rows."""
+    if patch is None and len(order) == 1:
+        return _group_tops(source, order[0], cfg)[None]
+    return _group_rows(source, order, cfg, patch)
+
+
+def _scenes(bounds: np.ndarray) -> list[np.ndarray]:
+    """The boxes of each nonempty scene bounds[k]:bounds[k + 1], in ascending order."""
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if hi > lo]
+
+
+def _scene_blocks(bounds: np.ndarray) -> list[np.ndarray]:
+    """The nonempty scenes as rows of boxes, padded with -1, in blocks of scenes of similar size.
+
+    Scenes whose sizes round up to the same power of two share a block,
+    whose rows are as wide as its widest scene, so padding never doubles a
+    block and one large scene does not widen the rows of many small ones.
+    """
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    starts, sizes = starts[sizes > 0], sizes[sizes > 0]
+    level = np.ceil(np.log2(sizes))
+    blocks = []
+    # A set, not np.unique, which imports numpy.ma: megabytes and milliseconds per CLI run.
+    for scale in sorted(set(level.tolist())):
+        block_starts, block_sizes = starts[level == scale], sizes[level == scale]
+        slot = np.arange(block_sizes.max())
+        blocks.append(np.where(slot < block_sizes[:, None], block_starts[:, None] + slot, -1))
+    return blocks
+
+
+def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None, boxes=None):
     """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores, o_mt).
 
-    The first four have a row per row of S: the stable descending score sort,
-    the GroupPartition.top array, and the pre-clip values and rescores in
-    original order; o_mt holds each member's patched overlap with its top,
-    row by row in score order. Overlaps are read as source.pairs(order[b, i], order[b, j]).
-    A single unpatched row is grouped by _group_tops, several by _group_rows.
+    The first four have a row per row of S: the stable descending score sort
+    as source indices, the GroupPartition.top array, and the pre-clip values
+    and rescores in the order of S; o_mt holds each member's patched overlap
+    with its top, row by row in score order. Overlaps are read as
+    source.pairs(order[b, i], order[b, j]). boxes, (B, n), gives the source
+    index of each entry of S, or -1 for padding, whose score must be -inf so
+    that it sorts last; by default entry (b, k) is box k. A single unpatched
+    row is grouped by _group_tops, several by _group_rows.
     patch = (i, t, delta), length-B arrays, adds delta[b] to row b's reads of
     o[i[b], t[b]] and o[t[b], i[b]]; a row with i[b] = -1 is unpatched.
     """
@@ -365,10 +407,9 @@ def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None):
         i, t, delta = patch
         ki, kt = (np.where(i >= 0, np.argmax(order == box[:, None], axis=1), -1) for box in (i, t))
         patch = (ki, kt, delta)
-    if patch is None and B == 1:
-        top = _group_tops(source, order[0], cfg)[None]
-    else:
-        top = _group_rows(source, order, cfg, patch)
+    if boxes is not None:
+        order = boxes.ravel()[at].reshape(B, n)
+    top = _row_tops(source, order, cfg, patch)
     # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
     # and each member's rescore is one gather over its top.
     members = np.flatnonzero((top >= 0) & (top != np.arange(n)))
@@ -425,32 +466,36 @@ def _lanes(clusters: list[np.ndarray]) -> np.ndarray:
     return slots.reshape(-1, width)
 
 
-def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig) -> RescoreResult:
-    """Greedy NMS over validated scores: pick the top box, decay the rest, repeat.
+def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig, bounds: np.ndarray) -> np.ndarray:
+    """Greedy NMS over the validated scores of a corpus, each scene on its own: the rescores.
 
-    Every round the highest-rescored remaining box is finalized and each other
-    remaining box i has its rescore multiplied by (1 - p(o_top,i)). Hard
-    pruning zeroes overlapping boxes outright (classical NMS); soft pruning
-    kinds decay them smoothly. Ties go to the lower index, and the loop stops
-    once every remaining rescore is 0, since further rounds would only
-    multiply zeros.
+    Scene k holds boxes bounds[k]:bounds[k + 1]. Within a scene, every round
+    the highest-rescored remaining box is finalized and each other remaining
+    box i has its rescore multiplied by (1 - p(o_top,i)). Hard pruning zeroes
+    overlapping boxes outright (classical NMS); soft pruning kinds decay them
+    smoothly. Ties go to the lower index, and a scene stops once every
+    remaining rescore is 0, since further rounds would only multiply zeros.
 
-    Zero-overlap clusters: when p(0) = 0 (hard, linear and exponential
+    Lanes: the scenes run in lockstep, in lanes of slots that each round pick
+    one top per lane and read one overlap per remaining box of the top's
+    scene, so rounds scale with the widest lane, not with the corpus. A
+    round leaves every box of another scene exactly as it was, so a lane
+    may hold several scenes: the loop over any union of scenes picks each
+    scene's boxes in the order, and with the rescores, of the loop over that
+    scene. The units packed into lanes (``_lanes``) are the scenes under
+    sigmoid pruning (p(0) > 0). When p(0) = 0 (hard, linear and exponential
     pruning), a round multiplies every box that does not overlap its top by
-    exactly 1.0, so boxes in clusters with no overlap between them
-    (``RectOverlaps._clusters``) cannot affect each other, and the loop over
-    any union of clusters picks each cluster's boxes in the order, and with
-    the rescores, of the loop over all boxes. The clusters are packed into
-    lanes (``_lanes``) that run this loop in lockstep: each round picks one
-    top per lane and reads one overlap per remaining box, against its own
-    lane's top, so rounds scale with the largest cluster, not with the scene.
-    Sigmoid pruning (p(0) > 0) and a matrix source run as one lane, one
-    overlap row per round.
+    exactly 1.0, so boxes in clusters with no overlap between them cannot
+    affect each other either, and the units are each scene's zero-overlap
+    clusters (``_clusters``; a matrix source's scenes are not split). A
+    scene of disjoint boxes then takes one round, where a lane of its own
+    would take one per box.
     """
-    n = s.size
-    clusters = source._clusters() if prune(0.0, cfg) == 0.0 else [np.arange(n)]
+    units = source._clusters(bounds) if prune(0.0, cfg) == 0.0 else _scenes(bounds)
+    slots = _lanes(units or [np.arange(0)])
+    # A key per slot, equal for the slots of one scene, where lanes may hold several.
+    scene = np.searchsorted(bounds, slots.ravel(), side="right") if len(bounds) > 2 else None
     # slots[k] is the box in slot k of the padded lane layout, or -1.
-    slots = _lanes(clusters)
     lanes, width = slots.shape
     starts = np.arange(lanes) * width
     slots = slots.ravel()
@@ -471,12 +516,15 @@ def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig) -> RescoreResult:
             break
         # A single lane reads one overlap row, as a scalar top, without a gather.
         top = tops[0] if tops.size == 1 else tops[rest // width]
+        if scene is not None:
+            same = scene[rest] == scene[top]
+            rest, top = rest[same], (top[same] if tops.size > 1 else top)
         decayed = r[rest] * (1.0 - _prune(source.pairs(top, rest), cfg))
         r[rest] = decayed
         live[rest] = decayed
-    out = np.zeros(n)
+    out = np.zeros(s.size)
     out[slots[filled]] = r[filled]
-    return RescoreResult(out, np.flatnonzero(out >= cfg.valid_threshold), out.copy())
+    return out
 
 
 # The solve reads prune rows in blocks holding at most this many entries, so
@@ -511,6 +559,74 @@ def _check_variant(variant: NmsVariant, pruning: Pruning) -> None:
         raise ValueError("soft NMS requires a soft pruning kind (linear, exp, or sigmoid)")
 
 
+def _score_upper(variant: NmsVariant) -> float | None:
+    """The largest score the variant takes: none for the greedy variants, 1 for the closed-form ones."""
+    return None if variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT) else 1.0
+
+
+def _validate_scenes(s: np.ndarray, bounds: np.ndarray, uppers) -> np.ndarray:
+    """The scores of a corpus validated scene by scene, and within a scene against each upper bound in turn.
+
+    Scene k holds s[bounds[k]:bounds[k + 1]]. The error raised is the first
+    that validating the scenes one by one would meet; its index is the
+    box's position in s.
+    """
+    s = np.asarray(s, dtype=float) + 0.0
+    if np.all(np.isfinite(s)) and np.all(s >= 0.0) and not any(u is not None and np.any(s > u) for u in uppers):
+        return s
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for upper in uppers:
+            try:
+                _validate_scores(s[lo:hi], upper)
+            except ScoreRangeError as exc:
+                raise ScoreRangeError(exc.reason, lo + exc.index) from None
+    return s
+
+
+def _nms_scenes(s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variant: NmsVariant) -> list[RescoreResult]:
+    """run_nms of each scene of a corpus, in one pass: scene k holds boxes bounds[k]:bounds[k + 1].
+
+    s holds the validated scores and source the overlaps of all the boxes,
+    which are read only within a scene. The greedy variants run the scenes
+    as lanes (_greedy_nms). Masked and grouped-inverse group the scenes of
+    each _scene_blocks block at once, as its rows (_masked_sorted); the
+    grouped-inverse and full-inverse solves stay one per group and one per
+    scene. Indices in each result are relative to its scene.
+    """
+    if variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT):
+        rescores = _greedy_nms(s, source, cfg, bounds)
+        pre_clip = rescores.copy()
+    else:
+        pre_clip = np.zeros(s.size)
+        # A one-scene corpus is its own row, in box order; more scenes are
+        # grouped block by block (_scene_blocks).
+        for boxes in [None] if len(bounds) == 2 else _scene_blocks(bounds):
+            S = s[None] if boxes is None else np.where(boxes >= 0, s[boxes], -np.inf)
+            if variant is NmsVariant.MASKED:
+                rows = _masked_sorted(S, source, cfg, boxes=boxes)[2]
+                if boxes is None:
+                    pre_clip = rows[0]
+                else:
+                    pre_clip[boxes[boxes >= 0]] = rows[boxes >= 0]
+                continue
+            order = np.argsort(-S, axis=1, kind="stable")
+            if boxes is not None:
+                order = np.take_along_axis(boxes, order, axis=1)
+            if variant is NmsVariant.FULL_INVERSE:
+                systems = [row[row >= 0] for row in order]
+            else:
+                # One key per group of the block: its row's offset plus its top's sorted index.
+                top = _row_tops(source, order, cfg)
+                keys = np.where(top >= 0, top + np.arange(len(order))[:, None] * order.shape[1], -1)
+                systems = [order.ravel()[idx] for idx in _split_groups(keys.ravel())]
+            # Each system, its boxes in score order, is one unit lower-triangular solve.
+            for system in systems:
+                pre_clip[system] = _solve_pruned(source, system, s, cfg)
+        rescores = _clip_clamp(pre_clip, s)
+    scenes = [(rescores[lo:hi], pre_clip[lo:hi]) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return [RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), p) for r, p in scenes]
+
+
 def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
     """Run one NMS variant end to end: sort, rescore, restore order, threshold.
 
@@ -535,31 +651,16 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     round's top. The inverse variants read their triangle a bounded block of
     rows at a time, so on a RectOverlaps no variant holds an (N, N) array.
 
-    Under hard, linear and exponential pruning, p(0) = 0, and classical and
-    soft run the zero-overlap clusters of a RectOverlaps of more than
-    _WHOLE_MATRIX_BOXES boxes in lockstep, one top per cluster and round
-    (see _greedy_nms); touching edges count as zero overlap. The bytes are
-    those of the one global loop. Sigmoid pruning and a matrix run as one
-    cluster, one overlap row per round.
+    This is the corpus pass of ``diffnms run`` (_nms_scenes) on a one-scene
+    corpus. Under hard, linear and exponential pruning, p(0) = 0, and
+    classical and soft run the zero-overlap clusters of a RectOverlaps of
+    more than _WHOLE_MATRIX_BOXES boxes in lockstep, one top per cluster and
+    round (see _greedy_nms); touching edges count as zero overlap. The bytes
+    are those of the one global loop. Sigmoid pruning and a matrix run as one
+    lane, one overlap row per round.
     """
     variant = NmsVariant(variant)
     _check_variant(variant, cfg.pruning)
-    greedy = variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT)
-    s = _validate_scores(scores, upper=None if greedy else 1.0)
+    s = _validate_scores(scores, _score_upper(variant))
     source = _overlap_source(overlaps, s.size)
-    if greedy:
-        return _greedy_nms(s, source, cfg)
-    if variant is NmsVariant.MASKED:
-        pre_clip, rescores = (row[0] for row in _masked_sorted(s[None], source, cfg)[2:4])
-    else:
-        pre_clip = np.zeros(s.size)
-        order = np.argsort(-s, kind="stable")
-        if variant is NmsVariant.FULL_INVERSE:
-            systems = [order]
-        else:
-            systems = [order[idx] for idx in _split_groups(_group_tops(source, order, cfg))]
-        # Each system, its boxes in score order, is one unit lower-triangular solve.
-        for boxes in systems:
-            pre_clip[boxes] = _solve_pruned(source, boxes, s, cfg)
-        rescores = _clip_clamp(pre_clip, s)
-    return RescoreResult(rescores, np.flatnonzero(rescores >= cfg.valid_threshold), pre_clip)
+    return _nms_scenes(s, source, np.array([0, s.size]), cfg, variant)[0]

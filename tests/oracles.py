@@ -8,7 +8,8 @@ vertical extent), the scalar rectangle IoU, the scalar polygon clipper, the
 rotated IoU3D/GIoU3D built on it and the axis-aligned IoU3D are the per-pair
 forms that the package's batched kernels replay, the rotated kernel with its clipper run on every pair is the slow
 path that its broad phase replaced, the per-pair loops call them, the
-greedy loop runs every round over the whole overlap matrix, the per-member loops are the grouped NMS
+greedy loop runs every round over the whole overlap matrix, the scene-by-scene loop
+of run_nms calls is what the harness's one pass over a corpus replaced, the per-member loops are the grouped NMS
 forward pass, backward pass and Jacobians that the package's closed-form index
 arithmetic replaced, the dense forward substitution is the one the package's row-blocked
 solve replaced, and the finite-difference loop at the end rescores one perturbed
@@ -35,13 +36,18 @@ from diffnms import (
     NmsVariant,
     RescoreResult,
     Rect2D,
+    RectOverlaps,
     Scene,
+    ScoreRangeError,
+    effective_scores,
     filter_gts,
     masked_jacobians,
     masked_rescore,
     prune,
     prune_derivative,
+    rect_array,
     rescore_scene,
+    run_nms,
     sort_by_score,
 )
 from diffnms.geometry import _AREA, _X, _Z, _clipped_area, _cuboid_features, _ordered_pairs
@@ -462,6 +468,32 @@ def reference_correlation_rows(
                 )
             )
     return rows
+
+
+def reference_scene_results(
+    scenes: list[Scene], cfg: NmsConfig, variants: list[NmsVariant], score_mode: str | None = None
+) -> tuple[list[list[RescoreResult]], list[list[int]]]:
+    """The harness's corpus results the scene-by-scene way: run_nms on one scene and one variant at a time.
+
+    Returns each variant's result for each scene and each scene's map from
+    filtered positions to scene.boxes positions. A score a variant cannot
+    take, or cannot form from a box's confidences, raises the ValueError
+    that names its scene and box, the first one this loop meets.
+    """
+    results: list[list[RescoreResult]] = [[] for _ in variants]
+    index_maps = []
+    for scene in scenes:
+        index_map = [i for i, b in enumerate(scene.boxes) if not b.dontcare]
+        boxes = [scene.boxes[i] for i in index_map]
+        overlaps = RectOverlaps(rect_array([b.rect for b in boxes]))
+        try:
+            scores = effective_scores(boxes, score_mode)
+            for out, variant in zip(results, variants):
+                out.append(run_nms(scores, overlaps, cfg, variant))
+        except ScoreRangeError as exc:
+            raise ValueError(f"scene {scene.scene_id!r} box {index_map[exc.index]}: {exc.reason}") from None
+        index_maps.append(index_map)
+    return results, index_maps
 
 
 def reference_greedy_nms(scores, overlaps, cfg: NmsConfig) -> RescoreResult:

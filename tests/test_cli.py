@@ -545,7 +545,6 @@ class TestMalformedInput:
             _box(class_conf=0.5, pred_conf=0.5),
             _box(**{"class_conf": 0.5, "pred_conf": 0.5, missing: None}),
         ]
-        # correlate rescores only the scenes that have a ground truth.
         cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
         gt = {"x1": 0, "y1": 0, "x2": 10, "y2": 10, **cuboid}
         path = tmp_path / "conf.jsonl"
@@ -585,6 +584,65 @@ class TestMalformedInput:
             assert (code, err) == (0, "")
         else:
             assert (code, err) == (1, f"error: scene 'a' box 0: {message}\n")
+
+
+# Two-scene inputs with one fault per scene; the corpus pass must report
+# the fault that rescoring the scenes one by one meets first.
+_OVERFLOW = [_box(0.9), _box(x1=-1e308, x2=1e308)]
+_NEGATIVE = [_box(0.9), _box(-0.5)]
+_ABOVE_ONE = [_box(0.9), _box(1.5, class_conf=1.5)]
+_MISSING = [_box(0.9, class_conf=0.9), _box(0.5, pred_conf=0.5)]
+_AREA_ERROR = "scene '{}' box 1: Rect2D area must be finite, got inf for corners (-1e+308, 0.0, 1e+308, 10.0)"
+
+
+class TestCorpusErrorOrder:
+    @staticmethod
+    def _corpus(tmp_path, first, second):
+        cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
+        gt = {"x1": 0, "y1": 0, "x2": 10, "y2": 10, **cuboid}
+        path = tmp_path / "two.jsonl"
+        lines = [json.dumps({"id": sid, "boxes": boxes, "gts": [gt]}) + "\n" for sid, boxes in zip("ab", (first, second))]
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "compare", "correlate"])
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (_OVERFLOW, _NEGATIVE, "line 1: " + _AREA_ERROR.format("a")),
+            (_NEGATIVE, _OVERFLOW, "line 2: " + _AREA_ERROR.format("b")),
+        ],
+        ids=["overflow-then-negative", "negative-then-overflow"],
+    )
+    def test_read_error_comes_before_any_score_error(self, tmp_path, capsys, command, first, second, message):
+        path = self._corpus(tmp_path, first, second)
+        out = ["--out", str(tmp_path / "o.jsonl")] if command == "run" else []
+        assert run_cli(command, "--input", str(path), *out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("nms", ["classical,masked", "masked,classical"])
+    @pytest.mark.parametrize(
+        "first, second, mode, message",
+        [
+            (_ABOVE_ONE, _MISSING, None, "scene 'a' box 1: scores must lie in [0, 1] for this rescorer, got 1.5"),
+            (_ABOVE_ONE, _MISSING, "class", "scene 'a' box 1: scores must lie in [0, 1] for this rescorer, got 1.5"),
+            (_MISSING, _ABOVE_ONE, None, "scene 'b' box 1: scores must lie in [0, 1] for this rescorer, got 1.5"),
+            (_MISSING, _ABOVE_ONE, "class", "scene 'a' box 1: score mode 'class' requires class_conf"),
+        ],
+        ids=["above-one-first", "above-one-first-class-mode", "missing-first", "missing-first-class-mode"],
+    )
+    def test_compare_reports_the_first_scene_s_fault(self, tmp_path, capsys, nms, first, second, mode, message):
+        path = self._corpus(tmp_path, first, second)
+        args = ["compare", "--input", str(path), "--nms", nms, *(("--score-mode", mode) if mode else ())]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_correlate_checks_scenes_without_ground_truths(self, tmp_path, capsys):
+        path = tmp_path / "nogt.jsonl"
+        record = {"id": "a", "boxes": [_box(class_conf=-0.5, pred_conf=0.9)]}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert run_cli("correlate", "--input", str(path), "--score-mode", "product") == 1
+        assert capsys.readouterr().err == "error: scene 'a' box 0: class_conf must be non-negative, got -0.5\n"
 
 
 def _scene_line(score):

@@ -6,7 +6,8 @@ on a variant of it with DontCare records and missing cuboids, on a variant
 with tied, zero and negative-zero scores, and on one cluttered scene of 1500
 boxes. Each overlap kernel has one entry: every path into the rectangle IoU
 goes through RectOverlaps.pairs, and every path into the cuboid kernel
-through _cuboid_pairs.
+through _cuboid_pairs. Each rescoring command runs each NMS loop once per
+variant and block of scenes of similar size, not once per scene.
 """
 
 import dataclasses
@@ -290,3 +291,47 @@ def test_each_overlap_kernel_is_entered_only_through_its_one_entry(monkeypatch, 
     run(read_scenes_jsonl(GOLDEN)[0], str(tmp_path / "out.jsonl"))
     assert strays == []
     assert set(calls) == kernels
+
+
+# Each rescoring command on the golden corpus, and how often each NMS loop
+# must run: once per variant and corpus, never once per scene. Every golden
+# scene has the same number of boxes, so the corpus is one block of scenes.
+CORPUS_PASSES = {
+    "run-masked": (["run", "--nms", "masked"], {"_nms_scenes": 1, "_masked_sorted": 1, "_group_rows": 1}),
+    "run-classical": (["run", "--nms", "classical"], {"_nms_scenes": 1, "_greedy_nms": 1}),
+    "run-soft-sigmoid": (["run", "--nms", "soft", "--pruning", "sigmoid"], {"_nms_scenes": 1, "_greedy_nms": 1}),
+    "run-grouped-inverse": (["run", "--nms", "grouped-inverse"], {"_nms_scenes": 1, "_group_rows": 1}),
+    "run-full-inverse": (["run", "--nms", "full-inverse"], {"_nms_scenes": 1}),
+    "correlate": (["correlate", "--nms", "soft", "--pruning", "linear"], {"_nms_scenes": 1, "_greedy_nms": 1}),
+    "compare-hard": (
+        ["compare", "--nms", "classical,masked,full-inverse,grouped-inverse"],
+        {"_nms_scenes": 4, "_greedy_nms": 1, "_masked_sorted": 1, "_group_rows": 2},
+    ),
+    "compare-linear": (
+        ["compare", "--nms", "soft,grouped-inverse", "--pruning", "linear"],
+        {"_nms_scenes": 2, "_greedy_nms": 1, "_group_rows": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_PASSES)
+def test_each_variant_rescores_the_corpus_in_one_pass(monkeypatch, tmp_path, name):
+    from diffnms import harness, nms
+
+    calls = Counter()
+
+    def counting(module, loop):
+        def call(*args, **kwargs):
+            calls[loop.__name__] += 1
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(module, loop.__name__, call)
+
+    counting(harness, harness._nms_scenes)
+    for loop in (nms._greedy_nms, nms._masked_sorted, nms._group_rows, nms._group_tops):
+        counting(nms, loop)
+    args, expected = CORPUS_PASSES[name]
+    out = ["--out", str(tmp_path / "out.jsonl")] if args[0] == "run" else []
+    assert len(read_scenes_jsonl(GOLDEN)) > 1
+    assert main([args[0], "--input", str(GOLDEN), *args[1:], *out]) == 0
+    assert calls == Counter(expected)
