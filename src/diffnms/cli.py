@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .boxes import Scene
-from .gradients import finite_difference_check
+from .gradients import _check_instances
 from .harness import (
     SCORE_MODES,
     _oracle_scenes,
@@ -193,14 +193,14 @@ def cmd_gradcheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if not args.tolerance >= 0.0:
         parser.error(f"--tolerance must be at least 0, got {args.tolerance:g}")
     rng = np.random.default_rng(args.seed)
+    # Each trial draws its size, then its instance; the check draws nothing,
+    # so checking the trials in batches leaves every draw where it was.
+    instances = (random_instance(rng, int(rng.integers(4, args.boxes + 1))) for _ in range(args.trials))
     worst = None
     max_err = 0.0
     checked = skipped = 0
     failed = 0
-    for trial in range(args.trials):
-        n = int(rng.integers(4, args.boxes + 1))
-        scores, overlaps = random_instance(rng, n)
-        report = finite_difference_check(scores, overlaps, cfg, eps=args.eps, tolerance=args.tolerance)
+    for trial, report in enumerate(_check_instances(instances, cfg, args.eps, args.tolerance)):
         checked += report.checked
         skipped += report.skipped
         if report.max_rel_error > max_err:

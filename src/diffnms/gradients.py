@@ -9,6 +9,13 @@ structure: gradients flow through the recorded permutation and grouping, never
 through rank or membership changes, and capped-out boxes get zero gradient.
 The backward pass differentiates the masked forward that run_nms runs, and
 rejects the scores that forward rejects.
+
+The finite-difference check compares these Jacobians with central
+differences. It checks many instances at once: a chunk of them is one batch
+of padded score rows over their stacked overlaps, with one masked forward
+for every instance's analytic terms and one per block of perturbed rows,
+and the bookkeeping is vectorized across the instances. One instance
+(finite_difference_check) is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 from .nms import (
     NmsConfig,
     Pruning,
+    _StackedOverlaps,
     _masked_sorted,
     _overlap_source,
     _validate_scores,
@@ -62,23 +70,28 @@ def _validated_inputs(scores, overlaps, cfg: NmsConfig, in_range: bool = False):
     return s, _overlap_source(overlaps, s.size, in_range)
 
 
-def _local_terms(s: np.ndarray, source, cfg: NmsConfig):
-    """The recorded sort and grouping, reduced to the local derivatives' inputs.
+def _local_terms(S: np.ndarray, source, cfg: NmsConfig, boxes=None):
+    """The recorded sort and grouping of score rows S, (B, n), reduced to the local derivatives' inputs.
 
-    In original indices: the group tops and their clip gates, then the
-    non-top members whose gate is open, their tops, and o_it, p(o_it),
-    p'(o_it) and s_t for each of them, and last every box's pre-clip value.
-    The sort, grouping, overlaps and pre-clip values are those of the masked
-    forward that run_nms runs, which reads each o_it once.
+    Every index is a slot, b * n + k for entry (b, k) of S, so one row's
+    slots are its boxes. Several rows need boxes, which must hold slot
+    b * n + k at (b, k), or -1 for padding (see _masked_sorted). In slots:
+    the group tops and their clip gates, then the non-top members whose gate
+    is open, their tops, and o_it, p(o_it), p'(o_it) and s_t for each of
+    them, and last every slot's pre-clip value. The sort, grouping, overlaps
+    and pre-clip values are those of the masked forward that run_nms runs,
+    which reads each o_it once.
     """
-    (order,), (top,), (pre_clip,), _, o_mt = _masked_sorted(s[None], source, cfg)
-    members = np.flatnonzero((top >= 0) & (top != np.arange(s.size)))
-    members, tops = order[members], order[top[members]]
+    B, n = S.shape
+    order, top, pre_clip, _, o_mt = _masked_sorted(S, source, cfg, boxes=boxes)
+    order, pre_clip, rank = order.ravel(), pre_clip.ravel(), np.arange(n)
+    members = np.flatnonzero((top >= 0) & (top != rank))
+    members, tops = order[members], order[(top + np.arange(B)[:, None] * n).ravel()[members]]
     gated = _gate(pre_clip[members])
     members, tops, o_mt = members[gated], tops[gated], o_mt[gated]
-    group_tops = order[np.flatnonzero(top == np.arange(s.size))]
+    group_tops = order[np.flatnonzero(top == rank)]
     weights, slopes = prune(o_mt, cfg), prune_derivative(o_mt, cfg)
-    return group_tops, _gate(pre_clip[group_tops]), members, tops, o_mt, weights, slopes, s[tops], pre_clip
+    return group_tops, _gate(pre_clip[group_tops]), members, tops, o_mt, weights, slopes, S.ravel()[tops], pre_clip
 
 
 def _pair_dict(members: np.ndarray, tops: np.ndarray, values: np.ndarray) -> dict[tuple[int, int], float]:
@@ -96,7 +109,7 @@ def masked_backward(scores, overlaps, cfg: NmsConfig, upstream) -> NmsGradients:
     up = np.asarray(upstream, dtype=float)
     if up.shape != s.shape:
         raise ValueError(f"upstream gradient must have shape {s.shape}, got {up.shape}")
-    tops, top_gates, members, member_tops, _, weights, slopes, s_tops, _ = _local_terms(s, source, cfg)
+    tops, top_gates, members, member_tops, _, weights, slopes, s_tops, _ = _local_terms(s[None], source, cfg)
     # One scatter, its terms in the order of a walk over the groups (each top's
     # own term before its members'), so every sum adds up in that order. With
     # no boxes, bincount returns integers.
@@ -116,18 +129,24 @@ def masked_jacobians(scores, overlaps, cfg: NmsConfig) -> tuple[np.ndarray, dict
     entry (i, t) affects only rescore i, so the overlap Jacobian is returned
     as {(member, top): d(rescore_member)/d(overlap)}.
     """
-    jac, members, tops, _, o_grads, _ = _jacobians(*_validated_inputs(scores, overlaps, cfg), cfg)
+    s, source = _validated_inputs(scores, overlaps, cfg)
+    jac, members, tops, _, o_grads, _ = _jacobians(s[None], source, cfg)
     return jac, _pair_dict(members, tops, o_grads)
 
 
-def _jacobians(s: np.ndarray, source, cfg: NmsConfig):
-    """masked_jacobians of validated inputs: the score Jacobian, the gated members, their tops,
-    o_it and d(rescore_member)/d(o_it) in score order, and the masked forward's pre-clip values."""
-    tops, top_gates, members, member_tops, o_mt, weights, slopes, s_tops, pre_clip = _local_terms(s, source, cfg)
-    jac = np.zeros((s.size, s.size))
-    jac[tops, tops] = top_gates
-    jac[members, members] = 1.0
-    jac[members, member_tops] = -weights
+def _jacobians(S: np.ndarray, source, cfg: NmsConfig, boxes=None):
+    """masked_jacobians of validated score rows, in the slots of _local_terms.
+
+    The score Jacobian of row b is rows b * n:(b + 1) * n of a (B * n, n)
+    array. Then the gated members, their tops, o_it and d(rescore_member)/d(o_it)
+    in score order, and the masked forward's pre-clip values.
+    """
+    tops, top_gates, members, member_tops, o_mt, weights, slopes, s_tops, pre_clip = _local_terms(S, source, cfg, boxes)
+    n = S.shape[1]
+    jac = np.zeros((S.size, n))
+    jac[tops, tops % n] = top_gates
+    jac[members, members % n] = 1.0
+    jac[members, member_tops % n] = -weights
     return jac, members, member_tops, o_mt, -slopes * s_tops, pre_clip
 
 
@@ -156,33 +175,10 @@ _KINK_MARGIN = 1e-3
 # which bounds the scratch memory of a check on a large instance.
 _BLOCK_ENTRIES = 1 << 18
 
-
-def _central_differences(s, source, cfg: NmsConfig, eps: float, cols, members, tops) -> np.ndarray:
-    """One row of rescore central differences per perturbed coordinate.
-
-    Rows come first for score columns cols, then for the overlap pairs
-    (members, tops), each perturbed on both sides of the diagonal as a patch
-    over the one shared source. A block of coordinates, each at +eps and
-    -eps, is rescored by one masked forward.
-    """
-    n = s.size
-    count = cols.size + members.size
-    per_block = max(1, _BLOCK_ENTRIES // max(1, 2 * n))
-    diffs = np.empty((count, n))
-    for start in range(0, count, per_block):
-        stop = min(start + per_block, count)
-        # The +eps instances first, then the -eps ones; s + (-eps) equals s - eps.
-        coord = np.tile(np.arange(start, stop), 2)
-        step = np.repeat([eps, -eps], stop - start)
-        S = np.repeat(s[None], coord.size, axis=0)
-        score = np.flatnonzero(coord < cols.size)
-        S[score, cols[coord[score]]] += step[score]
-        i, t = np.full(coord.size, -1), np.full(coord.size, -1)
-        pair = np.flatnonzero(coord >= cols.size)
-        i[pair], t[pair] = members[coord[pair] - cols.size], tops[coord[pair] - cols.size]
-        R = _masked_sorted(S, source, cfg, (i, t, step))[3]
-        diffs[start:stop] = (R[: stop - start] - R[stop - start :]) / (2.0 * eps)
-    return diffs
+# Instances are checked in chunks whose stacked overlaps, instances times the
+# square of the widest, hold at most this many entries, or in chunks of one,
+# so a check's memory does not grow with the number of instances.
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _rel_errors(fd: np.ndarray, analytic: np.ndarray) -> np.ndarray:
@@ -208,50 +204,146 @@ def finite_difference_check(
     runs, in blocks of at most 2^18 scores; a perturbed overlap pair is a
     patch over the matrix or rectangles given, never a copy of them. eps must
     be finite and positive, and tolerance at least 0.
+
+    This is the batched check that ``diffnms gradcheck`` runs on its trials
+    (_check_instances), on a batch of one instance.
+    """
+    (report,) = _check_instances([(scores, overlaps)], cfg, eps, tolerance)
+    return report
+
+
+def _check_instances(instances, cfg: NmsConfig, eps: float, tolerance: float):
+    """finite_difference_check of each (scores, overlaps) instance, in order, as a generator.
+
+    Each instance is validated as it is drawn. Instances are checked a chunk
+    at a time (_check_chunk): a chunk is checked as soon as the next instance
+    would take its stack past _CHUNK_ENTRIES, so at most one chunk and one
+    instance are held at once.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be at least 0, got {tolerance!r}")
-    # The check perturbs overlaps inside [0, 1], so unlike the backward pass it
-    # reads every entry of a matrix once to reject one outside that domain.
-    s, source = _validated_inputs(scores, overlaps, cfg, in_range=True)
-    n = s.size
-    jac, members, tops, o_mt, analytic, pre_clip = _jacobians(s, source, cfg)
+    chunk, width = [], 0
+    for scores, overlaps in instances:
+        # The check perturbs overlaps inside [0, 1], so unlike the backward pass
+        # it reads every entry of a matrix once to reject one outside that domain.
+        s, source = _validated_inputs(scores, overlaps, cfg, in_range=True)
+        wider = max(width, s.size)
+        if chunk and (len(chunk) + 1) * wider * wider > _CHUNK_ENTRIES:
+            yield from _check_chunk(chunk, cfg, eps, tolerance)
+            chunk, wider = [], s.size
+        chunk.append((s, source))
+        width = wider
+    if chunk:
+        yield from _check_chunk(chunk, cfg, eps, tolerance)
 
-    row_smooth = (np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)
-    rows = np.flatnonzero(row_smooth)
+
+def _check_chunk(chunk, cfg: NmsConfig, eps: float, tolerance: float) -> list[GradCheckReport]:
+    """The reports of validated (scores, source) instances, checked together.
+
+    One instance is one row of scores over its own source. Several are rows
+    padded with -inf to the widest, w, over a _StackedOverlaps of their
+    overlaps, and box m of instance k is slot k * w + m throughout. The
+    analytic terms of every instance come from one masked forward, and the
+    perturbed rows of every instance from one masked forward per block.
+    """
+    T = len(chunk)
+    sizes = np.array([s.size for s, _ in chunk])
+    if T == 1:
+        ((s, source),) = chunk
+        S, boxes = s[None], None
+    else:
+        w = max(1, int(sizes.max()))
+        boxes = np.where(np.arange(w) < sizes[:, None], np.arange(T * w).reshape(T, w), -1)
+        S = np.full((T, w), -np.inf)
+        S[boxes >= 0] = np.concatenate([s for s, _ in chunk])
+        source = _StackedOverlaps([source for _, source in chunk], sizes, w)
+    w = S.shape[1]
+    if not w:
+        # A lone instance of no boxes: nothing to perturb, nothing to skip.
+        return [GradCheckReport(0.0, None, 0, 0, tolerance, passed=True)]
+    jac, members, tops, o_mt, analytic, pre_clip = _jacobians(S, source, cfg, boxes)
+
+    # Padding has pre-clip 0, so no padded row is smooth.
+    row_smooth = ((np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)).reshape(-1, w)
     # A score's nearest other score is one of its neighbors in score order.
-    ascending = np.argsort(s, kind="stable")
-    gaps = np.diff(s[ascending], prepend=-np.inf, append=np.inf)
-    nearest = np.empty(n)
-    nearest[ascending] = np.minimum(gaps[:-1], gaps[1:])
+    # Padding reads NaN, which sorts last, and fmin passes over it.
+    padded = np.where(S > -np.inf, S, np.nan)
+    ascending = np.argsort(padded, axis=1, kind="stable")
+    gaps = np.diff(np.take_along_axis(padded, ascending, axis=1), axis=1, prepend=-np.inf, append=np.inf)
+    nearest = np.empty_like(S)
+    np.put_along_axis(nearest, ascending, np.fmin(gaps[:, :-1], gaps[:, 1:]), axis=1)
     # The perturbed score must stay inside [0, 1] or validation rejects it.
-    cols = np.flatnonzero((s - eps >= 0.0) & (s + eps <= 1.0) & (nearest >= _KINK_MARGIN))
+    cols = np.flatnonzero((S - eps >= 0.0) & (S + eps <= 1.0) & (nearest >= _KINK_MARGIN))
 
     # Overlap entries in member order; each member has one top.
     by_member = np.argsort(members)
     members, tops, o_mt, analytic = members[by_member], tops[by_member], o_mt[by_member], analytic[by_member]
-    kept = (np.abs(o_mt - cfg.nt) >= _KINK_MARGIN) & row_smooth[members] & (o_mt - eps >= 0.0) & (o_mt + eps <= 1.0)
+    gated = np.bincount(members // w, minlength=T)
+    kept = (np.abs(o_mt - cfg.nt) >= _KINK_MARGIN) & row_smooth.ravel()[members]
+    kept &= (o_mt - eps >= 0.0) & (o_mt + eps <= 1.0)
     members, tops, analytic = members[kept], tops[kept], analytic[kept]
 
-    diffs = _central_differences(s, source, cfg, eps, cols, members, tops)
-    # Score errors column by column, then overlap errors in member order; the
-    # first maximum is the worst, as in a loop that only replaces on >.
-    score_err = _rel_errors(diffs[: cols.size][:, rows], jac[np.ix_(rows, cols)].T).ravel()
-    overlap_err = _rel_errors(diffs[cols.size :][np.arange(members.size), members], analytic)
-    errors = np.concatenate([score_err, overlap_err])
-    max_err = 0.0
-    worst: tuple[str, int, int] | None = None
-    if errors.size and errors.max() > 0.0:
-        k = int(np.argmax(errors))
-        max_err = float(errors[k])
-        if k < score_err.size:
-            worst = ("score", int(rows[k % rows.size]), int(cols[k // rows.size]))
-        else:
-            k -= score_err.size
-            worst = ("overlap", int(members[k]), int(tops[k]))
+    # The coordinates instance by instance: its score columns, then its
+    # overlap pairs in member order. Each is named by its slot (the column or
+    # the member), with the pair's top as partner.
+    is_pair = np.arange(cols.size + members.size) >= cols.size
+    slot = np.concatenate([cols, members])
+    seq = np.argsort(slot // w * 2 + is_pair, kind="stable")
+    (trial, pos), is_pair = np.divmod(slot[seq], w), is_pair[seq]
+    partner = np.concatenate([np.full(cols.size, -1), tops % w])[seq]
+    expected = np.concatenate([np.zeros(cols.size), analytic])[seq]
 
-    checked = errors.size
-    skipped = n * n + by_member.size - checked
-    return GradCheckReport(max_err, worst, checked, skipped, tolerance, passed=max_err <= tolerance)
+    # Score errors column by column, each over its instance's smooth rows;
+    # overlap errors on the member's row. Each block of coordinates, each at
+    # +eps and -eps, is rescored by one masked forward.
+    per_block = max(1, _BLOCK_ENTRIES // (2 * w))
+    errors, at, rows = [np.zeros(0)], [np.zeros(0, int)], [np.zeros(0, int)]
+    for start in range(0, trial.size, per_block):
+        block = np.arange(start, min(start + per_block, trial.size))
+        # The +eps instances first, then the -eps ones; s + (-eps) equals s - eps.
+        coord = np.tile(block, 2)
+        step = np.repeat([eps, -eps], block.size)
+        perturbed = S[trial[coord]]
+        score = np.flatnonzero(~is_pair[coord])
+        perturbed[score, pos[coord[score]]] += step[score]
+        patch = (np.where(is_pair[coord], pos[coord], -1), partner[coord], step)
+        R = _masked_sorted(perturbed, source, cfg, patch, None if boxes is None else boxes[trial[coord]])[3]
+        checks = np.where(is_pair[block, None], np.arange(w) == pos[block, None], row_smooth[trial[block]])
+        # Only checked entries are differenced: a padded entry rescores to -inf.
+        diffs = (R[: block.size][checks] - R[block.size :][checks]) / (2.0 * eps)
+        c, i = np.nonzero(checks)
+        c = block[c]
+        want = np.where(is_pair[c], expected[c], jac[trial[c] * w + i, pos[c]])
+        errors.append(_rel_errors(diffs, want))
+        at.append(c)
+        rows.append(i)
+    errors, at, rows = np.concatenate(errors), np.concatenate(at), np.concatenate(rows)
+
+    # Each instance's errors are one run of errors; its first maximum is its
+    # worst, as in a loop that only replaces on >.
+    owner = trial[at]
+    checked = np.bincount(owner, minlength=T)
+    worst_err = np.zeros(T)
+    ran = checked > 0
+    worst_err[ran] = np.maximum.reduceat(errors, (np.cumsum(checked) - checked)[ran])
+    hits = np.flatnonzero(errors == worst_err[owner])
+    firsts = hits[np.diff(owner[hits], prepend=-1) != 0]
+    # The worst of each instance: ("score", output, input) or ("overlap", member, top).
+    c, pair = at[firsts], is_pair[at[firsts]]
+    worst = dict(
+        zip(
+            owner[firsts].tolist(),
+            zip(
+                np.where(pair, "overlap", "score").tolist(),
+                np.where(pair, pos[c], rows[firsts]).tolist(),
+                np.where(pair, partner[c], pos[c]).tolist(),
+            ),
+        )
+    )
+    skipped = sizes * sizes + gated - checked
+    return [
+        GradCheckReport(max_err, worst[k] if max_err > 0.0 else None, done, skip, tolerance, passed=max_err <= tolerance)
+        for k, (max_err, done, skip) in enumerate(zip(worst_err.tolist(), checked.tolist(), skipped.tolist()))
+    ]

@@ -11,7 +11,8 @@ makes the system solvable in closed form and (with a soft pruning function)
 differentiable. Its forward is written once, over rows of scores: run_nms and
 the backward pass in :mod:`diffnms.gradients` run it on one row, a corpus of
 scenes on one row per scene, and the finite-difference check on a block of
-perturbed rows over one shared source of overlaps. Every variant rescores a
+perturbed rows over one shared source of overlaps: one instance's, or several
+instances' stacked side by side (_StackedOverlaps). Every variant rescores a
 corpus in one pass, its scenes as lanes (_nms_scenes); run_nms is that pass
 on a one-scene corpus.
 """
@@ -19,6 +20,7 @@ on a one-scene corpus.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
@@ -62,9 +64,10 @@ class NmsConfig:
     nt is the overlap threshold used for grouping and hard pruning,
     valid_threshold is the rescore level a box must reach to survive, and
     max_group_size, an integer, caps how many boxes one group may hold (None
-    means unbounded). tau is the finite, positive temperature of the
-    exponential and sigmoidal pruning kinds; when left unset it defaults to
-    0.5 and 0.1 respectively. pruning takes a Pruning or its value, such as "exp".
+    means unbounded). tau is the finite temperature of the exponential and
+    sigmoidal pruning kinds, at least sys.float_info.min, the smallest normal
+    float, so that no division by it overflows; when left unset it defaults
+    to 0.5 and 0.1 respectively. pruning takes a Pruning or its value, such as "exp".
     """
 
     nt: float = 0.4
@@ -87,6 +90,11 @@ class NmsConfig:
                 object.__setattr__(self, "tau", _DEFAULT_TAU[self.pruning])
             if not 0.0 < self.tau < math.inf:
                 raise ValueError(f"tau must be finite and positive for {self.pruning.value} pruning, got {self.tau}")
+            if self.tau < sys.float_info.min:
+                # Below the smallest normal float, (o - nt) / tau and o^2 / tau overflow.
+                raise ValueError(
+                    f"tau must be at least {sys.float_info.min} for {self.pruning.value} pruning, got {self.tau}"
+                )
 
 
 class NmsVariant(str, Enum):
@@ -212,6 +220,28 @@ class _MatrixOverlaps:
         return _scenes(bounds)
 
 
+class _StackedOverlaps:
+    """The overlaps of several instances in one source, each pair read only within its instance.
+
+    Instance k's matrix, padded to the width w of the widest, is rows
+    k * w:(k + 1) * w of one (T * w, w) stack, and its box m is box k * w + m,
+    so pairs(i, j) reads stack[i, j % w]; a padding slot, -1, would read the
+    stack's last entry, in bounds. No block-diagonal matrix over every box
+    of every instance is built.
+    """
+
+    def __init__(self, sources, sizes, width: int) -> None:
+        stack = np.zeros((len(sizes), width, width))
+        for k, (source, n) in enumerate(zip(sources, sizes.tolist())):
+            boxes = np.arange(n)
+            stack[k, :n, :n] = source.pairs(boxes[:, None], boxes)
+        self._stack = stack.reshape(-1, width)
+        self._width = width
+
+    def pairs(self, i, j) -> np.ndarray:
+        return self._stack[i, j % self._width]
+
+
 # Up to this many boxes, evaluating every rectangle pair at once costs less
 # than a few overlap rows or columns, since each pays numpy's per-call overhead.
 _WHOLE_MATRIX_BOXES = 64
@@ -316,34 +346,55 @@ def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
 def _group_rows(source, order: np.ndarray, cfg: NmsConfig, patch) -> np.ndarray:
     """_group_tops of every row of order at once: each round, one group per row.
 
-    A slot of order holding -1, the padding that ends a row shorter than
-    the widest, joins no group and keeps top -1. patch is None or
+    Each round reads the overlaps of the boxes still free, with their row's
+    lead, and nothing of a row that has finished grouping. A slot of order
+    holding -1, the padding that ends a row shorter than the widest, is never
+    read, joins no group and keeps top -1. patch is None or
     (ki, kt, delta): the sorted indices of each row's patched pair (-1 for
     none) and what is added to both of its overlaps.
     """
     B, n = order.shape
-    rows = np.arange(B)
     cap = n if cfg.max_group_size is None else cfg.max_group_size
-    top = np.full((B, n), -1)
-    free = order >= 0
-    while free.any():
-        lead = free.argmax(axis=1)
-        high = source.pairs(order, order[rows, lead][:, None])
+    top = np.full(B * n, -1)
+    # The free slots, row by row in score order, as flat indices and boxes:
+    # runs[r] of them belong to rows[r], the rows still grouping. Each round
+    # reads the overlaps of these slots only.
+    at = np.flatnonzero(order >= 0)
+    box = order.ravel()[at]
+    runs = np.count_nonzero(order >= 0, axis=1)
+    rows = np.flatnonzero(runs)
+    runs = runs[rows]
+    while rows.size:
+        # A row's lead is its first free slot.
+        first = np.cumsum(runs) - runs
+        lead = at[first] - rows * n
+        o = source.pairs(box, np.repeat(box[first], runs))
         if patch is not None:
             # A round led by one box of the patched pair reads the other's overlap.
             ki, kt, delta = patch
             for k, other in ((ki, kt), (kt, ki)):
-                hit = np.flatnonzero(lead == other)
-                high[hit, k[hit]] += delta[hit]
-        high = free & (high > cfg.nt)
+                hit = rows[lead == other[rows]]
+                slot = hit * n + k[hit]
+                found = np.minimum(np.searchsorted(at, slot), at.size - 1)
+                present = at[found] == slot
+                o[found[present]] += delta[hit[present]]
+        high = o > cfg.nt
         # A degenerate box has zero self-overlap; it still anchors its group.
-        high[rows, lead] = free[rows, lead]
-        free &= ~high
-        # The cumsum is only needed in a round where some row's group outgrows the cap.
-        if cap < n and high.sum(axis=1).max() > cap:
-            high &= np.cumsum(high, axis=1) <= cap
-        np.copyto(top, lead[:, None], where=high)
-    return top
+        high[first] = True
+        grouped = np.add.reduceat(high, first, dtype=np.intp)
+        joined, size = high, grouped
+        if cap < n and grouped.max() > cap:
+            # Only the first cap boxes of a group join it; the rest are capped out.
+            counts = np.cumsum(high)
+            joined = high & (counts - np.repeat(counts[first] - 1, runs) <= cap)
+            size = np.minimum(grouped, cap)
+        top[at[joined]] = np.repeat(lead, size)
+        free = ~high
+        at, box = at[free], box[free]
+        runs -= grouped
+        alive = runs > 0
+        rows, runs = rows[alive], runs[alive]
+    return top.reshape(B, n)
 
 
 def _clip_clamp(pre_clip: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -719,6 +719,37 @@ class TestCliContract:
             (("synth", "--center-jitter", "nan", "--out", "{file}"), 1, "center_jitter must be finite"),
             (("gradcheck", "--boxes", "1001"), 2, "--boxes must be at most 1000, got 1001"),
             (("gradcheck", "--tau", "inf"), 2, "tau must be finite and positive for sigmoid pruning, got inf"),
+            # Below the smallest normal float, the pruning's division by tau overflows.
+            (
+                ("gradcheck", "--tau", "1e-309"),
+                2,
+                "tau must be at least 2.2250738585072014e-308 for sigmoid pruning, got 1e-309",
+            ),
+            (
+                ("gradcheck", "--pruning", "exp", "--tau", "2.225073858507201e-308"),
+                2,
+                "tau must be at least 2.2250738585072014e-308 for exp pruning, got 2.225073858507201e-308",
+            ),
+            (
+                ("run", "--input", "{file}", "--out", "{file}", "--pruning", "sigmoid", "--tau", "1e-309"),
+                2,
+                "tau must be at least 2.2250738585072014e-308 for sigmoid pruning, got 1e-309",
+            ),
+            (
+                ("run", "--input", "{file}", "--out", "{file}", "--nms", "soft", "--pruning", "exp", "--tau", "5e-324"),
+                2,
+                "tau must be at least 2.2250738585072014e-308 for exp pruning, got 5e-324",
+            ),
+            (
+                ("correlate", "--input", "{file}", "--nms", "soft", "--pruning", "sigmoid", "--tau", "1e-309"),
+                2,
+                "tau must be at least 2.2250738585072014e-308 for sigmoid pruning, got 1e-309",
+            ),
+            (
+                ("correlate", "--input", "{file}", "--nms", "grouped-inverse", "--pruning", "exp", "--tau", "1e-309"),
+                2,
+                "tau must be at least 2.2250738585072014e-308 for exp pruning, got 1e-309",
+            ),
             (("eval", "--input", "{file}", "--labels", "{dir}"), 2, "--labels needs --format kitti"),
             # The masked Jacobians that gradcheck checks read no variant, survival threshold or score mode.
             (("gradcheck", "--nms", "masked"), 2, "unrecognized arguments: --nms masked"),

@@ -264,21 +264,40 @@ def test_backward_checks_a_matrix_by_shape_only():
 SOFT = [p for p in Pruning if p is not Pruning.HARD]
 
 
-@st.composite
-def kinked_instances(draw):
-    """A random instance with some scores near a tie or near 0 or 1, a soft config and an eps."""
-    n = draw(st.integers(min_value=1, max_value=10))
+def _kinked_instance(draw, n):
+    """A random instance of n boxes with some scores near a tie or near 0 or 1."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     scores, overlaps = random_instance(rng, n)
-    for k in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
+    for k in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)) if n else []:
         offset = draw(st.floats(min_value=0.0, max_value=2e-2))
         kind = draw(st.sampled_from(["tie", "zero", "one"]))
         if kind == "tie":
             scores[k] = min(1.0, scores[(k + 1) % n] + offset / 20.0)
         else:
             scores[k] = offset if kind == "zero" else 1.0 - offset
-    cfg = NmsConfig(pruning=draw(st.sampled_from(SOFT)), max_group_size=draw(st.sampled_from([1, 3, None])))
+    return scores, overlaps
+
+
+def _soft_config(draw):
+    return NmsConfig(pruning=draw(st.sampled_from(SOFT)), max_group_size=draw(st.sampled_from([1, 3, None])))
+
+
+@st.composite
+def kinked_instances(draw):
+    """A random instance with some scores near a tie or near 0 or 1, a soft config and an eps."""
+    scores, overlaps = _kinked_instance(draw, draw(st.integers(min_value=1, max_value=10)))
+    cfg = _soft_config(draw)
     return scores, overlaps, cfg, draw(st.sampled_from([1e-6, 1e-2]))
+
+
+@st.composite
+def kinked_batches(draw):
+    """0 to 8 kinked instances of 0 to 12 boxes, one perhaps of up to 60, a soft config and an eps."""
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=12), max_size=8))
+    if sizes and draw(st.booleans()):
+        sizes[draw(st.integers(min_value=0, max_value=len(sizes) - 1))] = draw(st.integers(min_value=13, max_value=60))
+    instances = [_kinked_instance(draw, n) for n in sizes]
+    return instances, _soft_config(draw), draw(st.sampled_from([1e-6, 1e-2]))
 
 
 class TestBatchedFiniteDifferences:
@@ -298,6 +317,28 @@ class TestBatchedFiniteDifferences:
         want = reference_finite_difference_check(scores, overlaps, cfg, eps=eps)
         assert got == want
         assert got.max_rel_error.hex() == want.max_rel_error.hex()
+
+    @settings(max_examples=150)
+    @given(
+        case=kinked_batches(),
+        block=st.sampled_from([gradients._BLOCK_ENTRIES, 1, 200]),
+        chunk=st.sampled_from([gradients._CHUNK_ENTRIES, 1, 300, 1000]),
+    )
+    def test_batched_reports_match_reference(self, case, block, chunk):
+        """The reports of one batched pass equal the per-coordinate loop's on each instance.
+
+        Small block and chunk bounds split blocks inside an instance (200
+        entries hold 8 coordinates of 12 boxes) and chunks inside the batch
+        (300 entries hold two instances of 12 boxes, 1000 hold six).
+        """
+        instances, cfg, eps = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gradients, "_BLOCK_ENTRIES", block)
+            patch.setattr(gradients, "_CHUNK_ENTRIES", chunk)
+            got = list(gradients._check_instances(instances, cfg, eps, 1e-4))
+        want = [reference_finite_difference_check(s, o, cfg, eps=eps) for s, o in instances]
+        assert got == want
+        assert [r.max_rel_error.hex() for r in got] == [r.max_rel_error.hex() for r in want]
 
     @settings(max_examples=150)
     @given(
@@ -351,3 +392,37 @@ class TestBatchedFiniteDifferences:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert report == reference_finite_difference_check(scores, overlaps, cfg)
+
+    def test_many_instances_are_checked_in_bounded_memory(self):
+        """Instances are drawn as the check goes and checked a chunk at a time, as gradcheck does."""
+        rng = np.random.default_rng(7)
+        cfg = NmsConfig(pruning=Pruning.SIGMOIDAL)
+        instances = (random_instance(rng, int(rng.integers(4, 13))) for _ in range(2000))
+        tracemalloc.start()
+        try:
+            checked = sum(report.checked for report in gradients._check_instances(instances, cfg, 1e-6, 1e-4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checked > 0
+        assert peak < 64 * 2**20
+
+    def test_chunks_hold_at_most_the_chunk_bound(self, monkeypatch):
+        """A chunk's stack of padded matrices stays within _CHUNK_ENTRIES, or holds one instance."""
+        chunks = []
+        check_chunk = gradients._check_chunk
+
+        def spy(chunk, *args):
+            chunks.append([s.size for s, _ in chunk])
+            return check_chunk(chunk, *args)
+
+        monkeypatch.setattr(gradients, "_check_chunk", spy)
+        rng = np.random.default_rng(5)
+        sizes = [4, 12, 7, 30, 3, 12, 12, 0, 9]
+        instances = [random_instance(rng, n) for n in sizes]
+        monkeypatch.setattr(gradients, "_CHUNK_ENTRIES", 300)
+        reports = list(gradients._check_instances(instances, LINEAR, 1e-6, 1e-4))
+        assert [n for chunk in chunks for n in chunk] == sizes
+        assert all(len(chunk) == 1 or len(chunk) * max(chunk) ** 2 <= 300 for chunk in chunks)
+        assert chunks == [[4, 12], [7], [30], [3, 12], [12, 0], [9]]
+        assert reports == [finite_difference_check(s, o, LINEAR) for s, o in instances]

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +67,22 @@ class TestConfig:
         for tau in (math.inf, math.nan, -math.inf):
             with pytest.raises(ValueError, match="tau must be finite and positive for sigmoid pruning"):
                 NmsConfig(pruning=Pruning.SIGMOIDAL, tau=tau)
+
+    @pytest.mark.parametrize("pruning", [Pruning.EXPONENTIAL, Pruning.SIGMOIDAL])
+    def test_tau_reaches_down_to_the_smallest_normal_float(self, pruning):
+        smallest = sys.float_info.min
+        o = np.linspace(0.0, 1.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = NmsConfig(pruning=pruning, tau=smallest)
+            assert np.all(np.isfinite(prune(o, cfg)))
+            assert np.all(np.isfinite(prune_derivative(o, cfg)))
+            s, overlaps = random_instance(np.random.default_rng(0), 12)
+            assert np.all(np.isfinite(masked_rescore(s, overlaps, cfg).rescores))
+            below = math.nextafter(smallest, 0.0)
+            with pytest.raises(ValueError) as raised:
+                NmsConfig(pruning=pruning, tau=below)
+        assert str(raised.value) == f"tau must be at least {smallest} for {pruning.value} pruning, got {below}"
 
     def test_plain_string_pruning_becomes_its_kind(self):
         exp = NmsConfig(pruning="exp")

@@ -7,7 +7,8 @@ with tied, zero and negative-zero scores, and on one cluttered scene of 1500
 boxes. Each overlap kernel has one entry: every path into the rectangle IoU
 goes through RectOverlaps.pairs, and every path into the cuboid kernel
 through _cuboid_pairs. Each rescoring command runs each NMS loop once per
-variant and block of scenes of similar size, not once per scene.
+variant and block of scenes of similar size, not once per scene, and
+gradcheck runs the masked forward once per batch of trials, not per trial.
 """
 
 import dataclasses
@@ -335,3 +336,25 @@ def test_each_variant_rescores_the_corpus_in_one_pass(monkeypatch, tmp_path, nam
     assert len(read_scenes_jsonl(GOLDEN)) > 1
     assert main([args[0], "--input", str(GOLDEN), *args[1:], *out]) == 0
     assert calls == Counter(expected)
+
+
+def test_gradcheck_checks_its_trials_in_batches(monkeypatch, capsys):
+    """gradcheck checks its trials a chunk at a time, each with one masked
+    forward for the analytic terms of every trial and one per block of
+    perturbed rows; 120 trials of at most 12 boxes are one chunk and one block."""
+    from diffnms import gradients
+
+    calls = Counter()
+
+    def counting(loop):
+        def call(*args, **kwargs):
+            calls[loop.__name__] += 1
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(gradients, loop.__name__, call)
+
+    for loop in (gradients._check_chunk, gradients._masked_sorted):
+        counting(loop)
+    assert main(["gradcheck", "--pruning", "sigmoid", "--seed", "7", "--trials", "120"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls == Counter({"_check_chunk": 1, "_masked_sorted": 2})
