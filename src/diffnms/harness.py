@@ -9,6 +9,7 @@ rescoring each scene on its own, in input order, would give.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass
 from itertools import accumulate
@@ -132,7 +133,9 @@ def _corpus_results(
     the variants, and each variant rescores the whole corpus in one pass
     (``nms._nms_scenes``), scenes as lanes; its results are one per scene.
     The overlaps are evaluated on demand, so each variant computes only the
-    entries it reads, and its seconds include them. A box lacking the
+    entries it reads, and its seconds include them; the zero-overlap
+    clusters of the scenes are found once, by the first variant that reads
+    them, and shared with the rest. A box lacking the
     confidence score_mode needs, or with a score a variant cannot take,
     raises ValueError naming the scene and its scene.boxes position: the
     first that rescoring the scenes one by one would meet. A variant that
@@ -151,10 +154,11 @@ def _corpus_results(
         raise ValueError(f"scene {scenes[k].scene_id!r} box {box}: {exc.reason}") from None
     rects = rect_array([scene.boxes[i].rect for scene, index_map in zip(scenes, index_maps) for i in index_map])
     source = _overlap_source(RectOverlaps(rects), s.size)
+    clusters = functools.cache(functools.partial(source._clusters, bounds))
     results, seconds = [], []
     for variant in variants:
         start = time.perf_counter()
-        results.append(_nms_scenes(s, source, bounds, cfg, variant))
+        results.append(_nms_scenes(s, source, bounds, cfg, variant, clusters))
         seconds.append(time.perf_counter() - start)
     return results, seconds, index_maps
 

@@ -19,6 +19,7 @@ on a one-scene corpus.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -517,7 +518,7 @@ def _lanes(clusters: list[np.ndarray]) -> np.ndarray:
     return slots.reshape(-1, width)
 
 
-def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig, bounds: np.ndarray) -> np.ndarray:
+def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig, bounds: np.ndarray, clusters) -> np.ndarray:
     """Greedy NMS over the validated scores of a corpus, each scene on its own: the rescores.
 
     Scene k holds boxes bounds[k]:bounds[k + 1]. Within a scene, every round
@@ -538,11 +539,11 @@ def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig, bounds: np.ndarray) -> np
     pruning), a round multiplies every box that does not overlap its top by
     exactly 1.0, so boxes in clusters with no overlap between them cannot
     affect each other either, and the units are each scene's zero-overlap
-    clusters (``_clusters``; a matrix source's scenes are not split). A
-    scene of disjoint boxes then takes one round, where a lane of its own
-    would take one per box.
+    clusters: clusters() returns source._clusters(bounds), which does not
+    split a matrix source's scenes. A scene of disjoint boxes then takes one
+    round, where a lane of its own would take one per box.
     """
-    units = source._clusters(bounds) if prune(0.0, cfg) == 0.0 else _scenes(bounds)
+    units = clusters() if prune(0.0, cfg) == 0.0 else _scenes(bounds)
     slots = _lanes(units or [np.arange(0)])
     # A key per slot, equal for the slots of one scene, where lanes may hold several.
     scene = np.searchsorted(bounds, slots.ravel(), side="right") if len(bounds) > 2 else None
@@ -583,23 +584,80 @@ def _greedy_nms(s: np.ndarray, source, cfg: NmsConfig, bounds: np.ndarray) -> np
 _SOLVE_BLOCK_ENTRIES = 1 << 17
 
 
-def _solve_pruned(source, boxes: np.ndarray, s: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+def _substitute(rows: np.ndarray, b: np.ndarray, x: np.ndarray, start: int, stop: int) -> None:
+    """Forward substitution of x[start:stop], where rows[k - start] is row k of the prune matrix.
+
+    Each x[k] is b[k] minus one dot product of the row's strictly-lower part
+    with the whole solved prefix x[:k], so the result does not depend on
+    where a block of rows begins or ends.
+    """
+    for k in range(start, stop):
+        x[k] = b[k] - np.dot(rows[k - start, :k], x[:k])
+
+
+def _solve_pruned(source, boxes: np.ndarray, s: np.ndarray, cfg: NmsConfig, label=None) -> np.ndarray:
     """Pre-clip values of boxes, in score order: (I + P)^-1 s over their prune matrix P.
 
     Forward substitution reads only the strictly-lower triangle of P, a
-    bounded block of rows at a time. Each x[k] is s[boxes[k]] minus one dot
-    product of P[k, :k] with the whole solved prefix x[:k], so the result does
-    not depend on where the row blocks end.
+    bounded block of rows at a time (_substitute). label, when given, is the
+    zero-overlap cluster of every box of the source (p(0) = 0 only): a block
+    then reads only the pairs of boxes in one cluster, into a zero-filled
+    block, since every other entry is prune(+0.0) = +0.0, the entry the read
+    would give. Each row's dot product still spans the whole solved prefix.
     """
     b = s[boxes]
     x = np.zeros(b.size)
     step = max(1, _SOLVE_BLOCK_ENTRIES // max(1, b.size))
+    if label is not None:
+        # by_cluster lists the boxes cluster by cluster, each cluster in score
+        # order, from first[k] on for box k's cluster; the rank[k] boxes of
+        # its cluster that precede box k are the ones its row reads.
+        cluster = label[boxes]
+        by_cluster = np.argsort(cluster, kind="stable")
+        first = np.searchsorted(cluster[by_cluster], cluster)
+        rank = np.empty(b.size, dtype=np.intp)
+        rank[by_cluster] = np.arange(b.size)
+        rank -= first
+        # Every block is a view of one zeroed buffer, whose written entries
+        # are zeroed again once the block is solved.
+        buffer = np.zeros(min(step, b.size) * b.size)
     for start in range(0, b.size, step):
         stop = min(start + step, b.size)
-        rows = prune(source.pairs(boxes[start:stop, None], boxes[: stop - 1]), cfg)
-        for k in range(start, stop):
-            x[k] = b[k] - np.dot(rows[k - start, :k], x[:k])
+        if label is None:
+            rows = prune(source.pairs(boxes[start:stop, None], boxes[: stop - 1]), cfg)
+            _substitute(rows, b, x, start, stop)
+            continue
+        counts = rank[start:stop]
+        row = np.repeat(np.arange(counts.size), counts)
+        col = by_cluster[np.arange(row.size) + np.repeat(first[start:stop] - (np.cumsum(counts) - counts), counts)]
+        written = row * (stop - 1) + col
+        buffer[written] = prune(source.pairs(boxes[start + row], boxes[col]), cfg)
+        _substitute(buffer[: (stop - start) * (stop - 1)].reshape(stop - start, stop - 1), b, x, start, stop)
+        buffer[written] = 0.0
     return x
+
+
+def _solve_small(source, systems: list[np.ndarray], s: np.ndarray, cfg: NmsConfig, pre_clip: np.ndarray) -> None:
+    """_solve_pruned of systems of at most _WHOLE_MATRIX_BOXES boxes each, written into pre_clip.
+
+    The systems are padded with -1 into rows of similar size, as
+    _scene_blocks pads scenes, and each block of at most
+    _SOLVE_BLOCK_ENTRIES entries is read with one broadcast pairs call: every
+    system's whole square, of which the solve uses the strictly-lower
+    triangle. A padding slot reads the last box and is never used.
+    """
+    flat = np.concatenate(systems)
+    for slots in _scene_blocks(np.cumsum([0] + [system.size for system in systems])):
+        boxes = np.where(slots >= 0, flat[slots], -1)
+        width = boxes.shape[1]
+        step = max(1, _SOLVE_BLOCK_ENTRIES // (width * width))
+        for start in range(0, len(boxes), step):
+            block = boxes[start : start + step]
+            rows = prune(source.pairs(block[:, :, None], block[:, None, :]), cfg)
+            b, x = s[block], np.zeros(block.shape)
+            for g, size in enumerate(np.count_nonzero(block >= 0, axis=1).tolist()):
+                _substitute(rows[g], b[g], x[g], 0, size)
+            pre_clip[block[block >= 0]] = x[block >= 0]
 
 
 def _check_variant(variant: NmsVariant, pruning: Pruning) -> None:
@@ -634,21 +692,33 @@ def _validate_scenes(s: np.ndarray, bounds: np.ndarray, uppers) -> np.ndarray:
     return s
 
 
-def _nms_scenes(s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variant: NmsVariant) -> list[RescoreResult]:
+def _nms_scenes(
+    s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variant: NmsVariant, clusters=None
+) -> list[RescoreResult]:
     """run_nms of each scene of a corpus, in one pass: scene k holds boxes bounds[k]:bounds[k + 1].
 
     s holds the validated scores and source the overlaps of all the boxes,
     which are read only within a scene. The greedy variants run the scenes
     as lanes (_greedy_nms). Masked and grouped-inverse group the scenes of
-    each _scene_blocks block at once, as its rows (_masked_sorted); the
-    grouped-inverse and full-inverse solves stay one per group and one per
-    scene. Indices in each result are relative to its scene.
+    each _scene_blocks block at once, as its rows (_masked_sorted). The
+    inverse variants then solve one system per group or per scene: those of
+    at most _WHOLE_MATRIX_BOXES boxes together, one overlap read per block
+    of similar size (_solve_small), and each larger one on its own
+    (_solve_pruned). Under p(0) = 0, a larger full-inverse system on a
+    RectOverlaps reads only the pairs within a zero-overlap cluster.
+    clusters() returns source._clusters(bounds), the partition the greedy
+    lanes and those reads share; a caller running several variants passes
+    one that computes it once. Indices in each result are relative to its
+    scene.
     """
+    if clusters is None:
+        clusters = functools.partial(source._clusters, bounds)
     if variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT):
-        rescores = _greedy_nms(s, source, cfg, bounds)
+        rescores = _greedy_nms(s, source, cfg, bounds, clusters)
         pre_clip = rescores.copy()
     else:
         pre_clip = np.zeros(s.size)
+        systems = []
         # A one-scene corpus is its own row, in box order; more scenes are
         # grouped block by block (_scene_blocks).
         for boxes in [None] if len(bounds) == 2 else _scene_blocks(bounds):
@@ -664,15 +734,25 @@ def _nms_scenes(s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, varia
             if boxes is not None:
                 order = np.take_along_axis(boxes, order, axis=1)
             if variant is NmsVariant.FULL_INVERSE:
-                systems = [row[row >= 0] for row in order]
+                systems += [row[row >= 0] for row in order]
             else:
                 # One key per group of the block: its row's offset plus its top's sorted index.
                 top = _row_tops(source, order, cfg)
                 keys = np.where(top >= 0, top + np.arange(len(order))[:, None] * order.shape[1], -1)
-                systems = [order.ravel()[idx] for idx in _split_groups(keys.ravel())]
-            # Each system, its boxes in score order, is one unit lower-triangular solve.
-            for system in systems:
-                pre_clip[system] = _solve_pruned(source, system, s, cfg)
+                systems += [order.ravel()[idx] for idx in _split_groups(keys.ravel())]
+        # Each system, its boxes in score order, is one unit lower-triangular solve.
+        small = [system for system in systems if system.size <= _WHOLE_MATRIX_BOXES]
+        if small:
+            _solve_small(source, small, s, cfg, pre_clip)
+        large = [system for system in systems if system.size > _WHOLE_MATRIX_BOXES]
+        label = None
+        if large and variant is NmsVariant.FULL_INVERSE and isinstance(source, RectOverlaps) and prune(0.0, cfg) == 0.0:
+            # Each box's zero-overlap cluster, as an index into clusters().
+            units = clusters()
+            label = np.empty(s.size, dtype=np.intp)
+            label[np.concatenate(units)] = np.repeat(np.arange(len(units)), [unit.size for unit in units])
+        for system in large:
+            pre_clip[system] = _solve_pruned(source, system, s, cfg, label)
         rescores = _clip_clamp(pre_clip, s)
     scenes = [(rescores[lo:hi], pre_clip[lo:hi]) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     return [RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), p) for r, p in scenes]
@@ -699,16 +779,21 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     then the member-top pairs or each group's strictly-lower triangle;
     full-inverse the strictly-lower triangle of every box in score order;
     classical and soft, each round, every remaining box's overlap with its
-    round's top. The inverse variants read their triangle a bounded block of
+    round's top. An inverse system (a group, or full-inverse's scene) of at
+    most _WHOLE_MATRIX_BOXES boxes is read whole, in one read with the other
+    systems of its size; a larger one reads its triangle a bounded block of
     rows at a time, so on a RectOverlaps no variant holds an (N, N) array.
 
     This is the corpus pass of ``diffnms run`` (_nms_scenes) on a one-scene
-    corpus. Under hard, linear and exponential pruning, p(0) = 0, and
-    classical and soft run the zero-overlap clusters of a RectOverlaps of
-    more than _WHOLE_MATRIX_BOXES boxes in lockstep, one top per cluster and
-    round (see _greedy_nms); touching edges count as zero overlap. The bytes
-    are those of the one global loop. Sigmoid pruning and a matrix run as one
-    lane, one overlap row per round.
+    corpus. Under hard, linear and exponential pruning, p(0) = 0, and on a
+    RectOverlaps of more than _WHOLE_MATRIX_BOXES boxes the overlap of two
+    boxes in different zero-overlap clusters is never read: classical and
+    soft run the clusters in lockstep, one top per cluster and round (see
+    _greedy_nms), and full-inverse reads its triangle only within a cluster,
+    every other entry being +0.0. Touching edges count as zero overlap. The
+    bytes are those of the one global loop and the full triangle. Sigmoid
+    pruning and a matrix run as one lane, one overlap row per round, and
+    full-inverse reads their whole triangle.
     """
     variant = NmsVariant(variant)
     _check_variant(variant, cfg.pruning)

@@ -328,6 +328,87 @@ def test_inverse_variants_on_a_large_scene_match_the_dense_solve(pruning):
         _assert_same_result(got, reference_closed_form(scores, matrix, cfg, variant))
 
 
+def _in_cluster_lower_pairs(source: RectOverlaps) -> int:
+    return sum(c.size * (c.size - 1) // 2 for c in source._clusters())
+
+
+@pytest.mark.parametrize("pruning", [Pruning.HARD, Pruning.LINEAR])
+def test_full_inverse_reads_only_the_pairs_within_a_cluster(monkeypatch, pruning):
+    # 1,500 boxes in 75 clusters: every pair across two clusters is +0.0, and
+    # under p(0) = 0 so is its prune weight, so the solve need not read it.
+    rng = np.random.default_rng(2)
+    rects = _clustered_rects(rng, 75, 20)
+    scores = rng.uniform(0.0, 1.0, len(rects))
+    in_cluster = _in_cluster_lower_pairs(RectOverlaps(rects))
+    assert 0 < in_cluster < len(rects) * (len(rects) - 1) // 20
+    reads = []
+    pairs = RectOverlaps.pairs
+
+    def counting(self, i, j):
+        values = pairs(self, i, j)
+        reads.append(np.size(values))
+        return values
+
+    monkeypatch.setattr(RectOverlaps, "pairs", counting)
+    run_nms(scores, RectOverlaps(rects), NmsConfig(pruning=pruning), NmsVariant.FULL_INVERSE)
+    assert 0 < sum(reads) <= in_cluster
+
+
+def _awkward_rects(rng) -> np.ndarray:
+    """Clusters that touch along an edge, duplicates, zero-width and zero-height boxes, and jittered clusters."""
+    cells = [[x, y, x + 1.0, y + 1.0] for x in range(4) for y in range(4)]
+    duplicates = cells[::5] * 2
+    needles = [[0.5, 0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 0.5], [2.5, 2.5, 2.5, 2.5], [-0.0, 0.0, 0.0, 3.0]]
+    jittered = _clustered_rects(rng, 5, 10) / 100.0 + 10.0
+    return np.vstack([cells, duplicates, needles, jittered])
+
+
+@pytest.mark.parametrize("pruning", list(Pruning))
+@pytest.mark.parametrize("solve_block", [nms._SOLVE_BLOCK_ENTRIES, 1, 100])
+@pytest.mark.parametrize("cap", [None, 3])
+def test_inverse_reads_on_awkward_clusters_match_the_matrix_and_the_dense_solve(pruning, solve_block, cap):
+    # More than _WHOLE_MATRIX_BOXES boxes, so full-inverse reads rectangles
+    # by cluster under p(0) = 0; scores rounded to one decimal tie often,
+    # so clusters interleave in score order and straddle every row block.
+    rng = np.random.default_rng(7)
+    rects = _awkward_rects(rng)
+    assert len(rects) > nms._WHOLE_MATRIX_BOXES
+    scores = np.round(rng.uniform(0.0, 1.0, len(rects)), 1)
+    matrix = iou2d_matrix(rects, rects)
+    cfg = NmsConfig(pruning=pruning, max_group_size=cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nms, "_SOLVE_BLOCK_ENTRIES", solve_block)
+        for variant in (NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE):
+            got = run_nms(scores, RectOverlaps(rects), cfg, variant)
+            _assert_same_result(got, run_nms(scores, matrix, cfg, variant))
+            _assert_same_result(got, reference_closed_form(scores, matrix, cfg, variant))
+
+
+@settings(max_examples=200)
+@given(
+    corpus=st.lists(blob_scenes(), min_size=1, max_size=4),
+    whole_matrix=st.booleans(),
+    solve_block=st.sampled_from([nms._SOLVE_BLOCK_ENTRIES, 1, 100]),
+)
+def test_inverse_corpus_reads_match_the_matrix_and_the_dense_solve(corpus, whole_matrix, solve_block):
+    # A limit of 0 sends every system of these small scenes through the
+    # cluster reads; by default their systems are solved in padded blocks.
+    cfg = corpus[0][2]
+    bounds = np.cumsum([0] + [len(boxes) for boxes, _, _ in corpus])
+    s = nms._validate_scenes(np.concatenate([scores for _, scores, _ in corpus]), bounds, [1.0])
+    rects = rect_array([box for boxes, _, _ in corpus for box in boxes])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nms, "_WHOLE_MATRIX_BOXES", nms._WHOLE_MATRIX_BOXES if whole_matrix else 0)
+        patch.setattr(nms, "_SOLVE_BLOCK_ENTRIES", solve_block)
+        source = nms._overlap_source(RectOverlaps(rects), s.size)
+        for variant in (NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE):
+            got = nms._nms_scenes(s, source, bounds, cfg, variant)
+            for result, (boxes, scores, _) in zip(got, corpus):
+                matrix = overlap_matrix(boxes)
+                _assert_same_result(result, run_nms(scores, matrix, cfg, variant))
+                _assert_same_result(result, reference_closed_form(scores, matrix, cfg, variant))
+
+
 class TestRectOverlaps:
     def test_pairs_broadcast_like_the_matrix(self):
         boxes = [Rect2D(0, 0, 2, 2), Rect2D(1, 1, 3, 3), Rect2D(1, 1, 1, 4), Rect2D(2, 0, 4, 2)]

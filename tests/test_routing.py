@@ -7,11 +7,14 @@ with tied, zero and negative-zero scores, and on one cluttered scene of 1500
 boxes. Each overlap kernel has one entry: every path into the rectangle IoU
 goes through RectOverlaps.pairs, and every path into the cuboid kernel
 through _cuboid_pairs. Each rescoring command runs each NMS loop once per
-variant and block of scenes of similar size, not once per scene, and
-gradcheck runs the masked forward once per batch of trials, not per trial.
+variant and block of scenes of similar size, not once per scene, reads the
+small inverse systems once per block of systems of similar size, not once
+per group, and finds a corpus's zero-overlap clusters at most once; gradcheck
+runs the masked forward once per batch of trials, not per trial.
 """
 
 import dataclasses
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -50,10 +53,11 @@ from diffnms import (
 )
 from diffnms import geometry
 from diffnms.cli import main
-from diffnms.harness import _oracle_scenes
+from diffnms.harness import _corpus_results, _oracle_scenes
 from oracles import (
     reference_correlation_rows,
     reference_eval_ap_r40,
+    reference_group_boxes,
     reference_may_meet,
     reference_oracle_scores,
     reference_quality,
@@ -336,6 +340,63 @@ def test_each_variant_rescores_the_corpus_in_one_pass(monkeypatch, tmp_path, nam
     assert len(read_scenes_jsonl(GOLDEN)) > 1
     assert main([args[0], "--input", str(GOLDEN), *args[1:], *out]) == 0
     assert calls == Counter(expected)
+
+
+def test_grouped_inverse_reads_its_small_groups_once_per_size_class(monkeypatch):
+    """The golden corpus's groups, none larger than _WHOLE_MATRIX_BOXES, are
+    read with one pairs call per block of groups of similar size (as
+    _scene_blocks sizes them), not one per group; grouping reads the rest."""
+    from diffnms import nms
+
+    cfg = NmsConfig()
+    scenes = read_scenes_jsonl(GOLDEN)
+    sizes = []
+    for scene in scenes:
+        overlaps = overlap_matrix([b.rect for b in scene.boxes])
+        order = np.argsort([-b.score for b in scene.boxes], kind="stable")
+        sizes += [len(group) for group in reference_group_boxes(overlaps[np.ix_(order, order)], cfg)[0]]
+    classes = Counter(math.ceil(math.log2(size)) for size in sizes)
+    # Each size class fits one read of at most _SOLVE_BLOCK_ENTRIES entries.
+    assert max(sizes) <= nms._WHOLE_MATRIX_BOXES
+    assert all(count * 4**level <= nms._SOLVE_BLOCK_ENTRIES for level, count in classes.items())
+    assert len(classes) < len(sizes)
+    callers = Counter()
+    pairs = RectOverlaps.pairs
+
+    def counting(self, i, j):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return pairs(self, i, j)
+
+    monkeypatch.setattr(RectOverlaps, "pairs", counting)
+    _corpus_results(scenes, cfg, [NmsVariant.GROUPED_INVERSE], None)
+    assert callers.pop("_group_rows") > 0
+    assert callers == Counter({"_solve_small": len(classes)})
+
+
+@pytest.mark.parametrize(
+    "variants, pruning, finds",
+    [
+        (["classical", "masked", "full-inverse", "grouped-inverse"], Pruning.HARD, 1),
+        (["full-inverse"], Pruning.LINEAR, 1),
+        (["soft", "full-inverse"], Pruning.EXPONENTIAL, 1),
+        (["masked", "grouped-inverse"], Pruning.HARD, 0),
+        (["soft", "full-inverse"], Pruning.SIGMOIDAL, 0),
+    ],
+)
+def test_the_zero_overlap_clusters_are_found_once_per_corpus(monkeypatch, variants, pruning, finds):
+    """The greedy lanes and the full-inverse reads of a corpus with a scene
+    of more than _WHOLE_MATRIX_BOXES boxes share one partition, which
+    sigmoid pruning (p(0) > 0) and the grouping variants never need."""
+    calls = []
+    clusters = RectOverlaps._clusters
+
+    def counting(self, bounds=None):
+        calls.append(bounds)
+        return clusters(self, bounds)
+
+    monkeypatch.setattr(RectOverlaps, "_clusters", counting)
+    _corpus_results(_dense() + read_scenes_jsonl(GOLDEN)[:3], NmsConfig(pruning=pruning), variants, None)
+    assert len(calls) == finds
 
 
 def test_gradcheck_checks_its_trials_in_batches(monkeypatch, capsys):
