@@ -1,10 +1,13 @@
-"""Detection and ground-truth records shared by the ranking and I/O layers."""
+"""Detection and ground-truth records shared by the ranking and I/O layers, and the columns a scene stores them in."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .geometry import Cuboid3D, Rect2D
+import numpy as np
+
+from .geometry import Cuboid3D, Rect2D, cuboid_array, rect_array
 
 __all__ = ["DetectionBox", "GroundTruth", "Scene"]
 
@@ -59,12 +62,171 @@ class DetectionBox:
     extra: dict = field(default_factory=dict)
 
 
+def _occlusions(values) -> np.ndarray:
+    """An int64 column, or an object column when some value is not an integer int64 holds."""
+    column = np.array(values).reshape(-1)
+    if not column.size or (column.dtype.kind in "biu" and column.dtype != np.uint64):
+        return column.astype(np.int64)
+    return np.array(values, dtype=object).reshape(-1)
+
+
+def _geometry_accepted(rects: np.ndarray, cuboids: np.ndarray) -> bool:
+    """Whether Rect2D takes every row of rects and Cuboid3D every row of cuboids: finite values,
+    ordered corners, a finite area and non-negative sizes."""
+    x1, y1, x2, y2 = rects.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = (x2 - x1) * (y2 - y1)
+    finite = np.isfinite(rects).all() and np.isfinite(area).all() and np.isfinite(cuboids).all()
+    return bool(finite and not ((x1 > x2).any() or (y1 > y2).any() or (cuboids[:, 3:6] < 0.0).any()))
+
+
+class _Columns:
+    """N records of one kind, DetectionBox or GroundTruth, as columns: what a Scene stores.
+
+    rects is (N, 4) in x1, y1, x2, y2 order and cuboids (N, 7) in cx, cy, cz,
+    w, h, l, yaw order, as ``rect_array`` and ``cuboid_array`` build them; a
+    row whose has_cuboid is False holds zeros. label is a list; truncation,
+    alpha and dontcare are arrays, and occlusion is ``_occlusions``'s. score,
+    class_conf and pred_conf exist for detections only (None for ground
+    truths); a confidence is NaN where its has_ mask is False, the record's
+    None. extra and raw_fields are sparse: position -> the record's nonempty
+    extra dict, or its raw_fields tuple.
+    """
+
+    __slots__ = (
+        "kind", "rects", "cuboids", "has_cuboid", "label", "truncation", "occlusion", "alpha", "dontcare",
+        "score", "class_conf", "has_class_conf", "pred_conf", "has_pred_conf", "extra", "raw_fields",
+    )
+
+    def __init__(self, kind: type, **columns) -> None:
+        self.kind = kind
+        for name in self.__slots__[1:]:
+            setattr(self, name, columns.get(name))
+        self.extra = self.extra or {}
+        self.raw_fields = self.raw_fields or {}
+
+    def __len__(self) -> int:
+        return len(self.rects)
+
+    @classmethod
+    def from_records(cls, kind: type, records: Sequence) -> _Columns:
+        """The columns of records of kind: the one place records become arrays."""
+        has_cuboid = np.array([r.cuboid is not None for r in records], dtype=bool)
+        cuboids = np.zeros((len(records), 7))
+        cuboids[has_cuboid] = cuboid_array([r.cuboid for r in records if r.cuboid is not None])
+        columns = dict(
+            rects=rect_array([r.rect for r in records]),
+            cuboids=cuboids,
+            has_cuboid=has_cuboid,
+            label=[r.label for r in records],
+            truncation=np.array([r.truncation for r in records], dtype=float),
+            occlusion=_occlusions([r.occlusion for r in records]),
+            alpha=np.array([r.alpha for r in records], dtype=float),
+            dontcare=np.array([r.dontcare for r in records], dtype=bool),
+            extra={i: r.extra for i, r in enumerate(records) if r.extra},
+            raw_fields={i: r.raw_fields for i, r in enumerate(records) if r.raw_fields is not None},
+        )
+        if kind is DetectionBox:
+            columns["score"] = np.array([r.score for r in records], dtype=float)
+            for name in ("class_conf", "pred_conf"):
+                values = [getattr(r, name) for r in records]
+                columns["has_" + name] = np.array([v is not None for v in values], dtype=bool)
+                columns[name] = np.array(values, dtype=float)
+        return cls(kind, **columns)
+
+    def records(self, at=None, score=None) -> list:
+        """The records at positions at (all by default), built from the columns; detections take
+        the scores score, one per position, in place of their own when it is given."""
+        at = np.arange(len(self)) if at is None else np.asarray(at, dtype=np.intp)
+        rows = zip(
+            at.tolist(),
+            self.rects[at].tolist(),
+            self.cuboids[at].tolist(),
+            self.has_cuboid[at].tolist(),
+            self.truncation[at].tolist(),
+            self.occlusion[at].tolist(),
+            self.alpha[at].tolist(),
+            self.dontcare[at].tolist(),
+        )
+        detections = self.kind is DetectionBox
+        if detections:
+            scores = (self.score[at] if score is None else score).tolist()
+            class_conf = np.where(self.has_class_conf, self.class_conf, None)[at].tolist()
+            pred_conf = np.where(self.has_pred_conf, self.pred_conf, None)[at].tolist()
+        out = []
+        for k, (i, rect, cuboid, has_cuboid, truncation, occlusion, alpha, dontcare) in enumerate(rows):
+            fields = dict(
+                rect=Rect2D(*rect),
+                cuboid=Cuboid3D(*cuboid) if has_cuboid else None,
+                label=self.label[i],
+                truncation=truncation,
+                occlusion=occlusion,
+                alpha=alpha,
+                dontcare=dontcare,
+                raw_fields=self.raw_fields.get(i),
+                extra=self.extra.get(i) or {},
+            )
+            if detections:
+                fields.update(score=scores[k], class_conf=class_conf[k], pred_conf=pred_conf[k])
+            out.append(self.kind(**fields))
+        return out
+
+
+class _RecordList:
+    """Scene.boxes or Scene.gts: the scene's records of one kind.
+
+    The scene holds either the records or their ``_Columns``; reading the
+    attribute builds the records from the columns on first access, and the
+    scene then keeps the records instead.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, scene, owner=None):
+        if scene is None:
+            # The dataclass default; __set__ makes it a new empty list.
+            return None
+        records, columns = getattr(scene, self.slot)
+        if records is None:
+            records = columns.records()
+            setattr(scene, self.slot, (records, None))
+        return records
+
+    def __set__(self, scene, records) -> None:
+        setattr(scene, self.slot, ([] if records is None else records, None))
+
+
 @dataclass
 class Scene:
-    """One image worth of detections and ground truths."""
+    """One image worth of detections and ground truths.
+
+    The readers store a scene's boxes and ground truths as columns; the
+    boxes and gts lists are built from them on first access and kept from
+    then on. A scene built from records keeps its records. The package's
+    consumers read columns (``_columns``), which a scene holding records
+    derives from them at each call, so a record edited in place is seen.
+    """
 
     scene_id: str
-    boxes: list[DetectionBox] = field(default_factory=list)
-    gts: list[GroundTruth] = field(default_factory=list)
+    boxes: list[DetectionBox] = _RecordList()
+    gts: list[GroundTruth] = _RecordList()
     camera: str | None = None
     extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def _of_columns(cls, scene_id: str, boxes: _Columns, gts: _Columns, camera=None, extra=None) -> Scene:
+        scene = cls(scene_id, camera=camera, extra={} if extra is None else extra)
+        scene._boxes, scene._gts = (None, boxes), (None, gts)
+        return scene
+
+    def _columns(self, name: str) -> _Columns:
+        """The columns of "boxes" or "gts": the scene's own, or derived from the records it holds."""
+        records, columns = getattr(self, "_" + name)
+        if records is None:
+            return columns
+        return _Columns.from_records(DetectionBox if name == "boxes" else GroundTruth, records)
+
+    def _held_records(self, name: str) -> list | None:
+        """The records of "boxes" or "gts" if the scene holds records, else None."""
+        return getattr(self, "_" + name)[0]

@@ -32,7 +32,7 @@ from .harness import (
 from .io_jsonl import read_scenes_jsonl, write_scenes_jsonl
 from .io_kitti import read_kitti_dir, read_kitti_file, write_kitti_dir, write_kitti_file
 from .nms import NmsConfig, NmsVariant, Pruning, _check_variant
-from .ranking import DEFAULT_DIFFICULTY_RULES, Difficulty, DifficultyRule, eval_ap_r40
+from .ranking import DEFAULT_DIFFICULTY_RULES, Difficulty, DifficultyRule, _eval_columns
 from .synthetic import SyntheticConfig, generate_synthetic, random_instance
 
 __all__ = ["main"]
@@ -148,7 +148,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for scene, (result, index_map) in zip(scenes, _rescore_scenes(scenes, cfg, variant, args.score_mode))
     ]
     _write_scenes(args, out_scenes)
-    boxes_in = sum(len(s.boxes) for s in scenes)
+    boxes_in = sum(len(s._columns("boxes")) for s in scenes)
     boxes_out = sum(len(s.boxes) for s in out_scenes)
     print(f"rescored {boxes_in} boxes over {len(scenes)} scenes; wrote {boxes_out} to {args.out}")
     return 0
@@ -269,10 +269,10 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_iou(args, parser)
     rules = _difficulty_rules(args, parser)
     scenes = _load_scenes(args)
-    pairs = [(s.boxes, s.gts) for s in scenes]
+    pairs = [(s._columns("boxes"), s._columns("gts")) for s in scenes]
     print(f"AP|R40 (IoU3D >= {args.iou:g}) over {len(scenes)} scenes")
     for name, rule in rules.items():
-        ap = eval_ap_r40(pairs, args.iou, rule)
+        ap = _eval_columns(pairs, args.iou, rule)
         print(f"  {name:<10} {'n/a (no ground truths)' if ap is None else format(ap, '.4f')}")
     return 0
 

@@ -1,9 +1,10 @@
 """Scene-level pipelines: rescoring, oracle scores, correlation, comparison.
 
-These helpers connect the box records to the array-level NMS engine. Scenes
-never interact: a corpus is rescored in one NMS pass per variant, with the
-scenes as lanes of its loops, and every result and error is the one that
-rescoring each scene on its own, in input order, would give.
+These helpers connect scenes to the array-level NMS engine. They read a
+scene's columns (``Scene._columns``) and build box records only for what they
+return. Scenes never interact: a corpus is rescored in one NMS pass per
+variant, with the scenes as lanes of its loops, and every result and error is
+the one that rescoring each scene on its own, in input order, would give.
 """
 
 from __future__ import annotations
@@ -17,16 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import DetectionBox, Scene
-from .geometry import (
-    RectOverlaps,
-    _aa_iou,
-    _cuboid_pairs,
-    _iou3d_rows,
-    cuboid_array,
-    iou2d_matrix,
-    rect_array,
-)
+from .boxes import DetectionBox, Scene, _Columns
+from .geometry import RectOverlaps, _aa_iou, _cuboid_pairs, _iou3d_rows, iou2d_matrix
 from .nms import (
     NmsConfig,
     NmsVariant,
@@ -38,7 +31,7 @@ from .nms import (
     _score_upper,
     _validate_scenes,
 )
-from .ranking import eval_ap_r40, filter_gts
+from .ranking import _ap_r40, _evaluable
 
 __all__ = [
     "ComparisonReport",
@@ -104,8 +97,37 @@ def effective_scores(boxes: Sequence[DetectionBox], score_mode: str | None) -> n
     return np.array(values, dtype=float)
 
 
+def _column_scores(boxes: _Columns, at: np.ndarray, score_mode: str | None) -> np.ndarray | None:
+    """effective_scores of the boxes at positions at, from their columns; None when the confidences
+    of some box cannot be combined in score_mode, whose error effective_scores then raises."""
+    s = boxes.score[at]
+    if score_mode is None:
+        return s
+    has_class, has_pred = boxes.has_class_conf[at], boxes.has_pred_conf[at]
+    class_conf, pred_conf = boxes.class_conf[at], boxes.pred_conf[at]
+    if score_mode == "class":
+        ok, value = has_class | ~has_pred, np.where(has_class, class_conf, s)
+    elif score_mode == "pred":
+        ok, value = has_pred | ~has_class, np.where(has_pred, pred_conf, s)
+    elif score_mode == "product":
+        both = has_class & has_pred
+        ok = ~(both & ((class_conf < 0.0) | (pred_conf < 0.0)))
+        one = np.where(has_class, class_conf, np.where(has_pred, pred_conf, s))
+        # As in Python, a product that overflows, or is inf * 0, is a score the check below rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.where(both, class_conf * pred_conf, one)
+    else:
+        ok, value = ~(has_class | has_pred), s
+    return value if ok.all() else None
+
+
 def _corpus_scores(
-    scenes: Sequence[Scene], index_maps: list[list[int]], bounds: np.ndarray, uppers: list, score_mode: str | None
+    scenes: Sequence[Scene],
+    boxes: Sequence[_Columns],
+    index_maps: list[np.ndarray],
+    bounds: np.ndarray,
+    uppers: list,
+    score_mode: str | None,
 ) -> np.ndarray:
     """The validated scores of every scene's boxes at index_maps, stacked; scene k holds bounds[k]:bounds[k + 1].
 
@@ -114,9 +136,12 @@ def _corpus_scores(
     confidences and then against each upper bound in turn, meets first.
     """
     parts = []
-    for scene, index_map in zip(scenes, index_maps):
+    for scene, columns, index_map in zip(scenes, boxes, index_maps):
+        part = _column_scores(columns, index_map, score_mode)
         try:
-            parts.append(effective_scores([scene.boxes[i] for i in index_map], score_mode))
+            if part is None:
+                part = effective_scores([scene.boxes[i] for i in index_map.tolist()], score_mode)
+            parts.append(part)
         except ScoreRangeError as exc:
             # The scenes before this one come first.
             _validate_scenes(np.concatenate([np.zeros(0), *parts]), bounds[: len(parts) + 1], uppers)
@@ -134,8 +159,9 @@ def _corpus_results(
     (``nms._nms_scenes``), scenes as lanes; its results are one per scene.
     The overlaps are evaluated on demand, so each variant computes only the
     entries it reads, and its seconds include them; the zero-overlap
-    clusters of the scenes are found once, by the first variant that reads
-    them, and shared with the rest. A box lacking the
+    clusters of the scenes, and the groups of masked and grouped-inverse,
+    are found once, by the first variant that reads them, and shared with
+    the rest. A box lacking the
     confidence score_mode needs, or with a score a variant cannot take,
     raises ValueError naming the scene and its scene.boxes position: the
     first that rescoring the scenes one by one would meet. A variant that
@@ -144,23 +170,25 @@ def _corpus_results(
     variants = [NmsVariant(v) for v in variants]
     for variant in variants:
         _check_variant(variant, cfg.pruning)
-    index_maps = [[i for i, b in enumerate(scene.boxes) if not b.dontcare] for scene in scenes]
+    boxes = [scene._columns("boxes") for scene in scenes]
+    index_maps = [np.flatnonzero(~columns.dontcare) for columns in boxes]
     bounds = np.array(list(accumulate(map(len, index_maps), initial=0)))
     try:
-        s = _corpus_scores(scenes, index_maps, bounds, [_score_upper(v) for v in variants], score_mode)
+        s = _corpus_scores(scenes, boxes, index_maps, bounds, [_score_upper(v) for v in variants], score_mode)
     except ScoreRangeError as exc:
         k = int(np.searchsorted(bounds, exc.index, side="right")) - 1
         box = index_maps[k][exc.index - bounds[k]]
         raise ValueError(f"scene {scenes[k].scene_id!r} box {box}: {exc.reason}") from None
-    rects = rect_array([scene.boxes[i].rect for scene, index_map in zip(scenes, index_maps) for i in index_map])
+    rects = np.concatenate([np.zeros((0, 4)), *(columns.rects[at] for columns, at in zip(boxes, index_maps))])
     source = _overlap_source(RectOverlaps(rects), s.size)
     clusters = functools.cache(functools.partial(source._clusters, bounds))
+    tops: dict = {}
     results, seconds = [], []
     for variant in variants:
         start = time.perf_counter()
-        results.append(_nms_scenes(s, source, bounds, cfg, variant, clusters))
+        results.append(_nms_scenes(s, source, bounds, cfg, variant, clusters, tops))
         seconds.append(time.perf_counter() - start)
-    return results, seconds, index_maps
+    return results, seconds, [index_map.tolist() for index_map in index_maps]
 
 
 def _rescore_scenes(
@@ -200,22 +228,38 @@ def rescored_boxes(
     With kept_only=False every box comes back, in scene.boxes order; DontCare
     boxes take no part in NMS and keep their scores.
     """
-    rescores = dict(zip(index_map, result.rescores.tolist()))
-    positions = [index_map[int(k)] for k in result.kept] if kept_only else range(len(scene.boxes))
-    return [
-        dataclasses.replace(scene.boxes[i], score=rescores[i]) if i in rescores else scene.boxes[i] for i in positions
-    ]
+    boxes = scene._columns("boxes")
+    positions = [index_map[int(k)] for k in result.kept] if kept_only else range(len(boxes))
+    return _scored_boxes(scene, boxes, positions, index_map, result.rescores)
 
 
-def _gt_rows(scenes: Sequence[Scene], positions: Sequence[Sequence[int]], gts: Sequence[list]):
-    """The cuboids of scene.boxes[i], i in positions[s], and of gts[s], stacked scene after scene; each
-    box's columns in the stacked ground truths; and the ``_iou3d_rows`` values and row bounds of
-    rotated IoU3D, from one kernel call."""
+def _scored_boxes(scene: Scene, boxes: _Columns, positions, index, scores: np.ndarray) -> list[DetectionBox]:
+    """scene.boxes at positions, those at index scored scores; built from the columns boxes
+    unless the scene holds records, which are then replaced or returned as they are."""
+    records = scene._held_records("boxes")
+    if records is not None:
+        new = dict(zip(index, scores.tolist()))
+        return [dataclasses.replace(records[i], score=new[i]) if i in new else records[i] for i in positions]
+    at = np.asarray(positions, dtype=np.intp)
+    score = boxes.score.copy()
+    score[np.asarray(index, dtype=np.intp)] = scores
+    return boxes.records(at, score[at])
+
+
+def _gt_rows(boxes: Sequence[np.ndarray], gts: Sequence[np.ndarray]):
+    """The box cuboids boxes[s] and ground-truth cuboids gts[s] stacked scene after scene; each box's
+    columns in the stacked ground truths; and the ``_iou3d_rows`` values and row bounds of rotated
+    IoU3D, from one kernel call."""
     bounds = list(accumulate(map(len, gts), initial=0))
-    columns = [range(lo, hi) for boxes, lo, hi in zip(positions, bounds, bounds[1:]) for _ in boxes]
-    box_cuboids = cuboid_array([scene.boxes[i].cuboid for scene, boxes in zip(scenes, positions) for i in boxes])
-    gt_cuboids = cuboid_array([g.cuboid for scene_gts in gts for g in scene_gts])
+    columns = [range(lo, hi) for scene_boxes, lo, hi in zip(boxes, bounds, bounds[1:]) for _ in scene_boxes]
+    box_cuboids = np.concatenate([np.zeros((0, 7)), *boxes])
+    gt_cuboids = np.concatenate([np.zeros((0, 7)), *gts])
     return box_cuboids, gt_cuboids, columns, *_iou3d_rows(box_cuboids, gt_cuboids, columns)
+
+
+def _usable_gts(gts: _Columns) -> np.ndarray:
+    """The cuboids of the ground truths that are matched against: filter_gts(gts, None)."""
+    return gts.cuboids[_evaluable(gts, None)]
 
 
 def oracle_scores(scene: Scene, mode: str = "iou3d") -> Scene:
@@ -238,29 +282,26 @@ def _oracle_scenes(scenes: Sequence[Scene], mode: str = "iou3d") -> list[Scene]:
     """
     if mode not in ("iou2d", "iou3d"):
         raise ValueError(f"unknown oracle mode {mode!r}, expected 'iou2d' or 'iou3d'")
+    boxes = [scene._columns("boxes") for scene in scenes]
+    gts = [scene._columns("gts") for scene in scenes]
     if mode == "iou2d":
-        values = [
-            iou2d_matrix(
-                rect_array([b.rect for b in scene.boxes]), rect_array([g.rect for g in scene.gts if not g.dontcare])
-            )
-            for scene in scenes
-        ]
+        values = [iou2d_matrix(b.rects, g.rects[~g.dontcare]) for b, g in zip(boxes, gts)]
     else:
-        gts = [filter_gts(scene.gts, None) for scene in scenes]
-        positions = [[i for i, b in enumerate(scene.boxes) if b.cuboid is not None] for scene in scenes]
-        flat, row_bounds = _gt_rows(scenes, positions, gts)[3:]
+        gts = [_usable_gts(g) for g in gts]
+        positions = [np.flatnonzero(b.has_cuboid) for b in boxes]
+        flat, row_bounds = _gt_rows([b.cuboids[r] for b, r in zip(boxes, positions)], gts)[3:]
         firsts = accumulate(map(len, positions), initial=0)
         values = []
-        for scene, r, scene_gts, first in zip(scenes, positions, gts, firsts):
-            scene_values = np.zeros((len(scene.boxes), len(scene_gts)))
+        for b, r, scene_gts, first in zip(boxes, positions, gts, firsts):
+            scene_values = np.zeros((len(b), len(scene_gts)))
             scene_values[r] = flat[row_bounds[first] : row_bounds[first + len(r)]].reshape(len(r), len(scene_gts))
             values.append(scene_values)
     out = []
-    for scene, scene_values in zip(scenes, values):
+    for scene, b, scene_values in zip(scenes, boxes, values):
         # The best overlap starts at 0.0 and only a larger value replaces it.
         best = np.where(scene_values > 0.0, scene_values, 0.0).max(axis=1, initial=0.0)
-        boxes = [dataclasses.replace(box, score=value) for box, value in zip(scene.boxes, best.tolist())]
-        out.append(dataclasses.replace(scene, boxes=boxes))
+        every = range(len(b))
+        out.append(dataclasses.replace(scene, boxes=_scored_boxes(scene, b, every, every, best)))
     return out
 
 
@@ -312,19 +353,20 @@ def score_iou_correlation(
     in one pass over the corpus, so every scene's scores are validated as
     ``diffnms run`` validates them.
     """
-    gts = [filter_gts(scene.gts, None) for scene in scenes]
+    boxes = [scene._columns("boxes") for scene in scenes]
+    gts = [_usable_gts(scene._columns("gts")) for scene in scenes]
 
-    def kept_boxes(scene: Scene, scene_gts: list, result: RescoreResult, index_map: list[int]):
+    def kept_boxes(columns: _Columns, scene_gts: np.ndarray, result: RescoreResult, index_map: list[int]):
         """(scene.boxes position, rescore) of each kept box that has a cuboid, if the scene has ground truths."""
-        if not scene_gts:
+        if not len(scene_gts):
             return []
         kept = [(index_map[int(k)], float(result.rescores[int(k)])) for k in result.kept]
-        return [(i, rescore) for i, rescore in kept if scene.boxes[i].cuboid is not None]
+        return [(i, rescore) for i, rescore in kept if columns.has_cuboid[i]]
 
     rescored = _rescore_scenes(scenes, cfg, variant, score_mode)
-    per_scene = [kept_boxes(scene, scene_gts, *r) for scene, scene_gts, r in zip(scenes, gts, rescored)]
-    kept_positions = [[i for i, _ in kept] for kept in per_scene]
-    box_cuboids, gt_cuboids, columns, values, bounds = _gt_rows(scenes, kept_positions, gts)
+    per_scene = [kept_boxes(columns, scene_gts, *r) for columns, scene_gts, r in zip(boxes, gts, rescored)]
+    kept_cuboids = [columns.cuboids[[i for i, _ in kept]].reshape(-1, 7) for columns, kept in zip(boxes, per_scene)]
+    box_cuboids, gt_cuboids, columns, values, bounds = _gt_rows(kept_cuboids, gts)
     # A kept box's match is the first maximum of its row.
     firsts = [int(values[lo:hi].argmax()) for lo, hi in zip(bounds, bounds[1:])]
     picks = [cols[j] for cols, j in zip(columns, firsts)]
@@ -410,16 +452,21 @@ def build_comparison(
         if name in names[:k]:
             raise ValueError(f"variant {name} is listed more than once")
     kept_sets: dict[str, list[set[int]]] = {name: [] for name in names}
-    kept_boxes: dict[str, list[tuple[list[DetectionBox], list]]] = {name: [] for name in names}
+    ap: dict[str, float | None] = {}
     results, times, index_maps = _corpus_results(scenes, cfg, variants, score_mode)
     seconds = dict(zip(names, times))
+    boxes = [scene._columns("boxes") for scene in scenes]
+    gts = [_usable_gts(scene._columns("gts")) for scene in scenes]
     for name, variant_results in zip(names, results):
-        for scene, result, index_map in zip(scenes, variant_results, index_maps):
-            kept_sets[name].append({index_map[int(k)] for k in result.kept})
-            kept_boxes[name].append((rescored_boxes(scene, result, index_map), scene.gts))
+        kept_boxes = []
+        for columns, result, index_map in zip(boxes, variant_results, index_maps):
+            kept = np.asarray(index_map, dtype=np.intp)[result.kept]
+            kept_sets[name].append(set(kept.tolist()))
+            kept_boxes.append((result.rescores[result.kept], columns.cuboids[kept], columns.has_cuboid[kept]))
+        # The kept boxes, scored by their rescores: rescored_boxes of each scene, none of them DontCare.
+        ap[name] = _ap_r40(kept_boxes, gts, iou_threshold)
     n = max(len(scenes), 1)
     kept_mean = {name: float(np.mean([len(s) for s in kept_sets[name]])) if scenes else 0.0 for name in names}
-    ap = {name: eval_ap_r40(kept_boxes[name], iou_threshold) for name in names}
     jaccard: dict[tuple[str, str], float] = {}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:

@@ -8,7 +8,9 @@ Box and gt objects carry the rectangle corners (x1, y1, x2, y2), the cuboid
 center and dimensions (cx, cy, cz, w, h, l, yaw: all seven, or none when
 there is no cuboid), then the fields of one table per record kind:
 _BOX_FIELDS for boxes, _GT_FIELDS for ground truths. One reader and one
-writer serve both kinds. Keys the reader does not know are preserved on the
+writer serve both kinds; the reader fills a scene's columns, checked a field
+at a time, and reads a scene whose checks fail record by record, for its
+error. Keys the reader does not know are preserved on the
 record and written back after the known ones, in their original order, so
 files survive a read-write cycle unchanged. Floats are written with the
 shortest representation that parses back to the same value (Python's
@@ -23,10 +25,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
-from .boxes import DetectionBox, GroundTruth, Scene
+import numpy as np
+
+from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _geometry_accepted, _occlusions
 from .geometry import Cuboid3D, Rect2D
 
 __all__ = ["iter_scenes_jsonl", "read_scenes_jsonl", "write_scenes_jsonl"]
@@ -160,6 +164,115 @@ def _record_from_dict(kind: type, data, where: str) -> DetectionBox | GroundTrut
     return kind(rect=rect, cuboid=cuboid, extra=rest, **fields)
 
 
+# The number keys of each record kind, in the row order of the reader's number table, and all its known keys.
+_NUMBER_KEYS = {
+    GroundTruth: (*_RECT_KEYS, *_CUBOID_KEYS, "truncation", "alpha"),
+    DetectionBox: (*_RECT_KEYS, *_CUBOID_KEYS, "truncation", "alpha", "score"),
+}
+_KNOWN_KEYS = {
+    GroundTruth: {*_NUMBER_KEYS[GroundTruth], *(key for key, *_ in _GT_FIELDS)},
+    DetectionBox: {*_NUMBER_KEYS[DetectionBox], *(key for key, *_ in _BOX_FIELDS)},
+}
+_DEFAULTS = {key: default for key, _, default, _ in _BOX_FIELDS}
+
+
+def _columns_from_dicts(kind: type, raw: list) -> _Columns | None:
+    """The columns of the records ``_record_from_dict`` reads from the objects of raw, a field at a time.
+
+    Objects with the same keys in the same order are read together, each key
+    of all of them at once, and every type and range check of the record
+    path runs over a whole column. None when some object is not one the
+    columns hold exactly as ``_record_from_dict`` reads it: a malformed one,
+    or a rare valid one, such as an occlusion beyond int64. The caller then
+    runs ``_record_from_dict`` on each object in turn, which raises the
+    first error, or builds the records.
+    """
+    if set(map(type, raw)) - {dict}:
+        return None
+    known = _KNOWN_KEYS[kind]
+    groups: dict[tuple, list[int]] = {}
+    for i, shape in enumerate(map(tuple, raw)):
+        groups.setdefault(shape, []).append(i)
+    # Each known key's values in group order; a group without the key takes its default.
+    columns: dict[str, list] = {}
+    has_cuboid, extra, done = [], {}, 0
+    for shape, members in groups.items():
+        keys = set(shape)
+        cuboid = keys.issuperset(_CUBOID_KEYS)
+        if not keys.issuperset(_RECT_KEYS) or (keys.intersection(_CUBOID_KEYS) and not cuboid):
+            return None
+        records = [raw[i] for i in members]
+        for key, values in zip(shape, zip(*map(itemgetter(*shape), records))):
+            if key in known:
+                column = columns.setdefault(key, [])
+                column += [_DEFAULTS.get(key, 0.0)] * (done - len(column))
+                column += values
+        has_cuboid += [cuboid] * len(members)
+        unknown = [key for key in shape if key not in known]
+        for i, record in zip(members, records) if unknown else ():
+            extra[i] = {key: record[key] for key in unknown}
+            try:
+                _require_finite_extra(extra[i], "")
+            except ValueError:
+                return None
+        done += len(members)
+    for key in known:
+        column = columns.setdefault(key, [])
+        column += [_DEFAULTS.get(key, 0.0)] * (done - len(column))
+    types = {key: set(map(type, column)) for key, column in columns.items()}
+    confs = ("class_conf", "pred_conf") if kind is DetectionBox else ()
+    if not (
+        set().union(*(types[key] for key in _NUMBER_KEYS[kind])) <= {float, int}
+        and types["label"] <= {str}
+        and types["dontcare"] <= {bool}
+        and types["occlusion"] <= {float, int}
+        and all(types[key] <= {float, int, type(None)} for key in confs)
+    ):
+        return None
+    occlusion = columns["occlusion"]
+    if float in types["occlusion"]:
+        if not all(type(v) is int or v.is_integer() for v in occlusion):
+            return None
+        occlusion = [int(v) for v in occlusion]
+    occlusion = _occlusions(occlusion)
+    try:
+        numbers = np.array([columns[key] for key in _NUMBER_KEYS[kind]], dtype=float)
+        # A null confidence reads as NaN, and as absent.
+        conf = {key: np.array(columns[key], dtype=float) for key in confs}
+    except OverflowError:  # an integer too large for a float
+        return None
+    if occlusion.dtype != np.int64 or not np.isfinite(numbers).all():
+        return None
+    table = dict(
+        has_cuboid=np.array(has_cuboid, dtype=bool),
+        label=columns["label"],
+        truncation=numbers[11],
+        occlusion=occlusion,
+        alpha=numbers[12],
+        dontcare=np.array(columns["dontcare"], dtype=bool),
+        extra=extra,
+    )
+    if kind is DetectionBox:
+        table["score"] = numbers[13]
+    for key in confs:
+        table["has_" + key] = has = np.array([v is not None for v in columns[key]], dtype=bool)
+        table[key] = conf[key]
+        if not np.isfinite(conf[key][has]).all():
+            return None
+    if len(groups) > 1:
+        # Back from group order to the objects' order.
+        order = np.argsort(np.concatenate(list(groups.values())), kind="stable")
+        numbers = numbers[:, order]
+        table = {
+            key: [value[i] for i in order.tolist()] if key == "label" else value if key == "extra" else value[order]
+            for key, value in table.items()
+        }
+    rects, cuboids = numbers[:4].T.copy(), numbers[4:11].T.copy()
+    if not _geometry_accepted(rects, cuboids):
+        return None
+    return _Columns(kind, rects=rects, cuboids=cuboids, **table)
+
+
 def _record_to_dict(record: DetectionBox | GroundTruth) -> dict:
     """The JSON object of a record: geometry keys, table fields, then extra keys."""
     out = dict(zip(_RECT_KEYS, _rect_coords(record.rect)))
@@ -203,6 +316,10 @@ def scene_from_dict(data: dict, where: str = "scene") -> Scene:
     where = f"{where}: scene {scene_id!r}"
     _require_finite_extra(data, where)
     camera = data.pop("camera", None)
+    box_columns = _columns_from_dicts(DetectionBox, boxes_raw)
+    gt_columns = _columns_from_dicts(GroundTruth, gts_raw)
+    if box_columns is not None and gt_columns is not None:
+        return Scene._of_columns(scene_id, box_columns, gt_columns, camera, data)
     boxes = [_record_from_dict(DetectionBox, b, f"{where} box {i}") for i, b in enumerate(boxes_raw)]
     gts = [_record_from_dict(GroundTruth, g, f"{where} gt {i}") for i, g in enumerate(gts_raw)]
     return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)

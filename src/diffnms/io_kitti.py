@@ -21,7 +21,9 @@ import math
 import os
 from typing import Iterable, Sequence
 
-from .boxes import DetectionBox, GroundTruth, Scene
+import numpy as np
+
+from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _geometry_accepted
 from .geometry import Cuboid3D, Rect2D
 from .io_jsonl import _integer, _text_lines
 
@@ -136,28 +138,109 @@ def _check_labels_dir(labels_dir: str | os.PathLike | None) -> None:
         raise ValueError(f"{os.fspath(labels_dir)}: labels path is not a directory")
 
 
+def _kitti_columns(kind: type, rows: list[list[float]], labels: list[str]) -> _Columns | None:
+    """The columns of the records parse_kitti_label makes of lines of labels and numbers rows, or None
+    when some line is one it rejects, or one whose occlusion int64 cannot hold."""
+    width = _DET_FIELDS if kind is DetectionBox else _GT_FIELDS
+    values = np.array(rows, dtype=float).reshape(-1, width - 1)
+    truncation, occlusion, alpha = values[:, 0], values[:, 1], values[:, 2]
+    rects = values[:, 3:7]
+    h, w, length, x, y, z, yaw = values[:, 7:14].T
+    dontcare = np.array([label == "DontCare" for label in labels], dtype=bool)
+    has_cuboid = ~dontcare
+    # Overflows and NaNs are rejected below, as the records reject them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cuboids = np.stack([x, y - h / 2.0, z, w, h, length, yaw], axis=1)[has_cuboid]
+        integral = np.abs(occlusion) < 2.0**63
+    finite = [truncation, alpha, values[:, _GT_FIELDS - 1 : width - 1]]
+    if not all(np.isfinite(column).all() for column in finite) or not integral.all():
+        return None
+    if (occlusion != np.floor(occlusion)).any() or not _geometry_accepted(rects, cuboids):
+        return None
+    columns = np.zeros((len(rows), 7))
+    columns[has_cuboid] = cuboids
+    out = dict(
+        rects=rects.copy(),
+        cuboids=columns,
+        has_cuboid=has_cuboid,
+        label=labels,
+        truncation=truncation.copy(),
+        occlusion=occlusion.astype(np.int64),
+        alpha=alpha.copy(),
+        dontcare=dontcare,
+        raw_fields={i: tuple(row[: _GT_FIELDS - 1]) for i, row in enumerate(rows)},
+    )
+    if kind is DetectionBox:
+        n = len(rows)
+        out.update(
+            score=values[:, 14].copy(),
+            class_conf=np.full(n, np.nan),
+            has_class_conf=np.zeros(n, dtype=bool),
+            pred_conf=np.full(n, np.nan),
+            has_pred_conf=np.zeros(n, dtype=bool),
+        )
+    return _Columns(kind, **out)
+
+
+def _read_kitti_columns(scene_id: str, paths: list[str]) -> Scene | None:
+    """The scene read_kitti_file reads from the label file paths[0] and the labels file paths[1:], as columns.
+
+    Each line is split and its numbers parsed with float(), as
+    parse_kitti_label does; the checks then run over all lines at once. None
+    when any line or file would raise, or is one the columns cannot hold: the
+    caller reads the files again, line by line, which raises the first error
+    in the order the line-by-line read meets it.
+    """
+    parsed = {_GT_FIELDS: ([], []), _DET_FIELDS: ([], [])}
+    try:
+        for k, path in enumerate(paths):
+            for _, line in _text_lines(path, "ascii"):
+                tokens = line.split()
+                if len(tokens) not in parsed or (k and len(tokens) == _DET_FIELDS):
+                    return None
+                rows, labels = parsed[len(tokens)]
+                rows.append(list(map(float, tokens[1:])))
+                labels.append(tokens[0])
+    except (ValueError, OSError):
+        return None
+    boxes = _kitti_columns(DetectionBox, *parsed[_DET_FIELDS])
+    gts = _kitti_columns(GroundTruth, *parsed[_GT_FIELDS])
+    if boxes is None or gts is None:
+        return None
+    return Scene._of_columns(scene_id, boxes, gts)
+
+
 def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | None = None) -> Scene:
     """Read one label file into a scene named after the file; 15-field lines
     become ground truths and 16-field lines detections. Blank lines are
     skipped. When labels_dir holds a file of the same name, its ground truths
     are merged in; a scored line there, or a labels_dir that is not a
-    directory, raises ValueError naming its path."""
+    directory, raises ValueError naming its path. The scene holds its
+    records as columns (``_read_kitti_columns``) unless a line needs the
+    line-by-line parse."""
     _check_labels_dir(labels_dir)
-    scene = Scene(scene_id=os.path.splitext(os.path.basename(os.fspath(path)))[0])
+    scene_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+    paths = [path]
+    if labels_dir is not None:
+        label_path = os.path.join(labels_dir, os.path.basename(os.fspath(path)))
+        if os.path.exists(label_path):
+            paths.append(label_path)
+    scene = _read_kitti_columns(scene_id, paths)
+    if scene is not None:
+        return scene
+    scene = Scene(scene_id=scene_id)
     for number, line in _text_lines(path, "ascii", f"{os.fspath(path)}: "):
         record = parse_kitti_label(line, line_number=number)
         if isinstance(record, DetectionBox):
             scene.boxes.append(record)
         else:
             scene.gts.append(record)
-    if labels_dir is not None:
-        label_path = os.path.join(labels_dir, os.path.basename(os.fspath(path)))
-        if os.path.exists(label_path):
-            for number, line in _text_lines(label_path, "ascii", f"{label_path}: "):
-                record = parse_kitti_label(line, line_number=number)
-                if isinstance(record, DetectionBox):
-                    raise ValueError(f"{label_path}: line {number}: a labels file holds no scored detections")
-                scene.gts.append(record)
+    for label_path in paths[1:]:
+        for number, line in _text_lines(label_path, "ascii", f"{label_path}: "):
+            record = parse_kitti_label(line, line_number=number)
+            if isinstance(record, DetectionBox):
+                raise ValueError(f"{label_path}: line {number}: a labels file holds no scored detections")
+            scene.gts.append(record)
     return scene
 
 

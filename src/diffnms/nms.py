@@ -201,6 +201,7 @@ def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
 
 
 _OVERLAP_RANGE = "overlap values must be finite and lie in [0, 1]"
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 class _MatrixOverlaps:
@@ -260,8 +261,16 @@ def _overlap_source(overlaps, n: int, in_range: bool = True) -> RectOverlaps | _
             raise ValueError(f"expected the ({n}, {n}) overlap matrix, got {type(overlaps).__name__}") from None
         if matrix.shape != (n, n):
             raise ValueError(f"overlap matrix must have shape ({n}, {n}), got {matrix.shape}")
-        # A NaN makes both comparisons false, and an infinity fails one of them.
-        if in_range and matrix.size and not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+        # As unsigned integers, the bits of +0.0 to 1.0 are exactly those up to
+        # 1.0's, so one pass accepts them. Anything else, -0.0 included, takes
+        # the float comparisons, where a NaN makes both false and an infinity
+        # fails one of them.
+        if (
+            in_range
+            and matrix.size
+            and matrix.view(np.uint64).max() > _ONE_BITS
+            and not (matrix.min() >= 0.0 and matrix.max() <= 1.0)
+        ):
             raise ValueError(_OVERLAP_RANGE)
         return _MatrixOverlaps(matrix)
     if len(overlaps) != n:
@@ -434,7 +443,7 @@ def _scene_blocks(bounds: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None, boxes=None):
+def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None, boxes=None, top=None):
     """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores, o_mt).
 
     The first four have a row per row of S: the stable descending score sort
@@ -444,7 +453,8 @@ def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None, boxes=None
     source.pairs(order[b, i], order[b, j]). boxes, (B, n), gives the source
     index of each entry of S, or -1 for padding, whose score must be -inf so
     that it sorts last; by default entry (b, k) is box k. A single unpatched
-    row is grouped by _group_tops, several by _group_rows.
+    row is grouped by _group_tops, several by _group_rows; top, when given,
+    is that grouping, already found for these rows.
     patch = (i, t, delta), length-B arrays, adds delta[b] to row b's reads of
     o[i[b], t[b]] and o[t[b], i[b]]; a row with i[b] = -1 is unpatched.
     """
@@ -461,7 +471,8 @@ def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None, boxes=None
         patch = (ki, kt, delta)
     if boxes is not None:
         order = boxes.ravel()[at].reshape(B, n)
-    top = _row_tops(source, order, cfg, patch)
+    if top is None:
+        top = _row_tops(source, order, cfg, patch)
     # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
     # and each member's rescore is one gather over its top.
     members = np.flatnonzero((top >= 0) & (top != np.arange(n)))
@@ -693,7 +704,7 @@ def _validate_scenes(s: np.ndarray, bounds: np.ndarray, uppers) -> np.ndarray:
 
 
 def _nms_scenes(
-    s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variant: NmsVariant, clusters=None
+    s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variant: NmsVariant, clusters=None, tops=None
 ) -> list[RescoreResult]:
     """run_nms of each scene of a corpus, in one pass: scene k holds boxes bounds[k]:bounds[k + 1].
 
@@ -708,11 +719,16 @@ def _nms_scenes(
     RectOverlaps reads only the pairs within a zero-overlap cluster.
     clusters() returns source._clusters(bounds), the partition the greedy
     lanes and those reads share; a caller running several variants passes
-    one that computes it once. Indices in each result are relative to its
-    scene.
+    one that computes it once. tops maps each block's index to the
+    GroupPartition.top array of its rows, which masked and grouped-inverse
+    share: the first of them to group a block adds it, and a caller running
+    both on the same scores, source and cfg passes one dict to both.
+    Indices in each result are relative to its scene.
     """
     if clusters is None:
         clusters = functools.partial(source._clusters, bounds)
+    if tops is None:
+        tops = {}
     if variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT):
         rescores = _greedy_nms(s, source, cfg, bounds, clusters)
         pre_clip = rescores.copy()
@@ -721,10 +737,10 @@ def _nms_scenes(
         systems = []
         # A one-scene corpus is its own row, in box order; more scenes are
         # grouped block by block (_scene_blocks).
-        for boxes in [None] if len(bounds) == 2 else _scene_blocks(bounds):
+        for block, boxes in enumerate([None] if len(bounds) == 2 else _scene_blocks(bounds)):
             S = s[None] if boxes is None else np.where(boxes >= 0, s[boxes], -np.inf)
             if variant is NmsVariant.MASKED:
-                rows = _masked_sorted(S, source, cfg, boxes=boxes)[2]
+                _, tops[block], rows = _masked_sorted(S, source, cfg, boxes=boxes, top=tops.get(block))[:3]
                 if boxes is None:
                     pre_clip = rows[0]
                 else:
@@ -737,7 +753,9 @@ def _nms_scenes(
                 systems += [row[row >= 0] for row in order]
             else:
                 # One key per group of the block: its row's offset plus its top's sorted index.
-                top = _row_tops(source, order, cfg)
+                if block not in tops:
+                    tops[block] = _row_tops(source, order, cfg)
+                top = tops[block]
                 keys = np.where(top >= 0, top + np.arange(len(order))[:, None] * order.shape[1], -1)
                 systems += [order.ravel()[idx] for idx in _split_groups(keys.ravel())]
         # Each system, its boxes in score order, is one unit lower-triangular solve.

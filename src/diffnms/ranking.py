@@ -11,8 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boxes import DetectionBox, GroundTruth
-from .geometry import _iou3d_rows, cuboid_array, giou3d_matrix, iou2d_matrix, rect_array
+from .boxes import DetectionBox, GroundTruth, _Columns
+from .geometry import _iou3d_rows, giou3d_matrix, iou2d_matrix
 
 __all__ = [
     "DEFAULT_BETA",
@@ -41,13 +41,14 @@ def q_match(box: DetectionBox, gt: GroundTruth) -> float:
     """
     if box.cuboid is None or gt.cuboid is None:
         return 0.0
-    return float(_quality_matrix([box], [gt])[0, 0])
+    boxes, gts = _Columns.from_records(DetectionBox, [box]), _Columns.from_records(GroundTruth, [gt])
+    return float(_quality_matrix(boxes, [0], gts, [0])[0, 0])
 
 
-def _quality_matrix(boxes: Sequence[DetectionBox], gts: Sequence[GroundTruth]) -> np.ndarray:
-    """q_match of every box x ground-truth pair, for records that all have cuboids."""
-    iou = iou2d_matrix(rect_array([b.rect for b in boxes]), rect_array([g.rect for g in gts]))
-    giou = giou3d_matrix(cuboid_array([b.cuboid for b in boxes]), cuboid_array([g.cuboid for g in gts]))
+def _quality_matrix(boxes: _Columns, rows, gts: _Columns, cols) -> np.ndarray:
+    """q_match of every pair of a box at rows and a ground truth at cols, all of which have cuboids."""
+    iou = iou2d_matrix(boxes.rects[rows], gts.rects[cols])
+    giou = giou3d_matrix(boxes.cuboids[rows], gts.cuboids[cols])
     return iou * (1.0 + giou) / 2.0
 
 
@@ -81,17 +82,19 @@ def assign_targets(
     n_boxes, n_gts = len(boxes), len(gts)
     quality = np.zeros((n_boxes, n_gts))
     # q_match over the boxes with cuboids and the usable ground truths, one matrix.
-    rows = [i for i, box in enumerate(boxes) if box.cuboid is not None]
-    cols = [j for j, gt in enumerate(gts) if filter_gts([gt], None)]
+    box_columns = _Columns.from_records(DetectionBox, boxes)
+    gt_columns = _Columns.from_records(GroundTruth, gts)
+    rows = np.flatnonzero(box_columns.has_cuboid)
+    cols = _evaluable(gt_columns, None)
     targets = np.zeros(n_boxes, dtype=int)
     matched = np.full(n_boxes, -1, dtype=int)
-    if rows and cols:
-        usable = _quality_matrix([boxes[i] for i in rows], [gts[j] for j in cols])
+    if rows.size and cols.size:
+        usable = _quality_matrix(box_columns, rows, gt_columns, cols)
         quality[np.ix_(rows, cols)] = usable
         # argmax takes the first maximum, so ties go to the lower box index.
         for c, k in enumerate(usable.argmax(axis=0).tolist()):
             if usable[k, c] >= beta:
-                best, col = rows[k], cols[c]
+                best, col = int(rows[k]), int(cols[c])
                 targets[best] = 1
                 if matched[best] < 0:
                     matched[best] = col
@@ -214,21 +217,21 @@ DEFAULT_DIFFICULTY_RULES: dict[Difficulty, DifficultyRule] = {
 }
 
 
+def _evaluable(gts: _Columns, rule: DifficultyRule | None) -> np.ndarray:
+    """The positions of the ground truths ``filter_gts`` keeps, in order."""
+    keep = ~gts.dontcare & gts.has_cuboid
+    if rule is not None:
+        height = gts.rects[:, 3] - gts.rects[:, 1]
+        keep &= ~(
+            (height < rule.min_height) | (gts.occlusion > rule.max_occlusion) | (gts.truncation > rule.max_truncation)
+        )
+    return np.flatnonzero(keep)
+
+
 def filter_gts(gts: Sequence[GroundTruth], rule: DifficultyRule | None) -> list[GroundTruth]:
     """Evaluable ground truths: never DontCare, must have a cuboid, and must
     satisfy the difficulty rule when one is given."""
-    out = []
-    for gt in gts:
-        if gt.dontcare or gt.cuboid is None:
-            continue
-        if rule is not None and (
-            gt.height < rule.min_height
-            or gt.occlusion > rule.max_occlusion
-            or gt.truncation > rule.max_truncation
-        ):
-            continue
-        out.append(gt)
-    return out
+    return [gts[j] for j in _evaluable(_Columns.from_records(GroundTruth, gts), rule).tolist()]
 
 
 _RECALL_POINTS = 40
@@ -238,34 +241,36 @@ _FIRST_BLOCK = 4
 
 
 def _greedy_hits(
-    scenes: Sequence[tuple[Sequence[DetectionBox], Sequence[GroundTruth]]], iou_threshold: float
+    dets: Sequence[tuple[np.ndarray, np.ndarray]], gts: Sequence[np.ndarray], iou_threshold: float
 ) -> list[list[bool]]:
     """Per scene, whether each detection is a true positive under greedy matching.
 
-    scenes holds (detections in matching order, evaluable ground truths). Each
-    detection claims the unclaimed ground truth with the highest positive
-    IoU3D (the lower index on ties) and is a hit when that IoU reaches the
-    threshold. IoU3D is computed only against ground truths still unclaimed,
-    for a block of detections of every scene per kernel call. Blocks double
-    in size, and a scene drops out once all its ground truths are claimed, so
-    scenes whose ground truths are claimed early cost few pairs.
+    dets[s] holds the cuboids and has_cuboid mask of scene s's detections in
+    matching order, and gts[s] the cuboids of its evaluable ground truths.
+    Each detection claims the unclaimed ground truth with the highest
+    positive IoU3D (the lower index on ties) and is a hit when that IoU
+    reaches the threshold. IoU3D is computed only against ground truths
+    still unclaimed, for a block of detections of every scene per kernel
+    call. Blocks double in size, and a scene drops out once all its ground
+    truths are claimed, so scenes whose ground truths are claimed early cost
+    few pairs.
     """
-    hits = [[False] * len(dets) for dets, _ in scenes]
+    hits = [[False] * len(cuboids) for cuboids, _ in dets]
     # Scene s owns the ground truths bounds[s]:bounds[s + 1] of the stacked array.
-    bounds = list(accumulate((len(gts) for _, gts in scenes), initial=0))
+    bounds = list(accumulate(map(len, gts), initial=0))
     claimed = [False] * bounds[-1]
-    gt_cuboids = cuboid_array([gt.cuboid for _, gts in scenes for gt in gts])
+    gt_cuboids = np.concatenate([np.zeros((0, 7)), *gts])
     # Detections without a cuboid match nothing, so only those with one are visited.
-    visit = [[k for k, det in enumerate(dets) if det.cuboid is not None] for dets, _ in scenes]
-    active = [s for s, (_, gts) in enumerate(scenes) if visit[s] and gts]
+    visit = [np.flatnonzero(has_cuboid) for _, has_cuboid in dets]
+    active = [s for s in range(len(dets)) if visit[s].size and len(gts[s])]
     start, size = 0, _FIRST_BLOCK
     while active:
         plan = []
         for s in active:
             open_gts = [g for g in range(bounds[s], bounds[s + 1]) if not claimed[g]]
-            plan += [(s, k, open_gts) for k in visit[s][start : start + size]]
-        dets = cuboid_array([scenes[s][0][k].cuboid for s, k, _ in plan])
-        values, row_bounds = _iou3d_rows(dets, gt_cuboids, [g for _, _, g in plan])
+            plan += [(s, k, open_gts) for k in visit[s][start : start + size].tolist()]
+        block = np.concatenate([dets[s][0][visit[s][start : start + size]] for s in active])
+        values, row_bounds = _iou3d_rows(block, gt_cuboids, [g for _, _, g in plan])
         values = values.tolist()
         for (s, k, open_gts), lo, hi in zip(plan, row_bounds, row_bounds[1:]):
             # max and index take the first maximum, so ties go to the lower index.
@@ -276,8 +281,49 @@ def _greedy_hits(
                 hits[s][k] = True
         start += size
         size *= 2
-        active = [s for s in active if start < len(visit[s]) and not all(claimed[bounds[s] : bounds[s + 1]])]
+        active = [s for s in active if start < visit[s].size and not all(claimed[bounds[s] : bounds[s + 1]])]
     return hits
+
+
+def _ap_r40(
+    dets: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], gts: Sequence[np.ndarray], iou_threshold: float
+) -> float | None:
+    """eval_ap_r40 of scenes as arrays: dets[s] the (score, cuboids, has_cuboid) of scene s's
+    detections that take part, in input order, and gts[s] the cuboids of its evaluable ground truths."""
+    total_gts = sum(map(len, gts))
+    if total_gts == 0:
+        return None
+    # A stable sort keeps the lower index first among equal scores.
+    orders = [np.argsort(-score, kind="stable") for score, _, _ in dets]
+    scores = np.concatenate([np.zeros(0), *(score[order] for (score, _, _), order in zip(dets, orders))])
+    ranked = [(cuboids[order], has_cuboid[order]) for (_, cuboids, has_cuboid), order in zip(dets, orders)]
+    hits = np.array([hit for scene_hits in _greedy_hits(ranked, gts, iou_threshold) for hit in scene_hits], dtype=float)
+    if hits.size == 0:
+        return 0.0
+    # scores run in (scene, rank) order, which a stable sort keeps among equal scores.
+    cumulative = np.cumsum(hits[np.argsort(-scores, kind="stable")])
+    precision = cumulative / np.arange(1, hits.size + 1)
+    recall = cumulative / total_gts
+    # best[i] is the best precision at rank i or later, so at recall >= r from the first rank reaching r.
+    best = np.maximum.accumulate(precision[::-1])[::-1].tolist()
+    total = 0.0
+    # One addition at a time in recall-point order (sum() compensates on Python 3.12+), so AP keeps its bits.
+    for at in np.searchsorted(recall, np.arange(1, _RECALL_POINTS + 1) / _RECALL_POINTS).tolist():
+        if at < len(best):
+            total += best[at]
+    return 100.0 * total / _RECALL_POINTS
+
+
+def _eval_columns(
+    scenes: Iterable[tuple[_Columns, _Columns]], iou_threshold: float, rule: DifficultyRule | None
+) -> float | None:
+    """eval_ap_r40 of scenes given as (detection columns, ground-truth columns)."""
+    dets, gts = [], []
+    for boxes, scene_gts in scenes:
+        at = np.flatnonzero(~boxes.dontcare)
+        dets.append((boxes.score[at], boxes.cuboids[at], boxes.has_cuboid[at]))
+        gts.append(scene_gts.cuboids[_evaluable(scene_gts, rule)])
+    return _ap_r40(dets, gts, iou_threshold)
 
 
 def eval_ap_r40(
@@ -297,27 +343,11 @@ def eval_ap_r40(
     for r in {1/40, ..., 40/40}. Returns None when the difficulty filter
     leaves no ground truths, distinguishing "not evaluable" from an AP of zero.
     """
-    # sorted is stable, so equal scores keep the lower index first.
-    ranked = [
-        (sorted((d for d in dets if not d.dontcare), key=lambda d: -d.score), filter_gts(gts, rule))
-        for dets, gts in scene_pairs
-    ]
-    total_gts = sum(len(valid) for _, valid in ranked)
-    if total_gts == 0:
-        return None
-    scores = np.array([det.score for dets, _ in ranked for det in dets], dtype=float)
-    hits = np.array([hit for scene_hits in _greedy_hits(ranked, iou_threshold) for hit in scene_hits], dtype=float)
-    if hits.size == 0:
-        return 0.0
-    # scores run in (scene, rank) order, which a stable sort keeps among equal scores.
-    cumulative = np.cumsum(hits[np.argsort(-scores, kind="stable")])
-    precision = cumulative / np.arange(1, hits.size + 1)
-    recall = cumulative / total_gts
-    # best[i] is the best precision at rank i or later, so at recall >= r from the first rank reaching r.
-    best = np.maximum.accumulate(precision[::-1])[::-1].tolist()
-    total = 0.0
-    # One addition at a time in recall-point order (sum() compensates on Python 3.12+), so AP keeps its bits.
-    for at in np.searchsorted(recall, np.arange(1, _RECALL_POINTS + 1) / _RECALL_POINTS).tolist():
-        if at < len(best):
-            total += best[at]
-    return 100.0 * total / _RECALL_POINTS
+    return _eval_columns(
+        (
+            (_Columns.from_records(DetectionBox, dets), _Columns.from_records(GroundTruth, gts))
+            for dets, gts in scene_pairs
+        ),
+        iou_threshold,
+        rule,
+    )

@@ -12,15 +12,19 @@ greedy loop runs every round over the whole overlap matrix, the scene-by-scene l
 of run_nms calls is what the harness's one pass over a corpus replaced, the per-member loops are the grouped NMS
 forward pass, backward pass and Jacobians that the package's closed-form index
 arithmetic replaced, the dense forward substitution is the one the package's row-blocked
-solve replaced, and the finite-difference loop at the end rescores one perturbed
-instance per masked_rescore call where the package batches them; the package
+solve replaced, the finite-difference loop rescores one perturbed
+instance per masked_rescore call where the package batches them, and the
+record readers at the end build one record per JSONL object or KITTI line,
+as the package's readers did before they read scenes into columns; the package
 must agree with all of them bit for bit. Slow is fine; these only run inside
 tests.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +56,20 @@ from diffnms import (
 )
 from diffnms.geometry import _AREA, _X, _Z, _clipped_area, _cuboid_features, _ordered_pairs
 from diffnms.gradients import _KINK_MARGIN
+from diffnms.io_jsonl import (
+    _BOX_FIELDS,
+    _CUBOID_KEYS,
+    _GT_FIELDS,
+    _RECT_KEYS,
+    _field_error,
+    _integer,
+    _number,
+    _reject_constant,
+    _require_finite_extra,
+    _require_object,
+    _string,
+    _text_lines,
+)
 
 
 # Clipped-polygon vertices closer than this are merged into one.
@@ -760,3 +778,140 @@ def reference_finite_difference_check(
         tolerance=tolerance,
         passed=max_err <= tolerance,
     )
+
+
+# The record readers: one record per JSONL object, built field by field, and
+# one per KITTI line.
+
+
+def reference_record_from_dict(kind: type, data, where: str) -> DetectionBox | GroundTruth:
+    _require_object(data, where)
+    rest = dict(data)
+    for key in _RECT_KEYS:
+        if key not in rest:
+            raise ValueError(f"{where}: missing rectangle key {key!r}")
+    missing = [key for key in _CUBOID_KEYS if key not in rest]
+    if 0 < len(missing) < len(_CUBOID_KEYS):
+        raise ValueError(f"{where}: missing cuboid key {missing[0]!r}")
+    has_cuboid = not missing
+    fields = {}
+    convert = _number
+    try:
+        coords = []
+        for key in _RECT_KEYS + _CUBOID_KEYS if has_cuboid else _RECT_KEYS:
+            value = rest.pop(key)
+            coords.append(_number(value))
+        for key, convert, default, _ in _BOX_FIELDS if kind is DetectionBox else _GT_FIELDS:
+            value = rest.pop(key, default)
+            fields[key] = value if value is default else convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _field_error(where, key, convert, value) from None
+    _require_finite_extra(rest, where)
+    try:
+        rect = Rect2D(*coords[:4])
+        cuboid = Cuboid3D(*coords[4:]) if has_cuboid else None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return kind(rect=rect, cuboid=cuboid, extra=rest, **fields)
+
+
+def reference_scene_from_dict(data: dict, where: str = "scene") -> Scene:
+    _require_object(data, where)
+    data = dict(data)
+    if "id" not in data:
+        raise ValueError(f"{where}: missing scene id")
+    scene_id = data.pop("id")
+    if not isinstance(scene_id, str):
+        raise _field_error(where, "id", _string, scene_id)
+    boxes_raw = data.pop("boxes", [])
+    gts_raw = data.pop("gts", [])
+    if not isinstance(boxes_raw, list) or not isinstance(gts_raw, list):
+        raise ValueError(f"{where}: boxes and gts must be arrays")
+    where = f"{where}: scene {scene_id!r}"
+    _require_finite_extra(data, where)
+    camera = data.pop("camera", None)
+    boxes = [reference_record_from_dict(DetectionBox, b, f"{where} box {i}") for i, b in enumerate(boxes_raw)]
+    gts = [reference_record_from_dict(GroundTruth, g, f"{where} gt {i}") for i, g in enumerate(gts_raw)]
+    return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)
+
+
+def reference_read_scenes_jsonl(path) -> list[Scene]:
+    scenes = []
+    for number, line in _text_lines(path, "utf-8"):
+        try:
+            data = json.loads(line, parse_constant=_reject_constant)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"line {number}: invalid JSON: nested too deeply") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"line {number}: expected a JSON object")
+        scenes.append(reference_scene_from_dict(data, where=f"line {number}"))
+    return scenes
+
+
+def reference_parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth | DetectionBox:
+    where = f"line {line_number}: " if line_number is not None else ""
+    tokens = line.split()
+    if len(tokens) not in (15, 16):
+        raise ValueError(f"{where}expected 15 or 16 fields, got {len(tokens)}")
+    label = tokens[0]
+    try:
+        values = tuple(float(tok) for tok in tokens[1:])
+    except ValueError as exc:
+        raise ValueError(f"{where}non-numeric field: {exc}") from None
+    truncation, occlusion_raw, alpha = values[0], values[1], values[2]
+    try:
+        occlusion = _integer(occlusion_raw)
+    except TypeError:
+        raise ValueError(f"{where}occlusion must be an integer, got {occlusion_raw!r}") from None
+    checked = {"truncation": truncation, "alpha": alpha}
+    if len(tokens) == 16:
+        checked["score"] = values[14]
+    for name, value in checked.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{where}{name} must be finite, got {value!r}")
+    dontcare = label == "DontCare"
+    try:
+        rect = Rect2D(*values[3:7])
+        cuboid = None
+        if not dontcare:
+            h, w, length = values[7:10]
+            x, y, z = values[10:13]
+            cuboid = Cuboid3D(cx=x, cy=y - h / 2.0, cz=z, w=w, h=h, l=length, yaw=values[13])
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
+    common = dict(
+        rect=rect,
+        cuboid=cuboid,
+        label=label,
+        truncation=truncation,
+        occlusion=occlusion,
+        alpha=alpha,
+        dontcare=dontcare,
+        raw_fields=values[:14],
+    )
+    if len(tokens) == 16:
+        return DetectionBox(score=values[14], **common)
+    return GroundTruth(**common)
+
+
+def reference_read_kitti_file(path, labels_dir=None) -> Scene:
+    if labels_dir is not None and not os.path.isdir(labels_dir):
+        raise ValueError(f"{os.fspath(labels_dir)}: labels path is not a directory")
+    scene = Scene(scene_id=os.path.splitext(os.path.basename(os.fspath(path)))[0])
+    for number, line in _text_lines(path, "ascii", f"{os.fspath(path)}: "):
+        record = reference_parse_kitti_label(line, line_number=number)
+        if isinstance(record, DetectionBox):
+            scene.boxes.append(record)
+        else:
+            scene.gts.append(record)
+    if labels_dir is not None:
+        label_path = os.path.join(labels_dir, os.path.basename(os.fspath(path)))
+        if os.path.exists(label_path):
+            for number, line in _text_lines(label_path, "ascii", f"{label_path}: "):
+                record = reference_parse_kitti_label(line, line_number=number)
+                if isinstance(record, DetectionBox):
+                    raise ValueError(f"{label_path}: line {number}: a labels file holds no scored detections")
+                scene.gts.append(record)
+    return scene

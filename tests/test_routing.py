@@ -310,7 +310,7 @@ CORPUS_PASSES = {
     "correlate": (["correlate", "--nms", "soft", "--pruning", "linear"], {"_nms_scenes": 1, "_greedy_nms": 1}),
     "compare-hard": (
         ["compare", "--nms", "classical,masked,full-inverse,grouped-inverse"],
-        {"_nms_scenes": 4, "_greedy_nms": 1, "_masked_sorted": 1, "_group_rows": 2},
+        {"_nms_scenes": 4, "_greedy_nms": 1, "_masked_sorted": 1, "_group_rows": 1},
     ),
     "compare-linear": (
         ["compare", "--nms", "soft,grouped-inverse", "--pruning", "linear"],
@@ -419,3 +419,69 @@ def test_gradcheck_checks_its_trials_in_batches(monkeypatch, capsys):
     assert main(["gradcheck", "--pruning", "sigmoid", "--seed", "7", "--trials", "120"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert calls == Counter({"_check_chunk": 1, "_masked_sorted": 2})
+
+
+def _counting_records(monkeypatch) -> Counter:
+    """Count every DetectionBox and GroundTruth built from here on, dataclasses.replace included."""
+    from diffnms import DetectionBox
+
+    built = Counter()
+    for kind in (DetectionBox, GroundTruth):
+
+        def counting(self, *args, _init=kind.__init__, _name=kind.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counting)
+    return built
+
+
+def _kitti_corpus(tmp_path) -> list[str]:
+    """The golden corpus as one KITTI label file per scene, with a DontCare box in the first."""
+    from diffnms import DetectionBox, write_kitti_dir
+
+    scenes = read_scenes_jsonl(GOLDEN)
+    first = scenes[0]
+    first.boxes.append(
+        DetectionBox(rect=first.boxes[0].rect, cuboid=first.boxes[0].cuboid, score=0.5, label="DontCare", dontcare=True)
+    )
+    write_kitti_dir(tmp_path / "frames", scenes)
+    return ["--input", str(tmp_path / "frames"), "--format", "kitti"]
+
+
+def _written_records(path) -> int:
+    """Boxes and ground truths in a written JSONL file or KITTI directory."""
+    if path.is_dir():
+        return sum(len(p.read_text().splitlines()) for p in path.iterdir())
+    return sum(len(s.boxes) + len(s.gts) for s in read_scenes_jsonl(path))
+
+
+@pytest.mark.parametrize("corpus", ["jsonl", "kitti"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval"],
+        ["compare", "--nms", "classical,masked,full-inverse,grouped-inverse"],
+        ["compare", "--nms", "soft,grouped-inverse", "--pruning", "linear"],
+        ["correlate", "--nms", "soft", "--pruning", "linear"],
+        ["correlate", "--nms", "masked", "--score-mode", "product"],
+    ],
+)
+def test_commands_that_write_no_scenes_build_no_records(monkeypatch, tmp_path, corpus, args):
+    """eval, compare and correlate read the scenes' columns and never build a box or ground-truth record."""
+    inputs = _kitti_corpus(tmp_path) if corpus == "kitti" else ["--input", str(GOLDEN)]
+    built = _counting_records(monkeypatch)
+    assert main([*args, *inputs]) == 0
+    assert built == Counter()
+
+
+@pytest.mark.parametrize("corpus", ["jsonl", "kitti"])
+@pytest.mark.parametrize("extra", [[], ["--keep-all"], ["--nms", "soft", "--pruning", "linear", "--valid", "0.5"]])
+def test_run_builds_only_the_records_it_writes(monkeypatch, tmp_path, corpus, extra):
+    inputs = _kitti_corpus(tmp_path) if corpus == "kitti" else ["--input", str(GOLDEN)]
+    out = tmp_path / ("out" if corpus == "kitti" else "out.jsonl")
+    built = _counting_records(monkeypatch)
+    assert main(["run", *inputs, "--out", str(out), *extra]) == 0
+    written = sum(built.values())
+    monkeypatch.undo()
+    assert 0 < written == _written_records(out)
