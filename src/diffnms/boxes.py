@@ -70,14 +70,46 @@ def _occlusions(values) -> np.ndarray:
     return np.array(values, dtype=object).reshape(-1)
 
 
-def _geometry_accepted(rects: np.ndarray, cuboids: np.ndarray) -> bool:
-    """Whether Rect2D takes every row of rects and Cuboid3D every row of cuboids: finite values,
-    ordered corners, a finite area and non-negative sizes."""
+def _error_of(check, *args) -> ValueError:
+    """The ValueError that check(*args) raises."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _raise_first(stages: list, order=None) -> None:
+    """Raise the error of the row, first in order (by default the rows' own), that some check rejects.
+
+    stages holds, in the order a record's checks run, (rows, fail) for each
+    check: the rows it rejects, and fail(row), the error it raises for one of
+    them. A row that several checks reject raises the first one's error.
+    """
+    stages = [(set(rows), fail) for rows, fail in stages]
+    rejected = set().union(*(rows for rows, _ in stages))
+    if rejected:
+        row = min(rejected, key=None if order is None else order.__getitem__)
+        raise next(fail(row) for rows, fail in stages if row in rows)
+
+
+def _geometry_stages(rects: np.ndarray, cuboids: np.ndarray, where) -> list:
+    """``_raise_first``'s stages for Rect2D on each row of rects, then Cuboid3D on each row of cuboids: finite
+    values, ordered corners, a finite area and non-negative sizes. Empty when every row passes; where(row) is the
+    prefix of a row's error."""
     x1, y1, x2, y2 = rects.T
+    # A corner that is not finite makes the area NaN or infinite.
     with np.errstate(over="ignore", invalid="ignore"):
         area = (x2 - x1) * (y2 - y1)
-    finite = np.isfinite(rects).all() and np.isfinite(area).all() and np.isfinite(cuboids).all()
-    return bool(finite and not ((x1 > x2).any() or (y1 > y2).any() or (cuboids[:, 3:6] < 0.0).any()))
+    rect_rejected = ~np.isfinite(area) | (x1 > x2) | (y1 > y2)
+    cuboid_rejected = ~np.isfinite(cuboids).all(axis=1) | (cuboids[:, 3:6] < 0.0).any(axis=1)
+    if not (rect_rejected.any() or cuboid_rejected.any()):
+        return []
+    return [
+        (np.flatnonzero(rejected).tolist(), lambda row, shape=shape, rows=rows: ValueError(
+            f"{where(row)}{_error_of(shape, *rows[row].tolist())}"
+        ))
+        for shape, rows, rejected in ((Rect2D, rects, rect_rejected), (Cuboid3D, cuboids, cuboid_rejected))
+    ]
 
 
 class _Columns:
@@ -201,11 +233,12 @@ class _RecordList:
 class Scene:
     """One image worth of detections and ground truths.
 
-    The readers store a scene's boxes and ground truths as columns; the
-    boxes and gts lists are built from them on first access and kept from
-    then on. A scene built from records keeps its records. The package's
-    consumers read columns (``_columns``), which a scene holding records
-    derives from them at each call, so a record edited in place is seen.
+    A scene read from a file always stores its boxes and ground truths as
+    columns; the boxes and gts lists are built from them on first access and
+    kept from then on. A scene built from records keeps its records. The
+    package's consumers read columns (``_columns``), which a scene holding
+    records derives from them at each call, so a record edited in place is
+    seen.
     """
 
     scene_id: str

@@ -9,8 +9,8 @@ center and dimensions (cx, cy, cz, w, h, l, yaw: all seven, or none when
 there is no cuboid), then the fields of one table per record kind:
 _BOX_FIELDS for boxes, _GT_FIELDS for ground truths. One reader and one
 writer serve both kinds; the reader fills a scene's columns, checked a field
-at a time, and reads a scene whose checks fail record by record, for its
-error. Keys the reader does not know are preserved on the
+at a time, and a failed check raises the error of the first record that
+fails one. Keys the reader does not know are preserved on the
 record and written back after the known ones, in their original order, so
 files survive a read-write cycle unchanged. Floats are written with the
 shortest representation that parses back to the same value (Python's
@@ -30,8 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _geometry_accepted, _occlusions
-from .geometry import Cuboid3D, Rect2D
+from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _error_of, _geometry_stages, _occlusions, _raise_first
 
 __all__ = ["iter_scenes_jsonl", "read_scenes_jsonl", "write_scenes_jsonl"]
 
@@ -64,7 +63,7 @@ def _integer(value) -> int:
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError
-    return value
+    return int(value)
 
 
 def _flag(value) -> bool:
@@ -76,7 +75,7 @@ def _flag(value) -> bool:
 def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError
-    return value
+    return str(value)
 
 
 _KINDS = {_number: "a number", _integer: "an integer", _flag: "a boolean", _string: "a string"}
@@ -128,67 +127,87 @@ def _require_object(data, where: str) -> None:
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
 
 
-def _record_from_dict(kind: type, data, where: str) -> DetectionBox | GroundTruth:
-    """A DetectionBox or GroundTruth from its JSON object, each field converted once.
-
-    Keys outside the field table stay on the record as extra. The first
-    malformed field raises a ValueError naming where and the field.
-    """
-    _require_object(data, where)
-    rest = dict(data)
-    for key in _RECT_KEYS:
-        if key not in rest:
-            raise ValueError(f"{where}: missing rectangle key {key!r}")
-    missing = [key for key in _CUBOID_KEYS if key not in rest]
-    if 0 < len(missing) < len(_CUBOID_KEYS):
-        raise ValueError(f"{where}: missing cuboid key {missing[0]!r}")
-    has_cuboid = not missing
-    fields = {}
-    convert = _number
-    try:
-        coords = []
-        for key in _RECT_KEYS + _CUBOID_KEYS if has_cuboid else _RECT_KEYS:
-            value = rest.pop(key)
-            coords.append(_number(value))
-        for key, convert, default, _ in _BOX_FIELDS if kind is DetectionBox else _GT_FIELDS:
-            value = rest.pop(key, default)
-            fields[key] = value if value is default else convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _field_error(where, key, convert, value) from None
-    _require_finite_extra(rest, where)
-    try:
-        rect = Rect2D(*coords[:4])
-        cuboid = Cuboid3D(*coords[4:]) if has_cuboid else None
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    return kind(rect=rect, cuboid=cuboid, extra=rest, **fields)
+# The checks of a record's fields, in the order the reader runs them: each coordinate, then each field of the kind's
+# table. A row holds the key, its converter, the value of a record without the key, and the types a column takes
+# as they are.
+_PLAIN = {_number: {float, int}, _integer: {float, int}, _flag: {bool}, _string: {str}}
 
 
-# The number keys of each record kind, in the row order of the reader's number table, and all its known keys.
+def _checks(fields: tuple) -> tuple:
+    rows = [(key, _number, 0.0) for key in _RECT_KEYS + _CUBOID_KEYS] + [row[:3] for row in fields]
+    return tuple((key, convert, default, {*_PLAIN[convert], type(default)}) for key, convert, default in rows)
+
+
+_CHECKS = {GroundTruth: _checks(_GT_FIELDS), DetectionBox: _checks(_BOX_FIELDS)}
+# The number keys of each record kind, in the row order of the reader's number table; its known keys; their defaults.
 _NUMBER_KEYS = {
     GroundTruth: (*_RECT_KEYS, *_CUBOID_KEYS, "truncation", "alpha"),
     DetectionBox: (*_RECT_KEYS, *_CUBOID_KEYS, "truncation", "alpha", "score"),
 }
-_KNOWN_KEYS = {
-    GroundTruth: {*_NUMBER_KEYS[GroundTruth], *(key for key, *_ in _GT_FIELDS)},
-    DetectionBox: {*_NUMBER_KEYS[DetectionBox], *(key for key, *_ in _BOX_FIELDS)},
-}
-_DEFAULTS = {key: default for key, _, default, _ in _BOX_FIELDS}
+_KNOWN_KEYS = {kind: {key for key, *_ in checks} for kind, checks in _CHECKS.items()}
+_DEFAULTS = {key: default for key, _, default, _ in _CHECKS[DetectionBox]}
+_CONFS = {GroundTruth: (), DetectionBox: ("class_conf", "pred_conf")}
 
 
-def _columns_from_dicts(kind: type, raw: list) -> _Columns | None:
-    """The columns of the records ``_record_from_dict`` reads from the objects of raw, a field at a time.
+def _plain_arrays(kind: type, columns: dict) -> tuple[np.ndarray, dict]:
+    """The number table of the known keys' columns, in _NUMBER_KEYS order, and their occlusion and confidence
+    columns. TypeError, ValueError or OverflowError unless each value is of a type its column takes as it is, and
+    one its converter accepts."""
+    types = {key: set(map(type, column)) for key, column in columns.items()}
+    if not all(types[key] <= plain for key, _, _, plain in _CHECKS[kind]):
+        raise TypeError
+    occlusion = columns["occlusion"]
+    if float in types["occlusion"]:
+        occlusion = list(map(_integer, occlusion))
+    numbers = np.array([columns[key] for key in _NUMBER_KEYS[kind]], dtype=float)
+    table = {"occlusion": _occlusions(occlusion)}
+    for key in _CONFS[kind]:
+        # A null confidence reads as NaN, and as absent.
+        table[key] = conf = np.array(columns[key], dtype=float)
+        table["has_" + key] = has = np.array([v is not None for v in columns[key]], dtype=bool)
+        if not np.isfinite(conf[has]).all():
+            raise ValueError
+    if not np.isfinite(numbers).all():
+        raise ValueError
+    return numbers, table
+
+
+def _field_stages(kind: type, columns: dict, where) -> list:
+    """Convert each value of the known keys' columns in place, as its converter does, and return
+    ``_raise_first``'s stages for the values the converters reject, which become their key's default. A value
+    that is its key's default is kept, as a record field left at its default."""
+    stages = []
+    for key, convert, default, _ in _CHECKS[kind]:
+        column, converted, rejected = columns[key], [], []
+        for row, value in enumerate(column):
+            try:
+                converted.append(value if value is default else convert(value))
+            except (TypeError, ValueError, OverflowError):
+                converted.append(default)
+                rejected.append(row)
+        columns[key] = converted
+        stages.append((rejected, lambda row, key=key, convert=convert, column=column: _field_error(
+            where(row), key, convert, column[row]
+        )))
+    return stages
+
+
+def _columns_from_dicts(kind: type, raw: list, where: str) -> _Columns:
+    """The columns of the records of kind that the objects of raw hold, read a field at a time.
 
     Objects with the same keys in the same order are read together, each key
-    of all of them at once, and every type and range check of the record
-    path runs over a whole column. None when some object is not one the
-    columns hold exactly as ``_record_from_dict`` reads it: a malformed one,
-    or a rare valid one, such as an occlusion beyond int64. The caller then
-    runs ``_record_from_dict`` on each object in turn, which raises the
-    first error, or builds the records.
+    of all of them at once, and each check runs over a whole column. The
+    first object that fails one, named "{where} {i}" by its position i,
+    raises the error of its first failing check: it is an object; it has
+    every rectangle key, and every cuboid key or none; each coordinate, then
+    each table field; no non-finite value under a kept key; Rect2D; Cuboid3D.
     """
-    if set(map(type, raw)) - {dict}:
-        return None
+    if not set(map(type, raw)) <= {dict}:
+        objects = [isinstance(data, dict) for data in raw]
+        if not all(objects):
+            first = objects.index(False)
+            _columns_from_dicts(kind, raw[:first], where)  # the objects before it raise first
+            _require_object(raw[first], f"{where} {first}")
     known = _KNOWN_KEYS[kind]
     groups: dict[tuple, list[int]] = {}
     for i, shape in enumerate(map(tuple, raw)):
@@ -196,81 +215,66 @@ def _columns_from_dicts(kind: type, raw: list) -> _Columns | None:
     # Each known key's values in group order; a group without the key takes its default.
     columns: dict[str, list] = {}
     has_cuboid, extra, done = [], {}, 0
+    missing, non_finite = {}, []  # the group-order rows these checks reject
     for shape, members in groups.items():
+        start, done = done, done + len(members)
         keys = set(shape)
         cuboid = keys.issuperset(_CUBOID_KEYS)
+        has_cuboid += [cuboid] * len(members)
         if not keys.issuperset(_RECT_KEYS) or (keys.intersection(_CUBOID_KEYS) and not cuboid):
-            return None
+            first = next(key for key in _RECT_KEYS + _CUBOID_KEYS if key not in keys)
+            message = f"missing {'rectangle' if first in _RECT_KEYS else 'cuboid'} key {first!r}"
+            missing.update(dict.fromkeys(range(start, done), message))
+            continue
         records = [raw[i] for i in members]
         for key, values in zip(shape, zip(*map(itemgetter(*shape), records))):
             if key in known:
                 column = columns.setdefault(key, [])
-                column += [_DEFAULTS.get(key, 0.0)] * (done - len(column))
+                column += [_DEFAULTS[key]] * (start - len(column))
                 column += values
-        has_cuboid += [cuboid] * len(members)
         unknown = [key for key in shape if key not in known]
-        for i, record in zip(members, records) if unknown else ():
+        for row, (i, record) in enumerate(zip(members, records) if unknown else (), start=start):
             extra[i] = {key: record[key] for key in unknown}
             try:
                 _require_finite_extra(extra[i], "")
             except ValueError:
-                return None
-        done += len(members)
+                non_finite.append(row)
     for key in known:
         column = columns.setdefault(key, [])
-        column += [_DEFAULTS.get(key, 0.0)] * (done - len(column))
-    types = {key: set(map(type, column)) for key, column in columns.items()}
-    confs = ("class_conf", "pred_conf") if kind is DetectionBox else ()
-    if not (
-        set().union(*(types[key] for key in _NUMBER_KEYS[kind])) <= {float, int}
-        and types["label"] <= {str}
-        and types["dontcare"] <= {bool}
-        and types["occlusion"] <= {float, int}
-        and all(types[key] <= {float, int, type(None)} for key in confs)
-    ):
-        return None
-    occlusion = columns["occlusion"]
-    if float in types["occlusion"]:
-        if not all(type(v) is int or v.is_integer() for v in occlusion):
-            return None
-        occlusion = [int(v) for v in occlusion]
-    occlusion = _occlusions(occlusion)
+        column += [_DEFAULTS[key]] * (done - len(column))
+    index = [i for members in groups.values() for i in members]
+
+    def named(row: int) -> str:
+        return f"{where} {index[row]}"
+
+    stages = [(missing, lambda row: ValueError(f"{named(row)}: {missing[row]}"))]
     try:
-        numbers = np.array([columns[key] for key in _NUMBER_KEYS[kind]], dtype=float)
-        # A null confidence reads as NaN, and as absent.
-        conf = {key: np.array(columns[key], dtype=float) for key in confs}
-    except OverflowError:  # an integer too large for a float
-        return None
-    if occlusion.dtype != np.int64 or not np.isfinite(numbers).all():
-        return None
-    table = dict(
+        numbers, table = _plain_arrays(kind, columns)
+    except (TypeError, ValueError, OverflowError):
+        # Some value is malformed, or valid but of a type the columns do not take as it is.
+        stages += _field_stages(kind, columns, named)
+        numbers, table = _plain_arrays(kind, columns)
+    stages.append((non_finite, lambda row: _error_of(_require_finite_extra, extra[index[row]], named(row))))
+    rects, cuboids = numbers[:4].T.copy(), numbers[4:11].T.copy()
+    stages += _geometry_stages(rects, cuboids, lambda row: f"{named(row)}: ")
+    _raise_first(stages, index)
+    table.update(
         has_cuboid=np.array(has_cuboid, dtype=bool),
         label=columns["label"],
         truncation=numbers[11],
-        occlusion=occlusion,
         alpha=numbers[12],
         dontcare=np.array(columns["dontcare"], dtype=bool),
-        extra=extra,
     )
     if kind is DetectionBox:
         table["score"] = numbers[13]
-    for key in confs:
-        table["has_" + key] = has = np.array([v is not None for v in columns[key]], dtype=bool)
-        table[key] = conf[key]
-        if not np.isfinite(conf[key][has]).all():
-            return None
     if len(groups) > 1:
         # Back from group order to the objects' order.
-        order = np.argsort(np.concatenate(list(groups.values())), kind="stable")
-        numbers = numbers[:, order]
+        order = np.argsort(index, kind="stable")
+        rects, cuboids = rects[order], cuboids[order]
         table = {
-            key: [value[i] for i in order.tolist()] if key == "label" else value if key == "extra" else value[order]
-            for key, value in table.items()
+            key: [value[i] for i in order.tolist()] if key == "label" else value[order] for key, value in table.items()
         }
-    rects, cuboids = numbers[:4].T.copy(), numbers[4:11].T.copy()
-    if not _geometry_accepted(rects, cuboids):
-        return None
-    return _Columns(kind, rects=rects, cuboids=cuboids, **table)
+    return _Columns(kind, rects=rects, cuboids=cuboids, extra=extra, **table)
 
 
 def _record_to_dict(record: DetectionBox | GroundTruth) -> dict:
@@ -316,13 +320,9 @@ def scene_from_dict(data: dict, where: str = "scene") -> Scene:
     where = f"{where}: scene {scene_id!r}"
     _require_finite_extra(data, where)
     camera = data.pop("camera", None)
-    box_columns = _columns_from_dicts(DetectionBox, boxes_raw)
-    gt_columns = _columns_from_dicts(GroundTruth, gts_raw)
-    if box_columns is not None and gt_columns is not None:
-        return Scene._of_columns(scene_id, box_columns, gt_columns, camera, data)
-    boxes = [_record_from_dict(DetectionBox, b, f"{where} box {i}") for i, b in enumerate(boxes_raw)]
-    gts = [_record_from_dict(GroundTruth, g, f"{where} gt {i}") for i, g in enumerate(gts_raw)]
-    return Scene(scene_id=scene_id, boxes=boxes, gts=gts, camera=camera, extra=data)
+    boxes = _columns_from_dicts(DetectionBox, boxes_raw, f"{where} box")
+    gts = _columns_from_dicts(GroundTruth, gts_raw, f"{where} gt")
+    return Scene._of_columns(scene_id, boxes, gts, camera, data)
 
 
 def _text_lines(path: str | os.PathLike, encoding: str, where: str = "") -> Iterator[tuple[int, str]]:

@@ -17,15 +17,13 @@ difficulty rule's bound.
 
 from __future__ import annotations
 
-import math
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _geometry_accepted
-from .geometry import Cuboid3D, Rect2D
-from .io_jsonl import _integer, _text_lines
+from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _geometry_stages, _occlusions, _raise_first
+from .io_jsonl import _text_lines
 
 __all__ = [
     "format_kitti_label",
@@ -45,51 +43,10 @@ def parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth 
 
     Raises ValueError naming the line number on wrong field counts, numeric
     garbage, a non-integral occlusion, a non-finite truncation, alpha or
-    score, or invalid geometry.
+    score, or invalid geometry. This is the label-file reader on one line.
     """
-    where = f"line {line_number}: " if line_number is not None else ""
-    tokens = line.split()
-    if len(tokens) not in (_GT_FIELDS, _DET_FIELDS):
-        raise ValueError(f"{where}expected {_GT_FIELDS} or {_DET_FIELDS} fields, got {len(tokens)}")
-    label = tokens[0]
-    try:
-        values = tuple(float(tok) for tok in tokens[1:])
-    except ValueError as exc:
-        raise ValueError(f"{where}non-numeric field: {exc}") from None
-    truncation, occlusion_raw, alpha = values[0], values[1], values[2]
-    try:
-        occlusion = _integer(occlusion_raw)
-    except TypeError:
-        raise ValueError(f"{where}occlusion must be an integer, got {occlusion_raw!r}") from None
-    checked = {"truncation": truncation, "alpha": alpha}
-    if len(tokens) == _DET_FIELDS:
-        checked["score"] = values[14]
-    for name, value in checked.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{where}{name} must be finite, got {value!r}")
-    dontcare = label == "DontCare"
-    try:
-        rect = Rect2D(*values[3:7])
-        cuboid = None
-        if not dontcare:
-            h, w, length = values[7:10]
-            x, y, z = values[10:13]
-            cuboid = Cuboid3D(cx=x, cy=y - h / 2.0, cz=z, w=w, h=h, l=length, yaw=values[13])
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from None
-    common = dict(
-        rect=rect,
-        cuboid=cuboid,
-        label=label,
-        truncation=truncation,
-        occlusion=occlusion,
-        alpha=alpha,
-        dontcare=dontcare,
-        raw_fields=values[: _GT_FIELDS - 1],
-    )
-    if len(tokens) == _DET_FIELDS:
-        return DetectionBox(score=values[14], **common)
-    return GroundTruth(**common)
+    boxes, gts = _kitti_columns([_label_row(line, line_number)])
+    return (boxes or gts).records()[0]
 
 
 def _format_float(value: float) -> str:
@@ -138,76 +95,78 @@ def _check_labels_dir(labels_dir: str | os.PathLike | None) -> None:
         raise ValueError(f"{os.fspath(labels_dir)}: labels path is not a directory")
 
 
-def _kitti_columns(kind: type, rows: list[list[float]], labels: list[str]) -> _Columns | None:
-    """The columns of the records parse_kitti_label makes of lines of labels and numbers rows, or None
-    when some line is one it rejects, or one whose occlusion int64 cannot hold."""
-    width = _DET_FIELDS if kind is DetectionBox else _GT_FIELDS
-    values = np.array(rows, dtype=float).reshape(-1, width - 1)
-    truncation, occlusion, alpha = values[:, 0], values[:, 1], values[:, 2]
+def _line(number: int | None) -> str:
+    return "" if number is None else f"line {number}: "
+
+
+def _label_row(line: str, number: int | None) -> tuple[str, list[float], bool, int | None]:
+    """A label line's type, its numbers parsed with float() (0.0 stands in for a ground truth's score), whether
+    it is scored, and its number; ValueError naming the line on a wrong field count or a token float() rejects."""
+    tokens = line.split()
+    if len(tokens) not in (_GT_FIELDS, _DET_FIELDS):
+        raise ValueError(f"{_line(number)}expected {_GT_FIELDS} or {_DET_FIELDS} fields, got {len(tokens)}")
+    try:
+        row = list(map(float, tokens[1:]))
+    except ValueError as exc:
+        raise ValueError(f"{_line(number)}non-numeric field: {exc}") from None
+    scored = len(tokens) == _DET_FIELDS
+    if not scored:
+        row.append(0.0)
+    return tokens[0], row, scored, number
+
+
+def _kitti_columns(lines: list[tuple]) -> tuple[_Columns, _Columns]:
+    """The detection and the ground-truth columns of ``_label_row``'s lines, each check run over all lines at once.
+    The first line that fails one raises the error of its first failing check: the occlusion is an integer; the
+    truncation, the alpha and a detection's score are finite; Rect2D, then Cuboid3D."""
+    labels, rows, scored, numbers = zip(*lines) if lines else [()] * 4
+    values = np.array(rows, dtype=float).reshape(-1, _DET_FIELDS - 1)
+    occlusion = values[:, 1]
     rects = values[:, 3:7]
     h, w, length, x, y, z, yaw = values[:, 7:14].T
     dontcare = np.array([label == "DontCare" for label in labels], dtype=bool)
-    has_cuboid = ~dontcare
+    scored = np.array(scored, dtype=bool)
     # Overflows and NaNs are rejected below, as the records reject them.
     with np.errstate(over="ignore", invalid="ignore"):
-        cuboids = np.stack([x, y - h / 2.0, z, w, h, length, yaw], axis=1)[has_cuboid]
-        integral = np.abs(occlusion) < 2.0**63
-    finite = [truncation, alpha, values[:, _GT_FIELDS - 1 : width - 1]]
-    if not all(np.isfinite(column).all() for column in finite) or not integral.all():
-        return None
-    if (occlusion != np.floor(occlusion)).any() or not _geometry_accepted(rects, cuboids):
-        return None
-    columns = np.zeros((len(rows), 7))
-    columns[has_cuboid] = cuboids
-    out = dict(
-        rects=rects.copy(),
-        cuboids=columns,
-        has_cuboid=has_cuboid,
-        label=labels,
-        truncation=truncation.copy(),
-        occlusion=occlusion.astype(np.int64),
-        alpha=alpha.copy(),
-        dontcare=dontcare,
-        raw_fields={i: tuple(row[: _GT_FIELDS - 1]) for i, row in enumerate(rows)},
+        cuboids = np.stack([x, y - h / 2.0, z, w, h, length, yaw], axis=1)
+    cuboids[dontcare] = 0.0
+    accepted = [("occlusion", 1, "an integer", np.isfinite(occlusion) & (occlusion == np.floor(occlusion)))]
+    for name, k in (("truncation", 0), ("alpha", 2), ("score", 14)):
+        accepted.append((name, k, "finite", np.isfinite(values[:, k])))
+    stages = [
+        (np.flatnonzero(~ok).tolist(), lambda row, name=name, k=k, rule=rule: ValueError(
+            f"{_line(numbers[row])}{name} must be {rule}, got {values[row, k].item()!r}"
+        ))
+        for name, k, rule, ok in accepted
+    ]
+    _raise_first(stages + _geometry_stages(rects, cuboids, lambda row: _line(numbers[row])))
+    occlusion = occlusion.astype(np.int64) if (np.abs(occlusion) < 2.0**63).all() else _occlusions(
+        [int(v) for v in occlusion.tolist()]
     )
-    if kind is DetectionBox:
-        n = len(rows)
-        out.update(
-            score=values[:, 14].copy(),
-            class_conf=np.full(n, np.nan),
-            has_class_conf=np.zeros(n, dtype=bool),
-            pred_conf=np.full(n, np.nan),
-            has_pred_conf=np.zeros(n, dtype=bool),
+    out = []
+    for kind, at in ((DetectionBox, np.flatnonzero(scored)), (GroundTruth, np.flatnonzero(~scored))):
+        columns = dict(
+            rects=rects[at],
+            cuboids=cuboids[at],
+            has_cuboid=~dontcare[at],
+            label=[labels[i] for i in at.tolist()],
+            truncation=values[at, 0],
+            occlusion=occlusion[at],
+            alpha=values[at, 2],
+            dontcare=dontcare[at],
+            raw_fields={k: tuple(rows[i][: _GT_FIELDS - 1]) for k, i in enumerate(at.tolist())},
         )
-    return _Columns(kind, **out)
-
-
-def _read_kitti_columns(scene_id: str, paths: list[str]) -> Scene | None:
-    """The scene read_kitti_file reads from the label file paths[0] and the labels file paths[1:], as columns.
-
-    Each line is split and its numbers parsed with float(), as
-    parse_kitti_label does; the checks then run over all lines at once. None
-    when any line or file would raise, or is one the columns cannot hold: the
-    caller reads the files again, line by line, which raises the first error
-    in the order the line-by-line read meets it.
-    """
-    parsed = {_GT_FIELDS: ([], []), _DET_FIELDS: ([], [])}
-    try:
-        for k, path in enumerate(paths):
-            for _, line in _text_lines(path, "ascii"):
-                tokens = line.split()
-                if len(tokens) not in parsed or (k and len(tokens) == _DET_FIELDS):
-                    return None
-                rows, labels = parsed[len(tokens)]
-                rows.append(list(map(float, tokens[1:])))
-                labels.append(tokens[0])
-    except (ValueError, OSError):
-        return None
-    boxes = _kitti_columns(DetectionBox, *parsed[_DET_FIELDS])
-    gts = _kitti_columns(GroundTruth, *parsed[_GT_FIELDS])
-    if boxes is None or gts is None:
-        return None
-    return Scene._of_columns(scene_id, boxes, gts)
+        if kind is DetectionBox:
+            n = len(at)
+            columns.update(
+                score=values[at, 14],
+                class_conf=np.full(n, np.nan),
+                has_class_conf=np.zeros(n, dtype=bool),
+                pred_conf=np.full(n, np.nan),
+                has_pred_conf=np.zeros(n, dtype=bool),
+            )
+        out.append(_Columns(kind, **columns))
+    return tuple(out)
 
 
 def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | None = None) -> Scene:
@@ -215,33 +174,30 @@ def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | Non
     become ground truths and 16-field lines detections. Blank lines are
     skipped. When labels_dir holds a file of the same name, its ground truths
     are merged in; a scored line there, or a labels_dir that is not a
-    directory, raises ValueError naming its path. The scene holds its
-    records as columns (``_read_kitti_columns``) unless a line needs the
-    line-by-line parse."""
+    directory, raises ValueError naming its path. A line that cannot be
+    split into numbers, or a file that cannot be read, ends the read, and is
+    raised once ``_kitti_columns`` has checked the lines before it: the
+    first error in file and line order is the one raised."""
     _check_labels_dir(labels_dir)
     scene_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    paths = [path]
+    paths = [os.fspath(path)]
     if labels_dir is not None:
-        label_path = os.path.join(labels_dir, os.path.basename(os.fspath(path)))
+        label_path = os.path.join(labels_dir, os.path.basename(paths[0]))
         if os.path.exists(label_path):
             paths.append(label_path)
-    scene = _read_kitti_columns(scene_id, paths)
-    if scene is not None:
-        return scene
-    scene = Scene(scene_id=scene_id)
-    for number, line in _text_lines(path, "ascii", f"{os.fspath(path)}: "):
-        record = parse_kitti_label(line, line_number=number)
-        if isinstance(record, DetectionBox):
-            scene.boxes.append(record)
-        else:
-            scene.gts.append(record)
-    for label_path in paths[1:]:
-        for number, line in _text_lines(label_path, "ascii", f"{label_path}: "):
-            record = parse_kitti_label(line, line_number=number)
-            if isinstance(record, DetectionBox):
-                raise ValueError(f"{label_path}: line {number}: a labels file holds no scored detections")
-            scene.gts.append(record)
-    return scene
+    lines, error = [], None
+    try:
+        for k, name in enumerate(paths):
+            for number, line in _text_lines(name, "ascii", f"{name}: "):
+                lines.append(_label_row(line, number))
+                if k and lines[-1][2]:
+                    raise ValueError(f"{name}: line {number}: a labels file holds no scored detections")
+    except (ValueError, OSError) as exc:
+        error = exc
+    boxes, gts = _kitti_columns(lines)
+    if error is not None:
+        raise error
+    return Scene._of_columns(scene_id, boxes, gts)
 
 
 def write_kitti_file(path: str | os.PathLike, scene: Scene) -> None:

@@ -884,6 +884,18 @@ class TestMalformedKitti:
         assert run_cli("eval", "--input", str(frames), "--format", "kitti", "--labels", str(frames)) == 1
         assert capsys.readouterr().err == f"error: {path}: line 1: a labels file holds no scored detections\n"
 
+    @pytest.mark.parametrize("entry", ["frame", "labels"])
+    def test_a_directory_in_place_of_a_label_file_is_a_clean_error(self, tmp_path, capsys, entry):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        labels.mkdir()
+        (frames / "000001.txt").write_text(KITTI_ROW.format(occlusion="0") + "\n", encoding="ascii")
+        directory = frames / "000002.txt" if entry == "frame" else labels / "000001.txt"
+        directory.mkdir()
+        code = run_cli("eval", "--input", str(frames), "--format", "kitti", "--labels", str(labels))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n"
+
     def test_integral_float_occlusion_still_parses(self, tmp_path):
         path = tmp_path / "000001.txt"
         path.write_text(KITTI_ROW.format(occlusion="-1.0") + "\n", encoding="ascii")

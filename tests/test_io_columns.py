@@ -169,3 +169,98 @@ def test_a_kitti_center_that_overflows_is_the_record_reader_s_error(tmp_path):
     path.write_text("Car 0 0 0 1 2 3 4 1.7e308 1 1 0 -1.7e308 5 0\n", encoding="ascii")
     _assert_same_outcome(lambda: [read_kitti_file(path)], lambda: [reference_read_kitti_file(path)])
     assert "must be finite" in _outcome(lambda: read_kitti_file(path))[1][1]
+
+
+# One fault of each check of a JSONL record, in the order the checks run.
+RECORD_FAULTS = {
+    "not an object": lambda record: 7,
+    "missing rectangle key": lambda record: {k: v for k, v in record.items() if k != "y2"},
+    "partial cuboid": lambda record: {k: v for k, v in record.items() if k != "cz"},
+    "coordinate type": lambda record: {**record, "cx": "1"},
+    "field type": lambda record: {**record, "label": None},
+    "occlusion": lambda record: {**record, "occlusion": 1.5},
+    "extra non-finite": lambda record: {**record, "note": [1.0, math.inf]},
+    "rectangle": lambda record: {**record, "x1": record["x2"] + 1.0},
+    "cuboid": lambda record: {**record, "h": -1.0},
+}
+
+
+# Box 4 keys its fields as box 0 does, so it is read with box 0, before a box 1 whose fault changes its keys.
+@pytest.mark.parametrize(
+    "first, second", [(("boxes", 1), ("boxes", 4)), (("boxes", 2), ("gts", 0)), (("boxes", 1), ("boxes", 1))]
+)
+@pytest.mark.parametrize("fault", RECORD_FAULTS)
+@pytest.mark.parametrize("other", RECORD_FAULTS)
+def test_the_first_of_two_faults_raises(first, second, fault, other):
+    """Faults of any two checks, in two records or in one: the record read first raises, and within a record
+    the check that runs first."""
+    scene = _golden_scene()
+    for (kind, index), name in ((first, fault), (second, other)):
+        record = scene[kind][index]
+        scene[kind][index] = RECORD_FAULTS[name](record) if isinstance(record, dict) else record
+    _assert_same_outcome(lambda: [scene_from_dict(scene)], lambda: [reference_scene_from_dict(scene)])
+    kind, index = first
+    assert f"{dict(boxes='box', gts='gt')[kind]} {index}: " in _outcome(lambda: [scene_from_dict(scene)])[1][1]
+
+
+# KITTI lines that fail a check stopping the read at their line, and lines that fail a value check.
+STRUCTURAL_FAULTS = {
+    "field count": lambda tokens: tokens[:-1],
+    "non-numeric": lambda tokens: [*tokens[:5], "x", *tokens[6:]],
+    "undecodable": lambda tokens: ["C\xe4r", *tokens[1:]],
+}
+VALUE_FAULTS = {
+    "occlusion": lambda tokens: [*tokens[:2], "1.5", *tokens[3:]],
+    "truncation": lambda tokens: [tokens[0], "nan", *tokens[2:]],
+    "alpha": lambda tokens: [*tokens[:3], "-inf", *tokens[4:]],
+    "score": lambda tokens: [*tokens[:15], "nan"],
+    "rectangle": lambda tokens: [*tokens[:4], "9999", *tokens[5:]],
+    "cuboid": lambda tokens: [*tokens[:8], "-1", *tokens[9:]],
+}
+
+
+def _write_label_lines(path, lines) -> None:
+    path.write_bytes(b"".join(" ".join(tokens).encode("latin-1") + b"\n" for tokens in lines))
+
+
+@pytest.mark.parametrize(
+    "structural, structural_first, across",
+    [(name, first, across) for name in STRUCTURAL_FAULTS for first in (True, False) for across in (False, True)]
+    # A scored line is a fault only in the labels file, which is read after the frame file.
+    + [("scored label", False, True)],
+)
+@pytest.mark.parametrize("value", VALUE_FAULTS)
+def test_the_first_of_a_structural_and_a_value_fault_raises(tmp_path, structural, value, structural_first, across):
+    """A line the read stops at and a line a value check rejects, in either order, both in the frame file or one in
+    each of the frame and labels files: the fault on the frame's first line raises."""
+    with open(os.path.join(DATA, "golden_labels.txt"), encoding="ascii") as handle:
+        frame = [line.split() for line in handle.read().splitlines()[:4]]
+    labels = [list(tokens) for tokens in frame]
+    break_structure = STRUCTURAL_FAULTS.get(structural, lambda tokens: [*tokens, "0.5"])
+    first, second = (frame, 0), (labels, 1) if across else (frame, 3)
+    (s_lines, s_at), (v_lines, v_at) = (first, second) if structural_first else (second, first)
+    s_lines[s_at] = break_structure(s_lines[s_at])
+    v_lines[v_at] = VALUE_FAULTS[value](v_lines[v_at])
+    (tmp_path / "labels").mkdir()
+    _write_label_lines(tmp_path / "000001.txt", frame)
+    _write_label_lines(tmp_path / "labels" / "000001.txt", labels)
+    labels_dir = tmp_path / "labels" if across else None
+    read = lambda: [read_kitti_file(tmp_path / "000001.txt", labels_dir)]
+    _assert_same_outcome(read, lambda: [reference_read_kitti_file(tmp_path / "000001.txt", labels_dir)])
+    assert "line 1: " in _outcome(read)[1][1]
+
+
+@pytest.mark.parametrize("fault", VALUE_FAULTS)
+@pytest.mark.parametrize("other", VALUE_FAULTS)
+@pytest.mark.parametrize("second", [0, 3])
+def test_the_first_of_two_value_faults_raises(tmp_path, fault, other, second):
+    """Two value faults on one line, or on the first and the fourth: the first line raises, and within a line the
+    check that runs first."""
+    with open(os.path.join(DATA, "golden_labels.txt"), encoding="ascii") as handle:
+        frame = [line.split() for line in handle.read().splitlines()[:4]]
+    frame[0] = VALUE_FAULTS[fault](frame[0])
+    frame[second] = VALUE_FAULTS[other](frame[second])
+    _write_label_lines(tmp_path / "000001.txt", frame)
+    read = lambda: [read_kitti_file(tmp_path / "000001.txt")]
+    _assert_same_outcome(read, lambda: [reference_read_kitti_file(tmp_path / "000001.txt")])
+    assert _outcome(read)[1][1].startswith("line 1: ")

@@ -14,6 +14,7 @@ runs the masked forward once per batch of trials, not per trial.
 """
 
 import dataclasses
+import json
 import math
 import sys
 from collections import Counter
@@ -47,6 +48,7 @@ from diffnms import (
     rect_array,
     rotated_bev_intersection_area,
     run_nms,
+    read_kitti_dir,
     read_scenes_jsonl,
     score_iou_correlation,
     write_scenes_jsonl,
@@ -61,6 +63,8 @@ from oracles import (
     reference_may_meet,
     reference_oracle_scores,
     reference_quality,
+    reference_read_kitti_file,
+    reference_read_scenes_jsonl,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_scenes.jsonl"
@@ -473,6 +477,37 @@ def test_commands_that_write_no_scenes_build_no_records(monkeypatch, tmp_path, c
     built = _counting_records(monkeypatch)
     assert main([*args, *inputs]) == 0
     assert built == Counter()
+
+
+@pytest.mark.parametrize("corpus", ["jsonl", "kitti"])
+def test_occlusions_beyond_int64_are_read_into_columns(monkeypatch, tmp_path, corpus):
+    """Occlusions that int64 cannot hold are valid and read into an object column, not into records."""
+    if corpus == "kitti":
+        frames = Path(_kitti_corpus(tmp_path)[1])
+        path = sorted(frames.iterdir())[0]
+        lines = path.read_text(encoding="ascii").splitlines()
+        lines[0] = " ".join([*lines[0].split()[:2], "1e19", *lines[0].split()[3:]])
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        inputs = ["--input", str(frames), "--format", "kitti"]
+        read = lambda: read_kitti_dir(frames)
+        reference = lambda: [reference_read_kitti_file(p) for p in sorted(frames.iterdir())]
+    else:
+        scenes = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+        scenes[0]["gts"][0]["occlusion"] = 2**70
+        scenes[0]["boxes"][1]["occlusion"] = 1e19
+        path = tmp_path / "scenes.jsonl"
+        path.write_text("".join(json.dumps(scene) + "\n" for scene in scenes), encoding="utf-8")
+        inputs = ["--input", str(path)]
+        read = lambda: read_scenes_jsonl(path)
+        reference = lambda: reference_read_scenes_jsonl(path)
+    built = _counting_records(monkeypatch)
+    assert main(["eval", *inputs]) == 0
+    assert built == Counter()
+    got = read()
+    assert all(scene._held_records(kind) is None for scene in got for kind in ("boxes", "gts"))
+    assert any(occlusion >= 10**19 for scene in got for occlusion in scene._columns("gts").occlusion.tolist())
+    monkeypatch.undo()
+    assert repr(got) == repr(reference())
 
 
 @pytest.mark.parametrize("corpus", ["jsonl", "kitti"])
