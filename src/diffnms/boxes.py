@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +61,13 @@ class DetectionBox:
     dontcare: bool = False
     raw_fields: tuple[float, ...] | None = None
     extra: dict = field(default_factory=dict)
+
+
+# The fields ``_Columns.from_records`` reads from a record of each kind.
+_RECORD_FIELDS = {
+    GroundTruth: ("rect", "cuboid", "label", "truncation", "occlusion", "alpha", "dontcare", "extra", "raw_fields"),
+}
+_RECORD_FIELDS[DetectionBox] = (*_RECORD_FIELDS[GroundTruth], "score", "class_conf", "pred_conf")
 
 
 def _occlusions(values) -> np.ndarray:
@@ -143,54 +151,70 @@ class _Columns:
     @classmethod
     def from_records(cls, kind: type, records: Sequence) -> _Columns:
         """The columns of records of kind: the one place records become arrays."""
-        has_cuboid = np.array([r.cuboid is not None for r in records], dtype=bool)
+        names = _RECORD_FIELDS[kind]
+        fields = dict(zip(names, zip(*map(attrgetter(*names), records)))) if records else dict.fromkeys(names, ())
+        has_cuboid = np.array([c is not None for c in fields["cuboid"]], dtype=bool)
         cuboids = np.zeros((len(records), 7))
-        cuboids[has_cuboid] = cuboid_array([r.cuboid for r in records if r.cuboid is not None])
+        cuboids[has_cuboid] = cuboid_array([c for c in fields["cuboid"] if c is not None])
         columns = dict(
-            rects=rect_array([r.rect for r in records]),
+            rects=rect_array(fields["rect"]),
             cuboids=cuboids,
             has_cuboid=has_cuboid,
-            label=[r.label for r in records],
-            truncation=np.array([r.truncation for r in records], dtype=float),
-            occlusion=_occlusions([r.occlusion for r in records]),
-            alpha=np.array([r.alpha for r in records], dtype=float),
-            dontcare=np.array([r.dontcare for r in records], dtype=bool),
-            extra={i: r.extra for i, r in enumerate(records) if r.extra},
-            raw_fields={i: r.raw_fields for i, r in enumerate(records) if r.raw_fields is not None},
+            label=list(fields["label"]),
+            truncation=np.array(fields["truncation"], dtype=float),
+            occlusion=_occlusions(fields["occlusion"]),
+            alpha=np.array(fields["alpha"], dtype=float),
+            dontcare=np.array(fields["dontcare"], dtype=bool),
+            extra={i: extra for i, extra in enumerate(fields["extra"]) if extra},
+            raw_fields={i: raw for i, raw in enumerate(fields["raw_fields"]) if raw is not None},
         )
         if kind is DetectionBox:
-            columns["score"] = np.array([r.score for r in records], dtype=float)
+            columns["score"] = np.array(fields["score"], dtype=float)
             for name in ("class_conf", "pred_conf"):
-                values = [getattr(r, name) for r in records]
+                values = fields[name]
                 columns["has_" + name] = np.array([v is not None for v in values], dtype=bool)
                 columns[name] = np.array(values, dtype=float)
         return cls(kind, **columns)
 
-    def records(self, at=None, score=None) -> list:
-        """The records at positions at (all by default), built from the columns; detections take
-        the scores score, one per position, in place of their own when it is given."""
-        at = np.arange(len(self)) if at is None else np.asarray(at, dtype=np.intp)
+    def take(self, at, score: np.ndarray) -> _Columns:
+        """The detections at positions at as new columns, scored score, one score per position."""
+        at = np.asarray(at, dtype=np.intp)
+        rows = at.tolist()
+        columns = {}
+        for name in self.__slots__[1:]:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value = value[at]
+            elif isinstance(value, dict):
+                value = {k: value[i] for k, i in enumerate(rows) if i in value} if value else {}
+            columns[name] = value
+        columns["label"] = [self.label[i] for i in rows]
+        columns["score"] = np.asarray(score, dtype=float)
+        return _Columns(self.kind, **columns)
+
+    def records(self) -> list:
+        """The records, built from the columns."""
         rows = zip(
-            at.tolist(),
-            self.rects[at].tolist(),
-            self.cuboids[at].tolist(),
-            self.has_cuboid[at].tolist(),
-            self.truncation[at].tolist(),
-            self.occlusion[at].tolist(),
-            self.alpha[at].tolist(),
-            self.dontcare[at].tolist(),
+            self.label,
+            self.rects.tolist(),
+            self.cuboids.tolist(),
+            self.has_cuboid.tolist(),
+            self.truncation.tolist(),
+            self.occlusion.tolist(),
+            self.alpha.tolist(),
+            self.dontcare.tolist(),
         )
         detections = self.kind is DetectionBox
         if detections:
-            scores = (self.score[at] if score is None else score).tolist()
-            class_conf = np.where(self.has_class_conf, self.class_conf, None)[at].tolist()
-            pred_conf = np.where(self.has_pred_conf, self.pred_conf, None)[at].tolist()
+            scores = self.score.tolist()
+            class_conf = np.where(self.has_class_conf, self.class_conf, None).tolist()
+            pred_conf = np.where(self.has_pred_conf, self.pred_conf, None).tolist()
         out = []
-        for k, (i, rect, cuboid, has_cuboid, truncation, occlusion, alpha, dontcare) in enumerate(rows):
+        for i, (label, rect, cuboid, has_cuboid, truncation, occlusion, alpha, dontcare) in enumerate(rows):
             fields = dict(
                 rect=Rect2D(*rect),
                 cuboid=Cuboid3D(*cuboid) if has_cuboid else None,
-                label=self.label[i],
+                label=label,
                 truncation=truncation,
                 occlusion=occlusion,
                 alpha=alpha,
@@ -199,7 +223,7 @@ class _Columns:
                 extra=self.extra.get(i) or {},
             )
             if detections:
-                fields.update(score=scores[k], class_conf=class_conf[k], pred_conf=pred_conf[k])
+                fields.update(score=scores[i], class_conf=class_conf[i], pred_conf=pred_conf[i])
             out.append(self.kind(**fields))
         return out
 
@@ -251,6 +275,13 @@ class Scene:
     def _of_columns(cls, scene_id: str, boxes: _Columns, gts: _Columns, camera=None, extra=None) -> Scene:
         scene = cls(scene_id, camera=camera, extra={} if extra is None else extra)
         scene._boxes, scene._gts = (None, boxes), (None, gts)
+        return scene
+
+    def _with_boxes(self, boxes: _Columns) -> Scene:
+        """This scene with the columns boxes in place of its boxes; it shares the ground truths, held as
+        records or as columns, the camera and the extra keys."""
+        scene = Scene._of_columns(self.scene_id, boxes, None, self.camera, self.extra)
+        scene._gts = self._gts
         return scene
 
     def _columns(self, name: str) -> _Columns:

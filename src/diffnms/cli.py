@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -25,8 +24,8 @@ from .harness import (
     SCORE_MODES,
     _oracle_scenes,
     _rescore_scenes,
+    _rescored_scene,
     build_comparison,
-    rescored_boxes,
     score_iou_correlation,
 )
 from .io_jsonl import read_scenes_jsonl, write_scenes_jsonl
@@ -144,12 +143,12 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scenes = _load_scenes(args)
 
     out_scenes = [
-        dataclasses.replace(scene, boxes=rescored_boxes(scene, result, index_map, kept_only=not args.keep_all))
+        _rescored_scene(scene, result, index_map, kept_only=not args.keep_all)
         for scene, (result, index_map) in zip(scenes, _rescore_scenes(scenes, cfg, variant, args.score_mode))
     ]
     _write_scenes(args, out_scenes)
     boxes_in = sum(len(s._columns("boxes")) for s in scenes)
-    boxes_out = sum(len(s.boxes) for s in out_scenes)
+    boxes_out = sum(len(s._columns("boxes")) for s in out_scenes)
     print(f"rescored {boxes_in} boxes over {len(scenes)} scenes; wrote {boxes_out} to {args.out}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -134,14 +135,13 @@ _PAIRS_PER_BLOCK = 1024
 
 def rect_array(rects: Sequence[Rect2D]) -> np.ndarray:
     """Rectangles as an (N, 4) float array in x1, y1, x2, y2 order."""
-    return np.array([(r.x1, r.y1, r.x2, r.y2) for r in rects], dtype=float).reshape(-1, 4)
+    return np.array(list(map(attrgetter("x1", "y1", "x2", "y2"), rects)), dtype=float).reshape(-1, 4)
 
 
 def cuboid_array(cuboids: Sequence[Cuboid3D]) -> np.ndarray:
     """Cuboids as an (N, 7) float array in cx, cy, cz, w, h, l, yaw order."""
-    return np.array(
-        [(c.cx, c.cy, c.cz, c.w, c.h, c.l, c.yaw) for c in cuboids], dtype=float
-    ).reshape(-1, 7)
+    fields = attrgetter("cx", "cy", "cz", "w", "h", "l", "yaw")
+    return np.array(list(map(fields, cuboids)), dtype=float).reshape(-1, 7)
 
 
 def _box_array(values, width: int, name: str) -> np.ndarray:
@@ -538,12 +538,15 @@ def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndar
     """measure (_bev_overlap, _iou, _aa_iou or _giou) of the pairs (a[rows[k]], b[cols[k]]).
 
     Broad phase first: ``_may_meet`` tests every pair at once, and only the
-    pairs that may meet go through ``_clipped_area``, a block of them at a
-    time; every other pair's clipped area is the 0.0 the clipper would
-    return. The measure then runs on every pair, a block at a time, from that
-    area. ``_aa_iou`` reads no clipped area, so it clips nothing.
+    pairs that may meet go through ``_clipped_area``; every other pair's
+    clipped area is the 0.0 the clipper would return. The measure then runs
+    a block of pairs at a time, the pairs that may meet first, so that each
+    block but one is clipped whole or not at all. ``_iou`` of an apart pair
+    is +0.0 unless a box's top is zero (below), so ``_iou`` skips the other
+    apart pairs; ``_giou``'s enclosure term needs every pair. ``_aa_iou``
+    reads no clipped area, so it clips nothing.
     """
-    out = np.empty(len(rows))
+    out = np.zeros(len(rows))
     if out.size == 0:
         return out
     # Python float arithmetic overflows to inf and divides inf by inf into nan
@@ -552,16 +555,30 @@ def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndar
         # One table holds the features of a, then those of b.
         features = _cuboid_features(np.concatenate([a, b]))
         cols = len(a) + cols
-        area = np.zeros(len(rows))
-        if measure is not _aa_iou:
-            near = np.flatnonzero(_may_meet(features, rows, cols))
-            for start in range(0, near.size, _PAIRS_PER_BLOCK):
-                block = near[start : start + _PAIRS_PER_BLOCK]
-                pa, pb, _ = _ordered_pairs(features, rows[block], cols[block])
-                area[block] = _clipped_area(pa[:, _X:_Z], pa[:, _Z:_AREA], pb[:, _X:_Z], pb[:, _Z:_AREA])
-        for start in range(0, len(rows), _PAIRS_PER_BLOCK):
-            block = slice(start, start + _PAIRS_PER_BLOCK)
-            out[block] = measure(*_ordered_pairs(features, rows[block], cols[block]), area[block])
+        if measure is _aa_iou:
+            near, measured = 0, np.arange(len(rows))
+        else:
+            meets = _may_meet(features, rows, cols)
+            rest = ~meets
+            if measure is _iou:
+                # The footprints of an apart pair are wider and longer than the
+                # margin and not equal, so their overlap is +0.0, and so is the
+                # IoU, unless the vertical overlap is -0.0: the lower top of the
+                # two is -0.0 and the higher bottom +0.0.
+                top_zero = features[:, _HI] == 0.0
+                rest &= top_zero[rows] | top_zero[cols]
+            near = int(np.count_nonzero(meets))
+            measured = np.concatenate([np.flatnonzero(meets), np.flatnonzero(rest)])
+        for start in range(0, measured.size, _PAIRS_PER_BLOCK):
+            block = measured[start : start + _PAIRS_PER_BLOCK]
+            pa, pb, equal = _ordered_pairs(features, rows[block], cols[block])
+            area = np.zeros(len(block))
+            clipped = min(max(near - start, 0), len(block))
+            if clipped:
+                area[:clipped] = _clipped_area(
+                    pa[:clipped, _X:_Z], pa[:clipped, _Z:_AREA], pb[:clipped, _X:_Z], pb[:clipped, _Z:_AREA]
+                )
+            out[block] = measure(pa, pb, equal, area)
     return out
 
 

@@ -1,8 +1,9 @@
 """Scene-level pipelines: rescoring, oracle scores, correlation, comparison.
 
 These helpers connect scenes to the array-level NMS engine. They read a
-scene's columns (``Scene._columns``) and build box records only for what they
-return. Scenes never interact: a corpus is rescored in one NMS pass per
+scene's columns (``Scene._columns``), and build box records only for what they
+return as records; the scenes that ``diffnms run`` and ``diffnms oracle``
+write keep columns. Scenes never interact: a corpus is rescored in one NMS pass per
 variant, with the scenes as lanes of its loops, and every result and error is
 the one that rescoring each scene on its own, in input order, would give.
 """
@@ -217,6 +218,13 @@ def rescore_scene(
     return _rescore_scenes([scene], cfg, variant, score_mode)[0]
 
 
+def _rescored_positions(boxes: _Columns, result: RescoreResult, index_map: Sequence[int], kept_only: bool):
+    """The scene.boxes positions that rescored_boxes returns: the kept ones, in kept order, or all of them."""
+    if kept_only:
+        return np.asarray(index_map, dtype=np.intp)[np.asarray(result.kept, dtype=np.intp)]
+    return np.arange(len(boxes))
+
+
 def rescored_boxes(
     scene: Scene,
     result: RescoreResult,
@@ -229,8 +237,23 @@ def rescored_boxes(
     boxes take no part in NMS and keep their scores.
     """
     boxes = scene._columns("boxes")
-    positions = [index_map[int(k)] for k in result.kept] if kept_only else range(len(boxes))
+    positions = _rescored_positions(boxes, result, index_map, kept_only)
     return _scored_boxes(scene, boxes, positions, index_map, result.rescores)
+
+
+def _rescored_scene(scene: Scene, result: RescoreResult, index_map: Sequence[int], kept_only: bool) -> Scene:
+    """scene with rescored_boxes(scene, result, index_map, kept_only) as its boxes."""
+    boxes = scene._columns("boxes")
+    positions = _rescored_positions(boxes, result, index_map, kept_only)
+    return _scored_scene(scene, boxes, positions, index_map, result.rescores)
+
+
+def _scored_columns(boxes: _Columns, positions, index, scores: np.ndarray) -> _Columns:
+    """The rows of boxes at positions, those at index scored scores."""
+    at = np.asarray(positions, dtype=np.intp)
+    score = boxes.score.copy()
+    score[np.asarray(index, dtype=np.intp)] = scores
+    return boxes.take(at, score[at])
 
 
 def _scored_boxes(scene: Scene, boxes: _Columns, positions, index, scores: np.ndarray) -> list[DetectionBox]:
@@ -240,10 +263,14 @@ def _scored_boxes(scene: Scene, boxes: _Columns, positions, index, scores: np.nd
     if records is not None:
         new = dict(zip(index, scores.tolist()))
         return [dataclasses.replace(records[i], score=new[i]) if i in new else records[i] for i in positions]
-    at = np.asarray(positions, dtype=np.intp)
-    score = boxes.score.copy()
-    score[np.asarray(index, dtype=np.intp)] = scores
-    return boxes.records(at, score[at])
+    return _scored_columns(boxes, positions, index, scores).records()
+
+
+def _scored_scene(scene: Scene, boxes: _Columns, positions, index, scores: np.ndarray) -> Scene:
+    """scene with ``_scored_boxes`` as its boxes: records in a scene that holds records, else columns."""
+    if scene._held_records("boxes") is not None:
+        return dataclasses.replace(scene, boxes=_scored_boxes(scene, boxes, positions, index, scores))
+    return scene._with_boxes(_scored_columns(boxes, positions, index, scores))
 
 
 def _gt_rows(boxes: Sequence[np.ndarray], gts: Sequence[np.ndarray]):
@@ -301,7 +328,7 @@ def _oracle_scenes(scenes: Sequence[Scene], mode: str = "iou3d") -> list[Scene]:
         # The best overlap starts at 0.0 and only a larger value replaces it.
         best = np.where(scene_values > 0.0, scene_values, 0.0).max(axis=1, initial=0.0)
         every = range(len(b))
-        out.append(dataclasses.replace(scene, boxes=_scored_boxes(scene, b, every, every, best)))
+        out.append(_scored_scene(scene, b, every, every, best))
     return out
 
 

@@ -10,7 +10,9 @@ there is no cuboid), then the fields of one table per record kind:
 _BOX_FIELDS for boxes, _GT_FIELDS for ground truths. One reader and one
 writer serve both kinds; the reader fills a scene's columns, checked a field
 at a time, and a failed check raises the error of the first record that
-fails one. Keys the reader does not know are preserved on the
+fails one, and the writer encodes a scene's columns, a key of all its
+records at a time, into the bytes json.dumps would write for the records.
+Keys the reader does not know are preserved on the
 record and written back after the known ones, in their original order, so
 files survive a read-write cycle unchanged. Floats are written with the
 shortest representation that parses back to the same value (Python's
@@ -22,10 +24,11 @@ them.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,8 +39,6 @@ __all__ = ["iter_scenes_jsonl", "read_scenes_jsonl", "write_scenes_jsonl"]
 
 _RECT_KEYS = ("x1", "y1", "x2", "y2")
 _CUBOID_KEYS = ("cx", "cy", "cz", "w", "h", "l", "yaw")
-_rect_coords = attrgetter(*_RECT_KEYS)
-_cuboid_coords = attrgetter(*_CUBOID_KEYS)
 
 
 def _number(value) -> float:
@@ -277,27 +278,141 @@ def _columns_from_dicts(kind: type, raw: list, where: str) -> _Columns:
     return _Columns(kind, rects=rects, cuboids=cuboids, extra=extra, **table)
 
 
-def _record_to_dict(record: DetectionBox | GroundTruth) -> dict:
-    """The JSON object of a record: geometry keys, table fields, then extra keys."""
-    out = dict(zip(_RECT_KEYS, _rect_coords(record.rect)))
-    if record.cuboid is not None:
-        out.update(zip(_CUBOID_KEYS, _cuboid_coords(record.cuboid)))
-    for key, _, default, always in _BOX_FIELDS if isinstance(record, DetectionBox) else _GT_FIELDS:
-        value = getattr(record, key)
-        if always or value != default:
-            out[key] = value
-    out.update(record.extra)
-    return out
+def _json(value) -> str:
+    """value as the writer encodes it: compact, ASCII only; a non-finite float raises ValueError."""
+    return json.dumps(value, allow_nan=False, separators=(",", ":"))
 
 
-def scene_to_dict(scene: Scene) -> dict:
+def _item(key, value) -> str:
+    """The text of one member of a JSON object, "key":value, as ``_json`` writes it inside the object."""
+    return _json({key: value})[1:-1]
+
+
+class _Text(str):
+    """JSON text already encoded: the value of a known key among a record's extra keys."""
+
+
+def _record_keys(columns: _Columns) -> list[tuple[np.ndarray | None, list[tuple]]]:
+    """The keys the records of columns may write, in writing order, in groups that share a mask: (written, keys)
+    with written None where every record writes them. Each key is (key, form, values): values (one per record)
+    go through the %-format form, and values None means the form is the text itself."""
+    n = len(columns)
+    groups = [(None, [(key, "%r", values) for key, values in zip(_RECT_KEYS, columns.rects.T)])]
+    groups.append((columns.has_cuboid, [(key, "%r", values) for key, values in zip(_CUBOID_KEYS, columns.cuboids.T)]))
+    for key, _, default, always in _BOX_FIELDS if columns.kind is DetectionBox else _GT_FIELDS:
+        if key == "label":
+            labels = np.empty(n, dtype=object)
+            labels[:] = list(map(json.encoder.encode_basestring_ascii, columns.label))
+            groups.append((None, [(key, "%s", labels)]))
+        elif key == "dontcare":
+            groups.append((columns.dontcare, [(key, "true", None)]))
+        elif key in _CONFS[DetectionBox]:
+            groups.append((getattr(columns, "has_" + key), [(key, "%r", getattr(columns, key))]))
+        elif key == "occlusion" and columns.occlusion.dtype == object:
+            # Python integers beyond int64, or the values of records that hold other types.
+            texts = np.empty(n, dtype=object)
+            texts[:] = [_json(value) for value in columns.occlusion.tolist()]
+            groups.append((columns.occlusion != 0, [(key, "%s", texts)]))
+        else:
+            values = getattr(columns, key)
+            groups.append((None if always else values != default, [(key, "%r", values)]))
+    return groups
+
+
+def _require_finite(columns: _Columns, groups: list, where: str) -> None:
+    """ValueError naming the first record of columns, "{where} {i}", and its first written number that is NaN
+    or infinite."""
+    numbers = [columns.rects.ravel(), columns.cuboids.ravel(), columns.truncation, columns.alpha]
+    if columns.kind is DetectionBox:
+        numbers.append(columns.score)
+        for key in _CONFS[DetectionBox]:
+            numbers.append(np.where(getattr(columns, "has_" + key), getattr(columns, key), 0.0))
+    if np.isfinite(np.concatenate(numbers)).all():
+        return
+    checked = [
+        (key, values, written)
+        for written, keys in groups
+        for key, form, values in keys
+        if values is not None and values.dtype == float
+    ]
+    rejected = [~np.isfinite(v) if written is None else written & ~np.isfinite(v) for _, v, written in checked]
+    i = min(int(np.argmax(bad)) for bad in rejected if bad.any())
+    key, values = next((key, values) for (key, values, _), bad in zip(checked, rejected) if bad[i])
+    raise ValueError(f"{where} {i}: {key} must be finite, got {values[i].item()!r}")
+
+
+def _record_texts(columns: _Columns, where: str) -> list[str]:
+    """The JSON object of each record of columns: geometry keys, table fields, then extra keys.
+
+    Numbers are written with repr and labels with the JSON string escape.
+    A field at its default is omitted unless its table row says to write it
+    always, as is a missing cuboid and an absent confidence. Records that
+    write the same keys are encoded together, one %-format per record from
+    one .tolist() per column. An extra key that repeats a known one takes
+    its place.
+    """
+    n = len(columns)
+    groups = _record_keys(columns)
+    _require_finite(columns, groups, where)
+    # Drop the keys no record writes; a key every record writes needs no mask.
+    kept, varying = [], []
+    for written, keys in groups:
+        count = n if written is None else int(np.count_nonzero(written))
+        if count == n:
+            kept.append((None, keys))
+        elif count:
+            kept.append((written, keys))
+            varying.append(written)
+    # Sort the records by the keys they write, stably.
+    order = None
+    if varying:
+        shape = sum(written.astype(np.int64) << bit for bit, written in enumerate(varying))
+        order = np.argsort(shape, kind="stable")
+    starts = [0] if order is None else [0, *(np.flatnonzero(np.diff(shape[order])) + 1).tolist()]
+    lists = {
+        key: (values if order is None else values[order]).tolist()
+        for _, keys in kept
+        for key, _, values in keys
+        if values is not None
+    }
+    texts, layouts = [], []
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        first = lo if order is None else int(order[lo])
+        layout = [(key, form) for written, keys in kept if written is None or written[first] for key, form, _ in keys]
+        template = "{" + ",".join(f'"{key}":{form}' for key, form in layout) + "}"
+        texts += map(template.__mod__, zip(*(lists[key][lo:hi] for key, _ in layout if key in lists)))
+        layouts.append(layout)
+    rank = None if order is None else np.argsort(order)
+    for i, extra in columns.extra.items():
+        at = i if rank is None else int(rank[i])
+        layout = layouts[bisect.bisect_right(starts, at) - 1]
+        items = {key: _Text(form % lists[key][at] if key in lists else form) for key, form in layout}
+        items.update(extra)
+        texts[at] = "{" + ",".join(
+            f'"{key}":{value}' if type(value) is _Text else _item(key, value) for key, value in items.items()
+        ) + "}"
+    return texts if rank is None else [texts[k] for k in rank.tolist()]
+
+
+# Where a scene's object holds its boxes or ground truths.
+_RECORDS = object()
+
+
+def _scene_text(scene: Scene) -> str:
+    """The JSON object of a scene: id, camera if any, boxes, gts, then its extra keys."""
     out: dict = {"id": scene.scene_id}
     if scene.camera is not None:
         out["camera"] = scene.camera
-    out["boxes"] = [_record_to_dict(b) for b in scene.boxes]
-    out["gts"] = [_record_to_dict(g) for g in scene.gts]
+    out.update(boxes=_RECORDS, gts=_RECORDS)
     out.update(scene.extra)
-    return out
+    items = []
+    for key, value in out.items():
+        if value is _RECORDS:
+            where = f"scene {scene.scene_id!r} {'box' if key == 'boxes' else 'gt'}"
+            items.append(f'"{key}":[' + ",".join(_record_texts(scene._columns(key), where)) + "]")
+        else:
+            items.append(_item(key, value))
+    return "{" + ",".join(items) + "}"
 
 
 def scene_from_dict(data: dict, where: str = "scene") -> Scene:
@@ -363,8 +478,9 @@ def read_scenes_jsonl(path: str | os.PathLike) -> list[Scene]:
 
 
 def write_scenes_jsonl(path: str | os.PathLike, scenes: Iterable[Scene]) -> None:
-    """Write scenes one JSON object per line; NaN and infinities are rejected."""
+    """Write scenes one JSON object per line, a scene at a time, from their columns; NaN and infinities are
+    rejected."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for scene in scenes:
-            handle.write(json.dumps(scene_to_dict(scene), allow_nan=False, separators=(",", ":")))
+            handle.write(_scene_text(scene))
             handle.write("\n")

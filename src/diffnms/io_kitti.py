@@ -12,7 +12,8 @@ serialize lossless; a detection's score lives only in its score field.
 DontCare rows (and their sentinel geometry) are parsed with the flag set and
 no cuboid. The truncation, the alpha and a detection's score must be finite:
 ranking cannot order a NaN score, and a NaN truncation would pass every
-difficulty rule's bound.
+difficulty rule's bound. A file's errors name it and the line. The reader
+fills a scene's columns, and the writer encodes them, a column at a time.
 """
 
 from __future__ import annotations
@@ -45,49 +46,60 @@ def parse_kitti_label(line: str, line_number: int | None = None) -> GroundTruth 
     garbage, a non-integral occlusion, a non-finite truncation, alpha or
     score, or invalid geometry. This is the label-file reader on one line.
     """
-    boxes, gts = _kitti_columns([_label_row(line, line_number)])
+    boxes, gts = _kitti_columns([_label_row(line, (None, line_number))])
     return (boxes or gts).records()[0]
 
 
-def _format_float(value: float) -> str:
-    # repr gives the shortest string that parses back to the same float.
-    return repr(float(value))
-
-
 def format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
-    """Serialize one record back to a label line.
+    """Serialize one record back to a label line: the label-file writer on one record.
 
     Records that came from a file reuse their raw fields verbatim; records
     built programmatically are written from their geometry, with the location
     recomputed as the bottom-face center. Detections end with their score.
     """
-    if obj.raw_fields is not None:
-        if len(obj.raw_fields) != _GT_FIELDS - 1:
-            raise ValueError(f"raw_fields must hold {_GT_FIELDS - 1} numbers, got {len(obj.raw_fields)}")
-        values = obj.raw_fields
-    else:
-        if obj.cuboid is None:
-            raise ValueError("cannot serialize a record with neither raw fields nor a cuboid")
-        c = obj.cuboid
-        values = (
-            obj.truncation,
-            float(obj.occlusion),
-            obj.alpha,
-            obj.rect.x1,
-            obj.rect.y1,
-            obj.rect.x2,
-            obj.rect.y2,
-            c.h,
-            c.w,
-            c.l,
-            c.cx,
-            c.cy + c.h / 2.0,
-            c.cz,
-            c.yaw,
+    kind = DetectionBox if isinstance(obj, DetectionBox) else GroundTruth
+    return _label_lines(_Columns.from_records(kind, [obj]))[0]
+
+
+def _label_lines(columns: _Columns) -> list[str]:
+    """The label line of each record of columns, built a column at a time.
+
+    A record with raw fields writes them as they are, and one without writes
+    its truncation, occlusion, alpha, rectangle and cuboid, the location
+    lifted to the bottom-face center; a detection then adds its score. Every
+    number is written with repr, the shortest text that parses back to it.
+    The first record whose raw fields are not 14 numbers, or that has
+    neither raw fields nor a cuboid, raises ValueError.
+    """
+    n = len(columns)
+    raw = columns.raw_fields
+    derived = np.ones(n, dtype=bool)
+    derived[list(raw)] = False
+    _raise_first([
+        ([i for i, fields in raw.items() if len(fields) != _GT_FIELDS - 1], lambda i: ValueError(
+            f"raw_fields must hold {_GT_FIELDS - 1} numbers, got {len(raw[i])}"
+        )),
+        (np.flatnonzero(derived & ~columns.has_cuboid).tolist(), lambda i: ValueError(
+            "cannot serialize a record with neither raw fields nor a cuboid"
+        )),
+    ])
+    values = np.empty((n, _GT_FIELDS - 1))
+    if raw:
+        values[list(raw)] = np.array(list(raw.values()), dtype=float).reshape(-1, _GT_FIELDS - 1)
+    at = np.flatnonzero(derived)
+    if at.size:
+        cx, cy, cz, w, h, length, yaw = columns.cuboids[at].T
+        # As in Python, the bottom-face center overflows to infinity without complaint.
+        with np.errstate(over="ignore"):
+            y = cy + h / 2.0
+        occlusion = np.asarray(columns.occlusion[at], dtype=float)
+        values[at] = np.column_stack(
+            [columns.truncation[at], occlusion, columns.alpha[at], columns.rects[at], h, w, length, cx, y, cz, yaw]
         )
-    if isinstance(obj, DetectionBox):
-        values = values + (obj.score,)
-    return " ".join([obj.label] + [_format_float(v) for v in values])
+    if columns.kind is DetectionBox:
+        values = np.column_stack([values, columns.score])
+    template = "%s" + " %r" * values.shape[1]
+    return list(map(template.__mod__, zip(columns.label, *values.T.tolist())))
 
 
 def _check_labels_dir(labels_dir: str | os.PathLike | None) -> None:
@@ -95,31 +107,36 @@ def _check_labels_dir(labels_dir: str | os.PathLike | None) -> None:
         raise ValueError(f"{os.fspath(labels_dir)}: labels path is not a directory")
 
 
-def _line(number: int | None) -> str:
-    return "" if number is None else f"line {number}: "
+def _line(place: tuple[str | None, int | None]) -> str:
+    """The prefix of a line's errors: its file, if it came from one, and its number, if it has one."""
+    name, number = place
+    if number is None:
+        return ""
+    return f"line {number}: " if name is None else f"{name}: line {number}: "
 
 
-def _label_row(line: str, number: int | None) -> tuple[str, list[float], bool, int | None]:
+def _label_row(line: str, place: tuple[str | None, int | None]) -> tuple[str, list[float], bool, tuple]:
     """A label line's type, its numbers parsed with float() (0.0 stands in for a ground truth's score), whether
-    it is scored, and its number; ValueError naming the line on a wrong field count or a token float() rejects."""
+    it is scored, and its place, (file, number); ValueError named by ``_line(place)`` on a wrong field count or
+    a token float() rejects."""
     tokens = line.split()
     if len(tokens) not in (_GT_FIELDS, _DET_FIELDS):
-        raise ValueError(f"{_line(number)}expected {_GT_FIELDS} or {_DET_FIELDS} fields, got {len(tokens)}")
+        raise ValueError(f"{_line(place)}expected {_GT_FIELDS} or {_DET_FIELDS} fields, got {len(tokens)}")
     try:
         row = list(map(float, tokens[1:]))
     except ValueError as exc:
-        raise ValueError(f"{_line(number)}non-numeric field: {exc}") from None
+        raise ValueError(f"{_line(place)}non-numeric field: {exc}") from None
     scored = len(tokens) == _DET_FIELDS
     if not scored:
         row.append(0.0)
-    return tokens[0], row, scored, number
+    return tokens[0], row, scored, place
 
 
 def _kitti_columns(lines: list[tuple]) -> tuple[_Columns, _Columns]:
     """The detection and the ground-truth columns of ``_label_row``'s lines, each check run over all lines at once.
     The first line that fails one raises the error of its first failing check: the occlusion is an integer; the
     truncation, the alpha and a detection's score are finite; Rect2D, then Cuboid3D."""
-    labels, rows, scored, numbers = zip(*lines) if lines else [()] * 4
+    labels, rows, scored, places = zip(*lines) if lines else [()] * 4
     values = np.array(rows, dtype=float).reshape(-1, _DET_FIELDS - 1)
     occlusion = values[:, 1]
     rects = values[:, 3:7]
@@ -135,11 +152,11 @@ def _kitti_columns(lines: list[tuple]) -> tuple[_Columns, _Columns]:
         accepted.append((name, k, "finite", np.isfinite(values[:, k])))
     stages = [
         (np.flatnonzero(~ok).tolist(), lambda row, name=name, k=k, rule=rule: ValueError(
-            f"{_line(numbers[row])}{name} must be {rule}, got {values[row, k].item()!r}"
+            f"{_line(places[row])}{name} must be {rule}, got {values[row, k].item()!r}"
         ))
         for name, k, rule, ok in accepted
     ]
-    _raise_first(stages + _geometry_stages(rects, cuboids, lambda row: _line(numbers[row])))
+    _raise_first(stages + _geometry_stages(rects, cuboids, lambda row: _line(places[row])))
     occlusion = occlusion.astype(np.int64) if (np.abs(occlusion) < 2.0**63).all() else _occlusions(
         [int(v) for v in occlusion.tolist()]
     )
@@ -177,7 +194,8 @@ def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | Non
     directory, raises ValueError naming its path. A line that cannot be
     split into numbers, or a file that cannot be read, ends the read, and is
     raised once ``_kitti_columns`` has checked the lines before it: the
-    first error in file and line order is the one raised."""
+    first error in file and line order is the one raised. A line's error
+    names the path of its file, then the line."""
     _check_labels_dir(labels_dir)
     scene_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     paths = [os.fspath(path)]
@@ -189,7 +207,7 @@ def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | Non
     try:
         for k, name in enumerate(paths):
             for number, line in _text_lines(name, "ascii", f"{name}: "):
-                lines.append(_label_row(line, number))
+                lines.append(_label_row(line, (name, number)))
                 if k and lines[-1][2]:
                     raise ValueError(f"{name}: line {number}: a labels file holds no scored detections")
     except (ValueError, OSError) as exc:
@@ -201,12 +219,10 @@ def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | Non
 
 
 def write_kitti_file(path: str | os.PathLike, scene: Scene) -> None:
-    """Write a scene as one label file, ground truths first, then detections."""
+    """Write a scene as one label file, ground truths first, then detections, from its columns."""
+    lines = _label_lines(scene._columns("gts")) + _label_lines(scene._columns("boxes"))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        for gt in scene.gts:
-            handle.write(format_kitti_label(gt) + "\n")
-        for box in scene.boxes:
-            handle.write(format_kitti_label(box) + "\n")
+        handle.write("".join(line + "\n" for line in lines))
 
 
 def read_kitti_dir(path: str | os.PathLike, labels_dir: str | os.PathLike | None = None) -> list[Scene]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import DetectionBox, GroundTruth, Scene
-from .geometry import Cuboid3D, Rect2D, cuboid_array, iou3d_pairs, overlap_matrix
+from .geometry import Cuboid3D, Rect2D, RectOverlaps, cuboid_array, iou3d_pairs
 
 __all__ = ["SyntheticConfig", "generate_synthetic", "random_instance", "rect_from_cuboid"]
 
@@ -160,15 +160,20 @@ def random_instance(rng: np.random.Generator, n_boxes: int) -> tuple[np.ndarray,
 
     Rectangles are sampled around a few cluster centers so the matrix mixes
     heavy, partial, and zero overlaps; scores are uniform in [0.01, 0.99].
+    The rectangles are drawn into one array, and the matrix is
+    ``overlap_matrix`` of them.
     """
     if n_boxes == 0:
         return np.zeros(0), np.zeros((0, 0))
     n_clusters = max(1, n_boxes // 4)
     centers = rng.uniform(0.0, 120.0, size=(n_clusters, 2))
-    rects = []
-    for _ in range(n_boxes):
-        cx, cy = centers[rng.integers(n_clusters)] + rng.normal(0.0, 5.0, size=2)
-        w, h = rng.uniform(8.0, 22.0, size=2)
-        rects.append(Rect2D(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
+    # Each box draws its cluster, its offset and then its size, box after box.
+    middle, size = np.empty((n_boxes, 2)), np.empty((n_boxes, 2))
+    for k in range(n_boxes):
+        middle[k] = centers[rng.integers(n_clusters)] + rng.normal(0.0, 5.0, size=2)
+        size[k] = rng.uniform(8.0, 22.0, size=2)
+    half = size / 2.0
+    rects = np.concatenate([middle - half, middle + half], axis=1)
     scores = rng.uniform(0.01, 0.99, size=n_boxes)
-    return scores, overlap_matrix(rects)
+    boxes = np.arange(n_boxes)
+    return scores, RectOverlaps(rects).pairs(boxes[:, None], boxes)

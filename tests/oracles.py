@@ -15,8 +15,10 @@ arithmetic replaced, the dense forward substitution is the one the package's row
 solve replaced, the finite-difference loop rescores one perturbed
 instance per masked_rescore call where the package batches them, and the
 record readers at the end build one record per JSONL object or KITTI line,
-as the package's readers did before they read scenes into columns; the package
-must agree with all of them bit for bit. Slow is fine; these only run inside
+as the package's readers did before they read scenes into columns, and the
+record writers after them encode one record at a time, as the package's
+writers did before they wrote from columns; the package must agree with all
+of them bit for bit. Slow is fine; these only run inside
 tests.
 """
 
@@ -47,6 +49,7 @@ from diffnms import (
     filter_gts,
     masked_jacobians,
     masked_rescore,
+    overlap_matrix,
     prune,
     prune_derivative,
     rect_array,
@@ -896,12 +899,20 @@ def reference_parse_kitti_label(line: str, line_number: int | None = None) -> Gr
     return GroundTruth(**common)
 
 
+def _parse_in_file(name: str, line: str, number: int) -> GroundTruth | DetectionBox:
+    """reference_parse_kitti_label, its errors prefixed with the name of the file the line came from."""
+    try:
+        return reference_parse_kitti_label(line, line_number=number)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def reference_read_kitti_file(path, labels_dir=None) -> Scene:
     if labels_dir is not None and not os.path.isdir(labels_dir):
         raise ValueError(f"{os.fspath(labels_dir)}: labels path is not a directory")
     scene = Scene(scene_id=os.path.splitext(os.path.basename(os.fspath(path)))[0])
     for number, line in _text_lines(path, "ascii", f"{os.fspath(path)}: "):
-        record = reference_parse_kitti_label(line, line_number=number)
+        record = _parse_in_file(os.fspath(path), line, number)
         if isinstance(record, DetectionBox):
             scene.boxes.append(record)
         else:
@@ -910,8 +921,84 @@ def reference_read_kitti_file(path, labels_dir=None) -> Scene:
         label_path = os.path.join(labels_dir, os.path.basename(os.fspath(path)))
         if os.path.exists(label_path):
             for number, line in _text_lines(label_path, "ascii", f"{label_path}: "):
-                record = reference_parse_kitti_label(line, line_number=number)
+                record = _parse_in_file(label_path, line, number)
                 if isinstance(record, DetectionBox):
                     raise ValueError(f"{label_path}: line {number}: a labels file holds no scored detections")
                 scene.gts.append(record)
     return scene
+
+
+# The record writers: one dict per record, encoded by json.dumps, and one KITTI line per record.
+
+
+def reference_record_to_dict(record: DetectionBox | GroundTruth) -> dict:
+    """The JSON object of a record: geometry keys, table fields, then extra keys."""
+    out = {key: getattr(record.rect, key) for key in _RECT_KEYS}
+    if record.cuboid is not None:
+        out.update({key: getattr(record.cuboid, key) for key in _CUBOID_KEYS})
+    for key, _, default, always in _BOX_FIELDS if isinstance(record, DetectionBox) else _GT_FIELDS:
+        value = getattr(record, key)
+        if always or value != default:
+            out[key] = value
+    out.update(record.extra)
+    return out
+
+
+def reference_scene_to_dict(scene: Scene) -> dict:
+    out: dict = {"id": scene.scene_id}
+    if scene.camera is not None:
+        out["camera"] = scene.camera
+    out["boxes"] = [reference_record_to_dict(b) for b in scene.boxes]
+    out["gts"] = [reference_record_to_dict(g) for g in scene.gts]
+    out.update(scene.extra)
+    return out
+
+
+def reference_scene_line(scene: Scene) -> str:
+    """The line write_scenes_jsonl writes for a scene; NaN and infinities are rejected."""
+    return json.dumps(reference_scene_to_dict(scene), allow_nan=False, separators=(",", ":"))
+
+
+def reference_format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
+    if obj.raw_fields is not None:
+        if len(obj.raw_fields) != 14:
+            raise ValueError(f"raw_fields must hold 14 numbers, got {len(obj.raw_fields)}")
+        values = obj.raw_fields
+    else:
+        if obj.cuboid is None:
+            raise ValueError("cannot serialize a record with neither raw fields nor a cuboid")
+        c = obj.cuboid
+        values = (
+            obj.truncation,
+            float(obj.occlusion),
+            obj.alpha,
+            obj.rect.x1,
+            obj.rect.y1,
+            obj.rect.x2,
+            obj.rect.y2,
+            c.h,
+            c.w,
+            c.l,
+            c.cx,
+            c.cy + c.h / 2.0,
+            c.cz,
+            c.yaw,
+        )
+    if isinstance(obj, DetectionBox):
+        values = values + (obj.score,)
+    return " ".join([obj.label] + [repr(float(v)) for v in values])
+
+
+def reference_random_instance(rng: np.random.Generator, n_boxes: int) -> tuple[np.ndarray, np.ndarray]:
+    """random_instance as it drew one Rect2D per box and called overlap_matrix on them."""
+    if n_boxes == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    n_clusters = max(1, n_boxes // 4)
+    centers = rng.uniform(0.0, 120.0, size=(n_clusters, 2))
+    rects = []
+    for _ in range(n_boxes):
+        cx, cy = centers[rng.integers(n_clusters)] + rng.normal(0.0, 5.0, size=2)
+        w, h = rng.uniform(8.0, 22.0, size=2)
+        rects.append(Rect2D(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
+    scores = rng.uniform(0.01, 0.99, size=n_boxes)
+    return scores, overlap_matrix(rects)

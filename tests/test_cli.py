@@ -806,7 +806,7 @@ KITTI_ROW = "Car 0.00 {occlusion} -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.
 
 
 class TestMalformedKitti:
-    """Malformed KITTI rows exit 1 with one error line that names the line."""
+    """Malformed KITTI rows exit 1 with one error line that names the file and the line."""
 
     @pytest.mark.parametrize(
         "occlusion, shown", [("inf", "inf"), ("1e400", "inf"), ("nan", "nan"), ("1.5", "1.5")]
@@ -817,7 +817,7 @@ class TestMalformedKitti:
         path.write_text("\n".join(rows) + "\n", encoding="ascii")
         code = run_cli("run", "--input", str(path), "--format", "kitti", "--out", str(tmp_path / "out.txt"))
         assert code == 1
-        assert capsys.readouterr().err == f"error: line 2: occlusion must be an integer, got {shown}\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: occlusion must be an integer, got {shown}\n"
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_score_is_a_clean_error(self, tmp_path, capsys, score):
@@ -827,7 +827,7 @@ class TestMalformedKitti:
         path.write_text("\n".join(rows) + "\n", encoding="ascii")
         assert run_cli("eval", "--input", str(path), "--format", "kitti") == 1
         shown = repr(float(score))
-        assert capsys.readouterr().err == f"error: line 3: score must be finite, got {shown}\n"
+        assert capsys.readouterr().err == f"error: {path}: line 3: score must be finite, got {shown}\n"
 
     # A NaN truncation would pass every difficulty rule and count as easy.
     @pytest.mark.parametrize(
@@ -840,13 +840,13 @@ class TestMalformedKitti:
         path.write_text(KITTI_ROW.format(occlusion="0") + "\n" + " ".join(tokens) + "\n", encoding="ascii")
         assert run_cli("eval", "--input", str(path), "--format", "kitti") == 1
         shown = repr(float(value))
-        assert capsys.readouterr().err == f"error: line 2: {field} must be finite, got {shown}\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: {field} must be finite, got {shown}\n"
 
     def test_occlusion_is_checked_before_the_score(self, tmp_path, capsys):
         path = tmp_path / "000001.txt"
         path.write_text(KITTI_ROW.format(occlusion="1.5").replace(" 0.87", " nan") + "\n", encoding="ascii")
         assert run_cli("eval", "--input", str(path), "--format", "kitti") == 1
-        assert capsys.readouterr().err == "error: line 1: occlusion must be an integer, got 1.5\n"
+        assert capsys.readouterr().err == f"error: {path}: line 1: occlusion must be an integer, got 1.5\n"
 
     def test_undecodable_label_names_its_file_and_line(self, tmp_path, capsys):
         frames = tmp_path / "frames"

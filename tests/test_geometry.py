@@ -46,6 +46,7 @@ from oracles import (
     reference_iou2d,
     reference_iou3d,
     reference_iou3d_axis_aligned,
+    reference_may_meet,
     slow_cuboid_values,
     vertical_extent,
     volume,
@@ -669,6 +670,36 @@ EXTREME_CUBOIDS = [
 ]
 
 
+
+def _at_scale(scale: float, cx: float) -> Cuboid3D:
+    """A footprint 2**-10 of scale wide and long, ending at cx + l/2; its largest corner magnitude is that end."""
+    side = scale / 1024.0
+    return cuboid(cx=cx - side / 2.0, w=side, l=side)
+
+
+# Cuboids whose pairs are mostly apart, at the edges of the kernel's skip of
+# apart pairs in iou3d: a top of -0.0 above a bottom of +0.0, which makes the
+# IoU of the apart pair -0.0; -0.0 sizes; largest corner magnitudes at both
+# ends of _APART_SCALE and one step inside them; and volumes and vertical
+# extents that overflow.
+APART_EDGES = [
+    cuboid(cy=-0.0, h=-0.0),
+    cuboid(cx=10.0, cy=0.5, h=1.0),
+    cuboid(cx=-10.0, cy=0.0, h=0.0),
+    cuboid(cx=20.0, cy=-0.0, h=-0.0, w=-0.0),
+    cuboid(cz=30.0, cy=-0.0, h=-0.0, l=-0.0),
+    cuboid(cz=-30.0, w=-0.0, h=-0.0, l=-0.0),
+    *(
+        _at_scale(scale, cx)
+        for scale in (2.0**400, math.nextafter(2.0**400, 0.0), 2.0**-400, math.nextafter(2.0**-400, 1.0))
+        for cx in (scale, -scale / 2.0)
+    ),
+    cuboid(cx=1e5, w=1e103, h=1e103, l=1e103),
+    cuboid(cx=-1e5, cy=-1e308, h=1.7e308),
+    cuboid(cz=1e5, cy=1e308, h=1.7e308),
+]
+
+
 def _footprint_box(c: Cuboid3D) -> tuple[float, float, float, float]:
     xs, zs = zip(*c.bev_footprint())
     return min(xs), min(zs), max(xs), max(zs)
@@ -721,7 +752,7 @@ class TestBroadPhase:
     @settings(max_examples=200)
     @given(
         pairs=st.lists(gapped_pairs(), min_size=1, max_size=6),
-        extra=st.lists(st.sampled_from(EXTREME_CUBOIDS), max_size=3),
+        extra=st.lists(st.sampled_from(EXTREME_CUBOIDS + APART_EDGES), max_size=3),
     )
     def test_gapped_pairs_match_the_slow_path_bitwise(self, pairs, extra):
         firsts = [a for a, _ in pairs] + extra
@@ -736,6 +767,17 @@ class TestBroadPhase:
     def test_extreme_cuboids_match_the_slow_path_bitwise(self):
         boxes = EXTREME_CUBOIDS + EDGE_CUBOIDS
         self.assert_kernel_is_the_slow_path(boxes, boxes)
+
+    def test_apart_pairs_at_the_edges_match_the_slow_path_bitwise(self):
+        """iou3d evaluates an apart pair only when a box's top is zero; every other one is +0.0, bit for bit."""
+        self.assert_kernel_is_the_slow_path(APART_EDGES, APART_EDGES)
+        self.assert_kernel_is_the_slow_path(APART_EDGES + EXTREME_CUBOIDS, EXTREME_CUBOIDS + APART_EDGES)
+        top, bottom = APART_EDGES[:2]
+        assert not reference_may_meet(top, bottom)
+        assert bits(iou3d(top, bottom)) == bits(-0.0)
+        # At each end of _APART_SCALE the pair is near, and one step inside it apart.
+        scaled = APART_EDGES[6:14]
+        assert [reference_may_meet(a, b) for a, b in zip(scaled[::2], scaled[1::2])] == [True, False, True, False]
 
     @pytest.mark.parametrize("pair, area", [(FAR_AT_1E160, 2.0935032030025057e-160), (NEEDLE, 2e-300)])
     def test_far_pairs_keep_the_clippers_positive_area(self, pair, area):

@@ -247,7 +247,7 @@ def test_the_first_of_a_structural_and_a_value_fault_raises(tmp_path, structural
     labels_dir = tmp_path / "labels" if across else None
     read = lambda: [read_kitti_file(tmp_path / "000001.txt", labels_dir)]
     _assert_same_outcome(read, lambda: [reference_read_kitti_file(tmp_path / "000001.txt", labels_dir)])
-    assert "line 1: " in _outcome(read)[1][1]
+    assert f"{tmp_path / '000001.txt'}: line 1: " in _outcome(read)[1][1]
 
 
 @pytest.mark.parametrize("fault", VALUE_FAULTS)
@@ -263,4 +263,4 @@ def test_the_first_of_two_value_faults_raises(tmp_path, fault, other, second):
     _write_label_lines(tmp_path / "000001.txt", frame)
     read = lambda: [read_kitti_file(tmp_path / "000001.txt")]
     _assert_same_outcome(read, lambda: [reference_read_kitti_file(tmp_path / "000001.txt")])
-    assert _outcome(read)[1][1].startswith("line 1: ")
+    assert _outcome(read)[1][1].startswith(f"{tmp_path / '000001.txt'}: line 1: ")

@@ -38,9 +38,10 @@ def test_all_is_the_union_of_the_module_lists():
     assert sorted(exported) == diffnms.__all__
 
 
-# SCORE_MODES, scene_from_dict and scene_to_dict stay in their modules for the
-# package's own use. A dotted name is a member removed from an exported class;
-# the scalar record quantities live on in tests/oracles.py.
+# SCORE_MODES and scene_from_dict stay in their modules for the package's own
+# use; scene_to_dict is the record writer in tests/oracles.py. A dotted name is
+# a member removed from an exported class; the scalar record quantities live on
+# in tests/oracles.py.
 REMOVED_NAMES = [
     "classical_soft_nms",
     "prune_matrix",

@@ -10,7 +10,9 @@ through _cuboid_pairs. Each rescoring command runs each NMS loop once per
 variant and block of scenes of similar size, not once per scene, reads the
 small inverse systems once per block of systems of similar size, not once
 per group, and finds a corpus's zero-overlap clusters at most once; gradcheck
-runs the masked forward once per batch of trials, not per trial.
+runs the masked forward once per batch of trials, not per trial. No command
+that reads scenes builds a box or ground-truth record: run and oracle write
+their scenes from columns.
 """
 
 import dataclasses
@@ -59,12 +61,14 @@ from diffnms.harness import _corpus_results, _oracle_scenes
 from oracles import (
     reference_correlation_rows,
     reference_eval_ap_r40,
+    reference_format_kitti_label,
     reference_group_boxes,
     reference_may_meet,
     reference_oracle_scores,
     reference_quality,
     reference_read_kitti_file,
     reference_read_scenes_jsonl,
+    reference_scene_line,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_scenes.jsonl"
@@ -453,13 +457,6 @@ def _kitti_corpus(tmp_path) -> list[str]:
     return ["--input", str(tmp_path / "frames"), "--format", "kitti"]
 
 
-def _written_records(path) -> int:
-    """Boxes and ground truths in a written JSONL file or KITTI directory."""
-    if path.is_dir():
-        return sum(len(p.read_text().splitlines()) for p in path.iterdir())
-    return sum(len(s.boxes) + len(s.gts) for s in read_scenes_jsonl(path))
-
-
 @pytest.mark.parametrize("corpus", ["jsonl", "kitti"])
 @pytest.mark.parametrize(
     "args",
@@ -510,13 +507,56 @@ def test_occlusions_beyond_int64_are_read_into_columns(monkeypatch, tmp_path, co
     assert repr(got) == repr(reference())
 
 
-@pytest.mark.parametrize("corpus", ["jsonl", "kitti"])
-@pytest.mark.parametrize("extra", [[], ["--keep-all"], ["--nms", "soft", "--pruning", "linear", "--valid", "0.5"]])
-def test_run_builds_only_the_records_it_writes(monkeypatch, tmp_path, corpus, extra):
-    inputs = _kitti_corpus(tmp_path) if corpus == "kitti" else ["--input", str(GOLDEN)]
+def _with_extra_keys(scenes):
+    """Every 3rd box and every 2nd ground truth carry keys the reader does not know, nested ones included."""
+    def tagged(records, every):
+        return [
+            dataclasses.replace(r, extra={"track": i, "flags": ["edge", {"w": 0.5, "note": "\u00e9"}]})
+            if i % every == 0 else r
+            for i, r in enumerate(records)
+        ]
+
+    return [dataclasses.replace(s, boxes=tagged(s.boxes, 3), gts=tagged(s.gts, 2)) for s in scenes]
+
+
+def _corpus_inputs(tmp_path, corpus: str) -> list[str]:
+    """The input flags of the golden corpus as JSONL, its mixed or extra-key variant, or as KITTI frames."""
+    if corpus == "kitti":
+        return _kitti_corpus(tmp_path)
+    if corpus == "jsonl":
+        return ["--input", str(GOLDEN)]
+    variant = {"jsonl-mixed": _mixed, "jsonl-extra": _with_extra_keys}[corpus]
+    path = tmp_path / "corpus.jsonl"
+    write_scenes_jsonl(path, variant(read_scenes_jsonl(GOLDEN)))
+    return ["--input", str(path)]
+
+
+@pytest.mark.parametrize("corpus", ["jsonl", "jsonl-mixed", "jsonl-extra", "kitti"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run"],
+        ["run", "--keep-all"],
+        ["run", "--nms", "soft", "--pruning", "linear", "--valid", "0.5"],
+        ["oracle", "--mode", "iou3d"],
+        ["oracle", "--mode", "iou2d"],
+    ],
+)
+def test_commands_that_write_scenes_build_no_records(monkeypatch, tmp_path, corpus, args):
+    """run and oracle keep the scenes' columns from the read to the write, and build no box or ground-truth
+    record; what they write is what the record writers write for the records it reads back as."""
+    inputs = _corpus_inputs(tmp_path, corpus)
     out = tmp_path / ("out" if corpus == "kitti" else "out.jsonl")
     built = _counting_records(monkeypatch)
-    assert main(["run", *inputs, "--out", str(out), *extra]) == 0
-    written = sum(built.values())
+    assert main([*args, *inputs, "--out", str(out)]) == 0
+    assert built == Counter()
     monkeypatch.undo()
-    assert 0 < written == _written_records(out)
+    if corpus == "kitti":
+        for path in sorted(out.iterdir()):
+            scene = reference_read_kitti_file(path)
+            lines = [reference_format_kitti_label(r) + "\n" for r in [*scene.gts, *scene.boxes]]
+            assert path.read_text(encoding="ascii") == "".join(lines)
+    else:
+        scenes = reference_read_scenes_jsonl(out)
+        assert sum(len(s.boxes) for s in scenes) > 0
+        assert out.read_text(encoding="utf-8") == "".join(reference_scene_line(s) + "\n" for s in scenes)

@@ -27,7 +27,7 @@ from diffnms import (
 from diffnms.boxes import DetectionBox
 from diffnms.geometry import Rect2D
 from diffnms.synthetic import _apart, _sample_gt_cuboid
-from oracles import reference_iou2d
+from oracles import reference_iou2d, reference_random_instance
 
 
 class TestSyntheticScenes:
@@ -127,6 +127,17 @@ class TestRandomInstance:
         _, overlaps = random_instance(rng, 40)
         off_diag = overlaps[~np.eye(40, dtype=bool)]
         assert np.any(off_diag > 0.4)
+
+    def test_draws_what_the_rect2d_loop_drew(self):
+        """The same RNG calls in the same order, the same overlap bits, and the generator left in the same state."""
+        for seed in range(6):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in (0, 1, 2, 4, 13, 60):
+                scores, overlaps = random_instance(rng, n)
+                expected_scores, expected = reference_random_instance(reference, n)
+                assert scores.tobytes() == expected_scores.tobytes()
+                assert overlaps.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestScoreCombination:
