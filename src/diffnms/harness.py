@@ -1,11 +1,14 @@
 """Scene-level pipelines: rescoring, oracle scores, correlation, comparison.
 
 These helpers connect scenes to the array-level NMS engine. They read a
-scene's columns (``Scene._columns``), and build box records only for what they
-return as records; the scenes that ``diffnms run`` and ``diffnms oracle``
-write keep columns. Scenes never interact: a corpus is rescored in one NMS pass per
-variant, with the scenes as lanes of its loops, and every result and error is
-the one that rescoring each scene on its own, in input order, would give.
+scene's columns (``Scene._columns``): scores are folded from the confidence
+columns, and every scene that rescoring or the oracle returns holds box
+columns with the new scores and shares the input's ground truths. Only
+``rescored_boxes`` returns records, built from those columns, or for a scene
+that holds records, its own records with the rescored ones replaced. Scenes
+never interact: a corpus is rescored in one NMS pass per variant, with the
+scenes as lanes of its loops, and every result and error is the one that
+rescoring each scene on its own, in input order, would give.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import DetectionBox, Scene, _Columns
+from .boxes import DetectionBox, Scene, _Columns, _error_of
 from .geometry import RectOverlaps, _aa_iou, _cuboid_pairs, _iou3d_rows, iou2d_matrix
 from .nms import (
     NmsConfig,
@@ -86,21 +89,16 @@ def effective_scores(boxes: Sequence[DetectionBox], score_mode: str | None) -> n
 
     A box whose confidences the mode cannot combine raises ScoreRangeError.
     """
-    values = []
-    for k, b in enumerate(boxes):
-        if score_mode is None or (b.class_conf is None and b.pred_conf is None):
-            values.append(b.score)
-        else:
-            try:
-                values.append(combine_scores(b.class_conf, b.pred_conf, score_mode))
-            except ValueError as exc:
-                raise ScoreRangeError(str(exc), k) from None
-    return np.array(values, dtype=float)
+    return _column_scores(_Columns.from_records(DetectionBox, boxes), np.arange(len(boxes)), score_mode)
 
 
-def _column_scores(boxes: _Columns, at: np.ndarray, score_mode: str | None) -> np.ndarray | None:
-    """effective_scores of the boxes at positions at, from their columns; None when the confidences
-    of some box cannot be combined in score_mode, whose error effective_scores then raises."""
+def _column_scores(boxes: _Columns, at: np.ndarray, score_mode: str | None) -> np.ndarray:
+    """``effective_scores`` of the boxes at positions at, from their columns.
+
+    The first box whose confidences score_mode cannot combine raises
+    ScoreRangeError with its position in at and the reason ``combine_scores``
+    gives for its confidences.
+    """
     s = boxes.score[at]
     if score_mode is None:
         return s
@@ -119,11 +117,14 @@ def _column_scores(boxes: _Columns, at: np.ndarray, score_mode: str | None) -> n
             value = np.where(both, class_conf * pred_conf, one)
     else:
         ok, value = ~(has_class | has_pred), s
-    return value if ok.all() else None
+    if not ok.all():
+        k = int(np.argmax(~ok))
+        confs = [float(c) if has else None for c, has in ((class_conf[k], has_class[k]), (pred_conf[k], has_pred[k]))]
+        raise ScoreRangeError(str(_error_of(combine_scores, *confs, score_mode)), k)
+    return value
 
 
 def _corpus_scores(
-    scenes: Sequence[Scene],
     boxes: Sequence[_Columns],
     index_maps: list[np.ndarray],
     bounds: np.ndarray,
@@ -137,12 +138,9 @@ def _corpus_scores(
     confidences and then against each upper bound in turn, meets first.
     """
     parts = []
-    for scene, columns, index_map in zip(scenes, boxes, index_maps):
-        part = _column_scores(columns, index_map, score_mode)
+    for columns, index_map in zip(boxes, index_maps):
         try:
-            if part is None:
-                part = effective_scores([scene.boxes[i] for i in index_map.tolist()], score_mode)
-            parts.append(part)
+            parts.append(_column_scores(columns, index_map, score_mode))
         except ScoreRangeError as exc:
             # The scenes before this one come first.
             _validate_scenes(np.concatenate([np.zeros(0), *parts]), bounds[: len(parts) + 1], uppers)
@@ -175,7 +173,7 @@ def _corpus_results(
     index_maps = [np.flatnonzero(~columns.dontcare) for columns in boxes]
     bounds = np.array(list(accumulate(map(len, index_maps), initial=0)))
     try:
-        s = _corpus_scores(scenes, boxes, index_maps, bounds, [_score_upper(v) for v in variants], score_mode)
+        s = _corpus_scores(boxes, index_maps, bounds, [_score_upper(v) for v in variants], score_mode)
     except ScoreRangeError as exc:
         k = int(np.searchsorted(bounds, exc.index, side="right")) - 1
         box = index_maps[k][exc.index - bounds[k]]
@@ -218,13 +216,6 @@ def rescore_scene(
     return _rescore_scenes([scene], cfg, variant, score_mode)[0]
 
 
-def _rescored_positions(boxes: _Columns, result: RescoreResult, index_map: Sequence[int], kept_only: bool):
-    """The scene.boxes positions that rescored_boxes returns: the kept ones, in kept order, or all of them."""
-    if kept_only:
-        return np.asarray(index_map, dtype=np.intp)[np.asarray(result.kept, dtype=np.intp)]
-    return np.arange(len(boxes))
-
-
 def rescored_boxes(
     scene: Scene,
     result: RescoreResult,
@@ -234,43 +225,32 @@ def rescored_boxes(
     """Materialize rescored detections; by default only the surviving ones.
 
     With kept_only=False every box comes back, in scene.boxes order; DontCare
-    boxes take no part in NMS and keep their scores.
+    boxes take no part in NMS and keep their scores. A scene that holds
+    records gives back its own records, each rescored one replaced by a copy
+    with its new score.
     """
-    boxes = scene._columns("boxes")
-    positions = _rescored_positions(boxes, result, index_map, kept_only)
-    return _scored_boxes(scene, boxes, positions, index_map, result.rescores)
+    records = scene._held_records("boxes")
+    if records is None:
+        return _rescored_columns(scene._columns("boxes"), result, index_map, kept_only).records()
+    index = np.asarray(index_map, dtype=np.intp)
+    new = dict(zip(index.tolist(), result.rescores.tolist()))
+    positions = index[np.asarray(result.kept, dtype=np.intp)].tolist() if kept_only else range(len(records))
+    return [dataclasses.replace(records[i], score=new[i]) if i in new else records[i] for i in positions]
 
 
 def _rescored_scene(scene: Scene, result: RescoreResult, index_map: Sequence[int], kept_only: bool) -> Scene:
-    """scene with rescored_boxes(scene, result, index_map, kept_only) as its boxes."""
-    boxes = scene._columns("boxes")
-    positions = _rescored_positions(boxes, result, index_map, kept_only)
-    return _scored_scene(scene, boxes, positions, index_map, result.rescores)
+    """scene with the boxes rescored_boxes(scene, result, index_map, kept_only) returns, as columns."""
+    return scene._with_boxes(_rescored_columns(scene._columns("boxes"), result, index_map, kept_only))
 
 
-def _scored_columns(boxes: _Columns, positions, index, scores: np.ndarray) -> _Columns:
-    """The rows of boxes at positions, those at index scored scores."""
-    at = np.asarray(positions, dtype=np.intp)
+def _rescored_columns(boxes: _Columns, result: RescoreResult, index_map: Sequence[int], kept_only: bool) -> _Columns:
+    """The rows of boxes that rescored_boxes returns, the kept ones in kept order or all of them, each box at
+    index_map scored its rescore."""
+    index = np.asarray(index_map, dtype=np.intp)
     score = boxes.score.copy()
-    score[np.asarray(index, dtype=np.intp)] = scores
+    score[index] = result.rescores
+    at = index[np.asarray(result.kept, dtype=np.intp)] if kept_only else np.arange(len(boxes))
     return boxes.take(at, score[at])
-
-
-def _scored_boxes(scene: Scene, boxes: _Columns, positions, index, scores: np.ndarray) -> list[DetectionBox]:
-    """scene.boxes at positions, those at index scored scores; built from the columns boxes
-    unless the scene holds records, which are then replaced or returned as they are."""
-    records = scene._held_records("boxes")
-    if records is not None:
-        new = dict(zip(index, scores.tolist()))
-        return [dataclasses.replace(records[i], score=new[i]) if i in new else records[i] for i in positions]
-    return _scored_columns(boxes, positions, index, scores).records()
-
-
-def _scored_scene(scene: Scene, boxes: _Columns, positions, index, scores: np.ndarray) -> Scene:
-    """scene with ``_scored_boxes`` as its boxes: records in a scene that holds records, else columns."""
-    if scene._held_records("boxes") is not None:
-        return dataclasses.replace(scene, boxes=_scored_boxes(scene, boxes, positions, index, scores))
-    return scene._with_boxes(_scored_columns(boxes, positions, index, scores))
 
 
 def _gt_rows(boxes: Sequence[np.ndarray], gts: Sequence[np.ndarray]):
@@ -327,8 +307,7 @@ def _oracle_scenes(scenes: Sequence[Scene], mode: str = "iou3d") -> list[Scene]:
     for scene, b, scene_values in zip(scenes, boxes, values):
         # The best overlap starts at 0.0 and only a larger value replaces it.
         best = np.where(scene_values > 0.0, scene_values, 0.0).max(axis=1, initial=0.0)
-        every = range(len(b))
-        out.append(_scored_scene(scene, b, every, every, best))
+        out.append(scene._with_boxes(b.take(np.arange(len(b)), best)))
     return out
 
 

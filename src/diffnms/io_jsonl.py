@@ -19,7 +19,9 @@ shortest representation that parses back to the same value (Python's
 default). NaN or infinite values are rejected: on read, the constants NaN,
 Infinity and -Infinity anywhere on a line, and a number that overflows to
 infinity, in a known field or anywhere under a kept key; on write, any of
-them.
+them, with an error that names the scene, the record and the key (the
+known fields of a scene's boxes, or of its ground truths, are checked
+before their kept keys).
 """
 
 from __future__ import annotations
@@ -108,18 +110,20 @@ def _require_finite_extra(extra: dict, where: str) -> None:
 
     json parses a literal too large for a float, such as 1e400, as infinity,
     which the writer could not write back. The walk uses a stack, not
-    recursion, so any depth json accepted is walked.
+    recursion, so any depth json accepted is walked. It descends into what
+    json.dumps writes as arrays and objects, and checks what it writes as
+    floats, so a record built in Python is checked as it will be written.
     """
     for key, value in extra.items():
         stack = [value]
         while stack:
             item = stack.pop()
-            if type(item) is float:
+            if isinstance(item, float):
                 if not math.isfinite(item):
-                    raise ValueError(f"{where}: {key} must be finite, got {item!r}")
+                    raise ValueError(f"{where}: {key} must be finite, got {float(item)!r}")
             elif isinstance(item, dict):
                 stack.extend(item.values())
-            elif isinstance(item, list):
+            elif isinstance(item, (list, tuple)):
                 stack.extend(item)
 
 
@@ -354,6 +358,8 @@ def _record_texts(columns: _Columns, where: str) -> list[str]:
     n = len(columns)
     groups = _record_keys(columns)
     _require_finite(columns, groups, where)
+    for i in sorted(columns.extra):
+        _require_finite_extra(columns.extra[i], f"{where} {i}")
     # Drop the keys no record writes; a key every record writes needs no mask.
     kept, varying = [], []
     for written, keys in groups:
@@ -406,11 +412,13 @@ def _scene_text(scene: Scene) -> str:
     out.update(boxes=_RECORDS, gts=_RECORDS)
     out.update(scene.extra)
     items = []
+    where = f"scene {scene.scene_id!r}"
     for key, value in out.items():
         if value is _RECORDS:
-            where = f"scene {scene.scene_id!r} {'box' if key == 'boxes' else 'gt'}"
-            items.append(f'"{key}":[' + ",".join(_record_texts(scene._columns(key), where)) + "]")
+            texts = _record_texts(scene._columns(key), f"{where} {'box' if key == 'boxes' else 'gt'}")
+            items.append(f'"{key}":[' + ",".join(texts) + "]")
         else:
+            _require_finite_extra({key: value}, where)
             items.append(_item(key, value))
     return "{" + ",".join(items) + "}"
 

@@ -72,6 +72,8 @@ def _label_lines(columns: _Columns) -> list[str]:
     neither raw fields nor a cuboid, raises ValueError.
     """
     n = len(columns)
+    if not n:
+        return []
     raw = columns.raw_fields
     derived = np.ones(n, dtype=bool)
     derived[list(raw)] = False

@@ -9,7 +9,8 @@ rotated IoU3D/GIoU3D built on it and the axis-aligned IoU3D are the per-pair
 forms that the package's batched kernels replay, the rotated kernel with its clipper run on every pair is the slow
 path that its broad phase replaced, the per-pair loops call them, the
 greedy loop runs every round over the whole overlap matrix, the scene-by-scene loop
-of run_nms calls is what the harness's one pass over a corpus replaced, the per-member loops are the grouped NMS
+of run_nms calls is what the harness's one pass over a corpus replaced, the per-record score loop
+is what the harness's column score rule replaced, the per-member loops are the grouped NMS
 forward pass, backward pass and Jacobians that the package's closed-form index
 arithmetic replaced, the dense forward substitution is the one the package's row-blocked
 solve replaced, the finite-difference loop rescores one perturbed
@@ -45,7 +46,7 @@ from diffnms import (
     RectOverlaps,
     Scene,
     ScoreRangeError,
-    effective_scores,
+    combine_scores,
     filter_gts,
     masked_jacobians,
     masked_rescore,
@@ -491,6 +492,20 @@ def reference_correlation_rows(
     return rows
 
 
+def reference_effective_scores(boxes: list[DetectionBox], score_mode: str | None) -> np.ndarray:
+    """effective_scores one record at a time: combine_scores on each box that has a confidence."""
+    values = []
+    for k, b in enumerate(boxes):
+        if score_mode is None or (b.class_conf is None and b.pred_conf is None):
+            values.append(b.score)
+        else:
+            try:
+                values.append(combine_scores(b.class_conf, b.pred_conf, score_mode))
+            except ValueError as exc:
+                raise ScoreRangeError(str(exc), k) from None
+    return np.array(values, dtype=float)
+
+
 def reference_scene_results(
     scenes: list[Scene], cfg: NmsConfig, variants: list[NmsVariant], score_mode: str | None = None
 ) -> tuple[list[list[RescoreResult]], list[list[int]]]:
@@ -508,7 +523,7 @@ def reference_scene_results(
         boxes = [scene.boxes[i] for i in index_map]
         overlaps = RectOverlaps(rect_array([b.rect for b in boxes]))
         try:
-            scores = effective_scores(boxes, score_mode)
+            scores = reference_effective_scores(boxes, score_mode)
             for out, variant in zip(results, variants):
                 out.append(run_nms(scores, overlaps, cfg, variant))
         except ScoreRangeError as exc:

@@ -11,6 +11,8 @@ infinite.
 import dataclasses
 import math
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diffnms import (
@@ -198,3 +200,52 @@ def test_kitti_writer_raises_the_first_record_s_error(tmp_path):
     ]:
         got = _format_outcome(lambda s: write_kitti_file(tmp_path / "out.txt", s), scene)
         assert got == (None, (ValueError, message))
+
+
+def _box(score=0.5, **fields) -> DetectionBox:
+    return DetectionBox(Rect2D(0.0, 0.0, 1.0, 1.0), Cuboid3D(0.0, 0.0, 5.0, 1.0, 1.0, 1.0, 0.0), score, **fields)
+
+
+@pytest.mark.parametrize(
+    "scene, message",
+    [
+        (Scene("a", boxes=[_box(extra={"note": math.inf})]), "scene 'a' box 0: note must be finite, got inf"),
+        (
+            Scene("a", boxes=[_box(), _box(extra={"note": [1, {"deep": [math.nan]}]})]),
+            "scene 'a' box 1: note must be finite, got nan",
+        ),
+        (
+            Scene("a", gts=[GroundTruth(Rect2D(0.0, 0.0, 1.0, 1.0), extra={"tags": {"w": [2.0, -math.inf]}})]),
+            "scene 'a' gt 0: tags must be finite, got -inf",
+        ),
+        (
+            Scene("a", gts=[GroundTruth(Rect2D(0.0, 0.0, 1.0, 1.0), extra={"tags": (1.0, math.nan)})]),
+            "scene 'a' gt 0: tags must be finite, got nan",
+        ),
+        (
+            Scene("a", boxes=[_box(extra={"note": np.float64(-math.inf)})]),
+            "scene 'a' box 0: note must be finite, got -inf",
+        ),
+        (Scene("a", extra={"note": {"x": [0.5, math.inf]}}), "scene 'a': note must be finite, got inf"),
+        (Scene("a", camera=math.nan), "scene 'a': camera must be finite, got nan"),
+        # A record's known fields are checked before any record's kept keys.
+        (
+            Scene("a", boxes=[_box(extra={"note": math.inf}), _box(score=math.inf)]),
+            "scene 'a' box 1: score must be finite, got inf",
+        ),
+    ],
+    ids=["box", "nested-box", "nested-gt", "tuple", "numpy-float", "scene", "camera", "known-field-first"],
+)
+def test_a_non_finite_kept_value_names_its_scene_record_and_key(tmp_path, scene, message):
+    """NaN and infinities under kept keys, nested or not, raise the reader's error for them, not json's."""
+    got = _format_outcome(lambda s: write_scenes_jsonl(tmp_path / "out.jsonl", [s]), scene)
+    assert got == (None, (ValueError, message))
+    assert _reference_lines([scene])[1] is ValueError
+
+
+def test_a_non_finite_kept_value_of_a_read_scene_names_its_record(tmp_path):
+    box = {"x1": 0.0, "y1": 0.0, "x2": 1.0, "y2": 1.0, "score": 0.5}
+    scene = scene_from_dict({"id": "a", "boxes": [{**box, "note": [1.0]}, {**box, "note": [1.0]}]})
+    scene._columns("boxes").extra[1]["note"][0] = -math.inf
+    got = _format_outcome(lambda s: write_scenes_jsonl(tmp_path / "out.jsonl", [s]), scene)
+    assert got == (None, (ValueError, "scene 'a' box 1: note must be finite, got -inf"))

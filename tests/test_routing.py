@@ -52,6 +52,7 @@ from diffnms import (
     run_nms,
     read_kitti_dir,
     read_scenes_jsonl,
+    rescore_scene,
     score_iou_correlation,
     write_scenes_jsonl,
 )
@@ -473,6 +474,27 @@ def test_commands_that_write_no_scenes_build_no_records(monkeypatch, tmp_path, c
     inputs = _kitti_corpus(tmp_path) if corpus == "kitti" else ["--input", str(GOLDEN)]
     built = _counting_records(monkeypatch)
     assert main([*args, *inputs]) == 0
+    assert built == Counter()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "correlate"])
+def test_a_score_mode_error_builds_no_records(monkeypatch, tmp_path, capsys, command):
+    """A box that lacks the confidence --score-mode needs is named from the columns, without building records."""
+    cuboid = {"cx": 0.0, "cy": 0.75, "cz": 10.0, "w": 1.6, "h": 1.5, "l": 4.0, "yaw": 0.0}
+    box = {"x1": 0.0, "y1": 0.0, "x2": 10.0, "y2": 10.0, **cuboid}
+    boxes = [{**box, "score": 0.9, "class_conf": 0.9}, {**box, "score": 0.5, "pred_conf": 0.5}]
+    path = tmp_path / "missing.jsonl"
+    path.write_text(json.dumps({"id": "a", "boxes": boxes, "gts": [box]}) + "\n", encoding="utf-8")
+    message = "scene 'a' box 1: score mode 'class' requires class_conf"
+    out = ["--out", str(tmp_path / "out.jsonl")] if command == "run" else []
+    built = _counting_records(monkeypatch)
+    assert main([command, "--input", str(path), "--score-mode", "class", *out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == Counter()
+    (scene,) = read_scenes_jsonl(path)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rescore_scene(scene, NmsConfig(), NmsVariant.MASKED, "class")
+    assert scene._held_records("boxes") is None
     assert built == Counter()
 
 

@@ -5,11 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffnms import (
     NmsConfig,
     NmsVariant,
     Pruning,
+    ScoreRangeError,
     SyntheticConfig,
     build_comparison,
     combine_scores,
@@ -24,10 +26,28 @@ from diffnms import (
     rescored_boxes,
     score_iou_correlation,
 )
-from diffnms.boxes import DetectionBox
+from diffnms.boxes import DetectionBox, GroundTruth
 from diffnms.geometry import Rect2D
 from diffnms.synthetic import _apart, _sample_gt_cuboid
-from oracles import reference_iou2d, reference_random_instance
+from oracles import reference_effective_scores, reference_iou2d, reference_oracle_scores, reference_random_instance
+
+confidences = st.one_of(st.none(), st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
+scored_boxes = st.builds(
+    lambda score, class_conf, pred_conf: DetectionBox(
+        Rect2D(0.0, 0.0, 1.0, 1.0), score=score, class_conf=class_conf, pred_conf=pred_conf
+    ),
+    st.one_of(st.floats(), st.just(-0.0)),
+    confidences,
+    confidences,
+)
+
+
+def _scores_or_error(effective, boxes, mode):
+    """(the scores' bytes, None), or (None, the ScoreRangeError's reason and index)."""
+    try:
+        return effective(boxes, mode).tobytes(), None
+    except ScoreRangeError as exc:
+        return None, (exc.reason, exc.index)
 
 
 class TestSyntheticScenes:
@@ -195,6 +215,14 @@ class TestScoreCombination:
         assert np.all(effective_scores(boxes, "product") == 0.25)
 
 
+    @settings(max_examples=300)
+    @given(boxes=st.lists(scored_boxes, max_size=8), mode=st.sampled_from([None, "product", "class", "pred", "mean"]))
+    def test_effective_scores_match_the_per_record_loop(self, boxes, mode):
+        """The column rule gives the per-record loop's scores bit for bit, or its error for the same box."""
+        got = _scores_or_error(effective_scores, boxes, mode)
+        assert got == _scores_or_error(reference_effective_scores, boxes, mode)
+
+
 class TestHarnessPipelines:
     def test_rescore_scene_skips_dontcare(self):
         scene = generate_synthetic(SyntheticConfig(seed=8, num_objects=3, proposals_per_object=3))[0]
@@ -235,6 +263,21 @@ class TestHarnessPipelines:
         assert oracle_scores(scene, "iou2d").boxes[0].score == 1.0
         with pytest.raises(ValueError):
             oracle_scores(scene, "giou")
+
+    def test_oracle_scores_of_a_record_scene_hold_box_columns(self):
+        """Records in, box columns out: the input records with the oracle scores, and the input ground truths."""
+        scene = generate_synthetic(SyntheticConfig(seed=10, num_objects=3, proposals_per_object=3))[0]
+        scene.boxes[0].cuboid = None
+        scene.boxes[1].dontcare = True
+        scene.boxes[2] = dataclasses.replace(scene.boxes[2], class_conf=0.5, extra={"track": [1, {"w": 2.5}]})
+        scene.gts.append(GroundTruth(rect=scene.gts[0].rect, dontcare=True))
+        for mode in ("iou3d", "iou2d"):
+            oracled = oracle_scores(scene, mode)
+            assert oracled._held_records("boxes") is None
+            assert oracled.gts is scene.gts
+            expected = reference_oracle_scores(scene, mode)
+            assert oracled.boxes == [dataclasses.replace(b, score=v) for b, v in zip(scene.boxes, expected)]
+            assert np.array(expected).tobytes() == np.array([b.score for b in oracled.boxes]).tobytes()
 
     def test_correlation_positive_on_jittered_scenes(self):
         cfg_s = SyntheticConfig(seed=12, num_scenes=4, num_objects=4, proposals_per_object=10,
