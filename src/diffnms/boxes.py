@@ -78,46 +78,24 @@ def _occlusions(values) -> np.ndarray:
     return np.array(values, dtype=object).reshape(-1)
 
 
-def _error_of(check, *args) -> ValueError:
-    """The ValueError that check(*args) raises."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        return exc
-
-
-def _raise_first(stages: list, order=None) -> None:
-    """Raise the error of the row, first in order (by default the rows' own), that some check rejects.
-
-    stages holds, in the order a record's checks run, (rows, fail) for each
-    check: the rows it rejects, and fail(row), the error it raises for one of
-    them. A row that several checks reject raises the first one's error.
-    """
-    stages = [(set(rows), fail) for rows, fail in stages]
-    rejected = set().union(*(rows for rows, _ in stages))
-    if rejected:
-        row = min(rejected, key=None if order is None else order.__getitem__)
-        raise next(fail(row) for rows, fail in stages if row in rows)
-
-
-def _geometry_stages(rects: np.ndarray, cuboids: np.ndarray, where) -> list:
-    """``_raise_first``'s stages for Rect2D on each row of rects, then Cuboid3D on each row of cuboids: finite
-    values, ordered corners, a finite area and non-negative sizes. Empty when every row passes; where(row) is the
-    prefix of a row's error."""
+def _geometry_ok(rects: np.ndarray, cuboids: np.ndarray) -> bool:
+    """Whether Rect2D accepts every row of rects and Cuboid3D every row of cuboids: finite values, ordered
+    corners, a finite area and non-negative sizes."""
     x1, y1, x2, y2 = rects.T
     # A corner that is not finite makes the area NaN or infinite.
     with np.errstate(over="ignore", invalid="ignore"):
         area = (x2 - x1) * (y2 - y1)
-    rect_rejected = ~np.isfinite(area) | (x1 > x2) | (y1 > y2)
-    cuboid_rejected = ~np.isfinite(cuboids).all(axis=1) | (cuboids[:, 3:6] < 0.0).any(axis=1)
-    if not (rect_rejected.any() or cuboid_rejected.any()):
-        return []
-    return [
-        (np.flatnonzero(rejected).tolist(), lambda row, shape=shape, rows=rows: ValueError(
-            f"{where(row)}{_error_of(shape, *rows[row].tolist())}"
-        ))
-        for shape, rows, rejected in ((Rect2D, rects, rect_rejected), (Cuboid3D, cuboids, cuboid_rejected))
-    ]
+    return bool(
+        np.isfinite(area).all() and (x1 <= x2).all() and (y1 <= y2).all()
+        and np.isfinite(cuboids).all() and (cuboids[:, 3:6] >= 0.0).all()
+    )
+
+
+def _check_geometry(rect: Sequence[float], cuboid: Sequence[float] | None) -> None:
+    """Raise the ValueError of Rect2D on rect, then of Cuboid3D on cuboid unless it is None."""
+    Rect2D(*rect)
+    if cuboid is not None:
+        Cuboid3D(*cuboid)
 
 
 class _Columns:
@@ -129,8 +107,9 @@ class _Columns:
     alpha and dontcare are arrays, and occlusion is ``_occlusions``'s. score,
     class_conf and pred_conf exist for detections only (None for ground
     truths); a confidence is NaN where its has_ mask is False, the record's
-    None. extra and raw_fields are sparse: position -> the record's nonempty
-    extra dict, or its raw_fields tuple.
+    None, and a detection's confidence not passed is NaN throughout. extra
+    and raw_fields are sparse: position -> the record's nonempty extra dict,
+    or its raw_fields tuple.
     """
 
     __slots__ = (
@@ -144,6 +123,10 @@ class _Columns:
             setattr(self, name, columns.get(name))
         self.extra = self.extra or {}
         self.raw_fields = self.raw_fields or {}
+        for name in ("class_conf", "pred_conf") if kind is DetectionBox else ():
+            if getattr(self, name) is None:
+                setattr(self, name, np.full(len(self.rects), np.nan))
+                setattr(self, "has_" + name, np.zeros(len(self.rects), dtype=bool))
 
     def __len__(self) -> int:
         return len(self.rects)

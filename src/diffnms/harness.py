@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import DetectionBox, Scene, _Columns, _error_of
+from .boxes import DetectionBox, Scene, _Columns
 from .geometry import RectOverlaps, _aa_iou, _cuboid_pairs, _iou3d_rows, iou2d_matrix
 from .nms import (
     NmsConfig,
@@ -120,7 +120,10 @@ def _column_scores(boxes: _Columns, at: np.ndarray, score_mode: str | None) -> n
     if not ok.all():
         k = int(np.argmax(~ok))
         confs = [float(c) if has else None for c, has in ((class_conf[k], has_class[k]), (pred_conf[k], has_pred[k]))]
-        raise ScoreRangeError(str(_error_of(combine_scores, *confs, score_mode)), k)
+        try:
+            combine_scores(*confs, score_mode)
+        except ValueError as exc:
+            raise ScoreRangeError(str(exc), k) from None
     return value
 
 

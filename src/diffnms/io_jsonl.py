@@ -8,9 +8,9 @@ Box and gt objects carry the rectangle corners (x1, y1, x2, y2), the cuboid
 center and dimensions (cx, cy, cz, w, h, l, yaw: all seven, or none when
 there is no cuboid), then the fields of one table per record kind:
 _BOX_FIELDS for boxes, _GT_FIELDS for ground truths. One reader and one
-writer serve both kinds; the reader fills a scene's columns, checked a field
-at a time, and a failed check raises the error of the first record that
-fails one, and the writer encodes a scene's columns, a key of all its
+writer serve both kinds; the reader fills a scene's columns, checked a column
+at a time, and a failed check sends it through the records in order for the
+first record's error; the writer encodes a scene's columns, a key of all its
 records at a time, into the bytes json.dumps would write for the records.
 Keys the reader does not know are preserved on the
 record and written back after the known ones, in their original order, so
@@ -31,11 +31,11 @@ import json
 import math
 import os
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _error_of, _geometry_stages, _occlusions, _raise_first
+from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _check_geometry, _geometry_ok, _occlusions
 
 __all__ = ["iter_scenes_jsonl", "read_scenes_jsonl", "write_scenes_jsonl"]
 
@@ -177,42 +177,44 @@ def _plain_arrays(kind: type, columns: dict) -> tuple[np.ndarray, dict]:
     return numbers, table
 
 
-def _field_stages(kind: type, columns: dict, where) -> list:
-    """Convert each value of the known keys' columns in place, as its converter does, and return
-    ``_raise_first``'s stages for the values the converters reject, which become their key's default. A value
-    that is its key's default is kept, as a record field left at its default."""
-    stages = []
-    for key, convert, default, _ in _CHECKS[kind]:
-        column, converted, rejected = columns[key], [], []
-        for row, value in enumerate(column):
-            try:
-                converted.append(value if value is default else convert(value))
-            except (TypeError, ValueError, OverflowError):
-                converted.append(default)
-                rejected.append(row)
-        columns[key] = converted
-        stages.append((rejected, lambda row, key=key, convert=convert, column=column: _field_error(
-            where(row), key, convert, column[row]
-        )))
-    return stages
+def _scan_records(kind: type, raw: list, where: str) -> NoReturn:
+    """Raise the error of the first object of raw, named "{where} {i}" by its position i, that is not a record of
+    kind, of its first failing check: an object; every rectangle key, and every cuboid key or none; each coordinate
+    and table field; no non-finite value under a kept key; Rect2D; Cuboid3D. It builds no records."""
+    known = _KNOWN_KEYS[kind]
+    for i, data in enumerate(raw):
+        at = f"{where} {i}"
+        _require_object(data, at)
+        absent = [key for key in _RECT_KEYS + _CUBOID_KEYS if key not in data]
+        if absent and (absent[0] in _RECT_KEYS or len(absent) < len(_CUBOID_KEYS)):
+            name = "rectangle" if absent[0] in _RECT_KEYS else "cuboid"
+            raise ValueError(f"{at}: missing {name} key {absent[0]!r}")
+        for key, convert, default, _ in _CHECKS[kind]:
+            value = data.get(key, default)
+            if value is not default:
+                try:
+                    convert(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise _field_error(at, key, convert, value) from None
+        _require_finite_extra({key: value for key, value in data.items() if key not in known}, at)
+        coords = [_number(data.get(key, 0.0)) for key in _RECT_KEYS + _CUBOID_KEYS]
+        try:
+            _check_geometry(coords[:4], None if absent else coords[4:])
+        except ValueError as exc:
+            raise ValueError(f"{at}: {exc}") from None
+    # Only a value of a type json does not parse to, such as a numpy float, fails a column check alone.
+    raise ValueError(f"{where}: a value is of a type json does not parse to")
 
 
 def _columns_from_dicts(kind: type, raw: list, where: str) -> _Columns:
-    """The columns of the records of kind that the objects of raw hold, read a field at a time.
+    """The columns of the records of kind that the objects of raw hold.
 
     Objects with the same keys in the same order are read together, each key
-    of all of them at once, and each check runs over a whole column. The
-    first object that fails one, named "{where} {i}" by its position i,
-    raises the error of its first failing check: it is an object; it has
-    every rectangle key, and every cuboid key or none; each coordinate, then
-    each table field; no non-finite value under a kept key; Rect2D; Cuboid3D.
+    of all of them at once, and each of ``_scan_records``'s checks runs over
+    a whole column; if one fails, ``_scan_records`` raises.
     """
     if not set(map(type, raw)) <= {dict}:
-        objects = [isinstance(data, dict) for data in raw]
-        if not all(objects):
-            first = objects.index(False)
-            _columns_from_dicts(kind, raw[:first], where)  # the objects before it raise first
-            _require_object(raw[first], f"{where} {first}")
+        return _scan_records(kind, raw, where)
     known = _KNOWN_KEYS[kind]
     groups: dict[tuple, list[int]] = {}
     for i, shape in enumerate(map(tuple, raw)):
@@ -220,17 +222,13 @@ def _columns_from_dicts(kind: type, raw: list, where: str) -> _Columns:
     # Each known key's values in group order; a group without the key takes its default.
     columns: dict[str, list] = {}
     has_cuboid, extra, done = [], {}, 0
-    missing, non_finite = {}, []  # the group-order rows these checks reject
     for shape, members in groups.items():
         start, done = done, done + len(members)
         keys = set(shape)
         cuboid = keys.issuperset(_CUBOID_KEYS)
-        has_cuboid += [cuboid] * len(members)
         if not keys.issuperset(_RECT_KEYS) or (keys.intersection(_CUBOID_KEYS) and not cuboid):
-            first = next(key for key in _RECT_KEYS + _CUBOID_KEYS if key not in keys)
-            message = f"missing {'rectangle' if first in _RECT_KEYS else 'cuboid'} key {first!r}"
-            missing.update(dict.fromkeys(range(start, done), message))
-            continue
+            return _scan_records(kind, raw, where)
+        has_cuboid += [cuboid] * len(members)
         records = [raw[i] for i in members]
         for key, values in zip(shape, zip(*map(itemgetter(*shape), records))):
             if key in known:
@@ -238,31 +236,20 @@ def _columns_from_dicts(kind: type, raw: list, where: str) -> _Columns:
                 column += [_DEFAULTS[key]] * (start - len(column))
                 column += values
         unknown = [key for key in shape if key not in known]
-        for row, (i, record) in enumerate(zip(members, records) if unknown else (), start=start):
+        for i, record in zip(members, records) if unknown else ():
             extra[i] = {key: record[key] for key in unknown}
-            try:
-                _require_finite_extra(extra[i], "")
-            except ValueError:
-                non_finite.append(row)
     for key in known:
         column = columns.setdefault(key, [])
         column += [_DEFAULTS[key]] * (done - len(column))
-    index = [i for members in groups.values() for i in members]
-
-    def named(row: int) -> str:
-        return f"{where} {index[row]}"
-
-    stages = [(missing, lambda row: ValueError(f"{named(row)}: {missing[row]}"))]
     try:
+        for values in extra.values():
+            _require_finite_extra(values, "")
         numbers, table = _plain_arrays(kind, columns)
     except (TypeError, ValueError, OverflowError):
-        # Some value is malformed, or valid but of a type the columns do not take as it is.
-        stages += _field_stages(kind, columns, named)
-        numbers, table = _plain_arrays(kind, columns)
-    stages.append((non_finite, lambda row: _error_of(_require_finite_extra, extra[index[row]], named(row))))
+        return _scan_records(kind, raw, where)
     rects, cuboids = numbers[:4].T.copy(), numbers[4:11].T.copy()
-    stages += _geometry_stages(rects, cuboids, lambda row: f"{named(row)}: ")
-    _raise_first(stages, index)
+    if not _geometry_ok(rects, cuboids):
+        return _scan_records(kind, raw, where)
     table.update(
         has_cuboid=np.array(has_cuboid, dtype=bool),
         label=columns["label"],
@@ -274,7 +261,7 @@ def _columns_from_dicts(kind: type, raw: list, where: str) -> _Columns:
         table["score"] = numbers[13]
     if len(groups) > 1:
         # Back from group order to the objects' order.
-        order = np.argsort(index, kind="stable")
+        order = np.argsort([i for members in groups.values() for i in members], kind="stable")
         rects, cuboids = rects[order], cuboids[order]
         table = {
             key: [value[i] for i in order.tolist()] if key == "label" else value[order] for key, value in table.items()
@@ -325,7 +312,7 @@ def _record_keys(columns: _Columns) -> list[tuple[np.ndarray | None, list[tuple]
 
 def _require_finite(columns: _Columns, groups: list, where: str) -> None:
     """ValueError naming the first record of columns, "{where} {i}", and its first written number that is NaN
-    or infinite."""
+    or infinite: one check over all numbers, then, if it fails, a scan of the records in order."""
     numbers = [columns.rects.ravel(), columns.cuboids.ravel(), columns.truncation, columns.alpha]
     if columns.kind is DetectionBox:
         numbers.append(columns.score)
@@ -333,16 +320,11 @@ def _require_finite(columns: _Columns, groups: list, where: str) -> None:
             numbers.append(np.where(getattr(columns, "has_" + key), getattr(columns, key), 0.0))
     if np.isfinite(np.concatenate(numbers)).all():
         return
-    checked = [
-        (key, values, written)
-        for written, keys in groups
-        for key, form, values in keys
-        if values is not None and values.dtype == float
-    ]
-    rejected = [~np.isfinite(v) if written is None else written & ~np.isfinite(v) for _, v, written in checked]
-    i = min(int(np.argmax(bad)) for bad in rejected if bad.any())
-    key, values = next((key, values) for (key, values, _), bad in zip(checked, rejected) if bad[i])
-    raise ValueError(f"{where} {i}: {key} must be finite, got {values[i].item()!r}")
+    for i in range(len(columns)):
+        for written, keys in groups:
+            for key, _, values in keys if written is None or written[i] else ():
+                if values is not None and values.dtype == float and not np.isfinite(values[i]):
+                    raise ValueError(f"{where} {i}: {key} must be finite, got {values[i].item()!r}")
 
 
 def _record_texts(columns: _Columns, where: str) -> list[str]:

@@ -13,17 +13,19 @@ DontCare rows (and their sentinel geometry) are parsed with the flag set and
 no cuboid. The truncation, the alpha and a detection's score must be finite:
 ranking cannot order a NaN score, and a NaN truncation would pass every
 difficulty rule's bound. A file's errors name it and the line. The reader
-fills a scene's columns, and the writer encodes them, a column at a time.
+fills a scene's columns, and the writer encodes them, a column at a time,
+into lines the reader reads back to the values written.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable
 
 import numpy as np
 
-from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _geometry_stages, _occlusions, _raise_first
+from .boxes import DetectionBox, GroundTruth, Scene, _Columns, _check_geometry, _geometry_ok, _occlusions
 from .io_jsonl import _text_lines
 
 __all__ = [
@@ -58,38 +60,30 @@ def format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
     recomputed as the bottom-face center. Detections end with their score.
     """
     kind = DetectionBox if isinstance(obj, DetectionBox) else GroundTruth
-    return _label_lines(_Columns.from_records(kind, [obj]))[0]
+    return _label_lines(_Columns.from_records(kind, [obj]), ascii_only=False)[0]
 
 
-def _label_lines(columns: _Columns) -> list[str]:
+def _label_lines(columns: _Columns, ascii_only: bool) -> list[str]:
     """The label line of each record of columns, built a column at a time.
 
-    A record with raw fields writes them as they are, and one without writes
-    its truncation, occlusion, alpha, rectangle and cuboid, the location
-    lifted to the bottom-face center; a detection then adds its score. Every
-    number is written with repr, the shortest text that parses back to it.
-    The first record whose raw fields are not 14 numbers, or that has
-    neither raw fields nor a cuboid, raises ValueError.
+    A record writes its raw fields as they are, or else its truncation,
+    occlusion, alpha, rectangle and cuboid, the location lifted to the
+    bottom-face center; a detection adds its score. Numbers are written with
+    repr, the shortest text that parses back to them. The reader's checks
+    run on the lines, and each label must be one token, and ASCII with
+    ascii_only. If a check fails, the first record that fails one raises the
+    error of its first: raw fields of 14 numbers, or else a cuboid; the
+    label; ``_check_row``.
     """
     n = len(columns)
     if not n:
         return []
-    raw = columns.raw_fields
-    derived = np.ones(n, dtype=bool)
-    derived[list(raw)] = False
-    _raise_first([
-        ([i for i, fields in raw.items() if len(fields) != _GT_FIELDS - 1], lambda i: ValueError(
-            f"raw_fields must hold {_GT_FIELDS - 1} numbers, got {len(raw[i])}"
-        )),
-        (np.flatnonzero(derived & ~columns.has_cuboid).tolist(), lambda i: ValueError(
-            "cannot serialize a record with neither raw fields nor a cuboid"
-        )),
-    ])
-    values = np.empty((n, _GT_FIELDS - 1))
-    if raw:
-        values[list(raw)] = np.array(list(raw.values()), dtype=float).reshape(-1, _GT_FIELDS - 1)
-    at = np.flatnonzero(derived)
-    if at.size:
+    # A record whose line cannot be built keeps a row of NaNs, which the checks reject.
+    values = np.full((n, _GT_FIELDS - 1), np.nan)
+    raw = {i: fields for i, fields in columns.raw_fields.items() if len(fields) == _GT_FIELDS - 1}
+    values[list(raw)] = np.array(list(raw.values()), dtype=float).reshape(-1, _GT_FIELDS - 1)
+    at = [i for i in np.flatnonzero(columns.has_cuboid).tolist() if i not in columns.raw_fields]
+    if at:
         cx, cy, cz, w, h, length, yaw = columns.cuboids[at].T
         # As in Python, the bottom-face center overflows to infinity without complaint.
         with np.errstate(over="ignore"):
@@ -100,6 +94,18 @@ def _label_lines(columns: _Columns) -> list[str]:
         )
     if columns.kind is DetectionBox:
         values = np.column_stack([values, columns.score])
+    # A label is the first token of its line, and in a label file ASCII.
+    bad_labels = [str.split(label) != [label] or (ascii_only and not label.isascii()) for label in columns.label]
+    if any(bad_labels) or not _rows_ok(values, _cuboids(columns.label, values)[1]):
+        for i, (label, row) in enumerate(zip(columns.label, values.tolist())):
+            fields = columns.raw_fields.get(i)
+            if fields is not None and len(fields) != _GT_FIELDS - 1:
+                raise ValueError(f"raw_fields must hold {_GT_FIELDS - 1} numbers, got {len(fields)}")
+            if fields is None and not columns.has_cuboid[i]:
+                raise ValueError("cannot serialize a record with neither raw fields nor a cuboid")
+            if bad_labels[i]:
+                raise ValueError(f"label must be one {'ASCII ' * ascii_only}token without whitespace, got {label!r}")
+            _check_row(label, row)
     template = "%s" + " %r" * values.shape[1]
     return list(map(template.__mod__, zip(columns.label, *values.T.tolist())))
 
@@ -134,38 +140,59 @@ def _label_row(line: str, place: tuple[str | None, int | None]) -> tuple[str, li
     return tokens[0], row, scored, place
 
 
-def _kitti_columns(lines: list[tuple]) -> tuple[_Columns, _Columns]:
-    """The detection and the ground-truth columns of ``_label_row``'s lines, each check run over all lines at once.
-    The first line that fails one raises the error of its first failing check: the occlusion is an integer; the
-    truncation, the alpha and a detection's score are finite; Rect2D, then Cuboid3D."""
-    labels, rows, scored, places = zip(*lines) if lines else [()] * 4
-    values = np.array(rows, dtype=float).reshape(-1, _DET_FIELDS - 1)
-    occlusion = values[:, 1]
-    rects = values[:, 3:7]
-    h, w, length, x, y, z, yaw = values[:, 7:14].T
+def _cuboids(labels, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each label line of labels and values is DontCare, and its cuboid: the location (X, Y, Z) moved up
+    to the center, zeros on a DontCare line."""
     dontcare = np.array([label == "DontCare" for label in labels], dtype=bool)
-    scored = np.array(scored, dtype=bool)
-    # Overflows and NaNs are rejected below, as the records reject them.
+    h, w, length, x, y, z, yaw = values[:, 7:14].T
+    # Overflows and NaNs are rejected by the checks, as the records reject them.
     with np.errstate(over="ignore", invalid="ignore"):
         cuboids = np.stack([x, y - h / 2.0, z, w, h, length, yaw], axis=1)
     cuboids[dontcare] = 0.0
-    accepted = [("occlusion", 1, "an integer", np.isfinite(occlusion) & (occlusion == np.floor(occlusion)))]
-    for name, k in (("truncation", 0), ("alpha", 2), ("score", 14)):
-        accepted.append((name, k, "finite", np.isfinite(values[:, k])))
-    stages = [
-        (np.flatnonzero(~ok).tolist(), lambda row, name=name, k=k, rule=rule: ValueError(
-            f"{_line(places[row])}{name} must be {rule}, got {values[row, k].item()!r}"
-        ))
-        for name, k, rule, ok in accepted
-    ]
-    _raise_first(stages + _geometry_stages(rects, cuboids, lambda row: _line(places[row])))
-    occlusion = occlusion.astype(np.int64) if (np.abs(occlusion) < 2.0**63).all() else _occlusions(
-        [int(v) for v in occlusion.tolist()]
+    return dontcare, cuboids
+
+
+def _rows_ok(values: np.ndarray, cuboids: np.ndarray) -> bool:
+    """Whether the reader accepts each label line's numbers, values (14, or 15 with a score), and cuboid: an
+    integer occlusion; a finite truncation, alpha and score; Rect2D; Cuboid3D, each over all lines at once."""
+    occlusion = values[:, 1]
+    return bool(
+        np.isfinite(values[:, :3]).all() and (occlusion == np.floor(occlusion)).all()
+        and np.isfinite(values[:, 14:]).all()
+        and _geometry_ok(values[:, 3:7], cuboids)
     )
+
+
+def _check_row(label: str, row: list[float]) -> None:
+    """Raise the error of the first of ``_rows_ok``'s checks that one label line, label and row, fails."""
+    if not row[1].is_integer():
+        raise ValueError(f"occlusion must be an integer, got {row[1]!r}")
+    for name, value in zip(("truncation", "alpha", "score"), (row[0], row[2], *row[14:])):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    h, w, length, x, y, z, yaw = row[7:14]
+    _check_geometry(row[3:7], None if label == "DontCare" else (x, y - h / 2.0, z, w, h, length, yaw))
+
+
+def _kitti_columns(lines: list[tuple]) -> tuple[_Columns, _Columns]:
+    """The detection and the ground-truth columns of ``_label_row``'s lines, checked by ``_rows_ok``; if a check
+    fails, the error of the first line that ``_check_row`` rejects, named by its place."""
+    labels, rows, scored, _ = zip(*lines) if lines else [()] * 4
+    values = np.array(rows, dtype=float).reshape(-1, _DET_FIELDS - 1)
+    dontcare, cuboids = _cuboids(labels, values)
+    if not _rows_ok(values, cuboids):
+        for label, row, _, place in lines:
+            try:
+                _check_row(label, row)
+            except ValueError as exc:
+                raise ValueError(f"{_line(place)}{exc}") from None
+    occlusion = _occlusions([int(v) for v in values[:, 1].tolist()])
+    scored = np.array(scored, dtype=bool)
     out = []
     for kind, at in ((DetectionBox, np.flatnonzero(scored)), (GroundTruth, np.flatnonzero(~scored))):
-        columns = dict(
-            rects=rects[at],
+        out.append(_Columns(
+            kind,
+            rects=values[at, 3:7],
             cuboids=cuboids[at],
             has_cuboid=~dontcare[at],
             label=[labels[i] for i in at.tolist()],
@@ -173,18 +200,9 @@ def _kitti_columns(lines: list[tuple]) -> tuple[_Columns, _Columns]:
             occlusion=occlusion[at],
             alpha=values[at, 2],
             dontcare=dontcare[at],
+            score=values[at, 14] if kind is DetectionBox else None,
             raw_fields={k: tuple(rows[i][: _GT_FIELDS - 1]) for k, i in enumerate(at.tolist())},
-        )
-        if kind is DetectionBox:
-            n = len(at)
-            columns.update(
-                score=values[at, 14],
-                class_conf=np.full(n, np.nan),
-                has_class_conf=np.zeros(n, dtype=bool),
-                pred_conf=np.full(n, np.nan),
-                has_pred_conf=np.zeros(n, dtype=bool),
-            )
-        out.append(_Columns(kind, **columns))
+        ))
     return tuple(out)
 
 
@@ -199,6 +217,11 @@ def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | Non
     first error in file and line order is the one raised. A line's error
     names the path of its file, then the line."""
     _check_labels_dir(labels_dir)
+    return _read_frame(path, labels_dir)
+
+
+def _read_frame(path: str | os.PathLike, labels_dir: str | os.PathLike | None) -> Scene:
+    """read_kitti_file once labels_dir is checked."""
     scene_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     paths = [os.fspath(path)]
     if labels_dir is not None:
@@ -222,7 +245,7 @@ def read_kitti_file(path: str | os.PathLike, labels_dir: str | os.PathLike | Non
 
 def write_kitti_file(path: str | os.PathLike, scene: Scene) -> None:
     """Write a scene as one label file, ground truths first, then detections, from its columns."""
-    lines = _label_lines(scene._columns("gts")) + _label_lines(scene._columns("boxes"))
+    lines = [line for name in ("gts", "boxes") for line in _label_lines(scene._columns(name), ascii_only=True)]
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("".join(line + "\n" for line in lines))
 
@@ -234,16 +257,18 @@ def read_kitti_dir(path: str | os.PathLike, labels_dir: str | os.PathLike | None
     files of labels_dir, which must be a directory, are merged into each scene.
     """
     _check_labels_dir(labels_dir)
-    scenes = []
-    for name in sorted(os.listdir(path)):
-        if not name.endswith(".txt"):
-            continue
-        scenes.append(read_kitti_file(os.path.join(path, name), labels_dir=labels_dir))
-    return scenes
+    names = sorted(name for name in os.listdir(path) if name.endswith(".txt"))
+    return [_read_frame(os.path.join(path, name), labels_dir) for name in names]
 
 
 def write_kitti_dir(path: str | os.PathLike, scenes: Iterable[Scene]) -> None:
-    """Write one label file per scene under a directory, named by scene id."""
+    """Write one label file per scene under a directory, named by scene id; an id that is empty, holds a path
+    separator or a NUL, or repeats another is a ValueError naming it, raised before any file is written."""
+    scenes, seen = list(scenes), set()
+    for scene_id in (scene.scene_id for scene in scenes):
+        if not scene_id or {os.sep, os.altsep, "\0"} & set(scene_id) or scene_id in seen:
+            raise ValueError(f"scene id {scene_id!r} cannot name a label file of its own")
+        seen.add(scene_id)
     os.makedirs(path, exist_ok=True)
     for scene in scenes:
         write_kitti_file(os.path.join(path, f"{scene.scene_id}.txt"), scene)

@@ -1001,7 +1001,12 @@ def reference_format_kitti_label(obj: GroundTruth | DetectionBox) -> str:
         )
     if isinstance(obj, DetectionBox):
         values = values + (obj.score,)
-    return " ".join([obj.label] + [repr(float(v)) for v in values])
+    line = " ".join([obj.label] + [repr(float(v)) for v in values])
+    if obj.label.split() != [obj.label]:
+        raise ValueError(f"label must be one token without whitespace, got {obj.label!r}")
+    # The line must read back: the reader's checks, whose errors name no line without a line number.
+    reference_parse_kitti_label(line)
+    return line
 
 
 def reference_random_instance(rng: np.random.Generator, n_boxes: int) -> tuple[np.ndarray, np.ndarray]:

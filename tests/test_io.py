@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffnms import (
@@ -22,6 +24,8 @@ from diffnms import (
     write_kitti_file,
     write_scenes_jsonl,
 )
+from diffnms import io_kitti
+from diffnms.boxes import _Columns
 from diffnms.io_jsonl import scene_from_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -156,6 +160,35 @@ class TestKittiFiles:
         out_dir = tmp_path / "out"
         write_kitti_dir(out_dir, scenes)
         assert sorted(os.listdir(out_dir)) == ["000001.txt", "000002.txt"]
+
+    def test_dir_reader_checks_the_labels_dir_once(self, tmp_path, monkeypatch):
+        (tmp_path / "frames").mkdir()
+        (tmp_path / "labels").mkdir()
+        for name in ("000001.txt", "000002.txt", "000003.txt"):
+            (tmp_path / "frames" / name).write_text(SAMPLE_DET + "\n", encoding="ascii")
+            (tmp_path / "labels" / name).write_text(SAMPLE_GT + "\n", encoding="ascii")
+        checked = []
+        check = io_kitti._check_labels_dir
+        monkeypatch.setattr(io_kitti, "_check_labels_dir", lambda labels_dir: checked.append(check(labels_dir)))
+        scenes = read_kitti_dir(tmp_path / "frames", labels_dir=tmp_path / "labels")
+        assert [(len(s.boxes), len(s.gts)) for s in scenes] == [(1, 1)] * 3
+        assert len(checked) == 1
+
+    @pytest.mark.parametrize("ids", [["a", ""], ["a", "../escaped"], ["a", "b/c"], ["a", "b\0c"], ["a", "b", "a"]])
+    def test_dir_writer_rejects_an_id_that_cannot_name_a_file_of_its_own(self, tmp_path, ids):
+        """Before any file is written: a repeated id would be read back as one scene, and a path would escape."""
+        scenes = [Scene(scene_id, gts=[parse_kitti_label(SAMPLE_GT)]) for scene_id in ids]
+        with pytest.raises(ValueError, match=f"^scene id {re.escape(repr(ids[-1]))} cannot name a label file"):
+            write_kitti_dir(tmp_path / "out", scenes)
+        assert os.listdir(tmp_path) == []
+
+    def test_detection_columns_fill_absent_confidences(self):
+        columns = _Columns(DetectionBox, rects=np.zeros((2, 4)), cuboids=np.zeros((2, 7)), score=np.ones(2))
+        assert np.isnan(columns.class_conf).all() and np.isnan(columns.pred_conf).all()
+        assert columns.has_class_conf.tolist() == columns.has_pred_conf.tolist() == [False, False]
+        assert _Columns(GroundTruth, rects=np.zeros((2, 4))).class_conf is None
+        boxes = read_kitti_file(GOLDEN_KITTI)._columns("boxes")
+        assert len(boxes) > 0 and not (boxes.has_class_conf.any() or boxes.has_pred_conf.any())
 
 
 class TestJsonl:

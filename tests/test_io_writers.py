@@ -23,6 +23,7 @@ from diffnms import (
     Scene,
     format_kitti_label,
     parse_kitti_label,
+    read_kitti_file,
     write_kitti_file,
     write_scenes_jsonl,
 )
@@ -204,6 +205,75 @@ def test_kitti_writer_raises_the_first_record_s_error(tmp_path):
 
 def _box(score=0.5, **fields) -> DetectionBox:
     return DetectionBox(Rect2D(0.0, 0.0, 1.0, 1.0), Cuboid3D(0.0, 0.0, 5.0, 1.0, 1.0, 1.0, 0.0), score, **fields)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lines=st.lists(kitti_lines(), max_size=3),
+    built=st.lists(st.one_of(records(DetectionBox), records(GroundTruth)), max_size=4),
+)
+def test_every_written_kitti_line_reads_back_to_what_was_written(lines, built, tmp_path_factory):
+    """format_kitti_label writes a line that parse_kitti_label reads back to the label and numbers written, or
+    raises; write_kitti_file writes a file that read_kitti_file reads back, or raises before it opens the file."""
+    kept = [record for line in lines for record in _label_records(line)] + built
+    for record in kept:
+        try:
+            line = format_kitti_label(record)
+        except ValueError:
+            continue
+        back = parse_kitti_label(line, 1)
+        numbers = [*back.raw_fields, *([back.score] if isinstance(back, DetectionBox) else [])]
+        assert [back.label, *map(repr, numbers)] == line.split(" ")
+        assert isinstance(back, DetectionBox) == isinstance(record, DetectionBox)
+    scene = Scene(
+        "000001",
+        boxes=[r for r in kept if isinstance(r, DetectionBox)],
+        gts=[r for r in kept if not isinstance(r, DetectionBox)],
+    )
+    path = tmp_path_factory.mktemp("kitti") / "000001.txt"
+    try:
+        write_kitti_file(path, scene)
+    except ValueError:
+        assert not path.exists()
+        return
+    again = read_kitti_file(path)
+    assert path.read_text(encoding="ascii") == "".join(format_kitti_label(r) + "\n" for r in [*again.gts, *again.boxes])
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (_box(score=math.nan, truncation=math.inf), "truncation must be finite, got inf"),
+        (_box(score=math.nan), "score must be finite, got nan"),
+        (_box(occlusion=1.5), "occlusion must be an integer, got 1.5"),
+        (_box(label="Big Car"), "label must be one token without whitespace, got 'Big Car'"),
+        (_box(label=""), "label must be one token without whitespace, got ''"),
+        (
+            GroundTruth(Rect2D(0.0, 0.0, 1.0, 1.0), raw_fields=(0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 1.0, *[0.0] * 7)),
+            "Rect2D corners must satisfy x1 <= x2 and y1 <= y2, got (2.0, 0.0, 1.0, 1.0)",
+        ),
+    ],
+    ids=["truncation-before-score", "score", "occlusion", "spaced-label", "empty-label", "raw-rectangle"],
+)
+def test_the_kitti_writer_rejects_a_line_its_reader_would(tmp_path, record, message):
+    """The reader's error, unprefixed, as the record writer gives it; a label file is not opened."""
+    expected = (None, (ValueError, message))
+    assert _format_outcome(format_kitti_label, record) == expected
+    assert _format_outcome(reference_format_kitti_label, record) == expected
+    detection = isinstance(record, DetectionBox)
+    scene = Scene("a", boxes=[record] if detection else [], gts=[] if detection else [record])
+    got = _format_outcome(lambda s: write_kitti_file(tmp_path / "out.txt", s), scene)
+    assert got == (None, (ValueError, message.replace("one token", "one ASCII token")))
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_a_label_file_holds_only_ascii_labels(tmp_path):
+    """A line may carry any one-token label, but a label file is ASCII: the error comes before the file opens."""
+    assert format_kitti_label(_box(label="Caf\u00e9")).startswith("Caf\u00e9 0.0 0.0 0.0 ")
+    scene = Scene("a", boxes=[_box(), _box(label="Caf\u00e9")])
+    got = _format_outcome(lambda s: write_kitti_file(tmp_path / "out.txt", s), scene)
+    assert got == (None, (ValueError, "label must be one ASCII token without whitespace, got 'Caf\u00e9'"))
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize(
