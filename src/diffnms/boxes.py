@@ -33,11 +33,6 @@ class GroundTruth:
     raw_fields: tuple[float, ...] | None = None
     extra: dict = field(default_factory=dict)
 
-    @property
-    def height(self) -> float:
-        """Image-space height in pixels."""
-        return self.rect.height
-
 
 @dataclass
 class DetectionBox:

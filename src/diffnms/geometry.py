@@ -67,10 +67,6 @@ class Rect2D:
                 f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
 
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
 
 @dataclass(frozen=True)
 class Cuboid3D:

@@ -155,8 +155,9 @@ class GradCheckReport:
     """Outcome of a finite-difference comparison against the analytic Jacobians.
 
     worst names the worst element as ("score", output, input) or
-    ("overlap", member, top) in original indices; it is None when every
-    element was skipped.
+    ("overlap", member, top) in original indices; it is None when no element
+    has an error above 0: every element was skipped, or every checked error
+    is exactly 0.
     """
 
     max_rel_error: float

@@ -33,7 +33,7 @@ from .nms import (
     _nms_scenes,
     _overlap_source,
     _score_upper,
-    _validate_scenes,
+    _validate_scores,
 )
 from .ranking import _ap_r40, _evaluable
 
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 SCORE_MODES = ("product", "class", "pred")
+
+# The columns of no detections: the first part of every stack, so that a corpus without scenes stacks too.
+_NO_BOXES = _Columns.from_records(DetectionBox, [])
 
 
 def combine_scores(class_conf: float | None, pred_conf: float | None, mode: str = "product") -> float:
@@ -89,21 +92,21 @@ def effective_scores(boxes: Sequence[DetectionBox], score_mode: str | None) -> n
 
     A box whose confidences the mode cannot combine raises ScoreRangeError.
     """
-    return _column_scores(_Columns.from_records(DetectionBox, boxes), np.arange(len(boxes)), score_mode)
+    columns = _Columns.from_records(DetectionBox, boxes)
+    s, ok = _column_scores(columns, score_mode)
+    if not ok.all():
+        _raise_fold_error(columns, int(np.argmax(~ok)), score_mode)
+    return s
 
 
-def _column_scores(boxes: _Columns, at: np.ndarray, score_mode: str | None) -> np.ndarray:
-    """``effective_scores`` of the boxes at positions at, from their columns.
-
-    The first box whose confidences score_mode cannot combine raises
-    ScoreRangeError with its position in at and the reason ``combine_scores``
-    gives for its confidences.
-    """
-    s = boxes.score[at]
+def _column_scores(boxes: _Columns, score_mode: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """``effective_scores`` of the boxes, from their columns, and whether score_mode can combine each
+    box's confidences; a box it cannot combine holds an arbitrary value."""
+    s = boxes.score
     if score_mode is None:
-        return s
-    has_class, has_pred = boxes.has_class_conf[at], boxes.has_pred_conf[at]
-    class_conf, pred_conf = boxes.class_conf[at], boxes.pred_conf[at]
+        return s, np.ones(len(s), dtype=bool)
+    has_class, has_pred = boxes.has_class_conf, boxes.has_pred_conf
+    class_conf, pred_conf = boxes.class_conf, boxes.pred_conf
     if score_mode == "class":
         ok, value = has_class | ~has_pred, np.where(has_class, class_conf, s)
     elif score_mode == "pred":
@@ -112,43 +115,53 @@ def _column_scores(boxes: _Columns, at: np.ndarray, score_mode: str | None) -> n
         both = has_class & has_pred
         ok = ~(both & ((class_conf < 0.0) | (pred_conf < 0.0)))
         one = np.where(has_class, class_conf, np.where(has_pred, pred_conf, s))
-        # As in Python, a product that overflows, or is inf * 0, is a score the check below rejects.
+        # As in Python, a product that overflows, or is inf * 0, is a score the range check rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             value = np.where(both, class_conf * pred_conf, one)
     else:
         ok, value = ~(has_class | has_pred), s
-    if not ok.all():
-        k = int(np.argmax(~ok))
-        confs = [float(c) if has else None for c, has in ((class_conf[k], has_class[k]), (pred_conf[k], has_pred[k]))]
-        try:
-            combine_scores(*confs, score_mode)
-        except ValueError as exc:
-            raise ScoreRangeError(str(exc), k) from None
-    return value
+    return value, ok
 
 
-def _corpus_scores(
-    boxes: Sequence[_Columns],
-    index_maps: list[np.ndarray],
-    bounds: np.ndarray,
-    uppers: list,
-    score_mode: str | None,
-) -> np.ndarray:
-    """The validated scores of every scene's boxes at index_maps, stacked; scene k holds bounds[k]:bounds[k + 1].
+def _raise_fold_error(boxes: _Columns, k: int, score_mode: str) -> None:
+    """Raise ScoreRangeError at k with the reason ``combine_scores`` gives for box k's confidences."""
+    confs = [
+        float(c) if has else None
+        for c, has in ((boxes.class_conf[k], boxes.has_class_conf[k]), (boxes.pred_conf[k], boxes.has_pred_conf[k]))
+    ]
+    try:
+        combine_scores(*confs, score_mode)
+    except ValueError as exc:
+        raise ScoreRangeError(str(exc), k) from None
+
+
+def _corpus_scores(boxes: _Columns, bounds: np.ndarray, uppers: list, score_mode: str | None) -> np.ndarray:
+    """The validated scores of the stacked boxes, scene k holding bounds[k]:bounds[k + 1].
 
     A bad score raises ScoreRangeError with the box's position in the stack.
     It is the error that checking the scenes in order, each first for its
-    confidences and then against each upper bound in turn, meets first.
+    confidences and then against each upper bound in turn, meets first: one
+    mask finds the first scene with a bad box, and only that scene is
+    checked box by box.
     """
-    parts = []
-    for columns, index_map in zip(boxes, index_maps):
-        try:
-            parts.append(_column_scores(columns, index_map, score_mode))
-        except ScoreRangeError as exc:
-            # The scenes before this one come first.
-            _validate_scenes(np.concatenate([np.zeros(0), *parts]), bounds[: len(parts) + 1], uppers)
-            raise ScoreRangeError(exc.reason, int(bounds[len(parts)]) + exc.index) from None
-    return _validate_scenes(np.concatenate([np.zeros(0), *parts]), bounds, uppers)
+    s, ok = _column_scores(boxes, score_mode)
+    # Adding 0.0 maps -0.0 to 0.0, as _validate_scores does.
+    s = s + 0.0
+    bad = ~ok | ~np.isfinite(s) | (s < 0.0)
+    for upper in uppers:
+        if upper is not None:
+            bad |= s > upper
+    if bad.any():
+        k = int(np.searchsorted(bounds, np.argmax(bad), side="right")) - 1
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        if not ok[lo:hi].all():
+            _raise_fold_error(boxes, lo + int(np.argmax(~ok[lo:hi])), score_mode)
+        for upper in uppers:
+            try:
+                _validate_scores(s[lo:hi], upper)
+            except ScoreRangeError as exc:
+                raise ScoreRangeError(exc.reason, lo + exc.index) from None
+    return s
 
 
 def _corpus_results(
@@ -175,14 +188,21 @@ def _corpus_results(
     boxes = [scene._columns("boxes") for scene in scenes]
     index_maps = [np.flatnonzero(~columns.dontcare) for columns in boxes]
     bounds = np.array(list(accumulate(map(len, index_maps), initial=0)))
+    confs = () if score_mode is None else ("class_conf", "has_class_conf", "pred_conf", "has_pred_conf")
+    stacked = _Columns(
+        DetectionBox,
+        **{
+            name: np.concatenate([getattr(_NO_BOXES, name), *(getattr(c, name)[at] for c, at in zip(boxes, index_maps))])
+            for name in ("rects", "score", *confs)
+        },
+    )
     try:
-        s = _corpus_scores(boxes, index_maps, bounds, [_score_upper(v) for v in variants], score_mode)
+        s = _corpus_scores(stacked, bounds, [_score_upper(v) for v in variants], score_mode)
     except ScoreRangeError as exc:
         k = int(np.searchsorted(bounds, exc.index, side="right")) - 1
         box = index_maps[k][exc.index - bounds[k]]
         raise ValueError(f"scene {scenes[k].scene_id!r} box {box}: {exc.reason}") from None
-    rects = np.concatenate([np.zeros((0, 4)), *(columns.rects[at] for columns, at in zip(boxes, index_maps))])
-    source = _overlap_source(RectOverlaps(rects), s.size)
+    source = _overlap_source(RectOverlaps(stacked.rects), s.size)
     clusters = functools.cache(functools.partial(source._clusters, bounds))
     tops: dict = {}
     results, seconds = [], []

@@ -458,8 +458,6 @@ def iter_scenes_jsonl(path: str | os.PathLike) -> Iterator[Scene]:
             raise ValueError(f"line {number}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"line {number}: invalid JSON: nested too deeply") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"line {number}: expected a JSON object")
         yield scene_from_dict(data, where=f"line {number}")
 
 

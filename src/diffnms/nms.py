@@ -684,25 +684,6 @@ def _score_upper(variant: NmsVariant) -> float | None:
     return None if variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT) else 1.0
 
 
-def _validate_scenes(s: np.ndarray, bounds: np.ndarray, uppers) -> np.ndarray:
-    """The scores of a corpus validated scene by scene, and within a scene against each upper bound in turn.
-
-    Scene k holds s[bounds[k]:bounds[k + 1]]. The error raised is the first
-    that validating the scenes one by one would meet; its index is the
-    box's position in s.
-    """
-    s = np.asarray(s, dtype=float) + 0.0
-    if np.all(np.isfinite(s)) and np.all(s >= 0.0) and not any(u is not None and np.any(s > u) for u in uppers):
-        return s
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        for upper in uppers:
-            try:
-                _validate_scores(s[lo:hi], upper)
-            except ScoreRangeError as exc:
-                raise ScoreRangeError(exc.reason, lo + exc.index) from None
-    return s
-
-
 def _nms_scenes(
     s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variant: NmsVariant, clusters=None, tops=None
 ) -> list[RescoreResult]:

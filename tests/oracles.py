@@ -862,8 +862,6 @@ def reference_read_scenes_jsonl(path) -> list[Scene]:
             raise ValueError(f"line {number}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"line {number}: invalid JSON: nested too deeply") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"line {number}: expected a JSON object")
         scenes.append(reference_scene_from_dict(data, where=f"line {number}"))
     return scenes
 

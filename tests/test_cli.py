@@ -162,6 +162,12 @@ class TestUsageConflicts:
             run_cli("run", "--input", str(scene_file), "--nms", "famous", "--out", str(tmp_path / "x.jsonl"))
         assert exc.value.code == 2
 
+    def test_compare_rejects_an_unknown_variant(self, scene_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--input", str(scene_file), "--nms", "classical,bogus")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: 'bogus' is not a valid NmsVariant\n")
+
     def test_compare_needs_two_variants(self, scene_file):
         with pytest.raises(SystemExit) as exc:
             run_cli("compare", "--input", str(scene_file), "--nms", "masked")
@@ -204,6 +210,11 @@ class TestGradcheck:
     def test_sigmoid_kind(self, capsys):
         assert run_cli("gradcheck", "--pruning", "sigmoid", "--trials", "2") == 0
         assert "pruning=sigmoid" in capsys.readouterr().out
+
+    def test_zero_tolerance_fails_every_trial(self, capsys):
+        assert run_cli("gradcheck", "--pruning", "linear", "--trials", "3", "--tolerance", "0") == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("max_rel_error=") and last.endswith(" tolerance=0: FAIL (3/3 trials)")
 
 
 class TestEval:
@@ -474,6 +485,13 @@ class TestMalformedInput:
         path.write_text('{"id": "a", "extra": ' + "[" * 100_000 + "]" * 100_000 + "}\n", encoding="utf-8")
         assert run_cli("run", "--input", str(path), "--out", str(tmp_path / "o.jsonl")) == 1
         assert capsys.readouterr().err == "error: line 1: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ('"scene"', "str"), ("7", "int"), ("null", "NoneType")])
+    def test_a_line_that_is_not_an_object_names_its_type(self, tmp_path, capsys, line, kind):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert run_cli("run", "--input", str(path), "--out", str(tmp_path / "o.jsonl")) == 1
+        assert capsys.readouterr().err == f"error: line 1: expected a JSON object, got {kind}\n"
 
     @pytest.mark.parametrize(
         "field, literal, message",

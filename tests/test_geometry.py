@@ -77,7 +77,7 @@ rects = st.builds(
 class TestRect2D:
     def test_dimensions(self):
         r = rect(1.0, 2.0, 4.0, 8.0)
-        assert r.height == 6.0
+        assert r.y2 - r.y1 == 6.0
 
     def test_rejects_inverted_corners(self):
         with pytest.raises(ValueError):
@@ -535,7 +535,7 @@ def related_rects(draw) -> list[Rect2D]:
     t, u = draw(st.floats(min_value=0.0, max_value=1.0)), draw(st.floats(min_value=0.0, max_value=1.0))
     x = min(a.x1 + t * (a.x2 - a.x1), a.x2)
     x_lo, x_hi = sorted([x, min(a.x1 + u * (a.x2 - a.x1), a.x2)])
-    y_lo, y_hi = sorted([min(a.y1 + t * a.height, a.y2), min(a.y1 + u * a.height, a.y2)])
+    y_lo, y_hi = sorted([min(a.y1 + t * (a.y2 - a.y1), a.y2), min(a.y1 + u * (a.y2 - a.y1), a.y2)])
     related = [
         Rect2D(a.x2, a.y1, a.x2 + w, a.y1 + h),  # touching on x
         Rect2D(a.x1, a.y2, a.x1 + w, a.y2 + h),  # touching on y

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,13 @@ class TestMaskedBackward:
         s, o = pair_instance()
         with pytest.raises(ValueError, match="non-differentiable"):
             masked_backward(s, o, NmsConfig(pruning=Pruning.HARD), upstream=np.ones(2))
+
+    @pytest.mark.parametrize("upstream", [np.ones(3), np.ones((2, 1)), np.float64(1.0)])
+    def test_upstream_of_the_wrong_shape_raises(self, upstream):
+        s, o = pair_instance()
+        message = f"upstream gradient must have shape (2,), got {np.shape(upstream)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            masked_backward(s, o, LINEAR, upstream=upstream)
 
     def test_linear_in_upstream(self):
         rng = np.random.default_rng(13)
@@ -317,6 +325,14 @@ class TestBatchedFiniteDifferences:
         want = reference_finite_difference_check(scores, overlaps, cfg, eps=eps)
         assert got == want
         assert got.max_rel_error.hex() == want.max_rel_error.hex()
+
+    def test_worst_is_none_when_every_checked_error_is_zero(self):
+        # Apart boxes under linear pruning: each rescore is its score, and a
+        # step of 2^-20 on these dyadic scores differentiates exactly.
+        scores, overlaps = np.array([0.5, 0.25]), np.eye(2)
+        got = finite_difference_check(scores, overlaps, LINEAR, eps=2.0**-20)
+        assert (got.checked, got.skipped, got.max_rel_error, got.worst) == (4, 0, 0.0, None)
+        assert got == reference_finite_difference_check(scores, overlaps, LINEAR, eps=2.0**-20)
 
     @settings(max_examples=150)
     @given(

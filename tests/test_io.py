@@ -38,6 +38,12 @@ SAMPLE_DONTCARE = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000
 
 
 class TestParseKittiLabel:
+    def test_wrong_field_count_names_no_line_without_a_line_number(self):
+        with pytest.raises(ValueError, match="^expected 15 or 16 fields, got 3$"):
+            parse_kitti_label("Car 0 0")
+        with pytest.raises(ValueError, match="^line 4: expected 15 or 16 fields, got 3$"):
+            parse_kitti_label("Car 0 0", 4)
+
     def test_ground_truth_fields(self):
         gt = parse_kitti_label(SAMPLE_GT, 1)
         assert isinstance(gt, GroundTruth)

@@ -376,6 +376,12 @@ class TestRunNms:
             run_nms(s, o, HARD, NmsVariant.SOFT)
 
     @pytest.mark.parametrize("variant", list(NmsVariant))
+    def test_scores_must_be_one_dimensional(self, variant):
+        cfg = HARD if variant in (NmsVariant.CLASSICAL, NmsVariant.MASKED) else LINEAR
+        with pytest.raises(ValueError, match=r"^scores must be a 1-d array, got shape \(2, 2\)$"):
+            run_nms(np.full((2, 2), 0.5), np.eye(2), cfg, variant)
+
+    @pytest.mark.parametrize("variant", list(NmsVariant))
     def test_out_of_range_score_reports_first_index(self, variant):
         s = np.array([0.5, -0.1, 0.2, -0.3])
         cfg = HARD if variant in (NmsVariant.CLASSICAL, NmsVariant.MASKED) else LINEAR

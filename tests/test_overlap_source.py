@@ -395,7 +395,7 @@ def test_inverse_corpus_reads_match_the_matrix_and_the_dense_solve(corpus, whole
     # cluster reads; by default their systems are solved in padded blocks.
     cfg = corpus[0][2]
     bounds = np.cumsum([0] + [len(boxes) for boxes, _, _ in corpus])
-    s = nms._validate_scenes(np.concatenate([scores for _, scores, _ in corpus]), bounds, [1.0])
+    s = nms._validate_scores(np.concatenate([scores for _, scores, _ in corpus]), 1.0)
     rects = rect_array([box for boxes, _, _ in corpus for box in boxes])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nms, "_WHOLE_MATRIX_BOXES", nms._WHOLE_MATRIX_BOXES if whole_matrix else 0)

@@ -55,6 +55,8 @@ REMOVED_NAMES = [
     "Cuboid3D.volume",
     "Cuboid3D.footprint_area",
     "Cuboid3D.vertical_extent",
+    "Rect2D.height",
+    "GroundTruth.height",
 ]
 
 

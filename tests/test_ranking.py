@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -211,6 +213,15 @@ class TestApLossGradient:
     def test_degenerate_inputs_give_zero(self):
         assert np.array_equal(ap_loss_gradient([0.5, 0.4], [1, 1]), np.zeros(2))
         assert np.array_equal(ap_loss_gradient([0.5, 0.4], [0, 0]), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "rescores, targets, shapes",
+        [([0.5, 0.4, 0.3], [1, 0], "(3,) and (2,)"), ([[0.5], [0.4]], [1, 0], "(2, 1) and (2,)")],
+    )
+    def test_mismatched_shapes_are_an_error(self, rescores, targets, shapes):
+        message = f"rescores and targets must be matching 1-d arrays, got {shapes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ap_loss_gradient(rescores, targets)
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(77)

@@ -26,8 +26,8 @@ from diffnms import (
     rescored_boxes,
     score_iou_correlation,
 )
-from diffnms.boxes import DetectionBox, GroundTruth
-from diffnms.geometry import Rect2D
+from diffnms.boxes import DetectionBox, GroundTruth, Scene
+from diffnms.geometry import Cuboid3D, Rect2D
 from diffnms.synthetic import _apart, _sample_gt_cuboid
 from oracles import reference_effective_scores, reference_iou2d, reference_oracle_scores, reference_random_instance
 
@@ -91,7 +91,7 @@ class TestSyntheticScenes:
         for r in rects[:40]:
             touching += [
                 (r, Rect2D(r.x2, r.y1, r.x2 + (r.x2 - r.x1), r.y2)),
-                (r, Rect2D(r.x1, r.y2 - 2 * r.height, r.x2, r.y1)),
+                (r, Rect2D(r.x1, r.y2 - 2 * (r.y2 - r.y1), r.x2, r.y1)),
                 (r, Rect2D(r.x2, r.y2, r.x2 + 1.0, r.y2 + 1.0)),
             ]
         pairs = [(a, b) for a in rects for b in rects] + touching + [(b, a) for a, b in touching]
@@ -125,6 +125,11 @@ class TestSyntheticScenes:
             SyntheticConfig(num_objects=0)
         with pytest.raises(ValueError):
             SyntheticConfig(center_jitter=-1.0)
+
+    def test_too_many_objects_for_the_scene_is_an_error(self):
+        # The default scene holds 27 objects that do not overlap; the 28th finds no free place.
+        with pytest.raises(ValueError, match="^could not place object 27 after 500 attempts; lower num_objects$"):
+            generate_synthetic(SyntheticConfig(num_objects=60))
 
 
 class TestRandomInstance:
@@ -288,6 +293,20 @@ class TestHarnessPipelines:
         assert out.coefficient is not None
         assert out.coefficient > 0.5
         assert all(0.0 <= r.iou3d_rotated <= 1.0 for r in out.rows)
+
+    def test_correlation_skips_a_scene_whose_only_gt_is_dontcare(self):
+        cuboid = Cuboid3D(0.0, 0.75, 10.0, 1.6, 1.5, 4.0, 0.0)
+        rect = Rect2D(0.0, 0.0, 10.0, 10.0)
+
+        def scene(scene_id, dontcare):
+            gt = GroundTruth(rect, cuboid, dontcare=dontcare)
+            return Scene(scene_id, boxes=[DetectionBox(rect, cuboid, score=0.9)], gts=[gt])
+
+        cfg = NmsConfig(pruning=Pruning.LINEAR)
+        assert score_iou_correlation([scene("a", True)], cfg, NmsVariant.MASKED).rows == []
+        out = score_iou_correlation([scene("a", True), scene("b", False)], cfg, NmsVariant.MASKED)
+        assert [(r.scene_id, r.box_index, r.iou3d_rotated) for r in out.rows] == [("b", 0, 1.0)]
+        assert out.coefficient is None
 
     def test_build_comparison_report(self):
         scenes = generate_synthetic(
