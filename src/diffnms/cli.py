@@ -22,8 +22,8 @@ from .boxes import Scene
 from .gradients import _check_instances
 from .harness import (
     SCORE_MODES,
+    _corpus_results,
     _oracle_scenes,
-    _rescore_scenes,
     _rescored_scene,
     build_comparison,
     score_iou_correlation,
@@ -142,12 +142,13 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _nms_config(args, parser, [variant])
     scenes = _load_scenes(args)
 
+    (results,), _, index_maps, boxes = _corpus_results(scenes, cfg, [variant], args.score_mode)
     out_scenes = [
         _rescored_scene(scene, result, index_map, kept_only=not args.keep_all)
-        for scene, (result, index_map) in zip(scenes, _rescore_scenes(scenes, cfg, variant, args.score_mode))
+        for scene, result, index_map in zip(scenes, results, index_maps)
     ]
     _write_scenes(args, out_scenes)
-    boxes_in = sum(len(s._columns("boxes")) for s in scenes)
+    boxes_in = sum(map(len, boxes))
     boxes_out = sum(len(s._columns("boxes")) for s in out_scenes)
     print(f"rescored {boxes_in} boxes over {len(scenes)} scenes; wrote {boxes_out} to {args.out}")
     return 0

@@ -12,10 +12,10 @@ rejects the scores that forward rejects.
 
 The finite-difference check compares these Jacobians with central
 differences. It checks many instances at once: a chunk of them is one batch
-of padded score rows over their stacked overlaps, with one masked forward
-for every instance's analytic terms and one per block of perturbed rows,
-and the bookkeeping is vectorized across the instances. One instance
-(finite_difference_check) is a batch of one.
+of padded score rows, each reading its instance's overlaps (_RowOverlaps),
+with one masked forward for every instance's analytic terms and one per
+block of perturbed rows, and the bookkeeping is vectorized across the
+instances. One instance (finite_difference_check) is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import RectOverlaps
 from .nms import (
     NmsConfig,
     Pruning,
-    _StackedOverlaps,
     _masked_sorted,
+    _MatrixOverlaps,
     _overlap_source,
+    _score_row,
     _validate_scores,
     prune,
     prune_derivative,
@@ -62,10 +64,10 @@ class NmsGradients:
     overlap_grad: dict[tuple[int, int], float]
 
 
-def _validated_inputs(scores, overlaps, cfg: NmsConfig, in_range: bool = False):
+def _validated_inputs(scores, overlaps, cfg: NmsConfig, in_range: bool = False, values: bool = True):
     if cfg.pruning is Pruning.HARD:
         raise ValueError("non-differentiable pruning: gradients require a soft pruning kind")
-    s = _validate_scores(scores, upper=1.0)
+    s = _validate_scores(scores, upper=1.0) if values else _score_row(scores)
     # A matrix by shape only unless in_range: a range check reads all n^2 entries.
     return s, _overlap_source(overlaps, s.size, in_range)
 
@@ -202,9 +204,9 @@ def finite_difference_check(
     pre-clip value sits within 1e-3 of the clip boundary, and overlap entries
     within 1e-3 of the grouping threshold. Every perturbed instance is sorted,
     grouped and rescored from scratch by the masked forward that run_nms
-    runs, in blocks of at most 2^18 scores; a perturbed overlap pair is a
-    patch over the matrix or rectangles given, never a copy of them. eps must
-    be finite and positive, and tolerance at least 0.
+    runs, in blocks of at most 2^18 scores; a perturbed overlap pair reads
+    the matrix or rectangles given plus its step, never a copy of them. eps
+    must be finite and positive, and tolerance at least 0.
 
     This is the batched check that ``diffnms gradcheck`` runs on its trials
     (_check_instances), on a batch of one instance.
@@ -216,55 +218,99 @@ def finite_difference_check(
 def _check_instances(instances, cfg: NmsConfig, eps: float, tolerance: float):
     """finite_difference_check of each (scores, overlaps) instance, in order, as a generator.
 
-    Each instance is validated as it is drawn. Instances are checked a chunk
-    at a time (_check_chunk): a chunk is checked as soon as the next instance
-    would take its stack past _CHUNK_ENTRIES, so at most one chunk and one
-    instance are held at once.
+    Instances are checked a chunk at a time (_check_chunk): a chunk is
+    checked as soon as the next instance would take its stack past
+    _CHUNK_ENTRIES, so at most one chunk and one instance are held at once.
+    Each instance's shapes are checked as it is drawn, and a chunk's values
+    at once before it is checked (_check_values); the reports and the error
+    are those of validating each instance in full as it is drawn.
     """
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be at least 0, got {tolerance!r}")
-    chunk, width = [], 0
-    for scores, overlaps in instances:
-        # The check perturbs overlaps inside [0, 1], so unlike the backward pass
-        # it reads every entry of a matrix once to reject one outside that domain.
-        s, source = _validated_inputs(scores, overlaps, cfg, in_range=True)
-        wider = max(width, s.size)
-        if chunk and (len(chunk) + 1) * wider * wider > _CHUNK_ENTRIES:
-            yield from _check_chunk(chunk, cfg, eps, tolerance)
-            chunk, wider = [], s.size
-        chunk.append((s, source))
-        width = wider
+    # drawn holds the instances of chunk as given, and perhaps one that failed.
+    chunk, drawn, width = [], [], 0
+    try:
+        for scores, overlaps in instances:
+            drawn.append((scores, overlaps))
+            chunk.append(_validated_inputs(scores, overlaps, cfg, values=False))
+            width = max(width, chunk[-1][0].size)
+            if len(chunk) > 1 and len(chunk) * width * width > _CHUNK_ENTRIES:
+                _check_values(chunk, drawn, cfg)
+                yield from _check_chunk(chunk[:-1], cfg, eps, tolerance)
+                chunk, drawn, width = chunk[-1:], drawn[-1:], chunk[-1][0].size
+    except Exception:
+        # The first instance that fails in full names the error, not this failure.
+        for scores, overlaps in drawn:
+            _validated_inputs(scores, overlaps, cfg, in_range=True)
+        raise
+    _check_values(chunk, drawn, cfg)
     if chunk:
         yield from _check_chunk(chunk, cfg, eps, tolerance)
+
+
+def _check_values(chunk, drawn, cfg: NmsConfig) -> None:
+    """Validate the drawn instances one by one if a score or matrix entry of chunk is not finite or outside [0, 1].
+
+    The check perturbs overlaps inside [0, 1], so unlike the backward pass it
+    reads every entry of a matrix, in one pass over the whole chunk.
+    """
+    given = [source._matrix.ravel() for (_, source), (_, o) in zip(chunk, drawn) if not isinstance(o, RectOverlaps)]
+    values = np.concatenate([np.zeros(0)] + [s for s, _ in chunk] + given)
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        for scores, overlaps in drawn:
+            _validated_inputs(scores, overlaps, cfg, in_range=True)
+
+
+class _RowOverlaps:
+    """The overlaps of rows of instances, each row perhaps with one perturbed pair.
+
+    base.pairs(k * w + m, m') is the overlap of boxes m and m' of instance
+    k, and box m of row r is slot r * w + m, in instance inst[r]. patch, when
+    given, is (i, t, delta), an entry per row: row r reads its pair (i[r],
+    t[r]), in either order, as base's value plus delta[r], or has no pair
+    when i[r] = -1. Every other read is base's value, so no row copies it.
+    """
+
+    def __init__(self, base, width: int, inst: np.ndarray, patch=None) -> None:
+        self._base, self._width, self._first, self._patch = base, width, inst * width, patch
+
+    def pairs(self, i, j) -> np.ndarray:
+        row, m = np.divmod(i, self._width)
+        k = j % self._width
+        o = self._base.pairs(self._first[row] + m, k)
+        if self._patch is not None:
+            a, b, delta = (x[row] for x in self._patch)
+            np.add(o, delta, out=o, where=((m == a) & (k == b)) | ((m == b) & (k == a)))
+        return o
 
 
 def _check_chunk(chunk, cfg: NmsConfig, eps: float, tolerance: float) -> list[GradCheckReport]:
     """The reports of validated (scores, source) instances, checked together.
 
-    One instance is one row of scores over its own source. Several are rows
-    padded with -inf to the widest, w, over a _StackedOverlaps of their
-    overlaps, and box m of instance k is slot k * w + m throughout. The
-    analytic terms of every instance come from one masked forward, and the
-    perturbed rows of every instance from one masked forward per block.
+    The instances are rows padded with -inf to the widest, w, and box m of
+    instance k is slot k * w + m throughout, read from a lone instance's own
+    source or from a (T * w, w) stack of several instances' padded matrices.
+    One masked forward gives the analytic terms of every instance, and one
+    per block its perturbed rows, row r holding slots r * w + m (_RowOverlaps).
     """
     T = len(chunk)
     sizes = np.array([s.size for s, _ in chunk])
-    if T == 1:
-        ((s, source),) = chunk
-        S, boxes = s[None], None
-    else:
-        w = max(1, int(sizes.max()))
-        boxes = np.where(np.arange(w) < sizes[:, None], np.arange(T * w).reshape(T, w), -1)
-        S = np.full((T, w), -np.inf)
-        S[boxes >= 0] = np.concatenate([s for s, _ in chunk])
-        source = _StackedOverlaps([source for _, source in chunk], sizes, w)
-    w = S.shape[1]
+    w = int(sizes.max())
     if not w:
-        # A lone instance of no boxes: nothing to perturb, nothing to skip.
-        return [GradCheckReport(0.0, None, 0, 0, tolerance, passed=True)]
-    jac, members, tops, o_mt, analytic, pre_clip = _jacobians(S, source, cfg, boxes)
+        # Instances of no boxes: nothing to perturb, nothing to skip.
+        return [GradCheckReport(0.0, None, 0, 0, tolerance, passed=True) for _ in chunk]
+    base = chunk[0][1]
+    if T > 1:
+        stack = np.zeros((T, w, w))
+        for k, ((_, source), n) in enumerate(zip(chunk, sizes.tolist())):
+            stack[k, :n, :n] = source.pairs(*np.ix_(range(n), range(n)))
+        base = _MatrixOverlaps(stack.reshape(-1, w))
+    boxes = np.where(np.arange(w) < sizes[:, None], np.arange(T * w).reshape(T, w), -1)
+    S = np.full((T, w), -np.inf)
+    S[boxes >= 0] = np.concatenate([s for s, _ in chunk])
+    jac, members, tops, o_mt, analytic, pre_clip = _jacobians(S, _RowOverlaps(base, w, np.arange(T)), cfg, boxes)
 
     # Padding has pre-clip 0, so no padded row is smooth.
     row_smooth = ((np.abs(pre_clip) >= _KINK_MARGIN) & (np.abs(pre_clip - 1.0) >= _KINK_MARGIN)).reshape(-1, w)
@@ -310,7 +356,9 @@ def _check_chunk(chunk, cfg: NmsConfig, eps: float, tolerance: float) -> list[Gr
         score = np.flatnonzero(~is_pair[coord])
         perturbed[score, pos[coord[score]]] += step[score]
         patch = (np.where(is_pair[coord], pos[coord], -1), partner[coord], step)
-        R = _masked_sorted(perturbed, source, cfg, patch, None if boxes is None else boxes[trial[coord]])[3]
+        source = _RowOverlaps(base, w, trial[coord], patch)
+        slots = np.where(boxes[trial[coord]] >= 0, np.arange(coord.size * w).reshape(-1, w), -1)
+        R = _masked_sorted(perturbed, source, cfg, slots)[3]
         checks = np.where(is_pair[block, None], np.arange(w) == pos[block, None], row_smooth[trial[block]])
         # Only checked entries are differenced: a padded entry rescores to -inf.
         diffs = (R[: block.size][checks] - R[block.size :][checks]) / (2.0 * eps)

@@ -166,8 +166,8 @@ def _corpus_scores(boxes: _Columns, bounds: np.ndarray, uppers: list, score_mode
 
 def _corpus_results(
     scenes: Sequence[Scene], cfg: NmsConfig, variants: Sequence[NmsVariant], score_mode: str | None
-) -> tuple[list[list[RescoreResult]], list[float], list[list[int]]]:
-    """Each variant's rescoring of every scene's non-DontCare boxes, its seconds, and the boxes' positions.
+) -> tuple[list[list[RescoreResult]], list[float], list[list[int]], list[_Columns]]:
+    """Each variant's rescoring of every scene's non-DontCare boxes, its seconds, their positions and box columns.
 
     The scores and rectangles of all scenes are stacked once and shared by
     the variants, and each variant rescores the whole corpus in one pass
@@ -210,15 +210,7 @@ def _corpus_results(
         start = time.perf_counter()
         results.append(_nms_scenes(s, source, bounds, cfg, variant, clusters, tops))
         seconds.append(time.perf_counter() - start)
-    return results, seconds, [index_map.tolist() for index_map in index_maps]
-
-
-def _rescore_scenes(
-    scenes: Sequence[Scene], cfg: NmsConfig, variant: NmsVariant, score_mode: str | None = None
-) -> list[tuple[RescoreResult, list[int]]]:
-    """``rescore_scene`` of every scene, from one NMS pass over the corpus."""
-    (results,), _, index_maps = _corpus_results(scenes, cfg, [variant], score_mode)
-    return list(zip(results, index_maps))
+    return results, seconds, [index_map.tolist() for index_map in index_maps], boxes
 
 
 def rescore_scene(
@@ -236,7 +228,8 @@ def rescore_scene(
     first offending box. It runs the corpus path of ``diffnms run`` on a
     one-scene corpus.
     """
-    return _rescore_scenes([scene], cfg, variant, score_mode)[0]
+    ((result,),), _, (index_map,), _ = _corpus_results([scene], cfg, [variant], score_mode)
+    return result, index_map
 
 
 def rescored_boxes(
@@ -382,7 +375,6 @@ def score_iou_correlation(
     in one pass over the corpus, so every scene's scores are validated as
     ``diffnms run`` validates them.
     """
-    boxes = [scene._columns("boxes") for scene in scenes]
     gts = [_usable_gts(scene._columns("gts")) for scene in scenes]
 
     def kept_boxes(columns: _Columns, scene_gts: np.ndarray, result: RescoreResult, index_map: list[int]):
@@ -392,8 +384,8 @@ def score_iou_correlation(
         kept = [(index_map[int(k)], float(result.rescores[int(k)])) for k in result.kept]
         return [(i, rescore) for i, rescore in kept if columns.has_cuboid[i]]
 
-    rescored = _rescore_scenes(scenes, cfg, variant, score_mode)
-    per_scene = [kept_boxes(columns, scene_gts, *r) for columns, scene_gts, r in zip(boxes, gts, rescored)]
+    (results,), _, index_maps, boxes = _corpus_results(scenes, cfg, [variant], score_mode)
+    per_scene = [kept_boxes(*scene) for scene in zip(boxes, gts, results, index_maps)]
     kept_cuboids = [columns.cuboids[[i for i, _ in kept]].reshape(-1, 7) for columns, kept in zip(boxes, per_scene)]
     box_cuboids, gt_cuboids, columns, values, bounds = _gt_rows(kept_cuboids, gts)
     # A kept box's match is the first maximum of its row.
@@ -482,9 +474,8 @@ def build_comparison(
             raise ValueError(f"variant {name} is listed more than once")
     kept_sets: dict[str, list[set[int]]] = {name: [] for name in names}
     ap: dict[str, float | None] = {}
-    results, times, index_maps = _corpus_results(scenes, cfg, variants, score_mode)
+    results, times, index_maps, boxes = _corpus_results(scenes, cfg, variants, score_mode)
     seconds = dict(zip(names, times))
-    boxes = [scene._columns("boxes") for scene in scenes]
     gts = [_usable_gts(scene._columns("gts")) for scene in scenes]
     for name, variant_results in zip(names, results):
         kept_boxes = []

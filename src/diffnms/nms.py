@@ -8,13 +8,13 @@ The matrix variants express suppression as a strictly-lower-triangular system
 over score-sorted boxes. The masked variant additionally partitions boxes into
 overlap groups and lets only each group's top box suppress its members, which
 makes the system solvable in closed form and (with a soft pruning function)
-differentiable. Its forward is written once, over rows of scores: run_nms and
-the backward pass in :mod:`diffnms.gradients` run it on one row, a corpus of
-scenes on one row per scene, and the finite-difference check on a block of
-perturbed rows over one shared source of overlaps: one instance's, or several
-instances' stacked side by side (_StackedOverlaps). Every variant rescores a
-corpus in one pass, its scenes as lanes (_nms_scenes); run_nms is that pass
-on a one-scene corpus.
+differentiable. Its forward is written once, over rows of scores, and reads
+overlaps only through source.pairs: run_nms and the backward pass in
+:mod:`diffnms.gradients` run it on one row, a corpus of scenes on one row per
+scene, and the finite-difference check on a block of perturbed rows, whose
+source reads each row's perturbed overlaps. Every variant rescores a corpus
+in one pass, its scenes as lanes (_nms_scenes); run_nms is that pass on a
+one-scene corpus.
 """
 
 from __future__ import annotations
@@ -186,11 +186,16 @@ def _score_error(s: np.ndarray, bad: np.ndarray, reason: str) -> ScoreRangeError
     return ScoreRangeError(f"{reason}, got {float(s[index])!r}", index)
 
 
-def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
+def _score_row(scores) -> np.ndarray:
     # Adding 0.0 maps -0.0 to 0.0 and leaves every other float bit-identical.
     s = np.asarray(scores, dtype=float) + 0.0
     if s.ndim != 1:
         raise ValueError(f"scores must be a 1-d array, got shape {s.shape}")
+    return s
+
+
+def _validate_scores(scores, upper: float | None = None) -> np.ndarray:
+    s = _score_row(scores)
     if not np.all(np.isfinite(s)):
         raise _score_error(s, ~np.isfinite(s), "scores must be finite")
     if np.any(s < 0.0):
@@ -220,28 +225,6 @@ class _MatrixOverlaps:
     def _clusters(self, bounds: np.ndarray) -> list[np.ndarray]:
         """Each nonempty scene as one cluster: a matrix is not searched for zero-overlap clusters."""
         return _scenes(bounds)
-
-
-class _StackedOverlaps:
-    """The overlaps of several instances in one source, each pair read only within its instance.
-
-    Instance k's matrix, padded to the width w of the widest, is rows
-    k * w:(k + 1) * w of one (T * w, w) stack, and its box m is box k * w + m,
-    so pairs(i, j) reads stack[i, j % w]; a padding slot, -1, would read the
-    stack's last entry, in bounds. No block-diagonal matrix over every box
-    of every instance is built.
-    """
-
-    def __init__(self, sources, sizes, width: int) -> None:
-        stack = np.zeros((len(sizes), width, width))
-        for k, (source, n) in enumerate(zip(sources, sizes.tolist())):
-            boxes = np.arange(n)
-            stack[k, :n, :n] = source.pairs(boxes[:, None], boxes)
-        self._stack = stack.reshape(-1, width)
-        self._width = width
-
-    def pairs(self, i, j) -> np.ndarray:
-        return self._stack[i, j % self._width]
 
 
 # Up to this many boxes, evaluating every rectangle pair at once costs less
@@ -353,15 +336,13 @@ def group_boxes(sorted_overlaps, cfg: NmsConfig) -> GroupPartition:
     return GroupPartition(_group_tops(_overlap_source(sorted_overlaps, n, in_range=False), np.arange(n), cfg))
 
 
-def _group_rows(source, order: np.ndarray, cfg: NmsConfig, patch) -> np.ndarray:
+def _group_rows(source, order: np.ndarray, cfg: NmsConfig) -> np.ndarray:
     """_group_tops of every row of order at once: each round, one group per row.
 
     Each round reads the overlaps of the boxes still free, with their row's
     lead, and nothing of a row that has finished grouping. A slot of order
     holding -1, the padding that ends a row shorter than the widest, is never
-    read, joins no group and keeps top -1. patch is None or
-    (ki, kt, delta): the sorted indices of each row's patched pair (-1 for
-    none) and what is added to both of its overlaps.
+    read, joins no group and keeps top -1.
     """
     B, n = order.shape
     cap = n if cfg.max_group_size is None else cfg.max_group_size
@@ -378,17 +359,7 @@ def _group_rows(source, order: np.ndarray, cfg: NmsConfig, patch) -> np.ndarray:
         # A row's lead is its first free slot.
         first = np.cumsum(runs) - runs
         lead = at[first] - rows * n
-        o = source.pairs(box, np.repeat(box[first], runs))
-        if patch is not None:
-            # A round led by one box of the patched pair reads the other's overlap.
-            ki, kt, delta = patch
-            for k, other in ((ki, kt), (kt, ki)):
-                hit = rows[lead == other[rows]]
-                slot = hit * n + k[hit]
-                found = np.minimum(np.searchsorted(at, slot), at.size - 1)
-                present = at[found] == slot
-                o[found[present]] += delta[hit[present]]
-        high = o > cfg.nt
+        high = source.pairs(box, np.repeat(box[first], runs)) > cfg.nt
         # A degenerate box has zero self-overlap; it still anchors its group.
         high[first] = True
         grouped = np.add.reduceat(high, first, dtype=np.intp)
@@ -412,11 +383,11 @@ def _clip_clamp(pre_clip: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.minimum(np.clip(pre_clip, 0.0, 1.0), s)
 
 
-def _row_tops(source, order: np.ndarray, cfg: NmsConfig, patch=None) -> np.ndarray:
-    """The GroupPartition.top array of each row of order: _group_tops for one unpatched row, else _group_rows."""
-    if patch is None and len(order) == 1:
+def _row_tops(source, order: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+    """The GroupPartition.top array of each row of order: _group_tops for one row, else _group_rows."""
+    if len(order) == 1:
         return _group_tops(source, order[0], cfg)[None]
-    return _group_rows(source, order, cfg, patch)
+    return _group_rows(source, order, cfg)
 
 
 def _scenes(bounds: np.ndarray) -> list[np.ndarray]:
@@ -443,20 +414,17 @@ def _scene_blocks(bounds: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None, boxes=None, top=None):
+def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, boxes=None, top=None):
     """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores, o_mt).
 
     The first four have a row per row of S: the stable descending score sort
     as source indices, the GroupPartition.top array, and the pre-clip values
-    and rescores in the order of S; o_mt holds each member's patched overlap
-    with its top, row by row in score order. Overlaps are read as
+    and rescores in the order of S; o_mt holds each member's overlap with its
+    top, row by row in score order. Overlaps are read only as
     source.pairs(order[b, i], order[b, j]). boxes, (B, n), gives the source
     index of each entry of S, or -1 for padding, whose score must be -inf so
-    that it sorts last; by default entry (b, k) is box k. A single unpatched
-    row is grouped by _group_tops, several by _group_rows; top, when given,
-    is that grouping, already found for these rows.
-    patch = (i, t, delta), length-B arrays, adds delta[b] to row b's reads of
-    o[i[b], t[b]] and o[t[b], i[b]]; a row with i[b] = -1 is unpatched.
+    that it sorts last; by default entry (b, k) is box k. top, when given,
+    is the grouping of these rows (_row_tops), already found.
     """
     B, n = S.shape
     order = np.argsort(-S, axis=1, kind="stable")
@@ -465,24 +433,15 @@ def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, patch=None, boxes=None
     row_start = np.arange(B)[:, None] * n
     at = (order + row_start).ravel()
     s_sorted = S.ravel()[at]
-    if patch is not None:
-        i, t, delta = patch
-        ki, kt = (np.where(i >= 0, np.argmax(order == box[:, None], axis=1), -1) for box in (i, t))
-        patch = (ki, kt, delta)
     if boxes is not None:
         order = boxes.ravel()[at].reshape(B, n)
     if top is None:
-        top = _row_tops(source, order, cfg, patch)
+        top = _row_tops(source, order, cfg)
     # The masked prune matrix A has only group-top columns, so (I + A)^-1 = I - A
     # and each member's rescore is one gather over its top.
     members = np.flatnonzero((top >= 0) & (top != np.arange(n)))
     tops = (top + row_start).ravel()[members]
     o_mt = source.pairs(order.ravel()[members], order.ravel()[tops])
-    if patch is not None:
-        # A box of the patched pair reads the patched overlap when the other is its top.
-        for k, other in ((ki, kt), (kt, ki)):
-            hit = np.flatnonzero((other >= 0) & (top[np.arange(B), k] == other))
-            o_mt[np.searchsorted(members, row_start[hit, 0] + k[hit])] += delta[hit]
     c_sorted = np.where(top.ravel() >= 0, s_sorted, 0.0)
     c_sorted[members] = s_sorted[members] - prune(o_mt, cfg) * s_sorted[tops]
     pre_clip = np.empty(B * n)

@@ -86,7 +86,7 @@ def _assert_same_results(got, expected) -> None:
 @given(scenes=corpora(), cfg=configs())
 def test_corpus_pass_is_run_nms_scene_by_scene(scenes, cfg):
     variants = VARIANTS[cfg.pruning]
-    got, seconds, index_maps = _corpus_results(scenes, cfg, variants, None)
+    got, seconds, index_maps, _ = _corpus_results(scenes, cfg, variants, None)
     expected, expected_maps = reference_scene_results(scenes, cfg, variants)
     assert index_maps == expected_maps
     assert len(seconds) == len(variants)
@@ -130,7 +130,7 @@ def test_corpus_pass_raises_the_first_error_of_the_scene_by_scene_loop(scenes, c
             _corpus_results(scenes, cfg, variants, score_mode)
         assert str(raised.value) == str(exc)
     else:
-        got, _, index_maps = _corpus_results(scenes, cfg, variants, score_mode)
+        got, _, index_maps, _ = _corpus_results(scenes, cfg, variants, score_mode)
         assert index_maps == expected[1]
         _assert_same_results(got, expected[0])
 

@@ -272,6 +272,21 @@ def test_backward_checks_a_matrix_by_shape_only():
 SOFT = [p for p in Pruning if p is not Pruning.HARD]
 
 
+def _perturbed_rescores(S, base, width, inst, patch, cfg):
+    """The masked forward's rescores of validated rows S, row r reading instance inst[r] of base, perturbed."""
+    slots = np.where(S > -np.inf, np.arange(S.size).reshape(S.shape), -1)
+    return nms._masked_sorted(S, gradients._RowOverlaps(base, width, inst, patch), cfg, slots)[3]
+
+
+def _patched_rescores(scores, o, i, t, delta, cfg):
+    """masked_rescore on a copy of o whose entries (i, t) and (t, i) are each delta higher, when i >= 0."""
+    patched = o.copy()
+    if i >= 0:
+        patched[i, t] += delta
+        patched[t, i] += delta
+    return masked_rescore(scores, patched, cfg).rescores
+
+
 def _kinked_instance(draw, n):
     """A random instance of n boxes with some scores near a tie or near 0 or 1."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -377,25 +392,150 @@ class TestBatchedFiniteDifferences:
         # Rounded scores tie, and a -0.0 must read as 0.0.
         S = np.round(rng.uniform(0.01, 0.99, (rows, n)), 2)
         S[0, -1] = -0.0
-        # Every row but the first patches one pair of boxes, whose overlaps sit
-        # half a step on the other side of nt, so that the patch regroups the row.
+        # Every row but the first perturbs one pair of boxes, whose overlaps sit
+        # half a step on the other side of nt, so that the step regroups the
+        # row. A lone row is perturbed too: it is grouped by _group_tops, which
+        # reads with one lead box for all the boxes.
         i, t = np.full(rows, -1), np.full(rows, -1)
         delta = rng.choice([eps, -eps], rows)
-        for b in range(1, rows):
+        for b in range(min(1, rows - 1), rows):
             if n > 2:
                 i[b], t[b] = rng.choice(np.arange(1, n), 2, replace=False)
                 o[i[b], t[b]] = o[t[b], i[b]] = cfg.nt - delta[b] / 2.0
         # The forward takes validated rows, as run_nms validates its scores.
         valid = np.stack([nms._validate_scores(row) for row in S])
-        patch = None if np.all(i < 0) else (i, t, delta)
-        got = nms._masked_sorted(valid, nms._MatrixOverlaps(o), cfg, patch)[3]
+        got = _perturbed_rescores(valid, nms._MatrixOverlaps(o), n, np.zeros(rows, dtype=int), (i, t, delta), cfg)
         for b in range(rows):
-            patched = o.copy()
-            if i[b] >= 0:
-                patched[i[b], t[b]] += delta[b]
-                patched[t[b], i[b]] += delta[b]
-            want = masked_rescore(S[b], patched, cfg).rescores
-            assert got[b].tobytes() == want.tobytes(), b
+            assert got[b].tobytes() == _patched_rescores(S[b], o, i[b], t[b], delta[b], cfg).tobytes(), b
+
+    @settings(max_examples=100)
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=12), min_size=2, max_size=5).filter(any),
+        rows=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        pruning=st.sampled_from(SOFT),
+        cap=st.sampled_from([1, 3, None]),
+        eps=st.sampled_from([1e-6, 1e-2]),
+    )
+    def test_padded_rows_of_stacked_instances_match_masked_rescore(self, sizes, rows, seed, pruning, cap, eps):
+        """Rows of several instances, padded to the widest, over their stacked matrices, as _check_chunk reads them."""
+        rng = np.random.default_rng(seed)
+        cfg = NmsConfig(pruning=pruning, max_group_size=cap)
+        w = max(sizes)
+        matrices = [random_instance(rng, n)[1] for n in sizes]
+        inst = rng.integers(0, len(sizes), rows)
+        S = np.full((rows, w), -np.inf)
+        i, t = np.full(rows, -1), np.full(rows, -1)
+        delta = rng.choice([eps, -eps], rows)
+        for r, k in enumerate(inst.tolist()):
+            S[r, : sizes[k]] = np.round(rng.uniform(0.01, 0.99, sizes[k]), 2)
+            if sizes[k] > 1:
+                # The step takes the pair's overlaps across nt.
+                i[r], t[r] = rng.choice(sizes[k], 2, replace=False)
+                matrices[k][i[r], t[r]] = matrices[k][t[r], i[r]] = cfg.nt - delta[r] / 2.0
+        stack = np.zeros((len(sizes), w, w))
+        for k, (matrix, n) in enumerate(zip(matrices, sizes)):
+            stack[k, :n, :n] = matrix
+        base = nms._MatrixOverlaps(stack.reshape(-1, w))
+        got = _perturbed_rescores(S, base, w, inst, (i, t, delta), cfg)
+        for r, k in enumerate(inst.tolist()):
+            n = sizes[k]
+            want = _patched_rescores(S[r, :n], matrices[k], i[r], t[r], delta[r], cfg)
+            assert got[r, :n].tobytes() == want.tobytes(), r
+
+    def test_a_perturbed_pair_reads_its_step_in_either_order(self):
+        """On an asymmetric matrix, each read of the pair adds the step to its own entry; no other read changes."""
+        o = np.arange(9.0).reshape(3, 3) / 10.0
+        base = nms._MatrixOverlaps(o)
+        patch = (np.array([2, -1]), np.array([0, -1]), np.array([0.5, 0.25]))
+        source = gradients._RowOverlaps(base, 3, np.zeros(2, dtype=int), patch)
+        want = o.copy()
+        want[2, 0] += 0.5
+        want[0, 2] += 0.5
+        # Row 0 holds slots 0 to 2 and row 1, which perturbs nothing, slots 3 to 5.
+        first, second = np.arange(3), np.arange(3, 6)
+        i, j = np.divmod(np.arange(9), 3)
+        assert source.pairs(first[i], first[j]).tolist() == want.ravel().tolist()
+        assert source.pairs(second[i], second[j]).tolist() == o.ravel().tolist()
+        # One lead box for all the boxes, as _group_tops reads.
+        assert source.pairs(first, first[2]).tolist() == want[:, 2].tolist()
+        unpatched = gradients._RowOverlaps(base, 3, np.zeros(1, dtype=int))
+        assert unpatched.pairs(first[i], first[j]).tolist() == o.ravel().tolist()
+
+    def test_a_chunk_of_empty_instances_gives_a_report_for_each(self):
+        instances = [(np.zeros(0), np.zeros((0, 0)))] * 3
+        got = list(gradients._check_instances(instances, LINEAR, 1e-6, 1e-4))
+        assert got == [reference_finite_difference_check(s, o, LINEAR) for s, o in instances]
+        assert [(r.checked, r.skipped, r.worst) for r in got] == [(0, 0, None)] * 3
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sizes=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8),
+        faults=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.sampled_from(["nan", "high", "negative", "range", "shape", "ndim", "rects"]),
+            ),
+            max_size=3,
+        ),
+        chunk=st.sampled_from([gradients._CHUNK_ENTRIES, 1, 300]),
+    )
+    def test_a_bad_instance_raises_the_first_error_of_a_check_one_by_one(self, seed, sizes, faults, chunk):
+        """A chunk's values are checked at once, but the error and the reports before it are those of
+        validating each instance as it is drawn."""
+        rng = np.random.default_rng(seed)
+        instances = [list(random_instance(rng, n)) for n in sizes]
+        for k, kind in faults:
+            instance = instances[k % len(instances)]
+            s, o = instance
+            n = s.size
+            if kind in ("nan", "high", "negative") and n:
+                s[rng.integers(n)] = {"nan": np.nan, "high": 1.5, "negative": -0.25}[kind]
+            elif kind == "range" and n:
+                o[rng.integers(n), rng.integers(n)] = 1.5
+            elif kind == "shape":
+                instance[1] = np.eye(n + 1)
+            elif kind == "ndim":
+                instance[0] = s[None]
+            elif kind == "rects":
+                instance[1] = RectOverlaps(np.zeros((n + 1, 4)))
+        want = None
+        for k, (s, o) in enumerate(instances):
+            try:
+                gradients._validated_inputs(s, o, LINEAR, in_range=True)
+            except ValueError as exc:
+                want = (k, type(exc), str(exc))
+                break
+        # Before the error come the reports of the chunks that the instances
+        # before the bad one closed.
+        reported, held, width = 0, 0, 0
+        for n in sizes[: len(sizes) if want is None else want[0]]:
+            held, width = held + 1, max(width, n)
+            if held > 1 and held * width * width > chunk:
+                reported, held, width = reported + held - 1, 1, n
+        got = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gradients, "_CHUNK_ENTRIES", chunk)
+            try:
+                got.extend(gradients._check_instances(map(tuple, instances), LINEAR, 1e-6, 1e-4))
+            except ValueError as exc:
+                assert want is not None and (type(exc), str(exc)) == want[1:]
+                assert len(got) == reported
+            else:
+                assert want is None and len(got) == len(instances)
+        assert got == [reference_finite_difference_check(s, o, LINEAR) for s, o in instances[: len(got)]]
+
+    def test_a_bad_instance_raises_before_a_later_draw_fails(self):
+        """Instances are drawn past a bad one before its chunk's values are checked; its error still comes first."""
+
+        def drawn():
+            yield pair_instance()
+            yield np.array([0.5, np.nan]), np.eye(2)
+            raise RuntimeError("exhausted")
+
+        with pytest.raises(ScoreRangeError, match=r"^scores must be finite, got nan \(score index 1\)$"):
+            list(gradients._check_instances(drawn(), LINEAR, 1e-6, 1e-4))
 
     def test_large_instance_is_checked_in_bounded_memory(self):
         scores, overlaps = random_instance(np.random.default_rng(3), 300)

@@ -12,7 +12,8 @@ small inverse systems once per block of systems of similar size, not once
 per group, and finds a corpus's zero-overlap clusters at most once; gradcheck
 runs the masked forward once per batch of trials, not per trial. No command
 that reads scenes builds a box or ground-truth record: run and oracle write
-their scenes from columns.
+their scenes from columns. A scene that holds records has its boxes
+converted to columns once per comparison or correlation.
 """
 
 import dataclasses
@@ -582,3 +583,26 @@ def test_commands_that_write_scenes_build_no_records(monkeypatch, tmp_path, corp
         scenes = reference_read_scenes_jsonl(out)
         assert sum(len(s.boxes) for s in scenes) > 0
         assert out.read_text(encoding="utf-8") == "".join(reference_scene_line(s) + "\n" for s in scenes)
+
+
+@pytest.mark.parametrize("call", ["compare", "correlate"])
+def test_a_scene_of_records_converts_its_boxes_once(monkeypatch, call):
+    """build_comparison and score_iou_correlation take each scene's box columns from the corpus pass."""
+    from diffnms import DetectionBox, build_comparison
+    from diffnms.boxes import _Columns
+
+    scenes = generate_synthetic(SyntheticConfig(num_scenes=4, seed=3))
+    converted = Counter()
+    from_records = _Columns.from_records.__func__
+
+    def counting(cls, kind, records):
+        converted[kind.__name__] += 1
+        return from_records(cls, kind, records)
+
+    monkeypatch.setattr(_Columns, "from_records", classmethod(counting))
+    cfg = NmsConfig(pruning=Pruning.LINEAR)
+    if call == "compare":
+        build_comparison(scenes, cfg, [NmsVariant.SOFT, NmsVariant.MASKED])
+    else:
+        score_iou_correlation(scenes, cfg, NmsVariant.MASKED)
+    assert converted[DetectionBox.__name__] == len(scenes)
