@@ -154,6 +154,24 @@ class _Columns:
                 columns[name] = np.array(values, dtype=float)
         return cls(kind, **columns)
 
+    @classmethod
+    def of_geometry(cls, kind: type, rects: np.ndarray, cuboids: np.ndarray, score: np.ndarray | None = None) -> _Columns:
+        """The columns ``from_records`` gives for records of kind that hold the rows of rects and cuboids, and
+        score for detections, with every other field at its default."""
+        n = len(rects)
+        return cls(
+            kind,
+            rects=rects,
+            cuboids=cuboids,
+            has_cuboid=np.ones(n, dtype=bool),
+            label=[kind.label] * n,
+            truncation=np.full(n, kind.truncation, dtype=float),
+            occlusion=np.full(n, kind.occlusion, dtype=np.int64),
+            alpha=np.full(n, kind.alpha, dtype=float),
+            dontcare=np.full(n, kind.dontcare, dtype=bool),
+            score=score,
+        )
+
     def take(self, at, score: np.ndarray) -> _Columns:
         """The detections at positions at as new columns, scored score, one score per position."""
         at = np.asarray(at, dtype=np.intp)
@@ -235,12 +253,12 @@ class _RecordList:
 class Scene:
     """One image worth of detections and ground truths.
 
-    A scene read from a file always stores its boxes and ground truths as
-    columns; the boxes and gts lists are built from them on first access and
-    kept from then on. A scene built from records keeps its records. The
-    package's consumers read columns (``_columns``), which a scene holding
-    records derives from them at each call, so a record edited in place is
-    seen.
+    A scene read from a file or made by ``generate_synthetic`` stores its
+    boxes and ground truths as columns; the boxes and gts lists are built
+    from them on first access and kept from then on. A scene built from
+    records keeps its records. The package's consumers read columns
+    (``_columns``), which a scene holding records derives from them at each
+    call, so a record edited in place is seen.
     """
 
     scene_id: str

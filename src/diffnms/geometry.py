@@ -108,14 +108,25 @@ def iou2d(a: Rect2D, b: Rect2D) -> float:
     return float(RectOverlaps(rect_array([a, b])).pairs([0], [1])[0])
 
 
+# Rows of overlap_matrix evaluated per block: a block's temporaries stay in
+# cache, and every entry is computed on its own, so the bits do not change.
+_OVERLAP_BLOCK_ROWS = 32
+
+
 def overlap_matrix(rects: Sequence[Rect2D]) -> np.ndarray:
     """Symmetric matrix of pairwise rectangle IoU values, ``iou2d_matrix(a, a)`` from one ``RectOverlaps``.
 
     Entry (i, j) equals ``iou2d(rects[i], rects[j])``, so the diagonal is 1
-    for every non-degenerate rectangle and 0 for degenerate ones.
+    for every non-degenerate rectangle and 0 for degenerate ones. The matrix
+    is filled _OVERLAP_BLOCK_ROWS rows at a time.
     """
-    boxes = np.arange(len(rects))
-    return RectOverlaps(rect_array(rects)).pairs(boxes[:, None], boxes)
+    overlaps = RectOverlaps(rect_array(rects))
+    boxes = np.arange(len(overlaps))
+    out = np.empty((len(boxes), len(boxes)))
+    for start in range(0, len(boxes), _OVERLAP_BLOCK_ROWS):
+        block = slice(start, start + _OVERLAP_BLOCK_ROWS)
+        out[block] = overlaps.pairs(boxes[block, None], boxes)
+    return out
 
 
 # Batched forms. The rectangle IoU and the rotated cuboid measures exist only
@@ -301,23 +312,30 @@ class RectOverlaps:
         return np.split(by_part, np.flatnonzero(np.diff(part[by_part])) + 1)
 
 
-def _cuboid_features(c: np.ndarray) -> np.ndarray:
-    """Per-box columns the pair arithmetic reads.
-
-    Columns: the 7 fields; the 4 footprint corner x, then the 4 corner z, as
-    ``Cuboid3D.bev_footprint`` computes them; footprint area, volume and
-    vertical extent (lo, hi), as the scalar references in ``tests/oracles.py``
-    compute them; and the yaw-free footprint box (x1, z1, x2, z2).
-    """
-    cx, cy, cz, w, h, l, yaw = c.T
+def _footprint_corners(c: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The 4 corner x, then the 4 corner z, of the yaw-rotated footprints of (N, 7) cuboids c, as
+    ``Cuboid3D.bev_footprint`` computes them."""
+    cx, _, cz, w, _, l, yaw = c.T
     # math.cos/sin, not np.cos/sin: bev_footprint uses libm, and numpy's
     # vectorised trigonometry may differ from it in the last bit.
     cos_y = np.array([math.cos(v) for v in yaw.tolist()], dtype=float)
     sin_y = np.array([math.sin(v) for v in yaw.tolist()], dtype=float)
     hl, hw = l / 2.0, w / 2.0
     corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    xs = [cx + cos_y * u - sin_y * v for u, v in corners]
-    zs = [cz + sin_y * u + cos_y * v for u, v in corners]
+    return [cx + cos_y * u - sin_y * v for u, v in corners], [cz + sin_y * u + cos_y * v for u, v in corners]
+
+
+def _cuboid_features(c: np.ndarray) -> np.ndarray:
+    """Per-box columns the pair arithmetic reads.
+
+    Columns: the 7 fields; the 4 footprint corner x, then the 4 corner z, of
+    ``_footprint_corners``; footprint area, volume and vertical extent (lo,
+    hi), as the scalar references in ``tests/oracles.py`` compute them; and
+    the yaw-free footprint box (x1, z1, x2, z2).
+    """
+    cx, cy, cz, w, h, l, _ = c.T
+    xs, zs = _footprint_corners(c)
+    hl, hw = l / 2.0, w / 2.0
     half = h / 2.0
     extra = [w * l, w * h * l, cy - half, cy + half, cx - hl, cz - hw, cx + hl, cz + hw]
     return np.column_stack([c, *xs, *zs, *extra])

@@ -18,7 +18,9 @@ instance per masked_rescore call where the package batches them, and the
 record readers at the end build one record per JSONL object or KITTI line,
 as the package's readers did before they read scenes into columns, and the
 record writers after them encode one record at a time, as the package's
-writers did before they wrote from columns; the package must agree with all
+writers did before they wrote from columns, and the generator at the end
+draws and builds one proposal at a time, as the package's did before it
+built scenes of columns; the package must agree with all
 of them bit for bit. Slow is fine; these only run inside
 tests.
 """
@@ -46,8 +48,11 @@ from diffnms import (
     RectOverlaps,
     Scene,
     ScoreRangeError,
+    SyntheticConfig,
     combine_scores,
+    cuboid_array,
     filter_gts,
+    iou3d_pairs,
     masked_jacobians,
     masked_rescore,
     overlap_matrix,
@@ -1020,3 +1025,84 @@ def reference_random_instance(rng: np.random.Generator, n_boxes: int) -> tuple[n
         rects.append(Rect2D(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
     scores = rng.uniform(0.01, 0.99, size=n_boxes)
     return scores, overlap_matrix(rects)
+
+
+def reference_rect_from_cuboid(cuboid: Cuboid3D) -> Rect2D:
+    """rect_from_cuboid as it mapped the bounds of bev_footprint's corners with Python's min and max."""
+    corners = cuboid.bev_footprint()
+    xs = [x for x, _ in corners]
+    zs = [z for _, z in corners]
+    return Rect2D((min(xs) + 40.0) * 10.0, min(zs) * 10.0, (max(xs) + 40.0) * 10.0, max(zs) * 10.0)
+
+
+def _reference_place(rng: np.random.Generator, cfg: SyntheticConfig) -> list[Cuboid3D]:
+    cuboids: list[Cuboid3D] = []
+    rects: list[Rect2D] = []
+    for index in range(cfg.num_objects):
+        for _ in range(500):
+            cand = Cuboid3D(
+                cx=rng.uniform(-25.0, 25.0),
+                cy=rng.uniform(0.6, 1.1),
+                cz=rng.uniform(8.0, 55.0),
+                w=rng.uniform(1.5, 1.9),
+                h=rng.uniform(1.3, 1.8),
+                l=rng.uniform(3.4, 4.6),
+                yaw=rng.uniform(-math.pi, math.pi),
+            )
+            rect = reference_rect_from_cuboid(cand)
+            far_enough = all(math.hypot(cand.cx - c.cx, cand.cz - c.cz) >= 8.0 for c in cuboids)
+            apart = all(
+                min(rect.x2, r.x2) <= max(rect.x1, r.x1) or min(rect.y2, r.y2) <= max(rect.y1, r.y1) for r in rects
+            )
+            if far_enough and apart:
+                cuboids.append(cand)
+                rects.append(rect)
+                break
+        else:
+            raise ValueError(f"could not place object {index} after 500 attempts; lower num_objects")
+    return cuboids
+
+
+def _reference_scale(rng: np.random.Generator, size_jitter: float, name: str, where: str) -> float:
+    draw = rng.normal(0.0, size_jitter)
+    try:
+        return math.exp(draw)
+    except OverflowError:
+        raise ValueError(f"{where}: the {name} jitter exp({draw!r}) overflows; lower size_jitter") from None
+
+
+def reference_generate_synthetic(cfg: SyntheticConfig) -> list[Scene]:
+    """generate_synthetic as a loop over scenes, objects and proposals: scalar RNG calls, one Cuboid3D,
+    rectangle and DetectionBox per proposal and one iou3d_pairs call per scene. A size jitter whose exp
+    overflows raises the ValueError that names its scene, object and proposal."""
+    scenes = []
+    for index in range(cfg.num_scenes):
+        scene_id = f"synth-{cfg.seed}-{index:04d}"
+        rng = np.random.default_rng([cfg.seed, index])
+        gt_cuboids = _reference_place(rng, cfg)
+        gts = [GroundTruth(rect=reference_rect_from_cuboid(c), cuboid=c) for c in gt_cuboids]
+        proposals: list[Cuboid3D] = []
+        noise: list[float] = []
+        for k, gt in enumerate(gt_cuboids):
+            for j in range(cfg.proposals_per_object):
+                if j:
+                    where = f"scene {scene_id!r} object {k} proposal {j}"
+                    cx = gt.cx + rng.normal(0.0, cfg.center_jitter)
+                    cy = gt.cy + rng.normal(0.0, cfg.center_jitter / 2.0)
+                    cz = gt.cz + rng.normal(0.0, cfg.center_jitter)
+                    w = gt.w * _reference_scale(rng, cfg.size_jitter, "w", where)
+                    h = gt.h * _reference_scale(rng, cfg.size_jitter, "h", where)
+                    l = gt.l * _reference_scale(rng, cfg.size_jitter, "l", where)
+                    proposals.append(Cuboid3D(cx, cy, cz, w, h, l, gt.yaw))
+                else:
+                    proposals.append(gt)
+                noise.append(rng.normal(0.0, cfg.score_noise))
+        owner = np.repeat(np.arange(len(gt_cuboids)), cfg.proposals_per_object)
+        true_iou = iou3d_pairs(cuboid_array(proposals), cuboid_array(gt_cuboids), np.arange(len(proposals)), owner)
+        scores = np.clip(true_iou + np.array(noise), 0.0, 1.0)
+        boxes = [
+            DetectionBox(rect=reference_rect_from_cuboid(p), cuboid=p, score=s)
+            for p, s in zip(proposals, scores.tolist())
+        ]
+        scenes.append(Scene(scene_id=scene_id, boxes=boxes, gts=gts))
+    return scenes

@@ -735,6 +735,15 @@ class TestCliContract:
             (("synth", "--out", "{dir}"), 1, "Is a directory"),
             (("synth", "--scenes", "-1", "--out", "{file}"), 1, "num_scenes must be >= 0"),
             (("synth", "--center-jitter", "nan", "--out", "{file}"), 1, "center_jitter must be finite"),
+            # Jitters so large that a size factor, a cuboid or a rectangle overflows.
+            (
+                ("synth", "--size-jitter", "1e3", "--out", "{file}"),
+                1,
+                "error: scene 'synth-0-0000' object 0 proposal 1: the l jitter exp(1031.4530848694724) overflows; "
+                "lower size_jitter\n",
+            ),
+            (("synth", "--center-jitter", "1e308", "--out", "{file}"), 1, "error: Cuboid3D.cx must be finite, got -inf\n"),
+            (("synth", "--center-jitter", "3e307", "--out", "{file}"), 1, "error: Rect2D.y1 must be finite, got -inf\n"),
             (("gradcheck", "--boxes", "1001"), 2, "--boxes must be at most 1000, got 1001"),
             (("gradcheck", "--tau", "inf"), 2, "tau must be finite and positive for sigmoid pruning, got inf"),
             # Below the smallest normal float, the pruning's division by tau overflows.

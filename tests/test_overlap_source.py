@@ -28,7 +28,7 @@ from diffnms import (
     rect_array,
     run_nms,
 )
-from diffnms import nms
+from diffnms import geometry, nms
 from oracles import (
     reference_closed_form,
     reference_greedy_nms,
@@ -407,6 +407,21 @@ def test_inverse_corpus_reads_match_the_matrix_and_the_dense_solve(corpus, whole
                 matrix = overlap_matrix(boxes)
                 _assert_same_result(result, run_nms(scores, matrix, cfg, variant))
                 _assert_same_result(result, reference_closed_form(scores, matrix, cfg, variant))
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, geometry._OVERLAP_BLOCK_ROWS - 1, geometry._OVERLAP_BLOCK_ROWS, 3 * geometry._OVERLAP_BLOCK_ROWS + 5]
+)
+def test_overlap_matrix_in_row_blocks_is_the_one_broadcast(n):
+    """Row blocks give the bytes of one broadcast pairs call over every pair, on clustered rectangles with ties."""
+    rng = np.random.default_rng(n)
+    corners = rng.choice(np.array(COORDS + (6.0, 9.0)), size=(n, 4))
+    boxes = np.concatenate([np.minimum(corners[:, :2], corners[:, 2:]), np.maximum(corners[:, :2], corners[:, 2:])], axis=1)
+    everything = np.arange(n)
+    expected = RectOverlaps(boxes).pairs(everything[:, None], everything)
+    got = overlap_matrix([Rect2D(*row) for row in boxes.tolist()])
+    assert got.shape == (n, n) and expected.shape == (n, n)
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestRectOverlaps:

@@ -12,8 +12,9 @@ small inverse systems once per block of systems of similar size, not once
 per group, and finds a corpus's zero-overlap clusters at most once; gradcheck
 runs the masked forward once per batch of trials, not per trial. No command
 that reads scenes builds a box or ground-truth record: run and oracle write
-their scenes from columns. A scene that holds records has its boxes
-converted to columns once per comparison or correlation.
+their scenes from columns, and synth generates scenes that hold columns and
+builds no record either. A scene that holds records has its boxes converted
+to columns once per comparison or correlation.
 """
 
 import dataclasses
@@ -585,13 +586,10 @@ def test_commands_that_write_scenes_build_no_records(monkeypatch, tmp_path, corp
         assert out.read_text(encoding="utf-8") == "".join(reference_scene_line(s) + "\n" for s in scenes)
 
 
-@pytest.mark.parametrize("call", ["compare", "correlate"])
-def test_a_scene_of_records_converts_its_boxes_once(monkeypatch, call):
-    """build_comparison and score_iou_correlation take each scene's box columns from the corpus pass."""
-    from diffnms import DetectionBox, build_comparison
+def _counting_conversions(monkeypatch) -> Counter:
+    """Count every _Columns.from_records call from here on, by record kind."""
     from diffnms.boxes import _Columns
 
-    scenes = generate_synthetic(SyntheticConfig(num_scenes=4, seed=3))
     converted = Counter()
     from_records = _Columns.from_records.__func__
 
@@ -600,9 +598,47 @@ def test_a_scene_of_records_converts_its_boxes_once(monkeypatch, call):
         return from_records(cls, kind, records)
 
     monkeypatch.setattr(_Columns, "from_records", classmethod(counting))
+    return converted
+
+
+def _compare_or_correlate(call, scenes):
+    from diffnms import build_comparison
+
     cfg = NmsConfig(pruning=Pruning.LINEAR)
     if call == "compare":
         build_comparison(scenes, cfg, [NmsVariant.SOFT, NmsVariant.MASKED])
     else:
         score_iou_correlation(scenes, cfg, NmsVariant.MASKED)
+
+
+@pytest.mark.parametrize("call", ["compare", "correlate"])
+def test_a_scene_of_records_converts_its_boxes_once(monkeypatch, call):
+    """build_comparison and score_iou_correlation take each scene's box columns from the corpus pass."""
+    from diffnms import DetectionBox, Scene
+
+    generated = generate_synthetic(SyntheticConfig(num_scenes=4, seed=3))
+    scenes = [Scene(s.scene_id, boxes=s.boxes, gts=s.gts) for s in generated]
+    assert all(scene._held_records(kind) is not None for scene in scenes for kind in ("boxes", "gts"))
+    converted = _counting_conversions(monkeypatch)
+    _compare_or_correlate(call, scenes)
     assert converted[DetectionBox.__name__] == len(scenes)
+
+
+@pytest.mark.parametrize("call", ["compare", "correlate"])
+def test_generated_scenes_convert_no_records(monkeypatch, call):
+    """Generated scenes hold columns, so comparing or correlating them converts and builds no record."""
+    scenes = generate_synthetic(SyntheticConfig(num_scenes=4, seed=3))
+    converted, built = _counting_conversions(monkeypatch), _counting_records(monkeypatch)
+    _compare_or_correlate(call, scenes)
+    assert converted == Counter() and built == Counter()
+
+
+def test_synth_converts_and_builds_no_records(monkeypatch, tmp_path, capsys):
+    """synth generates columns and writes them: no record is built, and none is converted to columns."""
+    converted, built = _counting_conversions(monkeypatch), _counting_records(monkeypatch)
+    out = tmp_path / "synth.jsonl"
+    assert main(["synth", "--seed", "3", "--scenes", "4", "--objects", "5", "--proposals", "6", "--out", str(out)]) == 0
+    assert converted == Counter() and built == Counter()
+    monkeypatch.undo()
+    cfg = SyntheticConfig(seed=3, num_scenes=4, num_objects=5, proposals_per_object=6)
+    assert out.read_text(encoding="utf-8") == "".join(reference_scene_line(s) + "\n" for s in generate_synthetic(cfg))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +26,19 @@ from diffnms import (
     rescore_scene,
     rescored_boxes,
     score_iou_correlation,
+    write_scenes_jsonl,
 )
-from diffnms.boxes import DetectionBox, GroundTruth, Scene
+from diffnms.boxes import DetectionBox, GroundTruth, Scene, _Columns
 from diffnms.geometry import Cuboid3D, Rect2D
-from diffnms.synthetic import _apart, _sample_gt_cuboid
-from oracles import reference_effective_scores, reference_iou2d, reference_oracle_scores, reference_random_instance
+from diffnms.synthetic import _GT_HIGH, _GT_LOW, _apart
+from oracles import (
+    reference_effective_scores,
+    reference_generate_synthetic,
+    reference_iou2d,
+    reference_oracle_scores,
+    reference_random_instance,
+    reference_rect_from_cuboid,
+)
 
 confidences = st.one_of(st.none(), st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
 scored_boxes = st.builds(
@@ -86,7 +95,7 @@ class TestSyntheticScenes:
         # Candidates drawn as placement draws them, and copies moved to touch
         # them exactly on x, on y and at a corner.
         rng = np.random.default_rng(11)
-        rects = [rect_from_cuboid(_sample_gt_cuboid(rng)) for _ in range(120)]
+        rects = [rect_from_cuboid(Cuboid3D(*rng.uniform(_GT_LOW, _GT_HIGH))) for _ in range(120)]
         touching = []
         for r in rects[:40]:
             touching += [
@@ -95,10 +104,10 @@ class TestSyntheticScenes:
                 (r, Rect2D(r.x2, r.y2, r.x2 + 1.0, r.y2 + 1.0)),
             ]
         pairs = [(a, b) for a in rects for b in rects] + touching + [(b, a) for a, b in touching]
-        apart = [_apart(a, b) for a, b in pairs]
+        apart = [_apart(dataclasses.astuple(a), dataclasses.astuple(b)) for a, b in pairs]
         assert apart == [reference_iou2d(a, b) == 0.0 for a, b in pairs]
         assert 0 < sum(apart) < len(pairs)
-        assert all(_apart(a, b) for a, b in touching)
+        assert all(apart[-2 * len(touching):])
 
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
@@ -126,10 +135,120 @@ class TestSyntheticScenes:
         with pytest.raises(ValueError):
             SyntheticConfig(center_jitter=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_scenes", 2.5, "num_scenes must be an integer, got 2.5"),
+            ("num_objects", True, "num_objects must be an integer, got True"),
+            ("proposals_per_object", 2.0, "proposals_per_object must be an integer, got 2.0"),
+            ("num_scenes", "3", "num_scenes must be an integer, got '3'"),
+            ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+            ("seed", False, "seed must be a non-negative integer, got False"),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = SyntheticConfig(seed=np.int64(3), num_scenes=np.int32(2), num_objects=np.uint8(2), proposals_per_object=np.int64(3))
+        assert repr(generate_synthetic(cfg)) == repr(generate_synthetic(SyntheticConfig(3, 2, 2, 3)))
+
     def test_too_many_objects_for_the_scene_is_an_error(self):
         # The default scene holds 27 objects that do not overlap; the 28th finds no free place.
         with pytest.raises(ValueError, match="^could not place object 27 after 500 attempts; lower num_objects$"):
             generate_synthetic(SyntheticConfig(num_objects=60))
+
+
+def _outcome(generate, cfg, tmp_path):
+    """What generate makes of cfg, with warnings as errors: the written JSONL bytes and the records' repr, or
+    the error's type and message."""
+    path = tmp_path / "scenes.jsonl"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scenes = generate(cfg)
+            write_scenes_jsonl(path, scenes)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return path.read_bytes(), repr(scenes)
+
+
+# The benchmark's corpus shapes at three seeds, one proposal per object, zero
+# jitter, zero scenes, a placement failure, and the jitters that overflow a
+# cuboid, a rectangle or a size factor, in the first scene or a later one.
+GENERATOR_CONFIGS = [
+    *(
+        SyntheticConfig(seed=seed * 16 + k, num_scenes=n, num_objects=o, proposals_per_object=p, score_noise=0.1)
+        for seed in (1, 7, 101)
+        for k, (n, o, p) in enumerate([(60, 8, 5), (2, 10, 150), (1, 10, 120)])
+    ),
+    SyntheticConfig(seed=42, num_scenes=2, num_objects=4, proposals_per_object=5, center_jitter=0.6, size_jitter=0.2,
+                    score_noise=0.1),
+    SyntheticConfig(seed=3, num_scenes=3, proposals_per_object=1, score_noise=0.5),
+    SyntheticConfig(seed=4, num_scenes=2, center_jitter=0.0, size_jitter=0.0),
+    SyntheticConfig(num_scenes=0),
+    SyntheticConfig(num_scenes=2, num_objects=60),
+    SyntheticConfig(seed=5, num_scenes=3, num_objects=25, proposals_per_object=2),
+    SyntheticConfig(num_scenes=2, center_jitter=1e308),
+    SyntheticConfig(num_scenes=2, center_jitter=3e307),
+    SyntheticConfig(num_scenes=2, size_jitter=1e3),
+    SyntheticConfig(num_scenes=2, size_jitter=1e308),
+    SyntheticConfig(num_scenes=2, score_noise=1e308),
+    SyntheticConfig(seed=9, num_scenes=3, num_objects=2, proposals_per_object=3, size_jitter=300.0),
+    SyntheticConfig(seed=5, num_scenes=3, num_objects=2, proposals_per_object=2, size_jitter=300.0),
+    SyntheticConfig(seed=5, num_scenes=3, num_objects=25, proposals_per_object=2, size_jitter=300.0),
+    SyntheticConfig(seed=11, num_scenes=4, num_objects=3, proposals_per_object=3, center_jitter=1e306),
+]
+
+
+class TestGeneratorMatchesTheProposalLoop:
+    @pytest.mark.parametrize("cfg", GENERATOR_CONFIGS, ids=range(len(GENERATOR_CONFIGS)))
+    def test_bytes_records_and_errors(self, tmp_path, cfg):
+        """The same JSONL bytes and records as the per-proposal loop, or the same first error."""
+        assert _outcome(generate_synthetic, cfg, tmp_path) == _outcome(reference_generate_synthetic, cfg, tmp_path)
+
+    def test_the_configs_cover_every_outcome(self, tmp_path):
+        errors = [_outcome(generate_synthetic, cfg, tmp_path) for cfg in GENERATOR_CONFIGS[9:]]
+        messages = [message for kind, message in errors if kind == "ValueError"]
+        assert any(m.startswith("could not place object") for m in messages)
+        assert any(m.startswith("Cuboid3D.") for m in messages)
+        assert any(m.startswith("Rect2D.") for m in messages)
+        assert any(m.startswith("Rect2D area") for m in messages)
+        assert any(" jitter exp(" in m and m.startswith("scene 'synth-5-0002'") for m in messages)
+
+    def test_scenes_hold_the_columns_their_records_give(self):
+        cfg = SyntheticConfig(seed=8, num_scenes=3, num_objects=4, proposals_per_object=3, score_noise=0.2)
+        for scene in generate_synthetic(cfg):
+            for name, kind in (("boxes", DetectionBox), ("gts", GroundTruth)):
+                columns = scene._columns(name)
+                assert scene._held_records(name) is None
+                expected = _Columns.from_records(kind, columns.records())
+                for slot in _Columns.__slots__:
+                    got, want = getattr(columns, slot), getattr(expected, slot)
+                    if isinstance(want, np.ndarray):
+                        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), slot
+                    else:
+                        assert got == want, slot
+
+    def test_rect_from_cuboid_is_the_min_max_of_the_footprint(self):
+        rng = np.random.default_rng(4)
+        cuboids = [Cuboid3D(*rng.uniform(_GT_LOW, _GT_HIGH)) for _ in range(200)]
+        # Signed zeros and equal corners, where the first of equal values decides the sign.
+        cuboids += [Cuboid3D(-40.0, 1.0, 0.0, 0.0, 1.0, 0.0, yaw) for yaw in (0.0, -0.0, math.pi / 2, -math.pi)]
+        cuboids += [Cuboid3D(0.0, 1.0, -0.0, 2.0, 1.0, 4.0, math.pi / 4), Cuboid3D(1e306, 1.0, -1e306, 1e150, 1.0, 1e150, 1.0)]
+        for c in cuboids:
+            got, expected = rect_from_cuboid(c), reference_rect_from_cuboid(c)
+            assert np.array(dataclasses.astuple(got)).tobytes() == np.array(dataclasses.astuple(expected)).tobytes()
+
+    def test_rect_from_cuboid_raises_what_rect2d_raises(self):
+        cuboid = Cuboid3D(1.7e308, 1.0, 0.0, 2.0, 1.0, 4.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Rect2D.x1 must be finite, got inf$"):
+                rect_from_cuboid(cuboid)
+        with pytest.raises(ValueError, match="^Rect2D.x1 must be finite, got inf$"):
+            reference_rect_from_cuboid(cuboid)
 
 
 class TestRandomInstance:
