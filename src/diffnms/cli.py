@@ -142,10 +142,10 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _nms_config(args, parser, [variant])
     scenes = _load_scenes(args)
 
-    (results,), _, index_maps, boxes = _corpus_results(scenes, cfg, [variant], args.score_mode)
+    passes, index_maps, boxes = _corpus_results(scenes, cfg, [variant], args.score_mode)
     out_scenes = [
         _rescored_scene(scene, result, index_map, kept_only=not args.keep_all)
-        for scene, result, index_map in zip(scenes, results, index_maps)
+        for scene, result, index_map in zip(scenes, next(passes), index_maps)
     ]
     _write_scenes(args, out_scenes)
     boxes_in = sum(map(len, boxes))

@@ -597,8 +597,10 @@ def _cuboid_values(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndar
 
 
 def _cuboid_matrix(a, b, measure) -> np.ndarray:
-    n, m = len(_box_array(a, 7, "a")), len(_box_array(b, 7, "b"))
-    return _cuboid_pairs(a, b, np.repeat(np.arange(n), m), np.tile(np.arange(m), n), measure).reshape(n, m)
+    """measure of every pair (a[i], b[j]), as an (N, M) matrix, after checking the arrays."""
+    a, b = _box_array(a, 7, "a"), _box_array(b, 7, "b")
+    n, m = len(a), len(b)
+    return _cuboid_values(a, b, np.repeat(np.arange(n), m), np.tile(np.arange(m), n), measure).reshape(n, m)
 
 
 def _one_pair(a: Cuboid3D, b: Cuboid3D, measure) -> float:

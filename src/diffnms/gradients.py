@@ -80,18 +80,15 @@ def _local_terms(S: np.ndarray, source, cfg: NmsConfig, boxes=None):
     b * n + k at (b, k), or -1 for padding (see _masked_sorted). In slots:
     the group tops and their clip gates, then the non-top members whose gate
     is open, their tops, and o_it, p(o_it), p'(o_it) and s_t for each of
-    them, and last every slot's pre-clip value. The sort, grouping, overlaps
-    and pre-clip values are those of the masked forward that run_nms runs,
-    which reads each o_it once.
+    them, and last every slot's pre-clip value. The sort, grouping, pairs,
+    overlaps and pre-clip values are those of the masked forward that
+    run_nms runs, which reads each o_it once and returns its (i, t) pairs.
     """
-    B, n = S.shape
-    order, top, pre_clip, _, o_mt = _masked_sorted(S, source, cfg, boxes=boxes)
-    order, pre_clip, rank = order.ravel(), pre_clip.ravel(), np.arange(n)
-    members = np.flatnonzero((top >= 0) & (top != rank))
-    members, tops = order[members], order[(top + np.arange(B)[:, None] * n).ravel()[members]]
+    order, top, pre_clip, _, members, tops, o_mt = _masked_sorted(S, source, cfg, boxes=boxes)
+    pre_clip = pre_clip.ravel()
     gated = _gate(pre_clip[members])
     members, tops, o_mt = members[gated], tops[gated], o_mt[gated]
-    group_tops = order[np.flatnonzero(top == rank)]
+    group_tops = order.ravel()[np.flatnonzero(top == np.arange(S.shape[1]))]
     weights, slopes = prune(o_mt, cfg), prune_derivative(o_mt, cfg)
     return group_tops, _gate(pre_clip[group_tops]), members, tops, o_mt, weights, slopes, S.ravel()[tops], pre_clip
 

@@ -14,11 +14,10 @@ rescoring each scene on its own, in input order, would give.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -166,21 +165,18 @@ def _corpus_scores(boxes: _Columns, bounds: np.ndarray, uppers: list, score_mode
 
 def _corpus_results(
     scenes: Sequence[Scene], cfg: NmsConfig, variants: Sequence[NmsVariant], score_mode: str | None
-) -> tuple[list[list[RescoreResult]], list[float], list[list[int]], list[_Columns]]:
-    """Each variant's rescoring of every scene's non-DontCare boxes, its seconds, their positions and box columns.
+) -> tuple[Iterator[list[RescoreResult]], list[list[int]], list[_Columns]]:
+    """The pass of the variants over every scene's non-DontCare boxes, their positions and box columns.
 
-    The scores and rectangles of all scenes are stacked once and shared by
-    the variants, and each variant rescores the whole corpus in one pass
-    (``nms._nms_scenes``), scenes as lanes; its results are one per scene.
-    The overlaps are evaluated on demand, so each variant computes only the
-    entries it reads, and its seconds include them; the zero-overlap
-    clusters of the scenes, and the groups of masked and grouped-inverse,
-    are found once, by the first variant that reads them, and shared with
-    the rest. A box lacking the
-    confidence score_mode needs, or with a score a variant cannot take,
-    raises ValueError naming the scene and its scene.boxes position: the
-    first that rescoring the scenes one by one would meet. A variant that
-    cannot use cfg's pruning kind is an error before any scene is read.
+    The pass is ``nms._nms_scenes``, which yields each variant's results,
+    one per scene, as it rescores the whole corpus, scenes as lanes. The
+    scores and rectangles of all scenes are stacked once and shared by the
+    variants, and each variant evaluates only the overlaps it reads, when
+    its results are drawn. A variant that cannot use cfg's pruning kind is
+    an error before any scene is read. A box lacking the confidence
+    score_mode needs, or with a score a variant cannot take, raises
+    ValueError naming the scene and its scene.boxes position: the first
+    that rescoring the scenes one by one would meet. Both raise here.
     """
     variants = [NmsVariant(v) for v in variants]
     for variant in variants:
@@ -203,14 +199,8 @@ def _corpus_results(
         box = index_maps[k][exc.index - bounds[k]]
         raise ValueError(f"scene {scenes[k].scene_id!r} box {box}: {exc.reason}") from None
     source = _overlap_source(RectOverlaps(stacked.rects), s.size)
-    clusters = functools.cache(functools.partial(source._clusters, bounds))
-    tops: dict = {}
-    results, seconds = [], []
-    for variant in variants:
-        start = time.perf_counter()
-        results.append(_nms_scenes(s, source, bounds, cfg, variant, clusters, tops))
-        seconds.append(time.perf_counter() - start)
-    return results, seconds, [index_map.tolist() for index_map in index_maps], boxes
+    passes = _nms_scenes(s, source, bounds, cfg, variants)
+    return passes, [index_map.tolist() for index_map in index_maps], boxes
 
 
 def rescore_scene(
@@ -228,7 +218,8 @@ def rescore_scene(
     first offending box. It runs the corpus path of ``diffnms run`` on a
     one-scene corpus.
     """
-    ((result,),), _, (index_map,), _ = _corpus_results([scene], cfg, [variant], score_mode)
+    passes, (index_map,), _ = _corpus_results([scene], cfg, [variant], score_mode)
+    (result,) = next(passes)
     return result, index_map
 
 
@@ -384,8 +375,8 @@ def score_iou_correlation(
         kept = [(index_map[int(k)], float(result.rescores[int(k)])) for k in result.kept]
         return [(i, rescore) for i, rescore in kept if columns.has_cuboid[i]]
 
-    (results,), _, index_maps, boxes = _corpus_results(scenes, cfg, [variant], score_mode)
-    per_scene = [kept_boxes(*scene) for scene in zip(boxes, gts, results, index_maps)]
+    passes, index_maps, boxes = _corpus_results(scenes, cfg, [variant], score_mode)
+    per_scene = [kept_boxes(*scene) for scene in zip(boxes, gts, next(passes), index_maps)]
     kept_cuboids = [columns.cuboids[[i for i, _ in kept]].reshape(-1, 7) for columns, kept in zip(boxes, per_scene)]
     box_cuboids, gt_cuboids, columns, values, bounds = _gt_rows(kept_cuboids, gts)
     # A kept box's match is the first maximum of its row.
@@ -474,10 +465,14 @@ def build_comparison(
             raise ValueError(f"variant {name} is listed more than once")
     kept_sets: dict[str, list[set[int]]] = {name: [] for name in names}
     ap: dict[str, float | None] = {}
-    results, times, index_maps, boxes = _corpus_results(scenes, cfg, variants, score_mode)
-    seconds = dict(zip(names, times))
+    passes, index_maps, boxes = _corpus_results(scenes, cfg, variants, score_mode)
     gts = [_usable_gts(scene._columns("gts")) for scene in scenes]
-    for name, variant_results in zip(names, results):
+    n = max(len(scenes), 1)
+    seconds_per_scene: dict[str, float] = {}
+    for name in names:
+        start = time.perf_counter()
+        variant_results = next(passes)
+        seconds_per_scene[name] = (time.perf_counter() - start) / n
         kept_boxes = []
         for columns, result, index_map in zip(boxes, variant_results, index_maps):
             kept = np.asarray(index_map, dtype=np.intp)[result.kept]
@@ -485,7 +480,6 @@ def build_comparison(
             kept_boxes.append((result.rescores[result.kept], columns.cuboids[kept], columns.has_cuboid[kept]))
         # The kept boxes, scored by their rescores: rescored_boxes of each scene, none of them DontCare.
         ap[name] = _ap_r40(kept_boxes, gts, iou_threshold)
-    n = max(len(scenes), 1)
     kept_mean = {name: float(np.mean([len(s) for s in kept_sets[name]])) if scenes else 0.0 for name in names}
     jaccard: dict[tuple[str, str], float] = {}
     for i, a in enumerate(names):
@@ -497,7 +491,7 @@ def build_comparison(
         scenes=len(scenes),
         iou_threshold=iou_threshold,
         kept_mean=kept_mean,
-        seconds_per_scene={name: seconds[name] / n for name in names},
+        seconds_per_scene=seconds_per_scene,
         ap_r40=ap,
         jaccard=jaccard,
     )

@@ -274,9 +274,13 @@ def _json(value) -> str:
     return json.dumps(value, allow_nan=False, separators=(",", ":"))
 
 
-def _item(key, value) -> str:
-    """The text of one member of a JSON object, "key":value, as ``_json`` writes it inside the object."""
-    return _json({key: value})[1:-1]
+def _item(key, value, where: str) -> str:
+    """The text of one member of a JSON object, "key":value, as ``_json`` writes it inside the object; a value of a
+    type json cannot write raises a ValueError that names where and the key."""
+    try:
+        return _json({key: value})[1:-1]
+    except TypeError:
+        raise ValueError(f"{where}: {key}: a value is of a type json does not parse to") from None
 
 
 class _Text(str):
@@ -310,21 +314,43 @@ def _record_keys(columns: _Columns) -> list[tuple[np.ndarray | None, list[tuple]
     return groups
 
 
-def _require_finite(columns: _Columns, groups: list, where: str) -> None:
-    """ValueError naming the first record of columns, "{where} {i}", and its first written number that is NaN
-    or infinite: one check over all numbers, then, if it fails, a scan of the records in order."""
-    numbers = [columns.rects.ravel(), columns.cuboids.ravel(), columns.truncation, columns.alpha]
-    if columns.kind is DetectionBox:
+def _converts(convert, value) -> bool:
+    try:
+        convert(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _require_writable(columns: _Columns, where: str) -> None:
+    """ValueError naming the first record of columns, "{where} {i}", and its first field, in the reader's order,
+    that the reader would reject: a written number that is NaN or infinite, a label that is not a string, or an
+    occlusion that is not an integer. One check over each column, then, if one fails, a scan of the records in
+    order."""
+    kind = columns.kind
+    # An absent confidence is not written.
+    confs = {key: np.where(getattr(columns, "has_" + key), getattr(columns, key), 0.0) for key in _CONFS[kind]}
+    numbers = [columns.rects.ravel(), columns.cuboids.ravel(), columns.truncation, columns.alpha, *confs.values()]
+    if kind is DetectionBox:
         numbers.append(columns.score)
-        for key in _CONFS[DetectionBox]:
-            numbers.append(np.where(getattr(columns, "has_" + key), getattr(columns, key), 0.0))
-    if np.isfinite(np.concatenate(numbers)).all():
+    occlusion = columns.occlusion
+    if (
+        np.isfinite(np.concatenate(numbers)).all()
+        and set(map(type, columns.label)) <= {str}
+        and (occlusion.dtype != object or all(_converts(_integer, value) for value in occlusion.tolist()))
+    ):
         return
+    values = dict(zip(_RECT_KEYS + _CUBOID_KEYS, [*columns.rects.T, *columns.cuboids.T]), **confs)
+    for key, *_ in _BOX_FIELDS if kind is DetectionBox else _GT_FIELDS:
+        values.setdefault(key, getattr(columns, key))
+    values["occlusion"] = occlusion.tolist()
     for i in range(len(columns)):
-        for written, keys in groups:
-            for key, _, values in keys if written is None or written[i] else ():
-                if values is not None and values.dtype == float and not np.isfinite(values[i]):
-                    raise ValueError(f"{where} {i}: {key} must be finite, got {values[i].item()!r}")
+        for key, convert, _, _ in _CHECKS[kind]:
+            value = values[key][i]
+            if convert is _number and not np.isfinite(value):
+                raise ValueError(f"{where} {i}: {key} must be finite, got {value.item()!r}")
+            if key in ("label", "occlusion") and not _converts(convert, value):
+                raise _field_error(f"{where} {i}", key, convert, value)
 
 
 def _record_texts(columns: _Columns, where: str) -> list[str]:
@@ -338,8 +364,8 @@ def _record_texts(columns: _Columns, where: str) -> list[str]:
     its place.
     """
     n = len(columns)
+    _require_writable(columns, where)
     groups = _record_keys(columns)
-    _require_finite(columns, groups, where)
     for i in sorted(columns.extra):
         _require_finite_extra(columns.extra[i], f"{where} {i}")
     # Drop the keys no record writes; a key every record writes needs no mask.
@@ -377,7 +403,8 @@ def _record_texts(columns: _Columns, where: str) -> list[str]:
         items = {key: _Text(form % lists[key][at] if key in lists else form) for key, form in layout}
         items.update(extra)
         texts[at] = "{" + ",".join(
-            f'"{key}":{value}' if type(value) is _Text else _item(key, value) for key, value in items.items()
+            f'"{key}":{value}' if type(value) is _Text else _item(key, value, f"{where} {i}")
+            for key, value in items.items()
         ) + "}"
     return texts if rank is None else [texts[k] for k in rank.tolist()]
 
@@ -388,20 +415,22 @@ _RECORDS = object()
 
 def _scene_text(scene: Scene) -> str:
     """The JSON object of a scene: id, camera if any, boxes, gts, then its extra keys."""
+    where = f"scene {scene.scene_id!r}"
+    if not isinstance(scene.scene_id, str):
+        raise _field_error(where, "id", _string, scene.scene_id)
     out: dict = {"id": scene.scene_id}
     if scene.camera is not None:
         out["camera"] = scene.camera
     out.update(boxes=_RECORDS, gts=_RECORDS)
     out.update(scene.extra)
     items = []
-    where = f"scene {scene.scene_id!r}"
     for key, value in out.items():
         if value is _RECORDS:
             texts = _record_texts(scene._columns(key), f"{where} {'box' if key == 'boxes' else 'gt'}")
             items.append(f'"{key}":[' + ",".join(texts) + "]")
         else:
             _require_finite_extra({key: value}, where)
-            items.append(_item(key, value))
+            items.append(_item(key, value, where))
     return "{" + ",".join(items) + "}"
 
 

@@ -19,12 +19,12 @@ one-scene corpus.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -415,13 +415,14 @@ def _scene_blocks(bounds: np.ndarray) -> list[np.ndarray]:
 
 
 def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, boxes=None, top=None):
-    """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores, o_mt).
+    """The masked forward of validated score rows S, (B, n): (order, top, pre_clip, rescores, i, t, o_it).
 
     The first four have a row per row of S: the stable descending score sort
     as source indices, the GroupPartition.top array, and the pre-clip values
-    and rescores in the order of S; o_mt holds each member's overlap with its
-    top, row by row in score order. Overlaps are read only as
-    source.pairs(order[b, i], order[b, j]). boxes, (B, n), gives the source
+    and rescores in the order of S. i, t and o_it are the pairs the forward
+    read, row by row in score order: each non-top member's source index, its
+    top's, and their overlap. Overlaps are read only as
+    source.pairs(order[b, k], order[b, m]). boxes, (B, n), gives the source
     index of each entry of S, or -1 for padding, whose score must be -inf so
     that it sorts last; by default entry (b, k) is box k. top, when given,
     is the grouping of these rows (_row_tops), already found.
@@ -441,13 +442,14 @@ def _masked_sorted(S: np.ndarray, source, cfg: NmsConfig, boxes=None, top=None):
     # and each member's rescore is one gather over its top.
     members = np.flatnonzero((top >= 0) & (top != np.arange(n)))
     tops = (top + row_start).ravel()[members]
-    o_mt = source.pairs(order.ravel()[members], order.ravel()[tops])
+    i, t = order.ravel()[members], order.ravel()[tops]
+    o_it = source.pairs(i, t)
     c_sorted = np.where(top.ravel() >= 0, s_sorted, 0.0)
-    c_sorted[members] = s_sorted[members] - prune(o_mt, cfg) * s_sorted[tops]
+    c_sorted[members] = s_sorted[members] - prune(o_it, cfg) * s_sorted[tops]
     pre_clip = np.empty(B * n)
     pre_clip[at] = c_sorted
     pre_clip = pre_clip.reshape(B, n)
-    return order, top, pre_clip, _clip_clamp(pre_clip, S), o_mt
+    return order, top, pre_clip, _clip_clamp(pre_clip, S), i, t, o_it
 
 
 def masked_rescore(scores, overlaps, cfg: NmsConfig) -> RescoreResult:
@@ -644,76 +646,80 @@ def _score_upper(variant: NmsVariant) -> float | None:
 
 
 def _nms_scenes(
-    s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variant: NmsVariant, clusters=None, tops=None
-) -> list[RescoreResult]:
-    """run_nms of each scene of a corpus, in one pass: scene k holds boxes bounds[k]:bounds[k + 1].
+    s: np.ndarray, source, bounds: np.ndarray, cfg: NmsConfig, variants: Sequence[NmsVariant]
+) -> Iterator[list[RescoreResult]]:
+    """run_nms of each scene of a corpus, as a generator that yields each variant's results in one pass.
 
-    s holds the validated scores and source the overlaps of all the boxes,
-    which are read only within a scene. The greedy variants run the scenes
-    as lanes (_greedy_nms). Masked and grouped-inverse group the scenes of
-    each _scene_blocks block at once, as its rows (_masked_sorted). The
-    inverse variants then solve one system per group or per scene: those of
-    at most _WHOLE_MATRIX_BOXES boxes together, one overlap read per block
-    of similar size (_solve_small), and each larger one on its own
+    Scene k holds boxes bounds[k]:bounds[k + 1]; s holds the validated
+    scores and source the overlaps of all the boxes, which are read only
+    within a scene. The greedy variants run the scenes as lanes
+    (_greedy_nms). Masked and grouped-inverse group the scenes of each
+    _scene_blocks block at once, as its rows (_masked_sorted). The inverse
+    variants then solve one system per group or per scene: those of at most
+    _WHOLE_MATRIX_BOXES boxes together, one overlap read per block of
+    similar size (_solve_small), and each larger one on its own
     (_solve_pruned). Under p(0) = 0, a larger full-inverse system on a
-    RectOverlaps reads only the pairs within a zero-overlap cluster.
-    clusters() returns source._clusters(bounds), the partition the greedy
-    lanes and those reads share; a caller running several variants passes
-    one that computes it once. tops maps each block's index to the
-    GroupPartition.top array of its rows, which masked and grouped-inverse
-    share: the first of them to group a block adds it, and a caller running
-    both on the same scores, source and cfg passes one dict to both.
-    Indices in each result are relative to its scene.
+    RectOverlaps reads only the pairs within a zero-overlap cluster. Two
+    partitions are found once, by the first variant that needs them: the
+    zero-overlap clusters, clusters(), for the greedy lanes and those reads,
+    and tops, each block's GroupPartition.top array by the block's index,
+    for masked and grouped-inverse. Result indices are relative to a scene.
     """
-    if clusters is None:
-        clusters = functools.partial(source._clusters, bounds)
-    if tops is None:
-        tops = {}
-    if variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT):
-        rescores = _greedy_nms(s, source, cfg, bounds, clusters)
-        pre_clip = rescores.copy()
-    else:
-        pre_clip = np.zeros(s.size)
-        systems = []
-        # A one-scene corpus is its own row, in box order; more scenes are
-        # grouped block by block (_scene_blocks).
-        for block, boxes in enumerate([None] if len(bounds) == 2 else _scene_blocks(bounds)):
-            S = s[None] if boxes is None else np.where(boxes >= 0, s[boxes], -np.inf)
-            if variant is NmsVariant.MASKED:
-                _, tops[block], rows = _masked_sorted(S, source, cfg, boxes=boxes, top=tops.get(block))[:3]
-                if boxes is None:
-                    pre_clip = rows[0]
+    found = []
+
+    def clusters() -> list[np.ndarray]:
+        if not found:
+            found.append(source._clusters(bounds))
+        return found[0]
+
+    tops = {}
+    for variant in variants:
+        if variant in (NmsVariant.CLASSICAL, NmsVariant.SOFT):
+            rescores = _greedy_nms(s, source, cfg, bounds, clusters)
+            pre_clip = rescores.copy()
+        else:
+            pre_clip = np.zeros(s.size)
+            systems = []
+            # A one-scene corpus is its own row, in box order; more scenes are
+            # grouped block by block (_scene_blocks).
+            for block, boxes in enumerate([None] if len(bounds) == 2 else _scene_blocks(bounds)):
+                S = s[None] if boxes is None else np.where(boxes >= 0, s[boxes], -np.inf)
+                if variant is NmsVariant.MASKED:
+                    _, tops[block], rows = _masked_sorted(S, source, cfg, boxes=boxes, top=tops.get(block))[:3]
+                    if boxes is None:
+                        pre_clip = rows[0]
+                    else:
+                        pre_clip[boxes[boxes >= 0]] = rows[boxes >= 0]
+                    continue
+                order = np.argsort(-S, axis=1, kind="stable")
+                if boxes is not None:
+                    order = np.take_along_axis(boxes, order, axis=1)
+                if variant is NmsVariant.FULL_INVERSE:
+                    systems += [row[row >= 0] for row in order]
                 else:
-                    pre_clip[boxes[boxes >= 0]] = rows[boxes >= 0]
-                continue
-            order = np.argsort(-S, axis=1, kind="stable")
-            if boxes is not None:
-                order = np.take_along_axis(boxes, order, axis=1)
-            if variant is NmsVariant.FULL_INVERSE:
-                systems += [row[row >= 0] for row in order]
-            else:
-                # One key per group of the block: its row's offset plus its top's sorted index.
-                if block not in tops:
-                    tops[block] = _row_tops(source, order, cfg)
-                top = tops[block]
-                keys = np.where(top >= 0, top + np.arange(len(order))[:, None] * order.shape[1], -1)
-                systems += [order.ravel()[idx] for idx in _split_groups(keys.ravel())]
-        # Each system, its boxes in score order, is one unit lower-triangular solve.
-        small = [system for system in systems if system.size <= _WHOLE_MATRIX_BOXES]
-        if small:
-            _solve_small(source, small, s, cfg, pre_clip)
-        large = [system for system in systems if system.size > _WHOLE_MATRIX_BOXES]
-        label = None
-        if large and variant is NmsVariant.FULL_INVERSE and isinstance(source, RectOverlaps) and prune(0.0, cfg) == 0.0:
-            # Each box's zero-overlap cluster, as an index into clusters().
-            units = clusters()
-            label = np.empty(s.size, dtype=np.intp)
-            label[np.concatenate(units)] = np.repeat(np.arange(len(units)), [unit.size for unit in units])
-        for system in large:
-            pre_clip[system] = _solve_pruned(source, system, s, cfg, label)
-        rescores = _clip_clamp(pre_clip, s)
-    scenes = [(rescores[lo:hi], pre_clip[lo:hi]) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    return [RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), p) for r, p in scenes]
+                    # One key per group of the block: its row's offset plus its top's sorted index.
+                    if block not in tops:
+                        tops[block] = _row_tops(source, order, cfg)
+                    top = tops[block]
+                    keys = np.where(top >= 0, top + np.arange(len(order))[:, None] * order.shape[1], -1)
+                    systems += [order.ravel()[idx] for idx in _split_groups(keys.ravel())]
+            # Each system, its boxes in score order, is one unit lower-triangular solve.
+            small = [system for system in systems if system.size <= _WHOLE_MATRIX_BOXES]
+            if small:
+                _solve_small(source, small, s, cfg, pre_clip)
+            large = [system for system in systems if system.size > _WHOLE_MATRIX_BOXES]
+            label = None
+            full = variant is NmsVariant.FULL_INVERSE
+            if large and full and isinstance(source, RectOverlaps) and prune(0.0, cfg) == 0.0:
+                # Each box's zero-overlap cluster, as an index into clusters().
+                units = clusters()
+                label = np.empty(s.size, dtype=np.intp)
+                label[np.concatenate(units)] = np.repeat(np.arange(len(units)), [unit.size for unit in units])
+            for system in large:
+                pre_clip[system] = _solve_pruned(source, system, s, cfg, label)
+            rescores = _clip_clamp(pre_clip, s)
+        scenes = [(rescores[lo:hi], pre_clip[lo:hi]) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        yield [RescoreResult(r, np.flatnonzero(r >= cfg.valid_threshold), p) for r, p in scenes]
 
 
 def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreResult:
@@ -757,4 +763,4 @@ def run_nms(scores, overlaps, cfg: NmsConfig, variant: NmsVariant) -> RescoreRes
     _check_variant(variant, cfg.pruning)
     s = _validate_scores(scores, _score_upper(variant))
     source = _overlap_source(overlaps, s.size)
-    return _nms_scenes(s, source, np.array([0, s.size]), cfg, variant)[0]
+    return next(_nms_scenes(s, source, np.array([0, s.size]), cfg, [variant]))[0]

@@ -160,21 +160,15 @@ def _scales(cfg: SyntheticConfig) -> np.ndarray:
     return np.array([cfg.score_noise, *jittered * (cfg.proposals_per_object - 1)])
 
 
-def _exp(value: float) -> float:
-    """math.exp of value, or inf where it overflows; the error replay names the overflow."""
-    try:
-        return math.exp(value)
-    except OverflowError:
-        return math.inf
-
-
 def _libm_exp(values: np.ndarray) -> np.ndarray:
-    """math.exp of each value, as the scalar arithmetic takes it; inf where it overflows."""
-    flat = values.ravel().tolist()
-    try:
-        out = [math.exp(v) for v in flat]
-    except OverflowError:
-        out = [_exp(v) for v in flat]
+    """math.exp of each value, as the scalar arithmetic takes it; inf where it overflows, which the error replay
+    names."""
+    out = []
+    for value in values.ravel().tolist():
+        try:
+            out.append(math.exp(value))
+        except OverflowError:
+            out.append(math.inf)
     return np.array(out, dtype=float).reshape(values.shape)
 
 

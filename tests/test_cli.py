@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -929,3 +931,39 @@ class TestMalformedKitti:
         out = tmp_path / "out.txt"
         assert run_cli("run", "--input", str(path), "--format", "kitti", "--keep-all", "--out", str(out)) == 0
         assert out.read_text(encoding="ascii").split()[2] == "-1.0"
+
+
+# Runs every command in one fresh interpreter, then checks that none of them
+# imported numpy.ma, which costs megabytes and milliseconds per CLI run.
+_STARTUP_SCRIPT = """
+import sys
+from diffnms.cli import main
+golden, out = sys.argv[1:]
+commands = [
+    ["synth", "--scenes", "2", "--objects", "3", "--proposals", "3", "--out", out + "/synth.jsonl"],
+    ["run", "--input", golden, "--out", out + "/run.jsonl"],
+    ["compare", "--input", golden, "--nms", "classical,masked,full-inverse,grouped-inverse"],
+    ["eval", "--input", golden],
+    ["oracle", "--input", golden, "--out", out + "/oracle.jsonl"],
+    ["correlate", "--input", golden],
+    ["gradcheck", "--pruning", "sigmoid", "--trials", "5"],
+]
+for command in commands:
+    assert main(command) == 0, command
+assert "numpy.ma" not in sys.modules, "a command imported numpy.ma"
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """The suite imports numpy.ma itself, so only a fresh interpreter shows what the commands import."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, str(GOLDEN), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffnms import DetectionBox, NmsConfig, NmsVariant, Pruning, Rect2D, RectOverlaps, Scene, run_nms
+from diffnms import DetectionBox, NmsConfig, NmsVariant, Pruning, Rect2D, RectOverlaps, Scene, build_comparison, run_nms
 from diffnms import nms
 from diffnms.harness import _corpus_results
 from oracles import reference_scene_results
@@ -86,11 +86,18 @@ def _assert_same_results(got, expected) -> None:
 @given(scenes=corpora(), cfg=configs())
 def test_corpus_pass_is_run_nms_scene_by_scene(scenes, cfg):
     variants = VARIANTS[cfg.pruning]
-    got, seconds, index_maps, _ = _corpus_results(scenes, cfg, variants, None)
+    passes, index_maps, _ = _corpus_results(scenes, cfg, variants, None)
     expected, expected_maps = reference_scene_results(scenes, cfg, variants)
     assert index_maps == expected_maps
-    assert len(seconds) == len(variants)
-    _assert_same_results(got, expected)
+    _assert_same_results(passes, expected)
+
+
+def test_comparison_times_each_variant_s_pass():
+    scenes = [_scene(f"s{k}", np.random.default_rng(k), 30, 40, 0.2, False) for k in range(3)]
+    variants = VARIANTS[Pruning.HARD]
+    report = build_comparison(scenes, NmsConfig(), variants)
+    assert list(report.seconds_per_scene) == [variant.value for variant in variants]
+    assert all(seconds > 0.0 for seconds in report.seconds_per_scene.values())
 
 
 # Values that some variant or score mode rejects: negative, above 1 (only the
@@ -130,9 +137,9 @@ def test_corpus_pass_raises_the_first_error_of_the_scene_by_scene_loop(scenes, c
             _corpus_results(scenes, cfg, variants, score_mode)
         assert str(raised.value) == str(exc)
     else:
-        got, _, index_maps, _ = _corpus_results(scenes, cfg, variants, score_mode)
+        passes, index_maps, _ = _corpus_results(scenes, cfg, variants, score_mode)
         assert index_maps == expected[1]
-        _assert_same_results(got, expected[0])
+        _assert_same_results(passes, expected[0])
 
 
 @pytest.mark.parametrize("pruning", list(Pruning))
@@ -149,7 +156,7 @@ def test_disjoint_boxes_are_split_into_clusters_except_under_sigmoid(pruning):
     variant = NmsVariant.CLASSICAL if pruning is Pruning.HARD else NmsVariant.SOFT
     units = nms._scenes(bounds) if pruning is Pruning.SIGMOIDAL else source._clusters(bounds)
     assert nms._lanes(units).shape == ((3, 100) if pruning is Pruning.SIGMOIDAL else (300, 1))
-    got = nms._nms_scenes(np.tile(scores, 3), source, bounds, cfg, variant)
+    (got,) = nms._nms_scenes(np.tile(scores, 3), source, bounds, cfg, [variant])
     for k, result in enumerate(got):
         expected = run_nms(scores, RectOverlaps(rects + (3.0 if k == 1 else 0.0)), cfg, variant)
         assert _same(result.rescores, expected.rescores)
@@ -169,7 +176,7 @@ def test_a_lane_shared_by_two_scenes_decays_only_the_top_s_scene(pruning):
     assert max(lanes) == 2
     scores = np.array([0.9, 0.8, 0.7, 0.6, 0.95, 0.85, 0.75, 0.65])
     cfg = NmsConfig(pruning=pruning)
-    got = nms._nms_scenes(scores, source, bounds, cfg, NmsVariant.SOFT)
+    (got,) = nms._nms_scenes(scores, source, bounds, cfg, [NmsVariant.SOFT])
     for result, lo, hi in zip(got, bounds, bounds[1:]):
         assert _same(result.rescores, run_nms(scores[lo:hi], RectOverlaps(rects[lo:hi]), cfg, NmsVariant.SOFT).rescores)
 

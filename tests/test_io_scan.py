@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffnms import Scene, io_jsonl, io_kitti, read_kitti_dir, read_kitti_file, read_scenes_jsonl, write_kitti_dir
@@ -103,3 +104,20 @@ def test_valid_input_never_reaches_a_scan(scans, tmp_path):
     )
     read_kitti_file(DATA / "golden_labels.txt")
     assert scans == Counter()
+
+
+class _Level(int):
+    """An int subclass: a Python value json writes as an integer but never parses to."""
+
+
+@pytest.mark.parametrize(
+    "field, value", [("score", np.float64(0.5)), ("occlusion", _Level(1))], ids=["numpy-float", "int-subclass"]
+)
+def test_a_value_of_a_type_json_does_not_parse_to_fails_only_the_column_check(field, value):
+    """A value every record check accepts but whose type no JSON parse gives fails the column check alone, and the
+    scan then names the record kind, not a record."""
+    box = {"x1": 0.0, "y1": 0.0, "x2": 1.0, "y2": 1.0, "score": 0.5, field: value}
+    assert _error(lambda: scene_from_dict({"id": "a", "boxes": [box]})) == (
+        ValueError,
+        "scene: scene 'a' box: a value is of a type json does not parse to",
+    )

@@ -24,6 +24,7 @@ from diffnms import (
     format_kitti_label,
     parse_kitti_label,
     read_kitti_file,
+    read_scenes_jsonl,
     write_kitti_file,
     write_scenes_jsonl,
 )
@@ -319,3 +320,56 @@ def test_a_non_finite_kept_value_of_a_read_scene_names_its_record(tmp_path):
     scene._columns("boxes").extra[1]["note"][0] = -math.inf
     got = _format_outcome(lambda s: write_scenes_jsonl(tmp_path / "out.jsonl", [s]), scene)
     assert got == (None, (ValueError, "scene 'a' box 1: note must be finite, got -inf"))
+
+
+@pytest.mark.parametrize(
+    "scene, message",
+    [
+        (Scene(5), "scene 5: id must be a string, got 5"),
+        (Scene("a", boxes=[_box(), _box(label=5)]), "scene 'a' box 1: label must be a string, got 5"),
+        (
+            Scene("a", gts=[GroundTruth(Rect2D(0.0, 0.0, 1.0, 1.0), label=None)]),
+            "scene 'a' gt 0: label must be a string, got None",
+        ),
+        (Scene("a", boxes=[_box(occlusion=1.5)]), "scene 'a' box 0: occlusion must be an integer, got 1.5"),
+        # The reader's order within a record: the score before the label.
+        (Scene("a", boxes=[_box(score=math.nan, label=5)]), "scene 'a' box 0: score must be finite, got nan"),
+        (
+            Scene("a", boxes=[_box(extra={"tags": {1, 2}})]),
+            "scene 'a' box 0: tags: a value is of a type json does not parse to",
+        ),
+        (Scene("a", extra={"tags": {"x": {1}}}), "scene 'a': tags: a value is of a type json does not parse to"),
+        (Scene("a", camera={"front"}), "scene 'a': camera: a value is of a type json does not parse to"),
+    ],
+    ids=["id", "label", "gt-label", "occlusion", "field-order", "set-extra", "nested-set", "camera"],
+)
+def test_a_value_the_reader_would_reject_names_its_scene_record_and_key(tmp_path, scene, message):
+    """A scene built in Python that its reader would reject, or json could not write, raises the reader's error."""
+    got = _format_outcome(lambda s: write_scenes_jsonl(tmp_path / "out.jsonl", [s]), scene)
+    assert got == (None, (ValueError, message))
+
+
+def test_a_scene_built_in_python_that_writes_reads_back(tmp_path):
+    """Values the reader takes although no JSON parse gives their type: integral float and int-subclass
+    occlusions, a str-subclass label, numpy floats, tuples."""
+
+    class Label(str):
+        pass
+
+    class Level(int):
+        pass
+
+    boxes = [
+        _box(occlusion=2.0, extra={"pair": (1, 2.5)}),
+        _box(occlusion=Level(3), label=Label("Van"), score=np.float64(0.25)),
+        _box(occlusion=2**70),
+    ]
+    scene = Scene("a", boxes=boxes, camera=(0.5, "front"), extra={"note": {"k": [np.float64(1.5), None]}})
+    write_scenes_jsonl(tmp_path / "out.jsonl", [scene])
+    (back,) = read_scenes_jsonl(tmp_path / "out.jsonl")
+    assert [(b.occlusion, b.label, b.score, b.extra) for b in back.boxes] == [
+        (2, "Car", 0.5, {"pair": [1, 2.5]}),
+        (3, "Van", 0.25, {}),
+        (2**70, "Car", 0.5, {}),
+    ]
+    assert (back.camera, back.extra) == ([0.5, "front"], {"note": {"k": [1.5, None]}})

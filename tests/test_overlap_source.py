@@ -401,8 +401,8 @@ def test_inverse_corpus_reads_match_the_matrix_and_the_dense_solve(corpus, whole
         patch.setattr(nms, "_WHOLE_MATRIX_BOXES", nms._WHOLE_MATRIX_BOXES if whole_matrix else 0)
         patch.setattr(nms, "_SOLVE_BLOCK_ENTRIES", solve_block)
         source = nms._overlap_source(RectOverlaps(rects), s.size)
-        for variant in (NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE):
-            got = nms._nms_scenes(s, source, bounds, cfg, variant)
+        variants = [NmsVariant.FULL_INVERSE, NmsVariant.GROUPED_INVERSE]
+        for variant, got in zip(variants, nms._nms_scenes(s, source, bounds, cfg, variants)):
             for result, (boxes, scores, _) in zip(got, corpus):
                 matrix = overlap_matrix(boxes)
                 _assert_same_result(result, run_nms(scores, matrix, cfg, variant))

@@ -6,7 +6,7 @@ on a variant of it with DontCare records and missing cuboids, on a variant
 with tied, zero and negative-zero scores, and on one cluttered scene of 1500
 boxes. Each overlap kernel has one entry: every path into the rectangle IoU
 goes through RectOverlaps.pairs, and every path into the cuboid kernel
-through _cuboid_pairs. Each rescoring command runs each NMS loop once per
+through _cuboid_pairs or, for a whole matrix, _cuboid_matrix. Each rescoring command runs each NMS loop once per
 variant and block of scenes of similar size, not once per scene, reads the
 small inverse systems once per block of systems of similar size, not once
 per group, and finds a corpus's zero-overlap clusters at most once; gradcheck
@@ -287,15 +287,19 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_each_overlap_kernel_is_entered_only_through_its_one_entry(monkeypatch, tmp_path, name):
-    """Every _rect_iou call comes from RectOverlaps.pairs, every _cuboid_values call from _cuboid_pairs."""
-    entries = {"_rect_iou": RectOverlaps.pairs.__code__, "_cuboid_values": geometry._cuboid_pairs.__code__}
+    """Every _rect_iou call comes from RectOverlaps.pairs, every _cuboid_values call from one of the two
+    checked entries: _cuboid_pairs, or _cuboid_matrix, whose N x M indices need no range check."""
+    entries = {
+        "_rect_iou": {RectOverlaps.pairs.__code__},
+        "_cuboid_values": {geometry._cuboid_pairs.__code__, geometry._cuboid_matrix.__code__},
+    }
     calls, strays = Counter(), []
 
     def guarded(kernel):
         def call(*args):
             caller = sys._getframe(1).f_code
             calls[kernel.__name__] += 1
-            if caller is not entries[kernel.__name__]:
+            if caller not in entries[kernel.__name__]:
                 strays.append((kernel.__name__, caller.co_name))
             return kernel(*args)
 
@@ -310,8 +314,9 @@ def test_each_overlap_kernel_is_entered_only_through_its_one_entry(monkeypatch, 
 
 
 # Each rescoring command on the golden corpus, and how often each NMS loop
-# must run: once per variant and corpus, never once per scene. Every golden
-# scene has the same number of boxes, so the corpus is one block of scenes.
+# must run: one corpus pass (_nms_scenes) per command, and each loop once per
+# variant and corpus, never once per scene. Every golden scene has the same
+# number of boxes, so the corpus is one block of scenes.
 CORPUS_PASSES = {
     "run-masked": (["run", "--nms", "masked"], {"_nms_scenes": 1, "_masked_sorted": 1, "_group_rows": 1}),
     "run-classical": (["run", "--nms", "classical"], {"_nms_scenes": 1, "_greedy_nms": 1}),
@@ -321,11 +326,11 @@ CORPUS_PASSES = {
     "correlate": (["correlate", "--nms", "soft", "--pruning", "linear"], {"_nms_scenes": 1, "_greedy_nms": 1}),
     "compare-hard": (
         ["compare", "--nms", "classical,masked,full-inverse,grouped-inverse"],
-        {"_nms_scenes": 4, "_greedy_nms": 1, "_masked_sorted": 1, "_group_rows": 1},
+        {"_nms_scenes": 1, "_greedy_nms": 1, "_masked_sorted": 1, "_group_rows": 1},
     ),
     "compare-linear": (
         ["compare", "--nms", "soft,grouped-inverse", "--pruning", "linear"],
-        {"_nms_scenes": 2, "_greedy_nms": 1, "_group_rows": 1},
+        {"_nms_scenes": 1, "_greedy_nms": 1, "_group_rows": 1},
     ),
 }
 
@@ -379,7 +384,7 @@ def test_grouped_inverse_reads_its_small_groups_once_per_size_class(monkeypatch)
         return pairs(self, i, j)
 
     monkeypatch.setattr(RectOverlaps, "pairs", counting)
-    _corpus_results(scenes, cfg, [NmsVariant.GROUPED_INVERSE], None)
+    list(_corpus_results(scenes, cfg, [NmsVariant.GROUPED_INVERSE], None)[0])
     assert callers.pop("_group_rows") > 0
     assert callers == Counter({"_solve_small": len(classes)})
 
@@ -406,7 +411,7 @@ def test_the_zero_overlap_clusters_are_found_once_per_corpus(monkeypatch, varian
         return clusters(self, bounds)
 
     monkeypatch.setattr(RectOverlaps, "_clusters", counting)
-    _corpus_results(_dense() + read_scenes_jsonl(GOLDEN)[:3], NmsConfig(pruning=pruning), variants, None)
+    list(_corpus_results(_dense() + read_scenes_jsonl(GOLDEN)[:3], NmsConfig(pruning=pruning), variants, None)[0])
     assert len(calls) == finds
 
 
